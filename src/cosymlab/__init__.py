@@ -11,9 +11,10 @@ from .forms import (ChartManifold, ChartMap, KForm, Point, TangentVector,
 from .phase import (EnergySurface, FlowSystem, HamiltonianSystem, SingularOmegaError,
                     divergence_check, energy_drift, flow, flow_implicit_midpoint,
                     hamiltonian_vector_field)
-from .section import (GlobalityReport, MappingTorusChart, NoCrossingError,
-                      ReturnRecord, SectionSpec, TangencyError, coordinate_section,
-                      first_return, mapping_torus_chart, return_map_jacobian,
+from .section import (Crossings, GlobalityReport, MappingTorusChart, NoCrossingError,
+                      RefinementError, ReturnRecord, SectionSpec, TangencyError,
+                      coordinate_section, first_crossings, first_return,
+                      mapping_torus_chart, return_map_jacobian, return_map_jacobians,
                       verify_global, write_crossings_csv)
 from .cosym import (CollarModel, CosymplecticStructure, PathDependenceError,
                     TransversalityError, TransverseFieldReport, build_collar_form,

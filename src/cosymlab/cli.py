@@ -30,9 +30,9 @@ import numpy as np
 from . import catalog, cosym, expr, obstruct, tischler
 from .forms import ChartManifold, KForm, basis_indices, constant_form
 from .phase import HamiltonianSystem
-from .section import (SectionSpec, coordinate_section, first_return,
-                      mapping_torus_chart, return_map_jacobian, verify_global,
-                      write_crossings_csv)
+from .section import (SectionSpec, coordinate_section, first_crossings, first_return,
+                      mapping_torus_chart, return_map_jacobians, section_coordinates,
+                      verify_global, write_crossings_csv)
 
 TWO_PI = 2.0 * math.pi
 
@@ -57,8 +57,9 @@ def load_config(path: Path) -> dict:
     for key in ("tol", "t_max", "eps"):
         if key in cfg and not (isinstance(cfg[key], (int, float)) and cfg[key] > 0):
             raise ConfigError(f"config field {key!r} must be a positive number")
-    if "samples" in cfg and (not isinstance(cfg["samples"], int) or cfg["samples"] < 1):
-        raise ConfigError("config field 'samples' must be an integer >= 1")
+    for key in ("samples", "iterations", "n_return_points", "grid"):
+        if key in cfg and (not isinstance(cfg[key], int) or cfg[key] < 1):
+            raise ConfigError(f"config field {key!r} must be an integer >= 1")
     return cfg
 
 
@@ -348,12 +349,9 @@ def cmd_demo_product(cfg: dict, out: Path, seed: int) -> int:
 
     n_jac = int(cfg.get("n_return_points", 5))
     with runner.timed("return_map"):
-        max_det_err = 0.0
-        max_dev = 0.0
-        for pt in leaf_samples[:n_jac]:
-            J = return_map_jacobian(system, sec, system.point(pt), tol=tol)
-            max_det_err = max(max_det_err, abs(np.linalg.det(J) - 1.0))
-            max_dev = max(max_dev, float(np.max(np.abs(J - np.eye(len(J))))))
+        jacs = return_map_jacobians(system, sec, leaf_samples[:n_jac], tol=tol)
+        max_det_err = float(np.max(np.abs(np.linalg.det(jacs) - 1.0)))
+        max_dev = float(np.max(np.abs(jacs - np.eye(jacs.shape[-1]))))
     runner.check("return_map_symplectic", max_det_err < 1e-6,
                  max_det_error=max_det_err, max_identity_deviation=max_dev)
 
@@ -364,29 +362,19 @@ def cmd_demo_product(cfg: dict, out: Path, seed: int) -> int:
                  gluing_residual=mt.gluing_residual, energy_residual=mt.energy_residual)
 
     with runner.timed("crossings"):
-        times, states, margins, missed = collect_crossings(system, sec,
-                                                           leaf_samples[:50], t_max, tol)
-        rows = [(i, times[i], *system.manifold.reduce(states[i]), margins[i])
-                for i in range(len(times)) if i not in missed]
+        crossings = first_crossings(system, sec, leaf_samples[:50], t_max, tol)
+        rows = [(i, crossings.times[i], *system.manifold.reduce(crossings.states[i]),
+                 crossings.margins[i]) for i in np.flatnonzero(crossings.ok)]
         csv_path = runner.add_artifact(out / "crossings.csv")
         write_crossings_csv(csv_path, rows, system.dim)
         pts2 = np.array([[r[2], r[3]] for r in rows]) if rows else np.zeros((0, 2))
         svg_path = runner.add_artifact(out / "plot.svg")
         svg_scatter(svg_path, pts2, f"return-map iterates ({seed_name} seed)",
                     ("coord 0", "coord 1"))
-    runner.check("crossings_emitted", not missed, n_rows=len(rows))
+    runner.check("crossings_emitted", bool(crossings.ok.all()), n_rows=len(rows))
 
     runner.write_report()
     return 0 if runner.passed else 1
-
-
-def collect_crossings(system, sec, samples, t_max, tol):
-    """Forward crossing data for a batch of starting points."""
-    from .section import _batch_first_crossings
-    times, margins, missed, states = _batch_first_crossings(
-        system, sec, np.atleast_2d(np.asarray(samples, dtype=float)),
-        t_max, tol, 1, keep_states=True)
-    return times, states, margins, set(int(i) for i in missed)
 
 
 def cmd_verify_cosym(cfg: dict, out: Path, seed: int) -> int:
@@ -550,7 +538,6 @@ def cmd_return_map(cfg: dict, out: Path, seed: int) -> int:
     n_iter = int(cfg.get("iterations", 50))
 
     starts = section_start_points(name, system, cfg, rng, n_pts)
-    from .section import section_coordinates
     _, _, project = section_coordinates(system, sec, system.point(starts[0]))
     with runner.timed("iterate"):
         rows = []
@@ -575,12 +562,10 @@ def cmd_return_map(cfg: dict, out: Path, seed: int) -> int:
 
     n_jac = int(cfg.get("n_return_points", 10))
     with runner.timed("jacobians"):
-        max_det_err = 0.0
-        for x in starts[:n_jac]:
-            J = return_map_jacobian(system, sec, system.point(x),
+        jacs = return_map_jacobians(system, sec, starts[:n_jac],
                                     fd_step=float(cfg.get("fd_step", 1e-6)),
                                     t_max=t_max, tol=tol)
-            max_det_err = max(max_det_err, abs(np.linalg.det(J) - 1.0))
+        max_det_err = float(np.max(np.abs(np.linalg.det(jacs) - 1.0)))
     runner.check("symplectic_determinant", max_det_err < 1e-6, max_det_error=max_det_err)
 
     csv_path = runner.add_artifact(out / "crossings.csv")

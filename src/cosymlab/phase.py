@@ -271,18 +271,25 @@ def flow_raw(system, x0: np.ndarray, t: float, tol: float = DEFAULT_FLOW_TOL) ->
 
 
 def flow_implicit_midpoint(system, p0: Point, t: float, dt: float = 1e-3) -> FlowResult:
-    """Fixed-step implicit midpoint flow, for long-time symplectic runs."""
+    """Fixed-step implicit midpoint flow, for long-time symplectic runs.
+
+    Each step solves for its midpoint by fixed-point iteration; a step whose
+    iteration has not converged after 50 rounds raises RuntimeError.
+    """
     x = p0.coords.copy()
     n_steps = max(1, int(round(abs(t) / dt)))
     hstep = t / n_steps
-    for _ in range(n_steps):
+    for step in range(n_steps):
         mid = x + 0.5 * hstep * system.field(x)
         for _ in range(50):
             mid_new = x + 0.5 * hstep * system.field(mid)
-            if np.max(np.abs(mid_new - mid)) < 1e-14:
-                mid = mid_new
-                break
+            gap = float(np.max(np.abs(mid_new - mid)))
             mid = mid_new
+            if gap < 1e-14 * max(1.0, float(np.max(np.abs(mid)))):
+                break
+        else:
+            raise RuntimeError(f"implicit midpoint step {step + 1} of {n_steps} (size {hstep:g}) "
+                               f"did not converge: fixed-point gap {gap:.3e} after 50 iterations")
         x = 2.0 * mid - x
     drift = 0.0
     if hasattr(system, "energy"):

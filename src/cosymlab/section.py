@@ -3,11 +3,31 @@ and the mapping-torus chart of a verified section.
 
 The section function is circle valued.  Along an orbit its angle is lifted to
 a continuous real value (tracked through branch cuts), and crossings of the
-level set are located where the lift passes a lattice value ``level + 2*pi*k``.
-Only crossings whose oriented time derivative is positive are counted; a
-two-sided count would double-cover the mapping-torus fiber.  Crossing times
-are refined by bracketing plus Newton on the section angle until the angular
-residual falls below 1e-12.
+level set are located where the lift passes a lattice value
+``level + 2*pi*k``.  Only crossings whose oriented time derivative is
+positive are counted; a two-sided count would double-cover the
+mapping-torus fiber.
+
+Every crossing comes from one batched engine, `first_crossings`, in three
+steps:
+
+- bracket: the orbits are integrated as one stacked system and sampled on the
+  union of a rate-sized uniform grid and the integrator's accepted steps,
+  refined until adjacent angles differ by less than pi/2 and every turning
+  point of a lift near a lattice value is sampled (so short excursions
+  through the section are seen); the first upward lattice passage of every
+  orbit is read off floor differences of the lift;
+- refine: one batched Hénon step (M. Hénon, Physica D 5 (1982) 412) takes the
+  lifted angle as the independent variable and integrates from the bracket's
+  left end exactly onto the lattice value; the rate in its denominator is
+  clamped at TANGENCY_MARGIN, so a grazing orbit cannot stall the batch;
+- polish and check: vectorised Newton steps with fourth-order flow
+  micro-steps.  A crossing is accepted only if its time lies inside its
+  bracket, its angular residual is below 1e-12 and its rate is at least
+  TANGENCY_MARGIN; anything else is a per-orbit failure.
+
+First returns, globality checks and return-map Jacobians all go through the
+engine, so the same bounds hold on every path.
 """
 from __future__ import annotations
 
@@ -17,7 +37,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .forms import ChartManifold, Point, two_form_matrix
 from . import phase
@@ -27,6 +46,7 @@ TWO_PI = 2.0 * math.pi
 TANGENCY_MARGIN = 1e-8
 ANGLE_RESIDUAL = 1e-12
 ON_SECTION_TOL = 1e-8
+NEAR_LATTICE = 1e-3     # lattice units (turns of the section angle)
 DEFAULT_T_MAX = 1e3
 
 
@@ -36,6 +56,10 @@ class TangencyError(RuntimeError):
 
 class NoCrossingError(RuntimeError):
     """No oriented crossing found before t_max."""
+
+
+class RefinementError(RuntimeError):
+    """A bracketed crossing missed its angular residual or left its bracket."""
 
 
 class GluingError(RuntimeError):
@@ -94,13 +118,39 @@ class ReturnRecord:
     crossings_seen: int
 
 
+_FAILURE_ERRORS = {"no crossing": NoCrossingError, "tangency": TangencyError}
+
+
 @dataclass(eq=False)
-class Crossing:
-    time: float            # absolute time along the true flow (signed)
-    state: np.ndarray      # unreduced coordinates at the crossing
-    rate: float            # d theta / dt at the crossing (true flow direction)
-    min_rate_seen: float   # min |d theta / dt| along the scanned orbit piece
-    crossings_seen: int
+class Crossings:
+    """First oriented crossings of a batch of orbits, one entry per orbit.
+
+    ``times`` are signed (negative when scanning backward) and ``states`` are
+    unreduced coordinates.  ``rates`` is d theta/dt along the true flow at
+    the crossing, ``margins`` the least |d theta/dt| seen along the scanned
+    orbit, ``residuals`` the final |theta - level| and ``crossings_seen`` the
+    lattice passages counted up to and including the crossing.  ``failures``
+    holds None for an accepted crossing and the reason otherwise; an orbit
+    without a bracket keeps NaN entries.
+    """
+
+    times: np.ndarray
+    states: np.ndarray
+    rates: np.ndarray
+    margins: np.ndarray
+    residuals: np.ndarray
+    crossings_seen: np.ndarray
+    failures: list
+
+    @property
+    def ok(self) -> np.ndarray:
+        return np.array([f is None for f in self.failures], dtype=bool)
+
+    def raise_failure(self) -> None:
+        """Raise the error of the first failed orbit, if there is one."""
+        for reason in self.failures:
+            if reason is not None:
+                raise _FAILURE_ERRORS.get(reason.split(":")[0], RefinementError)(reason)
 
 
 @dataclass(eq=False)
@@ -140,165 +190,57 @@ class _Directed:
         return self.sign * self._system.field(coords)
 
 
-def _refine_grid(sec: SectionSpec, sol, ts: np.ndarray, states: np.ndarray,
-                 rounds: int = 6):
-    """Subdivide the sample grid until adjacent section angles differ by less
-    than pi/2, so the lift cannot slip a branch."""
-    n_orbit_axis = states.ndim == 3  # (m, n, dim) batched
-    vals = np.asarray(sec.theta(states), dtype=float)
-    for _ in range(rounds):
-        dv = np.abs(-((-np.diff(vals, axis=0) + math.pi) % TWO_PI - math.pi))
-        too_wide = dv > 0.5 * math.pi
-        if n_orbit_axis:
-            too_wide = too_wide.any(axis=1)
-        if not too_wide.any():
-            break
-        mid = 0.5 * (ts[:-1][too_wide] + ts[1:][too_wide])
-        new_states = sol(mid)
-        ts = np.concatenate([ts, mid])
-        order = np.argsort(ts)
-        ts = ts[order]
-        states = np.concatenate([states, new_states], axis=0)[order]
-        vals = np.asarray(sec.theta(states), dtype=float)
-    return ts, states, vals
+def _clamp(rate: np.ndarray, oriented: int) -> np.ndarray:
+    """Rate pushed to at least TANGENCY_MARGIN in the crossing direction."""
+    return oriented * np.maximum(oriented * rate, TANGENCY_MARGIN)
 
 
-def _lift(vals: np.ndarray) -> np.ndarray:
-    return np.unwrap(vals, axis=0)
+class _HenonFlow:
+    """Rows (x, t) with the lifted angle as independent variable s in [0, 1]:
+    dx/ds = dv X / r and dt/ds = dv / r, where dv is each row's angle gap to
+    its lattice value and r the clamped rate."""
+
+    def __init__(self, directed, sec: SectionSpec, dv: np.ndarray, oriented: int):
+        self.directed = directed
+        self.sec = sec
+        self.dv = dv
+        self.oriented = oriented
+
+    def field(self, y: np.ndarray) -> np.ndarray:
+        x = y[:, :-1]
+        X = self.directed.field(x)
+        r = np.einsum("ij,ij->i", np.asarray(self.sec.grad_theta(x), dtype=float), X)
+        dt = self.dv / _clamp(r, self.oriented)
+        return np.concatenate([X * dt[:, None], dt[:, None]], axis=1)
 
 
-def _bracket_first_upward(w: np.ndarray, guard: float = 1e-12):
-    """Index i of the first interval [i, i+1] in which w crosses the next
-    integer upward, together with that integer.  Returns (None, count) when
-    no upward crossing exists; count is the number of lattice passages seen.
-    Non-finite entries (singular section function on this orbit) never
-    bracket."""
-    floors = np.floor(w + guard)
-    count = 0
-    for i in range(len(w) - 1):
-        step = floors[i + 1] - floors[i]
-        if not np.isfinite(step):
-            continue
-        if step > 0:
-            return i, float(floors[i] + 1.0), count
-        count += int(abs(step))
-    return None, 0.0, count
+def _henon_step(directed, sec: SectionSpec, x: np.ndarray, dv: np.ndarray,
+                oriented: int, tol: float):
+    """States on the section and the times taken to reach them from x."""
+    y0 = np.concatenate([x, np.zeros((len(x), 1))], axis=1)
+    flow = _HenonFlow(directed, sec, dv, oriented)
+    y1 = phase.integrate_batch(flow, y0, 0.0, 1.0, tol).y[:, -1].reshape(y0.shape)
+    return y1[:, :-1], y1[:, -1]
 
 
-def _scan_first_crossing(system, sec: SectionSpec, x0: np.ndarray, t_max: float,
-                         tol: float, direction: int = 1,
-                         min_time: float = 1e-9) -> Crossing:
-    """First oriented crossing of the section along the orbit of x0.
-
-    ``direction`` +1 scans forward time, -1 backward.  Crossings within
-    ``min_time`` of the start are ignored (the start may sit on the section).
-    Raises NoCrossingError or TangencyError.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    directed = _Directed(system, direction)
-    oriented = sec.orientation * direction
-    if not np.isfinite(float(sec.theta(x0))):
-        raise NoCrossingError("section function undefined at the starting point")
-    rate0 = float(sec.rate(system, x0))
-    if not np.isfinite(rate0):
-        rate0 = 0.0
-    chunk = min(t_max, max(2.5 * TWO_PI / max(abs(rate0), 1e-6), 1e-3))
-    t_accum = 0.0
-    x = x0.copy()
-    lift_anchor = None
-    min_rate = abs(rate0)
-    crossings_seen = 0
-    while t_accum < t_max - 1e-15:
-        t_end = min(chunk, t_max - t_accum)
-        sol = phase.integrate(directed, x, 0.0, t_end, tol, dense=True)
-        m = max(65, min(4097, int(16 * t_end * max(abs(rate0), 1.0 / t_end))))
-        ts = np.linspace(0.0, t_end, m)
-        states = sol.sol(ts).T
-        ts, states, vals = _refine_grid(sec, lambda t: sol.sol(np.atleast_1d(t)).T, ts, states)
-        rates = np.abs(sec.rate(system, states))
-        finite_rates = rates[np.isfinite(rates)]
-        if finite_rates.size:
-            min_rate = min(min_rate, float(np.min(finite_rates)))
-        v = _lift(vals)
-        if lift_anchor is not None:
-            v += lift_anchor - v[0]
-        w = oriented * (v - sec.level) / TWO_PI
-        start_guard = min_time if t_accum == 0.0 else 0.0
-        idx, target, seen = _bracket_first_upward(w)
-        while idx is not None:
-            t_star = _refine_crossing(directed, sec, sol, ts, idx, w, target, oriented, tol)
-            if t_accum + t_star > start_guard:
-                crossings_seen += seen + 1
-                x_star = np.asarray(sol.sol(t_star), dtype=float)
-                x_star, t_corr = _newton_polish(directed, sec, x_star)
-                rate_star = float(sec.rate(system, x_star))
-                if abs(rate_star) < TANGENCY_MARGIN:
-                    raise TangencyError(
-                        f"grazing crossing at t={direction * (t_accum + t_star + t_corr):.6g}: "
-                        f"|d theta/dt| = {abs(rate_star):.3e} < {TANGENCY_MARGIN}")
-                return Crossing(direction * (t_accum + t_star + t_corr), x_star,
-                                rate_star, min_rate, crossings_seen)
-            # the hit was the guarded start; look further along this chunk
-            idx2, target, seen2 = _bracket_first_upward(w[idx + 1:])
-            seen += seen2
-            idx = None if idx2 is None else idx2 + idx + 1
-        crossings_seen += seen
-        t_accum += t_end
-        x = states[-1]
-        lift_anchor = v[-1]
-        chunk = min(2.0 * chunk, t_max)
-    raise NoCrossingError(f"no oriented crossing before t_max = {t_max:g}")
-
-
-def _refine_root(g, a: float, b: float) -> float:
-    """Root of g on [a, b] bracketed by a lattice passage.
-
-    A sample may sit on the lattice to rounding accuracy, leaving both
-    endpoint values on one side; Newton polish finishes the refinement from
-    the closer endpoint in that case.
-    """
-    ga, gb = g(a), g(b)
-    if abs(ga) < 1e-13:
-        return a
-    if abs(gb) < 1e-13:
-        return b
-    if ga * gb > 0.0:
-        return a if abs(ga) < abs(gb) else b
-    return float(brentq(g, a, b, xtol=1e-14, rtol=8.9e-16))
-
-
-def _refine_crossing(directed, sec, sol, ts, idx, w, target, oriented, tol) -> float:
-    """Bracketed root of the lifted angle on [ts[idx], ts[idx+1]]."""
-
-    def g(t: float) -> float:
-        x = sol.sol(t)
-        return float(oriented * sec.offset(x)) / TWO_PI
-
-    return _refine_root(g, float(ts[idx]), float(ts[idx + 1]))
-
-
-def _newton_polish(directed, sec, x: np.ndarray, max_iter: int = 8):
-    """Advance the state by micro-steps until |theta - level| < 1e-12.
-
-    The correction times are tiny, so single fourth-order steps of the flow
-    keep full precision.
-    """
-    t_corr = 0.0
+def _polish(directed, sec: SectionSpec, x: np.ndarray, oriented: int, max_iter: int = 8):
+    """Newton on the section angle for every row of x, advancing by single
+    fourth-order flow steps (the corrections are tiny, so they keep full
+    precision).  Returns states, time corrections and final residuals."""
+    x = np.array(x, dtype=float)
+    t_corr = np.zeros(len(x))
     for _ in range(max_iter):
-        f = float(sec.offset(x))
-        if abs(f) < ANGLE_RESIDUAL:
+        f = sec.offset(x)
+        todo = np.flatnonzero(np.abs(f) >= ANGLE_RESIDUAL)
+        if not todo.size:
             break
-        r = float(np.einsum("i,i->", np.asarray(sec.grad_theta(x), dtype=float),
-                            directed.field(x)))
-        if abs(r) < 1e-14:
-            break
-        dt = -f / r
-        x = _rk4_step(directed, x, dt)
-        t_corr += dt
-    return x, t_corr
+        dt = -f[todo] / _clamp(sec.rate(directed, x[todo]), oriented)
+        x[todo] = _rk4_step(directed, x[todo], dt[:, None])
+        t_corr[todo] += dt
+    return x, t_corr, np.abs(sec.offset(x))
 
 
-def _rk4_step(system, x: np.ndarray, dt: float) -> np.ndarray:
+def _rk4_step(system, x: np.ndarray, dt) -> np.ndarray:
     k1 = system.field(x)
     k2 = system.field(x + 0.5 * dt * k1)
     k3 = system.field(x + 0.5 * dt * k2)
@@ -306,13 +248,148 @@ def _rk4_step(system, x: np.ndarray, dt: float) -> np.ndarray:
     return x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
+def _unconverged(residual: float) -> str:
+    return f"unconverged: angular residual {residual:.3e} >= {ANGLE_RESIDUAL}"
+
+
+def _sample_grid(sec: SectionSpec, directed, interp, ts: np.ndarray, rounds: int = 8):
+    """States, section angles and rates along the directed flow on a shared
+    grid (rows are times, columns orbits), refined until
+
+    - adjacent angles of every orbit differ by less than pi/2, so the lift
+      cannot slip a branch, and
+    - no turning point of a lift between two samples comes within
+      NEAR_LATTICE of a lattice value that neither sample has passed: a short
+      excursion through the section would go unseen.  The turning time,
+      where the linearly interpolated rate vanishes, is sampled instead.
+    """
+    states = interp(ts)
+    vals = np.asarray(sec.theta(states), dtype=float)
+    rates = sec.rate(directed, states)
+    for _ in range(rounds):
+        dv = np.abs(-((-np.diff(vals, axis=0) + math.pi) % TWO_PI - math.pi))
+        wide = (dv > 0.5 * math.pi).any(axis=1)
+        w = (np.unwrap(vals, axis=0) - sec.level) / TWO_PI
+        r0, r1 = rates[:-1], rates[1:]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            frac = r0 / (r0 - r1)
+        peak = w[:-1] + 0.5 * r0 * frac * np.diff(ts)[:, None] / TWO_PI
+        cell = np.floor(w[:-1] + 1e-12)
+        turns = (r0 * r1 < 0) & (cell == np.floor(w[1:] + 1e-12)) \
+            & ((np.floor(peak + NEAR_LATTICE) != cell) | (np.floor(peak - NEAR_LATTICE) != cell))
+        rows, cols = np.nonzero(turns)
+        new = np.setdiff1d(np.concatenate([
+            0.5 * (ts[:-1] + ts[1:])[wide],
+            ts[rows] + frac[rows, cols] * (ts[rows + 1] - ts[rows])]), ts)
+        if not new.size:
+            break
+        added = interp(new)
+        order = np.argsort(np.concatenate([ts, new]))
+        ts = np.concatenate([ts, new])[order]
+        states = np.concatenate([states, added])[order]
+        vals = np.concatenate([vals, np.asarray(sec.theta(added), dtype=float)])[order]
+        rates = np.concatenate([rates, sec.rate(directed, added)])[order]
+    return ts, states, vals, rates
+
+
+def first_crossings(system, sec: SectionSpec, starts: np.ndarray,
+                    t_max: float = DEFAULT_T_MAX, tol: float = phase.DEFAULT_FLOW_TOL,
+                    direction: int = 1) -> Crossings:
+    """First oriented crossing of the section along the orbit of every start.
+
+    ``direction`` +1 scans forward time, -1 backward.  A start within
+    ON_SECTION_TOL of a lattice value owns that value: leaving it is not a
+    crossing.  Orbits are integrated in chunks of doubling length until each
+    has a bracket or t_max is reached; failures are entries, not exceptions.
+    """
+    starts = np.atleast_2d(np.asarray(starts, dtype=float))
+    n, dim = starts.shape
+    directed = _Directed(system, direction)
+    oriented = sec.orientation * direction
+    out = Crossings(times=np.full(n, np.nan), states=np.full((n, dim), np.nan),
+                    rates=np.full(n, np.nan), residuals=np.full(n, np.nan),
+                    margins=np.abs(np.asarray(sec.rate(system, starts), dtype=float)),
+                    crossings_seen=np.zeros(n, dtype=int), failures=["no crossing"] * n)
+    finite0 = out.margins[np.isfinite(out.margins)]
+    typical = max(float(np.median(finite0)) if finite0.size else 0.0, 1e-6)
+    chunk = min(t_max, max(2.5 * TWO_PI / typical, 1e-3))
+    active = np.arange(n)
+    states = starts
+    anchors = None
+    t_accum = 0.0
+    while active.size and t_accum < t_max - 1e-15:
+        t_end = min(chunk, t_max - t_accum)
+        sol = phase.integrate_batch(directed, states, 0.0, t_end, tol, dense=True)
+
+        def interp(t, n_active=len(active)):
+            return sol.sol(t).T.reshape(len(t), n_active, dim)
+
+        m = max(65, min(2049, int(16 * t_end * max(typical, 1.0 / t_end))))
+        ts = np.union1d(np.linspace(0.0, t_end, m), sol.t)
+        ts, grid, vals, rates = _sample_grid(sec, directed, interp, ts)
+        out.margins[active] = np.minimum(out.margins[active], np.abs(rates).min(axis=0))
+
+        # bracket: first upward lattice passage of each lifted angle
+        v = np.unwrap(vals, axis=0)
+        if anchors is not None:
+            v += anchors - v[0]
+        w = oriented * (v - sec.level) / TWO_PI
+        floors = np.floor(w + 1e-12)
+        if anchors is None:
+            own = np.round(w[0])
+            floors[0] = np.where(np.abs(w[0] - own) * TWO_PI <= ON_SECTION_TOL, own, floors[0])
+        steps = np.diff(floors, axis=0)
+        steps[~np.isfinite(steps)] = 0.0
+        up = steps > 0
+        hit = up.any(axis=0)
+        idx = up.argmax(axis=0)
+        before = np.arange(len(steps))[:, None] < np.where(hit, idx, len(steps))
+        out.crossings_seen[active] += (np.abs(steps) * before).sum(axis=0).astype(int) + hit
+
+        cols = np.flatnonzero(hit)
+        if cols.size:
+            i = idx[cols]
+            target = sec.level + oriented * TWO_PI * (floors[i, cols] + 1.0)
+            x, dt = _henon_step(directed, sec, grid[i, cols], target - v[i, cols], oriented, tol)
+            x, t_corr, residual = _polish(directed, sec, x, oriented)
+            t_local = ts[i] + dt + t_corr
+            orbits = active[cols]
+            out.times[orbits] = direction * (t_accum + t_local)
+            out.states[orbits] = x
+            out.rates[orbits] = sec.rate(system, x)
+            out.residuals[orbits] = residual
+            slack = 1e-3 * (ts[i + 1] - ts[i])
+            for k, orbit in enumerate(orbits):
+                rate, t = abs(out.rates[orbit]), out.times[orbit]
+                if not rate >= TANGENCY_MARGIN:
+                    out.failures[orbit] = (f"tangency: grazing crossing at t={t:.6g}: |d theta/dt|"
+                                           f" = {rate:.3e} < {TANGENCY_MARGIN}")
+                elif not residual[k] < ANGLE_RESIDUAL:
+                    out.failures[orbit] = _unconverged(residual[k])
+                elif not ts[i[k]] - slack[k] <= t_local[k] <= ts[i[k] + 1] + slack[k]:
+                    out.failures[orbit] = (f"outside bracket: crossing at t={t:.6g} outside the "
+                                           f"bracketing step of its orbit")
+                else:
+                    out.failures[orbit] = None
+
+        keep = ~hit
+        active = active[keep]
+        states = grid[-1, keep]
+        anchors = v[-1, keep]
+        t_accum += t_end
+        chunk = min(2.0 * chunk, t_max)
+    return out
+
+
 def first_return(system, sec: SectionSpec, p: Point, t_max: float = DEFAULT_T_MAX,
                  tol: float = phase.DEFAULT_FLOW_TOL) -> ReturnRecord:
     """First positively-oriented return of a section point.
 
     The start must lie on the section and be transverse to the flow.  The
-    crossing time is bracketed on a lifted-angle grid and polished by Newton
-    to an angular residual below 1e-12.
+    crossing comes from `first_crossings` (a batch of one); a verification
+    pass then re-integrates the true flow to the crossing time and polishes
+    again, so the image does not inherit interpolant error.  Raises
+    NoCrossingError, TangencyError or RefinementError.
     """
     x0 = np.asarray(p.coords, dtype=float)
     if abs(float(sec.offset(x0))) > ON_SECTION_TOL:
@@ -321,26 +398,28 @@ def first_return(system, sec: SectionSpec, p: Point, t_max: float = DEFAULT_T_MA
     rate0 = float(sec.rate(system, x0))
     if abs(rate0) < TANGENCY_MARGIN:
         raise TangencyError(f"flow tangent to section at start: |d theta/dt| = {abs(rate0):.3e}")
-    crossing = _scan_first_crossing(system, sec, x0, t_max, tol, direction=1)
-    # verification pass on the true flow: re-integrate to the found time and
-    # re-polish, so the image does not inherit interpolant error
-    x_end = phase.flow_raw(system, x0, crossing.time, tol)
-    x_end, t_corr = _newton_polish(_Directed(system, 1), sec, x_end)
-    image = system.manifold.point(x_end)
-    return ReturnRecord(start=p, return_time=crossing.time + t_corr, image=image,
-                        transversality_margin=crossing.min_rate_seen,
-                        crossings_seen=crossing.crossings_seen)
+    crossing = first_crossings(system, sec, x0, t_max, tol)
+    crossing.raise_failure()
+    x_end = phase.flow_raw(system, x0, crossing.times[0], tol)
+    x_end, t_corr, residual = _polish(_Directed(system, 1), sec, x_end[None], sec.orientation)
+    if not residual[0] < ANGLE_RESIDUAL:
+        raise RefinementError(_unconverged(residual[0]))
+    return ReturnRecord(start=p, return_time=float(crossing.times[0] + t_corr[0]),
+                        image=system.manifold.point(x_end[0]),
+                        transversality_margin=float(crossing.margins[0]),
+                        crossings_seen=int(crossing.crossings_seen[0]))
 
 
 def verify_global(system, sec: SectionSpec, samples: np.ndarray,
-                  t_max: float = DEFAULT_T_MAX, tol: float = phase.DEFAULT_FLOW_TOL,
-                  batch: bool = True) -> GlobalityReport:
+                  t_max: float = DEFAULT_T_MAX,
+                  tol: float = phase.DEFAULT_FLOW_TOL) -> GlobalityReport:
     """Check that every sampled orbit crosses the section in forward and in
     backward time within t_max.
 
-    Failures are report entries, not exceptions.  The report carries the
-    minimal transversality margin and the maximal forward crossing time seen.
-    Globality is certified over the sample set only.
+    Failures (no crossing, tangency, unconverged refinement) are report
+    entries, not exceptions.  The report carries the minimal transversality
+    margin and the maximal forward crossing time over the accepted
+    crossings.  Globality is certified over the sample set only.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     if samples.size == 0:
@@ -348,105 +427,16 @@ def verify_global(system, sec: SectionSpec, samples: np.ndarray,
     failures = []
     min_margin = math.inf
     max_time = 0.0
-    for direction in (1, -1):
-        if batch:
-            times, margins, missed = _batch_first_crossings(system, sec, samples,
-                                                            t_max, tol, direction)
-            for i in missed:
-                failures.append((int(i), "forward" if direction == 1 else "backward",
-                                 "no crossing"))
-            ok = [i for i in range(len(samples)) if i not in set(missed)]
-            if ok:
-                min_margin = min(min_margin, float(np.min(margins[ok])))
-                if direction == 1:
-                    max_time = float(np.max(np.abs(times[ok])))
-        else:
-            for i, x in enumerate(samples):
-                try:
-                    c = _scan_first_crossing(system, sec, x, t_max, tol, direction)
-                    min_margin = min(min_margin, c.min_rate_seen)
-                    if direction == 1:
-                        max_time = max(max_time, abs(c.time))
-                except NoCrossingError:
-                    failures.append((i, "forward" if direction == 1 else "backward",
-                                     "no crossing"))
-                except TangencyError as exc:
-                    failures.append((i, "forward" if direction == 1 else "backward",
-                                     f"tangency: {exc}"))
+    for direction, label in ((1, "forward"), (-1, "backward")):
+        c = first_crossings(system, sec, samples, t_max, tol, direction)
+        failures += [(i, label, reason) for i, reason in enumerate(c.failures)
+                     if reason is not None]
+        ok = c.ok
+        if ok.any():
+            min_margin = min(min_margin, float(np.min(c.margins[ok])))
+            if direction == 1:
+                max_time = float(np.max(np.abs(c.times[ok])))
     return GlobalityReport(len(samples), failures, min_margin, max_time)
-
-
-def _batch_first_crossings(system, sec: SectionSpec, samples: np.ndarray,
-                           t_max: float, tol: float, direction: int,
-                           keep_states: bool = False):
-    """Vectorised first-crossing times for a batch of starting states.
-
-    Integrates the whole batch as one stacked system, locates per-orbit
-    upward lattice passages of the lifted angle on a shared refined grid, and
-    refines each on the dense interpolant.  Returns (times, margins, missed)
-    or, with keep_states, (times, margins, missed, crossing_states).
-    """
-    n, dim = samples.shape
-    crossing_states = np.full((n, dim), np.nan) if keep_states else None
-    directed = _Directed(system, direction)
-    oriented = sec.orientation * direction
-    rates0 = np.abs(sec.rate(system, samples))
-    finite0 = rates0[np.isfinite(rates0)]
-    typical = max(float(np.median(finite0)) if finite0.size else 0.0, 1e-6)
-    chunk = min(t_max, max(2.5 * TWO_PI / typical, 1e-3))
-    times = np.full(n, np.nan)
-    margins = np.array(rates0, dtype=float)
-    active = np.arange(n)
-    states = samples.copy()
-    anchors = None
-    t_accum = 0.0
-    while active.size and t_accum < t_max - 1e-15:
-        t_end = min(chunk, t_max - t_accum)
-        sol = phase.integrate_batch(directed, states, 0.0, t_end, tol, dense=True)
-
-        def interp(t):
-            out = sol.sol(np.atleast_1d(t)).T.reshape(-1, len(active), dim)
-            return out
-
-        m = max(65, min(2049, int(16 * t_end * max(typical, 1.0 / t_end))))
-        ts = np.linspace(0.0, t_end, m)
-        grid_states = interp(ts)
-        ts, grid_states, vals = _refine_grid(sec, interp, ts, grid_states)
-        rates = np.abs(sec.rate(system, grid_states))
-        margins[active] = np.minimum(margins[active], rates.min(axis=0))
-        v = _lift(vals)
-        if anchors is not None:
-            v += anchors[None, :] - v[0:1, :]
-        w = oriented * (v - sec.level) / TWO_PI
-        start_guard = 1e-9 if t_accum == 0.0 else 0.0
-        found_local = []
-        for col, orbit in enumerate(active):
-            idx, target, _seen = _bracket_first_upward(w[:, col])
-            while idx is not None:
-                def g(t, col=col):
-                    x = sol.sol(t).reshape(len(active), dim)[col]
-                    return float(oriented * sec.offset(x)) / TWO_PI
-                t_star = _refine_root(g, float(ts[idx]), float(ts[idx + 1]))
-                if t_accum + t_star > start_guard:
-                    x_star = sol.sol(t_star).reshape(len(active), dim)[col]
-                    x_star, t_corr = _newton_polish(directed, sec, x_star)
-                    times[orbit] = direction * (t_accum + t_star + t_corr)
-                    if keep_states:
-                        crossing_states[orbit] = x_star
-                    found_local.append(col)
-                    break
-                idx2, target, _s = _bracket_first_upward(w[idx + 1:, col])
-                idx = None if idx2 is None else idx2 + idx + 1
-        keep = np.array([c for c in range(len(active)) if c not in set(found_local)], dtype=int)
-        active = active[keep]
-        states = grid_states[-1][keep]
-        anchors = v[-1, keep]
-        t_accum += t_end
-        chunk = min(2.0 * chunk, t_max)
-    missed = list(active)
-    if keep_states:
-        return times, margins, missed, crossing_states
-    return times, margins, missed
 
 
 # -- return-map Jacobian ------------------------------------------------------
@@ -512,7 +502,7 @@ def section_coordinates(system, sec: SectionSpec, p: Point):
         raise RuntimeError("section embedding did not converge")
 
     def project(x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=float)[list(free)]
+        return np.asarray(x, dtype=float)[..., list(free)]
 
     return free, embed, project
 
@@ -543,76 +533,56 @@ def restricted_form_matrix(system, sec: SectionSpec, p: Point) -> np.ndarray:
     return E.T @ M @ E
 
 
-def return_map_jacobian(system, sec: SectionSpec, p: Point, fd_step: float = 1e-6,
-                        t_max: float = DEFAULT_T_MAX,
-                        tol: float = phase.DEFAULT_FLOW_TOL) -> np.ndarray:
-    """Central-difference Jacobian of the return map in section coordinates.
+def return_map_jacobians(system, sec: SectionSpec, points: Sequence[np.ndarray],
+                         fd_step: float = 1e-6, t_max: float = DEFAULT_T_MAX,
+                         tol: float = phase.DEFAULT_FLOW_TOL) -> np.ndarray:
+    """Central-difference Jacobians of the return map in section coordinates,
+    one (k, k) block per section point.
 
-    For two-dimensional sections the determinant is 1 up to integration
-    error (the return map preserves the restricted symplectic form).
+    Every finite-difference stencil orbit goes through one `first_crossings`
+    call; the smooth integration error is shared across a stencil and cancels
+    in the central differences.  Unreduced end states are continuous in the
+    initial condition, so raw differences need no period wrapping.  For
+    two-dimensional sections the determinant is 1 up to integration error
+    (the return map preserves the restricted symplectic form).
     """
     if fd_step <= 0:
         raise ValueError("fd_step must be positive")
-    free, embed, project = section_coordinates(system, sec, p)
     chart = system.manifold
-    s0 = project(p.coords)
-    base_img = first_return(system, sec, system.manifold.point(embed(s0)),
-                            t_max, tol).image.coords
-    k = len(free)
-    J = np.zeros((k, k))
-    for a in range(k):
-        sp, sm = s0.copy(), s0.copy()
-        sp[a] += fd_step
-        sm[a] -= fd_step
-        img_p = first_return(system, sec, chart.point(embed(sp)), t_max, tol).image.coords
-        img_m = first_return(system, sec, chart.point(embed(sm)), t_max, tol).image.coords
-        dcol = chart.wrapped_delta(img_p, base_img) - chart.wrapped_delta(img_m, base_img)
-        J[:, a] = project(dcol + base_img) - project(base_img)
-        J[:, a] /= (2.0 * fd_step)
-    return J
+    stencils, projections = [], []
+    for x in points:
+        p = chart.point(np.asarray(x, dtype=float))
+        free, embed, project = section_coordinates(system, sec, p)
+        s0 = project(p.coords)
+        for a in range(len(free)):
+            for sign in (1.0, -1.0):
+                s = s0.copy()
+                s[a] += sign * fd_step
+                stencils.append(embed(s))
+        projections.append(project)
+    n = len(projections)
+    k = len(stencils) // (2 * n) if n else 0
+    if not k:  # no points, or a zero-dimensional section: nothing to differentiate
+        return np.zeros((n, 0, 0))
+    crossings = first_crossings(system, sec, np.stack(stencils), t_max, tol)
+    crossings.raise_failure()
+    ends = crossings.states.reshape(n, k, 2, chart.dim)
+    return np.stack([project(e[:, 0] - e[:, 1]).T for project, e in zip(projections, ends)]) \
+        / (2.0 * fd_step)
+
+
+def return_map_jacobian(system, sec: SectionSpec, p: Point, fd_step: float = 1e-6,
+                        t_max: float = DEFAULT_T_MAX,
+                        tol: float = phase.DEFAULT_FLOW_TOL) -> np.ndarray:
+    """Return-map Jacobian at one section point (see `return_map_jacobians`)."""
+    return return_map_jacobians(system, sec, [p.coords], fd_step, t_max, tol)[0]
 
 
 def return_map_determinants(system, sec: SectionSpec, points: Sequence[np.ndarray],
                             fd_step: float = 1e-6, t_max: float = DEFAULT_T_MAX,
                             tol: float = phase.DEFAULT_FLOW_TOL) -> np.ndarray:
-    """Determinants of the return-map Jacobian at many section points.
-
-    All finite-difference stencil orbits are integrated as one batch; the
-    smooth integration error is shared across a stencil and cancels in the
-    central differences, so the determinants match the per-point path to
-    finite-difference accuracy at a fraction of the cost.
-    """
-    chart = system.manifold
-    stencils = []
-    projections = []
-    for x in points:
-        p = chart.point(np.asarray(x, dtype=float))
-        free, embed, project = section_coordinates(system, sec, p)
-        s0 = project(p.coords)
-        block = [embed(s0)]
-        for a in range(len(free)):
-            for sign in (1.0, -1.0):
-                s = s0.copy()
-                s[a] += sign * fd_step
-                block.append(embed(s))
-        stencils.append(np.stack(block))
-        projections.append(project)
-    k = stencils[0].shape[0] // 2  # section dimension
-    big = np.concatenate(stencils)
-    times, margins, missed, states = _batch_first_crossings(
-        system, sec, big, t_max, tol, 1, keep_states=True)
-    if missed:
-        raise NoCrossingError(f"{len(missed)} stencil orbits did not return before t_max")
-    dets = np.empty(len(stencils))
-    for i, project in enumerate(projections):
-        # unreduced end states are continuous in the initial condition, so raw
-        # differences need no period wrapping
-        block = states[i * (2 * k + 1):(i + 1) * (2 * k + 1)]
-        J = np.empty((k, k))
-        for a in range(k):
-            J[:, a] = project(block[1 + 2 * a] - block[2 + 2 * a]) / (2.0 * fd_step)
-        dets[i] = np.linalg.det(J)
-    return dets
+    """Determinants of the return-map Jacobians (see `return_map_jacobians`)."""
+    return np.linalg.det(return_map_jacobians(system, sec, points, fd_step, t_max, tol))
 
 
 # -- mapping torus ------------------------------------------------------------

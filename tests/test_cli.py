@@ -95,6 +95,25 @@ def test_bad_tolerance_exits_2(tmp_path):
     assert code == 2
 
 
+RETURN_MAP_OSC = {"system": "oscillator_2dof_sqrt2",
+                  "section": {"kind": "angle", "pair": [2, 3]},
+                  "level": 1.0, "samples": 2, "iterations": 2, "n_return_points": 1,
+                  "t_max": 30.0}
+
+
+@pytest.mark.parametrize("command, base, field", [
+    ("return-map", RETURN_MAP_OSC, "iterations"),
+    ("return-map", RETURN_MAP_OSC, "n_return_points"),
+    ("return-map", RETURN_MAP_OSC, "samples"),
+    ("demo-product", {"seed": "t3", "samples": 4, "t_max": 20.0}, "grid"),
+])
+def test_empty_check_counts_exit_2(tmp_path, capsys, command, base, field):
+    # a check over zero items must not pass, and must not crash either
+    code, _ = run(tmp_path, command, {**base, field: 0})
+    assert code == 2
+    assert field in capsys.readouterr().err
+
+
 def test_verify_cosym_catalog_seed(tmp_path):
     code, out = run(tmp_path, "verify-cosym", {"seed": "t5", "samples": 32})
     assert code == 0

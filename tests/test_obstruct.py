@@ -163,6 +163,6 @@ def test_verdicts_consistent_with_section_module(t4_system, osc_system):
     samples = catalog.sample_oscillator_surface(osc_system, 1.0, rng, 4)
     boundary_orbit = np.array([math.sqrt(2.0), 0.0, 0.0, 0.0])  # all energy in pair one
     samples = np.vstack([samples, boundary_orbit])
-    report = S.verify_global(osc_system, sec, samples, t_max=20.0, batch=False)
+    report = S.verify_global(osc_system, sec, samples, t_max=20.0)
     assert not report.passed
     assert any(f[0] == len(samples) - 1 for f in report.failures)

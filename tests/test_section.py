@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cosymlab import catalog, forms as F, phase as P, section as S
 
@@ -178,13 +179,124 @@ def test_verify_global_empty_sample_set(t4_system, t4_section):
     assert rep.vacuous and rep.passed and rep.n_samples == 0
 
 
-def test_verify_global_batch_matches_scalar_path(t4_system, t4_section):
-    samples = catalog.sample_product_leaf(t4_system, np.random.default_rng(2), 6)
-    rep_b = S.verify_global(t4_system, t4_section, samples, t_max=50.0, batch=True)
-    rep_s = S.verify_global(t4_system, t4_section, samples, t_max=50.0, batch=False)
-    assert rep_b.passed and rep_s.passed
-    assert abs(rep_b.max_return_time - rep_s.max_return_time) < 1e-9
-    assert abs(rep_b.min_margin - rep_s.min_margin) < 1e-12
+def _wiggle(a):
+    # x' = 1, y' = a + cos(x) on T^2: along an orbit the y angle lifts to
+    # v(t) = a t + sin(x0 + t) - sin(x0), which dips and recrosses lattice values
+    t2 = F.ChartManifold(2, (True, True))
+    return P.FlowSystem(t2, lambda x: np.stack([np.ones_like(x[..., 0]),
+                                                a + np.cos(x[..., 0])], axis=-1),
+                        name=f"wiggle({a})"), S.coordinate_section(t2, 1)
+
+
+def _wiggle_first_return(a, x0, t_max):
+    """Exact first upward lattice passage of the wiggle lift after t = 0.
+
+    Between consecutive turning points (a + cos(x0 + t) = 0) the lift is
+    monotone, so every passage is bracketed exactly; the start owns the
+    lattice value 0.
+    """
+    from scipy.optimize import brentq
+
+    def lift(t):
+        return a * t + math.sin(x0 + t) - math.sin(x0)
+
+    c = math.acos(-a)
+    turns = sorted(t for j in range(-1, int(t_max / TWO_PI) + 2)
+                   for t in (c - x0 + TWO_PI * j, -c - x0 + TWO_PI * j) if 0.0 < t < t_max)
+    knots = [0.0] + turns + [t_max]
+    for lo, hi in zip(knots[:-1], knots[1:]):
+        k = math.floor(lift(lo) / TWO_PI + 1e-12) + 1 if lo > 0.0 else 1
+        if lift(hi) >= TWO_PI * k > lift(lo):
+            return brentq(lambda t: lift(t) - TWO_PI * k, lo, hi, xtol=1e-14, rtol=8.9e-16)
+    return math.nan
+
+
+@pytest.mark.parametrize("a", [0.3, 0.1])
+def test_short_recrossings_match_analytic_lift(a):
+    # brief excursions of the lift through a lattice value fall between grid
+    # samples unless the grid resolves turning points near the lattice;
+    # missing one puts the crossing a full lap late
+    wig, sec = _wiggle(a)
+    xs = np.sort(np.random.default_rng(5).uniform(0.0, TWO_PI, 200))
+    starts = np.stack([xs, np.zeros_like(xs)], axis=1)
+    expected = np.array([_wiggle_first_return(a, x0, 200.0) for x0 in xs])
+    c = S.first_crossings(wig, sec, starts, t_max=200.0)
+    assert c.ok.all()
+    assert np.max(np.abs(c.times - expected)) < 1e-8
+    assert np.max(c.residuals) < S.ANGLE_RESIDUAL
+    for i in (135, 142, 145):
+        rec = S.first_return(wig, sec, wig.point(starts[i]), t_max=200.0)
+        assert abs(rec.return_time - expected[i]) < 1e-8
+
+
+def test_grazing_crossing_fails_on_every_path():
+    # x' = 1, y' = (x - pi)^2: y(t) = (t - 1/2)^3 / 3 from this start, so the
+    # orbit crosses y = 0 at t = 1/2 with zero rate
+    t2 = F.ChartManifold(2, (True, True))
+    graze = P.FlowSystem(t2, lambda x: np.stack([np.ones_like(x[..., 0]),
+                                                 (x[..., 0] - math.pi) ** 2], axis=-1))
+    sec = S.coordinate_section(t2, 1)
+    start = np.array([[math.pi - 0.5, (-0.5 ** 3 / 3.0) % TWO_PI]])
+    rep = S.verify_global(graze, sec, start, t_max=20.0)
+    assert not rep.passed
+    assert [(f[0], f[1]) for f in rep.failures] == [(0, "forward")]
+    assert rep.failures[0][2].startswith("tangency")
+    # a section point of the same orbit, one lap of y before the graze
+    x0 = math.pi - (6.0 * math.pi) ** (1.0 / 3.0)
+    with pytest.raises(S.TangencyError):
+        S.first_return(graze, sec, graze.point([x0, 0.0]), t_max=20.0)
+
+
+def test_unconverged_polish_is_reported(suspension_system):
+    # angle noise the gradient does not know about: Newton cannot push the
+    # residual below the noise, so no crossing may be certified
+    base = S.coordinate_section(suspension_system.manifold, 1)
+
+    def noisy_theta(x):
+        x = np.asarray(x, dtype=float)
+        return base.theta(x) + 1e-10 * np.sin(1e13 * np.sum(x, axis=-1))
+
+    sec = S.SectionSpec(noisy_theta, base.grad_theta, base.level, base.orientation)
+    starts = np.array([[0.2, 0.0], [0.7, 0.0]])
+    rep = S.verify_global(suspension_system, sec, starts, t_max=5.0)
+    assert len(rep.failures) == 4
+    assert all(f[2].startswith("unconverged") for f in rep.failures)
+    with pytest.raises(S.RefinementError, match="residual"):
+        S.first_return(suspension_system, sec, suspension_system.point(starts[0]))
+
+
+@st.composite
+def _crossing_batches(draw):
+    """(system, section, starts): wiggle orbits, T^4 product leaf points or
+    oscillator section points."""
+    family = draw(st.sampled_from(["wiggle", "product", "oscillator"]))
+    n = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    if family == "wiggle":
+        system, sec = _wiggle(draw(st.floats(0.1, 0.6)))
+        xs = rng.uniform(0.0, TWO_PI, n)
+        return system, sec, np.stack([xs, np.zeros(n)], axis=1)
+    if family == "product":
+        system = catalog.product_system("t3")
+        return system, catalog.product_leaf_section(system), \
+            catalog.sample_product_leaf(system, rng, n)
+    system = catalog.oscillator_2dof()
+    return system, catalog.oscillator_angle_section(), \
+        catalog.sample_oscillator_surface(system, 1.0, rng, n, on_section=True)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(_crossing_batches(), st.sampled_from([1, -1]))
+def test_batch_matches_batches_of_one(batch, direction):
+    system, sec, starts = batch
+    together = S.first_crossings(system, sec, starts, 100.0, direction=direction)
+    alone = [S.first_crossings(system, sec, x[None], 100.0, direction=direction)
+             for x in starts]
+    assert [f is None for f in together.failures] == [c.failures[0] is None for c in alone]
+    assert together.crossings_seen.tolist() == [int(c.crossings_seen[0]) for c in alone]
+    ok = together.ok
+    times_alone = np.array([c.times[0] for c in alone])
+    assert np.all(np.abs(together.times[ok] - times_alone[ok]) < 1e-8)
 
 
 def test_mapping_torus_product(t4_system, t4_section):
