@@ -12,8 +12,8 @@ from .phase import (EnergySurface, FlowSystem, HamiltonianSystem, SingularOmegaE
                     divergence_check, energy_drift, flow, flow_implicit_midpoint,
                     hamiltonian_vector_field)
 from .section import (Crossings, GlobalityReport, MappingTorusChart, NoCrossingError,
-                      RefinementError, ReturnRecord, SectionSpec, TangencyError,
-                      coordinate_section, first_crossings, first_return,
+                      RefinementError, ReturnRecord, Returns, SectionSpec, TangencyError,
+                      coordinate_section, first_crossings, first_return, iterate_returns,
                       mapping_torus_chart, return_map_jacobian, return_map_jacobians,
                       verify_global, write_crossings_csv)
 from .cosym import (CollarModel, CosymplecticStructure, PathDependenceError,

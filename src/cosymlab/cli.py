@@ -30,7 +30,8 @@ import numpy as np
 from . import catalog, cosym, expr, obstruct, tischler
 from .forms import ChartManifold, KForm, basis_indices, constant_form
 from .phase import HamiltonianSystem
-from .section import (SectionSpec, coordinate_section, first_crossings, first_return,
+from .section import (NoCrossingError, RefinementError, SectionSpec, TangencyError,
+                      coordinate_section, first_crossings, iterate_returns,
                       mapping_torus_chart, return_map_jacobians, section_coordinates,
                       verify_global, write_crossings_csv)
 
@@ -54,13 +55,22 @@ def load_config(path: Path) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
-    for key in ("tol", "t_max", "eps"):
-        if key in cfg and not (isinstance(cfg[key], (int, float)) and cfg[key] > 0):
+    for key in ("tol", "t_max", "eps", "fd_step"):
+        if key in cfg and not (_is_number(cfg[key]) and cfg[key] > 0):
             raise ConfigError(f"config field {key!r} must be a positive number")
-    for key in ("samples", "iterations", "n_return_points", "grid"):
-        if key in cfg and (not isinstance(cfg[key], int) or cfg[key] < 1):
+    for key in ("samples", "iterations", "n_return_points", "grid", "quad_nodes"):
+        if key in cfg and not (_is_int(cfg[key]) and cfg[key] >= 1):
             raise ConfigError(f"config field {key!r} must be an integer >= 1")
     return cfg
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and math.isfinite(value)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _form_from_entries(dim: int, names: Sequence[str], entries, degree: int) -> KForm:
@@ -144,15 +154,32 @@ def resolve_system(cfg: dict):
 
 def build_section(cfg: dict, system) -> SectionSpec:
     sec_cfg = cfg.get("section") or {}
+    if not isinstance(sec_cfg, dict):
+        raise ConfigError("'section' must be an object")
     kind = sec_cfg.get("kind", "coordinate")
-    orientation = int(sec_cfg.get("orientation", 1))
+    orientation = sec_cfg.get("orientation", 1)
+    if not (_is_int(orientation) and orientation in (1, -1)):
+        raise ConfigError("section field 'orientation' must be 1 or -1")
+
+    def in_range(i) -> bool:
+        return _is_int(i) and 0 <= i < system.dim
+
     if kind == "coordinate":
-        index = int(sec_cfg.get("index", system.dim - 2))
-        return coordinate_section(system.manifold, index,
-                                  float(sec_cfg.get("level", 0.0)), orientation)
+        index = sec_cfg.get("index", system.dim - 2)
+        level = sec_cfg.get("level", 0.0)
+        if not in_range(index):
+            raise ConfigError(f"section field 'index' must be an integer in "
+                              f"[0, {system.dim}), got {index!r}")
+        if not _is_number(level):
+            raise ConfigError("section field 'level' must be a number")
+        return coordinate_section(system.manifold, index, float(level), orientation)
     if kind == "angle":
-        pair = tuple(int(i) for i in sec_cfg.get("pair", (2, 3)))
-        return catalog.oscillator_angle_section(pair)
+        pair = sec_cfg.get("pair", [2, 3])
+        if not (isinstance(pair, list) and len(pair) == 2 and all(map(in_range, pair))
+                and pair[0] != pair[1]):
+            raise ConfigError(f"section field 'pair' must be two distinct coordinate "
+                              f"indices in [0, {system.dim}), got {pair!r}")
+        return catalog.oscillator_angle_section(tuple(pair))
     if kind == "leaf":
         ra = tischler.RationalApproximation(int(sec_cfg["d"]),
                                             np.asarray(sec_cfg["n"], dtype=int), 0.0)
@@ -540,33 +567,42 @@ def cmd_return_map(cfg: dict, out: Path, seed: int) -> int:
     starts = section_start_points(name, system, cfg, rng, n_pts)
     _, _, project = section_coordinates(system, sec, system.point(starts[0]))
     with runner.timed("iterate"):
+        returns = iterate_returns(system, sec, starts, n_iter, t_max, tol)
         rows = []
         iterates = []
-        max_T = 0.0
-        min_margin = math.inf
-        for i, x in enumerate(starts):
-            p = system.point(x)
+        for i in range(len(starts)):
             t_accum = 0.0
-            for _ in range(n_iter):
-                rec = first_return(system, sec, p, t_max, tol)
-                t_accum += rec.return_time
-                max_T = max(max_T, rec.return_time)
-                min_margin = min(min_margin, rec.transversality_margin)
-                rows.append((i, t_accum, *rec.image.coords, rec.transversality_margin))
-                s = project(rec.image.coords)
+            for j in range(returns.completed(i)):
+                t_accum += float(returns.times[i, j])
+                image = returns.images[i, j]
+                rows.append((i, t_accum, *image, returns.margins[i, j]))
+                s = project(image)
                 iterates.append((s[0] if len(s) > 0 else t_accum,
                                  s[1] if len(s) > 1 else 0.0))
-                p = rec.image
-    runner.check("iterates", True, n_rows=len(rows), max_return_time=max_T,
-                 min_margin=min_margin)
+    done = np.isfinite(returns.times)
+
+    def over_done(reduce, values):
+        return reduce(values[done]) if done.any() else None
+
+    runner.check("iterates", all(f is None for f in returns.failures), n_rows=len(rows),
+                 max_return_time=over_done(np.max, returns.times),
+                 min_margin=over_done(np.min, returns.margins),
+                 max_angle_residual=over_done(np.max, returns.residuals),
+                 crossings_seen_total=int(returns.crossings_seen.sum()),
+                 failures=[(i, *f) for i, f in enumerate(returns.failures) if f is not None])
 
     n_jac = int(cfg.get("n_return_points", 10))
     with runner.timed("jacobians"):
-        jacs = return_map_jacobians(system, sec, starts[:n_jac],
-                                    fd_step=float(cfg.get("fd_step", 1e-6)),
-                                    t_max=t_max, tol=tol)
-        max_det_err = float(np.max(np.abs(np.linalg.det(jacs) - 1.0)))
-    runner.check("symplectic_determinant", max_det_err < 1e-6, max_det_error=max_det_err)
+        try:
+            jacs = return_map_jacobians(system, sec, starts[:n_jac],
+                                        fd_step=float(cfg.get("fd_step", 1e-6)),
+                                        t_max=t_max, tol=tol)
+        except (NoCrossingError, TangencyError, RefinementError) as exc:
+            runner.check("symplectic_determinant", False, error=str(exc))
+        else:
+            max_det_err = float(np.max(np.abs(np.linalg.det(jacs) - 1.0)))
+            runner.check("symplectic_determinant", max_det_err < 1e-6,
+                         max_det_error=max_det_err)
 
     csv_path = runner.add_artifact(out / "crossings.csv")
     write_crossings_csv(csv_path, rows, system.dim)

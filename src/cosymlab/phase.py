@@ -2,7 +2,9 @@
 
 The Hamiltonian vector field is obtained pointwise by solving the linear
 system pairing the symplectic form with the differential of the energy
-("insert X into omega, read off dH").  Sign convention, fixed throughout:
+("insert X into omega, read off dH"); for a constant omega the inverse of
+that system is computed and checked once per system.  Sign convention, fixed
+throughout:
 
     iota_{X_H} omega = dH
 
@@ -16,6 +18,7 @@ so batches of initial conditions may be integrated concurrently.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -34,9 +37,10 @@ DEFAULT_FLOW_TOL = 1e-10
 class SingularOmegaError(RuntimeError):
     """The symplectic coefficient matrix is numerically degenerate."""
 
-    def __init__(self, rcond: float, coords: np.ndarray):
-        super().__init__(f"symplectic matrix near-singular (rcond estimate {rcond:.3e}) "
-                         f"at {np.array2string(np.asarray(coords), precision=4)}")
+    def __init__(self, rcond: float, coords: Optional[np.ndarray] = None):
+        where = ("(constant form)" if coords is None
+                 else f"at {np.array2string(np.asarray(coords), precision=4)}")
+        super().__init__(f"symplectic matrix near-singular (rcond estimate {rcond:.3e}) {where}")
         self.rcond = rcond
 
 
@@ -75,14 +79,44 @@ class HamiltonianSystem:
     def point(self, coords: Sequence[float]) -> Point:
         return self.manifold.point(coords)
 
+    @functools.cached_property
+    def poisson_matrix(self) -> Optional[np.ndarray]:
+        """P = (M^T)^{-1} of a constant omega (None otherwise), so that the
+        field is X = P dH.  Computed on first use and checked once: raises
+        SingularOmegaError when rcond < RCOND_MIN or when the max-row-sum norm
+        of M^T P - I exceeds FIELD_RESIDUAL_MAX, which bounds the residual
+        |M^T X - dH| by FIELD_RESIDUAL_MAX * |dH| at every point."""
+        if self.omega.constant_value is None:
+            return None
+        M = two_form_matrix(self.omega, np.zeros(self.dim))
+        try:
+            P = np.linalg.solve(M.T, np.eye(self.dim))
+        except np.linalg.LinAlgError as exc:
+            raise SingularOmegaError(0.0) from exc
+        # 1 / (|M|_F |P|_F) bounds the rcond from below, so the SVD is only
+        # needed when that bound is under RCOND_MIN
+        rcond_bound = 1.0 / (np.linalg.norm(M) * np.linalg.norm(P))
+        if not rcond_bound >= RCOND_MIN:
+            svals = np.linalg.svd(M, compute_uv=False)
+            if not svals[-1] >= RCOND_MIN * svals[0]:
+                raise SingularOmegaError(float(svals[-1] / svals[0]))
+        if not np.max(np.sum(np.abs(M.T @ P - np.eye(self.dim)), axis=1)) <= FIELD_RESIDUAL_MAX:
+            raise SingularOmegaError(float(rcond_bound))
+        P.flags.writeable = False
+        return P
+
     def field(self, coords: np.ndarray) -> np.ndarray:
         """Hamiltonian vector field components, vectorised over (..., dim).
 
-        Solves omega(X, .) = dH(.) at each point and verifies the residual.
+        A constant omega uses its cached `poisson_matrix`; otherwise solves
+        omega(X, .) = dH(.) at each point and verifies the residual.
         """
         coords = np.asarray(coords, dtype=float)
-        M = two_form_matrix(self.omega, coords)
         g = np.asarray(self.grad_h(coords), dtype=float)
+        P = self.poisson_matrix
+        if P is not None:
+            return g @ P.T
+        M = two_form_matrix(self.omega, coords)
         try:
             X = np.linalg.solve(np.swapaxes(M, -1, -2), g[..., None])[..., 0]
         except np.linalg.LinAlgError as exc:

@@ -26,7 +26,8 @@ steps:
   bracket, its angular residual is below 1e-12 and its rate is at least
   TANGENCY_MARGIN; anything else is a per-orbit failure.
 
-First returns, globality checks and return-map Jacobians all go through the
+Return-map iteration (`iterate_returns`, of which a first return is a batch
+of one), globality checks and return-map Jacobians all go through the
 engine, so the same bounds hold on every path.
 """
 from __future__ import annotations
@@ -118,7 +119,12 @@ class ReturnRecord:
     crossings_seen: int
 
 
-_FAILURE_ERRORS = {"no crossing": NoCrossingError, "tangency": TangencyError}
+_FAILURE_ERRORS = {"no crossing": NoCrossingError, "tangency": TangencyError,
+                   "start point is not on the section": ValueError}
+
+
+def _raise_for(reason: str) -> None:
+    raise _FAILURE_ERRORS.get(reason.split(":")[0], RefinementError)(reason)
 
 
 @dataclass(eq=False)
@@ -150,7 +156,47 @@ class Crossings:
         """Raise the error of the first failed orbit, if there is one."""
         for reason in self.failures:
             if reason is not None:
-                raise _FAILURE_ERRORS.get(reason.split(":")[0], RefinementError)(reason)
+                _raise_for(reason)
+
+
+@dataclass(eq=False)
+class Returns:
+    """k successive first returns of a batch of orbits: row i, column j is
+    the j-th return of orbit i.
+
+    ``times`` are the return times of the single iterates, ``images`` the
+    reduced images, ``margins`` the least |d theta/dt| seen along each
+    return, ``residuals`` the final |theta - level| of each image and
+    ``crossings_seen`` the lattice passages counted up to each return.
+    ``failures`` holds None per orbit, or (iterate, reason) for an orbit
+    that stopped; its times, images, margins and residuals from that
+    iterate on stay NaN.
+    """
+
+    times: np.ndarray
+    images: np.ndarray
+    margins: np.ndarray
+    residuals: np.ndarray
+    crossings_seen: np.ndarray
+    failures: list
+
+    def completed(self, orbit: int) -> int:
+        """Number of certified iterates of an orbit."""
+        failure = self.failures[orbit]
+        return self.times.shape[1] if failure is None else failure[0]
+
+    def first(self, orbit: int, start: Point) -> ReturnRecord:
+        """The first return of a certified orbit as a record."""
+        return ReturnRecord(start=start, return_time=float(self.times[orbit, 0]),
+                            image=start.chart.point(self.images[orbit, 0]),
+                            transversality_margin=float(self.margins[orbit, 0]),
+                            crossings_seen=int(self.crossings_seen[orbit, 0]))
+
+    def raise_failure(self) -> None:
+        """Raise the error of the first failed orbit, if there is one."""
+        for failure in self.failures:
+            if failure is not None:
+                _raise_for(failure[1])
 
 
 @dataclass(eq=False)
@@ -381,33 +427,92 @@ def first_crossings(system, sec: SectionSpec, starts: np.ndarray,
     return out
 
 
+class _Rescaled:
+    """Row i flows for time T_i as s runs over [0, 1]: dx/ds = T_i X(x)."""
+
+    def __init__(self, system, times: np.ndarray):
+        self._system = system
+        self.times = times
+
+    def field(self, x: np.ndarray) -> np.ndarray:
+        return self.times[:, None] * self._system.field(x)
+
+
+def _start_failures(system, sec: SectionSpec, x: np.ndarray) -> list:
+    """Reason per row why it cannot start a first return, or None: a start
+    must lie on the section and be transverse to the flow."""
+    off = np.abs(np.asarray(sec.offset(x), dtype=float))
+    rate = np.abs(np.asarray(sec.rate(system, x), dtype=float))
+    return [f"start point is not on the section: |theta - level| = {o:.3e}"
+            if not o <= ON_SECTION_TOL else
+            f"tangency: flow tangent to section at start: |d theta/dt| = {r:.3e}"
+            if not r >= TANGENCY_MARGIN else None
+            for o, r in zip(off, rate)]
+
+
+def iterate_returns(system, sec: SectionSpec, starts: np.ndarray, k: int,
+                    t_max: float = DEFAULT_T_MAX,
+                    tol: float = phase.DEFAULT_FLOW_TOL) -> Returns:
+    """k successive positively-oriented first returns of every start.
+
+    Each round makes one `first_crossings` call over the live orbits, then a
+    batched verification pass: the true flow is re-integrated from the
+    round's starts to each orbit's own crossing time (time rescaled per
+    row) and polished again, so no image inherits interpolant error.  The
+    next round starts from the reduced images.  An orbit whose start is off
+    the section or tangent to the flow, or whose crossing or verified image
+    fails its bounds, stops with a failure entry; the others go on.
+    """
+    starts = np.atleast_2d(np.asarray(starts, dtype=float))
+    n, dim = starts.shape
+    out = Returns(times=np.full((n, k), np.nan), images=np.full((n, k, dim), np.nan),
+                  margins=np.full((n, k), np.nan), residuals=np.full((n, k), np.nan),
+                  crossings_seen=np.zeros((n, k), dtype=int), failures=[None] * n)
+    forward = _Directed(system, 1)
+    live = np.arange(n)
+    x = system.manifold.reduce(starts)
+    for j in range(k):
+        reasons = _start_failures(system, sec, x)
+        ready = np.flatnonzero([r is None for r in reasons])
+        c = first_crossings(system, sec, x[ready], t_max, tol)
+        for row, reason in zip(ready, c.failures):
+            reasons[row] = reason
+        out.crossings_seen[live[ready], j] = c.crossings_seen
+        crossed = ready[c.ok]
+        if crossed.size:
+            times = c.times[c.ok]
+            y = phase.integrate_batch(_Rescaled(system, times), x[crossed], 0.0, 1.0, tol)
+            y, t_corr, residual = _polish(forward, sec, y.y[:, -1].reshape(-1, dim),
+                                          sec.orientation)
+            good = residual < ANGLE_RESIDUAL
+            for row, r in zip(crossed[~good], residual[~good]):
+                reasons[row] = _unconverged(r)
+            orbits = live[crossed[good]]
+            out.times[orbits, j] = times[good] + t_corr[good]
+            out.images[orbits, j] = system.manifold.reduce(y[good])
+            out.margins[orbits, j] = c.margins[c.ok][good]
+            out.residuals[orbits, j] = residual[good]
+        for row, reason in enumerate(reasons):
+            if reason is not None:
+                out.failures[live[row]] = (j, reason)
+        live = live[[r is None for r in reasons]]
+        if not live.size:
+            break
+        x = out.images[live, j]
+    return out
+
+
 def first_return(system, sec: SectionSpec, p: Point, t_max: float = DEFAULT_T_MAX,
                  tol: float = phase.DEFAULT_FLOW_TOL) -> ReturnRecord:
-    """First positively-oriented return of a section point.
+    """First positively-oriented return of a section point: `iterate_returns`
+    on a batch of one with k = 1.
 
-    The start must lie on the section and be transverse to the flow.  The
-    crossing comes from `first_crossings` (a batch of one); a verification
-    pass then re-integrates the true flow to the crossing time and polishes
-    again, so the image does not inherit interpolant error.  Raises
-    NoCrossingError, TangencyError or RefinementError.
+    The start must lie on the section (else ValueError) and be transverse
+    to the flow.  Raises NoCrossingError, TangencyError or RefinementError.
     """
-    x0 = np.asarray(p.coords, dtype=float)
-    if abs(float(sec.offset(x0))) > ON_SECTION_TOL:
-        raise ValueError(f"start point is not on the section: |theta - level| = "
-                         f"{abs(float(sec.offset(x0))):.3e}")
-    rate0 = float(sec.rate(system, x0))
-    if abs(rate0) < TANGENCY_MARGIN:
-        raise TangencyError(f"flow tangent to section at start: |d theta/dt| = {abs(rate0):.3e}")
-    crossing = first_crossings(system, sec, x0, t_max, tol)
-    crossing.raise_failure()
-    x_end = phase.flow_raw(system, x0, crossing.times[0], tol)
-    x_end, t_corr, residual = _polish(_Directed(system, 1), sec, x_end[None], sec.orientation)
-    if not residual[0] < ANGLE_RESIDUAL:
-        raise RefinementError(_unconverged(residual[0]))
-    return ReturnRecord(start=p, return_time=float(crossing.times[0] + t_corr[0]),
-                        image=system.manifold.point(x_end[0]),
-                        transversality_margin=float(crossing.margins[0]),
-                        crossings_seen=int(crossing.crossings_seen[0]))
+    returns = iterate_returns(system, sec, p.coords, 1, t_max, tol)
+    returns.raise_failure()
+    return returns.first(0, p)
 
 
 def verify_global(system, sec: SectionSpec, samples: np.ndarray,
@@ -619,8 +724,10 @@ def mapping_torus_chart(system, sec: SectionSpec, grid: Sequence[Point],
     gluing = 0.0
     energy_res = 0.0
     has_energy = hasattr(system, "energy")
-    for p in grid:
-        rec = first_return(system, sec, p, t_max, tol)
+    returns = iterate_returns(system, sec, np.array([p.coords for p in grid]), 1, t_max, tol)
+    returns.raise_failure()
+    for i, p in enumerate(grid):
+        rec = returns.first(i, p)
         records.append(rec)
         sol = phase.integrate(system, p.coords, 0.0, rec.return_time, tol, dense=True)
         states = sol.sol(t_samples * rec.return_time).T

@@ -114,6 +114,51 @@ def test_empty_check_counts_exit_2(tmp_path, capsys, command, base, field):
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, config, field", [
+    ("return-map", {**RETURN_MAP_OSC, "fd_step": 0}, "fd_step"),
+    ("return-map", {**RETURN_MAP_OSC, "fd_step": "x"}, "fd_step"),
+    ("obstruct", {"system": "canonical_r4", "quad_nodes": 0}, "quad_nodes"),
+    ("obstruct", {"system": "canonical_r4", "quad_nodes": -3}, "quad_nodes"),
+    ("return-map", {**RETURN_MAP_OSC, "section": {"kind": "angle", "pair": [2, 9]}}, "pair"),
+    ("return-map", {**RETURN_MAP_OSC, "section": {"kind": "angle", "pair": [2, 2]}}, "pair"),
+    ("return-map", {**RETURN_MAP_OSC, "section": {"kind": "coordinate", "index": 4}},
+     "index"),
+    ("return-map", {**RETURN_MAP_OSC, "section": {"kind": "coordinate", "index": -1}},
+     "index"),
+])
+def test_malformed_numeric_fields_exit_2(tmp_path, capsys, command, config, field):
+    code, out = run(tmp_path, command, config)
+    assert code == 2
+    assert field in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def test_return_map_failures_are_report_entries(tmp_path):
+    # no return fits in t_max: a failed verification with a report, not a crash
+    code, out = run(tmp_path, "return-map", {**RETURN_MAP_OSC, "t_max": 0.5})
+    assert code == 1
+    report = read_report(out)["report"]
+    checks = {c["name"]: c for c in report["checks"]}
+    assert not report["passed"]
+    assert not checks["iterates"]["passed"]
+    assert checks["iterates"]["failures"] == [[0, 0, "no crossing"], [1, 0, "no crossing"]]
+    assert checks["iterates"]["n_rows"] == 0
+    assert not checks["symplectic_determinant"]["passed"]
+    with open(out / "crossings.csv") as fh:
+        assert len(list(csv.reader(fh))) == 1
+
+
+def test_return_map_counters_are_deterministic(tmp_path):
+    reports = [read_report(run(tmp_path, "return-map", RETURN_MAP_OSC, out=o, seed=3)[1])
+               for o in ("a", "b")]
+    assert json.dumps(reports[0]["report"], sort_keys=True) == \
+        json.dumps(reports[1]["report"], sort_keys=True)
+    iterates = reports[0]["report"]["checks"][0]
+    assert iterates["crossings_seen_total"] == 4   # 2 orbits x 2 iterations, one lap each
+    assert 0.0 <= iterates["max_angle_residual"] < 1e-12
+    assert iterates["failures"] == []
+
+
 def test_verify_cosym_catalog_seed(tmp_path):
     code, out = run(tmp_path, "verify-cosym", {"seed": "t5", "samples": 32})
     assert code == 0

@@ -53,6 +53,76 @@ def test_near_singular_omega_rejected():
     assert exc.value.rcond < 1e-10
 
 
+def _solved_field(system, xs):
+    M = F.two_form_matrix(system.omega, xs)
+    return np.linalg.solve(np.swapaxes(M, -1, -2), system.grad_h(xs)[..., None])[..., 0]
+
+
+def _counting_solve(monkeypatch):
+    calls = []
+    solve = np.linalg.solve
+
+    def counted(*args):
+        calls.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    return calls
+
+
+def _inline(omega):
+    from cosymlab.cli import build_inline_system
+    return build_inline_system({"dim": 2, "coordinates": ["q", "p"], "omega": omega,
+                                "hamiltonian": "0.5*(q^2 + p^2) + q*p^3"})
+
+
+@pytest.mark.parametrize("name", sorted(set(catalog.SYSTEMS) - {"suspension_rotation"})
+                         + ["inline"])
+def test_constant_omega_field_matches_solve(name, monkeypatch):
+    # the cached Poisson matrix reproduces the pointwise solve, with no
+    # solve per call
+    system = _inline([[0, 1, 2.5]]) if name == "inline" else catalog.get_system(name)
+    assert system.poisson_matrix is not None
+    xs = system.manifold.sample(np.random.default_rng(2), 64) * 3.0
+    expected = _solved_field(system, xs)
+    calls = _counting_solve(monkeypatch)
+    X = system.field(xs)
+    single = system.field(xs[0])
+    assert not calls
+    scale = np.maximum(1.0, np.max(np.abs(system.grad_h(xs)), axis=-1, keepdims=True))
+    assert np.all(np.abs(X - expected) <= 1e-13 * scale)
+    assert np.array_equal(single, X[0])
+
+
+@pytest.mark.parametrize("rcond", [1e-12, 1.5e-10])
+def test_near_singular_constant_omega_field(rcond):
+    # the rcond is the singular-value ratio, as in validate(): 1.5e-10 passes
+    # although its Frobenius-norm bound (7.5e-11) does not
+    c4 = F.ChartManifold(4)
+    omega = F.wedge(F.coordinate_form(4, 0), F.coordinate_form(4, 1)) \
+        + rcond * F.wedge(F.coordinate_form(4, 2), F.coordinate_form(4, 3))
+    system = P.HamiltonianSystem(c4, omega, lambda x: x[..., 0],
+                                 lambda x: np.broadcast_to(np.eye(4)[0], np.shape(x)))
+    assert omega.constant_value is not None
+    if rcond >= P.RCOND_MIN:
+        assert np.array_equal(system.field(np.zeros(4)), [0.0, -1.0, 0.0, 0.0])
+        return
+    for _ in range(2):   # a failed check is not cached away
+        with pytest.raises(P.SingularOmegaError) as exc:
+            system.field(np.zeros(4))
+        assert exc.value.rcond == pytest.approx(rcond)
+
+
+def test_non_constant_omega_takes_solve_path(monkeypatch):
+    system = _inline([[0, 1, "1 + 0.5*sin(q)"]])
+    assert system.poisson_matrix is None
+    xs = system.manifold.sample(np.random.default_rng(3), 16)
+    expected = _solved_field(system, xs)
+    calls = _counting_solve(monkeypatch)
+    assert np.array_equal(system.field(xs), expected)
+    assert calls
+
+
 def test_flow_quarter_period(ho_system):
     res = P.flow(ho_system, ho_system.point([1.0, 0.0]), math.pi / 2, tol=1e-10)
     assert np.max(np.abs(res.point.coords - np.array([0.0, -1.0]))) < 1e-8

@@ -299,6 +299,74 @@ def test_batch_matches_batches_of_one(batch, direction):
     assert np.all(np.abs(together.times[ok] - times_alone[ok]) < 1e-8)
 
 
+@st.composite
+def _return_batches(draw):
+    """(system, section, starts, t_max): section points of wiggle orbits (whose
+    returns take from under one to many laps, so a short t_max stops some of
+    them mid-chain), T^4 product leaf points or oscillator section points;
+    optionally one start is moved off the section."""
+    family = draw(st.sampled_from(["wiggle", "wiggle", "product", "oscillator"]))
+    n = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    if family == "wiggle":
+        system, sec = _wiggle(draw(st.floats(0.1, 0.6)))
+        xs = rng.uniform(0.0, TWO_PI, n)
+        starts, t_max = np.stack([xs, np.zeros(n)], axis=1), draw(st.sampled_from([12.0, 40.0]))
+        angle = 1
+    elif family == "product":
+        system = catalog.product_system("t3")
+        sec = catalog.product_leaf_section(system)
+        starts, t_max, angle = catalog.sample_product_leaf(system, rng, n), 20.0, 2
+    else:
+        system = catalog.oscillator_2dof()
+        sec = catalog.oscillator_angle_section()
+        starts = catalog.sample_oscillator_surface(system, 1.0, rng, n, on_section=True)
+        t_max, angle = 20.0, 3
+    if draw(st.booleans()):
+        starts[draw(st.integers(0, n - 1)), angle] += 0.25
+    return system, sec, starts, t_max
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(_return_batches(), st.integers(1, 3))
+def test_iterate_returns_batch_matches_batches_of_one(batch, k):
+    system, sec, starts, t_max = batch
+    together = S.iterate_returns(system, sec, starts, k, t_max)
+    alone = [S.iterate_returns(system, sec, x, k, t_max) for x in starts]
+    assert [f and (f[0], f[1].split(":")[0]) for f in together.failures] == \
+        [r.failures[0] and (r.failures[0][0], r.failures[0][1].split(":")[0]) for r in alone]
+    times_alone = np.concatenate([r.times for r in alone])
+    assert np.array_equal(np.isnan(together.times), np.isnan(times_alone))
+    done = ~np.isnan(times_alone)
+    assert np.all(np.abs(together.times[done] - times_alone[done]) < 1e-9)
+    assert np.all(together.residuals[done] < S.ANGLE_RESIDUAL)
+
+
+def test_iterate_returns_oscillator_closed_form(osc_system):
+    # every return of the second pair's phase takes 2*pi/sqrt(2), and the
+    # iterates stay on the energy level
+    sec = catalog.oscillator_angle_section()
+    starts = catalog.sample_oscillator_surface(osc_system, 1.0, np.random.default_rng(11), 6,
+                                               on_section=True)
+    r = S.iterate_returns(osc_system, sec, starts, 12, t_max=20.0)
+    assert r.failures == [None] * 6
+    assert np.max(np.abs(r.times - TWO_PI / SQRT2)) < 1e-9
+    assert np.max(np.abs(osc_system.energy(r.images) - 1.0)) < 1e-8
+    assert np.max(r.residuals) < S.ANGLE_RESIDUAL
+    assert (r.crossings_seen == 1).all()
+
+
+def test_iterate_returns_failure_stops_one_orbit(suspension_system):
+    # the second start is off the section: it stops at iterate 0, the first
+    # orbit goes on through all three returns
+    sec = S.coordinate_section(suspension_system.manifold, 1)
+    r = S.iterate_returns(suspension_system, sec, np.array([[0.1, 0.0], [0.1, 0.5]]), 3)
+    assert r.failures[0] is None and r.completed(0) == 3
+    assert r.failures[1][0] == 0 and r.failures[1][1].startswith("start point is not on")
+    assert r.completed(1) == 0 and np.isnan(r.times[1]).all()
+    assert np.max(np.abs(r.images[0, :, 0] - (0.1 + np.arange(1, 4) / 3.0) % 1.0)) < 1e-9
+
+
 def test_mapping_torus_product(t4_system, t4_section):
     grid = [t4_system.point([x, y, 0.0, 0.0]) for x in (0.5, 2.0, 4.0) for y in (1.0, 3.0)]
     mt = S.mapping_torus_chart(t4_system, t4_section, grid, tol=1e-10)
