@@ -8,7 +8,8 @@ constructions and verifications, and writes report.json (plus crossings.csv
 and plot.svg where applicable) into the output directory.
 
 Exit codes: 0 all checks passed, 1 a verification failed or an obstruction
-fired, 2 usage or config error.
+fired, 2 usage or config error, 3 internal error (an unexpected exception;
+its traceback goes to stderr).
 
 Reports are deterministic for a fixed (config, seed): volatile data
 (timestamp, wall-clock timings) is segregated under the "meta" key; the
@@ -22,6 +23,7 @@ import json
 import math
 import sys
 import time
+import traceback
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -30,12 +32,15 @@ import numpy as np
 from . import catalog, cosym, expr, obstruct, tischler
 from .forms import ChartManifold, KForm, basis_indices, constant_form
 from .phase import HamiltonianSystem
-from .section import (NoCrossingError, RefinementError, SectionSpec, TangencyError,
-                      coordinate_section, first_crossings, iterate_returns,
-                      mapping_torus_chart, return_map_jacobians, section_coordinates,
-                      verify_global, write_crossings_csv)
+from .section import (ON_SECTION_TOL, GluingError, NoCrossingError, RefinementError,
+                      SectionSpec, TangencyError, coordinate_section, first_crossings,
+                      iterate_returns, mapping_torus_chart, return_map_jacobians,
+                      section_coordinates, verify_global, write_crossings_csv)
 
 TWO_PI = 2.0 * math.pi
+
+# a crossing that cannot be found or certified fails its check, with the reason
+CROSSING_ERRORS = (NoCrossingError, TangencyError, RefinementError)
 
 
 class ConfigError(ValueError):
@@ -61,6 +66,8 @@ def load_config(path: Path) -> dict:
     for key in ("samples", "iterations", "n_return_points", "grid", "quad_nodes"):
         if key in cfg and not (_is_int(cfg[key]) and cfg[key] >= 1):
             raise ConfigError(f"config field {key!r} must be an integer >= 1")
+    if "level" in cfg and not _is_number(cfg["level"]):
+        raise ConfigError("config field 'level' must be a number")
     return cfg
 
 
@@ -134,7 +141,10 @@ def build_inline_system(spec: dict) -> HamiltonianSystem:
     except (KeyError, TypeError, ValueError, expr.ExprError) as exc:
         raise ConfigError(f"bad inline system spec: {exc}") from exc
     samples = chart.sample(np.random.default_rng(0), 32)
-    system.validate(samples)
+    try:
+        system.validate(samples)
+    except ValueError as exc:
+        raise ConfigError(f"inline system fails its structure checks: {exc}") from exc
     return system
 
 
@@ -181,18 +191,33 @@ def build_section(cfg: dict, system) -> SectionSpec:
                               f"indices in [0, {system.dim}), got {pair!r}")
         return catalog.oscillator_angle_section(tuple(pair))
     if kind == "leaf":
-        ra = tischler.RationalApproximation(int(sec_cfg["d"]),
-                                            np.asarray(sec_cfg["n"], dtype=int), 0.0)
+        d, n = sec_cfg.get("d"), sec_cfg.get("n")
+        if not (_is_int(d) and d >= 1):
+            raise ConfigError(f"section field 'd' must be an integer >= 1, got {d!r}")
+        if not (isinstance(n, list) and len(n) == system.dim and all(map(_is_int, n))):
+            raise ConfigError(f"section field 'n' must be a list of {system.dim} integers, "
+                              f"got {n!r}")
+        ra = tischler.RationalApproximation(d, np.asarray(n, dtype=int), 0.0)
         return tischler.extract_leaf(ra, system.manifold, orientation=orientation)
     raise ConfigError(f"unknown section kind {kind!r}")
 
 
-def section_start_points(name: str, system, cfg: dict, rng: np.random.Generator,
-                         n: int) -> np.ndarray:
+def section_start_points(name: str, system, sec: SectionSpec, cfg: dict,
+                         rng: np.random.Generator, n: int) -> np.ndarray:
+    """Explicit 'points', which must lie on the section, or samples on it."""
     if "points" in cfg:
-        pts = np.asarray(cfg["points"], dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != system.dim:
-            raise ConfigError("'points' must be a list of coordinate tuples")
+        try:
+            pts = np.asarray(cfg["points"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"'points' must be a list of coordinate tuples: {exc}") from exc
+        if pts.ndim != 2 or pts.shape[1] != system.dim or not np.isfinite(pts).all():
+            raise ConfigError("'points' must be a list of finite coordinate tuples")
+        off = np.abs(np.asarray(sec.offset(pts), dtype=float))
+        off_section = np.flatnonzero(~(off <= ON_SECTION_TOL))
+        if off_section.size:
+            i = off_section[0]
+            raise ConfigError(f"'points' entry {i} is not on the section: "
+                              f"|theta - level| = {off[i]:.3e} > {ON_SECTION_TOL}")
         return pts
     if name.startswith("t4_product") or name.startswith("t6_product") \
             or name.startswith("product("):
@@ -376,17 +401,26 @@ def cmd_demo_product(cfg: dict, out: Path, seed: int) -> int:
 
     n_jac = int(cfg.get("n_return_points", 5))
     with runner.timed("return_map"):
-        jacs = return_map_jacobians(system, sec, leaf_samples[:n_jac], tol=tol)
-        max_det_err = float(np.max(np.abs(np.linalg.det(jacs) - 1.0)))
-        max_dev = float(np.max(np.abs(jacs - np.eye(jacs.shape[-1]))))
-    runner.check("return_map_symplectic", max_det_err < 1e-6,
-                 max_det_error=max_det_err, max_identity_deviation=max_dev)
+        try:
+            jacs = return_map_jacobians(system, sec, leaf_samples[:n_jac], t_max=t_max, tol=tol)
+        except CROSSING_ERRORS as exc:
+            runner.check("return_map_symplectic", False, error=str(exc))
+        else:
+            max_det_err = float(np.max(np.abs(np.linalg.det(jacs) - 1.0)))
+            max_dev = float(np.max(np.abs(jacs - np.eye(jacs.shape[-1]))))
+            runner.check("return_map_symplectic", max_det_err < 1e-6,
+                         max_det_error=max_det_err, max_identity_deviation=max_dev)
 
     with runner.timed("mapping_torus"):
         grid = [system.point(pt) for pt in leaf_samples[:int(cfg.get("grid", 9))]]
-        mt = mapping_torus_chart(system, sec, grid, tol=tol)
-    runner.check("mapping_torus_gluing", mt.gluing_residual < 10 * tol,
-                 gluing_residual=mt.gluing_residual, energy_residual=mt.energy_residual)
+        try:
+            mt = mapping_torus_chart(system, sec, grid, t_max=t_max, tol=tol)
+        except CROSSING_ERRORS + (GluingError,) as exc:
+            runner.check("mapping_torus_gluing", False, error=str(exc))
+        else:
+            runner.check("mapping_torus_gluing", mt.gluing_residual < 10 * tol,
+                         gluing_residual=mt.gluing_residual,
+                         energy_residual=mt.energy_residual)
 
     with runner.timed("crossings"):
         crossings = first_crossings(system, sec, leaf_samples[:50], t_max, tol)
@@ -564,7 +598,7 @@ def cmd_return_map(cfg: dict, out: Path, seed: int) -> int:
     n_pts = int(cfg.get("samples", 20))
     n_iter = int(cfg.get("iterations", 50))
 
-    starts = section_start_points(name, system, cfg, rng, n_pts)
+    starts = section_start_points(name, system, sec, cfg, rng, n_pts)
     _, _, project = section_coordinates(system, sec, system.point(starts[0]))
     with runner.timed("iterate"):
         returns = iterate_returns(system, sec, starts, n_iter, t_max, tol)
@@ -597,7 +631,7 @@ def cmd_return_map(cfg: dict, out: Path, seed: int) -> int:
             jacs = return_map_jacobians(system, sec, starts[:n_jac],
                                         fd_step=float(cfg.get("fd_step", 1e-6)),
                                         t_max=t_max, tol=tol)
-        except (NoCrossingError, TangencyError, RefinementError) as exc:
+        except CROSSING_ERRORS as exc:
             runner.check("symplectic_determinant", False, error=str(exc))
         else:
             max_det_err = float(np.max(np.abs(np.linalg.det(jacs) - 1.0)))
@@ -654,6 +688,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"usage: cosymlab {args.command} --config <path> [--out <dir>] [--seed <u64>]",
               file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        print(f"internal error in cosymlab {args.command}: this is not a verification "
+              "result (exit 3)", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

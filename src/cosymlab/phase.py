@@ -11,10 +11,11 @@ throughout:
 Classical references differ by a sign; every derived quantity here (flows,
 return maps, transversality margins) uses this convention.
 
-Flows integrate with an adaptive high-order explicit scheme (DOP853) at a
-caller-given local tolerance; a fixed-step implicit midpoint rule is provided
-for long-time runs.  Systems are immutable and flow evaluations independent,
-so batches of initial conditions may be integrated concurrently.
+Flows integrate with the package's own batched DOP853 stepper (`dop853`: the
+explicit Runge-Kutta pair of order 8 with SciPy's step-size control, in
+NumPy only) at a caller-given tolerance, rtol = tol and atol = tol / 100; a
+batch of orbits is one stacked state vector with one step size.  A
+fixed-step implicit midpoint rule is provided for long-time runs.
 """
 from __future__ import annotations
 
@@ -23,8 +24,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
+from .dop853 import StepSizeUnderflow, solve  # noqa: F401  (StepSizeUnderflow re-exported)
 from .forms import (ChartManifold, KForm, Point, TangentVector,
                     exterior_derivative, max_coeff_magnitude, two_form_matrix)
 
@@ -42,10 +43,6 @@ class SingularOmegaError(RuntimeError):
                  else f"at {np.array2string(np.asarray(coords), precision=4)}")
         super().__init__(f"symplectic matrix near-singular (rcond estimate {rcond:.3e}) {where}")
         self.rcond = rcond
-
-
-class StepSizeUnderflow(RuntimeError):
-    """Adaptive integration failed to reach the target time."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,45 +236,33 @@ class FlowResult:
     energy_error: float
 
 
-def _rhs(system) -> Callable[[float, np.ndarray], np.ndarray]:
-    def rhs(_t: float, y: np.ndarray) -> np.ndarray:
-        return system.field(y)
-    return rhs
-
-
 def integrate(system, x0: np.ndarray, t0: float, t1: float, tol: float = DEFAULT_FLOW_TOL,
               dense: bool = False):
     """Low-level adaptive integration of the system field on raw coordinates.
 
     Coordinates are NOT reduced: trajectories live in the periodic cover so
-    section functions can be lifted continuously.
+    section functions can be lifted continuously.  Returns the `dop853`
+    solution: step times ``t``, states ``y`` (dim, steps) and, when
+    ``dense``, the interpolant ``sol``.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    if t1 == t0:
-        raise ValueError("empty integration interval")
-    x0 = np.asarray(x0, dtype=float)
-    sol = solve_ivp(_rhs(system), (t0, t1), np.ravel(x0), method="DOP853",
-                    rtol=tol, atol=tol * 1e-2, dense_output=dense)
-    if not sol.success:
-        raise StepSizeUnderflow(f"integration stalled: {sol.message}")
-    return sol
+    return solve(system.field, t0, t1, np.ravel(np.asarray(x0, dtype=float)),
+                 tol, tol * 1e-2, dense)
 
 
 def integrate_batch(system, x0: np.ndarray, t0: float, t1: float,
                     tol: float = DEFAULT_FLOW_TOL, dense: bool = False):
     """Integrate a batch of initial conditions (n, dim) as one stacked system."""
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
     x0 = np.asarray(x0, dtype=float)
     n, dim = x0.shape
 
-    def rhs(_t, y):
+    def rhs(y):
         return system.field(y.reshape(n, dim)).ravel()
 
-    sol = solve_ivp(rhs, (t0, t1), x0.ravel(), method="DOP853",
-                    rtol=tol, atol=tol * 1e-2, dense_output=dense)
-    if not sol.success:
-        raise StepSizeUnderflow(f"batch integration stalled: {sol.message}")
-    return sol
+    return solve(rhs, t0, t1, x0.ravel(), tol, tol * 1e-2, dense)
 
 
 def flow(system, p0: Point, t: float, tol: float = DEFAULT_FLOW_TOL) -> FlowResult:

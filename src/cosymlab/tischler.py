@@ -16,12 +16,12 @@ infinity norm, which bounds the transversality margin loss pointwise.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .forms import (ChartManifold, KForm, constant_form, covector_values,
                     exterior_derivative, max_coeff_magnitude)
@@ -30,7 +30,8 @@ from .section import SectionSpec
 TWO_PI = 2.0 * math.pi
 
 CLOSED_TOL = 1e-6
-QUAD_ABS_ERR = 1e-11
+PERIOD_QUAD_NODES = 128     # Gauss-Legendre nodes; the error check doubles them
+PERIOD_QUAD_ERR = 1e-10
 DEFAULT_D_CAP = 10_000
 
 
@@ -68,13 +69,31 @@ class RationalApproximation:
         return self.n / float(self.d)
 
 
+_leggauss = functools.lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)
+
+
+def _loop_integrals(alpha: KForm, base: np.ndarray, periods: np.ndarray,
+                    nodes: int) -> np.ndarray:
+    """Integrals of alpha along the coordinate circles through base, by the
+    Gauss-Legendre rule with the given number of nodes."""
+    s, w = _leggauss(nodes)
+    dim = len(base)
+    axis = np.arange(dim)
+    paths = np.tile(base, (dim, nodes, 1))
+    paths[axis, :, axis] += 0.5 * (s + 1.0) * periods[:, None]
+    a = covector_values(alpha, paths)[axis, :, axis]
+    return 0.5 * periods * (a @ w)
+
+
 def periods(alpha: KForm, manifold: ChartManifold, base: Optional[Sequence[float]] = None,
             closed_tol: float = CLOSED_TOL) -> PeriodVector:
     """Loop integrals of a closed one-form over the coordinate circles,
     normalized by 2*pi.
 
-    Adaptive quadrature to absolute error 1e-10; refuses non-closed input,
-    whose "periods" would be path dependent.
+    Gauss-Legendre quadrature on PERIOD_QUAD_NODES and twice as many nodes;
+    raises RuntimeError when the two rules differ by more than
+    PERIOD_QUAD_ERR on a cycle.  Refuses non-closed input, whose "periods"
+    would be path dependent.
     """
     if alpha.degree != 1 or alpha.dim != manifold.dim:
         raise ValueError("periods need a one-form on the given chart")
@@ -86,22 +105,17 @@ def periods(alpha: KForm, manifold: ChartManifold, base: Optional[Sequence[float
         raise ValueError(f"one-form not closed (sampled |d alpha| = {residual:.3e}); "
                          "loop integrals would be path dependent")
     base_pt = np.zeros(manifold.dim) if base is None else np.asarray(base, dtype=float)
-    vals = np.empty(manifold.dim)
-    cycles = []
-    for i in range(manifold.dim):
-        period = manifold.periods[i]
-
-        def integrand(t: float, i=i) -> float:
-            x = base_pt.copy()
-            x[i] += t
-            return float(covector_values(alpha, x)[i])
-
-        raw, err = quad(integrand, 0.0, period, epsabs=QUAD_ABS_ERR, epsrel=0.0, limit=200)
-        if err > 1e-10:
-            raise RuntimeError(f"quadrature error estimate {err:.3e} too large on cycle {i}")
-        vals[i] = raw / TWO_PI
-        cycles.append(f"loop along coordinate {i}, period {period:g}")
-    return PeriodVector(vals, tuple(cycles), manifold)
+    lengths = np.asarray(manifold.periods, dtype=float)
+    coarse = _loop_integrals(alpha, base_pt, lengths, PERIOD_QUAD_NODES)
+    fine = _loop_integrals(alpha, base_pt, lengths, 2 * PERIOD_QUAD_NODES)
+    err = np.abs(fine - coarse)
+    too_large = np.flatnonzero(~(err <= PERIOD_QUAD_ERR))
+    if too_large.size:
+        i = too_large[0]
+        raise RuntimeError(f"quadrature error estimate {err[i]:.3e} too large on cycle {i}")
+    cycles = tuple(f"loop along coordinate {i}, period {period:g}"
+                   for i, period in enumerate(manifold.periods))
+    return PeriodVector(fine / TWO_PI, cycles, manifold)
 
 
 def rationalize(pv: PeriodVector, eps: float, d_cap: int = DEFAULT_D_CAP) -> RationalApproximation:

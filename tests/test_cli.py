@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -275,3 +279,104 @@ def test_inline_system_bad_expression_exits_2(tmp_path):
     cfg = {"system": {"dim": 2, "omega": [[0, 1, 1.0]], "hamiltonian": "q +"},
            "points": [[1.0, 0.0]], "section": {"kind": "angle", "pair": [0, 1]}}
     assert run(tmp_path, "return-map", cfg)[0] == 2
+
+
+def test_demo_product_forwards_t_max(tmp_path):
+    # every leaf return takes 2*pi > t_max: the Jacobian and mapping-torus
+    # stages must fail on the configured t_max too, with a report
+    code, out = run(tmp_path, "demo-product", {"seed": "t3", "samples": 10, "t_max": 0.5,
+                                               "n_return_points": 1, "grid": 2})
+    assert code == 1
+    checks = {c["name"]: c for c in read_report(out)["report"]["checks"]}
+    for name in ("return_map_symplectic", "mapping_torus_gluing"):
+        assert not checks[name]["passed"]
+        assert "no crossing" in checks[name]["error"]
+
+
+def test_return_map_points_off_section_exit_2(tmp_path, capsys):
+    code, out = run(tmp_path, "return-map", {**RETURN_MAP_OSC, "points": [[0.5, 0.0, 0.8, 0.3]]})
+    assert code == 2
+    assert "not on the section" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("points", [[["a", 0.0, 0.8, 0.0]], [[0.6, 0.0, float("nan"), 0.0]],
+                                    [[0.6, 0.0, 0.8]]])
+def test_return_map_malformed_points_exit_2(tmp_path, capsys, points):
+    code, _ = run(tmp_path, "return-map", {**RETURN_MAP_OSC, "points": points})
+    assert code == 2
+    assert "points" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("level", ["x", True, None])
+def test_malformed_level_exits_2(tmp_path, capsys, level):
+    code, out = run(tmp_path, "return-map", {**RETURN_MAP_OSC, "level": level})
+    assert code == 2
+    assert "level" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("section", [{"kind": "leaf", "n": [0, 0, 1, 0]},
+                                     {"kind": "leaf", "d": 0, "n": [0, 0, 1, 0]},
+                                     {"kind": "leaf", "d": 1, "n": [0, 1]}])
+def test_malformed_leaf_section_exits_2(tmp_path, capsys, section):
+    cfg = {"system": "t4_product", "section": section, "samples": 2, "iterations": 1}
+    code, _ = run(tmp_path, "return-map", cfg)
+    assert code == 2
+    assert "section field" in capsys.readouterr().err
+
+
+def test_inline_system_failing_structure_checks_exits_2(tmp_path, capsys):
+    cfg = {"system": {"dim": 2, "coordinates": ["q", "p"], "omega": [[0, 1, 1.0]],
+                      "hamiltonian": "q", "lambda": [[0, "p"]]},
+           "points": [[1.0, 0.0]], "section": {"kind": "angle", "pair": [0, 1]}}
+    assert run(tmp_path, "return-map", cfg)[0] == 2
+    assert "primitive" in capsys.readouterr().err
+
+
+def test_crash_exits_3_with_traceback(tmp_path, capsys, monkeypatch):
+    def broken(cfg, out, seed):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setitem(cli.COMMANDS, "verify-cosym", broken)
+    code, _ = run(tmp_path, "verify-cosym", {"seed": "t3"})
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "ZeroDivisionError: boom" in err
+
+
+def test_cli_processes_do_not_import_scipy(tmp_path):
+    configs = {
+        "demo-product": {"seed": "t3", "samples": 4, "t_max": 20.0, "n_return_points": 1,
+                         "grid": 2},
+        "verify-cosym": {"seed": "t3", "samples": 8},
+        "tischler": {"tischler": {"dim": 2, "alpha": [[0, "1 + 0.3*cos(x0)"],
+                                                      [1, math.sqrt(2.0)]],
+                                  "eps": 1e-2, "d_cap": 100}},
+        "obstruct": {"betti": "t3", "system": "canonical_r4", "quad_nodes": 16},
+        "return-map": RETURN_MAP_OSC,
+    }
+    assert set(configs) == set(cli.COMMANDS)
+    script = "\n".join([
+        "import json, sys",
+        "import cosymlab.cli as cli",
+        f"configs = json.loads({json.dumps(json.dumps(configs))})",
+        f"root = {str(tmp_path)!r}",
+        "codes = {}",
+        "for command, cfg in configs.items():",
+        "    path = f'{root}/{command}.json'",
+        "    open(path, 'w').write(json.dumps(cfg))",
+        "    codes[command] = cli.main([command, '--config', path, '--out', f'{root}/{command}'])",
+        "scipy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
+        "print(json.dumps({'codes': codes, 'scipy': scipy}))",
+    ])
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["scipy"] == []
+    assert result["codes"] == {"demo-product": 0, "verify-cosym": 0, "tischler": 0,
+                               "obstruct": 1, "return-map": 0}

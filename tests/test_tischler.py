@@ -41,6 +41,28 @@ def test_periods_kill_exact_part():
     assert np.allclose(pv.values, [0, 0, 1], atol=1e-10)
 
 
+def test_periods_of_non_constant_form_to_1e_10():
+    # closed form on T^4 with exact parts of several frequencies; periods
+    # [1, sqrt 2, sqrt 3, 0.1] in units of 2*pi
+    def coeffs(x):
+        x = np.asarray(x, dtype=float)
+        return np.stack([1.0 + 0.3 * np.cos(x[..., 0]) + 0.2 * np.sin(7 * x[..., 0]),
+                         np.full(x.shape[:-1], SQRT2),
+                         0.5 * np.sin(x[..., 2]) + math.sqrt(3.0) + np.cos(20 * x[..., 2]),
+                         np.full(x.shape[:-1], 0.1)], axis=-1)
+
+    pv = T.periods(F.KForm(1, 4, coeffs), catalog.torus(4), base=[0.3, -1.0, 2.0, 0.5])
+    assert np.max(np.abs(pv.values - [1.0, SQRT2, math.sqrt(3.0), 0.1])) < 1e-10
+
+
+def test_periods_quadrature_error_is_enforced():
+    # far beyond what the Gauss-Legendre rules resolve: the two rules disagree
+    fast = F.KForm(1, 2, lambda x: np.stack([np.cos(400 * np.asarray(x)[..., 0]),
+                                             np.zeros(np.shape(x)[:-1])], axis=-1))
+    with pytest.raises(RuntimeError, match="quadrature error estimate .* cycle 0"):
+        T.periods(fast, t2())
+
+
 def test_periods_reject_non_closed():
     bad = F.KForm(1, 2, lambda x: np.stack([np.sin(x[..., 1]),
                                             np.zeros_like(x[..., 0])], axis=-1))
