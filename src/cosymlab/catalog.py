@@ -7,6 +7,7 @@ declared per entry; nothing topological is inferred numerically.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -139,23 +140,7 @@ def suspension_rotation(rho: float = 1.0 / 3.0) -> FlowSystem:
                       name=f"suspension_rotation({rho:g})")
 
 
-SYSTEMS: dict[str, Callable[[], object]] = {
-    "harmonic_oscillator": harmonic_oscillator,
-    "oscillator_2dof_sqrt2": oscillator_2dof,
-    "canonical_r4": canonical_r4,
-    "t4_product": lambda: product_system("t3"),
-    "t6_product": lambda: product_system("t5"),
-    "suspension_rotation": suspension_rotation,
-}
-
-
-def get_system(name: str):
-    if name not in SYSTEMS:
-        raise KeyError(f"unknown catalog system {name!r}; available: {sorted(SYSTEMS)}")
-    return SYSTEMS[name]()
-
-
-# -- sections and samplers ------------------------------------------------------
+# -- sections, samplers and the system registry ---------------------------------
 
 
 def product_leaf_section(system: HamiltonianSystem) -> SectionSpec:
@@ -169,21 +154,23 @@ def product_energy_surface(system: HamiltonianSystem) -> EnergySurface:
     return EnergySurface(system, 0.0, slice_coord=system.dim - 1, slice_value=0.0)
 
 
+def sample_zero_slice(system, rng: np.random.Generator, n: int, coords: list[int]) -> np.ndarray:
+    """Chart samples with the given coordinates set to zero."""
+    pts = system.manifold.sample(rng, n)
+    pts[:, coords] = 0.0
+    return pts
+
+
 def sample_product_leaf(system: HamiltonianSystem, rng: np.random.Generator,
                         n: int) -> np.ndarray:
     """Points of the {z = 0, angle = 0} leaf of a product system."""
-    pts = system.manifold.sample(rng, n)
-    pts[:, -2] = 0.0
-    pts[:, -1] = 0.0
-    return pts
+    return sample_zero_slice(system, rng, n, [-2, -1])
 
 
 def sample_product_surface(system: HamiltonianSystem, rng: np.random.Generator,
                            n: int) -> np.ndarray:
     """Points of the zero level {angle = 0} of a product system."""
-    pts = system.manifold.sample(rng, n)
-    pts[:, -1] = 0.0
-    return pts
+    return sample_zero_slice(system, rng, n, [-1])
 
 
 def oscillator_angle_section(index_pair: tuple[int, int] = (2, 3)) -> SectionSpec:
@@ -222,6 +209,44 @@ def sample_oscillator_surface(system: HamiltonianSystem, level: float,
     phi2 = np.zeros(n) if on_section else rng.uniform(0.0, TWO_PI, size=n)
     return np.stack([r1 * np.cos(phi1), -r1 * np.sin(phi1),
                      r2 * np.cos(phi2), -r2 * np.sin(phi2)], axis=-1)
+
+
+@dataclass(frozen=True)
+class SystemEntry:
+    """A catalog system: ``factory()`` builds it, ``section(system)`` is its
+    default section, ``starts(system, rng, n, level)`` samples n start points
+    on that section and ``surface(system, rng, n)`` its energy surface.  None
+    means no default section, no start sampler, or `manifold.sample` for the
+    surface.  An inline system gets the empty entry."""
+
+    factory: Optional[Callable[[], object]] = None
+    section: Optional[Callable[[object], SectionSpec]] = None
+    starts: Optional[Callable[..., np.ndarray]] = None
+    surface: Optional[Callable[..., np.ndarray]] = None
+
+
+_PRODUCT = dict(section=product_leaf_section, surface=sample_product_surface,
+                starts=lambda system, rng, n, level: sample_product_leaf(system, rng, n))
+
+SYSTEMS: dict[str, SystemEntry] = {
+    "harmonic_oscillator": SystemEntry(harmonic_oscillator),
+    "oscillator_2dof_sqrt2": SystemEntry(
+        oscillator_2dof, lambda system: oscillator_angle_section(),
+        lambda system, rng, n, level: sample_oscillator_surface(system, level, rng, n,
+                                                                on_section=True)),
+    "canonical_r4": SystemEntry(canonical_r4),
+    "t4_product": SystemEntry(lambda: product_system("t3"), **_PRODUCT),
+    "t6_product": SystemEntry(lambda: product_system("t5"), **_PRODUCT),
+    "suspension_rotation": SystemEntry(
+        suspension_rotation, lambda system: coordinate_section(system.manifold, 1),
+        lambda system, rng, n, level: sample_zero_slice(system, rng, n, [1])),
+}
+
+
+def get_system(name: str):
+    if name not in SYSTEMS:
+        raise KeyError(f"unknown catalog system {name!r}; available: {sorted(SYSTEMS)}")
+    return SYSTEMS[name].factory()
 
 
 # -- Betti catalog and ambient topology flags -------------------------------------

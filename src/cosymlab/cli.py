@@ -71,6 +71,13 @@ def load_config(path: Path) -> dict:
     return cfg
 
 
+def lookup(table: dict, name, what: str):
+    """Catalog entry `name` of `table`; ConfigError listing the names otherwise."""
+    if not (isinstance(name, str) and name in table):
+        raise ConfigError(f"unknown {what} {name!r}; available: {sorted(table)}")
+    return table[name]
+
+
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) \
         and math.isfinite(value)
@@ -152,18 +159,15 @@ def resolve_system(cfg: dict):
     spec = cfg.get("system")
     if spec is None:
         raise ConfigError("config needs a 'system' (catalog name or inline spec)")
-    if isinstance(spec, str):
-        try:
-            return spec, catalog.get_system(spec)
-        except KeyError as exc:
-            raise ConfigError(str(exc)) from exc
     if isinstance(spec, dict):
-        return spec.get("name", "inline"), build_inline_system(spec)
-    raise ConfigError("'system' must be a catalog name or an object")
+        return spec.get("name", "inline"), catalog.SystemEntry(), build_inline_system(spec)
+    return spec, lookup(catalog.SYSTEMS, spec, "catalog system"), catalog.get_system(spec)
 
 
-def build_section(cfg: dict, system) -> SectionSpec:
+def build_section(cfg: dict, entry: catalog.SystemEntry, system) -> SectionSpec:
     sec_cfg = cfg.get("section") or {}
+    if not sec_cfg and entry.section is not None:
+        return entry.section(system)
     if not isinstance(sec_cfg, dict):
         raise ConfigError("'section' must be an object")
     kind = sec_cfg.get("kind", "coordinate")
@@ -202,9 +206,9 @@ def build_section(cfg: dict, system) -> SectionSpec:
     raise ConfigError(f"unknown section kind {kind!r}")
 
 
-def section_start_points(name: str, system, sec: SectionSpec, cfg: dict,
+def section_start_points(entry: catalog.SystemEntry, system, sec: SectionSpec, cfg: dict,
                          rng: np.random.Generator, n: int) -> np.ndarray:
-    """Explicit 'points', which must lie on the section, or samples on it."""
+    """Explicit 'points', or the entry's start samples; both must lie on the section."""
     if "points" in cfg:
         try:
             pts = np.asarray(cfg["points"], dtype=float)
@@ -212,25 +216,17 @@ def section_start_points(name: str, system, sec: SectionSpec, cfg: dict,
             raise ConfigError(f"'points' must be a list of coordinate tuples: {exc}") from exc
         if pts.ndim != 2 or pts.shape[1] != system.dim or not np.isfinite(pts).all():
             raise ConfigError("'points' must be a list of finite coordinate tuples")
-        off = np.abs(np.asarray(sec.offset(pts), dtype=float))
-        off_section = np.flatnonzero(~(off <= ON_SECTION_TOL))
-        if off_section.size:
-            i = off_section[0]
-            raise ConfigError(f"'points' entry {i} is not on the section: "
-                              f"|theta - level| = {off[i]:.3e} > {ON_SECTION_TOL}")
-        return pts
-    if name.startswith("t4_product") or name.startswith("t6_product") \
-            or name.startswith("product("):
-        return catalog.sample_product_leaf(system, rng, n)
-    if name.startswith("oscillator"):
-        return catalog.sample_oscillator_surface(system, float(cfg.get("level", 1.0)),
-                                                 rng, n, on_section=True)
-    if name.startswith("suspension"):
-        pts = system.manifold.sample(rng, n)
-        pts[:, 1] = 0.0
-        return pts
-    raise ConfigError(f"no automatic section sampler for system {name!r}; "
-                      "supply explicit 'points' in the config")
+    elif entry.starts is None:
+        raise ConfigError("no start sampler for this system; supply explicit 'points'")
+    else:
+        pts = entry.starts(system, rng, n, float(cfg.get("level", 1.0)))
+    off = np.abs(np.asarray(sec.offset(pts), dtype=float))
+    off_section = np.flatnonzero(~(off <= ON_SECTION_TOL))
+    if off_section.size:
+        i = off_section[0]
+        raise ConfigError(f"start point {i} is not on the section: |theta - level| = "
+                          f"{off[i]:.3e} > {ON_SECTION_TOL}; supply explicit 'points' on it")
+    return pts
 
 
 # -- SVG scatter --------------------------------------------------------------------
@@ -380,15 +376,13 @@ def cmd_demo_product(cfg: dict, out: Path, seed: int) -> int:
     runner = Runner("demo-product", cfg, out, seed)
     rng = np.random.default_rng(seed)
     seed_name = cfg.get("seed", "t3")
-    if seed_name not in catalog.SEEDS:
-        raise ConfigError(f"unknown cosymplectic seed {seed_name!r}; "
-                          f"available: {sorted(catalog.SEEDS)}")
+    make_seed = lookup(catalog.SEEDS, seed_name, "cosymplectic seed")
     tol = float(cfg.get("tol", 1e-10))
     t_max = float(cfg.get("t_max", 100.0))
     n_samples = int(cfg.get("samples", 200))
 
     with runner.timed("build"):
-        cs = catalog.SEEDS[seed_name]()
+        cs = make_seed()
         system = cosym.build_product_system(cs, rng=rng)
         structure = system.validate(system.manifold.sample(rng, 64))
     runner.check("structure", True, **structure)
@@ -445,9 +439,7 @@ def cmd_verify_cosym(cfg: dict, out: Path, seed: int) -> int:
     n_samples = int(cfg.get("samples", 128))
     spec = cfg.get("cosym", cfg.get("seed", "t3"))
     if isinstance(spec, str):
-        if spec not in catalog.SEEDS:
-            raise ConfigError(f"unknown cosymplectic seed {spec!r}")
-        cs = catalog.SEEDS[spec]()
+        cs = lookup(catalog.SEEDS, spec, "cosymplectic seed")()
     else:
         try:
             dim = int(spec["dim"])
@@ -473,26 +465,35 @@ def cmd_tischler(cfg: dict, out: Path, seed: int) -> int:
     tcfg = cfg.get("tischler")
     if not isinstance(tcfg, dict):
         raise ConfigError("config needs a 'tischler' object")
-    eps = float(tcfg.get("eps", 1e-2))
-    if eps <= 0:
-        raise ConfigError("'eps' must be positive")
-    d_cap = int(tcfg.get("d_cap", tischler.DEFAULT_D_CAP))
+    eps = tcfg.get("eps", 1e-2)
+    if not (_is_number(eps) and eps > 0):
+        raise ConfigError("tischler field 'eps' must be a positive number")
+    d_cap = tcfg.get("d_cap", tischler.DEFAULT_D_CAP)
+    if not (_is_int(d_cap) and d_cap >= 1):
+        raise ConfigError("tischler field 'd_cap' must be an integer >= 1")
 
     with runner.timed("periods"):
-        if "periods" in tcfg:
-            values = np.asarray(tcfg["periods"], dtype=float)
-            manifold = catalog.torus(len(values))
-            pv = tischler.PeriodVector(values, tuple(f"declared cycle {i}"
-                                                     for i in range(len(values))), manifold)
-            alpha = None
-        elif "alpha" in tcfg:
-            dim = int(tcfg["dim"])
-            manifold = catalog.torus(dim)
-            names = [f"x{i}" for i in range(dim)]
-            alpha = _form_from_entries(dim, names, tcfg["alpha"], 1)
-            pv = tischler.periods(alpha, manifold)
-        else:
-            raise ConfigError("'tischler' needs 'periods' or 'alpha'")
+        try:
+            if "periods" in tcfg:
+                values = tcfg["periods"]
+                if not (isinstance(values, list) and values and all(map(_is_number, values))):
+                    raise ValueError("'periods' must be a non-empty list of numbers")
+                manifold = catalog.torus(len(values))
+                pv = tischler.PeriodVector(values, tuple(f"declared cycle {i}"
+                                                         for i in range(len(values))), manifold)
+                alpha = None
+            elif "alpha" in tcfg:
+                dim = tcfg["dim"]
+                if not (_is_int(dim) and dim >= 1):
+                    raise ValueError(f"'dim' must be an integer >= 1, got {dim!r}")
+                manifold = catalog.torus(dim)
+                names = [f"x{i}" for i in range(dim)]
+                alpha = _form_from_entries(dim, names, tcfg["alpha"], 1)
+                pv = tischler.periods(alpha, manifold)
+            else:
+                raise ValueError("it needs 'periods' or 'alpha'")
+        except (KeyError, TypeError, ValueError, expr.ExprError) as exc:
+            raise ConfigError(f"bad 'tischler' spec: {exc}") from exc
     runner.check("periods", True, values=pv.values, cycles=list(pv.cycles))
 
     with runner.timed("rationalize"):
@@ -515,15 +516,12 @@ def cmd_tischler(cfg: dict, out: Path, seed: int) -> int:
                      coefficient_distance=tischler.coefficient_distance(pv, ra))
 
     if "system" in cfg and alpha_prime is not None:
-        name, system = resolve_system(cfg)
+        _, entry, system = resolve_system(cfg)
         if system.dim != alpha_prime.dim:
             raise ConfigError(f"system dimension {system.dim} does not match the "
                               f"one-form dimension {alpha_prime.dim}")
-        rng = np.random.default_rng(seed)
-        if name.startswith(("t4_product", "t6_product", "product(")):
-            samples = catalog.sample_product_surface(system, rng, int(cfg.get("samples", 64)))
-        else:
-            samples = system.manifold.sample(rng, int(cfg.get("samples", 64)))
+        sample = entry.surface or (lambda s, r, k: s.manifold.sample(r, k))
+        samples = sample(system, np.random.default_rng(seed), int(cfg.get("samples", 64)))
         with runner.timed("transversality"):
             trans = tischler.check_transversality_preserved(system, alpha_prime,
                                                             samples, alpha=alpha)
@@ -547,18 +545,18 @@ def cmd_obstruct(cfg: dict, out: Path, seed: int) -> int:
         ran_any = True
         spec = cfg["betti"]
         if isinstance(spec, str):
-            if spec not in catalog.BETTI_PROFILES:
-                raise ConfigError(f"unknown Betti profile {spec!r}; "
-                                  f"available: {sorted(catalog.BETTI_PROFILES)}")
-            profile = catalog.BETTI_PROFILES[spec]
+            profile = lookup(catalog.BETTI_PROFILES, spec, "Betti profile")
         else:
-            profile = obstruct.BettiProfile("inline", tuple(int(b) for b in spec))
+            try:
+                profile = obstruct.BettiProfile("inline", tuple(spec))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"bad 'betti' spec {spec!r}: {exc}") from exc
         result = obstruct.betti_necessary_condition(profile)
         runner.check("betti_necessary_condition", result.passed, result.as_dict())
 
     if "system" in cfg:
         ran_any = True
-        name, system = resolve_system(cfg)
+        _, _, system = resolve_system(cfg)
         with runner.timed("exactness"):
             verdict = obstruct.exactness_verdict(system)
             integrals = {}
@@ -574,10 +572,7 @@ def cmd_obstruct(cfg: dict, out: Path, seed: int) -> int:
     if "ambient" in cfg:
         ran_any = True
         name = str(cfg["ambient"])
-        if name not in catalog.AMBIENT_TOPOLOGY:
-            raise ConfigError(f"unknown ambient manifold {name!r}; "
-                              f"available: {sorted(catalog.AMBIENT_TOPOLOGY)}")
-        compact, simply = catalog.AMBIENT_TOPOLOGY[name]
+        compact, simply = lookup(catalog.AMBIENT_TOPOLOGY, name, "ambient manifold")
         verdict = obstruct.simply_connected_verdict(compact, simply, name=name)
         runner.check("simply_connected_verdict", not verdict.negative, verdict.as_dict())
 
@@ -591,14 +586,14 @@ def cmd_return_map(cfg: dict, out: Path, seed: int) -> int:
     """Return times, map iterates and symplecticity of a configured section."""
     runner = Runner("return-map", cfg, out, seed)
     rng = np.random.default_rng(seed)
-    name, system = resolve_system(cfg)
-    sec = build_section(cfg, system)
+    name, entry, system = resolve_system(cfg)
+    sec = build_section(cfg, entry, system)
     tol = float(cfg.get("tol", 1e-10))
     t_max = float(cfg.get("t_max", 100.0))
     n_pts = int(cfg.get("samples", 20))
     n_iter = int(cfg.get("iterations", 50))
 
-    starts = section_start_points(name, system, sec, cfg, rng, n_pts)
+    starts = section_start_points(entry, system, sec, cfg, rng, n_pts)
     _, _, project = section_coordinates(system, sec, system.point(starts[0]))
     with runner.timed("iterate"):
         returns = iterate_returns(system, sec, starts, n_iter, t_max, tol)

@@ -146,9 +146,9 @@ class BettiProfile:
     betti: tuple[int, ...]
 
     def __post_init__(self):
-        betti = tuple(int(b) for b in self.betti)
-        if not betti or any(b < 0 for b in betti):
-            raise ValueError("malformed Betti profile")
+        betti = tuple(self.betti)
+        if not betti or any(type(b) is not int or b < 0 for b in betti):
+            raise ValueError("malformed Betti profile: needs non-negative integers")
         if betti[0] < 1:
             raise ValueError("b_0 must be at least 1")
         object.__setattr__(self, "betti", betti)

@@ -236,24 +236,13 @@ class FlowResult:
     energy_error: float
 
 
-def integrate(system, x0: np.ndarray, t0: float, t1: float, tol: float = DEFAULT_FLOW_TOL,
-              dense: bool = False):
-    """Low-level adaptive integration of the system field on raw coordinates.
-
-    Coordinates are NOT reduced: trajectories live in the periodic cover so
-    section functions can be lifted continuously.  Returns the `dop853`
-    solution: step times ``t``, states ``y`` (dim, steps) and, when
-    ``dense``, the interpolant ``sol``.
-    """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    return solve(system.field, t0, t1, np.ravel(np.asarray(x0, dtype=float)),
-                 tol, tol * 1e-2, dense)
-
-
 def integrate_batch(system, x0: np.ndarray, t0: float, t1: float,
                     tol: float = DEFAULT_FLOW_TOL, dense: bool = False):
-    """Integrate a batch of initial conditions (n, dim) as one stacked system."""
+    """Integrate a batch of initial conditions (n, dim) as one stacked system;
+    a single orbit is a batch of one.  Coordinates are NOT reduced: orbits
+    live in the periodic cover so section functions can be lifted
+    continuously.  Returns the `dop853` solution: step times ``t``, stacked
+    states ``y`` (n * dim, steps) and, when ``dense``, the interpolant ``sol``."""
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     x0 = np.asarray(x0, dtype=float)
@@ -274,19 +263,11 @@ def flow(system, p0: Point, t: float, tol: float = DEFAULT_FLOW_TOL) -> FlowResu
     x0 = p0.coords
     if t == 0.0:
         return FlowResult(p0, 0.0)
-    sol = integrate(system, x0, 0.0, t, tol)
-    x1 = sol.y[:, -1]
+    x1 = integrate_batch(system, x0[None], 0.0, t, tol).y[:, -1]
     drift = 0.0
     if hasattr(system, "energy"):
         drift = float(abs(system.energy(x1) - system.energy(x0)))
     return FlowResult(system.manifold.point(x1), drift)
-
-
-def flow_raw(system, x0: np.ndarray, t: float, tol: float = DEFAULT_FLOW_TOL) -> np.ndarray:
-    """Flow on raw (unreduced) coordinates; helper for section tracking."""
-    if t == 0.0:
-        return np.asarray(x0, dtype=float).copy()
-    return integrate(system, x0, 0.0, t, tol).y[:, -1]
 
 
 def flow_implicit_midpoint(system, p0: Point, t: float, dt: float = 1e-3) -> FlowResult:
@@ -331,7 +312,7 @@ def energy_drift(sys: HamiltonianSystem, p0: Point, t_max: float, samples: int =
     """Maximum |H(flow_t(p0)) - H(p0)| over sampled times in [0, t_max]."""
     if t_max <= 0:
         raise ValueError("t_max must be positive")
-    sol = integrate(sys, p0.coords, 0.0, t_max, tol, dense=True)
+    sol = integrate_batch(sys, p0.coords[None], 0.0, t_max, tol, dense=True)
     ts = np.linspace(0.0, t_max, samples)
     states = sol.sol(ts).T
     h0 = sys.energy(p0.coords)

@@ -230,7 +230,6 @@ class _Directed:
     def __init__(self, system, sign: int):
         self._system = system
         self.sign = sign
-        self.manifold = system.manifold
 
     def field(self, coords: np.ndarray) -> np.ndarray:
         return self.sign * self._system.field(coords)
@@ -729,7 +728,7 @@ def mapping_torus_chart(system, sec: SectionSpec, grid: Sequence[Point],
     for i, p in enumerate(grid):
         rec = returns.first(i, p)
         records.append(rec)
-        sol = phase.integrate(system, p.coords, 0.0, rec.return_time, tol, dense=True)
+        sol = phase.integrate_batch(system, p.coords[None], 0.0, rec.return_time, tol, dense=True)
         states = sol.sol(t_samples * rec.return_time).T
         states[0] = p.coords
         rows.append(np.stack([chart.reduce(s) for s in states]))

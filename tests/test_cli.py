@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cosymlab import cli
+from cosymlab import catalog, cli
 
 
 def run(tmp_path, command, config, out="out", seed=None):
@@ -129,11 +129,63 @@ def test_empty_check_counts_exit_2(tmp_path, capsys, command, base, field):
      "index"),
     ("return-map", {**RETURN_MAP_OSC, "section": {"kind": "coordinate", "index": -1}},
      "index"),
+    ("tischler", {"tischler": {"alpha": [[0, 1.0]]}}, "dim"),
+    ("tischler", {"tischler": {"dim": 0, "alpha": []}}, "dim"),
+    ("tischler", {"tischler": {"periods": ["a"]}}, "periods"),
+    ("tischler", {"tischler": {"periods": []}}, "periods"),
+    ("tischler", {"tischler": {"periods": [0.5], "eps": "x"}}, "eps"),
+    ("tischler", {"tischler": {"periods": [0.5], "eps": True}}, "eps"),
+    ("tischler", {"tischler": {"periods": [0.5], "d_cap": "x"}}, "d_cap"),
+    ("tischler", {"tischler": {"periods": [0.5], "d_cap": 0}}, "d_cap"),
+    ("obstruct", {"betti": [1, "x"]}, "betti"),
+    ("obstruct", {"betti": 7}, "betti"),
+    ("obstruct", {"betti": []}, "betti"),
+    ("obstruct", {"betti": [1, 1.5, 1, 1]}, "betti"),
 ])
 def test_malformed_numeric_fields_exit_2(tmp_path, capsys, command, config, field):
     code, out = run(tmp_path, command, config)
     assert code == 2
     assert field in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def test_tischler_non_closed_alpha_exits_2(tmp_path, capsys):
+    code, out = run(tmp_path, "tischler", {"tischler": {"dim": 2, "alpha": [[0, "sin(x1)"]]}})
+    assert code == 2
+    assert "not closed" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("name", sorted(catalog.SYSTEMS))
+def test_catalog_system_alone_runs_on_its_default_section(tmp_path, capsys, name):
+    # an entry's start sampler lands on the entry's default section; an entry
+    # without one needs explicit 'points'
+    code, out = run(tmp_path, "return-map", {"system": name, "samples": 2, "iterations": 2,
+                                             "n_return_points": 1, "t_max": 30.0})
+    err = capsys.readouterr().err
+    if catalog.SYSTEMS[name].starts is None:
+        assert code == 2
+        assert "supply explicit 'points'" in err and "Traceback" not in err
+        assert not (out / "report.json").exists()
+    else:
+        assert code == 0, err
+
+
+def test_inline_system_name_selects_no_sampler(tmp_path, capsys):
+    cfg = {"system": {"dim": 2, "coordinates": ["q", "p"], "omega": [[0, 1, 1.0]],
+                      "hamiltonian": "0.5*(q^2 + p^2)", "name": "oscillator"}}
+    code, out = run(tmp_path, "return-map", cfg)
+    assert code == 2
+    assert "supply explicit 'points'" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def test_sampled_starts_off_configured_section_exit_2(tmp_path, capsys):
+    cfg = {"system": "t4_product", "section": {"kind": "coordinate", "index": 2, "level": 1.0},
+           "samples": 2, "iterations": 1}
+    code, out = run(tmp_path, "return-map", cfg)
+    assert code == 2
+    assert "supply explicit 'points'" in capsys.readouterr().err
     assert not (out / "report.json").exists()
 
 

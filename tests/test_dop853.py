@@ -12,7 +12,7 @@ INLINE = {"dim": 2, "coordinates": ["q", "p"], "omega": [[0, 1, "1 + 0.5*sin(q)"
 
 
 def constant_omega_systems():
-    systems = [(name, make()) for name, make in catalog.SYSTEMS.items()]
+    systems = [(name, catalog.get_system(name)) for name in catalog.SYSTEMS]
     return [(name, s) for name, s in systems
             if getattr(getattr(s, "omega", None), "constant_value", None) is not None]
 
@@ -48,7 +48,7 @@ def test_matches_solve_ivp(name, system, batch, t1, tol):
     starts = 0.5 + rng.uniform(-0.4, 0.4, size=(batch, system.dim))
     if batch == 1:
         x0 = starts[0]
-        sol = P.integrate(system, x0, 0.0, t1, tol, dense=True)
+        sol = P.integrate_batch(system, x0[None], 0.0, t1, tol, dense=True)
         rhs = system.field
     else:
         x0 = starts.ravel()
@@ -69,7 +69,7 @@ def test_matches_solve_ivp(name, system, batch, t1, tol):
 
 def test_dense_output_extrapolates_like_solve_ivp():
     system = catalog.get_system("harmonic_oscillator")
-    sol = P.integrate(system, [1.0, 0.0], 0.0, 3.0, 1e-8, dense=True)
+    sol = P.integrate_batch(system, [[1.0, 0.0]], 0.0, 3.0, 1e-8, dense=True)
     ref = reference(system.field, 3.0, np.array([1.0, 0.0]), 1e-8)
     outside = np.array([-0.1, 3.05])
     assert close(sol.sol(outside), ref.sol(outside))
@@ -77,7 +77,7 @@ def test_dense_output_extrapolates_like_solve_ivp():
 
 def test_states_without_dense_output():
     system = catalog.get_system("oscillator_2dof_sqrt2")
-    sol = P.integrate(system, [0.6, 0.0, 0.8, 0.0], 0.0, 5.0)
+    sol = P.integrate_batch(system, [[0.6, 0.0, 0.8, 0.0]], 0.0, 5.0)
     assert sol.sol is None
     assert sol.y.shape == (4, len(sol.t)) and sol.t[0] == 0.0 and sol.t[-1] == 5.0
 

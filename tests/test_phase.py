@@ -260,5 +260,5 @@ def test_integrate_batch_matches_single(t4_system):
     sol = P.integrate_batch(t4_system, starts, 0.0, 1.5, tol=1e-10)
     end = sol.y[:, -1].reshape(2, 4)
     for i, x in enumerate(starts):
-        single = P.flow_raw(t4_system, x, 1.5, tol=1e-10)
+        single = P.integrate_batch(t4_system, x[None], 0.0, 1.5, tol=1e-10).y[:, -1]
         assert np.max(np.abs(single - end[i])) < 1e-9

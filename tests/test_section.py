@@ -266,10 +266,10 @@ def test_unconverged_polish_is_reported(suspension_system):
 
 
 @st.composite
-def _crossing_batches(draw):
+def _crossing_batches(draw, families=("wiggle", "product", "oscillator")):
     """(system, section, starts): wiggle orbits, T^4 product leaf points or
     oscillator section points."""
-    family = draw(st.sampled_from(["wiggle", "product", "oscillator"]))
+    family = draw(st.sampled_from(families))
     n = draw(st.integers(2, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
     if family == "wiggle":
@@ -297,6 +297,21 @@ def test_batch_matches_batches_of_one(batch, direction):
     ok = together.ok
     times_alone = np.array([c.times[0] for c in alone])
     assert np.all(np.abs(together.times[ok] - times_alone[ok]) < 1e-8)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(_crossing_batches(("product", "oscillator")))
+def test_backward_scan_from_forward_crossing_returns_to_start(batch):
+    # forward vs reversed time: scanning back from each forward crossing
+    # finds the start again, one return time earlier
+    system, sec, starts = batch
+    forward = S.first_crossings(system, sec, starts, 100.0)
+    assert forward.ok.all()
+    back = S.first_crossings(system, sec, forward.states, 100.0, direction=-1)
+    assert back.ok.all()
+    assert np.all(np.abs(back.times + forward.times) < 1e-8)
+    chart = system.manifold
+    assert np.all(np.abs(chart.wrapped_delta(chart.reduce(back.states), starts)) < 1e-8)
 
 
 @st.composite
