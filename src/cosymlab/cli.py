@@ -125,12 +125,18 @@ def _form_from_entries(dim: int, names: Sequence[str], entries, degree: int) -> 
     return KForm(degree, dim, coeffs)
 
 
+def _coordinate_names(spec: dict, dim: int) -> list:
+    """The inline spec's coordinate names (default x0, x1, ...), one per dimension."""
+    names = list(spec.get("coordinates") or [f"x{i}" for i in range(dim)])
+    if len(names) != dim:
+        raise ConfigError(f"coordinates list length {len(names)} must equal dim {dim}")
+    return names
+
+
 def build_inline_system(spec: dict) -> HamiltonianSystem:
     try:
         dim = int(spec["dim"])
-        names = list(spec.get("coordinates") or [f"x{i}" for i in range(dim)])
-        if len(names) != dim:
-            raise ConfigError("coordinates list length must equal dim")
+        names = _coordinate_names(spec, dim)
         chart = ChartManifold(
             dim,
             tuple(bool(b) for b in spec.get("periodic") or (False,) * dim),
@@ -198,9 +204,10 @@ def build_section(cfg: dict, entry: catalog.SystemEntry, system) -> SectionSpec:
         d, n = sec_cfg.get("d"), sec_cfg.get("n")
         if not (_is_int(d) and d >= 1):
             raise ConfigError(f"section field 'd' must be an integer >= 1, got {d!r}")
-        if not (isinstance(n, list) and len(n) == system.dim and all(map(_is_int, n))):
+        if not (isinstance(n, list) and len(n) == system.dim and all(map(_is_int, n))
+                and any(n)):
             raise ConfigError(f"section field 'n' must be a list of {system.dim} integers, "
-                              f"got {n!r}")
+                              f"not all zero, got {n!r}")
         ra = tischler.RationalApproximation(d, np.asarray(n, dtype=int), 0.0)
         return tischler.extract_leaf(ra, system.manifold, orientation=orientation)
     raise ConfigError(f"unknown section kind {kind!r}")
@@ -443,7 +450,7 @@ def cmd_verify_cosym(cfg: dict, out: Path, seed: int) -> int:
     else:
         try:
             dim = int(spec["dim"])
-            names = list(spec.get("coordinates") or [f"x{i}" for i in range(dim)])
+            names = _coordinate_names(spec, dim)
             chart = ChartManifold(dim, (True,) * dim, name=str(spec.get("name", "inline")))
             cs = cosym.CosymplecticStructure(
                 chart,
@@ -556,7 +563,10 @@ def cmd_obstruct(cfg: dict, out: Path, seed: int) -> int:
 
     if "system" in cfg:
         ran_any = True
-        _, _, system = resolve_system(cfg)
+        name, _, system = resolve_system(cfg)
+        if not isinstance(system, HamiltonianSystem):
+            raise ConfigError(f"config field 'system': {name!r} is not a Hamiltonian system, "
+                              "so the exactness obstruction does not apply")
         with runner.timed("exactness"):
             verdict = obstruct.exactness_verdict(system)
             integrals = {}

@@ -64,10 +64,18 @@ def _tokenize(text: str):
 
 
 class Node:
+    """Expression tree node.
+
+    Calling a node evaluates it on a float array of coordinates, shape
+    (..., dim).  A subtree that reads no coordinate returns a NumPy scalar,
+    which broadcasts where it meets an array; `Expression` gives every
+    result the batch shape.
+    """
+
     def diff(self, index: int) -> "Node":
         raise NotImplementedError
 
-    def __call__(self, coords: np.ndarray) -> np.ndarray:
+    def __call__(self, coords: np.ndarray):
         raise NotImplementedError
 
 
@@ -75,12 +83,16 @@ class Node:
 class Num(Node):
     value: float
 
+    def __post_init__(self):
+        # a NumPy double, so that constant arithmetic follows IEEE rules
+        # (1/0 is inf, not ZeroDivisionError) as array arithmetic does
+        object.__setattr__(self, "value", np.float64(self.value))
+
     def diff(self, index):
         return Num(0.0)
 
     def __call__(self, coords):
-        coords = np.asarray(coords, dtype=float)
-        return np.full(coords.shape[:-1], self.value)
+        return self.value
 
     def __str__(self):
         return f"{self.value:g}"
@@ -95,7 +107,7 @@ class Var(Node):
         return Num(1.0 if index == self.index else 0.0)
 
     def __call__(self, coords):
-        return np.asarray(coords, dtype=float)[..., self.index]
+        return coords[..., self.index]
 
     def __str__(self):
         return self.name
@@ -302,6 +314,16 @@ class _Parser:
         raise ExprError(f"unexpected token {val!r}", pos)
 
 
+def _as_batch(coords: np.ndarray) -> np.ndarray:
+    """A single point as a batch of one.
+
+    Then every value that depends on the coordinates is an array, and a point
+    gets bit for bit the value it gets inside a batch: NumPy's scalar power
+    rounds differently from its array power.
+    """
+    return coords[None] if coords.ndim == 1 else coords
+
+
 @dataclass(frozen=True)
 class Expression:
     """Parsed expression over named coordinates; callable and differentiable."""
@@ -310,15 +332,24 @@ class Expression:
     names: tuple[str, ...]
 
     def __call__(self, coords: np.ndarray) -> np.ndarray:
-        return np.asarray(self.root(coords), dtype=float)
+        """Values at coords (..., dim), shape (...,)."""
+        coords = np.asarray(coords, dtype=float)
+        x = _as_batch(coords)
+        out = np.empty(x.shape[:-1])
+        out[...] = self.root(x)
+        return out.reshape(coords.shape[:-1])
 
     def gradient(self) -> Callable[[np.ndarray], np.ndarray]:
+        """Callable giving the symbolic gradient at coords (..., dim), shape (..., dim)."""
         partials = [self.root.diff(i) for i in range(len(self.names))]
 
         def grad(coords: np.ndarray) -> np.ndarray:
             coords = np.asarray(coords, dtype=float)
-            return np.stack([np.broadcast_to(p(coords), coords.shape[:-1])
-                             for p in partials], axis=-1)
+            x = _as_batch(coords)
+            out = np.empty(x.shape)
+            for i, p in enumerate(partials):
+                out[..., i] = p(x)
+            return out.reshape(coords.shape)
 
         return grad
 

@@ -267,6 +267,56 @@ def function_form(dim: int, value: Callable[[np.ndarray], np.ndarray],
 # -- evaluation ---------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _laplace_tables(dim: int, size: int) -> tuple:
+    """Cofactor expansion of each size x size minor along its last column.
+
+    Entry c belongs to the c-th row subset I of ``basis_indices(dim, size)``.
+    It lists one term (row I[p], rank of I without I[p] among the
+    (size-1)-subsets, cofactor sign (-1)^(p + size - 1)) per p, with the
+    positive p = size - 1 term first.
+    """
+    rank = _basis_rank(dim, size - 1)
+    return tuple(
+        tuple((I[p], rank[I[:p] + I[p + 1:]], (-1) ** (p + size - 1))
+              for p in (size - 1, *range(size - 1)))
+        for I in basis_indices(dim, size))
+
+
+def frame_minors(frame: np.ndarray) -> np.ndarray:
+    """All k x k minors of a frame of shape (..., dim, k), k >= 1.
+
+    Entry c of the result, shape (..., C(dim, k)), is the determinant of the
+    rows ``basis_indices(dim, k)[c]``.  The minors are built by Laplace
+    expansion one column at a time: each minor on the first j columns is a
+    signed sum of minors on the first j - 1 columns times entries of column
+    j.  Every product is one batch-length vector operation, so no
+    (..., C, k, k) block is ever gathered.
+    """
+    frame = np.asarray(frame, dtype=float)
+    dim, k = frame.shape[-2:]
+    if not 1 <= k <= dim:
+        raise ValueError(f"frame of {k} vectors in dimension {dim} has no k x k minors")
+    entries = np.moveaxis(frame, (-2, -1), (0, 1))   # entries[i, j]: (...,) batch
+    batch = frame.shape[:-2]
+    minors = entries[:, 0]
+    term = np.empty(batch)
+    for j in range(1, k):
+        table = _laplace_tables(dim, j + 1)
+        nxt = np.empty((len(table),) + batch)
+        for c, ((row, rest, _), *others) in enumerate(table):
+            out = nxt[c, ...]
+            np.multiply(entries[row, j, ...], minors[rest, ...], out=out)
+            for row, rest, sign in others:
+                np.multiply(entries[row, j, ...], minors[rest, ...], out=term)
+                if sign > 0:
+                    out += term
+                else:
+                    out -= term
+        minors = nxt
+    return np.moveaxis(minors, 0, -1)
+
+
 def evaluate_frame(f: KForm, coords: np.ndarray, frame: np.ndarray) -> np.ndarray:
     """Evaluate f at coords on the columns of ``frame``.
 
@@ -280,12 +330,12 @@ def evaluate_frame(f: KForm, coords: np.ndarray, frame: np.ndarray) -> np.ndarra
         raise ValueError(f"degree-{k} form needs {k} vectors, got {frame.shape[-1]}")
     if frame.shape[-2] != f.dim:
         raise ValueError(f"vector dimension {frame.shape[-2]} != form dimension {f.dim}")
-    c = f.coeffs(coords)
     if k == 0:
-        return c[..., 0]
-    idx = np.array(basis_indices(f.dim, k))  # (C, k)
-    minors = np.linalg.det(frame[..., idx, :])  # (..., C)
-    return np.einsum("...c,...c->...", c, minors)
+        return f.coeffs(coords)[..., 0]
+    minors = frame_minors(frame)
+    if f.constant_value is not None:
+        return np.einsum("...c,c->...", minors, f.constant_value)
+    return np.einsum("...c,...c->...", f.coeffs(coords), minors)
 
 
 def _perm_parity(order: np.ndarray) -> float:
@@ -507,7 +557,6 @@ def pullback(phi: ChartMap, f: KForm) -> KForm:
     if k > src:
         raise ValueError(f"cannot pull a degree-{k} form back to a {src}-dimensional chart")
     cf, val, jac = f.coeffs, phi.value, phi.jacobian
-    tgt_idx = np.array(basis_indices(f.dim, k)) if k else None
     src_idx = np.array(basis_indices(src, k)) if k else None
 
     def coeffs(x: np.ndarray) -> np.ndarray:
@@ -515,12 +564,11 @@ def pullback(phi: ChartMap, f: KForm) -> KForm:
         c = cf(y)
         if k == 0:
             return c
-        J = jac(x)  # (..., tgt, src)
-        rows = J[..., tgt_idx, :]              # (..., Ct, k, src)
-        minors = rows[..., :, :, src_idx]      # (..., Ct, k, Cs, k) -> reorder
-        minors = np.swapaxes(minors, -3, -2)   # (..., Ct, Cs, k, k)
-        dets = np.linalg.det(minors)           # (..., Ct, Cs)
-        return np.einsum("...t,...ts->...s", c, dets)
+        J = jac(x)                                       # (..., tgt, src)
+        # one frame of k Jacobian columns per source basis element
+        frames = np.moveaxis(J[..., src_idx], -3, -2)    # (..., Cs, tgt, k)
+        dets = frame_minors(frames)                      # (..., Cs, Ct)
+        return np.einsum("...t,...st->...s", c, dets)
 
     if f.constant_value is not None and phi.constant_jacobian:
         return constant_form(src, k, coeffs(np.zeros(src)))

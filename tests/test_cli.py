@@ -141,6 +141,9 @@ def test_empty_check_counts_exit_2(tmp_path, capsys, command, base, field):
     ("obstruct", {"betti": 7}, "betti"),
     ("obstruct", {"betti": []}, "betti"),
     ("obstruct", {"betti": [1, 1.5, 1, 1]}, "betti"),
+    ("obstruct", {"system": "suspension_rotation"}, "system"),
+    ("verify-cosym", {"cosym": {"dim": 3, "coordinates": ["a"], "alpha": [[2, 1.0]],
+                                "beta": [[0, 1, 1.0]]}}, "coordinates"),
 ])
 def test_malformed_numeric_fields_exit_2(tmp_path, capsys, command, config, field):
     code, out = run(tmp_path, command, config)
@@ -370,7 +373,8 @@ def test_malformed_level_exits_2(tmp_path, capsys, level):
 
 @pytest.mark.parametrize("section", [{"kind": "leaf", "n": [0, 0, 1, 0]},
                                      {"kind": "leaf", "d": 0, "n": [0, 0, 1, 0]},
-                                     {"kind": "leaf", "d": 1, "n": [0, 1]}])
+                                     {"kind": "leaf", "d": 1, "n": [0, 1]},
+                                     {"kind": "leaf", "d": 1, "n": [0, 0, 0, 0]}])
 def test_malformed_leaf_section_exits_2(tmp_path, capsys, section):
     cfg = {"system": "t4_product", "section": section, "samples": 2, "iterations": 1}
     code, _ = run(tmp_path, "return-map", cfg)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cosymlab import expr as E
 
@@ -65,3 +67,60 @@ def test_non_integer_exponent_rejected():
 def test_unknown_coordinate_rejected():
     with pytest.raises(E.ExprError, match="unknown name"):
         E.parse("x + nope", ["x"])
+
+
+# -- batch evaluation ---------------------------------------------------------------
+
+NAMES = ["x", "y", "z"]
+
+
+def _expressions():
+    """Source strings of random grammar trees: numbers, pi, coordinates, the
+    four operators, integer powers, sine and cosine."""
+    leaves = st.one_of(st.sampled_from(NAMES + ["pi"]),
+                       st.integers(0, 9).map(str),
+                       st.floats(0.01, 100.0).map(lambda v: f"{v:.6g}"))
+
+    def grow(inner):
+        return st.one_of(
+            st.tuples(inner, st.sampled_from("+-*/"), inner).map(" ".join),
+            st.tuples(inner, st.integers(0, 4)).map(lambda t: f"({t[0]})^{t[1]}"),
+            st.tuples(st.sampled_from(["sin", "cos", "-"]), inner)
+              .map(lambda t: f"{t[0]}({t[1]})"))
+
+    return st.recursive(leaves, grow, max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_expressions(), st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
+@example("((x)^2)^3", 1, 1)   # NumPy's scalar power rounds this row differently
+def test_batch_evaluation_equals_rows_bit_for_bit(text, n, seed):
+    e = E.parse(text, NAMES)
+    grad = e.gradient()
+    batch = np.random.default_rng(seed).normal(size=(n, len(NAMES)))
+    with np.errstate(all="ignore"):
+        values, gradients = e(batch), grad(batch)
+        rows = [(e(row), grad(row)) for row in batch]
+    assert values.shape == (n,) and gradients.shape == (n, len(NAMES))
+    for i, (value, gradient) in enumerate(rows):
+        assert value.shape == () and gradient.shape == (len(NAMES),)
+        np.testing.assert_array_equal(value, values[i], strict=True)
+        np.testing.assert_array_equal(gradient, gradients[i], strict=True)
+
+
+@pytest.mark.parametrize("text, value", [("2", 2.0), ("pi", math.pi), ("-cos(0)^3", -1.0)])
+def test_constant_expressions_take_the_batch_shape(text, value):
+    e = E.parse(text, ["x", "y"])
+    for shape in [(), (5,), (2, 3)]:
+        coords = np.zeros(shape + (2,))
+        assert e(coords).shape == shape
+        assert np.all(e(coords) == value)
+        g = e.gradient()(coords)
+        assert g.shape == shape + (2,) and np.all(g == 0.0)
+
+
+def test_division_by_a_zero_constant_follows_ieee_rules():
+    e = E.parse("x / 0 + 1 / (2 - 2)", ["x"])
+    with np.errstate(all="ignore"):
+        assert np.all(np.isinf(e(np.ones((3, 1)))))
+        assert np.all(np.isnan(e.gradient()(np.ones((3, 1)))))

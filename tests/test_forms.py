@@ -402,3 +402,100 @@ def test_constant_value_propagation():
     lifted = F.pullback(proj, omega)
     assert lifted.constant_value is not None
     assert F.power(omega, 2).constant_value is not None
+
+
+# -- frame minors -------------------------------------------------------------------
+
+
+def _polynomial_form(rng, dim, degree):
+    """Degree-k form with distinct quadratic coefficients (never constant)."""
+    a, b = rng.normal(size=(2, F.n_coeffs(dim, degree), dim))
+
+    def coeffs(x):
+        x = np.asarray(x, dtype=float)
+        return np.einsum("...i,ci->...c", x, a) * np.einsum("...i,ci->...c", x, b) + 1.0
+
+    return F.KForm(degree, dim, coeffs)
+
+
+@st.composite
+def _frames(draw, min_k=1):
+    dim = draw(st.integers(max(1, min_k), 6))
+    k = draw(st.integers(min_k, dim))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    frame = scale * rng.normal(size=(draw(st.integers(1, 5)), dim, k))
+    return rng, frame
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_frames())
+def test_frame_minors_match_determinants(case):
+    _, frame = case
+    dim, k = frame.shape[-2:]
+    ref = np.linalg.det(frame[..., np.array(F.basis_indices(dim, k)), :])
+    # Hadamard's bound: a k x k minor is at most the product of the column norms
+    scale = np.prod(np.linalg.norm(frame, axis=-2), axis=-1)[..., None]
+    assert np.all(np.abs(F.frame_minors(frame) - ref) <= 1e-13 * scale)
+    single = F.frame_minors(frame[0])
+    assert single.shape == (F.n_coeffs(dim, k),)
+    assert np.array_equal(single, F.frame_minors(frame)[0])
+
+
+def test_frame_minors_rejects_empty_or_overfull_frames():
+    for shape in [(3, 0), (2, 3)]:
+        with pytest.raises(ValueError):
+            F.frame_minors(np.zeros(shape))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
+def test_pullback_along_linear_map_matches_determinants(src, tgt, seed):
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, min(src, tgt) + 1))
+    A = rng.normal(size=(tgt, src))
+    phi = F.ChartMap(src, tgt, lambda x: np.asarray(x, dtype=float) @ A.T,
+                     lambda x: np.broadcast_to(A, np.shape(x)[:-1] + A.shape))
+    f = _polynomial_form(rng, tgt, k)
+    xs = rng.normal(size=(4, src))
+    c = f.coeffs(xs @ A.T)
+    ref = np.zeros((4, F.n_coeffs(src, k)))
+    for t, rows in enumerate(F.basis_indices(tgt, k)):
+        for s, cols in enumerate(F.basis_indices(src, k)):
+            ref[:, s] += c[:, t] * np.linalg.det(A[np.ix_(rows, cols)])
+    got = F.pullback(phi, f).coeffs(xs)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_frames(min_k=2), st.data())
+def test_swapping_frame_columns_flips_the_sign_exactly(case, data):
+    rng, frame = case
+    dim, k = frame.shape[-2:]
+    i, j = data.draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True))
+    order = list(range(k))
+    order[i], order[j] = order[j], order[i]
+    swapped = frame[..., order]
+    x = rng.normal(size=(len(frame), dim))
+    f = _polynomial_form(rng, dim, k)
+    if k == 2:
+        assert np.array_equal(F.evaluate_frame(f, x, swapped), -F.evaluate_frame(f, x, frame))
+        const = F.constant_form(dim, 2, rng.normal(size=F.n_coeffs(dim, 2)))
+        assert np.array_equal(F.evaluate_frame(const, x, swapped),
+                              -F.evaluate_frame(const, x, frame))
+    plus = F.evaluate_at(f, x[0], *frame[0].T)
+    assert F.evaluate_at(f, x[0], *swapped[0].T) == -plus
+
+
+def test_constant_form_is_evaluated_without_its_coefficient_function():
+    omega = standard_omega4()
+
+    def refuse(x):
+        raise AssertionError("a constant form evaluated its coefficient function")
+
+    lazy = F.KForm(2, 4, refuse, constant_value=omega.constant_value)
+    frame = np.random.default_rng(5).normal(size=(7, 4, 2))
+    x = np.random.default_rng(6).normal(size=(7, 4))
+    general = F.KForm(2, 4, omega.coeffs)
+    assert np.allclose(F.evaluate_frame(lazy, x, frame),
+                       F.evaluate_frame(general, x, frame), rtol=0, atol=1e-14)
