@@ -200,7 +200,9 @@ def sample_oscillator_surface(system: HamiltonianSystem, level: float,
                               rng: np.random.Generator, n: int,
                               freq2: float = SQRT2, on_section: bool = False) -> np.ndarray:
     """Points of the oscillator level set, splitting the energy between the
-    two pairs away from the degenerate axes."""
+    two pairs away from the degenerate axes; the level must be positive."""
+    if not level > 0:
+        raise ValueError(f"oscillator energy level must be positive, got {level!r}")
     f = rng.uniform(0.1, 0.9, size=n)
     e1 = f * level
     r1 = np.sqrt(2.0 * e1)

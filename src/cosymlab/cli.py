@@ -18,14 +18,14 @@ Reports are deterministic for a fixed (config, seed): volatile data
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import json
-import math
 import sys
 import time
 import traceback
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -33,200 +33,277 @@ from . import catalog, cosym, expr, obstruct, tischler
 from .forms import ChartManifold, KForm, basis_indices, constant_form
 from .phase import HamiltonianSystem
 from .section import (ON_SECTION_TOL, GluingError, NoCrossingError, RefinementError,
-                      SectionSpec, TangencyError, coordinate_section, first_crossings,
-                      iterate_returns, mapping_torus_chart, return_map_jacobians,
-                      section_coordinates, verify_global, write_crossings_csv)
+                      SectionChartError, SectionSpec, TangencyError, coordinate_section,
+                      first_crossings, iterate_returns, mapping_torus_chart,
+                      return_map_jacobians, section_coordinates, verify_global,
+                      write_crossings_csv)
 
-TWO_PI = 2.0 * math.pi
-
-# a crossing that cannot be found or certified fails its check, with the reason
-CROSSING_ERRORS = (NoCrossingError, TangencyError, RefinementError)
+# a crossing, or a section chart, that cannot be found or certified fails its check
+CROSSING_ERRORS = (NoCrossingError, TangencyError, RefinementError, SectionChartError)
 
 
 class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
 
 
-# -- config helpers ---------------------------------------------------------------
+# -- config schema ------------------------------------------------------------------
+# One table per command maps each field to (check, default, doc); an object field has
+# its own table.  `validate` rejects unknown fields, checks type and range (all bounds
+# are finite, so NaN, inf and an over-bound count fail before any allocation) and fills
+# in the defaults.  Checks that need the built system stay where it is built.
+
+REQUIRED = object()
+FLOAT_MAX = sys.float_info.max
 
 
-def load_config(path: Path) -> dict:
-    try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+class Check(NamedTuple):
+    text: str                           # the accepted type and range
+    ok: Callable[[object], object]      # truthy for an accepted value
+    table: Optional[Callable] = None    # the field table of an object value, given it
+
+
+def num(lo: float, hi: float = FLOAT_MAX) -> Check:
+    text = f"a number in ({lo:g}, {hi:g}]" if hi < FLOAT_MAX else f"a finite number > {lo:g}"
+    return Check(text, lambda v: type(v) in (int, float) and lo < v <= hi)
+
+
+def count(lo: int, hi: int) -> Check:
+    return Check(f"an integer in [{lo}, {hi}]", lambda v: type(v) is int and lo <= v <= hi)
+
+
+def name_in(names, alternative: str = "", table: Optional[Callable] = None) -> Check:
+    return Check("one of " + ", ".join(f"'{n}'" for n in sorted(names)) + alternative,
+                 lambda v: isinstance(v, str) and v in names, table)
+
+
+def list_of(item: Callable, text: str, ok: Callable = lambda v: True) -> Check:
+    """A list of items that `item` accepts, which `ok` accepts as a whole."""
+    return Check(text, lambda v: type(v) is list and all(map(item, v)) and ok(v))
+
+
+def form(degree: int) -> Check:
+    def entry(e) -> bool:  # indices are checked before they are hashed
+        return (type(e) is list and len(e) == degree + 1 and all(map(INDEX.ok, e[:-1]))
+                and len(set(e[:-1])) == degree and (STRING.ok(e[-1]) or FINITE.ok(e[-1])))
+    return list_of(entry, f"a list of [{', '.join('ij'[:degree])}, coefficient] entries: "
+                   "distinct indices >= 0, a number or an expression")
+
+
+def _fields(table: dict, value: dict, where: str) -> dict:
+    unknown = [name for name in value if name not in table]
+    if unknown:
+        raise ConfigError(f"unknown {where} field {unknown[0]!r}; known: {', '.join(table)}")
+    settings = {}
+    for name, (check, default, _) in table.items():
+        v = value.get(name, default)
+        if v is REQUIRED:
+            raise ConfigError(f"{where} field {name!r} is required")
+        if name in value and check.table and type(v) is dict:
+            v = _fields(check.table(v), v, name)
+        elif name in value and not check.ok(v):
+            raise ConfigError(f"{where} field {name!r} must be {check.text}, got {v!r:.80}")
+        settings[name] = v
+    return settings
+
+
+FINITE = Check("a finite number", num(-FLOAT_MAX).ok)
+STRING = Check("a string", lambda v: isinstance(v, str))
+INDEX = Check("an integer >= 0", lambda v: type(v) is int and v >= 0)
+OBJECT = Check("an object", lambda v: False)
+# a cosymplectic check in dimension 12 builds wedge powers of binomial(12, 6) components
+DIM = (count(1, 12), REQUIRED, "chart dimension")
+INLINE_SYSTEM = {
+    "dim": DIM, "name": (STRING, "inline", "name in the report"),
+    "coordinates": (list_of(STRING.ok, "a list of names"), (), "default x0, x1, ..."),
+    "periodic": (list_of(lambda v: type(v) is bool, "a list of booleans"), (), "default none"),
+    "periods": (list_of(num(0).ok, "a list of positive numbers"), (), "default 2π each"),
+    "omega": (form(2), REQUIRED, "symplectic form ω"),
+    "hamiltonian": (Check("a number or an expression", lambda v: STRING.ok(v) or FINITE.ok(v)),
+                    REQUIRED, "energy H; the flow X solves ι_X ω = dH"),
+    "lambda": (form(1), None, "primitive λ of ω, checked: dλ = ω; default none"),
+}
+INLINE_COSYM = {**{k: INLINE_SYSTEM[k] for k in ("dim", "name", "coordinates")},
+                "alpha": (form(1), REQUIRED, "closed one-form α"),
+                "beta": (form(2), REQUIRED, "closed two-form β")}
+KIND = (name_in(("coordinate", "angle", "leaf")), "coordinate", "section family")
+ORIENTATION = (Check("1 or -1", lambda v: type(v) is int and v in (1, -1)), 1,
+               "+1 counts crossings where the section angle increases along the flow")
+SECTION_KINDS = {
+    "coordinate": {"kind": KIND, "orientation": ORIENTATION,
+                   "index": (INDEX, None, "i of the section x_i = level; default dim - 2"),
+                   "level": (FINITE, 0.0, "level of the section x_i = level")},
+    "angle": {"kind": KIND, "pair": (list_of(INDEX.ok, "two distinct integers >= 0", lambda v: (
+        len(v) == 2 and v[0] != v[1])), (2, 3), "(i, j): the section atan2(-x_j, x_i) = 0")},
+    "leaf": {"kind": KIND, "orientation": ORIENTATION,
+             "d": (count(1, 100_000), REQUIRED, "common denominator"),
+             "n": (list_of(count(-100_000, 100_000).ok, "a list of integers in [-100000, "
+                           "100000], not all 0", any), REQUIRED, "winding per coordinate")},
+}
+TISCHLER = {
+    "periods": (list_of(FINITE.ok, "a list of 1 to 12 numbers", lambda v: 1 <= len(v) <= 12),
+                None, "the periods, one per circle of the torus"),
+    "alpha": (form(1), None, "else: the periods of this closed one-form on T^dim"),
+    "dim": (DIM[0], None, "torus dimension; required with 'alpha'"),
+    "eps": (num(0, 1), 1e-2, "largest error allowed between n_i / d and period_i"),
+    "d_cap": (count(1, 100_000), tischler.DEFAULT_D_CAP, "largest denominator d tried"),
+}
+SYSTEM = name_in(catalog.SYSTEMS, ", or an inline system object", lambda v: INLINE_SYSTEM)
+SEED = (name_in(catalog.SEEDS), "t3", "catalog cosymplectic seed")
+SAMPLES, JACOBIAN_POINTS = count(1, 200_000), count(1, 1000)
+TOL = (num(0, 1e-2), 1e-10, "integrator tolerance: relative, and tol/100 absolute")
+T_MAX = (num(0, 1e4), 100.0, "longest flow time searched for a crossing")
+RNG_SEED = (count(0, 2**64 - 1), 0, "random seed; --seed overrides it")
+BETTI = name_in(catalog.BETTI_PROFILES, ", or an even-length list of integers >= 0, the "
+                "first > 0")
+COMMAND_FIELDS = {
+    "demo-product": {
+        "seed": SEED, "samples": (SAMPLES, 200, "leaf samples checked for a return"),
+        "n_return_points": (JACOBIAN_POINTS, 5, "leaf samples whose Jacobian is checked"),
+        "grid": (count(1, 1000), 9, "fiber points of the mapping-torus chart"),
+        "tol": TOL, "t_max": T_MAX, "rng_seed": RNG_SEED},
+    "verify-cosym": {
+        "seed": SEED, "samples": (SAMPLES, 128, "chart points checked"), "rng_seed": RNG_SEED,
+        "cosym": (name_in(catalog.SEEDS, ", or an inline cosym object", lambda v: INLINE_COSYM),
+                  None, "the pair to verify; default the 'seed' field")},
+    "tischler": {
+        "tischler": (OBJECT._replace(table=lambda v: TISCHLER), REQUIRED, "the periods"),
+        "system": (SYSTEM, None, "system whose transversality the rebuilt form must keep"),
+        "samples": (SAMPLES, 64, "energy-surface points checked"), "rng_seed": RNG_SEED},
+    "obstruct": {
+        "betti": (BETTI._replace(ok=lambda v: BETTI.ok(v) or list_of(INDEX.ok, "", lambda b: (
+            b and len(b) % 2 == 0 and b[0] > 0)).ok(v)), None, "Betti profile to check"),
+        "system": (SYSTEM, None, "Hamiltonian system of the exactness obstruction"),
+        "ambient": (name_in(catalog.AMBIENT_TOPOLOGY), None, "ambient manifold to judge"),
+        "quad_nodes": (count(1, 5120), obstruct.DEFAULT_QUAD_NODES, "n of the n × n midpoint "
+                       "rule on each Stokes surface"), "rng_seed": RNG_SEED},
+    "return-map": {
+        "system": (SYSTEM, REQUIRED, "catalog or inline system"),
+        "section": (OBJECT._replace(table=lambda v: SECTION_KINDS.get(str(v.get(
+            "kind", "coordinate")), SECTION_KINDS["coordinate"])), None,
+            "default: the catalog entry's own, else kind coordinate"),
+        "points": (list_of(list_of(FINITE.ok, "").ok, "a non-empty list of lists of numbers",
+                           len), None, "start points on the section; default sampled"),
+        "level": (num(0), 1.0, "energy level of the oscillator start sampler"),
+        "samples": (SAMPLES, 20, "sampled start points"),
+        "iterations": (count(1, 1000), 50, "returns followed per orbit"),
+        "n_return_points": (JACOBIAN_POINTS, 10, "start points whose Jacobian is checked"),
+        "fd_step": (num(0, 1e-2), 1e-6, "central-difference step of the Jacobians"),
+        "tol": TOL, "t_max": T_MAX, "rng_seed": RNG_SEED},
+}
+
+
+def validate(command: str, cfg) -> dict:
+    """The checked settings of `command`, defaults filled in; else ConfigError."""
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
-    for key in ("tol", "t_max", "eps", "fd_step"):
-        if key in cfg and not (_is_number(cfg[key]) and cfg[key] > 0):
-            raise ConfigError(f"config field {key!r} must be a positive number")
-    for key in ("samples", "iterations", "n_return_points", "grid", "quad_nodes"):
-        if key in cfg and not (_is_int(cfg[key]) and cfg[key] >= 1):
-            raise ConfigError(f"config field {key!r} must be an integer >= 1")
-    if "level" in cfg and not _is_number(cfg["level"]):
-        raise ConfigError("config field 'level' must be a number")
-    return cfg
+    return _fields(COMMAND_FIELDS[command], cfg, "config")
 
 
-def lookup(table: dict, name, what: str):
-    """Catalog entry `name` of `table`; ConfigError listing the names otherwise."""
-    if not (isinstance(name, str) and name in table):
-        raise ConfigError(f"unknown {what} {name!r}; available: {sorted(table)}")
-    return table[name]
+def load_config(path: Path):
+    try:
+        return json.loads(path.read_text())
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) \
-        and math.isfinite(value)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+# -- builders -----------------------------------------------------------------------
 
 
 def _form_from_entries(dim: int, names: Sequence[str], entries, degree: int) -> KForm:
-    """Form from config entries [i, j, coeff] (degree 2) or [i, coeff] (degree 1);
+    """Form from validated entries [i, j, coeff] (degree 2) or [i, coeff] (degree 1);
     coefficients are numbers or expressions over the coordinate names."""
     rank = {idx: r for r, idx in enumerate(basis_indices(dim, degree))}
-    parsed = []
-    all_const = True
-    for entry in entries:
-        *idx, coeff = entry
-        idx = tuple(int(i) for i in idx)
-        if len(idx) != degree:
-            raise ConfigError(f"form entry {entry!r} needs {degree} indices")
-        if len(set(idx)) != degree or any(not 0 <= i < dim for i in idx):
-            raise ConfigError(f"bad form indices {idx} for dimension {dim}")
-        sign = 1.0
-        if degree == 2 and idx[0] > idx[1]:
-            idx, sign = (idx[1], idx[0]), -1.0
-        if isinstance(coeff, (int, float)):
-            parsed.append((rank[idx], sign, float(coeff)))
-        else:
-            all_const = False
-            parsed.append((rank[idx], sign, expr.parse(str(coeff), names)))
-    nc = len(rank)
-    if all_const:
-        vec = np.zeros(nc)
-        for r, sign, value in parsed:
-            vec[r] += sign * value
-        return constant_form(dim, degree, vec)
+    terms = []
+    for *idx, coeff in entries:
+        if max(idx) >= dim:
+            raise ConfigError(f"form indices {idx} must be below dimension {dim}")
+        try:
+            value = expr.parse(coeff, names) if isinstance(coeff, str) else coeff
+        except expr.ExprError as exc:
+            raise ConfigError(f"form coefficient {coeff!r}: {exc}") from exc
+        terms.append((rank[tuple(sorted(idx))], 1.0 if idx == sorted(idx) else -1.0, value))
 
     def coeffs(x):
         x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1] + (nc,))
-        for r, sign, value in parsed:
-            out[..., r] += sign * (value if isinstance(value, float) else value(x))
+        out = np.zeros(x.shape[:-1] + (len(rank),))
+        for r, sign, value in terms:
+            out[..., r] += sign * (value(x) if callable(value) else value)
         return out
 
-    return KForm(degree, dim, coeffs)
+    if any(callable(value) for *_, value in terms):
+        return KForm(degree, dim, coeffs)
+    return constant_form(dim, degree, coeffs(np.zeros(dim)))
 
 
-def _coordinate_names(spec: dict, dim: int) -> list:
+def _coordinate_names(spec: dict) -> list:
     """The inline spec's coordinate names (default x0, x1, ...), one per dimension."""
-    names = list(spec.get("coordinates") or [f"x{i}" for i in range(dim)])
-    if len(names) != dim:
-        raise ConfigError(f"coordinates list length {len(names)} must equal dim {dim}")
+    names = list(spec["coordinates"]) or [f"x{i}" for i in range(spec["dim"])]
+    if len(names) != spec["dim"]:
+        raise ConfigError(f"coordinates list length {len(names)} must equal dim {spec['dim']}")
     return names
 
 
 def build_inline_system(spec: dict) -> HamiltonianSystem:
+    """The system of a validated inline spec (table INLINE_SYSTEM)."""
+    dim, names = spec["dim"], _coordinate_names(spec)
     try:
-        dim = int(spec["dim"])
-        names = _coordinate_names(spec, dim)
-        chart = ChartManifold(
-            dim,
-            tuple(bool(b) for b in spec.get("periodic") or (False,) * dim),
-            tuple(float(p) for p in spec.get("periods") or (TWO_PI,) * dim),
-            name=str(spec.get("name", "inline")))
-        omega = _form_from_entries(dim, names, spec["omega"], 2)
+        chart = ChartManifold(dim, tuple(spec["periodic"]), tuple(spec["periods"]),
+                              name=spec["name"])
         h_expr = expr.parse(str(spec["hamiltonian"]), names)
-        lam = None
-        if "lambda" in spec:
-            lam = _form_from_entries(dim, names, spec["lambda"], 1)
-        system = HamiltonianSystem(chart, omega, h_expr, h_expr.gradient(), lam=lam,
-                                   name=str(spec.get("name", "inline")))
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError, expr.ExprError) as exc:
+        lam = None if spec["lambda"] is None else _form_from_entries(dim, names,
+                                                                      spec["lambda"], 1)
+        system = HamiltonianSystem(chart, _form_from_entries(dim, names, spec["omega"], 2),
+                                   h_expr, h_expr.gradient(), lam=lam, name=spec["name"])
+    except ValueError as exc:
         raise ConfigError(f"bad inline system spec: {exc}") from exc
-    samples = chart.sample(np.random.default_rng(0), 32)
     try:
-        system.validate(samples)
+        system.validate(chart.sample(np.random.default_rng(0), 32))
     except ValueError as exc:
         raise ConfigError(f"inline system fails its structure checks: {exc}") from exc
     return system
 
 
-def resolve_system(cfg: dict):
-    spec = cfg.get("system")
-    if spec is None:
-        raise ConfigError("config needs a 'system' (catalog name or inline spec)")
+def resolve_system(spec):
+    """(name, catalog entry, system) of a validated 'system' setting."""
     if isinstance(spec, dict):
-        return spec.get("name", "inline"), catalog.SystemEntry(), build_inline_system(spec)
-    return spec, lookup(catalog.SYSTEMS, spec, "catalog system"), catalog.get_system(spec)
+        return spec["name"], catalog.SystemEntry(), build_inline_system(spec)
+    return spec, catalog.SYSTEMS[spec], catalog.get_system(spec)
 
 
-def build_section(cfg: dict, entry: catalog.SystemEntry, system) -> SectionSpec:
-    sec_cfg = cfg.get("section") or {}
-    if not sec_cfg and entry.section is not None:
+def build_section(sec: Optional[dict], entry: catalog.SystemEntry, system) -> SectionSpec:
+    """The validated 'section' setting on the system; without one, the entry's
+    default section, else a coordinate section with the table's defaults."""
+    if sec is None and entry.section is not None:
         return entry.section(system)
-    if not isinstance(sec_cfg, dict):
-        raise ConfigError("'section' must be an object")
-    kind = sec_cfg.get("kind", "coordinate")
-    orientation = sec_cfg.get("orientation", 1)
-    if not (_is_int(orientation) and orientation in (1, -1)):
-        raise ConfigError("section field 'orientation' must be 1 or -1")
-
-    def in_range(i) -> bool:
-        return _is_int(i) and 0 <= i < system.dim
-
-    if kind == "coordinate":
-        index = sec_cfg.get("index", system.dim - 2)
-        level = sec_cfg.get("level", 0.0)
-        if not in_range(index):
-            raise ConfigError(f"section field 'index' must be an integer in "
-                              f"[0, {system.dim}), got {index!r}")
-        if not _is_number(level):
-            raise ConfigError("section field 'level' must be a number")
-        return coordinate_section(system.manifold, index, float(level), orientation)
-    if kind == "angle":
-        pair = sec_cfg.get("pair", [2, 3])
-        if not (isinstance(pair, list) and len(pair) == 2 and all(map(in_range, pair))
-                and pair[0] != pair[1]):
-            raise ConfigError(f"section field 'pair' must be two distinct coordinate "
-                              f"indices in [0, {system.dim}), got {pair!r}")
-        return catalog.oscillator_angle_section(tuple(pair))
-    if kind == "leaf":
-        d, n = sec_cfg.get("d"), sec_cfg.get("n")
-        if not (_is_int(d) and d >= 1):
-            raise ConfigError(f"section field 'd' must be an integer >= 1, got {d!r}")
-        if not (isinstance(n, list) and len(n) == system.dim and all(map(_is_int, n))
-                and any(n)):
-            raise ConfigError(f"section field 'n' must be a list of {system.dim} integers, "
-                              f"not all zero, got {n!r}")
-        ra = tischler.RationalApproximation(d, np.asarray(n, dtype=int), 0.0)
-        return tischler.extract_leaf(ra, system.manifold, orientation=orientation)
-    raise ConfigError(f"unknown section kind {kind!r}")
+    sec, dim = sec or _fields(SECTION_KINDS["coordinate"], {}, "section"), system.dim
+    if sec["kind"] == "angle":
+        if max(sec["pair"]) >= dim:
+            raise ConfigError(f"section field 'pair' {sec['pair']} must be below dim {dim}")
+        return catalog.oscillator_angle_section(tuple(sec["pair"]))
+    if sec["kind"] == "leaf":
+        if len(sec["n"]) != dim:
+            raise ConfigError(f"section field 'n' must list {dim} integers, got {sec['n']!r}")
+        ra = tischler.RationalApproximation(sec["d"], np.asarray(sec["n"]), 0.0)
+        return tischler.extract_leaf(ra, system.manifold, orientation=sec["orientation"])
+    index = dim - 2 if sec["index"] is None else sec["index"]
+    if not 0 <= index < dim:
+        raise ConfigError(f"section field 'index' must be below dimension {dim}, got {index}")
+    return coordinate_section(system.manifold, index, sec["level"], sec["orientation"])
 
 
 def section_start_points(entry: catalog.SystemEntry, system, sec: SectionSpec, cfg: dict,
-                         rng: np.random.Generator, n: int) -> np.ndarray:
+                         rng: np.random.Generator) -> np.ndarray:
     """Explicit 'points', or the entry's start samples; both must lie on the section."""
-    if "points" in cfg:
-        try:
-            pts = np.asarray(cfg["points"], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"'points' must be a list of coordinate tuples: {exc}") from exc
-        if pts.ndim != 2 or pts.shape[1] != system.dim or not np.isfinite(pts).all():
-            raise ConfigError("'points' must be a list of finite coordinate tuples")
+    if cfg["points"] is not None:
+        if any(len(p) != system.dim for p in cfg["points"]):
+            raise ConfigError(f"config field 'points' must hold {system.dim} coordinates each")
+        pts = np.asarray(cfg["points"], dtype=float)
     elif entry.starts is None:
         raise ConfigError("no start sampler for this system; supply explicit 'points'")
     else:
-        pts = entry.starts(system, rng, n, float(cfg.get("level", 1.0)))
+        pts = entry.starts(system, rng, cfg["samples"], cfg["level"])
     off = np.abs(np.asarray(sec.offset(pts), dtype=float))
     off_section = np.flatnonzero(~(off <= ON_SECTION_TOL))
     if off_section.size:
@@ -246,10 +323,8 @@ def svg_scatter(path: Path, points: np.ndarray, title: str,
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.size == 0:
         pts = np.zeros((1, 2))
-    lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
-    span = np.maximum(hi - lo, 1e-9)
-    pad = 0.05 * span
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    pad = 0.05 * np.maximum(hi - lo, 1e-9)
     lo, hi = lo - pad, hi + pad
     span = hi - lo
 
@@ -303,31 +378,24 @@ class Runner:
     def check(self, name: str, passed: bool, details: Optional[dict] = None, **kw) -> bool:
         if any(c["name"] == name for c in self.checks):
             raise RuntimeError(f"duplicate check name {name!r}")
-        merged = dict(details or {})
-        merged.update(kw)
+        merged = {**(details or {}), **kw}
         merged.pop("passed", None)
         entry = {"name": name, "passed": bool(passed)}
         entry.update(_jsonable(merged))
         self.checks.append(entry)
         return passed
 
+    @contextlib.contextmanager
     def timed(self, name: str):
-        runner = self
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.timings[name] = time.perf_counter() - t0
 
-        class _Timer:
-            def __enter__(self):
-                self.t0 = time.perf_counter()
-                return self
-
-            def __exit__(self, *exc):
-                runner.timings[name] = time.perf_counter() - self.t0
-                return False
-
-        return _Timer()
-
-    def add_artifact(self, path: Path) -> Path:
-        self.artifacts.append(path.name)
-        return path
+    def add_artifact(self, name: str) -> Path:
+        self.artifacts.append(name)
+        return self.out / name
 
     @property
     def passed(self) -> bool:
@@ -358,52 +426,40 @@ class Runner:
 def _jsonable(value):
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    return value
+    return value.item() if isinstance(value, np.generic) else value
 
 
 # -- commands -----------------------------------------------------------------------
 
 
-def cmd_demo_product(cfg: dict, out: Path, seed: int) -> int:
+def cmd_demo_product(cfg: dict, runner: Runner, seed: int) -> None:
     """Build and verify the full section pipeline of a seeded product system.
 
     Constructs the product of the chosen cosymplectic seed with a circle,
     then runs globality, return-map, and mapping-torus checks on its leaf.
     """
-    runner = Runner("demo-product", cfg, out, seed)
     rng = np.random.default_rng(seed)
-    seed_name = cfg.get("seed", "t3")
-    make_seed = lookup(catalog.SEEDS, seed_name, "cosymplectic seed")
-    tol = float(cfg.get("tol", 1e-10))
-    t_max = float(cfg.get("t_max", 100.0))
-    n_samples = int(cfg.get("samples", 200))
+    tol, t_max = cfg["tol"], cfg["t_max"]
 
     with runner.timed("build"):
-        cs = make_seed()
-        system = cosym.build_product_system(cs, rng=rng)
+        system = cosym.build_product_system(catalog.SEEDS[cfg["seed"]](), rng=rng)
         structure = system.validate(system.manifold.sample(rng, 64))
     runner.check("structure", True, **structure)
 
     sec = catalog.product_leaf_section(system)
-    leaf_samples = catalog.sample_product_leaf(system, rng, n_samples)
+    leaf_samples = catalog.sample_product_leaf(system, rng, cfg["samples"])
     with runner.timed("verify_global"):
         rep = verify_global(system, sec, leaf_samples, t_max, tol)
     runner.check("verify_global", rep.passed, rep.as_dict())
 
-    n_jac = int(cfg.get("n_return_points", 5))
     with runner.timed("return_map"):
         try:
-            jacs = return_map_jacobians(system, sec, leaf_samples[:n_jac], t_max=t_max, tol=tol)
+            jacs = return_map_jacobians(system, sec, leaf_samples[:cfg["n_return_points"]],
+                                        t_max=t_max, tol=tol)
         except CROSSING_ERRORS as exc:
             runner.check("return_map_symplectic", False, error=str(exc))
         else:
@@ -413,7 +469,7 @@ def cmd_demo_product(cfg: dict, out: Path, seed: int) -> int:
                          max_det_error=max_det_err, max_identity_deviation=max_dev)
 
     with runner.timed("mapping_torus"):
-        grid = [system.point(pt) for pt in leaf_samples[:int(cfg.get("grid", 9))]]
+        grid = [system.point(pt) for pt in leaf_samples[:cfg["grid"]]]
         try:
             mt = mapping_torus_chart(system, sec, grid, t_max=t_max, tol=tol)
         except CROSSING_ERRORS + (GluingError,) as exc:
@@ -427,93 +483,61 @@ def cmd_demo_product(cfg: dict, out: Path, seed: int) -> int:
         crossings = first_crossings(system, sec, leaf_samples[:50], t_max, tol)
         rows = [(i, crossings.times[i], *system.manifold.reduce(crossings.states[i]),
                  crossings.margins[i]) for i in np.flatnonzero(crossings.ok)]
-        csv_path = runner.add_artifact(out / "crossings.csv")
-        write_crossings_csv(csv_path, rows, system.dim)
+        write_crossings_csv(runner.add_artifact("crossings.csv"), rows, system.dim)
         pts2 = np.array([[r[2], r[3]] for r in rows]) if rows else np.zeros((0, 2))
-        svg_path = runner.add_artifact(out / "plot.svg")
-        svg_scatter(svg_path, pts2, f"return-map iterates ({seed_name} seed)",
-                    ("coord 0", "coord 1"))
+        svg_scatter(runner.add_artifact("plot.svg"), pts2,
+                    f"return-map iterates ({cfg['seed']} seed)", ("coord 0", "coord 1"))
     runner.check("crossings_emitted", bool(crossings.ok.all()), n_rows=len(rows))
 
-    runner.write_report()
-    return 0 if runner.passed else 1
 
-
-def cmd_verify_cosym(cfg: dict, out: Path, seed: int) -> int:
+def cmd_verify_cosym(cfg: dict, runner: Runner, seed: int) -> None:
     """Verify a cosymplectic pair (catalog seed or inline forms)."""
-    runner = Runner("verify-cosym", cfg, out, seed)
     rng = np.random.default_rng(seed)
-    n_samples = int(cfg.get("samples", 128))
-    spec = cfg.get("cosym", cfg.get("seed", "t3"))
+    spec = cfg["cosym"] or cfg["seed"]
     if isinstance(spec, str):
-        cs = lookup(catalog.SEEDS, spec, "cosymplectic seed")()
+        cs = catalog.SEEDS[spec]()
     else:
+        dim, names = spec["dim"], _coordinate_names(spec)
         try:
-            dim = int(spec["dim"])
-            names = _coordinate_names(spec, dim)
-            chart = ChartManifold(dim, (True,) * dim, name=str(spec.get("name", "inline")))
             cs = cosym.CosymplecticStructure(
-                chart,
+                ChartManifold(dim, (True,) * dim, name=spec["name"]),
                 _form_from_entries(dim, names, spec["alpha"], 1),
-                _form_from_entries(dim, names, spec["beta"], 2),
-                name=str(spec.get("name", "inline")))
-        except (KeyError, TypeError, ValueError) as exc:
+                _form_from_entries(dim, names, spec["beta"], 2), name=spec["name"])
+        except ValueError as exc:
             raise ConfigError(f"bad cosym spec: {exc}") from exc
     with runner.timed("verify"):
-        report = cosym.verify_cosymplectic(cs, cs.manifold.sample(rng, n_samples))
+        report = cosym.verify_cosymplectic(cs, cs.manifold.sample(rng, cfg["samples"]))
     runner.check("cosymplectic", report.passed, report.as_dict())
-    runner.write_report()
-    return 0 if runner.passed else 1
 
 
-def cmd_tischler(cfg: dict, out: Path, seed: int) -> int:
+def cmd_tischler(cfg: dict, runner: Runner, seed: int) -> None:
     """Rationalize periods (given directly or computed from an inline form)."""
-    runner = Runner("tischler", cfg, out, seed)
-    tcfg = cfg.get("tischler")
-    if not isinstance(tcfg, dict):
-        raise ConfigError("config needs a 'tischler' object")
-    eps = tcfg.get("eps", 1e-2)
-    if not (_is_number(eps) and eps > 0):
-        raise ConfigError("tischler field 'eps' must be a positive number")
-    d_cap = tcfg.get("d_cap", tischler.DEFAULT_D_CAP)
-    if not (_is_int(d_cap) and d_cap >= 1):
-        raise ConfigError("tischler field 'd_cap' must be an integer >= 1")
-
+    tcfg = cfg["tischler"]
     with runner.timed("periods"):
-        try:
-            if "periods" in tcfg:
-                values = tcfg["periods"]
-                if not (isinstance(values, list) and values and all(map(_is_number, values))):
-                    raise ValueError("'periods' must be a non-empty list of numbers")
-                manifold = catalog.torus(len(values))
-                pv = tischler.PeriodVector(values, tuple(f"declared cycle {i}"
-                                                         for i in range(len(values))), manifold)
-                alpha = None
-            elif "alpha" in tcfg:
-                dim = tcfg["dim"]
-                if not (_is_int(dim) and dim >= 1):
-                    raise ValueError(f"'dim' must be an integer >= 1, got {dim!r}")
-                manifold = catalog.torus(dim)
-                names = [f"x{i}" for i in range(dim)]
-                alpha = _form_from_entries(dim, names, tcfg["alpha"], 1)
-                pv = tischler.periods(alpha, manifold)
-            else:
-                raise ValueError("it needs 'periods' or 'alpha'")
-        except (KeyError, TypeError, ValueError, expr.ExprError) as exc:
-            raise ConfigError(f"bad 'tischler' spec: {exc}") from exc
+        alpha, values = None, tcfg["periods"]
+        if values is not None:
+            cycles = tuple(f"declared cycle {i}" for i in range(len(values)))
+            pv = tischler.PeriodVector(values, cycles, catalog.torus(len(values)))
+        elif tcfg["alpha"] is None or tcfg["dim"] is None:
+            raise ConfigError("tischler config needs 'periods', or 'alpha' with its 'dim'")
+        else:
+            dim = tcfg["dim"]
+            alpha = _form_from_entries(dim, [f"x{i}" for i in range(dim)], tcfg["alpha"], 1)
+            try:
+                pv = tischler.periods(alpha, catalog.torus(dim))
+            except ValueError as exc:
+                raise ConfigError(f"bad 'tischler' spec: {exc}") from exc
     runner.check("periods", True, values=pv.values, cycles=list(pv.cycles))
 
     with runner.timed("rationalize"):
         try:
-            ra = tischler.rationalize(pv, eps, d_cap)
+            ra = tischler.rationalize(pv, tcfg["eps"], tcfg["d_cap"])
         except tischler.RationalizationError as exc:
             runner.check("rationalize", False, error=str(exc))
-            runner.write_report()
-            return 1
-    runner.check("rationalize", ra.epsilon_achieved <= eps,
-                 d=ra.d, n=ra.n, epsilon_achieved=ra.epsilon_achieved, eps=eps)
+            return
+    runner.check("rationalize", ra.epsilon_achieved <= tcfg["eps"],
+                 d=ra.d, n=ra.n, epsilon_achieved=ra.epsilon_achieved, eps=tcfg["eps"])
 
-    alpha_prime = None
     if alpha is not None:
         with runner.timed("rebuild"):
             alpha_prime = tischler.build_approximation(alpha, pv, ra)
@@ -522,48 +546,37 @@ def cmd_tischler(cfg: dict, out: Path, seed: int) -> int:
         runner.check("rebuilt_periods", residual < 1e-10, residual=residual,
                      coefficient_distance=tischler.coefficient_distance(pv, ra))
 
-    if "system" in cfg and alpha_prime is not None:
-        _, entry, system = resolve_system(cfg)
+    if alpha is not None and cfg["system"] is not None:
+        _, entry, system = resolve_system(cfg["system"])
         if system.dim != alpha_prime.dim:
             raise ConfigError(f"system dimension {system.dim} does not match the "
                               f"one-form dimension {alpha_prime.dim}")
         sample = entry.surface or (lambda s, r, k: s.manifold.sample(r, k))
-        samples = sample(system, np.random.default_rng(seed), int(cfg.get("samples", 64)))
+        samples = sample(system, np.random.default_rng(seed), cfg["samples"])
         with runner.timed("transversality"):
             trans = tischler.check_transversality_preserved(system, alpha_prime,
                                                             samples, alpha=alpha)
         runner.check("transversality", trans.passed, trans.as_dict())
 
-    runner.write_report()
-    return 0 if runner.passed else 1
 
-
-def cmd_obstruct(cfg: dict, out: Path, seed: int) -> int:
+def cmd_obstruct(cfg: dict, runner: Runner, seed: int) -> None:
     """Run the requested non-existence obstructions.
 
     Exit 1 when an obstruction fires (a necessary condition fails or a
     negative verdict applies): the section is ruled out.
     """
-    runner = Runner("obstruct", cfg, out, seed)
-    rng = np.random.default_rng(seed)
-    ran_any = False
+    if cfg["betti"] is None and cfg["system"] is None and cfg["ambient"] is None:
+        raise ConfigError("obstruct config needs at least one of 'betti', 'system', 'ambient'")
 
-    if "betti" in cfg:
-        ran_any = True
+    if cfg["betti"] is not None:
         spec = cfg["betti"]
-        if isinstance(spec, str):
-            profile = lookup(catalog.BETTI_PROFILES, spec, "Betti profile")
-        else:
-            try:
-                profile = obstruct.BettiProfile("inline", tuple(spec))
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad 'betti' spec {spec!r}: {exc}") from exc
+        profile = catalog.BETTI_PROFILES[spec] if isinstance(spec, str) \
+            else obstruct.BettiProfile("inline", tuple(spec))
         result = obstruct.betti_necessary_condition(profile)
         runner.check("betti_necessary_condition", result.passed, result.as_dict())
 
-    if "system" in cfg:
-        ran_any = True
-        name, _, system = resolve_system(cfg)
+    if cfg["system"] is not None:
+        name, _, system = resolve_system(cfg["system"])
         if not isinstance(system, HamiltonianSystem):
             raise ConfigError(f"config field 'system': {name!r} is not a Hamiltonian system, "
                               "so the exactness obstruction does not apply")
@@ -571,51 +584,41 @@ def cmd_obstruct(cfg: dict, out: Path, seed: int) -> int:
             verdict = obstruct.exactness_verdict(system)
             integrals = {}
             if system.lam is not None and system.dim == 4 and not any(system.manifold.periodic):
-                n_nodes = int(cfg.get("quad_nodes", 256))
-                integrals["torus"] = obstruct.stokes_exactness_check(
-                    system, catalog.embedded_torus_r4(), n_nodes)
-                integrals["sphere"] = obstruct.stokes_exactness_check(
-                    system, catalog.embedded_sphere_r4(), n_nodes)
+                for surface, build in (("torus", catalog.embedded_torus_r4),
+                                       ("sphere", catalog.embedded_sphere_r4)):
+                    integrals[surface] = obstruct.stokes_exactness_check(
+                        system, build(), cfg["quad_nodes"])
         runner.check("exactness_verdict", not verdict.negative,
                      verdict.as_dict(), surface_integrals=integrals)
 
-    if "ambient" in cfg:
-        ran_any = True
-        name = str(cfg["ambient"])
-        compact, simply = lookup(catalog.AMBIENT_TOPOLOGY, name, "ambient manifold")
-        verdict = obstruct.simply_connected_verdict(compact, simply, name=name)
+    if cfg["ambient"] is not None:
+        compact, simply = catalog.AMBIENT_TOPOLOGY[cfg["ambient"]]
+        verdict = obstruct.simply_connected_verdict(compact, simply, name=cfg["ambient"])
         runner.check("simply_connected_verdict", not verdict.negative, verdict.as_dict())
 
-    if not ran_any:
-        raise ConfigError("obstruct config needs at least one of 'betti', 'system', 'ambient'")
-    runner.write_report()
-    return 0 if runner.passed else 1
 
-
-def cmd_return_map(cfg: dict, out: Path, seed: int) -> int:
+def cmd_return_map(cfg: dict, runner: Runner, seed: int) -> None:
     """Return times, map iterates and symplecticity of a configured section."""
-    runner = Runner("return-map", cfg, out, seed)
     rng = np.random.default_rng(seed)
-    name, entry, system = resolve_system(cfg)
-    sec = build_section(cfg, entry, system)
-    tol = float(cfg.get("tol", 1e-10))
-    t_max = float(cfg.get("t_max", 100.0))
-    n_pts = int(cfg.get("samples", 20))
-    n_iter = int(cfg.get("iterations", 50))
+    name, entry, system = resolve_system(cfg["system"])
+    sec = build_section(cfg["section"], entry, system)
+    tol, t_max = cfg["tol"], cfg["t_max"]
 
-    starts = section_start_points(entry, system, sec, cfg, rng, n_pts)
-    _, _, project = section_coordinates(system, sec, system.point(starts[0]))
+    starts = section_start_points(entry, system, sec, cfg, rng)
+    try:
+        _, _, project = section_coordinates(system, sec, system.point(starts[0]))
+    except SectionChartError:  # no section chart there: plot against return time
+        project = None
     with runner.timed("iterate"):
-        returns = iterate_returns(system, sec, starts, n_iter, t_max, tol)
-        rows = []
-        iterates = []
+        returns = iterate_returns(system, sec, starts, cfg["iterations"], t_max, tol)
+        rows, iterates = [], []
         for i in range(len(starts)):
             t_accum = 0.0
             for j in range(returns.completed(i)):
                 t_accum += float(returns.times[i, j])
                 image = returns.images[i, j]
                 rows.append((i, t_accum, *image, returns.margins[i, j]))
-                s = project(image)
+                s = project(image) if project else ()
                 iterates.append((s[0] if len(s) > 0 else t_accum,
                                  s[1] if len(s) > 1 else 0.0))
     done = np.isfinite(returns.times)
@@ -630,12 +633,10 @@ def cmd_return_map(cfg: dict, out: Path, seed: int) -> int:
                  crossings_seen_total=int(returns.crossings_seen.sum()),
                  failures=[(i, *f) for i, f in enumerate(returns.failures) if f is not None])
 
-    n_jac = int(cfg.get("n_return_points", 10))
     with runner.timed("jacobians"):
         try:
-            jacs = return_map_jacobians(system, sec, starts[:n_jac],
-                                        fd_step=float(cfg.get("fd_step", 1e-6)),
-                                        t_max=t_max, tol=tol)
+            jacs = return_map_jacobians(system, sec, starts[:cfg["n_return_points"]],
+                                        fd_step=cfg["fd_step"], t_max=t_max, tol=tol)
         except CROSSING_ERRORS as exc:
             runner.check("symplectic_determinant", False, error=str(exc))
         else:
@@ -643,13 +644,10 @@ def cmd_return_map(cfg: dict, out: Path, seed: int) -> int:
             runner.check("symplectic_determinant", max_det_err < 1e-6,
                          max_det_error=max_det_err)
 
-    csv_path = runner.add_artifact(out / "crossings.csv")
-    write_crossings_csv(csv_path, rows, system.dim)
-    svg_path = runner.add_artifact(out / "plot.svg")
-    svg_scatter(svg_path, np.array(iterates) if iterates else np.zeros((0, 2)),
+    write_crossings_csv(runner.add_artifact("crossings.csv"), rows, system.dim)
+    svg_scatter(runner.add_artifact("plot.svg"),
+                np.array(iterates) if iterates else np.zeros((0, 2)),
                 f"return-map iterates ({name})", ("section coord 0", "section coord 1"))
-    runner.write_report()
-    return 0 if runner.passed else 1
 
 
 COMMANDS = {
@@ -669,8 +667,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in COMMANDS.items():
         sp = sub.add_parser(name, help=fn.__doc__.splitlines()[0] if fn.__doc__ else None)
-        sp.add_argument("--config", required=True, type=Path,
-                        help="JSON run configuration")
+        sp.add_argument("--config", required=True, type=Path, help="JSON run configuration")
         sp.add_argument("--out", type=Path, default=Path("."),
                         help="output directory (default: current)")
         sp.add_argument("--seed", type=int, default=None,
@@ -679,15 +676,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        seed = args.seed if args.seed is not None else int(cfg.get("rng_seed", 0))
+        raw = load_config(args.config)
+        cfg = validate(args.command, raw)
+        seed = args.seed if args.seed is not None else cfg["rng_seed"]
         if seed < 0:
             raise ConfigError("seed must be non-negative")
         args.out.mkdir(parents=True, exist_ok=True)
-        return COMMANDS[args.command](cfg, args.out, seed)
+        runner = Runner(args.command, raw, args.out, seed)
+        COMMANDS[args.command](cfg, runner, seed)
+        runner.write_report()
+        return 0 if runner.passed else 1
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(f"usage: cosymlab {args.command} --config <path> [--out <dir>] [--seed <u64>]",

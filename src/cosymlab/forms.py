@@ -320,8 +320,9 @@ def frame_minors(frame: np.ndarray) -> np.ndarray:
 def evaluate_frame(f: KForm, coords: np.ndarray, frame: np.ndarray) -> np.ndarray:
     """Evaluate f at coords on the columns of ``frame``.
 
-    coords has shape (..., dim); frame has shape (..., dim, k) with k equal to
-    the form degree.  Returns values of shape (...,).
+    coords has shape (..., dim), or is None for a constant form of degree >= 1;
+    frame has shape (..., dim, k) with k equal to the form degree.  Returns
+    values of shape (...,).
     """
     coords = np.asarray(coords, dtype=float)
     frame = np.asarray(frame, dtype=float)

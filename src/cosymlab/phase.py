@@ -118,8 +118,9 @@ class HamiltonianSystem:
             X = np.linalg.solve(np.swapaxes(M, -1, -2), g[..., None])[..., 0]
         except np.linalg.LinAlgError as exc:
             raise SingularOmegaError(0.0, coords) from exc
-        residual = np.max(np.abs(np.einsum("...ji,...j->...i", M, X) - g))
-        scale = max(1.0, float(np.max(np.abs(g))))
+        # initial=0: an empty batch has nothing to check
+        residual = np.max(np.abs(np.einsum("...ji,...j->...i", M, X) - g), initial=0.0)
+        scale = max(1.0, float(np.max(np.abs(g), initial=0.0)))
         if residual > FIELD_RESIDUAL_MAX * scale:
             rcond = float(1.0 / np.max(np.linalg.cond(M)))
             raise SingularOmegaError(rcond, coords)
@@ -142,9 +143,10 @@ class HamiltonianSystem:
             report["d_omega_max"] = 0.0
         M = two_form_matrix(self.omega, samples)
         svals = np.linalg.svd(M, compute_uv=False)
-        rcond = float(np.min(svals[..., -1] / svals[..., 0]))
+        with np.errstate(invalid="ignore"):  # a vanishing omega gives 0/0: NaN fails below
+            rcond = float(np.min(svals[..., -1] / svals[..., 0]))
         report["omega_rcond_min"] = rcond
-        if rcond < RCOND_MIN:
+        if not rcond >= RCOND_MIN:
             raise ValueError(f"omega degenerate at a sample (rcond {rcond:.3e})")
         if self.lam is not None:
             diff = exterior_derivative(self.lam) - self.omega

@@ -67,6 +67,12 @@ class GluingError(RuntimeError):
     """Mapping-torus gluing residual beyond tolerance."""
 
 
+class SectionChartError(ValueError):
+    """The section has no local graph chart at a point: its constraints have no
+    invertible elimination block there, or the embedding Newton iteration does not
+    converge."""
+
+
 @dataclass(frozen=True, eq=False)
 class SectionSpec:
     """Circle-valued section function with level and crossing orientation.
@@ -591,7 +597,7 @@ def section_coordinates(system, sec: SectionSpec, p: Point):
         if best > 1e-8:
             break
     if best < 1e-12:
-        raise ValueError("degenerate constraints: no invertible elimination block")
+        raise SectionChartError("degenerate constraints: no invertible elimination block")
     free = tuple(i for i in range(dim) if i not in elim)
 
     def embed(s: np.ndarray) -> np.ndarray:
@@ -603,7 +609,7 @@ def section_coordinates(system, sec: SectionSpec, p: Point):
                 return x
             A = constraint_grads(x)[:, list(elim)]
             x[list(elim)] -= np.linalg.solve(A, c)
-        raise RuntimeError("section embedding did not converge")
+        raise SectionChartError("section embedding did not converge")
 
     def project(x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=float)[..., list(free)]

@@ -4,8 +4,10 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cosymlab import catalog, cli
@@ -99,6 +101,9 @@ def test_bad_tolerance_exits_2(tmp_path):
     assert code == 2
 
 
+# the README's inline system, without its primitive
+INLINE_OSCILLATOR = {"dim": 2, "coordinates": ["q", "p"], "omega": [[0, 1, 1.0]],
+                     "hamiltonian": "0.5*(q^2 + p^2)"}
 RETURN_MAP_OSC = {"system": "oscillator_2dof_sqrt2",
                   "section": {"kind": "angle", "pair": [2, 3]},
                   "level": 1.0, "samples": 2, "iterations": 2, "n_return_points": 1,
@@ -144,12 +149,78 @@ def test_empty_check_counts_exit_2(tmp_path, capsys, command, base, field):
     ("obstruct", {"system": "suspension_rotation"}, "system"),
     ("verify-cosym", {"cosym": {"dim": 3, "coordinates": ["a"], "alpha": [[2, 1.0]],
                                 "beta": [[0, 1, 1.0]]}}, "coordinates"),
+    ("obstruct", {"betti": [1, 1, 1]}, "betti"),
+    ("obstruct", {"ambient": "t4", "rng_seed": "x"}, "rng_seed"),
+    ("obstruct", {"ambient": "t4", "rng_seed": 1.5}, "rng_seed"),
+    ("return-map", {**RETURN_MAP_OSC, "iteration": 1}, "iteration"),
+    ("obstruct", {"system": {**INLINE_OSCILLATOR, "lamda": [[1, "q"]]}}, "lamda"),
+    ("return-map", {**RETURN_MAP_OSC, "section": {"kind": "angle", "pair": [2, 3],
+                                                  "orientation": 1}}, "orientation"),
+    ("return-map", {**RETURN_MAP_OSC, "samples": 2**63}, "samples"),
+    ("obstruct", {"system": {**INLINE_OSCILLATOR, "omega": []}}, "omega"),
 ])
 def test_malformed_numeric_fields_exit_2(tmp_path, capsys, command, config, field):
     code, out = run(tmp_path, command, config)
     assert code == 2
     assert field in capsys.readouterr().err
     assert not (out / "report.json").exists()
+
+
+def test_obstruct_inline_primitive_decides_the_verdict(tmp_path):
+    # spelled right, the README's primitive makes the exactness obstruction fire
+    code, out = run(tmp_path, "obstruct", {"system": {**INLINE_OSCILLATOR,
+                                                      "lambda": [[1, "q"]]}})
+    assert code == 1
+    assert read_report(out)["report"]["checks"][0]["verdict"] == "negative"
+
+
+@pytest.mark.parametrize("level", [0.0, -1.0])
+def test_oscillator_level_must_be_positive(tmp_path, capsys, level):
+    cfg = {"system": "oscillator_2dof_sqrt2", "level": level, "samples": 1, "iterations": 1,
+           "n_return_points": 1}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(tmp_path, "return-map", cfg)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "'level'" in err and "Traceback" not in err
+    assert not (out / "report.json").exists()
+    with pytest.raises(ValueError, match="positive"):
+        catalog.sample_oscillator_surface(catalog.oscillator_2dof(), level,
+                                          np.random.default_rng(0), 1)
+
+
+def test_degenerate_section_at_explicit_points_fails_its_checks(tmp_path):
+    # H = x0 on the section x0 = 0: the flow is tangent to the section and the
+    # section and energy constraints share one gradient, so no section chart exists
+    cfg = {"system": {"dim": 2, "omega": [[0, 1, 1.0]], "hamiltonian": "x0"},
+           "points": [[0, 0]]}
+    code, out = run(tmp_path, "return-map", cfg)
+    assert code == 1
+    checks = {c["name"]: c for c in read_report(out)["report"]["checks"]}
+    assert not checks["iterates"]["passed"]
+    assert not checks["symplectic_determinant"]["passed"]
+    assert "degenerate constraints" in checks["symplectic_determinant"]["error"]
+
+
+def test_section_embedding_failure_is_no_crash(tmp_path):
+    # at energy 1000 the Jacobians' section embedding may miss its absolute
+    # residual; that fails a check, it does not crash
+    code, out = run(tmp_path, "return-map", {**RETURN_MAP_OSC, "level": 1000.0})
+    assert code in (0, 1)
+    assert (out / "report.json").exists()
+
+
+def test_constant_energy_fails_its_checks(tmp_path):
+    # H = 0 with a non-constant omega: every start is tangent to the section,
+    # so the crossing search gets an empty batch
+    cfg = {"system": {**INLINE_OSCILLATOR, "omega": [[0, 1, "1 + 0.5*sin(q)"]],
+                      "hamiltonian": 0},
+           "section": {"kind": "angle", "pair": [0, 1]}, "points": [[0.8, 0.0]]}
+    code, out = run(tmp_path, "return-map", cfg)
+    assert code == 1
+    failures = read_report(out)["report"]["checks"][0]["failures"]
+    assert failures and failures[0][2].startswith("tangency")
 
 
 def test_tischler_non_closed_alpha_exits_2(tmp_path, capsys):

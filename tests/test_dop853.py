@@ -7,8 +7,9 @@ from scipy.integrate import solve_ivp
 from cosymlab import catalog, cli, dop853, phase as P
 
 REL = 1e-12
-INLINE = {"dim": 2, "coordinates": ["q", "p"], "omega": [[0, 1, "1 + 0.5*sin(q)"]],
-          "hamiltonian": "0.5*(q^2 + p^2)"}
+INLINE = cli.validate("obstruct", {"system": {
+    "dim": 2, "coordinates": ["q", "p"], "omega": [[0, 1, "1 + 0.5*sin(q)"]],
+    "hamiltonian": "0.5*(q^2 + p^2)"}})["system"]
 
 
 def constant_omega_systems():

@@ -26,6 +26,19 @@ def test_stokes_detects_nonexact_torus(t4_system):
     assert value == pytest.approx(TWO_PI ** 2, abs=1e-8)
 
 
+def test_constant_form_integral_never_evaluates_the_patch(t4_system):
+    # a constant form reads only the patch Jacobian, never the node positions
+    torus = catalog.coordinate_torus_t4()
+
+    def value(p):
+        raise AssertionError("patch value evaluated for a constant form")
+
+    blind = O.MeshedSurface(F.ChartMap(2, 4, value, torus.patch.jacobian), torus.extents)
+    assert t4_system.omega.constant_value is not None
+    assert O.surface_integral(t4_system.omega, blind, n=64) == \
+        O.surface_integral(t4_system.omega, torus, n=64) == pytest.approx(TWO_PI ** 2)
+
+
 def test_stokes_requires_primitive(t4_system):
     with pytest.raises(O.PrimitiveError):
         O.stokes_exactness_check(t4_system, catalog.coordinate_torus_t4())

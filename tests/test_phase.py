@@ -71,9 +71,10 @@ def _counting_solve(monkeypatch):
 
 
 def _inline(omega):
-    from cosymlab.cli import build_inline_system
-    return build_inline_system({"dim": 2, "coordinates": ["q", "p"], "omega": omega,
-                                "hamiltonian": "0.5*(q^2 + p^2) + q*p^3"})
+    from cosymlab.cli import build_inline_system, validate
+    return build_inline_system(validate("obstruct", {"system": {
+        "dim": 2, "coordinates": ["q", "p"], "omega": omega,
+        "hamiltonian": "0.5*(q^2 + p^2) + q*p^3"}})["system"])
 
 
 @pytest.mark.parametrize("name", sorted(set(catalog.SYSTEMS) - {"suspension_rotation"})
@@ -92,6 +93,20 @@ def test_constant_omega_field_matches_solve(name, monkeypatch):
     scale = np.maximum(1.0, np.max(np.abs(system.grad_h(xs)), axis=-1, keepdims=True))
     assert np.all(np.abs(X - expected) <= 1e-13 * scale)
     assert np.array_equal(single, X[0])
+
+
+@pytest.mark.parametrize("omega", [[[0, 1, 2.5]], [[0, 1, "1 + 0.5*sin(q)"]]])
+def test_field_of_an_empty_batch_is_empty(omega):
+    assert _inline(omega).field(np.zeros((0, 2))).shape == (0, 2)
+
+
+def test_validate_rejects_vanishing_omega():
+    # a zero omega has singular-value ratio 0/0 = NaN, which must not pass
+    system = P.HamiltonianSystem(F.ChartManifold(2), F.constant_form(2, 2, [0.0]),
+                                 lambda x: x[..., 0],
+                                 lambda x: np.broadcast_to(np.eye(2)[0], np.shape(x)))
+    with pytest.raises(ValueError, match="degenerate"):
+        system.validate(np.zeros((4, 2)))
 
 
 @pytest.mark.parametrize("rcond", [1e-12, 1.5e-10])
