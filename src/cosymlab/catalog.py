@@ -65,14 +65,19 @@ def harmonic_oscillator() -> HamiltonianSystem:
     """One-degree oscillator; exact chart, so the exactness obstruction applies."""
     c2 = euclidean(2, "R2(q,p)")
     omega = wedge(coordinate_form(2, 0), coordinate_form(2, 1))
-    lam = KForm(1, 2, lambda x: np.stack([np.zeros_like(x[..., 0]), x[..., 0]], axis=-1))
+
+    def lam_coeffs(x):
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape)
+        out[..., 1] = x[..., 0]
+        return out
 
     def h(x):
         x = np.asarray(x, dtype=float)
         return 0.5 * (x[..., 0] ** 2 + x[..., 1] ** 2)
 
     return HamiltonianSystem(c2, omega, h, lambda x: np.asarray(x, dtype=float).copy(),
-                             lam=lam, name="harmonic_oscillator")
+                             lam=KForm(1, 2, lam_coeffs), name="harmonic_oscillator")
 
 
 def oscillator_2dof(freq2: float = SQRT2) -> HamiltonianSystem:
@@ -84,17 +89,19 @@ def oscillator_2dof(freq2: float = SQRT2) -> HamiltonianSystem:
 
     def lam_coeffs(x):
         x = np.asarray(x, dtype=float)
-        z = np.zeros_like(x[..., 0])
-        return np.stack([z, x[..., 0], z, x[..., 2]], axis=-1)
+        out = np.zeros(x.shape)
+        out[..., 1::2] = x[..., 0::2]
+        return out
 
     def h(x):
         x = np.asarray(x, dtype=float)
         return 0.5 * (x[..., 0] ** 2 + x[..., 1] ** 2) \
             + 0.5 * freq2 * (x[..., 2] ** 2 + x[..., 3] ** 2)
 
+    weights = np.array([1.0, 1.0, freq2, freq2])
+
     def grad_h(x):
-        x = np.asarray(x, dtype=float)
-        return np.stack([x[..., 0], x[..., 1], freq2 * x[..., 2], freq2 * x[..., 3]], axis=-1)
+        return np.asarray(x, dtype=float) * weights
 
     return HamiltonianSystem(c4, omega, h, grad_h, lam=KForm(1, 4, lam_coeffs),
                              name=f"oscillator_2dof({freq2:g})")
@@ -109,8 +116,9 @@ def canonical_r4() -> HamiltonianSystem:
 
     def lam_coeffs(x):
         x = np.asarray(x, dtype=float)
-        z = np.zeros_like(x[..., 0])
-        return np.stack([x[..., 2], x[..., 3], z, z], axis=-1)
+        out = np.zeros(x.shape)
+        out[..., :2] = x[..., 2:]
+        return out
 
     def h(x):
         x = np.asarray(x, dtype=float)
@@ -118,8 +126,9 @@ def canonical_r4() -> HamiltonianSystem:
 
     def grad_h(x):
         x = np.asarray(x, dtype=float)
-        z = np.zeros_like(x[..., 0])
-        return np.stack([z, z, x[..., 2], x[..., 3]], axis=-1)
+        out = np.zeros(x.shape)
+        out[..., 2:] = x[..., 2:]
+        return out
 
     return HamiltonianSystem(c4, omega, h, grad_h, lam=KForm(1, 4, lam_coeffs),
                              name="canonical_r4")
@@ -290,10 +299,12 @@ def embedded_torus_r4(r1: float = 1.0, r2: float = 0.7,
     def jacobian(p):
         p = np.asarray(p, dtype=float)
         u, v = p[..., 0], p[..., 1]
-        z = np.zeros_like(u)
-        du = np.stack([-r1 * np.sin(u), r1 * np.cos(u), z, z], axis=-1)
-        dv = np.stack([z, z, -r2 * np.sin(v), r2 * np.cos(v)], axis=-1)
-        return np.stack([du, dv], axis=-1)
+        out = np.zeros(p.shape[:-1] + (4, 2))
+        out[..., 0, 0] = -r1 * np.sin(u)
+        out[..., 1, 0] = r1 * np.cos(u)
+        out[..., 2, 1] = -r2 * np.sin(v)
+        out[..., 3, 1] = r2 * np.cos(v)
+        return out
 
     return MeshedSurface(ChartMap(2, 4, value, jacobian), (TWO_PI, TWO_PI),
                          name="torus_r4")
@@ -318,14 +329,13 @@ def embedded_sphere_r4(radius: float = 1.0, center: Optional[np.ndarray] = None,
     def jacobian(p):
         p = np.asarray(p, dtype=float)
         u, v = p[..., 0], p[..., 1]
-        du = np.zeros(p.shape[:-1] + (4,))
-        dv = np.zeros(p.shape[:-1] + (4,))
-        du[..., a0] = radius * np.cos(u) * np.cos(v)
-        du[..., a1] = radius * np.cos(u) * np.sin(v)
-        du[..., a2] = -radius * np.sin(u)
-        dv[..., a0] = -radius * np.sin(u) * np.sin(v)
-        dv[..., a1] = radius * np.sin(u) * np.cos(v)
-        return np.stack([du, dv], axis=-1)
+        out = np.zeros(p.shape[:-1] + (4, 2))
+        out[..., a0, 0] = radius * np.cos(u) * np.cos(v)
+        out[..., a1, 0] = radius * np.cos(u) * np.sin(v)
+        out[..., a2, 0] = -radius * np.sin(u)
+        out[..., a0, 1] = -radius * np.sin(u) * np.sin(v)
+        out[..., a1, 1] = radius * np.sin(u) * np.cos(v)
+        return out
 
     return MeshedSurface(ChartMap(2, 4, value, jacobian), (math.pi, TWO_PI),
                          name="sphere_r4")

@@ -187,7 +187,7 @@ COMMAND_FIELDS = {
         "samples": (SAMPLES, 20, "sampled start points"),
         "iterations": (count(1, 1000), 50, "returns followed per orbit"),
         "n_return_points": (JACOBIAN_POINTS, 10, "start points whose Jacobian is checked"),
-        "fd_step": (num(0, 1e-2), 1e-6, "central-difference step of the Jacobians"),
+        "fd_step": (num(0, 1e-2), 1e-6, "relative step: fd_step·max(1, |s|)"),
         "tol": TOL, "t_max": T_MAX, "rng_seed": RNG_SEED},
 }
 

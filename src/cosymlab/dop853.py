@@ -359,12 +359,16 @@ class Solution:
 
 
 def solve(fun: Callable[[np.ndarray], np.ndarray], t0: float, t1: float, y0,
-          rtol: float, atol: float, dense: bool = False) -> Solution:
+          rtol: float, atol: float, dense: bool = False,
+          stop: Optional[Callable[[np.ndarray], bool]] = None) -> Solution:
     """Integrate the autonomous system y' = fun(y) from t0 to t1.
 
-    ``y0`` is one state vector (n,); ``fun`` maps (n,) to (n,).  Raises
-    StepSizeUnderflow when the step size falls below the floating-point
-    spacing of the current time.
+    ``y0`` is one state vector (n,); ``fun`` maps (n,) to (n,).  ``stop``,
+    when given, is called with the state (n,) after each accepted step; the
+    solution ends at the first step for which it returns true, which may be
+    before t1.  It sees only accepted states, so the steps taken up to there
+    are the steps taken without it.  Raises StepSizeUnderflow when the step
+    size falls below the floating-point spacing of the current time.
     """
     t0, t1 = float(t0), float(t1)
     if t1 == t0:
@@ -416,6 +420,8 @@ def solve(fun: Callable[[np.ndarray], np.ndarray], t0: float, t1: float, y0,
         t, y, f = t_new, y_new, f_new
         ts.append(t)
         ys.append(y)
+        if stop is not None and stop(y):
+            break
     t_arr = np.array(ts)
     states = np.vstack(ys)
     return Solution(t_arr, states.T, DenseOutput(t_arr, states, coeffs) if dense else None)

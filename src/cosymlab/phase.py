@@ -239,12 +239,15 @@ class FlowResult:
 
 
 def integrate_batch(system, x0: np.ndarray, t0: float, t1: float,
-                    tol: float = DEFAULT_FLOW_TOL, dense: bool = False):
+                    tol: float = DEFAULT_FLOW_TOL, dense: bool = False,
+                    stop: Optional[Callable[[np.ndarray], bool]] = None):
     """Integrate a batch of initial conditions (n, dim) as one stacked system;
     a single orbit is a batch of one.  Coordinates are NOT reduced: orbits
     live in the periodic cover so section functions can be lifted
     continuously.  Returns the `dop853` solution: step times ``t``, stacked
-    states ``y`` (n * dim, steps) and, when ``dense``, the interpolant ``sol``."""
+    states ``y`` (n * dim, steps) and, when ``dense``, the interpolant ``sol``.
+    ``stop``, when given, sees the batch states (n, dim) after each accepted
+    step and ends the solution at the first step where it returns true."""
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     x0 = np.asarray(x0, dtype=float)
@@ -253,7 +256,8 @@ def integrate_batch(system, x0: np.ndarray, t0: float, t1: float,
     def rhs(y):
         return system.field(y.reshape(n, dim)).ravel()
 
-    return solve(rhs, t0, t1, x0.ravel(), tol, tol * 1e-2, dense)
+    batch_stop = None if stop is None else (lambda y: stop(y.reshape(n, dim)))
+    return solve(rhs, t0, t1, x0.ravel(), tol, tol * 1e-2, dense, batch_stop)
 
 
 def flow(system, p0: Point, t: float, tol: float = DEFAULT_FLOW_TOL) -> FlowResult:

@@ -11,12 +11,17 @@ mapping-torus fiber.
 Every crossing comes from one batched engine, `first_crossings`, in three
 steps:
 
-- bracket: the orbits are integrated as one stacked system and sampled on the
-  union of a rate-sized uniform grid and the integrator's accepted steps,
-  refined until adjacent angles differ by less than pi/2 and every turning
-  point of a lift near a lattice value is sampled (so short excursions
-  through the section are seen); the first upward lattice passage of every
-  orbit is read off floor differences of the lift;
+- bracket: the orbits are integrated as one stacked system, and the scan
+  ends at the first accepted step after which every orbit's lifted angle,
+  followed from step end to step end, has passed a lattice value upward.
+  The scan is sampled on the union of a rate-sized uniform grid and the
+  integrator's accepted steps, refined until adjacent angles differ by less
+  than pi/2 and every turning point of a lift near a lattice value is
+  sampled (so short excursions through the section are seen); the first
+  upward lattice passage of every orbit is read off floor differences of
+  the lift.  A step spanning more than pi of angle can fool the step-end
+  follower; the refined grid then finds no bracket and the orbit goes on
+  into the next chunk;
 - refine: one batched Hénon step (M. Hénon, Physica D 5 (1982) 412) takes the
   lifted angle as the independent variable and integrates from the bracket's
   left end exactly onto the lattice value; the rate in its denominator is
@@ -343,6 +348,44 @@ def _sample_grid(sec: SectionSpec, directed, interp, ts: np.ndarray, rounds: int
     return ts, states, vals, rates
 
 
+def _lattice_cells(sec: SectionSpec, v: np.ndarray, oriented: int, owned: bool) -> np.ndarray:
+    """Lattice cell of each lifted angle in v (rows are times, columns
+    orbits): the floor of its oriented turns past the level.  With ``owned``
+    the first row holds starts, and a start within ON_SECTION_TOL of a
+    lattice value owns it, so leaving it is not a crossing."""
+    w = oriented * (v - sec.level) / TWO_PI
+    cells = np.floor(w + 1e-12)
+    if owned:
+        own = np.round(w[0])
+        cells[0] = np.where(np.abs(w[0] - own) * TWO_PI <= ON_SECTION_TOL, own, cells[0])
+    return cells
+
+
+class _PassageWatch:
+    """Stop predicate of a crossing scan: follows the lifted section angle of
+    every orbit from step end to step end and turns true once each has made
+    an upward lattice passage.  Being fooled by a step spanning more than pi
+    of angle only ends the scan late, or early with an orbit left for the
+    next chunk, since the brackets come from the refined grid."""
+
+    def __init__(self, sec: SectionSpec, starts: np.ndarray, anchors, oriented: int):
+        self.sec = sec
+        self.oriented = oriented
+        self.vals = np.asarray(sec.theta(starts), dtype=float)
+        self.lift = self.vals if anchors is None else anchors
+        self.cells = _lattice_cells(sec, self.lift[None], oriented, anchors is None)[0]
+        self.passed = np.zeros(len(self.vals), dtype=bool)
+
+    def __call__(self, states: np.ndarray) -> bool:
+        vals = np.asarray(self.sec.theta(states), dtype=float)
+        self.lift = self.lift - ((self.vals - vals + math.pi) % TWO_PI - math.pi)
+        self.vals = vals
+        cells = _lattice_cells(self.sec, self.lift[None], self.oriented, False)[0]
+        self.passed |= cells > self.cells
+        self.cells = cells
+        return bool(self.passed.all())
+
+
 def first_crossings(system, sec: SectionSpec, starts: np.ndarray,
                     t_max: float = DEFAULT_T_MAX, tol: float = phase.DEFAULT_FLOW_TOL,
                     direction: int = 1) -> Crossings:
@@ -352,6 +395,9 @@ def first_crossings(system, sec: SectionSpec, starts: np.ndarray,
     ON_SECTION_TOL of a lattice value owns that value: leaving it is not a
     crossing.  Orbits are integrated in chunks of doubling length until each
     has a bracket or t_max is reached; failures are entries, not exceptions.
+    A chunk ends early, at the first accepted step after which every orbit
+    has passed a lattice value; an orbit the refined grid finds no bracket
+    for goes on into the next chunk.
     """
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     n, dim = starts.shape
@@ -369,8 +415,10 @@ def first_crossings(system, sec: SectionSpec, starts: np.ndarray,
     anchors = None
     t_accum = 0.0
     while active.size and t_accum < t_max - 1e-15:
-        t_end = min(chunk, t_max - t_accum)
-        sol = phase.integrate_batch(directed, states, 0.0, t_end, tol, dense=True)
+        watch = _PassageWatch(sec, states, anchors, oriented)
+        sol = phase.integrate_batch(directed, states, 0.0, min(chunk, t_max - t_accum), tol,
+                                    dense=True, stop=watch)
+        t_end = float(sol.t[-1])
 
         def interp(t, n_active=len(active)):
             return sol.sol(t).T.reshape(len(t), n_active, dim)
@@ -384,11 +432,7 @@ def first_crossings(system, sec: SectionSpec, starts: np.ndarray,
         v = np.unwrap(vals, axis=0)
         if anchors is not None:
             v += anchors - v[0]
-        w = oriented * (v - sec.level) / TWO_PI
-        floors = np.floor(w + 1e-12)
-        if anchors is None:
-            own = np.round(w[0])
-            floors[0] = np.where(np.abs(w[0] - own) * TWO_PI <= ON_SECTION_TOL, own, floors[0])
+        floors = _lattice_cells(sec, v, oriented, anchors is None)
         steps = np.diff(floors, axis=0)
         steps[~np.isfinite(steps)] = 0.0
         up = steps > 0
@@ -599,13 +643,15 @@ def section_coordinates(system, sec: SectionSpec, p: Point):
     if best < 1e-12:
         raise SectionChartError("degenerate constraints: no invertible elimination block")
     free = tuple(i for i in range(dim) if i not in elim)
+    # the energy row's rounding error grows with the level, so its bound does too
+    bounds = 1e-13 * np.array([1.0, max(1.0, abs(level_h))] if has_energy else [1.0])
 
     def embed(s: np.ndarray) -> np.ndarray:
         x = x0.copy()
         x[list(free)] = s
         for _ in range(60):
             c = constraints(x)
-            if np.max(np.abs(c)) < 1e-13:
+            if np.all(np.abs(c) < bounds):
                 return x
             A = constraint_grads(x)[:, list(elim)]
             x[list(elim)] -= np.linalg.solve(A, c)
@@ -649,9 +695,11 @@ def return_map_jacobians(system, sec: SectionSpec, points: Sequence[np.ndarray],
     """Central-difference Jacobians of the return map in section coordinates,
     one (k, k) block per section point.
 
-    Every finite-difference stencil orbit goes through one `first_crossings`
-    call; the smooth integration error is shared across a stencil and cancels
-    in the central differences.  Unreduced end states are continuous in the
+    Section coordinate a of a point s is perturbed by the relative step
+    fd_step * max(1, |s_a|), so the stencil does not round back onto its
+    centre at large amplitudes.  Every finite-difference stencil orbit goes
+    through one `first_crossings` call; the smooth integration error is
+    shared across a stencil and cancels in the central differences.  Unreduced end states are continuous in the
     initial condition, so raw differences need no period wrapping.  For
     two-dimensional sections the determinant is 1 up to integration error
     (the return map preserves the restricted symplectic form).
@@ -659,17 +707,19 @@ def return_map_jacobians(system, sec: SectionSpec, points: Sequence[np.ndarray],
     if fd_step <= 0:
         raise ValueError("fd_step must be positive")
     chart = system.manifold
-    stencils, projections = [], []
+    stencils, projections, steps = [], [], []
     for x in points:
         p = chart.point(np.asarray(x, dtype=float))
         free, embed, project = section_coordinates(system, sec, p)
         s0 = project(p.coords)
+        h = fd_step * np.maximum(1.0, np.abs(s0))
         for a in range(len(free)):
             for sign in (1.0, -1.0):
                 s = s0.copy()
-                s[a] += sign * fd_step
+                s[a] += sign * h[a]
                 stencils.append(embed(s))
         projections.append(project)
+        steps.append(h)
     n = len(projections)
     k = len(stencils) // (2 * n) if n else 0
     if not k:  # no points, or a zero-dimensional section: nothing to differentiate
@@ -677,8 +727,8 @@ def return_map_jacobians(system, sec: SectionSpec, points: Sequence[np.ndarray],
     crossings = first_crossings(system, sec, np.stack(stencils), t_max, tol)
     crossings.raise_failure()
     ends = crossings.states.reshape(n, k, 2, chart.dim)
-    return np.stack([project(e[:, 0] - e[:, 1]).T for project, e in zip(projections, ends)]) \
-        / (2.0 * fd_step)
+    return np.stack([project(e[:, 0] - e[:, 1]).T / (2.0 * h)
+                     for project, e, h in zip(projections, ends, steps)])
 
 
 def return_map_jacobian(system, sec: SectionSpec, p: Point, fd_step: float = 1e-6,

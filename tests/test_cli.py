@@ -211,6 +211,18 @@ def test_section_embedding_failure_is_no_crash(tmp_path):
     assert (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("level", [1000.0, 1e6, 1e12, 1e300])
+def test_return_map_determinant_at_large_energies(tmp_path, level):
+    # the section embedding bounds its energy residual relative to the level,
+    # and the Jacobian stencil step is relative to the section coordinates, so
+    # neither rounds away at large amplitudes
+    code, out = run(tmp_path, "return-map", {**RETURN_MAP_OSC, "level": level})
+    assert code == 0
+    checks = {c["name"]: c for c in read_report(out)["report"]["checks"]}
+    assert checks["symplectic_determinant"]["passed"]
+    assert checks["symplectic_determinant"]["max_det_error"] < 1e-8
+
+
 def test_constant_energy_fails_its_checks(tmp_path):
     # H = 0 with a non-constant omega: every start is tangent to the section,
     # so the crossing search gets an empty batch

@@ -382,6 +382,88 @@ def test_iterate_returns_failure_stops_one_orbit(suspension_system):
     assert np.max(np.abs(r.images[0, :, 0] - (0.1 + np.arange(1, 4) / 3.0) % 1.0)) < 1e-9
 
 
+def _record_dense_scans(monkeypatch):
+    """Patch the crossing engine's integrator to record (requested end, step
+    times) of every dense scan."""
+    scans = []
+    integrate = P.integrate_batch
+
+    def recording(system, x0, t0, t1, tol=P.DEFAULT_FLOW_TOL, dense=False, stop=None):
+        sol = integrate(system, x0, t0, t1, tol, dense, stop)
+        if dense:
+            scans.append((t1, sol.t))
+        return sol
+
+    monkeypatch.setattr(S.phase, "integrate_batch", recording)
+    return scans
+
+
+def test_crossing_scan_ends_one_step_past_last_crossing(monkeypatch):
+    # H = I + I^2 with I = (q^2 + p^2)/2: the phase turns at rate 1 + q^2 + p^2,
+    # so each start at phase phi0 crosses phase 2*pi at (2*pi - phi0) / (1 + r^2)
+    chart = F.ChartManifold(2, name="R2(q,p)")
+    omega = F.wedge(F.coordinate_form(2, 0), F.coordinate_form(2, 1))
+    system = P.HamiltonianSystem(
+        chart, omega, lambda x: 0.5 * np.sum(x ** 2, -1) * (1 + 0.5 * np.sum(x ** 2, -1)),
+        lambda x: x * (1 + np.sum(x ** 2, -1))[..., None])
+    sec = catalog.oscillator_angle_section((0, 1))
+    rng = np.random.default_rng(8)
+    r, phi0 = rng.uniform(0.3, 1.2, 6), rng.uniform(0.5, 6.0, 6)
+    starts = np.stack([r * np.cos(phi0), -r * np.sin(phi0)], axis=1)
+    scans = _record_dense_scans(monkeypatch)
+    c = S.first_crossings(system, sec, starts, t_max=50.0)
+    assert c.ok.all()
+    assert np.max(np.abs(c.times - (TWO_PI - phi0) / (1 + r ** 2))) < 1e-8
+    [(t_end, ts)] = scans
+    assert ts[-2] < np.max(c.times) <= ts[-1] < t_end
+
+
+def test_aliased_early_stop_continues_to_analytic_crossing(monkeypatch):
+    # u' = 20 v, v' = 1 from (0.5, -1): u runs backward at a falling rate, turns
+    # at t = 1 and crosses 2*pi*k upward at t = 1 + sqrt(2 (2 pi k - u_min) / 20).
+    # The flow is quadratic in time, so DOP853's error estimate vanishes and
+    # its steps grow tenfold: at a loose tol one spans more than pi of u, the
+    # stop predicate reads the backward lap as a passage and ends the first
+    # scan early, and the next chunk must still find the true crossing
+    chart = F.ChartManifold(2, (True, False))
+    system = P.FlowSystem(chart, lambda x: np.stack([20.0 * x[..., 1], np.ones_like(x[..., 1])],
+                                                    axis=-1))
+    sec = S.coordinate_section(chart, 0)
+    u0, v0 = 0.5, -1.0
+
+    def u(t):
+        return u0 + 20.0 * (v0 * t + 0.5 * t ** 2)
+
+    u_min = u(1.0)
+    expected = 1.0 + math.sqrt(2.0 * (TWO_PI * (math.floor(u_min / TWO_PI) + 1) - u_min) / 20.0)
+    scans = _record_dense_scans(monkeypatch)
+    c = S.first_crossings(system, sec, np.array([[u0, v0]]), t_max=50.0, tol=1e-3)
+    assert c.failures == [None]
+    assert abs(c.times[0] - expected) < 1e-9
+    t_end, ts = scans[0]
+    assert np.max(np.abs(np.diff(u(ts)))) > math.pi
+    assert ts[-1] < t_end and ts[-1] < expected
+    assert len(scans) >= 2
+
+
+def test_iterate_returns_field_work(monkeypatch):
+    # machine-independent work of three returns of a fixed oscillator batch:
+    # 1839 field calls with the scans ending one step past the last crossing
+    # (3063 when every scan integrated its whole chunk)
+    system = catalog.oscillator_2dof()
+    sec = catalog.oscillator_angle_section()
+    starts = catalog.sample_oscillator_surface(system, 1.0, np.random.default_rng(3), 4,
+                                               on_section=True)
+    calls = []
+    field = P.HamiltonianSystem.field
+    monkeypatch.setattr(P.HamiltonianSystem, "field",
+                        lambda self, x: calls.append(1) or field(self, x))
+    r = S.iterate_returns(system, sec, starts, 3, t_max=20.0)
+    assert r.failures == [None] * 4
+    assert len(calls) <= 1.1 * 1839
+    assert len(calls) < 3063
+
+
 def test_mapping_torus_product(t4_system, t4_section):
     grid = [t4_system.point([x, y, 0.0, 0.0]) for x in (0.5, 2.0, 4.0) for y in (1.0, 3.0)]
     mt = S.mapping_torus_chart(t4_system, t4_section, grid, tol=1e-10)
