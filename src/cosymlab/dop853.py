@@ -264,7 +264,14 @@ class StepSizeUnderflow(RuntimeError):
 
 
 def _rms(x: np.ndarray) -> float:
-    return np.linalg.norm(x) / x.size ** 0.5
+    """RMS of x.  A sum of squares that overflows on finite x is recomputed
+    with x scaled by its largest magnitude; a finite norm keeps SciPy's bits."""
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(x)
+        if np.isinf(norm) and np.isfinite(x).all():
+            m = np.max(np.abs(x))
+            norm = m * np.linalg.norm(x / m)
+    return norm / x.size ** 0.5
 
 
 def _initial_step(fun, y0, f0, span, direction, rtol, atol) -> float:
@@ -324,7 +331,9 @@ class DenseOutput:
         self.coeffs = coeffs
 
     def __call__(self, t) -> np.ndarray:
-        """States (n,) at a scalar time, or (n, m) at m times."""
+        """States (n,) at a scalar time, or (n, m) at m times.  Each time is
+        evaluated on its own, so the states do not depend on which other times
+        share the call."""
         t = np.asarray(t, dtype=float)
         times = np.atleast_1d(t)
         last = len(self.coeffs) - 1
@@ -335,7 +344,7 @@ class DenseOutput:
         seg = np.clip(seg, 0, last)
         out = np.empty((len(times), self.ys.shape[1]))
         order = np.argsort(seg, kind="stable")
-        for rows in np.split(order, np.flatnonzero(np.diff(seg[order])) + 1):
+        for rows in np.split(order, np.flatnonzero(np.diff(seg[order])) + 1) if order.size else ():
             s = seg[rows[0]]
             x = ((times[rows] - self.t[s]) / (self.t[s + 1] - self.t[s]))[:, None]
             y = np.zeros((len(rows), self.ys.shape[1]))

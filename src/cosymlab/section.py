@@ -15,13 +15,19 @@ steps:
   ends at the first accepted step after which every orbit's lifted angle,
   followed from step end to step end, has passed a lattice value upward.
   The scan is sampled on the union of a rate-sized uniform grid and the
-  integrator's accepted steps, refined until adjacent angles differ by less
-  than pi/2 and every turning point of a lift near a lattice value is
-  sampled (so short excursions through the section are seen); the first
-  upward lattice passage of every orbit is read off floor differences of
-  the lift.  A step spanning more than pi of angle can fool the step-end
-  follower; the refined grid then finds no bracket and the orbit goes on
-  into the next chunk;
+  integrator's accepted steps, refined until, up to each orbit's bracket,
+  adjacent angles differ by less than pi/2 and the rate times the spacing is
+  at most pi/2 (an orbit that turns nearly a whole number of times between
+  samples would otherwise be read a lap late), and every turning point of a
+  lift near a lattice value is sampled (so short excursions through the
+  section are seen).  An orbit still too coarsely sampled when the rounds
+  run out fails as unconverged.  The dense output is evaluated in blocks of
+  at most GRID_BLOCK_VALUES state values and only the angles and rates are
+  kept, so no (times, orbits, dim) array is built; the bracket states are
+  evaluated again at their own rows.  The first upward lattice passage of
+  every orbit is read off floor differences of the lift.  A step spanning
+  more than pi of angle can fool the step-end follower; the refined grid
+  then finds no bracket and the orbit goes on into the next chunk;
 - refine: one batched Hénon step (M. Hénon, Physica D 5 (1982) 412) takes the
   lifted angle as the independent variable and integrates from the bracket's
   left end exactly onto the lattice value; the rate in its denominator is
@@ -54,6 +60,8 @@ ANGLE_RESIDUAL = 1e-12
 ON_SECTION_TOL = 1e-8
 NEAR_LATTICE = 1e-3     # lattice units (turns of the section angle)
 DEFAULT_T_MAX = 1e3
+GRID_ROUNDS = 8                 # refinement rounds of a crossing scan's sample grid
+GRID_BLOCK_VALUES = 2 ** 17     # state values held by one block of a grid evaluation
 
 
 class TangencyError(RuntimeError):
@@ -308,44 +316,119 @@ def _unconverged(residual: float) -> str:
     return f"unconverged: angular residual {residual:.3e} >= {ANGLE_RESIDUAL}"
 
 
-def _sample_grid(sec: SectionSpec, directed, interp, ts: np.ndarray, rounds: int = 8):
-    """States, section angles and rates along the directed flow on a shared
-    grid (rows are times, columns orbits), refined until
+class _BlockedDense:
+    """Dense output of a stacked batch of n orbits in dim coordinates,
+    evaluated in row blocks of at most GRID_BLOCK_VALUES state values (one
+    time row at least), so no (times, orbits, dim) array is built."""
 
-    - adjacent angles of every orbit differ by less than pi/2, so the lift
-      cannot slip a branch, and
+    def __init__(self, sol, n: int, dim: int):
+        self.sol = sol
+        self.n, self.dim = n, dim
+        self.rows = max(1, GRID_BLOCK_VALUES // (n * dim))
+
+    def blocks(self, ts: np.ndarray):
+        """(start row, states (rows, n, dim)) for each block of the times ts."""
+        for a in range(0, len(ts), self.rows):
+            t = ts[a:a + self.rows]
+            yield a, self.sol(t).T.reshape(len(t), self.n, self.dim)
+
+    def angles_and_rates(self, sec: SectionSpec, directed, ts: np.ndarray):
+        """Section angles and rates (times, orbits) along the directed flow."""
+        vals = np.empty((len(ts), self.n))
+        rates = np.empty_like(vals)
+        for a, states in self.blocks(ts):
+            vals[a:a + len(states)] = sec.theta(states)
+            rates[a:a + len(states)] = sec.rate(directed, states)
+        return vals, rates
+
+    def gather(self, ts: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """State of orbit cols[k] at time ts[rows[k]] for every k; each
+        distinct row is evaluated once."""
+        uniq, inv = np.unique(rows, return_inverse=True)
+        order = np.argsort(inv, kind="stable")
+        bounds = np.searchsorted(inv[order], np.arange(0, len(uniq) + self.rows, self.rows))
+        out = np.empty((len(cols), self.dim))
+        for (a, states), lo, hi in zip(self.blocks(ts[uniq]), bounds[:-1], bounds[1:]):
+            k = order[lo:hi]
+            out[k] = states[inv[k] - a, cols[k]]
+        return out
+
+
+def _sample_grid(sec: SectionSpec, directed, dense: _BlockedDense, ts: np.ndarray,
+                 anchors, oriented: int):
+    """Section angles and rates along the directed flow on a shared grid
+    (rows are times, columns orbits), refined until
+
+    - adjacent angles of an orbit differ by less than pi/2, and its rate
+      times the spacing is at most pi/2, so the lift cannot slip a branch.
+      The rate rule catches an orbit that turns close to a whole number of
+      times between two samples and so shows a small angle difference.  Both
+      rules apply to an orbit up to its first upward lattice passage (the
+      one it is bracketed on), or to the whole grid when it has none;
     - no turning point of a lift between two samples comes within
       NEAR_LATTICE of a lattice value that neither sample has passed: a short
       excursion through the section would go unseen.  The turning time,
       where the linearly interpolated rate vanishes, is sampled instead.
+
+    Each round samples the midpoint of every interval too wide for some
+    orbit and every such turning time.  The states are evaluated in blocks
+    (`_BlockedDense`) and not kept; only the angles and rates are.  Returns
+    the times, the lifted angles (``np.unwrap`` of the angles down the rows,
+    before ``anchors`` are applied), the rates, and per orbit whether an
+    interval is still too wide for it when the rounds run out.
     """
-    states = interp(ts)
-    vals = np.asarray(sec.theta(states), dtype=float)
-    rates = sec.rate(directed, states)
-    for _ in range(rounds):
-        dv = np.abs(-((-np.diff(vals, axis=0) + math.pi) % TWO_PI - math.pi))
-        wide = (dv > 0.5 * math.pi).any(axis=1)
-        w = (np.unwrap(vals, axis=0) - sec.level) / TWO_PI
+    vals, rates = dense.angles_and_rates(sec, directed, ts)
+    for k in range(GRID_ROUNDS + 1):
+        lift = np.unwrap(vals, axis=0)
+        dts = np.diff(ts)
+        dv = np.diff(vals, axis=0)
+        np.subtract(math.pi, dv, out=dv)
+        np.remainder(dv, TWO_PI, out=dv)
+        dv -= math.pi
+        np.abs(dv, out=dv)
         r0, r1 = rates[:-1], rates[1:]
+        swept = np.maximum(np.abs(r0), np.abs(r1))
+        swept *= dts[:, None]
+        coarse = (dv > 0.5 * math.pi) | (swept > 0.5 * math.pi)
+        loose = np.flatnonzero(coarse.any(axis=0))
+        if loose.size:
+            v = lift[:, loose]
+            if anchors is not None:
+                v += anchors[loose] - v[0]
+            _, _, hit, idx = _first_passages(sec, v, oriented, anchors is None)
+            coarse[:, loose] &= np.arange(len(dts))[:, None] <= np.where(hit, idx, len(dts))
+        wide = coarse.any(axis=1)
+        # the turning-point rule; dv, swept and w are reused in place
+        w = lift - sec.level
+        w /= TWO_PI
         with np.errstate(divide="ignore", invalid="ignore"):
-            frac = r0 / (r0 - r1)
-        peak = w[:-1] + 0.5 * r0 * frac * np.diff(ts)[:, None] / TWO_PI
-        cell = np.floor(w[:-1] + 1e-12)
-        turns = (r0 * r1 < 0) & (cell == np.floor(w[1:] + 1e-12)) \
-            & ((np.floor(peak + NEAR_LATTICE) != cell) | (np.floor(peak - NEAR_LATTICE) != cell))
+            frac = np.divide(r0, np.subtract(r0, r1, out=dv), out=dv)
+        peak = np.multiply(r0, 0.5, out=swept)
+        peak *= frac
+        peak *= dts[:, None]
+        peak /= TWO_PI
+        peak += w[:-1]
+        w += 1e-12
+        cells = np.floor(w, out=w)
+        turns = r0 * r1 < 0
+        turns &= cells[:-1] == cells[1:]
+        off = peak + NEAR_LATTICE
+        near = np.floor(off, out=off) != cells[:-1]
+        np.subtract(peak, NEAR_LATTICE, out=off)
+        near |= np.floor(off, out=off) != cells[:-1]
+        turns &= near
         rows, cols = np.nonzero(turns)
         new = np.setdiff1d(np.concatenate([
             0.5 * (ts[:-1] + ts[1:])[wide],
             ts[rows] + frac[rows, cols] * (ts[rows + 1] - ts[rows])]), ts)
-        if not new.size:
+        if not new.size or k == GRID_ROUNDS:
             break
-        added = interp(new)
+        added_vals, added_rates = dense.angles_and_rates(sec, directed, new)
         order = np.argsort(np.concatenate([ts, new]))
         ts = np.concatenate([ts, new])[order]
-        states = np.concatenate([states, added])[order]
-        vals = np.concatenate([vals, np.asarray(sec.theta(added), dtype=float)])[order]
-        rates = np.concatenate([rates, sec.rate(directed, added)])[order]
-    return ts, states, vals, rates
+        vals = np.concatenate([vals, added_vals])[order]
+        rates = np.concatenate([rates, added_rates])[order]
+    return ts, lift, rates, coarse.any(axis=0)
 
 
 def _lattice_cells(sec: SectionSpec, v: np.ndarray, oriented: int, owned: bool) -> np.ndarray:
@@ -359,6 +442,17 @@ def _lattice_cells(sec: SectionSpec, v: np.ndarray, oriented: int, owned: bool) 
         own = np.round(w[0])
         cells[0] = np.where(np.abs(w[0] - own) * TWO_PI <= ON_SECTION_TOL, own, cells[0])
     return cells
+
+
+def _first_passages(sec: SectionSpec, v: np.ndarray, oriented: int, owned: bool):
+    """Lattice cells of the lifted angles v (rows are times, columns orbits,
+    see `_lattice_cells`), their steps from row to row, and per orbit whether
+    it passes a lattice value upward and the first interval where it does."""
+    floors = _lattice_cells(sec, v, oriented, owned)
+    steps = np.diff(floors, axis=0)
+    steps[~np.isfinite(steps)] = 0.0
+    up = steps > 0
+    return floors, steps, up.any(axis=0), up.argmax(axis=0)
 
 
 class _PassageWatch:
@@ -419,33 +513,30 @@ def first_crossings(system, sec: SectionSpec, starts: np.ndarray,
         sol = phase.integrate_batch(directed, states, 0.0, min(chunk, t_max - t_accum), tol,
                                     dense=True, stop=watch)
         t_end = float(sol.t[-1])
-
-        def interp(t, n_active=len(active)):
-            return sol.sol(t).T.reshape(len(t), n_active, dim)
-
+        dense = _BlockedDense(sol.sol, len(active), dim)
         m = max(65, min(2049, int(16 * t_end * max(typical, 1.0 / t_end))))
         ts = np.union1d(np.linspace(0.0, t_end, m), sol.t)
-        ts, grid, vals, rates = _sample_grid(sec, directed, interp, ts)
+        ts, v, rates, coarse = _sample_grid(sec, directed, dense, ts, anchors, oriented)
         out.margins[active] = np.minimum(out.margins[active], np.abs(rates).min(axis=0))
+        for orbit in active[coarse]:
+            out.failures[orbit] = (f"unconverged: grid refinement left an interval over pi/2 "
+                                   f"of angle after {GRID_ROUNDS} rounds")
 
         # bracket: first upward lattice passage of each lifted angle
-        v = np.unwrap(vals, axis=0)
         if anchors is not None:
             v += anchors - v[0]
-        floors = _lattice_cells(sec, v, oriented, anchors is None)
-        steps = np.diff(floors, axis=0)
-        steps[~np.isfinite(steps)] = 0.0
-        up = steps > 0
-        hit = up.any(axis=0)
-        idx = up.argmax(axis=0)
-        before = np.arange(len(steps))[:, None] < np.where(hit, idx, len(steps))
+        floors, steps, hit, idx = _first_passages(sec, v, oriented, anchors is None)
+        hit &= ~coarse
+        counted = np.where(coarse, 0, np.where(hit, idx, len(steps)))
+        before = np.arange(len(steps))[:, None] < counted
         out.crossings_seen[active] += (np.abs(steps) * before).sum(axis=0).astype(int) + hit
 
         cols = np.flatnonzero(hit)
         if cols.size:
             i = idx[cols]
             target = sec.level + oriented * TWO_PI * (floors[i, cols] + 1.0)
-            x, dt = _henon_step(directed, sec, grid[i, cols], target - v[i, cols], oriented, tol)
+            x, dt = _henon_step(directed, sec, dense.gather(ts, i, cols), target - v[i, cols],
+                                oriented, tol)
             x, t_corr, residual = _polish(directed, sec, x, oriented)
             t_local = ts[i] + dt + t_corr
             orbits = active[cols]
@@ -467,9 +558,9 @@ def first_crossings(system, sec: SectionSpec, starts: np.ndarray,
                 else:
                     out.failures[orbit] = None
 
-        keep = ~hit
+        keep = ~hit & ~coarse
         active = active[keep]
-        states = grid[-1, keep]
+        states = dense.gather(ts, np.full(keep.sum(), len(ts) - 1), np.flatnonzero(keep))
         anchors = v[-1, keep]
         t_accum += t_end
         chunk = min(2.0 * chunk, t_max)

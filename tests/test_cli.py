@@ -211,11 +211,13 @@ def test_section_embedding_failure_is_no_crash(tmp_path):
     assert (out / "report.json").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("level", [1000.0, 1e6, 1e12, 1e300])
 def test_return_map_determinant_at_large_energies(tmp_path, level):
     # the section embedding bounds its energy residual relative to the level,
     # and the Jacobian stencil step is relative to the section coordinates, so
-    # neither rounds away at large amplitudes
+    # neither rounds away at large amplitudes; no step of the run overflows
+    # (a RuntimeWarning is an error here, which the CLI reports as exit 3)
     code, out = run(tmp_path, "return-map", {**RETURN_MAP_OSC, "level": level})
     assert code == 0
     checks = {c["name"]: c for c in read_report(out)["report"]["checks"]}

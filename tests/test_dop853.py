@@ -1,7 +1,10 @@
 """The in-house DOP853 stepper against SciPy's solve_ivp(method="DOP853"),
 which runs the same method with the same step-size control."""
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from cosymlab import catalog, cli, dop853, phase as P
@@ -100,3 +103,44 @@ def test_rejects_bad_input():
         dop853.solve(lambda y: y, 0.0, 1.0, [np.nan], 1e-8, 1e-10)
     with pytest.raises(ValueError, match="one vector"):
         dop853.solve(lambda y: y, 0.0, 1.0, [[1.0]], 1e-8, 1e-10)
+
+
+def test_initial_step_survives_an_overflowing_norm():
+    # a zero component has error scale atol, so a field of order 1e150 there
+    # squares past the largest float in the starting-step norm
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = dop853.solve(lambda y: np.array([y[1], -y[0]]), 0.0, 1.0, [1e150, 0.0],
+                           1e-10, 1e-12)
+    first = sol.t[1] - sol.t[0]
+    assert np.isfinite(first) and first > 1e-300
+    assert np.allclose(sol.y[:, -1] / 1e150, [np.cos(1.0), -np.sin(1.0)], rtol=0, atol=1e-8)
+    x = np.array([3e200, 0.0, -4e200])
+    assert dop853._rms(x) == pytest.approx(5e200 / np.sqrt(3.0), rel=1e-15)
+
+
+def _dense(direction):
+    system = catalog.get_system("oscillator_2dof_sqrt2")
+    starts = np.array([[0.6, 0.0, 0.8, 0.0], [0.1, 0.3, -0.9, 0.2], [1.2, -0.4, 0.0, 0.5]])
+    return P.integrate_batch(system, starts, 0.0, 9.0 * direction, 1e-8, dense=True).sol
+
+
+DENSE = {1: _dense(1), -1: _dense(-1)}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from([1, -1]), st.integers(1, 60), st.data())
+def test_dense_output_is_split_invariant(direction, m, data):
+    # every time is evaluated on its own, so any split of a time array
+    # evaluates to the same bits; the crossing scan relies on this when it
+    # evaluates its grid in blocks
+    sol = DENSE[direction]
+    span = np.sort(sol.t)
+    pool = st.one_of(st.sampled_from(list(span)),
+                     st.floats(span[0] - 0.5, span[-1] + 0.5, allow_nan=False))
+    ts = np.array(data.draw(st.lists(pool, min_size=m, max_size=m)))
+    cuts = sorted(data.draw(st.lists(st.integers(0, m), max_size=6)))
+    parts = np.split(ts, cuts)
+    whole = sol(ts)
+    assert np.array_equal(whole, np.concatenate([sol(p) for p in parts], axis=1))
+    assert all(np.array_equal(whole[:, k], sol(t)) for k, t in enumerate(ts[:5]))

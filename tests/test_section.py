@@ -398,14 +398,18 @@ def _record_dense_scans(monkeypatch):
     return scans
 
 
-def test_crossing_scan_ends_one_step_past_last_crossing(monkeypatch):
-    # H = I + I^2 with I = (q^2 + p^2)/2: the phase turns at rate 1 + q^2 + p^2,
-    # so each start at phase phi0 crosses phase 2*pi at (2*pi - phi0) / (1 + r^2)
+def _phase_rotor():
+    # H = I + I^2 with I = (q^2 + p^2)/2: the phase turns at rate 1 + q^2 + p^2
     chart = F.ChartManifold(2, name="R2(q,p)")
     omega = F.wedge(F.coordinate_form(2, 0), F.coordinate_form(2, 1))
-    system = P.HamiltonianSystem(
+    return P.HamiltonianSystem(
         chart, omega, lambda x: 0.5 * np.sum(x ** 2, -1) * (1 + 0.5 * np.sum(x ** 2, -1)),
         lambda x: x * (1 + np.sum(x ** 2, -1))[..., None])
+
+
+def test_crossing_scan_ends_one_step_past_last_crossing(monkeypatch):
+    # each start at phase phi0 crosses phase 2*pi at (2*pi - phi0) / (1 + r^2)
+    system = _phase_rotor()
     sec = catalog.oscillator_angle_section((0, 1))
     rng = np.random.default_rng(8)
     r, phi0 = rng.uniform(0.3, 1.2, 6), rng.uniform(0.5, 6.0, 6)
@@ -555,3 +559,98 @@ def test_crossings_csv_roundtrip(tmp_path):
     assert len(parsed) == 2
     assert float(parsed[0][1]) == 1.5
     assert int(parsed[1][0]) == 1
+
+
+def _drift():
+    # u' = v, v' = 0 on S^1 x R (the flow of H = v^2 / 2 with omega = du^dv):
+    # the start (0, v) first returns to u = 0 after 2*pi / v
+    chart = F.ChartManifold(2, (True, False))
+    system = P.FlowSystem(chart, lambda x: np.stack([x[..., 1], np.zeros_like(x[..., 1])],
+                                                    axis=-1))
+    return system, S.coordinate_section(chart, 0)
+
+
+def _fast_among_slow(v_fast):
+    return np.array([[0.0, 1.0 + 0.01 * i] for i in range(9)] + [[0.0, v_fast]])
+
+
+@pytest.mark.parametrize("v_fast", [150.0, 300.0, 2000.0, 1e4])
+def test_fast_orbit_in_slow_batch_is_not_aliased(v_fast):
+    # the grid spacing is sized by the batch's median rate, so the fast orbit
+    # turns close to a whole number of times between samples; the wrapped
+    # angle difference then looks small and only its rate times the spacing
+    # shows the interval is too wide (a later lap was certified before)
+    system, sec = _drift()
+    starts = _fast_among_slow(v_fast)
+    c = S.first_crossings(system, sec, starts, t_max=100.0)
+    assert c.failures == [None] * 10
+    assert np.max(np.abs(c.times - TWO_PI / starts[:, 1])) < 1e-9
+    assert c.crossings_seen.tolist() == [1] * 10
+
+
+def test_grid_refinement_that_runs_out_fails_the_orbit(monkeypatch):
+    system, sec = _drift()
+    monkeypatch.setattr(S, "GRID_ROUNDS", 1)
+    starts = _fast_among_slow(1e4)
+    c = S.first_crossings(system, sec, starts, t_max=100.0)
+    assert c.failures[:9] == [None] * 9
+    assert c.failures[9].startswith("unconverged: grid refinement")
+    assert np.isnan(c.times[9])
+    r = S.iterate_returns(system, sec, starts, 1, t_max=100.0)
+    assert r.failures[:9] == [None] * 9 and r.failures[9][0] == 0
+    with pytest.raises(S.RefinementError, match="grid refinement"):
+        r.raise_failure()
+
+
+@pytest.mark.parametrize("direction", [1, -1])
+def test_mixed_rate_batch_brackets_on_own_rows(monkeypatch, direction):
+    # orbits of different rates and phases bracket on different grid rows, so
+    # the bracket states are gathered from several evaluated rows; the result
+    # matches batches of one, and is bitwise the same for any block size
+    system = _phase_rotor()
+    sec = catalog.oscillator_angle_section((0, 1))
+    rng = np.random.default_rng(11)
+    r, phi0 = rng.uniform(0.2, 1.6, 7), rng.uniform(0.3, 6.0, 7)
+    starts = np.stack([r * np.cos(phi0), -r * np.sin(phi0)], axis=1)
+    gathered = []
+    gather = S._BlockedDense.gather
+
+    def recording(self, ts, rows, cols):
+        gathered.append(rows)
+        return gather(self, ts, rows, cols)
+
+    monkeypatch.setattr(S._BlockedDense, "gather", recording)
+    together = S.first_crossings(system, sec, starts, 50.0, direction=direction)
+    assert together.ok.all()
+    assert len(np.unique(gathered[0])) == len(starts)
+    alone = [S.first_crossings(system, sec, x[None], 50.0, direction=direction) for x in starts]
+    assert np.max(np.abs(together.times - [c.times[0] for c in alone])) < 1e-8
+    assert together.crossings_seen.tolist() == [int(c.crossings_seen[0]) for c in alone]
+    for budget in (1, 3 * starts.size):
+        monkeypatch.setattr(S, "GRID_BLOCK_VALUES", budget)
+        blocked = S.first_crossings(system, sec, starts, 50.0, direction=direction)
+        for field in ("times", "states", "rates", "margins", "residuals", "crossings_seen"):
+            assert np.array_equal(getattr(blocked, field), getattr(together, field))
+        assert blocked.failures == together.failures
+
+
+def test_verify_global_memory_bound():
+    # 1500 leaf samples of the T^6 product, as the demo-product command draws
+    # them: the grid's states are evaluated in bounded blocks and never kept,
+    # so the traced peak stays far under the ~60 MB that holding every state
+    # of every orbit at every grid time takes here
+    import tracemalloc
+    from cosymlab import cosym
+    rng = np.random.default_rng(1000)
+    system = cosym.build_product_system(catalog.SEEDS["t5"](), rng=rng)
+    system.validate(system.manifold.sample(rng, 64))
+    samples = catalog.sample_product_leaf(system, rng, 1500)
+    sec = catalog.product_leaf_section(system)
+    tracemalloc.start()
+    try:
+        rep = S.verify_global(system, sec, samples, 100.0, 1e-10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed and rep.n_pass == 1500
+    assert peak < 40 * 2 ** 20
