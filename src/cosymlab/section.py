@@ -14,20 +14,25 @@ steps:
 - bracket: the orbits are integrated as one stacked system, and the scan
   ends at the first accepted step after which every orbit's lifted angle,
   followed from step end to step end, has passed a lattice value upward.
-  The scan is sampled on the union of a rate-sized uniform grid and the
-  integrator's accepted steps, refined until, up to each orbit's bracket,
-  adjacent angles differ by less than pi/2 and the rate times the spacing is
-  at most pi/2 (an orbit that turns nearly a whole number of times between
-  samples would otherwise be read a lap late), and every turning point of a
-  lift near a lattice value is sampled (so short excursions through the
-  section are seen).  An orbit still too coarsely sampled when the rounds
-  run out fails as unconverged.  The dense output is evaluated in blocks of
-  at most GRID_BLOCK_VALUES state values and only the angles and rates are
-  kept, so no (times, orbits, dim) array is built; the bracket states are
-  evaluated again at their own rows.  The first upward lattice passage of
-  every orbit is read off floor differences of the lift.  A step spanning
-  more than pi of angle can fool the step-end follower; the refined grid
-  then finds no bracket and the orbit goes on into the next chunk;
+  The scan is sampled on a seed grid, the union of a rate-sized uniform grid
+  and the integrator's accepted steps.  The seed grid is evaluated block by
+  block while the same follower reads the lifts down its rows, and only up
+  to the row that ends the last orbit's first upward passage (every row when
+  some orbit makes none); the rows after it are neither evaluated nor kept.
+  The kept rows are refined until, up to each orbit's bracket, adjacent
+  angles differ by less than pi/2 and the rate times the spacing is at most
+  pi/2 (an orbit that turns nearly a whole number of times between samples
+  would otherwise be read a lap late), and every turning point of a lift
+  near a lattice value is sampled (so short excursions through the section
+  are seen).  An orbit still too coarsely sampled when the rounds run out
+  fails as unconverged.  The dense output is evaluated in blocks of at most
+  GRID_BLOCK_VALUES state values and only the angles and rates are kept, so
+  no (times, orbits, dim) array is built; the bracket states are evaluated
+  again at their own rows.  The first upward lattice passage of every orbit
+  is read off floor differences of the lift.  A row step spanning more than
+  pi of angle can fool the follower; the refined grid then finds no bracket
+  in the kept rows and the orbit goes on into the next chunk from the last
+  kept row;
 - refine: one batched Hénon step (M. Hénon, Physica D 5 (1982) 412) takes the
   lifted angle as the independent variable and integrates from the bracket's
   left end exactly onto the lattice value; the rate in its denominator is
@@ -152,11 +157,12 @@ class Crossings:
 
     ``times`` are signed (negative when scanning backward) and ``states`` are
     unreduced coordinates.  ``rates`` is d theta/dt along the true flow at
-    the crossing, ``margins`` the least |d theta/dt| seen along the scanned
-    orbit, ``residuals`` the final |theta - level| and ``crossings_seen`` the
-    lattice passages counted up to and including the crossing.  ``failures``
-    holds None for an accepted crossing and the reason otherwise; an orbit
-    without a bracket keeps NaN entries.
+    the crossing, ``margins`` the least |d theta/dt| at the start and on the
+    kept grid rows of the scanned orbit (each chunk's rows up to the last
+    orbit's first passage in it), ``residuals`` the final |theta - level|
+    and ``crossings_seen`` the lattice passages counted up to and including
+    the crossing.  ``failures`` holds None for an accepted crossing and the
+    reason otherwise; an orbit without a bracket keeps NaN entries.
     """
 
     times: np.ndarray
@@ -185,7 +191,8 @@ class Returns:
 
     ``times`` are the return times of the single iterates, ``images`` the
     reduced images, ``margins`` the least |d theta/dt| seen along each
-    return, ``residuals`` the final |theta - level| of each image and
+    return (at its start and on the kept grid rows, see `Crossings`),
+    ``residuals`` the final |theta - level| of each image and
     ``crossings_seen`` the lattice passages counted up to each return.
     ``failures`` holds None per orbit, or (iterate, reason) for an orbit
     that stopped; its times, images, margins and residuals from that
@@ -354,10 +361,33 @@ class _BlockedDense:
         return out
 
 
+def _seed_rows(sec: SectionSpec, directed, dense: _BlockedDense, ts: np.ndarray,
+               anchors, oriented: int):
+    """Times, section angles and rates of a scan's seed grid ts up to and
+    including the row that ends the last orbit's first upward lattice passage
+    (every row when some orbit makes none).  The rows are evaluated one block
+    at a time while a `_PassageWatch` follows the lifts, and evaluation stops
+    after the first block in which every orbit has passed; the cut is a row,
+    not a block, so it does not depend on GRID_BLOCK_VALUES."""
+    vals, rates, watch, end = [], [], None, len(ts)
+    for a in range(0, len(ts), dense.rows):
+        block_vals, block_rates = dense.angles_and_rates(sec, directed, ts[a:a + dense.rows])
+        vals.append(block_vals)
+        rates.append(block_rates)
+        if watch is None:
+            watch = _PassageWatch(sec, block_vals[0], anchors, oriented)
+            block_vals = block_vals[1:]
+        if watch.follow(block_vals):
+            end = watch.first.max() + 1
+            break
+    return ts[:end], np.concatenate(vals)[:end], np.concatenate(rates)[:end]
+
+
 def _sample_grid(sec: SectionSpec, directed, dense: _BlockedDense, ts: np.ndarray,
-                 anchors, oriented: int):
+                 vals: np.ndarray, rates: np.ndarray, anchors, oriented: int):
     """Section angles and rates along the directed flow on a shared grid
-    (rows are times, columns orbits), refined until
+    (rows are times, columns orbits), from the seed rows ts with their
+    angles ``vals`` and ``rates`` (`_seed_rows`), refined until
 
     - adjacent angles of an orbit differ by less than pi/2, and its rate
       times the spacing is at most pi/2, so the lift cannot slip a branch.
@@ -377,7 +407,6 @@ def _sample_grid(sec: SectionSpec, directed, dense: _BlockedDense, ts: np.ndarra
     before ``anchors`` are applied), the rates, and per orbit whether an
     interval is still too wide for it when the rounds run out.
     """
-    vals, rates = dense.angles_and_rates(sec, directed, ts)
     for k in range(GRID_ROUNDS + 1):
         lift = np.unwrap(vals, axis=0)
         dts = np.diff(ts)
@@ -456,28 +485,48 @@ def _first_passages(sec: SectionSpec, v: np.ndarray, oriented: int, owned: bool)
 
 
 class _PassageWatch:
-    """Stop predicate of a crossing scan: follows the lifted section angle of
-    every orbit from step end to step end and turns true once each has made
-    an upward lattice passage.  Being fooled by a step spanning more than pi
-    of angle only ends the scan late, or early with an orbit left for the
-    next chunk, since the brackets come from the refined grid."""
+    """Follows the lifted section angle of every orbit down rows of angles
+    (step ends, or seed grid rows) from the first row ``vals``, with the
+    anchors, orientation and start ownership of `_lattice_cells`, and records
+    per orbit the row that ends its first upward lattice passage (-1 while it
+    has none).  Called on batch states it is the stop predicate of a crossing
+    scan.  Being fooled by a row step spanning more than pi of angle only ends
+    the scan late, or early with an orbit left for the next chunk, since the
+    brackets come from the refined grid."""
 
-    def __init__(self, sec: SectionSpec, starts: np.ndarray, anchors, oriented: int):
+    def __init__(self, sec: SectionSpec, vals: np.ndarray, anchors, oriented: int):
         self.sec = sec
         self.oriented = oriented
-        self.vals = np.asarray(sec.theta(starts), dtype=float)
+        self.vals = np.asarray(vals, dtype=float)
         self.lift = self.vals if anchors is None else anchors
         self.cells = _lattice_cells(sec, self.lift[None], oriented, anchors is None)[0]
-        self.passed = np.zeros(len(self.vals), dtype=bool)
+        self.first = np.full(len(self.vals), -1)
+        self.rows = 1
+
+    def follow(self, vals: np.ndarray) -> bool:
+        """Follow the next rows of angles (rows, orbits); true once every
+        orbit has passed."""
+        if len(vals):
+            # lift_k = lift_{k-1} - wrapped step back from row k to row k-1,
+            # summed in row order
+            rows = np.concatenate([self.vals[None], vals])
+            lift = rows[:-1] - rows[1:]
+            lift += math.pi
+            lift %= TWO_PI
+            np.subtract(math.pi, lift, out=lift)
+            lift[0] += self.lift
+            np.cumsum(lift, axis=0, out=lift)
+            cells = _lattice_cells(self.sec, lift, self.oriented, False)
+            up = cells > np.concatenate([self.cells[None], cells[:-1]])
+            new = up.any(axis=0) & (self.first < 0)
+            if new.any():
+                self.first[new] = self.rows + up[:, new].argmax(axis=0)
+            self.rows += len(vals)
+            self.vals, self.lift, self.cells = vals[-1], lift[-1], cells[-1]
+        return bool((self.first >= 0).all())
 
     def __call__(self, states: np.ndarray) -> bool:
-        vals = np.asarray(self.sec.theta(states), dtype=float)
-        self.lift = self.lift - ((self.vals - vals + math.pi) % TWO_PI - math.pi)
-        self.vals = vals
-        cells = _lattice_cells(self.sec, self.lift[None], self.oriented, False)[0]
-        self.passed |= cells > self.cells
-        self.cells = cells
-        return bool(self.passed.all())
+        return self.follow(np.asarray(self.sec.theta(states), dtype=float)[None])
 
 
 def first_crossings(system, sec: SectionSpec, starts: np.ndarray,
@@ -490,8 +539,10 @@ def first_crossings(system, sec: SectionSpec, starts: np.ndarray,
     crossing.  Orbits are integrated in chunks of doubling length until each
     has a bracket or t_max is reached; failures are entries, not exceptions.
     A chunk ends early, at the first accepted step after which every orbit
-    has passed a lattice value; an orbit the refined grid finds no bracket
-    for goes on into the next chunk.
+    has passed a lattice value.  Its seed grid is evaluated only up to the
+    row that ends the last orbit's first passage (`_seed_rows`), margins
+    cover the kept rows, and an orbit the refined grid finds no bracket for
+    in them goes on into the next chunk from the last kept row.
     """
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     n, dim = starts.shape
@@ -509,14 +560,15 @@ def first_crossings(system, sec: SectionSpec, starts: np.ndarray,
     anchors = None
     t_accum = 0.0
     while active.size and t_accum < t_max - 1e-15:
-        watch = _PassageWatch(sec, states, anchors, oriented)
+        watch = _PassageWatch(sec, sec.theta(states), anchors, oriented)
         sol = phase.integrate_batch(directed, states, 0.0, min(chunk, t_max - t_accum), tol,
                                     dense=True, stop=watch)
         t_end = float(sol.t[-1])
         dense = _BlockedDense(sol.sol, len(active), dim)
         m = max(65, min(2049, int(16 * t_end * max(typical, 1.0 / t_end))))
         ts = np.union1d(np.linspace(0.0, t_end, m), sol.t)
-        ts, v, rates, coarse = _sample_grid(sec, directed, dense, ts, anchors, oriented)
+        seed = _seed_rows(sec, directed, dense, ts, anchors, oriented)
+        ts, v, rates, coarse = _sample_grid(sec, directed, dense, *seed, anchors, oriented)
         out.margins[active] = np.minimum(out.margins[active], np.abs(rates).min(axis=0))
         for orbit in active[coarse]:
             out.failures[orbit] = (f"unconverged: grid refinement left an interval over pi/2 "
@@ -562,7 +614,7 @@ def first_crossings(system, sec: SectionSpec, starts: np.ndarray,
         active = active[keep]
         states = dense.gather(ts, np.full(keep.sum(), len(ts) - 1), np.flatnonzero(keep))
         anchors = v[-1, keep]
-        t_accum += t_end
+        t_accum += float(ts[-1])
         chunk = min(2.0 * chunk, t_max)
     return out
 

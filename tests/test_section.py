@@ -602,6 +602,72 @@ def test_grid_refinement_that_runs_out_fails_the_orbit(monkeypatch):
         r.raise_failure()
 
 
+@pytest.mark.parametrize("v_fast", [-99.0, -101.0])
+def test_seed_passage_disproved_by_refinement_continues_from_last_kept_row(monkeypatch, v_fast):
+    # the fast orbit runs backward, never crosses upward, and turns close to
+    # a whole number of times between seed rows: the seed rows show it
+    # passing, so the scan keeps rows only up to the slow orbits' passages,
+    # and the refined grid then finds no bracket for it.  It goes on from
+    # the last kept row and reaches t_max with no crossing, as it does alone
+    # (it failed as unconverged when every seed row was refined)
+    system, sec = _drift()
+    starts = _fast_among_slow(v_fast)
+    alone = [S.first_crossings(system, sec, x[None], t_max=40.0) for x in starts]
+    scans = []
+    integrate = P.integrate_batch
+
+    def recording(system, x0, t0, t1, tol=P.DEFAULT_FLOW_TOL, dense=False, stop=None):
+        sol = integrate(system, x0, t0, t1, tol, dense, stop)
+        if dense:
+            scans.append((np.array(x0), t1, sol.t[-1]))
+        return sol
+
+    monkeypatch.setattr(S.phase, "integrate_batch", recording)
+    c = S.first_crossings(system, sec, starts, t_max=40.0)
+    assert c.failures == [a.failures[0] for a in alone] == [None] * 9 + ["no crossing"]
+    assert np.max(np.abs(c.times[:9] - TWO_PI / starts[:9, 1])) < 1e-9
+    assert np.max(np.abs(c.times[:9] - [a.times[0] for a in alone[:9]])) < 1e-12
+    assert np.isnan(c.times[9])
+    # the second scan starts the fast orbit alone at the last kept row, before
+    # the first scan's end, and the time accumulated over the scans agrees
+    # with where each one starts: the last one ends exactly at t_max
+    (_, _, t_end), (second, _, _), (last, t_last, _) = scans[0], scans[1], scans[-1]
+    assert second.shape == (1, 2) and second[0, 1] == v_fast
+    assert 0.0 < second[0, 0] / v_fast < t_end
+    assert abs(last[0, 0] / v_fast + t_last - 40.0) < 1e-9
+
+
+@pytest.mark.parametrize("direction", [1, -1])
+def test_scan_stops_evaluating_at_last_first_passage(monkeypatch, t4_system, t6_system,
+                                                     direction):
+    # every leaf orbit of a product system passes the section after 2*pi and
+    # the chunk runs 2.5 laps; no grid time past the last orbit's first
+    # passage row, save the rest of its block (two rows here), is evaluated
+    evaluated = []
+    angles_and_rates = S._BlockedDense.angles_and_rates
+
+    def recording(self, sec, directed, ts):
+        evaluated.append(ts)
+        return angles_and_rates(self, sec, directed, ts)
+
+    monkeypatch.setattr(S._BlockedDense, "angles_and_rates", recording)
+    scans = _record_dense_scans(monkeypatch)
+    for system in (t4_system, t6_system):
+        evaluated.clear()
+        scans.clear()
+        sec = catalog.product_leaf_section(system)
+        starts = catalog.sample_product_leaf(system, np.random.default_rng(5), 40)
+        monkeypatch.setattr(S, "GRID_BLOCK_VALUES", 2 * starts.size)
+        c = S.first_crossings(system, sec, starts, t_max=50.0, direction=direction)
+        assert c.ok.all()
+        assert np.max(np.abs(c.times - direction * TWO_PI)) < 1e-9
+        [(_, steps)] = scans
+        ts = np.unique(np.concatenate(evaluated))
+        spacing = np.max(np.diff(ts))
+        assert steps[-1] > TWO_PI + 2 * spacing
+        assert TWO_PI <= ts[-1] <= TWO_PI + 2 * spacing
+
+
 @pytest.mark.parametrize("direction", [1, -1])
 def test_mixed_rate_batch_brackets_on_own_rows(monkeypatch, direction):
     # orbits of different rates and phases bracket on different grid rows, so
@@ -634,17 +700,15 @@ def test_mixed_rate_batch_brackets_on_own_rows(monkeypatch, direction):
         assert blocked.failures == together.failures
 
 
-def test_verify_global_memory_bound():
-    # 1500 leaf samples of the T^6 product, as the demo-product command draws
-    # them: the grid's states are evaluated in bounded blocks and never kept,
-    # so the traced peak stays far under the ~60 MB that holding every state
-    # of every orbit at every grid time takes here
+def _verify_global_traced_peak(n):
+    """Traced memory peak of verify_global over n leaf samples of the T^6
+    product, drawn as the demo-product command draws them."""
     import tracemalloc
     from cosymlab import cosym
     rng = np.random.default_rng(1000)
     system = cosym.build_product_system(catalog.SEEDS["t5"](), rng=rng)
     system.validate(system.manifold.sample(rng, 64))
-    samples = catalog.sample_product_leaf(system, rng, 1500)
+    samples = catalog.sample_product_leaf(system, rng, n)
     sec = catalog.product_leaf_section(system)
     tracemalloc.start()
     try:
@@ -652,5 +716,20 @@ def test_verify_global_memory_bound():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rep.passed and rep.n_pass == 1500
-    assert peak < 40 * 2 ** 20
+    assert rep.passed and rep.n_pass == n
+    return peak
+
+
+def test_verify_global_memory_bound():
+    # the grid's states are evaluated in bounded blocks and never kept, and
+    # the seed grid is evaluated only up to the last orbit's first passage
+    # (2*pi of a 2.5-lap chunk): the rows x orbits angles, rates and
+    # refinement temporaries cover 105 of 255 rows, and the traced peak is
+    # about 13 MiB (26 MiB when every seed row was kept)
+    assert _verify_global_traced_peak(1500) < 20 * 2 ** 20
+
+
+def test_verify_global_memory_bound_at_10000_samples():
+    # the refinement temporaries scale with the kept rows: about 82 MiB here,
+    # 168 MiB when every seed row was kept
+    assert _verify_global_traced_peak(10_000) < 120 * 2 ** 20
