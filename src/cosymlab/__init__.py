@@ -9,8 +9,7 @@ from .forms import (ChartManifold, ChartMap, KForm, Point, TangentVector,
                     exterior_derivative, function_form, interior, power,
                     pullback, wedge, zero_form)
 from .phase import (EnergySurface, FlowSystem, HamiltonianSystem, SingularOmegaError,
-                    divergence_check, energy_drift, flow, flow_implicit_midpoint,
-                    hamiltonian_vector_field)
+                    divergence_check, energy_drift, flow, hamiltonian_vector_field)
 from .section import (Crossings, GlobalityReport, MappingTorusChart, NoCrossingError,
                       RefinementError, ReturnRecord, Returns, SectionSpec, TangencyError,
                       coordinate_section, first_crossings, first_return, iterate_returns,

@@ -7,7 +7,9 @@ Two families of obstructions:
   both positive and zero by Stokes), so no compact level set of any energy
   function admits a global transverse section.  The Stokes test makes this
   computable: the integral of the restricted form over any meshed closed
-  surface must vanish.
+  surface must vanish.  The composite midpoint rule evaluates its n x n
+  nodes one block of u-rows at a time within the ``forms.BLOCK_VALUES``
+  budget, so its memory does not grow with n.
 * cohomology: an energy hypersurface carrying such a section carries a
   cosymplectic pair, whose powers represent nonzero classes in every degree,
   so all Betti numbers must be positive.  Betti numbers come from a curated
@@ -22,6 +24,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import forms
 from .forms import ChartMap, KForm, evaluate_frame, exterior_derivative, max_coeff_magnitude
 from .phase import HamiltonianSystem
 
@@ -54,24 +57,37 @@ class MeshedSurface:
         if any(e <= 0 for e in self.extents):
             raise ValueError("parameter extents must be positive")
 
-    def nodes(self, n: int) -> np.ndarray:
-        """Tensor-product midpoint nodes, shape (n*n, 2)."""
-        u = (np.arange(n) + 0.5) * self.extents[0] / n
+    def nodes(self, n: int, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
+        """Tensor-product midpoint nodes of the u-rows start..stop-1 (every
+        row by default) of the n x n rule, row by row: shape
+        ((stop - start) * n, 2)."""
+        u = (np.arange(start, n if stop is None else stop) + 0.5) * self.extents[0] / n
         v = (np.arange(n) + 0.5) * self.extents[1] / n
         U, V = np.meshgrid(u, v, indexing="ij")
         return np.stack([U.ravel(), V.ravel()], axis=-1)
 
 
 def surface_integral(form: KForm, surf: MeshedSurface, n: int = DEFAULT_QUAD_NODES) -> float:
-    """Integral of a two-form over the surface by composite midpoint quadrature."""
+    """Integral of a two-form over the surface by composite midpoint quadrature.
+
+    The n x n nodes are evaluated one block of u-rows at a time, and a
+    block's patch Jacobians hold at most ``forms.BLOCK_VALUES`` values, so
+    memory does not grow with n (time grows as n^2).  Each u-row is summed
+    on its own and the row sums last, so the result does not depend on the
+    block size.
+    """
     if form.degree != 2:
         raise ValueError("surface integral needs a two-form")
-    params = surf.nodes(n)
-    # a constant form never reads the points, so the patch is not evaluated there
-    pts = None if form.constant_value is not None else surf.patch.value(params)
-    vals = evaluate_frame(form, pts, surf.patch.jacobian(params))
+    rows = max(1, forms.BLOCK_VALUES // (n * form.dim * 2))
+    row_sums = np.empty(n)
+    for a in range(0, n, rows):
+        params = surf.nodes(n, a, min(a + rows, n))
+        # a constant form never reads the points, so the patch is not evaluated there
+        pts = None if form.constant_value is not None else surf.patch.value(params)
+        vals = evaluate_frame(form, pts, surf.patch.jacobian(params))
+        np.sum(vals.reshape(-1, n), axis=1, out=row_sums[a:a + rows])
     cell = (surf.extents[0] / n) * (surf.extents[1] / n)
-    return float(np.sum(vals) * cell)
+    return float(np.sum(row_sums) * cell)
 
 
 def stokes_exactness_check(sys: HamiltonianSystem, surf: MeshedSurface,

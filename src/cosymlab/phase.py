@@ -14,8 +14,7 @@ return maps, transversality margins) uses this convention.
 Flows integrate with the package's own batched DOP853 stepper (`dop853`: the
 explicit Runge-Kutta pair of order 8 with SciPy's step-size control, in
 NumPy only) at a caller-given tolerance, rtol = tol and atol = tol / 100; a
-batch of orbits is one stacked state vector with one step size.  A
-fixed-step implicit midpoint rule is provided for long-time runs.
+batch of orbits is one stacked state vector with one step size.
 """
 from __future__ import annotations
 
@@ -274,33 +273,6 @@ def flow(system, p0: Point, t: float, tol: float = DEFAULT_FLOW_TOL) -> FlowResu
     if hasattr(system, "energy"):
         drift = float(abs(system.energy(x1) - system.energy(x0)))
     return FlowResult(system.manifold.point(x1), drift)
-
-
-def flow_implicit_midpoint(system, p0: Point, t: float, dt: float = 1e-3) -> FlowResult:
-    """Fixed-step implicit midpoint flow, for long-time symplectic runs.
-
-    Each step solves for its midpoint by fixed-point iteration; a step whose
-    iteration has not converged after 50 rounds raises RuntimeError.
-    """
-    x = p0.coords.copy()
-    n_steps = max(1, int(round(abs(t) / dt)))
-    hstep = t / n_steps
-    for step in range(n_steps):
-        mid = x + 0.5 * hstep * system.field(x)
-        for _ in range(50):
-            mid_new = x + 0.5 * hstep * system.field(mid)
-            gap = float(np.max(np.abs(mid_new - mid)))
-            mid = mid_new
-            if gap < 1e-14 * max(1.0, float(np.max(np.abs(mid)))):
-                break
-        else:
-            raise RuntimeError(f"implicit midpoint step {step + 1} of {n_steps} (size {hstep:g}) "
-                               f"did not converge: fixed-point gap {gap:.3e} after 50 iterations")
-        x = 2.0 * mid - x
-    drift = 0.0
-    if hasattr(system, "energy"):
-        drift = float(abs(system.energy(x) - system.energy(p0.coords)))
-    return FlowResult(system.manifold.point(x), drift)
 
 
 def hamiltonian_vector_field(sys: HamiltonianSystem, p: Point) -> TangentVector:

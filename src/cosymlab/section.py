@@ -26,7 +26,7 @@ steps:
   near a lattice value is sampled (so short excursions through the section
   are seen).  An orbit still too coarsely sampled when the rounds run out
   fails as unconverged.  The dense output is evaluated in blocks of at most
-  GRID_BLOCK_VALUES state values and only the angles and rates are kept, so
+  forms.BLOCK_VALUES state values and only the angles and rates are kept, so
   no (times, orbits, dim) array is built; the bracket states are evaluated
   again at their own rows.  The first upward lattice passage of every orbit
   is read off floor differences of the lift.  A row step spanning more than
@@ -56,7 +56,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .forms import ChartManifold, Point, two_form_matrix
-from . import phase
+from . import forms, phase
 
 TWO_PI = 2.0 * math.pi
 
@@ -66,7 +66,6 @@ ON_SECTION_TOL = 1e-8
 NEAR_LATTICE = 1e-3     # lattice units (turns of the section angle)
 DEFAULT_T_MAX = 1e3
 GRID_ROUNDS = 8                 # refinement rounds of a crossing scan's sample grid
-GRID_BLOCK_VALUES = 2 ** 17     # state values held by one block of a grid evaluation
 
 
 class TangencyError(RuntimeError):
@@ -325,13 +324,13 @@ def _unconverged(residual: float) -> str:
 
 class _BlockedDense:
     """Dense output of a stacked batch of n orbits in dim coordinates,
-    evaluated in row blocks of at most GRID_BLOCK_VALUES state values (one
+    evaluated in row blocks of at most forms.BLOCK_VALUES state values (one
     time row at least), so no (times, orbits, dim) array is built."""
 
     def __init__(self, sol, n: int, dim: int):
         self.sol = sol
         self.n, self.dim = n, dim
-        self.rows = max(1, GRID_BLOCK_VALUES // (n * dim))
+        self.rows = max(1, forms.BLOCK_VALUES // (n * dim))
 
     def blocks(self, ts: np.ndarray):
         """(start row, states (rows, n, dim)) for each block of the times ts."""
@@ -368,7 +367,7 @@ def _seed_rows(sec: SectionSpec, directed, dense: _BlockedDense, ts: np.ndarray,
     (every row when some orbit makes none).  The rows are evaluated one block
     at a time while a `_PassageWatch` follows the lifts, and evaluation stops
     after the first block in which every orbit has passed; the cut is a row,
-    not a block, so it does not depend on GRID_BLOCK_VALUES."""
+    not a block, so it does not depend on forms.BLOCK_VALUES."""
     vals, rates, watch, end = [], [], None, len(ts)
     for a in range(0, len(ts), dense.rows):
         block_vals, block_rates = dense.angles_and_rates(sec, directed, ts[a:a + dense.rows])
@@ -529,6 +528,13 @@ class _PassageWatch:
         return self.follow(np.asarray(self.sec.theta(states), dtype=float)[None])
 
 
+def _typical_rate(rates: np.ndarray) -> float:
+    """Median |rate| of the finite entries, floored at 1e-6: the rate a
+    scan's seed grid is sized for."""
+    rates = np.abs(rates[np.isfinite(rates)])
+    return max(float(np.median(rates)) if rates.size else 0.0, 1e-6)
+
+
 def first_crossings(system, sec: SectionSpec, starts: np.ndarray,
                     t_max: float = DEFAULT_T_MAX, tol: float = phase.DEFAULT_FLOW_TOL,
                     direction: int = 1) -> Crossings:
@@ -542,7 +548,8 @@ def first_crossings(system, sec: SectionSpec, starts: np.ndarray,
     has passed a lattice value.  Its seed grid is evaluated only up to the
     row that ends the last orbit's first passage (`_seed_rows`), margins
     cover the kept rows, and an orbit the refined grid finds no bracket for
-    in them goes on into the next chunk from the last kept row.
+    in them goes on into the next chunk from the last kept row.  Each
+    chunk's seed grid is sized for the median rate of the orbits it carries.
     """
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     n, dim = starts.shape
@@ -552,8 +559,7 @@ def first_crossings(system, sec: SectionSpec, starts: np.ndarray,
                     rates=np.full(n, np.nan), residuals=np.full(n, np.nan),
                     margins=np.abs(np.asarray(sec.rate(system, starts), dtype=float)),
                     crossings_seen=np.zeros(n, dtype=int), failures=["no crossing"] * n)
-    finite0 = out.margins[np.isfinite(out.margins)]
-    typical = max(float(np.median(finite0)) if finite0.size else 0.0, 1e-6)
+    typical = _typical_rate(out.margins)
     chunk = min(t_max, max(2.5 * TWO_PI / typical, 1e-3))
     active = np.arange(n)
     states = starts
@@ -611,6 +617,8 @@ def first_crossings(system, sec: SectionSpec, starts: np.ndarray,
                     out.failures[orbit] = None
 
         keep = ~hit & ~coarse
+        # the next chunk's grid is sized for the orbits still going
+        typical = _typical_rate(rates[-1, keep])
         active = active[keep]
         states = dense.gather(ts, np.full(keep.sum(), len(ts) - 1), np.flatnonzero(keep))
         anchors = v[-1, keep]

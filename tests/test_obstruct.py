@@ -51,22 +51,62 @@ def test_stokes_requires_closed_surface(r4_system):
         O.stokes_exactness_check(r4_system, open_patch)
 
 
-def test_quadrature_second_order_convergence(r4_system):
-    # smooth non-closed integrand over the sphere: composite midpoint error
-    # falls by at least 4x per mesh halving
-    sphere = catalog.embedded_sphere_r4(center=np.array([0.2, 0.1, -0.3, 0.0]))
-
+def _exp_form():
+    """exp(x2) dx0^dx1 on R^4: smooth, not closed, and not constant."""
     def coeffs(x):
         x = np.asarray(x, dtype=float)
         out = np.zeros(x.shape[:-1] + (6,))
         out[..., 0] = np.exp(x[..., 2])
         return out
 
-    form = F.KForm(2, 4, coeffs)
+    return F.KForm(2, 4, coeffs)
+
+
+def _offset_sphere():
+    return catalog.embedded_sphere_r4(center=np.array([0.2, 0.1, -0.3, 0.0]))
+
+
+def test_quadrature_second_order_convergence(r4_system):
+    # smooth non-closed integrand over the sphere: composite midpoint error
+    # falls by at least 4x per mesh halving
+    sphere = _offset_sphere()
+    form = _exp_form()
     reference = O.surface_integral(form, sphere, n=1024)
     errors = [abs(O.surface_integral(form, sphere, n=n) - reference) for n in (8, 16, 32)]
     assert errors[0] / errors[1] >= 4.0
     assert errors[1] / errors[2] >= 4.0
+
+
+@pytest.mark.parametrize("n", [100, 512])
+def test_quadrature_is_independent_of_the_block_size(monkeypatch, r4_system, n):
+    # each u-row is summed on its own, so a block of one row, of three rows
+    # (which does not divide n) and of every row give the same bits
+    cases = [(r4_system.omega, catalog.embedded_torus_r4()),
+             (r4_system.omega, catalog.embedded_sphere_r4()),
+             (_exp_form(), _offset_sphere())]
+    results = []
+    for rows in (1, 3, n):
+        # a block of r rows holds r * n nodes' (4, 2) Jacobians
+        monkeypatch.setattr(F, "BLOCK_VALUES", rows * n * 4 * 2)
+        results.append([O.surface_integral(form, surf, n) for form, surf in cases])
+    assert results[0] == results[1] == results[2]
+    assert all(abs(value) < 1e-12 for value in results[0][:2])
+
+
+def test_stokes_memory_bound(r4_system):
+    # the nodes are evaluated one block of u-rows at a time: the traced peak
+    # is about 2.3 MiB at n = 1024, against 136 MiB when all n^2 nodes, their
+    # Jacobians and their frame minors were built at once
+    import tracemalloc
+    sphere = catalog.embedded_sphere_r4()
+    tracemalloc.start()
+    try:
+        value = O.stokes_exactness_check(r4_system, sphere, n=1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(value) < 1e-12
+    assert peak < 8 * 2 ** 20
 
 
 # -- exactness verdict -----------------------------------------------------------------

@@ -204,18 +204,6 @@ def test_monte_carlo_volume_preservation(ho_system):
     assert abs(v1 - v0) / v0 < 0.02
 
 
-def test_implicit_midpoint_energy(ho_system):
-    res = P.flow_implicit_midpoint(ho_system, ho_system.point([1.0, 0.0]), 50.0, dt=1e-2)
-    assert res.energy_error < 1e-8
-
-
-def test_implicit_midpoint_unconverged_step_raises(ho_system):
-    # the fixed-point map contracts by dt/2 per round on the unit-frequency
-    # oscillator, so dt = 3 diverges
-    with pytest.raises(RuntimeError, match=r"step 1 of 4 .*gap"):
-        P.flow_implicit_midpoint(ho_system, ho_system.point([1.0, 0.0]), 12.0, dt=3.0)
-
-
 def test_validate_rejects_non_closed_omega():
     c4 = F.ChartManifold(4)
     # coefficient of the (0,1) block depends on coordinate 3: not closed

@@ -628,6 +628,10 @@ def test_seed_passage_disproved_by_refinement_continues_from_last_kept_row(monke
     assert np.max(np.abs(c.times[:9] - TWO_PI / starts[:9, 1])) < 1e-9
     assert np.max(np.abs(c.times[:9] - [a.times[0] for a in alone[:9]])) < 1e-12
     assert np.isnan(c.times[9])
+    # each later scan's grid is sized for the orbits still going, here the
+    # fast orbit alone, so it reaches t_max in 4 (v = -99) or 3 (v = -101)
+    # scans; a grid sized for the first batch's median rate took 37 and 30
+    assert len(scans) <= 6
     # the second scan starts the fast orbit alone at the last kept row, before
     # the first scan's end, and the time accumulated over the scans agrees
     # with where each one starts: the last one ends exactly at t_max
@@ -657,7 +661,7 @@ def test_scan_stops_evaluating_at_last_first_passage(monkeypatch, t4_system, t6_
         scans.clear()
         sec = catalog.product_leaf_section(system)
         starts = catalog.sample_product_leaf(system, np.random.default_rng(5), 40)
-        monkeypatch.setattr(S, "GRID_BLOCK_VALUES", 2 * starts.size)
+        monkeypatch.setattr(F, "BLOCK_VALUES", 2 * starts.size)
         c = S.first_crossings(system, sec, starts, t_max=50.0, direction=direction)
         assert c.ok.all()
         assert np.max(np.abs(c.times - direction * TWO_PI)) < 1e-9
@@ -693,7 +697,7 @@ def test_mixed_rate_batch_brackets_on_own_rows(monkeypatch, direction):
     assert np.max(np.abs(together.times - [c.times[0] for c in alone])) < 1e-8
     assert together.crossings_seen.tolist() == [int(c.crossings_seen[0]) for c in alone]
     for budget in (1, 3 * starts.size):
-        monkeypatch.setattr(S, "GRID_BLOCK_VALUES", budget)
+        monkeypatch.setattr(F, "BLOCK_VALUES", budget)
         blocked = S.first_crossings(system, sec, starts, 50.0, direction=direction)
         for field in ("times", "states", "rates", "margins", "residuals", "crossings_seen"):
             assert np.array_equal(getattr(blocked, field), getattr(together, field))
