@@ -13,8 +13,8 @@ from .phase import (EnergySurface, FlowSystem, HamiltonianSystem, SingularOmegaE
 from .section import (Crossings, GlobalityReport, MappingTorusChart, NoCrossingError,
                       RefinementError, ReturnRecord, Returns, SectionSpec, TangencyError,
                       coordinate_section, first_crossings, first_return, iterate_returns,
-                      mapping_torus_chart, return_map_jacobian, return_map_jacobians,
-                      verify_global, write_crossings_csv)
+                      mapping_torus_chart, return_map_jacobians, verify_global,
+                      write_crossings_csv)
 from .cosym import (CollarModel, CosymplecticStructure, PathDependenceError,
                     TransversalityError, TransverseFieldReport, build_collar_form,
                     build_product_system, cosym_to_field, extend_to_hamiltonian_field,

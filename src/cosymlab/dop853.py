@@ -7,21 +7,28 @@ G. Wanner, *Solving Ordinary Differential Equations I: Nonstiff Problems*,
 ``dop853.f``).  A step takes 12 stages; the dense output of a step takes 3
 more.
 
-`solve` integrates one state vector, which callers use to stack a batch of
-orbits.  Its step-size control is the one of SciPy's
-``solve_ivp(method="DOP853")``, operation for operation, so that both take
-the same steps and reach the same states:
+`solve` integrates rows of state vectors, each on its own steps: a row has
+its own time, step size, error norm and accept/reject decision, and every
+stage of a step is one batched field call over the rows still going.  A row
+is one orbit, or a group of orbits stacked into one vector that shares one
+step sequence.  Each row's step-size control is the one of SciPy's
+``solve_ivp(method="DOP853")``, operation for operation, so that one row
+takes the same steps and reaches the same states:
 
 - error scale ``atol + rtol * max(|y_old|, |y_new|)`` and the RMS norm over
-  the whole state vector (one step size for the stacked batch);
+  the row;
 - the initial step of Hairer-Norsett-Wanner section II.4;
 - step factor ``0.9 * err**(-1/8)``, clipped to [0.2, 10], and no growth
   right after a rejected step;
 - a step smaller than ten floating-point spacings of the current time stalls
-  the integration (`StepSizeUnderflow`).
+  the row (`StepSizeUnderflow`).
 
-The dense output is evaluated segment by segment into one output array, so
-it never holds more than the requested points plus one segment's share.
+A step hook can shorten or reject a row's steps and end the row, so a caller
+can watch each orbit on its own steps.  The dense output of a one-row solve
+is evaluated segment by segment into one output array, so it never holds
+more than the requested points plus one segment's share.  The scalar powers
+of the step control are taken one row at a time (`_factors`), since NumPy's
+vectorised power can differ in the last bit.
 
 The coefficient tables below are SciPy's ``integrate/_ivp/dop853_coefficients.py``,
 used under its licence:
@@ -259,47 +266,72 @@ D[3, 13] = 0.96324553959188282948394950600e+2
 D[3, 14] = -0.39177261675615439165231486172e+2
 D[3, 15] = -0.14972683625798562581422125276e+3
 
+
 class StepSizeUnderflow(RuntimeError):
-    """Adaptive integration failed to reach the target time."""
+    """Adaptive integration failed to reach the target time: ``rows`` are the
+    rows whose step size fell below the floating-point spacing of their time,
+    and ``times`` the times they stalled at."""
+
+    def __init__(self, rows: np.ndarray, times: np.ndarray):
+        super().__init__(f"integration stalled at t = {times[0]:.6g}: the step size "
+                         "fell below the spacing of floating-point numbers")
+        self.rows = rows
+        self.times = times
 
 
-def _rms(x: np.ndarray) -> float:
-    """RMS of x.  A sum of squares that overflows on finite x is recomputed
-    with x scaled by its largest magnitude; a finite norm keeps SciPy's bits."""
+def _factors(err: np.ndarray) -> np.ndarray:
+    """SciPy's step factor SAFETY * err**(-1/8) of every row, inf where err
+    is 0.  The powers are the C library's scalar ones: NumPy's vectorised
+    power can differ from them in the last bit, and one row must take
+    SciPy's steps."""
+    return np.array([SAFETY * e ** ERROR_EXPONENT if e else np.inf for e in err.tolist()])
+
+
+def _rms(x: np.ndarray):
+    """RMS over the last axis of x.  A sum of squares that overflows on finite
+    values is recomputed with them scaled by their largest magnitude; a finite
+    norm keeps SciPy's bits."""
+    rows = x.reshape(-1, x.shape[-1])
     with np.errstate(over="ignore"):
-        norm = np.linalg.norm(x)
-        if np.isinf(norm) and np.isfinite(x).all():
-            m = np.max(np.abs(x))
-            norm = m * np.linalg.norm(x / m)
-    return norm / x.size ** 0.5
+        norm = np.sqrt(np.vecdot(rows, rows))
+        big = np.isinf(norm) & np.isfinite(rows).all(axis=1)
+        if big.any():
+            m = np.max(np.abs(rows[big]), axis=1, keepdims=True)
+            scaled = rows[big] / m
+            norm[big] = m[:, 0] * np.sqrt(np.vecdot(scaled, scaled))
+    return (norm / x.shape[-1] ** 0.5).reshape(x.shape[:-1])[()]
 
 
-def _initial_step(fun, y0, f0, span, direction, rtol, atol) -> float:
-    """Hairer-Norsett-Wanner's starting step (section II.4)."""
+def _initial_step(fun, y0, f0, span, direction, rtol, atol) -> np.ndarray:
+    """Hairer-Norsett-Wanner's starting step (section II.4) of every row."""
     scale = atol + np.abs(y0) * rtol
     d0 = _rms(y0 / scale)
     d1 = _rms(f0 / scale)
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, span)
-    f1 = fun(y0 + h0 * direction * f0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
+    h0 = np.minimum(h0, span)
+    f1 = fun(y0 + h0[:, None] * direction * f0)
     d2 = _rms((f1 - f0) / scale) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** (-ERROR_EXPONENT)
-    return min(100 * h0, h1, span)
+    flat = (d1 <= 1e-15) & (d2 <= 1e-15)
+    with np.errstate(divide="ignore"):
+        base = 0.01 / np.maximum(d1, d2)
+    # scalar powers, as in `_factors`
+    h1 = np.where(flat, np.maximum(1e-6, h0 * 1e-3),
+                  [b ** -ERROR_EXPONENT for b in base.tolist()])
+    return np.minimum(np.minimum(100 * h0, h1), span)
 
 
-def _error_norm(K: np.ndarray, h: float, scale: np.ndarray) -> float:
-    """RMS norm of the blended 5th/3rd-order error estimate of a step."""
-    err5 = np.dot(K.T, E5) / scale
-    err3 = np.dot(K.T, E3) / scale
-    err5_norm_2 = np.linalg.norm(err5) ** 2
-    err3_norm_2 = np.linalg.norm(err3) ** 2
-    if err5_norm_2 == 0 and err3_norm_2 == 0:
-        return 0.0
+def _error_norm(K: np.ndarray, h: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """RMS norm of the blended 5th/3rd-order error estimate of each row's
+    step; K holds the stages of the rows side by side, scale is (rows, n)."""
+    err5 = np.dot(K.T, E5).reshape(scale.shape) / scale
+    err3 = np.dot(K.T, E3).reshape(scale.shape) / scale
+    err5_norm_2 = np.sqrt(np.vecdot(err5, err5)) ** 2
+    err3_norm_2 = np.sqrt(np.vecdot(err3, err3)) ** 2
     denom = err5_norm_2 + 0.01 * err3_norm_2
-    return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
+    # a vanishing estimate has norm 0 (its numerator is 0 too)
+    denom += denom == 0
+    return np.abs(h) * err5_norm_2 / np.sqrt(denom * scale.shape[1])
 
 
 def _interpolant(fun, K: np.ndarray, h: float, y_old: np.ndarray, y: np.ndarray,
@@ -356,12 +388,17 @@ class DenseOutput:
 
 
 class Solution:
-    """Accepted step times ``t`` (m,), states ``y`` (n, m) at those times,
-    and the dense output ``sol`` when it was requested (else None)."""
+    """Where each row's integration ended: times ``t_end`` (rows,) and states
+    ``y_end`` (rows, n).  A one-row solve also keeps its accepted step times
+    ``t`` (m,), the states ``y`` (n, m) on them and, when it was requested,
+    the dense output ``sol`` (else None)."""
 
     success = True
 
-    def __init__(self, t: np.ndarray, y: np.ndarray, sol: Optional[DenseOutput]):
+    def __init__(self, t_end: np.ndarray, y_end: np.ndarray, t: Optional[np.ndarray] = None,
+                 y: Optional[np.ndarray] = None, sol: Optional[DenseOutput] = None):
+        self.t_end = t_end
+        self.y_end = y_end
         self.t = t
         self.y = y
         self.sol = sol
@@ -369,68 +406,130 @@ class Solution:
 
 def solve(fun: Callable[[np.ndarray], np.ndarray], t0: float, t1: float, y0,
           rtol: float, atol: float, dense: bool = False,
-          stop: Optional[Callable[[np.ndarray], bool]] = None) -> Solution:
-    """Integrate the autonomous system y' = fun(y) from t0 to t1.
+          step: Optional[Callable] = None) -> Solution:
+    """Integrate the autonomous system y' = fun(y) from t0 to t1, every row of
+    the state on its own steps.
 
-    ``y0`` is one state vector (n,); ``fun`` maps (n,) to (n,).  ``stop``,
-    when given, is called with the state (n,) after each accepted step; the
-    solution ends at the first step for which it returns true, which may be
-    before t1.  It sees only accepted states, so the steps taken up to there
-    are the steps taken without it.  Raises StepSizeUnderflow when the step
-    size falls below the floating-point spacing of the current time.
+    ``y0`` holds rows (rows, n), and ``fun`` maps any (k, n) rows to (k, n):
+    each stage of a step is one call over the rows still going.  Every row has
+    its own time, step size, error norm and accept/reject decision, so it
+    takes the steps it takes alone.  A single vector ``y0`` (n,) is one row,
+    with ``fun`` mapping (n,) to (n,).  Dense output needs one row.
+
+    ``step``, when given, sees every attempted step that passes the error
+    control: ``step(rows, t, y, t_new, y_new, f, f_new)`` gets the indices,
+    times, states and field values at both ends of those rows, and returns per
+    row whether the step stands, a cap on the length of the row's next step,
+    and whether the row is done after it.  A step that does not stand is
+    retried at the cap, as after a rejection; a done row stops.
+
+    A row whose step size falls below ten floating-point spacings of its time
+    stalls; once every other row has finished, StepSizeUnderflow names the
+    stalled rows.
     """
     t0, t1 = float(t0), float(t1)
     if t1 == t0:
         raise ValueError("empty integration interval")
-    y = np.asarray(y0).astype(float, copy=False)
-    if y.ndim != 1:
-        raise ValueError("the initial state must be one vector")
+    y = np.array(y0, dtype=float)
+    if y.ndim == 1:
+        vector_fun = fun
+
+        def fun(rows):
+            return vector_fun(rows[0])[None]
+
+        y = y[None]
+    if y.ndim != 2:
+        raise ValueError("the initial state must be one vector or rows of vectors")
     if not np.isfinite(y).all():
         raise ValueError("the initial state must be finite")
+    one_row = len(y) == 1
+    if dense and not one_row:
+        raise ValueError("dense output needs a single row")
     rtol = max(rtol, RTOL_MIN)
     direction = 1.0 if t1 > t0 else -1.0
+    rows = np.arange(len(y))
+    t = np.full(len(y), t0)
     f = fun(y)
     h_abs = _initial_step(fun, y, f, abs(t1 - t0), direction, rtol, atol)
-    K_extended = np.empty((N_STAGES_EXTENDED, len(y)))
-    K = K_extended[:N_STAGES + 1]
-    t = t0
-    ts, ys, coeffs = [t], [y], []
-    while direction * (t - t1) < 0:
+    rejected = np.zeros(len(y), dtype=bool)
+    t_end, y_end = t.copy(), y.copy()
+    stalled, stall_times = [], []
+    ts, ys, coeffs = [t0], list(y[:1]), []
+    K_extended = np.empty((N_STAGES_EXTENDED, y.size))
+    while rows.size:
         min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
-        h_abs = max(h_abs, min_step)
-        rejected = False
-        while True:
-            if h_abs < min_step:
-                raise StepSizeUnderflow(f"integration stalled at t = {t:.6g}: the step size "
-                                        "fell below the spacing of floating-point numbers")
-            t_new = t + h_abs * direction
-            if direction * (t_new - t1) > 0:
-                t_new = t1
-            h = t_new - t
-            h_abs = np.abs(h)
-            K[0] = f
-            for s in range(1, N_STAGES):
-                dy = np.dot(K[:s].T, A[s, :s]) * h
-                K[s] = fun(y + dy)
-            y_new = y + h * np.dot(K[:-1].T, B)
-            f_new = fun(y_new)
-            K[-1] = f_new
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = _error_norm(K, h, scale)
-            if error_norm < 1:
-                factor = (MAX_FACTOR if error_norm == 0
-                          else min(MAX_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT))
-                h_abs *= min(1, factor) if rejected else factor
-                break
-            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
-            rejected = True
-        if dense:
-            coeffs.append(_interpolant(fun, K_extended, h, y, y_new, f_new))
-        t, y, f = t_new, y_new, f_new
-        ts.append(t)
-        ys.append(y)
-        if stop is not None and stop(y):
-            break
+        if np.count_nonzero(rejected):
+            h_abs = np.where(rejected, h_abs, np.maximum(h_abs, min_step))
+            stall = h_abs < min_step
+            if np.count_nonzero(stall):
+                stalled += rows[stall].tolist()
+                stall_times += t[stall].tolist()
+                t_end[rows[stall]], y_end[rows[stall]] = t[stall], y[stall]
+                keep = ~stall
+                rows, t, y, f, h_abs, rejected = (a[keep] for a in (rows, t, y, f, h_abs, rejected))
+                if not rows.size:
+                    break
+        else:
+            h_abs = np.maximum(h_abs, min_step)
+        t_new = t + h_abs * direction
+        t_new = np.minimum(t_new, t1) if direction > 0 else np.maximum(t_new, t1)
+        h = t_new - t
+        h_abs = np.abs(h)
+        h_each = np.repeat(h, y.shape[1])   # each row's step at each of its values
+        if K_extended.shape[1] != y.size:
+            K_extended = np.empty((N_STAGES_EXTENDED, y.size))
+        # the stages of all rows side by side, and the same memory row by row
+        K, K_rows = K_extended[:N_STAGES + 1], K_extended.reshape(N_STAGES_EXTENDED, *y.shape)
+        K_rows[0] = f
+        y_flat = y.reshape(-1)
+        for s in range(1, N_STAGES):
+            dy = np.dot(K[:s].T, A[s, :s]) * h_each
+            K_rows[s] = fun((y_flat + dy).reshape(y.shape))
+        y_new = (y_flat + h_each * np.dot(K[:-1].T, B)).reshape(y.shape)
+        f_new = fun(y_new)
+        K_rows[N_STAGES] = f_new
+        scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+        error_norm = _error_norm(K, h, scale)
+        fits = error_norm < 1
+        accept, cap, done = fits, np.inf, False
+        n_fit = np.count_nonzero(fits) if step is not None else 0
+        if n_fit == len(rows):
+            accept, cap, done = step(rows, t, y, t_new, y_new, f, f_new)
+        elif n_fit:
+            i = np.flatnonzero(fits)
+            accept, cap, done = fits.copy(), np.full(len(rows), np.inf), np.zeros(len(rows), bool)
+            accept[i], cap[i], done[i] = step(rows[i], t[i], y[i], t_new[i], y_new[i],
+                                              f[i], f_new[i])
+        factor = _factors(error_norm)
+        grow = np.minimum(MAX_FACTOR, factor)
+        if np.count_nonzero(rejected):
+            grow = np.where(rejected, np.minimum(1, grow), grow)
+        if one_row and accept[0]:
+            if dense:
+                coeffs.append(_interpolant(lambda v: fun(v[None])[0], K_extended, h[0],
+                                           y[0], y_new[0], f_new[0]))
+            ts.append(t_new[0])
+            ys.append(y_new[0])
+        if np.count_nonzero(accept) == len(accept):
+            h_abs = np.minimum(h_abs * grow, cap)
+            t, y, f = t_new, y_new, f_new
+        else:
+            h_abs = np.where(accept, np.minimum(h_abs * grow, cap),
+                             np.where(fits, cap, h_abs * np.fmax(MIN_FACTOR, factor)))
+            t = np.where(accept, t_new, t)
+            y = np.where(accept[:, None], y_new, y)
+            f = np.where(accept[:, None], f_new, f)
+        rejected = ~accept
+        end = accept & (done | (t == t1))
+        if np.count_nonzero(end):
+            t_end[rows[end]], y_end[rows[end]] = t[end], y[end]
+            keep = ~end
+            rows, t, y, f, h_abs, rejected = (a[keep] for a in (rows, t, y, f, h_abs, rejected))
+    if stalled:
+        raise StepSizeUnderflow(np.array(stalled), np.array(stall_times))
+    if not one_row:
+        return Solution(t_end, y_end)
     t_arr = np.array(ts)
     states = np.vstack(ys)
-    return Solution(t_arr, states.T, DenseOutput(t_arr, states, coeffs) if dense else None)
+    return Solution(t_end, y_end, t_arr, states.T,
+                    DenseOutput(t_arr, states, coeffs) if dense else None)

@@ -26,10 +26,6 @@ CoeffFn = Callable[[np.ndarray], np.ndarray]
 FieldFn = Callable[[np.ndarray], np.ndarray]
 
 DEFAULT_FD_STEP = 1e-5
-#: values held by one block of a blocked evaluation: the package's single
-#: memory budget for the dense output rows of a crossing scan and the patch
-#: Jacobians of a surface quadrature
-BLOCK_VALUES = 2 ** 17
 
 
 @lru_cache(maxsize=None)

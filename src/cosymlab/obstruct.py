@@ -8,8 +8,8 @@ Two families of obstructions:
   function admits a global transverse section.  The Stokes test makes this
   computable: the integral of the restricted form over any meshed closed
   surface must vanish.  The composite midpoint rule evaluates its n x n
-  nodes one block of u-rows at a time within the ``forms.BLOCK_VALUES``
-  budget, so its memory does not grow with n.
+  nodes one block of u-rows at a time within the ``BLOCK_VALUES`` budget,
+  so its memory does not grow with n.
 * cohomology: an energy hypersurface carrying such a section carries a
   cosymplectic pair, whose powers represent nonzero classes in every degree,
   so all Betti numbers must be positive.  Betti numbers come from a curated
@@ -24,12 +24,13 @@ from typing import Optional
 
 import numpy as np
 
-from . import forms
 from .forms import ChartMap, KForm, evaluate_frame, exterior_derivative, max_coeff_magnitude
 from .phase import HamiltonianSystem
 
 PRIMITIVE_TOL = 1e-6
 DEFAULT_QUAD_NODES = 256
+#: values held by one block of the quadrature's nodes: their patch Jacobians
+BLOCK_VALUES = 2 ** 17
 
 
 class PrimitiveError(ValueError):
@@ -71,14 +72,14 @@ def surface_integral(form: KForm, surf: MeshedSurface, n: int = DEFAULT_QUAD_NOD
     """Integral of a two-form over the surface by composite midpoint quadrature.
 
     The n x n nodes are evaluated one block of u-rows at a time, and a
-    block's patch Jacobians hold at most ``forms.BLOCK_VALUES`` values, so
+    block's patch Jacobians hold at most ``BLOCK_VALUES`` values, so
     memory does not grow with n (time grows as n^2).  Each u-row is summed
     on its own and the row sums last, so the result does not depend on the
     block size.
     """
     if form.degree != 2:
         raise ValueError("surface integral needs a two-form")
-    rows = max(1, forms.BLOCK_VALUES // (n * form.dim * 2))
+    rows = max(1, BLOCK_VALUES // (n * form.dim * 2))
     row_sums = np.empty(n)
     for a in range(0, n, rows):
         params = surf.nodes(n, a, min(a + rows, n))

@@ -13,8 +13,8 @@ return maps, transversality margins) uses this convention.
 
 Flows integrate with the package's own batched DOP853 stepper (`dop853`: the
 explicit Runge-Kutta pair of order 8 with SciPy's step-size control, in
-NumPy only) at a caller-given tolerance, rtol = tol and atol = tol / 100; a
-batch of orbits is one stacked state vector with one step size.
+NumPy only) at a caller-given tolerance, rtol = tol and atol = tol / 100;
+each orbit of a batch, or each group of orbits, takes its own steps.
 """
 from __future__ import annotations
 
@@ -239,24 +239,29 @@ class FlowResult:
 
 def integrate_batch(system, x0: np.ndarray, t0: float, t1: float,
                     tol: float = DEFAULT_FLOW_TOL, dense: bool = False,
-                    stop: Optional[Callable[[np.ndarray], bool]] = None):
-    """Integrate a batch of initial conditions (n, dim) as one stacked system;
-    a single orbit is a batch of one.  Coordinates are NOT reduced: orbits
-    live in the periodic cover so section functions can be lifted
-    continuously.  Returns the `dop853` solution: step times ``t``, stacked
-    states ``y`` (n * dim, steps) and, when ``dense``, the interpolant ``sol``.
-    ``stop``, when given, sees the batch states (n, dim) after each accepted
-    step and ends the solution at the first step where it returns true."""
+                    step: Optional[Callable] = None):
+    """Integrate a batch of initial conditions.  An (n, dim) batch is n orbits,
+    each on its own steps; a single orbit is a batch of one.  A (g, m, dim)
+    batch is g groups of m orbits, each group one stacked state that shares
+    one step sequence (and so one smooth integration error).  Coordinates are
+    NOT reduced: orbits live in the periodic cover so section functions can
+    be lifted continuously.  Returns the `dop853` solution, with the end
+    states ``y_end`` shaped like x0; a batch of one row also has its step
+    times ``t``, states ``y`` (m * dim, steps) and, when ``dense``, the
+    interpolant ``sol``.  ``step`` is the step hook of `dop853.solve`, which
+    hands it rows of m * dim values."""
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     x0 = np.asarray(x0, dtype=float)
-    n, dim = x0.shape
+    dim = x0.shape[-1]
 
     def rhs(y):
-        return system.field(y.reshape(n, dim)).ravel()
+        return system.field(y.reshape(-1, dim)).reshape(y.shape)
 
-    batch_stop = None if stop is None else (lambda y: stop(y.reshape(n, dim)))
-    return solve(rhs, t0, t1, x0.ravel(), tol, tol * 1e-2, dense, batch_stop)
+    rows = x0.reshape(len(x0), int(np.prod(x0.shape[1:])))
+    sol = solve(rhs, t0, t1, rows, tol, tol * 1e-2, dense, step)
+    sol.y_end = sol.y_end.reshape(x0.shape)
+    return sol
 
 
 def flow(system, p0: Point, t: float, tol: float = DEFAULT_FLOW_TOL) -> FlowResult:
@@ -268,7 +273,7 @@ def flow(system, p0: Point, t: float, tol: float = DEFAULT_FLOW_TOL) -> FlowResu
     x0 = p0.coords
     if t == 0.0:
         return FlowResult(p0, 0.0)
-    x1 = integrate_batch(system, x0[None], 0.0, t, tol).y[:, -1]
+    x1 = integrate_batch(system, x0[None], 0.0, t, tol).y_end[0]
     drift = 0.0
     if hasattr(system, "energy"):
         drift = float(abs(system.energy(x1) - system.energy(x0)))

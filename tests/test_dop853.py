@@ -55,8 +55,9 @@ def test_matches_solve_ivp(name, system, batch, t1, tol):
         sol = P.integrate_batch(system, x0[None], 0.0, t1, tol, dense=True)
         rhs = system.field
     else:
+        # one group of five orbits: a single row, stacked as solve_ivp stacks it
         x0 = starts.ravel()
-        sol = P.integrate_batch(system, starts, 0.0, t1, tol, dense=True)
+        sol = P.integrate_batch(system, starts[None], 0.0, t1, tol, dense=True)
 
         def rhs(y):
             return system.field(y.reshape(batch, system.dim)).ravel()
@@ -102,7 +103,7 @@ def test_rejects_bad_input():
     with pytest.raises(ValueError, match="finite"):
         dop853.solve(lambda y: y, 0.0, 1.0, [np.nan], 1e-8, 1e-10)
     with pytest.raises(ValueError, match="one vector"):
-        dop853.solve(lambda y: y, 0.0, 1.0, [[1.0]], 1e-8, 1e-10)
+        dop853.solve(lambda y: y, 0.0, 1.0, [[[1.0]]], 1e-8, 1e-10)
 
 
 def test_initial_step_survives_an_overflowing_norm():
@@ -122,7 +123,7 @@ def test_initial_step_survives_an_overflowing_norm():
 def _dense(direction):
     system = catalog.get_system("oscillator_2dof_sqrt2")
     starts = np.array([[0.6, 0.0, 0.8, 0.0], [0.1, 0.3, -0.9, 0.2], [1.2, -0.4, 0.0, 0.5]])
-    return P.integrate_batch(system, starts, 0.0, 9.0 * direction, 1e-8, dense=True).sol
+    return P.integrate_batch(system, starts[None], 0.0, 9.0 * direction, 1e-8, dense=True).sol
 
 
 DENSE = {1: _dense(1), -1: _dense(-1)}
@@ -132,8 +133,7 @@ DENSE = {1: _dense(1), -1: _dense(-1)}
 @given(st.sampled_from([1, -1]), st.integers(1, 60), st.data())
 def test_dense_output_is_split_invariant(direction, m, data):
     # every time is evaluated on its own, so any split of a time array
-    # evaluates to the same bits; the crossing scan relies on this when it
-    # evaluates its grid in blocks
+    # evaluates to the same bits
     sol = DENSE[direction]
     span = np.sort(sol.t)
     pool = st.one_of(st.sampled_from(list(span)),

@@ -87,7 +87,7 @@ def test_quadrature_is_independent_of_the_block_size(monkeypatch, r4_system, n):
     results = []
     for rows in (1, 3, n):
         # a block of r rows holds r * n nodes' (4, 2) Jacobians
-        monkeypatch.setattr(F, "BLOCK_VALUES", rows * n * 4 * 2)
+        monkeypatch.setattr(O, "BLOCK_VALUES", rows * n * 4 * 2)
         results.append([O.surface_integral(form, surf, n) for form, surf in cases])
     assert results[0] == results[1] == results[2]
     assert all(abs(value) < 1e-12 for value in results[0][:2])

@@ -198,7 +198,7 @@ def test_monte_carlo_volume_preservation(ho_system):
     rng = np.random.default_rng(12)
     cloud = rng.uniform([0.5, -0.5], [1.5, 0.5], size=(10_000, 2))
     sol = P.integrate_batch(ho_system, cloud, 0.0, 1.0, tol=1e-10)
-    image = sol.y[:, -1].reshape(10_000, 2)
+    image = sol.y_end
     v0 = ConvexHull(cloud).volume
     v1 = ConvexHull(image).volume
     assert abs(v1 - v0) / v0 < 0.02
@@ -261,7 +261,7 @@ def test_blowup_raises_step_underflow():
 def test_integrate_batch_matches_single(t4_system):
     starts = np.array([[0.1, 0.2, 0.3, 0.0], [1.0, 2.0, 3.0, 0.0]])
     sol = P.integrate_batch(t4_system, starts, 0.0, 1.5, tol=1e-10)
-    end = sol.y[:, -1].reshape(2, 4)
+    end = sol.y_end
     for i, x in enumerate(starts):
         single = P.integrate_batch(t4_system, x[None], 0.0, 1.5, tol=1e-10).y[:, -1]
         assert np.max(np.abs(single - end[i])) < 1e-9

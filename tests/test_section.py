@@ -72,11 +72,10 @@ def test_return_consistency_iterated(suspension_system):
 
 
 def test_return_map_jacobian_identity_cases(t4_system, t4_section, suspension_system):
-    J = S.return_map_jacobian(t4_system, t4_section,
-                              t4_system.point([0.4, 2.0, 0.0, 0.0]))
+    J = S.return_map_jacobians(t4_system, t4_section, [[0.4, 2.0, 0.0, 0.0]])[0]
     assert np.max(np.abs(J - np.eye(2))) < 1e-8
     sec = S.coordinate_section(suspension_system.manifold, 1)
-    J1 = S.return_map_jacobian(suspension_system, sec, suspension_system.point([0.2, 0.0]))
+    J1 = S.return_map_jacobians(suspension_system, sec, [[0.2, 0.0]])[0]
     assert np.max(np.abs(J1 - np.eye(1))) < 1e-8
 
 
@@ -84,7 +83,7 @@ def test_return_map_jacobian_oscillator_rotation(osc_system):
     # closed form: the (q1, p1) pair rotates clockwise by T = 2*pi/sqrt(2)
     sec = catalog.oscillator_angle_section()
     p = osc_system.point([0.6, 0.0, 0.8, 0.0])
-    J = S.return_map_jacobian(osc_system, sec, p)
+    J = S.return_map_jacobians(osc_system, sec, [p.coords])[0]
     T = TWO_PI / SQRT2
     expected = np.array([[math.cos(T), math.sin(T)], [-math.sin(T), math.cos(T)]])
     assert np.max(np.abs(J - expected)) < 1e-8
@@ -95,9 +94,9 @@ def test_return_map_determinants_match_per_point(osc_system):
     sec = catalog.oscillator_angle_section()
     rng = np.random.default_rng(7)
     pts = catalog.sample_oscillator_surface(osc_system, 1.0, rng, 8, on_section=True)
-    dets = S.return_map_determinants(osc_system, sec, pts, t_max=50.0)
+    dets = np.linalg.det(S.return_map_jacobians(osc_system, sec, pts, t_max=50.0))
     assert np.max(np.abs(dets - 1.0)) < 1e-6
-    J = S.return_map_jacobian(osc_system, sec, osc_system.point(pts[0]), t_max=50.0)
+    J = S.return_map_jacobians(osc_system, sec, pts[:1], t_max=50.0)[0]
     assert abs(np.linalg.det(J) - dets[0]) < 1e-7
 
 
@@ -134,12 +133,12 @@ def test_return_map_symplectic_on_nonlinear_flow():
     assert max(abs(float(coupled.energy(r.image.coords))
                    - float(coupled.energy(r.start.coords))) for r in recs) < 1e-8
 
-    dets = S.return_map_determinants(coupled, sec, pts, fd_step=1e-6,
-                                     t_max=50.0, tol=1e-11)
+    dets = np.linalg.det(S.return_map_jacobians(coupled, sec, pts, fd_step=1e-6,
+                                                t_max=50.0, tol=1e-11))
     assert np.max(np.abs(dets - 1.0)) < 1e-6
 
     p = coupled.point(pts[0])
-    J = S.return_map_jacobian(coupled, sec, p, t_max=50.0, tol=1e-11)
+    J = S.return_map_jacobians(coupled, sec, [p.coords], t_max=50.0, tol=1e-11)[0]
     M0 = S.restricted_form_matrix(coupled, sec, p)
     image = S.first_return(coupled, sec, p, t_max=50.0, tol=1e-11).image
     M1 = S.restricted_form_matrix(coupled, sec, image)
@@ -150,7 +149,7 @@ def test_higher_dimensional_symplecticity(t6_system):
     # four-dimensional section: the Jacobian preserves the restricted form
     sec = catalog.product_leaf_section(t6_system)
     p = t6_system.point([0.3, 1.0, 2.0, 0.7, 0.0, 0.0])
-    J = S.return_map_jacobian(t6_system, sec, p)
+    J = S.return_map_jacobians(t6_system, sec, [p.coords])[0]
     M = S.restricted_form_matrix(t6_system, sec, p)
     assert np.max(np.abs(J.T @ M @ J - M)) < 1e-5
 
@@ -382,20 +381,26 @@ def test_iterate_returns_failure_stops_one_orbit(suspension_system):
     assert np.max(np.abs(r.images[0, :, 0] - (0.1 + np.arange(1, 4) / 3.0) % 1.0)) < 1e-9
 
 
-def _record_dense_scans(monkeypatch):
-    """Patch the crossing engine's integrator to record (requested end, step
-    times) of every dense scan."""
-    scans = []
+def _record_scan_steps(monkeypatch):
+    """Patch the crossing engine's integrator to record, for every step its
+    scan hook sees, the rows, the step's start and end times, whether the
+    step stood and whether it ended its row."""
+    steps = []
     integrate = P.integrate_batch
 
-    def recording(system, x0, t0, t1, tol=P.DEFAULT_FLOW_TOL, dense=False, stop=None):
-        sol = integrate(system, x0, t0, t1, tol, dense, stop)
-        if dense:
-            scans.append((t1, sol.t))
-        return sol
+    def recording(system, x0, t0, t1, tol=P.DEFAULT_FLOW_TOL, dense=False, step=None):
+        if step is None:
+            return integrate(system, x0, t0, t1, tol, dense)
+
+        def hook(rows, t, y, t_new, y_new, f, f_new):
+            ok, cap, done = step(rows, t, y, t_new, y_new, f, f_new)
+            steps.append((rows, t, t_new, ok, done))
+            return ok, cap, done
+
+        return integrate(system, x0, t0, t1, tol, dense, hook)
 
     monkeypatch.setattr(S.phase, "integrate_batch", recording)
-    return scans
+    return steps
 
 
 def _phase_rotor():
@@ -414,21 +419,28 @@ def test_crossing_scan_ends_one_step_past_last_crossing(monkeypatch):
     rng = np.random.default_rng(8)
     r, phi0 = rng.uniform(0.3, 1.2, 6), rng.uniform(0.5, 6.0, 6)
     starts = np.stack([r * np.cos(phi0), -r * np.sin(phi0)], axis=1)
-    scans = _record_dense_scans(monkeypatch)
+    steps = _record_scan_steps(monkeypatch)
     c = S.first_crossings(system, sec, starts, t_max=50.0)
     assert c.ok.all()
     assert np.max(np.abs(c.times - (TWO_PI - phi0) / (1 + r ** 2))) < 1e-8
-    [(t_end, ts)] = scans
-    assert ts[-2] < np.max(c.times) <= ts[-1] < t_end
+    # no orbit is stepped past the step that holds its crossing: every step
+    # it attempts starts before the crossing, and the last one stands, holds
+    # the crossing and ends the orbit
+    for orbit, t_cross in enumerate(c.times):
+        tried = [(t[k], t_new[k], ok[k], done[k]) for rows, t, t_new, ok, done in steps
+                 for k in np.flatnonzero(rows == orbit)]
+        assert all(t0 < t_cross for t0, _, _, _ in tried)
+        t0, t1, ok, done = tried[-1]
+        assert ok and done and t0 < t_cross <= t1
 
 
 def test_aliased_early_stop_continues_to_analytic_crossing(monkeypatch):
     # u' = 20 v, v' = 1 from (0.5, -1): u runs backward at a falling rate, turns
     # at t = 1 and crosses 2*pi*k upward at t = 1 + sqrt(2 (2 pi k - u_min) / 20).
     # The flow is quadratic in time, so DOP853's error estimate vanishes and
-    # its steps grow tenfold: at a loose tol one spans more than pi of u, the
-    # stop predicate reads the backward lap as a passage and ends the first
-    # scan early, and the next chunk must still find the true crossing
+    # at a loose tol its steps would grow tenfold, far past pi of u, where a
+    # backward lap reads as a passage; the angle rules keep every step that
+    # stands under a quarter turn, and the true crossing is found
     chart = F.ChartManifold(2, (True, False))
     system = P.FlowSystem(chart, lambda x: np.stack([20.0 * x[..., 1], np.ones_like(x[..., 1])],
                                                     axis=-1))
@@ -440,20 +452,20 @@ def test_aliased_early_stop_continues_to_analytic_crossing(monkeypatch):
 
     u_min = u(1.0)
     expected = 1.0 + math.sqrt(2.0 * (TWO_PI * (math.floor(u_min / TWO_PI) + 1) - u_min) / 20.0)
-    scans = _record_dense_scans(monkeypatch)
+    steps = _record_scan_steps(monkeypatch)
     c = S.first_crossings(system, sec, np.array([[u0, v0]]), t_max=50.0, tol=1e-3)
     assert c.failures == [None]
     assert abs(c.times[0] - expected) < 1e-9
-    t_end, ts = scans[0]
-    assert np.max(np.abs(np.diff(u(ts)))) > math.pi
-    assert ts[-1] < t_end and ts[-1] < expected
-    assert len(scans) >= 2
+    stood = [(t[0], t_new[0]) for _, t, t_new, ok, _ in steps if ok[0]]
+    assert max(abs(u(b) - u(a)) for a, b in stood) <= 0.5 * math.pi
+    assert any(not ok[0] for _, _, _, ok, _ in steps)   # the error control would take them
 
 
 def test_iterate_returns_field_work(monkeypatch):
     # machine-independent work of three returns of a fixed oscillator batch:
-    # 1839 field calls with the scans ending one step past the last crossing
-    # (3063 when every scan integrated its whole chunk)
+    # 1681 field calls with each orbit stepped up to the step that holds its
+    # crossing (1839 on a shared sample grid ending one step past the last
+    # crossing, 3063 when every scan integrated its whole chunk)
     system = catalog.oscillator_2dof()
     sec = catalog.oscillator_angle_section()
     starts = catalog.sample_oscillator_surface(system, 1.0, np.random.default_rng(3), 4,
@@ -576,10 +588,10 @@ def _fast_among_slow(v_fast):
 
 @pytest.mark.parametrize("v_fast", [150.0, 300.0, 2000.0, 1e4])
 def test_fast_orbit_in_slow_batch_is_not_aliased(v_fast):
-    # the grid spacing is sized by the batch's median rate, so the fast orbit
-    # turns close to a whole number of times between samples; the wrapped
-    # angle difference then looks small and only its rate times the spacing
-    # shows the interval is too wide (a later lap was certified before)
+    # the drift flow is linear, so the error control would let the fast
+    # orbit's steps grow until it turns close to a whole number of times per
+    # step; the wrapped angle change then looks small and only its rate times
+    # the step shows the step is too long (a later lap was certified before)
     system, sec = _drift()
     starts = _fast_among_slow(v_fast)
     c = S.first_crossings(system, sec, starts, t_max=100.0)
@@ -588,120 +600,115 @@ def test_fast_orbit_in_slow_batch_is_not_aliased(v_fast):
     assert c.crossings_seen.tolist() == [1] * 10
 
 
-def test_grid_refinement_that_runs_out_fails_the_orbit(monkeypatch):
-    system, sec = _drift()
-    monkeypatch.setattr(S, "GRID_ROUNDS", 1)
-    starts = _fast_among_slow(1e4)
-    c = S.first_crossings(system, sec, starts, t_max=100.0)
-    assert c.failures[:9] == [None] * 9
-    assert c.failures[9].startswith("unconverged: grid refinement")
-    assert np.isnan(c.times[9])
-    r = S.iterate_returns(system, sec, starts, 1, t_max=100.0)
-    assert r.failures[:9] == [None] * 9 and r.failures[9][0] == 0
-    with pytest.raises(S.RefinementError, match="grid refinement"):
-        r.raise_failure()
-
-
-@pytest.mark.parametrize("v_fast", [-99.0, -101.0])
-def test_seed_passage_disproved_by_refinement_continues_from_last_kept_row(monkeypatch, v_fast):
-    # the fast orbit runs backward, never crosses upward, and turns close to
-    # a whole number of times between seed rows: the seed rows show it
-    # passing, so the scan keeps rows only up to the slow orbits' passages,
-    # and the refined grid then finds no bracket for it.  It goes on from
-    # the last kept row and reaches t_max with no crossing, as it does alone
-    # (it failed as unconverged when every seed row was refined)
+@pytest.mark.parametrize("v_fast", [-97.0, -99.0, -101.0, -150.0, -300.0])
+def test_fast_backward_orbit_in_slow_batch_matches_batch_of_one(v_fast):
+    # the fast orbit runs backward, never crosses upward, and turns close to a
+    # whole number of times in the time a slow orbit takes to cross.  Every
+    # orbit takes its own steps, so each gets the outcome it has alone: the
+    # fast one reaches t_max with no crossing (on a sample grid shared by the
+    # batch it failed as unconverged when the grid refinement ran out)
     system, sec = _drift()
     starts = _fast_among_slow(v_fast)
     alone = [S.first_crossings(system, sec, x[None], t_max=40.0) for x in starts]
-    scans = []
-    integrate = P.integrate_batch
-
-    def recording(system, x0, t0, t1, tol=P.DEFAULT_FLOW_TOL, dense=False, stop=None):
-        sol = integrate(system, x0, t0, t1, tol, dense, stop)
-        if dense:
-            scans.append((np.array(x0), t1, sol.t[-1]))
-        return sol
-
-    monkeypatch.setattr(S.phase, "integrate_batch", recording)
     c = S.first_crossings(system, sec, starts, t_max=40.0)
     assert c.failures == [a.failures[0] for a in alone] == [None] * 9 + ["no crossing"]
     assert np.max(np.abs(c.times[:9] - TWO_PI / starts[:9, 1])) < 1e-9
     assert np.max(np.abs(c.times[:9] - [a.times[0] for a in alone[:9]])) < 1e-12
+    assert c.crossings_seen.tolist() == [int(a.crossings_seen[0]) for a in alone]
     assert np.isnan(c.times[9])
-    # each later scan's grid is sized for the orbits still going, here the
-    # fast orbit alone, so it reaches t_max in 4 (v = -99) or 3 (v = -101)
-    # scans; a grid sized for the first batch's median rate took 37 and 30
-    assert len(scans) <= 6
-    # the second scan starts the fast orbit alone at the last kept row, before
-    # the first scan's end, and the time accumulated over the scans agrees
-    # with where each one starts: the last one ends exactly at t_max
-    (_, _, t_end), (second, _, _), (last, t_last, _) = scans[0], scans[1], scans[-1]
-    assert second.shape == (1, 2) and second[0, 1] == v_fast
-    assert 0.0 < second[0, 0] / v_fast < t_end
-    assert abs(last[0, 0] / v_fast + t_last - 40.0) < 1e-9
+
+
+def _tilted(v):
+    # u' = 1 + 0.9 v sin(u), v' = 0 on S^1 x R: the start (0, v) first returns
+    # to u = 0 after 2*pi / sqrt(1 - 0.81 v^2)
+    chart = F.ChartManifold(2, (True, False))
+    system = P.FlowSystem(chart, lambda x: np.stack(
+        [1.0 + 0.9 * x[..., 1] * np.sin(x[..., 0]), np.zeros_like(x[..., 1])], axis=-1))
+    starts = np.stack([np.zeros_like(v), v], axis=1)
+    return system, S.coordinate_section(chart, 0), starts, TWO_PI / np.sqrt(1.0 - 0.81 * v ** 2)
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-6])
+@pytest.mark.parametrize("n", [1, 10, 100])
+def test_orbit_error_does_not_grow_with_its_batch(tol, n):
+    # one RMS error norm over a stacked batch let n - 1 easy orbits (v = 0)
+    # dilute the error of a hard one (v = 1): at tol 1e-6 its crossing-time
+    # error grew from 2.3e-7 alone to 8.3e-5 among 9 others
+    system, sec, starts, exact = _tilted(np.array([0.0] * (n - 1) + [1.0]))
+    alone = {v: S.first_crossings(system, sec, [[0.0, v]], t_max=20.0, tol=tol).times[0]
+             for v in (0.0, 1.0)}
+    batch = S.first_crossings(system, sec, starts, t_max=20.0, tol=tol)
+    assert batch.ok.all()
+    alone_error = np.abs([alone[v] for v in starts[:, 1]] - exact)
+    assert abs(batch.times[-1] - exact[-1]) <= 2.0 * alone_error[-1]
+    # the easy orbits are near exact alone: a floor for rounding, far below tol
+    assert np.all(np.abs(batch.times - exact) <= 2.0 * alone_error + 1e-13)
+
+
+def _exact_first_crossings(system, sec, starts, direction):
+    """Analytic first crossing times of the `_crossing_batches` families,
+    forward only for the wiggle (None backward)."""
+    if sec.name == "product_leaf":
+        return np.full(len(starts), direction * TWO_PI)
+    if sec.name.startswith("angle"):
+        return np.full(len(starts), direction * TWO_PI / SQRT2)
+    if direction < 0:
+        return None
+    a = float(system.field(np.zeros((1, 2)))[0, 1]) - 1.0
+    return np.array([_wiggle_first_return(a, x0, 100.0) for x0 in starts[:, 0]])
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(_crossing_batches(), st.sampled_from([1, -1]))
+def test_orbit_error_in_a_batch_is_within_twice_its_error_alone(batch, direction):
+    system, sec, starts = batch
+    exact = _exact_first_crossings(system, sec, starts, direction)
+    if exact is None:
+        return
+    together = S.first_crossings(system, sec, starts, 100.0, direction=direction)
+    alone = np.array([S.first_crossings(system, sec, x[None], 100.0, direction=direction).times[0]
+                      for x in starts])
+    assert together.ok.all()
+    # a row alone and in a batch may round differently, far below any tol
+    assert np.all(np.abs(together.times - exact) <= 2.0 * np.abs(alone - exact) + 1e-13)
 
 
 @pytest.mark.parametrize("direction", [1, -1])
 def test_scan_stops_evaluating_at_last_first_passage(monkeypatch, t4_system, t6_system,
                                                      direction):
-    # every leaf orbit of a product system passes the section after 2*pi and
-    # the chunk runs 2.5 laps; no grid time past the last orbit's first
-    # passage row, save the rest of its block (two rows here), is evaluated
-    evaluated = []
-    angles_and_rates = S._BlockedDense.angles_and_rates
-
-    def recording(self, sec, directed, ts):
-        evaluated.append(ts)
-        return angles_and_rates(self, sec, directed, ts)
-
-    monkeypatch.setattr(S._BlockedDense, "angles_and_rates", recording)
-    scans = _record_dense_scans(monkeypatch)
+    # every leaf orbit of a product system passes the section after 2*pi of
+    # its leaf angle z.  No field point is evaluated for an orbit after the
+    # step that holds its crossing, and the angle rules keep that step under a
+    # quarter turn, so no evaluated point lies past 2*pi + pi/2
     for system in (t4_system, t6_system):
-        evaluated.clear()
-        scans.clear()
+        points = []
+        field = P.HamiltonianSystem.field
+        monkeypatch.setattr(P.HamiltonianSystem, "field",
+                            lambda self, x: points.append(np.array(x)) or field(self, x))
         sec = catalog.product_leaf_section(system)
         starts = catalog.sample_product_leaf(system, np.random.default_rng(5), 40)
-        monkeypatch.setattr(F, "BLOCK_VALUES", 2 * starts.size)
         c = S.first_crossings(system, sec, starts, t_max=50.0, direction=direction)
+        monkeypatch.undo()
         assert c.ok.all()
         assert np.max(np.abs(c.times - direction * TWO_PI)) < 1e-9
-        [(_, steps)] = scans
-        ts = np.unique(np.concatenate(evaluated))
-        spacing = np.max(np.diff(ts))
-        assert steps[-1] > TWO_PI + 2 * spacing
-        assert TWO_PI <= ts[-1] <= TWO_PI + 2 * spacing
+        z = np.concatenate([p[..., -2].ravel() for p in points])
+        assert TWO_PI < np.max(direction * z) <= TWO_PI + 0.5 * math.pi
 
 
 @pytest.mark.parametrize("direction", [1, -1])
-def test_mixed_rate_batch_brackets_on_own_rows(monkeypatch, direction):
-    # orbits of different rates and phases bracket on different grid rows, so
-    # the bracket states are gathered from several evaluated rows; the result
-    # matches batches of one, and is bitwise the same for any block size
+def test_mixed_rate_batch_brackets_on_own_rows(direction):
+    # orbits of different rates and phases cross on different steps of their
+    # own; the result matches batches of one
     system = _phase_rotor()
     sec = catalog.oscillator_angle_section((0, 1))
     rng = np.random.default_rng(11)
     r, phi0 = rng.uniform(0.2, 1.6, 7), rng.uniform(0.3, 6.0, 7)
     starts = np.stack([r * np.cos(phi0), -r * np.sin(phi0)], axis=1)
-    gathered = []
-    gather = S._BlockedDense.gather
-
-    def recording(self, ts, rows, cols):
-        gathered.append(rows)
-        return gather(self, ts, rows, cols)
-
-    monkeypatch.setattr(S._BlockedDense, "gather", recording)
     together = S.first_crossings(system, sec, starts, 50.0, direction=direction)
     assert together.ok.all()
-    assert len(np.unique(gathered[0])) == len(starts)
     alone = [S.first_crossings(system, sec, x[None], 50.0, direction=direction) for x in starts]
     assert np.max(np.abs(together.times - [c.times[0] for c in alone])) < 1e-8
     assert together.crossings_seen.tolist() == [int(c.crossings_seen[0]) for c in alone]
-    for budget in (1, 3 * starts.size):
-        monkeypatch.setattr(F, "BLOCK_VALUES", budget)
-        blocked = S.first_crossings(system, sec, starts, 50.0, direction=direction)
-        for field in ("times", "states", "rates", "margins", "residuals", "crossings_seen"):
-            assert np.array_equal(getattr(blocked, field), getattr(together, field))
-        assert blocked.failures == together.failures
 
 
 def _verify_global_traced_peak(n):
@@ -725,15 +732,15 @@ def _verify_global_traced_peak(n):
 
 
 def test_verify_global_memory_bound():
-    # the grid's states are evaluated in bounded blocks and never kept, and
-    # the seed grid is evaluated only up to the last orbit's first passage
-    # (2*pi of a 2.5-lap chunk): the rows x orbits angles, rates and
-    # refinement temporaries cover 105 of 255 rows, and the traced peak is
-    # about 13 MiB (26 MiB when every seed row was kept)
+    # each orbit is followed on its own integrator steps, and no dense output
+    # or sample grid is kept: the traced peak is about 4 MiB (13 MiB with a
+    # shared sample grid evaluated up to the last first passage, 26 MiB when
+    # every seed row was kept)
     assert _verify_global_traced_peak(1500) < 20 * 2 ** 20
 
 
 def test_verify_global_memory_bound_at_10000_samples():
-    # the refinement temporaries scale with the kept rows: about 82 MiB here,
-    # 168 MiB when every seed row was kept
+    # the scan's per-orbit state and one step's stages scale with the orbits:
+    # about 27 MiB here (81 MiB with a shared sample grid, 168 MiB when every
+    # seed row was kept)
     assert _verify_global_traced_peak(10_000) < 120 * 2 ** 20
