@@ -13,7 +13,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .cosym import CosymplecticStructure, build_product_system
-from .forms import ChartManifold, ChartMap, KForm, constant_form, coordinate_form, wedge
+from .forms import (ChartManifold, ChartMap, KForm, Rng, constant_form, coordinate_form,
+                    wedge)
 from .obstruct import BettiProfile, MeshedSurface
 from .phase import EnergySurface, FlowSystem, HamiltonianSystem
 from .section import SectionSpec, coordinate_section
@@ -163,21 +164,19 @@ def product_energy_surface(system: HamiltonianSystem) -> EnergySurface:
     return EnergySurface(system, 0.0, slice_coord=system.dim - 1, slice_value=0.0)
 
 
-def sample_zero_slice(system, rng: np.random.Generator, n: int, coords: list[int]) -> np.ndarray:
+def sample_zero_slice(system, rng: Rng, n: int, coords: list[int]) -> np.ndarray:
     """Chart samples with the given coordinates set to zero."""
     pts = system.manifold.sample(rng, n)
     pts[:, coords] = 0.0
     return pts
 
 
-def sample_product_leaf(system: HamiltonianSystem, rng: np.random.Generator,
-                        n: int) -> np.ndarray:
+def sample_product_leaf(system: HamiltonianSystem, rng: Rng, n: int) -> np.ndarray:
     """Points of the {z = 0, angle = 0} leaf of a product system."""
     return sample_zero_slice(system, rng, n, [-2, -1])
 
 
-def sample_product_surface(system: HamiltonianSystem, rng: np.random.Generator,
-                           n: int) -> np.ndarray:
+def sample_product_surface(system: HamiltonianSystem, rng: Rng, n: int) -> np.ndarray:
     """Points of the zero level {angle = 0} of a product system."""
     return sample_zero_slice(system, rng, n, [-1])
 
@@ -205,8 +204,7 @@ def oscillator_angle_section(index_pair: tuple[int, int] = (2, 3)) -> SectionSpe
     return SectionSpec(theta, grad_theta, 0.0, 1, f"angle({i},{j})")
 
 
-def sample_oscillator_surface(system: HamiltonianSystem, level: float,
-                              rng: np.random.Generator, n: int,
+def sample_oscillator_surface(system: HamiltonianSystem, level: float, rng: Rng, n: int,
                               freq2: float = SQRT2, on_section: bool = False) -> np.ndarray:
     """Points of the oscillator level set, splitting the energy between the
     two pairs away from the degenerate axes; the level must be positive."""

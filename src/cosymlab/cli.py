@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import catalog, cosym, expr, obstruct, tischler
-from .forms import ChartManifold, KForm, basis_indices, constant_form
+from .forms import ChartManifold, KForm, Rng, basis_indices, constant_form
 from .phase import HamiltonianSystem
 from .section import (ON_SECTION_TOL, GluingError, NoCrossingError, RefinementError,
                       SectionChartError, SectionSpec, TangencyError, coordinate_section,
@@ -152,7 +152,9 @@ SEED = (name_in(catalog.SEEDS), "t3", "catalog cosymplectic seed")
 SAMPLES, JACOBIAN_POINTS = count(1, 200_000), count(1, 1000)
 TOL = (num(0, 1e-2), 1e-10, "integrator tolerance: relative, and tol/100 absolute")
 T_MAX = (num(0, 1e4), 100.0, "longest flow time searched for a crossing")
-RNG_SEED = (count(0, 2**64 - 1), 0, "random seed; --seed overrides it")
+RNG_SEED = (count(0, 2**64 - 1), 0, "seed of the standard library's Mersenne Twister, drawn "
+            "through forms.Rng, so samples are the same on every platform for a fixed "
+            "config and seed; --seed overrides it")
 BETTI = name_in(catalog.BETTI_PROFILES, ", or an even-length list of integers >= 0, the "
                 "first > 0")
 COMMAND_FIELDS = {
@@ -259,7 +261,7 @@ def build_inline_system(spec: dict) -> HamiltonianSystem:
     except ValueError as exc:
         raise ConfigError(f"bad inline system spec: {exc}") from exc
     try:
-        system.validate(chart.sample(np.random.default_rng(0), 32))
+        system.validate(chart.sample(Rng(0), 32))
     except ValueError as exc:
         raise ConfigError(f"inline system fails its structure checks: {exc}") from exc
     return system
@@ -294,7 +296,7 @@ def build_section(sec: Optional[dict], entry: catalog.SystemEntry, system) -> Se
 
 
 def section_start_points(entry: catalog.SystemEntry, system, sec: SectionSpec, cfg: dict,
-                         rng: np.random.Generator) -> np.ndarray:
+                         rng: Rng) -> np.ndarray:
     """Explicit 'points', or the entry's start samples; both must lie on the section."""
     if cfg["points"] is not None:
         if any(len(p) != system.dim for p in cfg["points"]):
@@ -442,7 +444,7 @@ def cmd_demo_product(cfg: dict, runner: Runner, seed: int) -> None:
     Constructs the product of the chosen cosymplectic seed with a circle,
     then runs globality, return-map, and mapping-torus checks on its leaf.
     """
-    rng = np.random.default_rng(seed)
+    rng = Rng(seed)
     tol, t_max = cfg["tol"], cfg["t_max"]
 
     with runner.timed("build"):
@@ -492,7 +494,7 @@ def cmd_demo_product(cfg: dict, runner: Runner, seed: int) -> None:
 
 def cmd_verify_cosym(cfg: dict, runner: Runner, seed: int) -> None:
     """Verify a cosymplectic pair (catalog seed or inline forms)."""
-    rng = np.random.default_rng(seed)
+    rng = Rng(seed)
     spec = cfg["cosym"] or cfg["seed"]
     if isinstance(spec, str):
         cs = catalog.SEEDS[spec]()
@@ -552,7 +554,7 @@ def cmd_tischler(cfg: dict, runner: Runner, seed: int) -> None:
             raise ConfigError(f"system dimension {system.dim} does not match the "
                               f"one-form dimension {alpha_prime.dim}")
         sample = entry.surface or (lambda s, r, k: s.manifold.sample(r, k))
-        samples = sample(system, np.random.default_rng(seed), cfg["samples"])
+        samples = sample(system, Rng(seed), cfg["samples"])
         with runner.timed("transversality"):
             trans = tischler.check_transversality_preserved(system, alpha_prime,
                                                             samples, alpha=alpha)
@@ -599,7 +601,7 @@ def cmd_obstruct(cfg: dict, runner: Runner, seed: int) -> None:
 
 def cmd_return_map(cfg: dict, runner: Runner, seed: int) -> None:
     """Return times, map iterates and symplecticity of a configured section."""
-    rng = np.random.default_rng(seed)
+    rng = Rng(seed)
     name, entry, system = resolve_system(cfg["system"])
     sec = build_section(cfg["section"], entry, system)
     tol, t_max = cfg["tol"], cfg["t_max"]

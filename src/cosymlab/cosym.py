@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .forms import (ChartManifold, ChartMap, KForm, coordinate_form,
+from .forms import (ChartManifold, ChartMap, KForm, Rng, coordinate_form,
                     covector_values, exterior_derivative, interior,
                     max_coeff_magnitude, power, pullback, two_form_matrix, wedge)
 from .phase import EnergySurface, HamiltonianSystem
@@ -210,7 +210,7 @@ def symplectic_submanifold_test(sys: HamiltonianSystem, patch: ChartMap,
 
 
 def build_product_system(cs: CosymplecticStructure, samples: Optional[np.ndarray] = None,
-                         rng: Optional[np.random.Generator] = None) -> HamiltonianSystem:
+                         rng: Optional[Rng] = None) -> HamiltonianSystem:
     """Product of a verified cosymplectic chart with a circle.
 
     The symplectic form is the lifted beta plus the wedge of the lifted alpha
@@ -222,7 +222,7 @@ def build_product_system(cs: CosymplecticStructure, samples: Optional[np.ndarray
     if n_chart.dim < 3:
         raise ValueError("product construction needs a seed of dimension >= 3 "
                          "(beta powers degenerate below that)")
-    rng = rng or np.random.default_rng(0)
+    rng = rng or Rng(0)
     seed_samples = samples if samples is not None else n_chart.sample(rng, 32)
     report = verify_cosymplectic(cs, seed_samples)
     if not report.passed:

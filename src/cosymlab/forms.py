@@ -11,6 +11,7 @@ All values are immutable after construction and safe to evaluate concurrently.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -26,6 +27,28 @@ CoeffFn = Callable[[np.ndarray], np.ndarray]
 FieldFn = Callable[[np.ndarray], np.ndarray]
 
 DEFAULT_FD_STEP = 1e-5
+
+
+class Rng:
+    """Seeded uniform sampler on the standard library's Mersenne Twister.
+
+    ``uniform`` reads ``random.Random(seed).randbytes`` as little-endian
+    uint64 words and keeps the top 53 bits of each, as NumPy builds its
+    doubles, so draws for a given seed are the same on every platform.  It
+    spares every process the import of ``numpy.random``.  Samplers in this
+    package take any object with this ``uniform`` method, a NumPy
+    ``Generator`` included.
+    """
+
+    def __init__(self, seed: int):
+        self._random = random.Random(seed)
+
+    def uniform(self, low: float, high: float, size) -> np.ndarray:
+        """Array of the given shape (an int or a tuple) uniform on [low, high);
+        as in NumPy, rounding in ``low + (high - low) * u`` can reach ``high``
+        when low is not 0."""
+        words = np.frombuffer(self._random.randbytes(8 * int(np.prod(size))), dtype="<u8")
+        return (low + (high - low) * ((words >> 11) * 2.0 ** -53)).reshape(size)
 
 
 @lru_cache(maxsize=None)
@@ -113,7 +136,7 @@ class ChartManifold:
     def tangent(self, coords: Sequence[float], components: Sequence[float]) -> "TangentVector":
         return TangentVector(self.point(coords), np.asarray(components, dtype=float))
 
-    def sample(self, rng: np.random.Generator, n: int, box: float = 1.0) -> np.ndarray:
+    def sample(self, rng: Rng, n: int, box: float = 1.0) -> np.ndarray:
         """Uniform sample of n coordinate tuples; non-periodic coordinates are
         drawn from [-box, box]."""
         cols = []

@@ -24,7 +24,8 @@ from typing import Optional
 
 import numpy as np
 
-from .forms import ChartMap, KForm, evaluate_frame, exterior_derivative, max_coeff_magnitude
+from .forms import (ChartMap, KForm, Rng, evaluate_frame, exterior_derivative,
+                    max_coeff_magnitude)
 from .phase import HamiltonianSystem
 
 PRIMITIVE_TOL = 1e-6
@@ -114,7 +115,7 @@ def check_primitive(sys: HamiltonianSystem, samples: Optional[np.ndarray] = None
     if sys.lam is None:
         raise PrimitiveError("no global primitive declared")
     if samples is None:
-        samples = sys.manifold.sample(np.random.default_rng(11), 32)
+        samples = sys.manifold.sample(Rng(11), 32)
     residual = max_coeff_magnitude(exterior_derivative(sys.lam) - sys.omega, samples)
     if residual >= tol:
         raise PrimitiveError(f"declared primitive fails d(lambda) = omega: "

@@ -25,8 +25,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .dop853 import StepSizeUnderflow, solve  # noqa: F401  (StepSizeUnderflow re-exported)
-from .forms import (ChartManifold, KForm, Point, TangentVector,
-                    exterior_derivative, max_coeff_magnitude, two_form_matrix)
+from .forms import (ChartManifold, KForm, Point, exterior_derivative, max_coeff_magnitude,
+                    two_form_matrix)
 
 RCOND_MIN = 1e-10
 FIELD_RESIDUAL_MAX = 1e-10
@@ -278,41 +278,3 @@ def flow(system, p0: Point, t: float, tol: float = DEFAULT_FLOW_TOL) -> FlowResu
     if hasattr(system, "energy"):
         drift = float(abs(system.energy(x1) - system.energy(x0)))
     return FlowResult(system.manifold.point(x1), drift)
-
-
-def hamiltonian_vector_field(sys: HamiltonianSystem, p: Point) -> TangentVector:
-    """Hamiltonian vector field at a point, with a conditioning guard."""
-    M = two_form_matrix(sys.omega, p.coords)
-    svals = np.linalg.svd(M, compute_uv=False)
-    rcond = float(svals[-1] / svals[0])
-    if rcond < RCOND_MIN:
-        raise SingularOmegaError(rcond, p.coords)
-    return TangentVector(p, sys.field(p.coords))
-
-
-def energy_drift(sys: HamiltonianSystem, p0: Point, t_max: float, samples: int = 200,
-                 tol: float = DEFAULT_FLOW_TOL) -> float:
-    """Maximum |H(flow_t(p0)) - H(p0)| over sampled times in [0, t_max]."""
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
-    sol = integrate_batch(sys, p0.coords[None], 0.0, t_max, tol, dense=True)
-    ts = np.linspace(0.0, t_max, samples)
-    states = sol.sol(ts).T
-    h0 = sys.energy(p0.coords)
-    return float(np.max(np.abs(sys.energy(states) - h0)))
-
-
-def divergence_check(sys, p: Point, h: float = 1e-5) -> float:
-    """Finite-difference divergence of the system field at p.
-
-    Hamiltonian fields are volume preserving, so the value is a numerical
-    zero up to the finite-difference floor.
-    """
-    x = p.coords
-    dim = x.shape[-1]
-    div = 0.0
-    for i in range(dim):
-        e = np.zeros(dim)
-        e[i] = h
-        div += (sys.field(x + e)[i] - sys.field(x - e)[i]) / (2.0 * h)
-    return float(div)

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .forms import (ChartManifold, KForm, constant_form, covector_values,
+from .forms import (ChartManifold, KForm, Rng, constant_form, covector_values,
                     exterior_derivative, max_coeff_magnitude)
 from .section import SectionSpec
 
@@ -69,7 +69,10 @@ class RationalApproximation:
         return self.n / float(self.d)
 
 
-_leggauss = functools.lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)
+@functools.lru_cache(maxsize=None)
+def _leggauss(nodes: int):
+    """Gauss-Legendre nodes and weights; loads numpy.polynomial on first use."""
+    return np.polynomial.legendre.leggauss(nodes)
 
 
 def _loop_integrals(alpha: KForm, base: np.ndarray, periods: np.ndarray,
@@ -99,8 +102,7 @@ def periods(alpha: KForm, manifold: ChartManifold, base: Optional[Sequence[float
         raise ValueError("periods need a one-form on the given chart")
     if not manifold.is_torus:
         raise ValueError("period computation needs a torus chart (all coordinates periodic)")
-    rng = np.random.default_rng(7)
-    residual = max_coeff_magnitude(exterior_derivative(alpha), manifold.sample(rng, 32))
+    residual = max_coeff_magnitude(exterior_derivative(alpha), manifold.sample(Rng(7), 32))
     if residual >= closed_tol:
         raise ValueError(f"one-form not closed (sampled |d alpha| = {residual:.3e}); "
                          "loop integrals would be path dependent")

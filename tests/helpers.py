@@ -1,0 +1,38 @@
+"""Helpers shared by test modules: the README's example configs, and the energy
+drift and divergence of a system's flow."""
+import json
+import re
+from pathlib import Path
+
+import numpy as np
+
+from cosymlab import cli, phase
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def readme_configs():
+    """(command, config) of every JSON block in README.md; the command is the last
+    one named in backticks before the block."""
+    out = []
+    for m in re.finditer(r"```json\n(.*?)```", README, re.S):
+        before = README[:m.start()]
+        command = max(cli.COMMANDS, key=lambda c: before.rfind(f"`{c}`"))
+        out.append((command, json.loads(m.group(1))))
+    return out
+
+
+def energy_drift(system, p0, t_max: float, samples: int = 200,
+                 tol: float = phase.DEFAULT_FLOW_TOL) -> float:
+    """Maximum |H(flow_t(p0)) - H(p0)| over sampled times in [0, t_max]."""
+    sol = phase.integrate_batch(system, p0.coords[None], 0.0, t_max, tol, dense=True)
+    states = sol.sol(np.linspace(0.0, t_max, samples)).T
+    return float(np.max(np.abs(system.energy(states) - system.energy(p0.coords))))
+
+
+def divergence(system, x, h: float = 1e-5) -> float:
+    """Central-difference divergence of the system field at x.  Hamiltonian
+    fields preserve volume, so the value is a numerical zero up to the
+    finite-difference floor."""
+    steps = h * np.eye(len(x))
+    return float(np.trace(system.field(x + steps) - system.field(x - steps)) / (2.0 * h))

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import readme_configs
 
 from cosymlab import catalog, cli
 
@@ -486,6 +487,18 @@ def test_crash_exits_3_with_traceback(tmp_path, capsys, monkeypatch):
     assert "Traceback" in err and "ZeroDivisionError: boom" in err
 
 
+def fresh_python(script: str):
+    """Run a script in a fresh interpreter with the checkout's src on PYTHONPATH;
+    the JSON value of its last output line."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
 def test_cli_processes_do_not_import_scipy(tmp_path):
     configs = {
         "demo-product": {"seed": "t3", "samples": 4, "t_max": 20.0, "n_return_points": 1,
@@ -511,13 +524,33 @@ def test_cli_processes_do_not_import_scipy(tmp_path):
         "scipy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
         "print(json.dumps({'codes': codes, 'scipy': scipy}))",
     ])
-    src = Path(cli.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    result = fresh_python(script)
     assert result["scipy"] == []
     assert result["codes"] == {"demo-product": 0, "verify-cosym": 0, "tischler": 0,
                                "obstruct": 1, "return-map": 0}
+
+
+# numpy.random adds about 6 MB to every process's peak RSS; samples come from
+# forms.Rng.  numpy.polynomial is loaded only where Gauss-Legendre quadrature runs.
+@pytest.mark.parametrize("command, config", readme_configs(),
+                         ids=[f"{i}-{c}" for i, (c, _) in enumerate(readme_configs())])
+def test_readme_config_processes_do_not_import_numpy_random(tmp_path, command, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+    result = fresh_python("\n".join([
+        "import json, sys",
+        "import cosymlab.cli as cli",
+        f"code = cli.main({argv!r})",
+        "print(json.dumps({'code': code, 'random': 'numpy.random' in sys.modules,",
+        "                  'polynomial': 'numpy.polynomial' in sys.modules}))",
+    ]))
+    assert result["code"] == (1 if command == "obstruct" else 0)
+    assert not result["random"]
+    assert result["polynomial"] == (command == "tischler")
+
+
+def test_cli_import_loads_neither_numpy_random_nor_numpy_polynomial():
+    assert fresh_python("import json, sys\nimport cosymlab.cli\nprint(json.dumps("
+                        "[m in sys.modules for m in ('numpy.random', 'numpy.polynomial')]))"
+                        ) == [False, False]

@@ -5,27 +5,14 @@ import copy
 import io
 import json
 import math
-import re
 import tempfile
 from pathlib import Path
 
 import pytest
+from helpers import README, readme_configs
 from hypothesis import given, settings, strategies as st
 
 from cosymlab import cli
-
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-
-
-def readme_configs():
-    """(command, config) of every JSON block in README.md; the command is the last
-    one named in backticks before the block."""
-    out = []
-    for m in re.finditer(r"```json\n(.*?)```", README, re.S):
-        before = README[:m.start()]
-        command = max(cli.COMMANDS, key=lambda c: before.rfind(f"`{c}`"))
-        out.append((command, json.loads(m.group(1))))
-    return out
 
 
 def field_rows(table: dict) -> str:

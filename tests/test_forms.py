@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -55,6 +56,44 @@ def test_wrapped_delta():
     chart = F.ChartManifold(2, (True, False), (1.0, 1.0))
     d = chart.wrapped_delta(np.array([0.95, 2.0]), np.array([0.05, 0.0]))
     assert np.allclose(d, [-0.1, 2.0])
+
+
+# -- seeded sampler ----------------------------------------------------------------
+
+
+def test_rng_same_seed_gives_identical_draws():
+    a, b = F.Rng(42), F.Rng(42)
+    for _ in range(3):
+        assert a.uniform(-2.0, 3.0, (5, 4)).tobytes() == b.uniform(-2.0, 3.0, (5, 4)).tobytes()
+
+
+def test_rng_different_seeds_give_different_draws():
+    draws = {F.Rng(seed).uniform(0.0, 1.0, 8).tobytes() for seed in (0, 1, 2, 2**64 - 1)}
+    assert len(draws) == 4
+
+
+@pytest.mark.parametrize("low, high", [(0.0, 1.0), (-1.0, 1.0), (0.0, TWO_PI), (0.1, 0.9),
+                                       (-1e-300, 1e-300), (5.0, 5.5)])
+def test_rng_draws_lie_in_half_open_interval(low, high):
+    x = F.Rng(3).uniform(low, high, 20_000)
+    assert x.dtype == np.float64
+    assert np.all(x >= low) and np.all(x < high)
+
+
+def test_rng_size_gives_shape():
+    rng = F.Rng(0)
+    assert rng.uniform(0.0, 1.0, 7).shape == (7,)
+    assert rng.uniform(0.0, 1.0, 0).shape == (0,)
+    assert rng.uniform(0.0, 1.0, (3, 2)).shape == (3, 2)
+    assert rng.uniform(0.0, 1.0, (2, 1, 4)).shape == (2, 1, 4)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_rng_draws_are_the_top_53_bits_of_mersenne_twister_words(seed):
+    k = 6
+    twister = random.Random(seed)
+    expected = [(twister.getrandbits(64) >> 11) * 2**-53 for _ in range(k)]
+    assert F.Rng(seed).uniform(0.0, 1.0, k).tolist() == expected
 
 
 # -- evaluation --------------------------------------------------------------------

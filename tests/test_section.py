@@ -30,8 +30,9 @@ def test_first_return_suspension(suspension_system):
     sec = S.coordinate_section(suspension_system.manifold, 1)
     rec = S.first_return(suspension_system, sec, suspension_system.point([0.2, 0.0]))
     assert abs(rec.return_time - 1.0) < 1e-12
-    assert abs(rec.image.coords[0] - (0.2 + 1.0 / 3.0)) < 1e-10
-    assert abs(rec.image.coords[1]) < 1e-10
+    delta = suspension_system.manifold.wrapped_delta(rec.image.coords, [0.2 + 1.0 / 3.0, 0.0])
+    assert abs(delta[0]) < 1e-10
+    assert abs(delta[1]) < 1e-10
 
 
 def test_first_return_oscillator_closed_form(osc_system):
