@@ -8,7 +8,7 @@ from .forms import (ChartManifold, ChartMap, KForm, Point, TangentVector,
                     constant_form, coordinate_form, evaluate, evaluate_at,
                     exterior_derivative, function_form, interior, power,
                     pullback, wedge, zero_form)
-from .phase import EnergySurface, FlowSystem, HamiltonianSystem, SingularOmegaError, flow
+from .phase import EnergySurface, FlowSystem, HamiltonianSystem, SingularOmegaError
 from .section import (Crossings, GlobalityReport, MappingTorusChart, NoCrossingError,
                       RefinementError, ReturnRecord, Returns, SectionSpec, TangencyError,
                       coordinate_section, first_crossings, first_return, iterate_returns,

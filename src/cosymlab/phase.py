@@ -11,10 +11,11 @@ throughout:
 Classical references differ by a sign; every derived quantity here (flows,
 return maps, transversality margins) uses this convention.
 
-Flows integrate with the package's own batched DOP853 stepper (`dop853`: the
-explicit Runge-Kutta pair of order 8 with SciPy's step-size control, in
-NumPy only) at a caller-given tolerance, rtol = tol and atol = tol / 100;
-each orbit of a batch, or each group of orbits, takes its own steps.
+Flows integrate through one entry point, `integrate_batch`, with the
+package's own batched DOP853 stepper (`dop853`: the explicit Runge-Kutta pair
+of order 8 with SciPy's step-size control, in NumPy only) at a caller-given
+tolerance, rtol = tol and atol = tol / 100; each orbit of a batch, or each
+group of orbits, takes its own steps.
 """
 from __future__ import annotations
 
@@ -231,12 +232,6 @@ class EnergySurface:
         return ChartMap.coordinate_projection(m.dim, keep)
 
 
-@dataclass(frozen=True, eq=False)
-class FlowResult:
-    point: Point
-    energy_error: float
-
-
 def integrate_batch(system, x0: np.ndarray, t0: float, t1: float,
                     tol: float = DEFAULT_FLOW_TOL, dense: bool = False,
                     step: Optional[Callable] = None):
@@ -263,18 +258,3 @@ def integrate_batch(system, x0: np.ndarray, t0: float, t1: float,
     sol.y_end = sol.y_end.reshape(x0.shape)
     return sol
 
-
-def flow(system, p0: Point, t: float, tol: float = DEFAULT_FLOW_TOL) -> FlowResult:
-    """Time-t flow map of the system field.
-
-    Periodic coordinates are reduced on output; the energy error along the
-    step is reported (Hamiltonian systems only, else 0).
-    """
-    x0 = p0.coords
-    if t == 0.0:
-        return FlowResult(p0, 0.0)
-    x1 = integrate_batch(system, x0[None], 0.0, t, tol).y_end[0]
-    drift = 0.0
-    if hasattr(system, "energy"):
-        drift = float(abs(system.energy(x1) - system.energy(x0)))
-    return FlowResult(system.manifold.point(x1), drift)

@@ -29,7 +29,8 @@ steps:
 
 Return-map iteration (`iterate_returns`, of which a first return is a batch
 of one), globality checks and return-map Jacobians all go through the
-engine, so the same bounds hold on every path.
+engine, so the same bounds hold on every path, and each return is certified
+once, by the engine that found it.
 """
 from __future__ import annotations
 
@@ -175,11 +176,12 @@ class Returns:
     """k successive first returns of a batch of orbits: row i, column j is
     the j-th return of orbit i.
 
+    Each entry comes from the `Crossings` record of one engine call:
     ``times`` are the return times of the single iterates, ``images`` the
-    reduced images, ``margins`` the least |d theta/dt| seen along each
-    return (at its start and step ends, see `Crossings`),
-    ``residuals`` the final |theta - level| of each image and
-    ``crossings_seen`` the lattice passages counted up to each return.
+    reduced crossing states, ``margins`` the least |d theta/dt| seen along
+    each return (at its start and step ends), ``residuals`` the final
+    |theta - level| of each image and ``crossings_seen`` the lattice
+    passages counted up to each return.
     ``failures`` holds None per orbit, or (iterate, reason) for an orbit
     that stopped; its times, images, margins and residuals from that
     iterate on stay NaN.
@@ -225,7 +227,8 @@ class GlobalityReport:
 
     @property
     def passed(self) -> bool:
-        return not self.failures
+        """No sample failed, and there was at least one sample."""
+        return not self.failures and not self.vacuous
 
     def as_dict(self) -> dict:
         return {"n_samples": self.n_samples, "n_pass": self.n_pass,
@@ -442,18 +445,6 @@ def first_crossings(system, sec: SectionSpec, starts: np.ndarray,
     return out
 
 
-class _Rescaled:
-    """Rows (x, T) flow for their constant time T as s runs over [0, 1]:
-    dx/ds = T X(x)."""
-
-    def __init__(self, system):
-        self._system = system
-
-    def field(self, y: np.ndarray) -> np.ndarray:
-        return np.concatenate([y[:, -1:] * self._system.field(y[:, :-1]),
-                               np.zeros((len(y), 1))], axis=1)
-
-
 def _start_failures(system, sec: SectionSpec, x: np.ndarray) -> list:
     """Reason per row why it cannot start a first return, or None: a start
     must lie on the section and be transverse to the flow."""
@@ -471,13 +462,11 @@ def iterate_returns(system, sec: SectionSpec, starts: np.ndarray, k: int,
                     tol: float = phase.DEFAULT_FLOW_TOL) -> Returns:
     """k successive positively-oriented first returns of every start.
 
-    Each round makes one `first_crossings` call over the live orbits, then a
-    batched verification pass: the true flow is re-integrated from the
-    round's starts to each orbit's own crossing time (time rescaled per
-    row) and polished again, so no image inherits the Hénon step's error.  The
-    next round starts from the reduced images.  An orbit whose start is off
-    the section or tangent to the flow, or whose crossing or verified image
-    fails its bounds, stops with a failure entry; the others go on.
+    Each round is one `first_crossings` call over the live orbits: its
+    certified crossings give the round's times, margins and residuals, and
+    their reduced states are the images the next round starts from.  An
+    orbit whose start is off the section or tangent to the flow, or whose
+    crossing fails its bounds, stops with a failure entry; the others go on.
     """
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     n, dim = starts.shape
@@ -493,20 +482,11 @@ def iterate_returns(system, sec: SectionSpec, starts: np.ndarray, k: int,
         for row, reason in zip(ready, c.failures):
             reasons[row] = reason
         out.crossings_seen[live[ready], j] = c.crossings_seen
-        crossed = ready[c.ok]
-        if crossed.size:
-            times = c.times[c.ok]
-            y = phase.integrate_batch(_Rescaled(system), np.column_stack([x[crossed], times]),
-                                      0.0, 1.0, tol).y_end[:, :-1]
-            y, t_corr, residual, _ = _polish(system, sec, y, sec.orientation)
-            good = residual < ANGLE_RESIDUAL
-            for row, r in zip(crossed[~good], residual[~good]):
-                reasons[row] = f"unconverged: angular residual {r:.3e} >= {ANGLE_RESIDUAL}"
-            orbits = live[crossed[good]]
-            out.times[orbits, j] = times[good] + t_corr[good]
-            out.images[orbits, j] = system.manifold.reduce(y[good])
-            out.margins[orbits, j] = c.margins[c.ok][good]
-            out.residuals[orbits, j] = residual[good]
+        ok = c.ok
+        orbits = live[ready[ok]]
+        out.times[orbits, j], out.margins[orbits, j] = c.times[ok], c.margins[ok]
+        out.images[orbits, j] = system.manifold.reduce(c.states[ok])
+        out.residuals[orbits, j] = c.residuals[ok]
         for row, reason in enumerate(reasons):
             if reason is not None:
                 out.failures[live[row]] = (j, reason)
