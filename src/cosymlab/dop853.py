@@ -26,9 +26,9 @@ takes the same steps and reaches the same states:
 A step hook can shorten or reject a row's steps and end the row, so a caller
 can watch each orbit on its own steps.  The dense output of a one-row solve
 is evaluated segment by segment into one output array, so it never holds
-more than the requested points plus one segment's share.  The scalar powers
-of the step control are taken one row at a time (`_factors`), since NumPy's
-vectorised power can differ in the last bit.
+more than the requested points plus one segment's share.  The powers
+of the step control are the C library's scalar ones, taken one row at a time
+(`_scalar_powers`), since NumPy's vectorised power can differ in the last bit.
 
 The coefficient tables below are SciPy's ``integrate/_ivp/dop853_coefficients.py``,
 used under its licence:
@@ -66,6 +66,8 @@ used under its licence:
 """
 from __future__ import annotations
 
+import math
+from itertools import repeat
 from typing import Callable, Optional
 
 import numpy as np
@@ -279,12 +281,20 @@ class StepSizeUnderflow(RuntimeError):
         self.times = times
 
 
+def _scalar_powers(base: np.ndarray, exponent: float) -> np.ndarray:
+    """base**exponent by the C library's scalar pow, one value at a time:
+    NumPy's vectorised power can differ from it in the last bit, and one row
+    must take SciPy's steps."""
+    return np.fromiter(map(math.pow, base.tolist(), repeat(exponent, len(base))), float, len(base))
+
+
 def _factors(err: np.ndarray) -> np.ndarray:
     """SciPy's step factor SAFETY * err**(-1/8) of every row, inf where err
-    is 0.  The powers are the C library's scalar ones: NumPy's vectorised
-    power can differ from them in the last bit, and one row must take
-    SciPy's steps."""
-    return np.array([SAFETY * e ** ERROR_EXPONENT if e else np.inf for e in err.tolist()])
+    is 0."""
+    zero = err == 0
+    factor = SAFETY * _scalar_powers(np.where(zero, 1.0, err), ERROR_EXPONENT)
+    factor[zero] = np.inf
+    return factor
 
 
 def _rms(x: np.ndarray):
@@ -315,9 +325,7 @@ def _initial_step(fun, y0, f0, span, direction, rtol, atol) -> np.ndarray:
     flat = (d1 <= 1e-15) & (d2 <= 1e-15)
     with np.errstate(divide="ignore"):
         base = 0.01 / np.maximum(d1, d2)
-    # scalar powers, as in `_factors`
-    h1 = np.where(flat, np.maximum(1e-6, h0 * 1e-3),
-                  [b ** -ERROR_EXPONENT for b in base.tolist()])
+    h1 = np.where(flat, np.maximum(1e-6, h0 * 1e-3), _scalar_powers(base, -ERROR_EXPONENT))
     return np.minimum(np.minimum(100 * h0, h1), span)
 
 

@@ -3,40 +3,38 @@ and the mapping-torus chart of a verified section.
 
 The section function is circle valued.  Along an orbit its angle is lifted to
 a continuous real value, and crossings of the level set are located where the
-lift passes a lattice value ``level + 2*pi*k``.  Only crossings whose oriented
-time derivative is positive are counted; a two-sided count would double-cover
-the mapping-torus fiber.
+lift passes a lattice value ``level + 2*pi*z`` (z an integer).  Only crossings
+whose oriented time derivative is positive are counted; a two-sided count
+would double-cover the mapping-torus fiber.
 
-Every crossing comes from one batched engine, `first_crossings`, in three
-steps:
+Every crossing comes from one batched engine, `first_crossings`, which
+follows each orbit through its first k crossings in three steps:
 
 - bracket: each orbit, or group of orbits sharing one step sequence, takes
   its own DOP853 steps, and a step hook (`_Scan`) follows its lifted angle
   from step end to step end.  A step sweeps at most pi/2 of angle and ends at
   a turning point of the lift near a lattice value, so a short excursion
-  through the section is seen.  The first step that passes a lattice value
-  upward holds the crossing, and the orbit is stepped no further;
-- refine: one batched Hénon step (M. Hénon, Physica D 5 (1982) 412) takes the
-  lifted angle as the independent variable and integrates from that step's
-  left end, an accepted integrator state, exactly onto the lattice value;
-  the rate in its denominator is clamped at TANGENCY_MARGIN, so a grazing
-  orbit cannot stall the batch;
+  through the section is seen.  Each step that passes a lattice value upward
+  holds a crossing, and the orbit is stepped no further than its k-th;
+- refine: a batched Hénon step (M. Hénon, Physica D 5 (1982) 412) per
+  crossing integrates over the lifted angle from that step's left end, an
+  accepted integrator state, exactly onto the lattice value;
 - polish and check: vectorised Newton steps with fourth-order flow
-  micro-steps.  A crossing is accepted only if its time lies inside its
-  step, its angular residual is below 1e-12 and its rate is at least
-  TANGENCY_MARGIN; anything else, and an integration that stalls, is a
-  per-orbit failure.
+  micro-steps.  A crossing is accepted only if its time lies inside its step
+  and within t_max of the crossing before, its angular residual is below
+  1e-12 and its rate is at least TANGENCY_MARGIN; anything else, and an
+  integration that stalls, ends the orbit's record with a failure.
 
-Return-map iteration (`iterate_returns`, of which a first return is a batch
-of one), globality checks and return-map Jacobians all go through the
-engine, so the same bounds hold on every path, and each return is certified
-once, by the engine that found it.
+Return-map iteration (`iterate_returns`: k returns of a batch are one engine
+call, a first return is k = 1), globality checks and return-map Jacobians
+all go through the engine, so the same bounds hold on every path.
 """
 from __future__ import annotations
 
 import csv
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
@@ -109,8 +107,7 @@ def _rates(sec: SectionSpec, x: np.ndarray, field: np.ndarray) -> np.ndarray:
 def coordinate_section(chart: ChartManifold, index: int, level: float = 0.0,
                        orientation: int = 1, name: str = "") -> SectionSpec:
     """Section {x_index = level} for a periodic coordinate."""
-    period = chart.periods[index]
-    scale = TWO_PI / period
+    scale = TWO_PI / chart.periods[index]
     grad = np.zeros(chart.dim)
     grad[index] = scale
 
@@ -135,21 +132,27 @@ _FAILURE_ERRORS = {"no crossing": NoCrossingError, "tangency": TangencyError,
                    "start point is not on the section": ValueError}
 
 
-def _raise_for(reason: str) -> None:
-    raise _FAILURE_ERRORS.get(reason.split(":")[0], RefinementError)(reason)
+def _raise_first(reasons) -> None:
+    """Raise the error of the first reason that is not None, if there is one."""
+    for reason in reasons:
+        if reason is not None:
+            raise _FAILURE_ERRORS.get(reason.split(":")[0], RefinementError)(reason)
 
 
 @dataclass(eq=False)
 class Crossings:
-    """First oriented crossings of a batch of orbits, one entry per orbit.
+    """The first k oriented crossings of a batch of orbits: entry i * k + j
+    is crossing j of orbit i.
 
     ``times`` are signed (negative when scanning backward) and ``states`` are
-    unreduced coordinates.  ``rates`` is d theta/dt along the true flow at
-    the crossing, ``margins`` the least |d theta/dt| at the start and at the
-    orbit's step ends up to the crossing, ``residuals`` the final
-    |theta - level| and ``crossings_seen`` the lattice passages counted up
-    to and including the crossing.  ``failures`` holds None for an accepted crossing and the
-    reason otherwise; an orbit without a bracket keeps NaN entries.
+    unreduced coordinates.  ``rates`` is d theta/dt along the true flow at a
+    crossing, ``margins`` the least |d theta/dt| at the crossing before it
+    (the start, for the first) and at the step ends between, ``residuals``
+    the final |theta - level| and ``crossings_seen`` the lattice passages
+    counted since the crossing before, up to and including this one.  ``ok``
+    marks each orbit's certified crossings, the leading ones that pass every
+    bound.  ``failures`` holds per orbit None, or why its first uncertified
+    crossing failed or is missing.  Entries without a bracket keep NaN.
     """
 
     times: np.ndarray
@@ -159,16 +162,11 @@ class Crossings:
     residuals: np.ndarray
     crossings_seen: np.ndarray
     failures: list
-
-    @property
-    def ok(self) -> np.ndarray:
-        return np.array([f is None for f in self.failures], dtype=bool)
+    ok: np.ndarray
 
     def raise_failure(self) -> None:
         """Raise the error of the first failed orbit, if there is one."""
-        for reason in self.failures:
-            if reason is not None:
-                _raise_for(reason)
+        _raise_first(self.failures)
 
 
 @dataclass(eq=False)
@@ -176,15 +174,12 @@ class Returns:
     """k successive first returns of a batch of orbits: row i, column j is
     the j-th return of orbit i.
 
-    Each entry comes from the `Crossings` record of one engine call:
-    ``times`` are the return times of the single iterates, ``images`` the
-    reduced crossing states, ``margins`` the least |d theta/dt| seen along
-    each return (at its start and step ends), ``residuals`` the final
-    |theta - level| of each image and ``crossings_seen`` the lattice
-    passages counted up to each return.
-    ``failures`` holds None per orbit, or (iterate, reason) for an orbit
-    that stopped; its times, images, margins and residuals from that
-    iterate on stay NaN.
+    The entries come from one `first_crossings` record: ``times`` are the
+    differences of consecutive crossing times, ``images`` the reduced
+    crossing states, and ``margins``, ``residuals`` and ``crossings_seen``
+    those of the crossings.  ``failures`` holds None per orbit, or (iterate,
+    reason) for an orbit that stopped; its times, images, margins and
+    residuals from that iterate on stay NaN.
     """
 
     times: np.ndarray
@@ -208,9 +203,7 @@ class Returns:
 
     def raise_failure(self) -> None:
         """Raise the error of the first failed orbit, if there is one."""
-        for failure in self.failures:
-            if failure is not None:
-                _raise_for(failure[1])
+        _raise_first(f and f[1] for f in self.failures)
 
 
 @dataclass(eq=False)
@@ -244,8 +237,8 @@ class _Directed:
     def __init__(self, system, sign: int):
         self._system, self.sign = system, sign
 
-    def field(self, coords: np.ndarray) -> np.ndarray:
-        return self.sign * self._system.field(coords)
+    def field(self, coords: np.ndarray) -> np.ndarray:   # forward: no multiply by 1
+        return self._system.field(coords) if self.sign > 0 else -self._system.field(coords)
 
 
 def _clamp(rate: np.ndarray, oriented: int) -> np.ndarray:
@@ -315,21 +308,28 @@ class _Scan:
     - turning: where the rate changes sign and the linearly interpolated peak
       of the lift comes within NEAR_LATTICE of a lattice value neither end
       has passed, the step ends at the turning time (exempting it and the next);
-    - passage: the first step whose end has passed a lattice value upward
-      holds the crossing; the group is done once each orbit has one."""
+    - passage: a step whose end has passed a lattice value upward holds a
+      crossing; its bracket and the passages and least |rate| since the one
+      before go into the (g, m, k) record.  An orbit stops at its k-th, or at
+      a step end t_max past its last (or the start); a group once all have."""
 
-    def __init__(self, sec: SectionSpec, starts: np.ndarray, oriented: int, rates: np.ndarray):
+    def __init__(self, sec: SectionSpec, directed, starts: np.ndarray, oriented: int,
+                 k: int, t_max: float):
         g, m, dim = starts.shape
-        self.sec, self.oriented, self.shape = sec, oriented, (m, dim)
+        self.sec, self.oriented, self.shape, self.k, self.t_max = sec, oriented, (m, dim), k, t_max
         self.theta = np.array(sec.theta(starts), dtype=float)
-        self.lift, self.rate, self.margins = self.theta.copy(), rates, np.abs(rates)
+        self.rate = np.asarray(sec.rate(directed, starts), dtype=float)
+        self.lift, self.margins = self.theta.copy(), np.abs(self.rate)
         w = self._turns(self.lift)
         own = np.round(w)
         self.cell = np.where(np.abs(w - own) * TWO_PI <= ON_SECTION_TOL, own, np.floor(w + 1e-12))
-        self.seen, self.crossed = np.zeros((g, m), dtype=int), np.zeros((g, m), dtype=bool)
-        # per orbit the Hénon step's start (state, time 0, angle gap; a start
-        # that does not cross rides along with a zero gap) and the step times
-        self.bracket = np.concatenate([starts, np.zeros((g, m, 2)), np.full((g, m, 2), np.nan)], -1)
+        self.seen, self.count = np.zeros((g, m), dtype=int), np.zeros((g, m), dtype=int)
+        self.deadline = np.full((g, m), float(t_max))   # -inf once an orbit has all k
+        # per crossing the Hénon step's start (state, time 0, angle gap; one not
+        # reached rides along with a zero gap), the step times, passages and margin
+        self.bracket = np.concatenate([np.repeat(starts[:, :, None], k, 2), np.zeros((g, m, k, 2)),
+                                       np.full((g, m, k, 2), np.nan)], -1)
+        self.seen_k, self.margins_k = np.zeros((g, m, k), dtype=int), np.full((g, m, k), np.nan)
         self.turning = np.zeros(g, dtype=int)   # accepted steps left exempt from the turning rule
 
     def _turns(self, v: np.ndarray) -> np.ndarray:
@@ -345,7 +345,7 @@ class _Scan:
         lift0 = self.lift[sel]
         lift1 = lift0 - ((self.theta[sel] - theta + math.pi) % TWO_PI - math.pi)
         h = t_new - t
-        going = ~self.crossed[sel]
+        going = t[:, None] < self.deadline[sel]
         speed = np.fmax(np.fmax(np.abs(r0), np.abs(r1)), np.abs(lift1 - lift0) / h[:, None])
         allowed = np.divide(0.5 * math.pi, speed, out=np.full(speed.shape, np.inf),
                             where=going & (speed > 0)).min(axis=1)
@@ -378,122 +378,131 @@ class _Scan:
         self.margins[ra] = np.minimum(self.margins[ra], np.where(moved, np.abs(r1[a]), np.inf))
         if np.count_nonzero(up):
             i, j = np.nonzero(up)
-            k = np.arange(len(rows))[a][i]
-            rk = rows[k]
-            gap = self.sec.level - lift0[k, j] + self.oriented * TWO_PI * (self.cell[rk, j] + 1)
-            left = y[k].reshape(-1, *self.shape)[np.arange(len(i)), j]
-            self.bracket[rk, j] = np.column_stack([left, np.zeros(len(k)), gap, t[k], t_new[k]])
-            self.crossed[rk, j] = True
-            done[a] = self.crossed[ra].all(axis=1)
+            q = np.arange(len(rows))[a][i]
+            rk = rows[q]
+            c = self.count[rk, j]
+            gap = self.sec.level - lift0[q, j] + self.oriented * TWO_PI * (self.cell[rk, j] + 1)
+            left = y[q].reshape(-1, *self.shape)[np.arange(len(i)), j]
+            self.bracket[rk, j, c] = np.column_stack([left, np.zeros(len(q)), gap, t[q], t_new[q]])
+            self.seen_k[rk, j, c], self.margins_k[rk, j, c] = self.seen[rk, j], self.margins[rk, j]
+            self.seen[rk, j], self.margins[rk, j] = 0, np.inf
+            self.count[rk, j] = c + 1
+            self.deadline[rk, j] = np.where(c + 1 < self.k, t_new[q] + self.t_max, -np.inf)
+        done[a] = ~(t_new[a, None] < self.deadline[ra]).any(axis=1)
         self.theta[ra], self.lift[ra], self.rate[ra], self.cell[ra] = theta[a], lift1[a], r1[a], c1
         return ok, cap, done
 
 
 def first_crossings(system, sec: SectionSpec, starts: np.ndarray,
                     t_max: float = DEFAULT_T_MAX, tol: float = phase.DEFAULT_FLOW_TOL,
-                    direction: int = 1) -> Crossings:
-    """First oriented crossing of the section along the orbit of every start.
+                    direction: int = 1, k: int = 1) -> Crossings:
+    """The first k oriented crossings of the section along each start's orbit.
 
     ``starts`` is (n, dim), n orbits each on its own integrator steps, or
     (g, m, dim), g groups of m orbits on one shared step sequence each; the
-    record has an entry per orbit, in order.  ``direction`` +1 scans forward
+    record has k entries per orbit, in order.  ``direction`` +1 scans forward
     time, -1 backward.  A start within ON_SECTION_TOL of a lattice value owns
-    it: leaving it is not a crossing.  One integration over [0, t_max] steps
-    each group up to its last crossing (`_Scan`).  Failures, a stalled
-    integration among them, are entries, not exceptions.
+    it: leaving it is not a crossing.  One integration steps each orbit
+    through its crossings (`_Scan`), each within t_max of the one before (or
+    the start); one Hénon batch and one polish certify them all.  Failures,
+    a stalled integration among them, are entries, not exceptions.
     """
     starts = np.asarray(starts, dtype=float)
     groups = starts if starts.ndim == 3 else starts.reshape(-1, 1, starts.shape[-1])
     g, m, dim = groups.shape
+    n = g * m
     directed = _Directed(system, direction)
     oriented = sec.orientation * direction
-    scan = _Scan(sec, groups, oriented, np.asarray(sec.rate(directed, groups), dtype=float))
-    failures = ["no crossing"] * (g * m)
+    scan = _Scan(sec, directed, groups, oriented, k, t_max)
+    failures = ["no crossing"] * n
     try:
-        phase.integrate_batch(directed, groups, 0.0, t_max, tol, step=scan)
+        phase.integrate_batch(directed, groups, 0.0, k * t_max, tol, step=scan)
     except phase.StepSizeUnderflow as exc:
-        # an orbit of the row that crossed before the stall gets its own verdict below
+        # a crossing of the row before the stall gets its own verdict below
         for row, t in zip(exc.rows, exc.times):
             failures[row * m:(row + 1) * m] = [f"unconverged: integration stalled at t={t:.6g}"] * m
-    out = Crossings(times=np.full(g * m, np.nan), states=np.full((g * m, dim), np.nan),
-                    rates=np.full(g * m, np.nan), margins=scan.margins.ravel(),
-                    residuals=np.full(g * m, np.nan), crossings_seen=scan.seen.ravel(),
-                    failures=failures)
-    rows = np.flatnonzero(scan.crossed.any(axis=1))
-    hit, bracket = scan.crossed[rows], scan.bracket[rows]
+    # an orbit's entry after its last crossing holds what its scan counted since
+    last = np.nonzero(scan.count < k)
+    scan.seen_k[last + (scan.count[last],)] = scan.seen[last]
+    scan.margins_k[last + (scan.count[last],)] = scan.margins[last]
+    out = Crossings(np.full(n * k, np.nan), np.full((n * k, dim), np.nan), np.full(n * k, np.nan),
+                    scan.margins_k.ravel(), np.full(n * k, np.nan), scan.seen_k.ravel(),
+                    failures, np.zeros(n * k, dtype=bool))
+    # one Hénon row per group and crossing index
+    hit = (np.arange(k) < scan.count[..., None]).transpose(0, 2, 1).reshape(g * k, m)
+    bracket = scan.bracket.transpose(0, 2, 1, 3).reshape(g * k, m, dim + 4)
+    rows = np.flatnonzero(hit.any(axis=1))
+    hit, bracket = hit[rows], bracket[rows]
     y = phase.integrate_batch(_HenonFlow(directed, sec, oriented), bracket[..., :dim + 2],
                               0.0, 1.0, tol).y_end
     x, t_corr, residual, slowest = _polish(directed, sec, y[..., :dim][hit], oriented)
-    orbits = (rows[:, None] * m + np.arange(m))[hit]
+    entries = (((rows // k * m)[:, None] + np.arange(m)) * k + (rows % k)[:, None])[hit]
     t_left, t_right = bracket[hit][:, dim + 2:].T
     t_local = t_left + y[..., dim][hit] + t_corr
-    out.times[orbits], out.states[orbits] = direction * t_local, x
-    out.rates[orbits], out.residuals[orbits] = sec.rate(system, x), residual
+    out.times[entries], out.states[entries] = direction * t_local, x
+    out.rates[entries], out.residuals[entries] = sec.rate(system, x), residual
+    # a return starts at the crossing before it, at that crossing's rate
+    margins = out.margins.reshape(n, k)
+    margins[:, 1:] = np.fmin(margins[:, 1:], np.abs(out.rates.reshape(n, k)[:, :-1]))
+    rate = np.minimum(np.abs(out.rates[entries]), slowest)
     slack = 1e-3 * (t_right - t_left)
-    for k, orbit in enumerate(orbits):
-        rate, t = min(abs(out.rates[orbit]), slowest[k]), out.times[orbit]
-        if not rate >= TANGENCY_MARGIN:
-            failures[orbit] = (f"tangency: grazing crossing at t={t:.6g}: |d theta/dt|"
-                               f" = {rate:.3e} < {TANGENCY_MARGIN}")
-        elif not residual[k] < ANGLE_RESIDUAL:
-            failures[orbit] = f"unconverged: angular residual {residual[k]:.3e} >= {ANGLE_RESIDUAL}"
-        elif not t_left[k] - slack[k] <= t_local[k] <= t_right[k] + slack[k]:
-            failures[orbit] = (f"outside bracket: crossing at t={t:.6g} outside the "
-                               f"bracketing step of its orbit")
-        else:
-            failures[orbit] = None
+    late = t_local - np.where(entries % k > 0, direction * out.times[entries - 1], 0.0) > t_max
+    tangent = ~(rate >= TANGENCY_MARGIN)
+    loose = ~(residual < ANGLE_RESIDUAL)
+    outside = ~((t_left - slack <= t_local) & (t_local <= t_right + slack))
+    bad = late | tangent | loose | outside
+    out.ok[entries] = ~bad
+    # an orbit's record ends at its first crossing that is missing or fails
+    completed = np.cumprod(out.ok.reshape(n, k), axis=1).sum(axis=1)
+    out.ok = (np.arange(k) < completed[:, None]).ravel()
+    for e in np.flatnonzero(bad & (entries % k == completed[entries // k])).tolist():
+        t = out.times[entries[e]]
+        failures[entries[e] // k] = "no crossing" if late[e] else (
+            f"tangency: grazing crossing at t={t:.6g}: |d theta/dt| = {rate[e]:.3e}"
+            f" < {TANGENCY_MARGIN}" if tangent[e] else
+            f"unconverged: angular residual {residual[e]:.3e} >= {ANGLE_RESIDUAL}" if loose[e]
+            else f"outside bracket: crossing at t={t:.6g} outside the bracketing step of its orbit")
+    out.failures = [None if c == k else f for c, f in zip(completed.tolist(), failures)]
     return out
-
-
-def _start_failures(system, sec: SectionSpec, x: np.ndarray) -> list:
-    """Reason per row why it cannot start a first return, or None: a start
-    must lie on the section and be transverse to the flow."""
-    off = np.abs(np.asarray(sec.offset(x), dtype=float))
-    rate = np.abs(np.asarray(sec.rate(system, x), dtype=float))
-    return [f"start point is not on the section: |theta - level| = {o:.3e}"
-            if not o <= ON_SECTION_TOL else
-            f"tangency: flow tangent to section at start: |d theta/dt| = {r:.3e}"
-            if not r >= TANGENCY_MARGIN else None
-            for o, r in zip(off, rate)]
 
 
 def iterate_returns(system, sec: SectionSpec, starts: np.ndarray, k: int,
                     t_max: float = DEFAULT_T_MAX,
                     tol: float = phase.DEFAULT_FLOW_TOL) -> Returns:
-    """k successive positively-oriented first returns of every start.
+    """k successive positively-oriented first returns of every start, all
+    from one `first_crossings` call.
 
-    Each round is one `first_crossings` call over the live orbits: its
-    certified crossings give the round's times, margins and residuals, and
-    their reduced states are the images the next round starts from.  An
-    orbit whose start is off the section or tangent to the flow, or whose
-    crossing fails its bounds, stops with a failure entry; the others go on.
+    Return j runs from certified crossing j - 1 (the start, for j = 0) to
+    crossing j, and its image is crossing j's reduced state.  An orbit whose
+    start is off the section or tangent to the flow, or whose crossing fails
+    its bounds, stops there with a failure; its earlier returns stand.
     """
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     n, dim = starts.shape
-    out = Returns(times=np.full((n, k), np.nan), images=np.full((n, k, dim), np.nan),
-                  margins=np.full((n, k), np.nan), residuals=np.full((n, k), np.nan),
-                  crossings_seen=np.zeros((n, k), dtype=int), failures=[None] * n)
-    live = np.arange(n)
     x = system.manifold.reduce(starts)
-    for j in range(k):
-        reasons = _start_failures(system, sec, x)
-        ready = np.flatnonzero([r is None for r in reasons])
-        c = first_crossings(system, sec, x[ready], t_max, tol)
-        for row, reason in zip(ready, c.failures):
-            reasons[row] = reason
-        out.crossings_seen[live[ready], j] = c.crossings_seen
-        ok = c.ok
-        orbits = live[ready[ok]]
-        out.times[orbits, j], out.margins[orbits, j] = c.times[ok], c.margins[ok]
-        out.images[orbits, j] = system.manifold.reduce(c.states[ok])
-        out.residuals[orbits, j] = c.residuals[ok]
-        for row, reason in enumerate(reasons):
-            if reason is not None:
-                out.failures[live[row]] = (j, reason)
-        live = live[[r is None for r in reasons]]
-        if not live.size:
-            break
-        x = out.images[live, j]
+    # a start must lie on the section and be transverse to the flow
+    off = np.abs(np.asarray(sec.offset(x), dtype=float))
+    rate = np.abs(np.asarray(sec.rate(system, x), dtype=float))
+    reasons = [f"start point is not on the section: |theta - level| = {o:.3e}"
+               if not o <= ON_SECTION_TOL else
+               f"tangency: flow tangent to section at start: |d theta/dt| = {r:.3e}"
+               if not r >= TANGENCY_MARGIN else None for o, r in zip(off, rate)]
+    ready = np.flatnonzero([r is None for r in reasons])
+    c = first_crossings(system, sec, x[ready], t_max, tol, k=k)
+    for row, reason in zip(ready, c.failures):
+        reasons[row] = reason
+    ok = np.zeros((n, k), dtype=bool)
+    ok[ready] = c.ok.reshape(-1, k)
+    completed = ok.sum(axis=1)
+    out = Returns(np.full((n, k), np.nan), np.full((n, k, dim), np.nan), np.full((n, k), np.nan),
+                  np.full((n, k), np.nan), np.zeros((n, k), dtype=int),
+                  [None if r is None else (int(completed[i]), r) for i, r in enumerate(reasons)])
+    # ok holds the certified entries of c in c's order
+    out.times[ok] = np.diff(c.times.reshape(-1, k), axis=1, prepend=0.0).ravel()[c.ok]
+    out.images[ok] = system.manifold.reduce(c.states[c.ok])
+    out.margins[ok], out.residuals[ok] = c.margins[c.ok], c.residuals[c.ok]
+    out.crossings_seen[ready] = np.where(np.arange(k) <= completed[ready, None],
+                                         c.crossings_seen.reshape(-1, k), 0)
     return out
 
 
@@ -529,11 +538,10 @@ def verify_global(system, sec: SectionSpec, samples: np.ndarray,
         c = first_crossings(system, sec, samples, t_max, tol, direction)
         failures += [(i, label, reason) for i, reason in enumerate(c.failures)
                      if reason is not None]
-        ok = c.ok
-        if ok.any():
-            min_margin = min(min_margin, float(np.min(c.margins[ok])))
+        if c.ok.any():
+            min_margin = min(min_margin, float(np.min(c.margins[c.ok])))
             if direction == 1:
-                max_time = float(np.max(np.abs(c.times[ok])))
+                max_time = float(np.max(np.abs(c.times[c.ok])))
     return GlobalityReport(len(samples), failures, min_margin, max_time)
 
 
@@ -558,18 +566,13 @@ def section_coordinates(system, sec: SectionSpec, p: Point):
     level_h = float(system.energy(x0)) if has_energy else None
 
     def constraints(x):
-        c = [float(sec.offset(x))]
-        if has_energy:
-            c.append(float(system.energy(x)) - level_h)
-        return np.array(c)
+        energy = [float(system.energy(x)) - level_h] if has_energy else []
+        return np.array([float(sec.offset(x))] + energy)
 
     G = _constraint_grads(system, sec, x0)
     n_con = G.shape[0]
-    from itertools import combinations as _comb
-    candidates = []
-    if n_con == 2 and dim % 2 == 0:
-        candidates.append([(2 * i, 2 * i + 1) for i in range(dim // 2)])
-    candidates.append(list(_comb(range(dim), n_con)))
+    pairs = [[(2 * i, 2 * i + 1) for i in range(dim // 2)]] if n_con == 2 and dim % 2 == 0 else []
+    candidates = pairs + [list(combinations(range(dim), n_con))]
     elim, best = None, -1.0
     for group in candidates:
         for cols in group:
@@ -699,14 +702,12 @@ def mapping_torus_chart(system, sec: SectionSpec, grid: Sequence[Point],
     """
     chart = system.manifold
     t_samples = np.linspace(0.0, 1.0, n_time)
-    records, rows = [], []
-    gluing = energy_res = 0.0
+    rows, gluing, energy_res = [], 0.0, 0.0
     has_energy = hasattr(system, "energy")
     returns = iterate_returns(system, sec, np.array([p.coords for p in grid]), 1, t_max, tol)
     returns.raise_failure()
-    for i, p in enumerate(grid):
-        rec = returns.first(i, p)
-        records.append(rec)
+    records = [returns.first(i, p) for i, p in enumerate(grid)]
+    for p, rec in zip(grid, records):
         sol = phase.integrate_batch(system, p.coords[None], 0.0, rec.return_time, tol, dense=True)
         states = sol.sol(t_samples * rec.return_time).T
         states[0] = p.coords
@@ -721,8 +722,7 @@ def mapping_torus_chart(system, sec: SectionSpec, grid: Sequence[Point],
     if gluing > gluing_tol:
         raise GluingError(f"gluing residual {gluing:.3e} exceeds {gluing_tol:.3e}; "
                           "section is inconsistent over the grid")
-    return MappingTorusChart(list(grid), records, t_samples, np.stack(rows),
-                             gluing, energy_res)
+    return MappingTorusChart(list(grid), records, t_samples, np.stack(rows), gluing, energy_res)
 
 
 def write_crossings_csv(path, rows: Sequence[Sequence[float]], dim: int) -> None:

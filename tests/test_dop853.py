@@ -120,6 +120,19 @@ def test_initial_step_survives_an_overflowing_norm():
     assert dop853._rms(x) == pytest.approx(5e200 / np.sqrt(3.0), rel=1e-15)
 
 
+def test_step_factor_powers_match_python_pow():
+    # the step factors are taken with math.pow, one row at a time; Python's
+    # float ** float is the reference, zero error keeps the infinite factor
+    rng = np.random.default_rng(4)
+    err = np.concatenate([10.0 ** rng.uniform(-320.0, 300.0, 2000), rng.uniform(0.0, 3.0, 2000),
+                          [0.0, 5e-324, 1e-310, 1.0, np.inf, np.nan]])
+    loop = [dop853.SAFETY * e ** dop853.ERROR_EXPONENT if e else np.inf for e in err.tolist()]
+    assert np.array_equal(dop853._factors(err), loop, equal_nan=True)
+    base = err[np.isfinite(err)]
+    assert np.array_equal(dop853._scalar_powers(base, -dop853.ERROR_EXPONENT),
+                          [b ** -dop853.ERROR_EXPONENT for b in base.tolist()])
+
+
 def _dense(direction):
     system = catalog.get_system("oscillator_2dof_sqrt2")
     starts = np.array([[0.6, 0.0, 0.8, 0.0], [0.1, 0.3, -0.9, 0.2], [1.2, -0.4, 0.0, 0.5]])

@@ -481,10 +481,11 @@ def test_aliased_early_stop_continues_to_analytic_crossing(monkeypatch):
 
 def test_iterate_returns_field_work(monkeypatch):
     # machine-independent work of three returns of a fixed oscillator batch:
-    # 897 field calls with each return certified once, by the crossing engine
-    # (1651 when every return was re-integrated and polished a second time,
-    # 1839 on a shared sample grid ending one step past the last crossing,
-    # 3063 when every scan integrated its whole chunk)
+    # 747 field calls with all three followed in one crossing scan and
+    # certified by one Hénon batch and one polish (897 with one engine call
+    # per return, 1651 when every return was re-integrated and polished a
+    # second time, 1839 on a shared sample grid ending one step past the
+    # last crossing, 3063 when every scan integrated its whole chunk)
     system = catalog.oscillator_2dof()
     sec = catalog.oscillator_angle_section()
     starts = catalog.sample_oscillator_surface(system, 1.0, np.random.default_rng(3), 4,
@@ -495,7 +496,70 @@ def test_iterate_returns_field_work(monkeypatch):
                         lambda self, x: calls.append(1) or field(self, x))
     r = S.iterate_returns(system, sec, starts, 3, t_max=20.0)
     assert r.failures == [None] * 4
-    assert len(calls) <= 1.1 * 897
+    assert len(calls) <= 1.1 * 747
+
+
+def test_crossing_verdicts_keep_their_precedence(monkeypatch):
+    # the acceptance checks run as arrays over all crossings; a failing one
+    # gets the message of its first failed check in the order return time,
+    # tangency, residual, bracket, as when they ran one crossing at a time
+    system, sec = _drift()
+    polish = S._polish
+
+    def forged(directed, sec_, x, oriented, max_iter=8):
+        x, t_corr, residual, slowest = polish(directed, sec_, x, oriented, max_iter)
+        slowest[0], residual[0] = 1e-9, 1e-9          # grazing and unconverged
+        residual[1], t_corr[1] = 2e-12, 50.0          # unconverged and outside
+        t_corr[2] = 50.0                               # outside its step only
+        t_corr[3], slowest[3] = 200.0, 1e-9            # after t_max and grazing
+        return x, t_corr, residual, slowest
+
+    monkeypatch.setattr(S, "_polish", forged)
+    c = S.first_crossings(system, sec, [[0.0, v] for v in (1.0, 1.1, 1.2, 1.3, 1.4)], 100.0)
+    t = c.times
+    assert c.failures == [
+        f"tangency: grazing crossing at t={t[0]:.6g}: |d theta/dt| = 1.000e-09 < 1e-08",
+        "unconverged: angular residual 2.000e-12 >= 1e-12",
+        f"outside bracket: crossing at t={t[2]:.6g} outside the bracketing step of its orbit",
+        "no crossing", None]
+    assert c.ok.tolist() == [False] * 4 + [True]
+
+
+def _slowing_drift(c):
+    # u' = 1 / (1 + v), v' = c on S^1 x R: the lap from crossing j - 1 to j of
+    # the start (0, 0) takes (exp(2 pi c) - 1) exp(2 pi c j) / c, longer each lap
+    chart = F.ChartManifold(2, (True, False))
+    system = P.FlowSystem(chart, lambda x: np.stack(
+        [1.0 / (1.0 + x[..., 1]), np.full_like(x[..., 1], c)], axis=-1))
+    laps = (math.exp(TWO_PI * c) - 1.0) * np.exp(TWO_PI * c * np.arange(3)) / c
+    return system, S.coordinate_section(chart, 0), laps
+
+
+def test_iterate_returns_t_max_bounds_each_return():
+    # laps of about 7.4, 10.1 and 13.8: with t_max between the second and
+    # third, the third return fails although all three fit in 3 * t_max
+    system, sec, laps = _slowing_drift(0.05)
+    t_max = 0.5 * (laps[1] + laps[2])
+    assert laps.sum() < 3 * t_max
+    r = S.iterate_returns(system, sec, np.array([[0.0, 0.0]]), 3, t_max)
+    assert r.failures == [(2, "no crossing")]
+    assert np.max(np.abs(r.times[0, :2] - laps[:2])) < 1e-8
+    assert np.isnan(r.times[0, 2]) and np.isnan(r.images[0, 2]).all()
+    assert np.max(r.residuals[0, :2]) < S.ANGLE_RESIDUAL
+    # the crossing engine's record: cumulative times, two certified entries
+    c = S.first_crossings(system, sec, np.array([[0.0, 0.0]]), t_max, k=3)
+    assert c.ok.tolist() == [True, True, False] and c.failures == ["no crossing"]
+    assert np.max(np.abs(c.times[:2] - np.cumsum(laps[:2]))) < 1e-8
+
+
+def test_iterate_returns_t_max_below_first_return():
+    # the first return comes after t_max, though the first two fit in 3 * t_max
+    system, sec, laps = _slowing_drift(0.05)
+    t_max = 0.8 * laps[0]
+    assert laps[:2].sum() < 3 * t_max
+    r = S.iterate_returns(system, sec, np.array([[0.0, 0.0]]), 3, t_max)
+    assert r.failures == [(0, "no crossing")]
+    assert r.completed(0) == 0 and np.isnan(r.times).all()
 
 
 def test_mapping_torus_product(t4_system, t4_section):
