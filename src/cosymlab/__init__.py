@@ -5,19 +5,17 @@ transverse symplectic fields, period rationalization, and topological
 non-existence obstructions."""
 
 from .forms import (ChartManifold, ChartMap, KForm, Point, TangentVector,
-                    constant_form, coordinate_form, evaluate, evaluate_at,
-                    exterior_derivative, function_form, interior, power,
-                    pullback, wedge, zero_form)
+                    constant_form, coordinate_form, evaluate, exterior_derivative,
+                    interior, power, pullback, wedge)
 from .phase import EnergySurface, FlowSystem, HamiltonianSystem, SingularOmegaError
 from .section import (Crossings, GlobalityReport, MappingTorusChart, NoCrossingError,
                       RefinementError, ReturnRecord, Returns, SectionSpec, TangencyError,
                       coordinate_section, first_crossings, first_return, iterate_returns,
                       mapping_torus_chart, return_map_jacobians, verify_global,
                       write_crossings_csv)
-from .cosym import (CollarModel, CosymplecticStructure, PathDependenceError,
-                    TransversalityError, TransverseFieldReport, build_collar_form,
-                    build_product_system, cosym_to_field, extend_to_hamiltonian_field,
-                    field_to_cosym, symplectic_submanifold_test, verify_cosymplectic)
+from .cosym import (CollarModel, CosymplecticStructure, TransversalityError,
+                    TransverseFieldReport, build_collar_form, build_product_system,
+                    cosym_to_field, field_to_cosym, verify_cosymplectic)
 from .tischler import (PeriodVector, RationalApproximation, RationalizationError,
                        build_approximation, check_transversality_preserved,
                        extract_leaf, periods, rationalize)

@@ -142,7 +142,8 @@ SECTION_KINDS = {
 TISCHLER = {
     "periods": (list_of(FINITE.ok, "a list of 1 to 12 numbers", lambda v: 1 <= len(v) <= 12),
                 None, "the periods, one per circle of the torus"),
-    "alpha": (form(1), None, "else: the periods of this closed one-form on T^dim"),
+    "alpha": (form(1), None, "else: the periods of this closed one-form on T^dim; not "
+              "with 'periods'"),
     "dim": (DIM[0], None, "torus dimension; required with 'alpha'"),
     "eps": (num(0, 1), 1e-2, "largest error allowed between n_i / d and period_i"),
     "d_cap": (count(1, 100_000), tischler.DEFAULT_D_CAP, "largest denominator d tried"),
@@ -169,7 +170,8 @@ COMMAND_FIELDS = {
                   None, "the pair to verify; default the 'seed' field")},
     "tischler": {
         "tischler": (OBJECT._replace(table=lambda v: TISCHLER), REQUIRED, "the periods"),
-        "system": (SYSTEM, None, "system whose transversality the rebuilt form must keep"),
+        "system": (SYSTEM, None, "system whose transversality the rebuilt form must keep; "
+                   "needs 'alpha'"),
         "samples": (SAMPLES, 64, "energy-surface points checked"), "rng_seed": RNG_SEED},
     "obstruct": {
         "betti": (BETTI._replace(ok=lambda v: BETTI.ok(v) or list_of(INDEX.ok, "", lambda b: (
@@ -515,6 +517,11 @@ def cmd_verify_cosym(cfg: dict, runner: Runner, seed: int) -> None:
 def cmd_tischler(cfg: dict, runner: Runner, seed: int) -> None:
     """Rationalize periods (given directly or computed from an inline form)."""
     tcfg = cfg["tischler"]
+    if tcfg["periods"] is not None and tcfg["alpha"] is not None:
+        raise ConfigError("tischler config takes 'periods' or 'alpha', not both")
+    if cfg["system"] is not None and tcfg["alpha"] is None:
+        raise ConfigError("config field 'system' needs the 'tischler' field 'alpha': "
+                          "only a rebuilt one-form has a transversality to check")
     with runner.timed("periods"):
         alpha, values = None, tcfg["periods"]
         if values is not None:
@@ -548,7 +555,7 @@ def cmd_tischler(cfg: dict, runner: Runner, seed: int) -> None:
         runner.check("rebuilt_periods", residual < 1e-10, residual=residual,
                      coefficient_distance=tischler.coefficient_distance(pv, ra))
 
-    if alpha is not None and cfg["system"] is not None:
+    if cfg["system"] is not None:
         _, entry, system = resolve_system(cfg["system"])
         if system.dim != alpha_prime.dim:
             raise ConfigError(f"system dimension {system.dim} does not match the "

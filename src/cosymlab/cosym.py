@@ -34,11 +34,6 @@ class TransversalityError(RuntimeError):
     """The candidate field is tangent to the level set at a sample."""
 
 
-class PathDependenceError(RuntimeError):
-    """Line-integral primitive is path dependent: the one-form has nonzero
-    loop periods (nontrivial first cohomology)."""
-
-
 @dataclass(frozen=True, eq=False)
 class CosymplecticStructure:
     """(alpha, beta) pair on an odd-dimensional chart."""
@@ -177,38 +172,6 @@ def cosym_to_field(sys: HamiltonianSystem, Z: EnergySurface, cs: CosymplecticStr
     return TransverseFieldReport(values, float(residual), trans, field)
 
 
-@dataclass(eq=False)
-class SubmanifoldReport:
-    min_abs_det: float
-    passed: bool
-    worst_sample: np.ndarray
-
-    def as_dict(self) -> dict:
-        return {"min_abs_det": self.min_abs_det, "passed": self.passed,
-                "worst_sample": list(map(float, np.atleast_1d(self.worst_sample)))}
-
-
-def symplectic_submanifold_test(sys: HamiltonianSystem, patch: ChartMap,
-                                samples: np.ndarray,
-                                margin: float = 1e-8) -> SubmanifoldReport:
-    """Nondegeneracy of the restricted form on a parametrized patch.
-
-    At each parameter sample, forms the matrix of the ambient two-form on the
-    patch frame and requires |det| > margin.
-    """
-    if patch.source_dim % 2:
-        raise ValueError("submanifold patch must be even-dimensional")
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    pts = patch.value(samples)
-    E = patch.jacobian(samples)
-    M = two_form_matrix(sys.omega, pts)
-    G = np.einsum("...ia,...ij,...jb->...ab", E, M, E)
-    dets = np.linalg.det(G)
-    worst = samples[int(np.argmin(np.abs(dets)))]
-    min_det = float(np.min(np.abs(dets)))
-    return SubmanifoldReport(min_det, min_det > margin, worst)
-
-
 def build_product_system(cs: CosymplecticStructure, samples: Optional[np.ndarray] = None,
                          rng: Optional[Rng] = None) -> HamiltonianSystem:
     """Product of a verified cosymplectic chart with a circle.
@@ -274,68 +237,3 @@ def build_collar_form(cs: CosymplecticStructure, epsilon: Optional[float] = None
     dt = coordinate_form(dim, dim - 1)
     form = pullback(proj, cs.beta) + wedge(pullback(proj, cs.alpha), dt)
     return CollarModel(chart, form, eps)
-
-
-@dataclass(eq=False)
-class ExtensionResult:
-    h: Callable[[np.ndarray], np.ndarray]
-    max_gradient_error: float
-    loop_periods: np.ndarray
-
-
-def extend_to_hamiltonian_field(sys: HamiltonianSystem,
-                                X: Callable[[np.ndarray], np.ndarray],
-                                samples: np.ndarray,
-                                base_point: Optional[np.ndarray] = None,
-                                gauss_order: int = 48,
-                                tol: float = CLOSED_TOL) -> ExtensionResult:
-    """Scalar function whose Hamiltonian field restricts to X.
-
-    Integrates the pairing one-form iota_X omega along straight paths from a
-    base point.  The primitive only exists when the form has no periods: any
-    nonzero loop integral over a periodic coordinate raises
-    PathDependenceError (nontrivial first cohomology; refuse).
-    """
-    alpha = interior(X, sys.omega)
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    residual = max_coeff_magnitude(exterior_derivative(alpha), samples)
-    if residual >= tol:
-        raise ValueError(f"pairing form not closed: sampled |d(iota_X omega)| = {residual:.3e}")
-    chart = sys.manifold
-    base = np.zeros(chart.dim) if base_point is None else np.asarray(base_point, dtype=float)
-
-    nodes, weights = np.polynomial.legendre.leggauss(gauss_order)
-    s = 0.5 * (nodes + 1.0)
-    w = 0.5 * weights
-
-    loop_periods = np.zeros(chart.dim)
-    for i in range(chart.dim):
-        if not chart.periodic[i]:
-            continue
-        path = np.tile(base, (gauss_order, 1))
-        path[:, i] = base[i] + s * chart.periods[i]
-        a = covector_values(alpha, path)
-        loop_periods[i] = chart.periods[i] * np.dot(w, a[:, i])
-    if np.max(np.abs(loop_periods)) > tol:
-        raise PathDependenceError(
-            "loop periods of the pairing form do not vanish "
-            f"(max {np.max(np.abs(loop_periods)):.3e}); no single-valued primitive exists")
-
-    def h(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        d = x - base
-        path = base + s[:, None] * d[..., None, :]
-        a = covector_values(alpha, path)
-        integrand = np.einsum("...si,...i->...s", a, d)
-        return integrand @ w
-
-    fd = 1e-6
-    grads = np.empty_like(samples)
-    for i in range(chart.dim):
-        e = np.zeros(chart.dim)
-        e[i] = fd
-        grads[:, i] = (h(samples + e) - h(samples - e)) / (2.0 * fd)
-    err = float(np.max(np.abs(grads - covector_values(alpha, samples))))
-    if err >= tol:
-        raise PathDependenceError(f"primitive gradient mismatch {err:.3e} beyond tolerance")
-    return ExtensionResult(h, err, loop_periods)

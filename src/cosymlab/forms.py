@@ -184,17 +184,14 @@ class KForm:
     """Degree-k differential form on a dim-dimensional chart.
 
     ``coeffs`` maps coordinates to the coefficient vector over the
-    lexicographic basis.  ``d_coeffs``, when given, supplies the analytic
-    coefficients of the exterior derivative; otherwise central finite
-    differences are used.  ``constant_value`` marks a form whose coefficients
+    lexicographic basis.  ``constant_value`` marks a form whose coefficients
     do not depend on the point; the algebra propagates it so that constant
-    inputs stay on a fast evaluation path.
+    inputs stay on a fast evaluation path and differentiate to exact zeros.
     """
 
     degree: int
     dim: int
     coeffs: CoeffFn
-    d_coeffs: Optional[CoeffFn] = None
     constant_value: Optional[np.ndarray] = None
 
     def __post_init__(self):
@@ -216,11 +213,7 @@ class KForm:
             return constant_form(self.dim, self.degree,
                                  self.constant_value + other.constant_value)
         ca, cb = self.coeffs, other.coeffs
-        da, db = self.d_coeffs, other.d_coeffs
-        dsum = None
-        if da is not None and db is not None:
-            dsum = lambda x, da=da, db=db: da(x) + db(x)
-        return KForm(self.degree, self.dim, lambda x: ca(x) + cb(x), dsum)
+        return KForm(self.degree, self.dim, lambda x: ca(x) + cb(x))
 
     def __sub__(self, other: "KForm") -> "KForm":
         return self + (-1.0) * other
@@ -229,32 +222,15 @@ class KForm:
         s = float(scalar)
         if self.constant_value is not None:
             return constant_form(self.dim, self.degree, s * self.constant_value)
-        c, d = self.coeffs, self.d_coeffs
-        dscaled = None if d is None else (lambda x, d=d: s * d(x))
-        return KForm(self.degree, self.dim, lambda x: s * c(x), dscaled)
+        c = self.coeffs
+        return KForm(self.degree, self.dim, lambda x: s * c(x))
 
     def __neg__(self) -> "KForm":
         return (-1.0) * self
 
 
-def _zero_coeffs(dim: int, degree: int) -> CoeffFn:
-    nc = n_coeffs(dim, degree)
-
-    def coeffs(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1] + (nc,))
-
-    return coeffs
-
-
-def zero_form(dim: int, degree: int) -> KForm:
-    f = KForm(degree, dim, _zero_coeffs(dim, degree))
-    d = None if degree == dim else _zero_coeffs(dim, degree + 1)
-    return KForm(degree, dim, f.coeffs, d)
-
-
 def constant_form(dim: int, degree: int, coefficients: Sequence[float]) -> KForm:
-    """Form with constant coefficients (hence analytically closed)."""
+    """Form with constant coefficients (hence closed)."""
     vec = np.asarray(coefficients, dtype=float)
     if vec.shape != (n_coeffs(dim, degree),):
         raise ValueError(f"expected {n_coeffs(dim, degree)} coefficients, got {vec.shape}")
@@ -263,8 +239,7 @@ def constant_form(dim: int, degree: int, coefficients: Sequence[float]) -> KForm
         x = np.asarray(x, dtype=float)
         return np.broadcast_to(vec, x.shape[:-1] + vec.shape).copy()
 
-    d = None if degree == dim else _zero_coeffs(dim, degree + 1)
-    return KForm(degree, dim, coeffs, d, constant_value=vec)
+    return KForm(degree, dim, coeffs, constant_value=vec)
 
 
 def coordinate_form(dim: int, index: int) -> KForm:
@@ -272,19 +247,6 @@ def coordinate_form(dim: int, index: int) -> KForm:
     vec = np.zeros(dim)
     vec[index] = 1.0
     return constant_form(dim, 1, vec)
-
-
-def function_form(dim: int, value: Callable[[np.ndarray], np.ndarray],
-                  gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> KForm:
-    """Degree-0 form from a scalar function, with optional analytic gradient."""
-
-    def coeffs(x: np.ndarray) -> np.ndarray:
-        return np.asarray(value(x), dtype=float)[..., None]
-
-    d = None
-    if gradient is not None:
-        d = lambda x: np.asarray(gradient(x), dtype=float)
-    return KForm(0, dim, coeffs, d)
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -386,21 +348,8 @@ def evaluate(f: KForm, vectors: Sequence[TangentVector]) -> float:
     if base.chart.dim != f.dim:
         raise ValueError(f"point dimension {base.chart.dim} != form dimension {f.dim}")
     frame = np.stack([v.components for v in vectors], axis=-1)
-    return _evaluate_canonical(f, base.coords, frame)
-
-
-def evaluate_at(f: KForm, coords: np.ndarray, *vectors: Sequence[float]) -> float:
-    """Convenience: evaluate on raw coordinate/component arrays."""
-    frame = np.stack([np.asarray(v, dtype=float) for v in vectors], axis=-1)
-    return _evaluate_canonical(f, np.asarray(coords, dtype=float), frame)
-
-
-def _evaluate_canonical(f: KForm, coords: np.ndarray, frame: np.ndarray) -> float:
-    if f.degree == 0:
-        raise ValueError("degree-0 evaluation needs no vectors; call f.coeffs directly")
     order = np.lexsort(frame[::-1])
-    sign = _perm_parity(order)
-    return sign * float(evaluate_frame(f, coords, frame[:, order]))
+    return _perm_parity(order) * float(evaluate_frame(f, base.coords, frame[:, order]))
 
 
 # -- wedge, interior, derivative, pullback ------------------------------------
@@ -438,14 +387,7 @@ def wedge(a: KForm, b: KForm) -> KForm:
 
     if a.constant_value is not None and b.constant_value is not None:
         return constant_form(dim, k + l, coeffs(np.zeros(dim)))
-    result = KForm(k + l, dim, coeffs)
-    # Leibniz rule gives an analytic derivative when both factors carry one.
-    if a.d_coeffs is not None and b.d_coeffs is not None and k + l + 1 <= dim:
-        da = KForm(k + 1, dim, a.d_coeffs)
-        db = KForm(l + 1, dim, b.d_coeffs)
-        d_total = wedge(da, KForm(l, dim, cb)) + ((-1.0) ** k) * wedge(KForm(k, dim, ca), db)
-        result = KForm(k + l, dim, coeffs, d_total.coeffs)
-    return result
+    return KForm(k + l, dim, coeffs)
 
 
 def interior(X: FieldFn, f: KForm) -> KForm:
@@ -481,15 +423,13 @@ def interior(X: FieldFn, f: KForm) -> KForm:
 
 
 def exterior_derivative(f: KForm, h: float = DEFAULT_FD_STEP) -> KForm:
-    """Exterior derivative; analytic coefficients when available, else central
+    """Exterior derivative: exactly zero for a constant form, else central
     finite differences with step h."""
     if f.degree >= f.dim:
         raise ValueError("exterior derivative of a top-degree form")
     dim, k = f.dim, f.degree
-    if f.d_coeffs is not None:
-        # d of an analytic derivative is identically zero (d compose d = 0).
-        dzero = None if k + 2 > dim else _zero_coeffs(dim, k + 2)
-        return KForm(k + 1, dim, f.d_coeffs, dzero)
+    if f.constant_value is not None:
+        return constant_form(dim, k + 1, np.zeros(n_coeffs(dim, k + 1)))
     in_rank = _basis_rank(dim, k)
     terms = []  # (out_rank, diff_direction, in_rank, sign)
     for ro, K in enumerate(basis_indices(dim, k + 1)):
@@ -528,14 +468,6 @@ class ChartMap:
     value: Callable[[np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray], np.ndarray]
     constant_jacobian: bool = False
-
-    @staticmethod
-    def identity(dim: int) -> "ChartMap":
-        eye = np.eye(dim)
-        return ChartMap(dim, dim,
-                        lambda x: np.asarray(x, dtype=float),
-                        lambda x: np.broadcast_to(eye, np.shape(x)[:-1] + (dim, dim)),
-                        constant_jacobian=True)
 
     @staticmethod
     def coordinate_projection(source_dim: int, kept: Sequence[int]) -> "ChartMap":
@@ -596,11 +528,7 @@ def pullback(phi: ChartMap, f: KForm) -> KForm:
 
     if f.constant_value is not None and phi.constant_jacobian:
         return constant_form(src, k, coeffs(np.zeros(src)))
-    result = KForm(k, src, coeffs)
-    if f.d_coeffs is not None and k + 1 <= f.dim:
-        df = KForm(k + 1, f.dim, f.d_coeffs)
-        result = KForm(k, src, coeffs, pullback(phi, df).coeffs)
-    return result
+    return KForm(k, src, coeffs)
 
 
 def power(f: KForm, m: int) -> KForm:
@@ -653,5 +581,11 @@ def covector_values(f: KForm, coords: np.ndarray) -> np.ndarray:
 
 
 def max_coeff_magnitude(f: KForm, samples: np.ndarray) -> float:
-    """Largest coefficient magnitude over a batch of sample coordinates."""
-    return float(np.max(np.abs(f.coeffs(np.asarray(samples, dtype=float)))))
+    """Largest coefficient magnitude over a batch of sample coordinates.
+
+    A constant form over a non-empty batch reads its coefficient vector, so
+    no (samples, n_coeffs) array is built."""
+    samples = np.asarray(samples, dtype=float)
+    if f.constant_value is not None and samples.size:
+        return float(np.max(np.abs(f.constant_value)))
+    return float(np.max(np.abs(f.coeffs(samples))))

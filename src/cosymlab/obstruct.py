@@ -175,9 +175,6 @@ class BettiProfile:
     def dim(self) -> int:
         return len(self.betti) - 1
 
-    def satisfies_poincare_duality(self) -> bool:
-        return self.betti == self.betti[::-1]
-
 
 @dataclass(frozen=True, eq=False)
 class BettiResult:

@@ -26,8 +26,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .dop853 import StepSizeUnderflow, solve  # noqa: F401  (StepSizeUnderflow re-exported)
-from .forms import (ChartManifold, KForm, Point, exterior_derivative, max_coeff_magnitude,
-                    two_form_matrix)
+from .forms import (ChartManifold, ChartMap, KForm, Point, exterior_derivative,
+                    max_coeff_magnitude, two_form_matrix)
 
 RCOND_MIN = 1e-10
 FIELD_RESIDUAL_MAX = 1e-10
@@ -182,54 +182,38 @@ class FlowSystem:
 
 @dataclass(frozen=True, eq=False)
 class EnergySurface:
-    """Implicit level set Z = H^{-1}(level).
-
-    For chart models whose level set is a coordinate slice, ``slice_coord``
-    and ``slice_value`` describe the embedded copy used to restrict forms.
-    """
+    """Level set Z = H^{-1}(level) of a chart model where it is the coordinate
+    slice {x[slice_coord] = slice_value}; the slice copy restricts forms."""
 
     system: HamiltonianSystem
     level: float
-    slice_coord: Optional[int] = None
-    slice_value: Optional[float] = None
+    slice_coord: int
+    slice_value: float
 
-    def regularity_margin(self, samples: np.ndarray) -> float:
-        """min ||dH|| over samples; must stay positive on a regular level."""
-        g = np.asarray(self.system.grad_h(np.asarray(samples, dtype=float)))
-        return float(np.min(np.linalg.norm(g, axis=-1)))
+    @property
+    def _kept(self) -> list[int]:
+        return [i for i in range(self.system.dim) if i != self.slice_coord]
 
     @property
     def section_chart(self) -> ChartManifold:
-        """Chart of the slice copy of Z (slice models only)."""
-        if self.slice_coord is None:
-            raise ValueError("energy surface is not a coordinate slice")
+        """Chart of the slice copy of Z."""
         m = self.system.manifold
-        keep = [i for i in range(m.dim) if i != self.slice_coord]
         return ChartManifold(m.dim - 1,
-                             tuple(m.periodic[i] for i in keep),
-                             tuple(m.periods[i] for i in keep),
+                             tuple(m.periodic[i] for i in self._kept),
+                             tuple(m.periods[i] for i in self._kept),
                              name=f"{m.name or 'chart'}|slice{self.slice_coord}")
 
-    def inclusion(self):
+    def inclusion(self) -> ChartMap:
         """ChartMap embedding the slice copy of Z into the ambient chart."""
-        from .forms import ChartMap
-        if self.slice_coord is None:
-            raise ValueError("energy surface is not a coordinate slice")
-        m = self.system.manifold
-        keep = [i for i in range(m.dim) if i != self.slice_coord]
-        return ChartMap.coordinate_inclusion(m.dim, keep, {self.slice_coord: float(self.slice_value)})
+        return ChartMap.coordinate_inclusion(self.system.dim, self._kept,
+                                             {self.slice_coord: float(self.slice_value)})
 
-    def projection(self):
+    def projection(self) -> ChartMap:
         """ChartMap collapsing the ambient chart onto the slice coordinates.
 
         Used to extend forms defined on Z constantly in the collar direction.
         """
-        from .forms import ChartMap
-        if self.slice_coord is None:
-            raise ValueError("energy surface is not a coordinate slice")
-        m = self.system.manifold
-        keep = [i for i in range(m.dim) if i != self.slice_coord]
-        return ChartMap.coordinate_projection(m.dim, keep)
+        return ChartMap.coordinate_projection(self.system.dim, self._kept)
 
 
 def integrate_batch(system, x0: np.ndarray, t0: float, t1: float,

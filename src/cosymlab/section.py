@@ -49,6 +49,7 @@ ANGLE_RESIDUAL = 1e-12
 ON_SECTION_TOL = 1e-8
 NEAR_LATTICE = 1e-3     # lattice units (turns of the section angle)
 DEFAULT_T_MAX = 1e3
+ENERGY_RESIDUAL_MAX = 1e-8   # largest |H - H(p)| over a mapping-torus table
 
 
 class TangencyError(RuntimeError):
@@ -64,7 +65,7 @@ class RefinementError(RuntimeError):
 
 
 class GluingError(RuntimeError):
-    """Mapping-torus gluing residual beyond tolerance."""
+    """Mapping-torus gluing or energy residual beyond tolerance."""
 
 
 class SectionChartError(ValueError):
@@ -698,7 +699,7 @@ def mapping_torus_chart(system, sec: SectionSpec, grid: Sequence[Point],
 
     Checks the gluing Psi(p, 1) = holonomy(p) within 10*tol and, for
     Hamiltonian systems, that every table entry stays on the energy level
-    within 1e-8.
+    within ENERGY_RESIDUAL_MAX; raises GluingError otherwise.
     """
     chart = system.manifold
     t_samples = np.linspace(0.0, 1.0, n_time)
@@ -722,6 +723,9 @@ def mapping_torus_chart(system, sec: SectionSpec, grid: Sequence[Point],
     if gluing > gluing_tol:
         raise GluingError(f"gluing residual {gluing:.3e} exceeds {gluing_tol:.3e}; "
                           "section is inconsistent over the grid")
+    if energy_res > ENERGY_RESIDUAL_MAX:
+        raise GluingError(f"energy residual {energy_res:.3e} exceeds {ENERGY_RESIDUAL_MAX:.0e}; "
+                          "the chart leaves the energy level")
     return MappingTorusChart(list(grid), records, t_samples, np.stack(rows), gluing, energy_res)
 
 

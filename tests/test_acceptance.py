@@ -22,30 +22,6 @@ def report(number: int, description: str, ok: bool, detail: str = ""):
     assert ok, f"criterion {number} failed: {description}{suffix}"
 
 
-def oscillator_section_patch(level: float = 1.0):
-    """Graph parametrization of the oscillator angle section at the given
-    energy: (q1, p1) with the second-pair amplitude solving the energy."""
-
-    def q2(p):
-        p = np.asarray(p, dtype=float)
-        e1 = 0.5 * (p[..., 0] ** 2 + p[..., 1] ** 2)
-        return np.sqrt(2.0 * (level - e1) / SQRT2)
-
-    def value(p):
-        p = np.asarray(p, dtype=float)
-        return np.stack([p[..., 0], p[..., 1], q2(p), np.zeros_like(p[..., 0])], axis=-1)
-
-    def jacobian(p):
-        p = np.asarray(p, dtype=float)
-        one, zero = np.ones_like(p[..., 0]), np.zeros_like(p[..., 0])
-        denom = SQRT2 * q2(p)
-        du = np.stack([one, zero, -p[..., 0] / denom, zero], axis=-1)
-        dv = np.stack([zero, one, -p[..., 1] / denom, zero], axis=-1)
-        return np.stack([du, dv], axis=-1)
-
-    return F.ChartMap(2, 4, value, jacobian)
-
-
 def test_criterion_1_product_pipeline():
     t0 = time.perf_counter()
     ok = True
@@ -96,22 +72,23 @@ def test_criterion_2_return_map_symplecticity():
 
 def test_criterion_3_sections_are_symplectic_submanifolds():
     rng = np.random.default_rng(4)
-    margins = {}
     t4 = catalog.product_system("t3")
-    patch4 = F.ChartMap.coordinate_inclusion(4, [0, 1], {2: 0.0, 3: 0.0})
-    margins["t4 leaf"] = cosym.symplectic_submanifold_test(
-        t4, patch4, rng.uniform(0, TWO_PI, (100, 2))).min_abs_det
-
     t6 = catalog.product_system("t5")
-    patch6 = F.ChartMap.coordinate_inclusion(6, [0, 1, 2, 3], {4: 0.0, 5: 0.0})
-    margins["t6 leaf"] = cosym.symplectic_submanifold_test(
-        t6, patch6, rng.uniform(0, TWO_PI, (100, 4))).min_abs_det
-
     osc = catalog.oscillator_2dof()
-    disc = rng.normal(size=(100, 2))
-    disc *= (0.8 / np.linalg.norm(disc, axis=1))[:, None] * rng.uniform(0.3, 1.0, (100, 1))
-    margins["oscillator section"] = cosym.symplectic_submanifold_test(
-        osc, oscillator_section_patch(1.0), disc).min_abs_det
+    cases = {
+        "t4 leaf": (t4, catalog.product_leaf_section(t4),
+                    catalog.sample_product_leaf(t4, rng, 100)),
+        "t6 leaf": (t6, catalog.product_leaf_section(t6),
+                    catalog.sample_product_leaf(t6, rng, 100)),
+        "oscillator section": (osc, catalog.oscillator_angle_section(),
+                               catalog.sample_oscillator_surface(osc, 1.0, rng, 100,
+                                                                 on_section=True)),
+    }
+    margins = {}
+    for name, (system, sec, points) in cases.items():
+        dets = [np.linalg.det(section.restricted_form_matrix(system, sec, system.point(x)))
+                for x in points]
+        margins[name] = float(np.min(np.abs(dets)))
 
     ok = all(m > 0.5 for m in margins.values())
     report(3, "every certified section passes the restricted-form nondegeneracy test",

@@ -159,6 +159,10 @@ def test_empty_check_counts_exit_2(tmp_path, capsys, command, base, field):
                                                   "orientation": 1}}, "orientation"),
     ("return-map", {**RETURN_MAP_OSC, "samples": 2**63}, "samples"),
     ("obstruct", {"system": {**INLINE_OSCILLATOR, "omega": []}}, "omega"),
+    # declared periods rebuild no one-form, so a system has no transversality to check
+    ("tischler", {"tischler": {"periods": [0.5, 0.25, 0.125, 1.0]}, "system": "t4_product"},
+     "system"),
+    ("tischler", {"tischler": {"periods": [0.5], "dim": 1, "alpha": [[0, 1.0]]}}, "periods"),
 ])
 def test_malformed_numeric_fields_exit_2(tmp_path, capsys, command, config, field):
     code, out = run(tmp_path, command, config)

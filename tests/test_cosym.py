@@ -126,56 +126,10 @@ def test_round_trip_both_ways(t4_system, samples3):
 
 def test_cosym_to_field_rejects_zero_form(t4_system, samples3):
     Z = catalog.product_energy_surface(t4_system)
-    cs = C.CosymplecticStructure(catalog.torus(3), F.zero_form(3, 1),
+    cs = C.CosymplecticStructure(catalog.torus(3), F.constant_form(3, 1, np.zeros(3)),
                                  F.wedge(F.coordinate_form(3, 0), F.coordinate_form(3, 1)))
     with pytest.raises(ValueError, match="vanishes"):
         C.cosym_to_field(t4_system, Z, cs, samples3)
-
-
-# -- submanifold nondegeneracy -------------------------------------------------------
-
-
-def test_submanifold_coordinate_torus_passes(t4_system, rng):
-    patch = F.ChartMap.coordinate_inclusion(4, [0, 1], {2: 0.0, 3: 0.0})
-    rep = C.symplectic_submanifold_test(t4_system, patch,
-                                        np.random.default_rng(2).uniform(0, TWO_PI, (32, 2)))
-    assert rep.passed and rep.min_abs_det == pytest.approx(1.0)
-
-
-def test_submanifold_lagrangian_fails(t4_system):
-    patch = F.ChartMap.coordinate_inclusion(4, [0, 2], {1: 0.5, 3: 0.0})
-    rep = C.symplectic_submanifold_test(t4_system, patch,
-                                        np.random.default_rng(3).uniform(0, TWO_PI, (32, 2)))
-    assert not rep.passed
-    assert rep.min_abs_det == pytest.approx(0.0, abs=1e-15)
-
-
-def test_submanifold_graph_perturbation(t4_system):
-    # numeric determinant scan over a graph-perturbed copy of the leaf
-    def value(p):
-        p = np.asarray(p, dtype=float)
-        u, v = p[..., 0], p[..., 1]
-        return np.stack([u, v, 0.2 * np.sin(u + v), 0.1 * np.cos(u)], axis=-1)
-
-    def jacobian(p):
-        p = np.asarray(p, dtype=float)
-        u, v = p[..., 0], p[..., 1]
-        one, zero = np.ones_like(u), np.zeros_like(u)
-        du = np.stack([one, zero, 0.2 * np.cos(u + v), -0.1 * np.sin(u)], axis=-1)
-        dv = np.stack([zero, one, 0.2 * np.cos(u + v), zero], axis=-1)
-        return np.stack([du, dv], axis=-1)
-
-    patch = F.ChartMap(2, 4, value, jacobian)
-    rep = C.symplectic_submanifold_test(t4_system, patch,
-                                        np.random.default_rng(4).uniform(0, TWO_PI, (64, 2)))
-    assert rep.passed
-    assert rep.min_abs_det > 0.9
-
-
-def test_submanifold_odd_patch_rejected(t4_system):
-    patch = F.ChartMap.coordinate_inclusion(4, [0], {1: 0.0, 2: 0.0, 3: 0.0})
-    with pytest.raises(ValueError):
-        C.symplectic_submanifold_test(t4_system, patch, np.zeros((4, 1)))
 
 
 # -- product construction -------------------------------------------------------------
@@ -225,7 +179,7 @@ def test_product_t5_passes_structure_checks(t6_system):
 
 def test_product_rejects_unverified_seed():
     t3 = catalog.torus(3)
-    cs = C.CosymplecticStructure(t3, F.coordinate_form(3, 2), F.zero_form(3, 2))
+    cs = C.CosymplecticStructure(t3, F.coordinate_form(3, 2), F.constant_form(3, 2, np.zeros(3)))
     with pytest.raises(ValueError, match="fails verification"):
         C.build_product_system(cs)
 
@@ -255,7 +209,8 @@ def test_collar_pairs_normal_direction_with_alpha(t3_seed):
 
 def test_collar_volume_and_restriction(t3_seed, samples3):
     col = C.build_collar_form(t3_seed)
-    assert F.evaluate_at(F.power(col.form, 2), np.zeros(4), *np.eye(4)) == pytest.approx(2.0)
+    frame = [col.chart.tangent(np.zeros(4), e) for e in np.eye(4)]
+    assert F.evaluate(F.power(col.form, 2), frame) == pytest.approx(2.0)
     # restriction to the zero slice agrees with beta on coordinate frames
     incl = F.ChartMap.coordinate_inclusion(4, [0, 1, 2], {3: 0.0})
     restricted = F.pullback(incl, col.form)
@@ -273,39 +228,3 @@ def test_collar_closed_and_nondegenerate_inside(t3_seed):
     M = F.two_form_matrix(col.form, collar_pts)
     svals = np.linalg.svd(M, compute_uv=False)
     assert float(np.min(svals[..., -1] / svals[..., 0])) > 1e-10
-
-
-# -- extension to a global energy function --------------------------------------------
-
-
-def test_extension_recovers_momentum(r4_system, rng):
-    # coordinates (q1, q2, p1, p2); pairing d/dq1 into dp ^ dq gives -dp1,
-    # so the primitive is -p1 up to a constant
-    X = lambda x: np.broadcast_to(np.eye(4)[0], np.shape(x))
-    samples = np.random.default_rng(8).normal(size=(16, 4))
-    res = C.extend_to_hamiltonian_field(r4_system, X, samples)
-    pts = np.random.default_rng(9).normal(size=(8, 4))
-    values = res.h(pts) - res.h(np.zeros(4))
-    assert np.max(np.abs(values - (-pts[:, 2]))) < 1e-9
-    assert res.max_gradient_error < 1e-6
-
-
-def test_extension_refuses_nonexact_pairing_on_torus(t4_system):
-    # a field pairing to the angle form has a nonzero loop period: no
-    # single-valued primitive exists
-    def X(x):
-        M = F.two_form_matrix(t4_system.omega, np.asarray(x, dtype=float))
-        a = np.broadcast_to(np.array([0.0, 0.0, 1.0, 0.0]), np.shape(x))
-        return np.linalg.solve(np.swapaxes(M, -1, -2), a[..., None])[..., 0]
-
-    samples = t4_system.manifold.sample(np.random.default_rng(10), 8)
-    with pytest.raises(C.PathDependenceError):
-        C.extend_to_hamiltonian_field(t4_system, X, samples)
-
-
-def test_extension_zero_field_gives_constant(r4_system):
-    X = lambda x: np.zeros(np.shape(x))
-    samples = np.random.default_rng(11).normal(size=(8, 4))
-    res = C.extend_to_hamiltonian_field(r4_system, X, samples)
-    pts = np.random.default_rng(12).normal(size=(8, 4))
-    assert np.max(np.abs(res.h(pts) - res.h(np.zeros(4)))) < 1e-12

@@ -175,7 +175,7 @@ def test_betti_even_dimensional_profile_rejected():
 
 def test_catalog_profiles_satisfy_poincare_duality():
     for profile in catalog.BETTI_PROFILES.values():
-        assert profile.satisfies_poincare_duality()
+        assert profile.betti == profile.betti[::-1]
 
 
 def test_catalog_cosymplectic_manifolds_pass_betti():

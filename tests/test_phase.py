@@ -240,8 +240,8 @@ def test_validate_passes_catalog_systems(ho_system, osc_system, r4_system, t4_sy
 def test_energy_surface_regularity_and_slices(osc_system, t4_system):
     rng = np.random.default_rng(4)
     zs = catalog.sample_oscillator_surface(osc_system, 1.0, rng, 32)
-    surf = P.EnergySurface(osc_system, 1.0)
-    assert surf.regularity_margin(zs) > 0.1
+    # a regular level: dH stays away from zero on it
+    assert np.min(np.linalg.norm(osc_system.grad_h(zs), axis=-1)) > 0.1
 
     Z = catalog.product_energy_surface(t4_system)
     assert Z.section_chart.dim == 3

@@ -155,6 +155,15 @@ def test_higher_dimensional_symplecticity(t6_system):
     assert np.max(np.abs(J.T @ M @ J - M)) < 1e-5
 
 
+def test_restricted_form_degenerates_on_a_lagrangian_section(t4_system):
+    # {x = 0} inside the zero level {theta = 0} of omega = dx^dy + dz^dtheta is
+    # spanned by e_y and e_z, on which omega vanishes
+    sec = S.coordinate_section(t4_system.manifold, 0)
+    M = S.restricted_form_matrix(t4_system, sec, t4_system.point([0.0, 0.4, 1.1, 0.0]))
+    assert M.shape == (2, 2)
+    assert np.array_equal(M, np.zeros((2, 2)))
+
+
 def test_verify_global_product(t4_system, t4_section, rng):
     samples = catalog.sample_product_leaf(t4_system, np.random.default_rng(1), 100)
     rep = S.verify_global(t4_system, t4_section, samples, t_max=50.0)
@@ -569,6 +578,19 @@ def test_mapping_torus_product(t4_system, t4_section):
     assert mt.energy_residual < 1e-8
     for i, p in enumerate(grid):
         assert np.allclose(mt.table[i, 0], p.coords)
+
+
+def test_mapping_torus_energy_residual_is_enforced(osc_system):
+    # at tol 1e-6 the gluing passes its 10*tol bound (4.4e-9) but the table
+    # drifts off the energy level by 2.6e-6, beyond the documented 1e-8
+    sec = catalog.oscillator_angle_section()
+    pts = catalog.sample_oscillator_surface(osc_system, 1.0, np.random.default_rng(0), 3,
+                                            on_section=True)
+    grid = [osc_system.point(p) for p in pts]
+    with pytest.raises(S.GluingError, match="energy residual"):
+        S.mapping_torus_chart(osc_system, sec, grid, tol=1e-6)
+    mt = S.mapping_torus_chart(osc_system, sec, grid, tol=1e-10)
+    assert mt.energy_residual < S.ENERGY_RESIDUAL_MAX
 
 
 def test_mapping_torus_rational_rotation_cycles(suspension_system):
