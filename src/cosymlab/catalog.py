@@ -201,7 +201,15 @@ def oscillator_angle_section(index_pair: tuple[int, int] = (2, 3)) -> SectionSpe
             g[..., j] = -x[..., i] / r2
         return g
 
-    return SectionSpec(theta, grad_theta, 0.0, 1, f"angle({i},{j})")
+    def dtheta(x, X):
+        xi, xj = x[..., i], x[..., j]
+        r2 = xi * xi + xj * xj
+        if np.count_nonzero(r2) == r2.size:   # the quiet block costs more than the rate
+            return xj / r2 * X[..., i] - xi / r2 * X[..., j]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return xj / r2 * X[..., i] - xi / r2 * X[..., j]
+
+    return SectionSpec(theta, dtheta, grad_theta, 0.0, 1, f"angle({i},{j})")
 
 
 def sample_oscillator_surface(system: HamiltonianSystem, level: float, rng: Rng, n: int,

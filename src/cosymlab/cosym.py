@@ -28,6 +28,7 @@ from .phase import EnergySurface, HamiltonianSystem
 CLOSED_TOL = 1e-6
 VOLUME_MARGIN = 1e-9
 TRANSVERSALITY_MARGIN = 1e-8
+LEVEL_TOL = 1e-8   # largest |H - level| on a slice, relative to max(1, |level|)
 
 
 class TransversalityError(RuntimeError):
@@ -109,6 +110,15 @@ def verify_cosymplectic(cs: CosymplecticStructure, samples: np.ndarray,
     return CosymReport(passed, float(d_alpha), float(d_beta), margin, worst)
 
 
+def _check_level(sys: HamiltonianSystem, Z: EnergySurface, ambient: np.ndarray) -> None:
+    """Raise ValueError unless H equals Z's level at the lifted samples, within
+    LEVEL_TOL relative to max(1, |level|)."""
+    off = float(np.max(np.abs(sys.energy(ambient) - Z.level), initial=0.0))
+    if not off <= LEVEL_TOL * max(1.0, abs(Z.level)):
+        raise ValueError(f"the slice is not the level set H = {Z.level:g}: "
+                         f"max |H - level| = {off:.3e} at the samples")
+
+
 def field_to_cosym(sys: HamiltonianSystem, Z: EnergySurface,
                    X: Callable[[np.ndarray], np.ndarray], samples: np.ndarray,
                    closed_tol: float = CLOSED_TOL,
@@ -122,6 +132,7 @@ def field_to_cosym(sys: HamiltonianSystem, Z: EnergySurface,
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     incl = Z.inclusion()
     ambient = incl.value(samples)
+    _check_level(sys, Z, ambient)
     xv = np.asarray(X(ambient), dtype=float)
     dh = np.asarray(sys.grad_h(ambient), dtype=float)
     trans = np.abs(np.einsum("...i,...i->...", dh, xv))
@@ -154,6 +165,7 @@ def cosym_to_field(sys: HamiltonianSystem, Z: EnergySurface, cs: CosymplecticStr
     proj = Z.projection()
     alpha_ext = pullback(proj, cs.alpha)
     ambient = Z.inclusion().value(samples)
+    _check_level(sys, Z, ambient)
     if max_coeff_magnitude(alpha_ext, ambient) < 1e-14:
         raise ValueError("degenerate one-form: alpha vanishes at the samples")
 

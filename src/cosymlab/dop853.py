@@ -30,6 +30,16 @@ more than the requested points plus one segment's share.  The powers
 of the step control are the C library's scalar ones, taken one row at a time
 (`_scalar_powers`), since NumPy's vectorised power can differ in the last bit.
 
+On small batches a step costs its count of NumPy calls more than its
+arithmetic, so a step makes as few as it can without changing an operation:
+the rows of ``A`` and the transposed stage views are taken once per batch
+size, each row's step is repeated over its values once per step so that
+every stage works on flat vectors with no broadcast, the two error
+estimates share each operation of the norm, and the rejected-, stalled- and
+finished-row bookkeeping (the merges of accepted and rejected rows) runs
+only on a step that has such a row.  The stages and the error norm keep
+SciPy's operations in SciPy's order.
+
 The coefficient tables below are SciPy's ``integrate/_ivp/dop853_coefficients.py``,
 used under its licence:
 
@@ -197,6 +207,7 @@ A[15, 13] = 2.9475147891527723389556272149
 A[15, 14] = -9.15095847217987001081870187138
 
 B = A[N_STAGES, :N_STAGES]
+A_ROWS = [A[s, :s] for s in range(N_STAGES_EXTENDED)]   # stage s weighs stages 0 .. s - 1
 
 E3 = np.zeros(N_STAGES + 1)
 E3[:-1] = B.copy()
@@ -291,10 +302,13 @@ def _scalar_powers(base: np.ndarray, exponent: float) -> np.ndarray:
 def _factors(err: np.ndarray) -> np.ndarray:
     """SciPy's step factor SAFETY * err**(-1/8) of every row, inf where err
     is 0."""
-    zero = err == 0
-    factor = SAFETY * _scalar_powers(np.where(zero, 1.0, err), ERROR_EXPONENT)
-    factor[zero] = np.inf
-    return factor
+    try:
+        return SAFETY * _scalar_powers(err, ERROR_EXPONENT)
+    except ValueError:   # math.pow of 0 to a negative power
+        zero = err == 0
+        factor = SAFETY * _scalar_powers(np.where(zero, 1.0, err), ERROR_EXPONENT)
+        factor[zero] = np.inf
+        return factor
 
 
 def _rms(x: np.ndarray):
@@ -329,17 +343,20 @@ def _initial_step(fun, y0, f0, span, direction, rtol, atol) -> np.ndarray:
     return np.minimum(np.minimum(100 * h0, h1), span)
 
 
-def _error_norm(K: np.ndarray, h: np.ndarray, scale: np.ndarray) -> np.ndarray:
+def _error_norm(K_T: np.ndarray, h_abs: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """RMS norm of the blended 5th/3rd-order error estimate of each row's
-    step; K holds the stages of the rows side by side, scale is (rows, n)."""
-    err5 = np.dot(K.T, E5).reshape(scale.shape) / scale
-    err3 = np.dot(K.T, E3).reshape(scale.shape) / scale
-    err5_norm_2 = np.sqrt(np.vecdot(err5, err5)) ** 2
-    err3_norm_2 = np.sqrt(np.vecdot(err3, err3)) ** 2
-    denom = err5_norm_2 + 0.01 * err3_norm_2
-    # a vanishing estimate has norm 0 (its numerator is 0 too)
-    denom += denom == 0
-    return np.abs(h) * err5_norm_2 / np.sqrt(denom * scale.shape[1])
+    step; K_T holds the 13 stages of the rows side by side, transposed, and
+    scale is (rows, n).  Both estimates go through each operation together."""
+    err = np.empty((2, scale.size))
+    K_T.dot(E5, out=err[0])
+    K_T.dot(E3, out=err[1])
+    err = err.reshape(2, *scale.shape)
+    err /= scale
+    err5_norm_2, err3_norm_2 = np.square(np.sqrt(np.vecdot(err, err)))
+    # a vanishing estimate has norm 0: its numerator is 0, and the least
+    # positive float leaves every other denominator as it is
+    denom = np.maximum(err5_norm_2 + 0.01 * err3_norm_2, 5e-324)
+    return h_abs * err5_norm_2 / np.sqrt(denom * scale.shape[1])
 
 
 def _interpolant(fun, K: np.ndarray, h: float, y_old: np.ndarray, y: np.ndarray,
@@ -347,7 +364,7 @@ def _interpolant(fun, K: np.ndarray, h: float, y_old: np.ndarray, y: np.ndarray,
     """Coefficients (7, n) of the 7th-order interpolant over the last step;
     K holds the step's 13 stages and receives the 3 extra ones."""
     for s in range(N_STAGES + 1, N_STAGES_EXTENDED):
-        dy = np.dot(K[:s].T, A[s, :s]) * h
+        dy = np.dot(K[:s].T, A_ROWS[s]) * h
         K[s] = fun(y_old + dy)
     F = np.empty((INTERPOLATOR_POWER, len(y)))
     f_old = K[0]
@@ -459,14 +476,19 @@ def solve(fun: Callable[[np.ndarray], np.ndarray], t0: float, t1: float, y0,
     t = np.full(len(y), t0)
     f = fun(y)
     h_abs = _initial_step(fun, y, f, abs(t1 - t0), direction, rtol, atol)
-    rejected = np.zeros(len(y), dtype=bool)
+    rejected = None   # per row whether its last step was rejected; None when none was
     t_end, y_end = t.copy(), y.copy()
     stalled, stall_times = [], []
     ts, ys, coeffs = [t0], list(y[:1]), []
-    K_extended = np.empty((N_STAGES_EXTENDED, y.size))
+    laid_out = 0   # the number of rows the stage arrays below are laid out for
     while rows.size:
-        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
-        if np.count_nonzero(rejected):
+        # ten spacings of each row's time toward t1; the difference has the
+        # direction's sign, so it needs no abs
+        min_step = (10 * (np.nextafter(t, np.inf) - t) if direction > 0 else
+                    10 * (t - np.nextafter(t, -np.inf)))
+        if rejected is None:
+            h_abs = np.maximum(h_abs, min_step)
+        else:
             h_abs = np.where(rejected, h_abs, np.maximum(h_abs, min_step))
             stall = h_abs < min_step
             if np.count_nonzero(stall):
@@ -477,27 +499,28 @@ def solve(fun: Callable[[np.ndarray], np.ndarray], t0: float, t1: float, y0,
                 rows, t, y, f, h_abs, rejected = (a[keep] for a in (rows, t, y, f, h_abs, rejected))
                 if not rows.size:
                     break
-        else:
-            h_abs = np.maximum(h_abs, min_step)
-        t_new = t + h_abs * direction
-        t_new = np.minimum(t_new, t1) if direction > 0 else np.maximum(t_new, t1)
+        # t + h_abs * direction, without the multiply by +-1
+        t_new = np.minimum(t + h_abs, t1) if direction > 0 else np.maximum(t - h_abs, t1)
         h = t_new - t
-        h_abs = np.abs(h)
-        h_each = np.repeat(h, y.shape[1])   # each row's step at each of its values
-        if K_extended.shape[1] != y.size:
+        h_abs = h if direction > 0 else -h
+        h_each = h.repeat(y.shape[1])   # each row's step at each of its values
+        if len(rows) != laid_out:
+            laid_out = len(rows)
+            # the stages of all rows side by side, the same memory row by row,
+            # and per stage its row, the transposed stages it weighs and their weights
             K_extended = np.empty((N_STAGES_EXTENDED, y.size))
-        # the stages of all rows side by side, and the same memory row by row
-        K, K_rows = K_extended[:N_STAGES + 1], K_extended.reshape(N_STAGES_EXTENDED, *y.shape)
-        K_rows[0] = f
+            K_rows = K_extended.reshape(N_STAGES_EXTENDED, *y.shape)
+            stages = [(K_rows[s], K_extended[:s].T, A_ROWS[s]) for s in range(1, N_STAGES)]
+            K_T_step, K_T_error = K_extended[:N_STAGES].T, K_extended[:N_STAGES + 1].T
         y_flat = y.reshape(-1)
-        for s in range(1, N_STAGES):
-            dy = np.dot(K[:s].T, A[s, :s]) * h_each
-            K_rows[s] = fun((y_flat + dy).reshape(y.shape))
-        y_new = (y_flat + h_each * np.dot(K[:-1].T, B)).reshape(y.shape)
+        K_rows[0] = f
+        for K_s, K_T, a in stages:
+            K_s[...] = fun((y_flat + K_T.dot(a) * h_each).reshape(y.shape))
+        y_new = (y_flat + h_each * K_T_step.dot(B)).reshape(y.shape)
         f_new = fun(y_new)
         K_rows[N_STAGES] = f_new
         scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-        error_norm = _error_norm(K, h, scale)
+        error_norm = _error_norm(K_T_error, h_abs, scale)
         fits = error_norm < 1
         accept, cap, done = fits, np.inf, False
         n_fit = np.count_nonzero(fits) if step is not None else 0
@@ -510,7 +533,7 @@ def solve(fun: Callable[[np.ndarray], np.ndarray], t0: float, t1: float, y0,
                                               f[i], f_new[i])
         factor = _factors(error_norm)
         grow = np.minimum(MAX_FACTOR, factor)
-        if np.count_nonzero(rejected):
+        if rejected is not None:
             grow = np.where(rejected, np.minimum(1, grow), grow)
         if one_row and accept[0]:
             if dense:
@@ -518,21 +541,24 @@ def solve(fun: Callable[[np.ndarray], np.ndarray], t0: float, t1: float, y0,
                                            y[0], y_new[0], f_new[0]))
             ts.append(t_new[0])
             ys.append(y_new[0])
-        if np.count_nonzero(accept) == len(accept):
+        if np.count_nonzero(accept) == len(rows):
             h_abs = np.minimum(h_abs * grow, cap)
-            t, y, f = t_new, y_new, f_new
+            t, y, f, rejected = t_new, y_new, f_new, None
+            end = done | (t == t1)
         else:
             h_abs = np.where(accept, np.minimum(h_abs * grow, cap),
                              np.where(fits, cap, h_abs * np.fmax(MIN_FACTOR, factor)))
             t = np.where(accept, t_new, t)
             y = np.where(accept[:, None], y_new, y)
             f = np.where(accept[:, None], f_new, f)
-        rejected = ~accept
-        end = accept & (done | (t == t1))
+            rejected = ~accept
+            end = accept & (done | (t == t1))
         if np.count_nonzero(end):
             t_end[rows[end]], y_end[rows[end]] = t[end], y[end]
             keep = ~end
-            rows, t, y, f, h_abs, rejected = (a[keep] for a in (rows, t, y, f, h_abs, rejected))
+            rows, t, y, f, h_abs = (a[keep] for a in (rows, t, y, f, h_abs))
+            if rejected is not None:
+                rejected = rejected[keep]
     if stalled:
         raise StepSizeUnderflow(np.array(stalled), np.array(stall_times))
     if not one_row:

@@ -238,6 +238,8 @@ def integrate_batch(system, x0: np.ndarray, t0: float, t1: float,
         return system.field(y.reshape(-1, dim)).reshape(y.shape)
 
     rows = x0.reshape(len(x0), int(np.prod(x0.shape[1:])))
+    if rows.shape[1] == dim:   # a row is one state: the field maps rows as they are
+        rhs = system.field
     sol = solve(rhs, t0, t1, rows, tol, tol * 1e-2, dense, step)
     sol.y_end = sol.y_end.reshape(x0.shape)
     return sol

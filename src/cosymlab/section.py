@@ -1,11 +1,12 @@
 """Poincaré sections: crossing detection, first-return maps, globality checks
 and the mapping-torus chart of a verified section.
 
-The section function is circle valued.  Along an orbit its angle is lifted to
-a continuous real value, and crossings of the level set are located where the
-lift passes a lattice value ``level + 2*pi*z`` (z an integer).  Only crossings
-whose oriented time derivative is positive are counted; a two-sided count
-would double-cover the mapping-torus fiber.
+The section function is circle valued, and a section supplies its rate along
+a field in closed form.  Along an orbit its angle is lifted to a continuous
+real value, and crossings of the level set are located where the lift passes a
+lattice value ``level + 2*pi*z`` (z an integer).  Only crossings whose
+oriented time derivative is positive are counted; a two-sided count would
+double-cover the mapping-torus fiber.
 
 Every crossing comes from one batched engine, `first_crossings`, which
 follows each orbit through its first k crossings in three steps:
@@ -35,6 +36,7 @@ import csv
 import math
 from dataclasses import dataclass
 from itertools import combinations
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -78,12 +80,16 @@ class SectionChartError(ValueError):
 class SectionSpec:
     """Circle-valued section function with level and crossing orientation.
 
-    ``theta`` maps coordinates (..., dim) to an angle; ``grad_theta`` is its
-    gradient.  Orientation +1 counts crossings where theta increases along
-    the flow.
+    ``theta`` maps coordinates (..., dim) to an angle, and ``dtheta`` maps
+    states x and vectors X (both (..., dim)) to d theta_x(X) in closed form:
+    the rate of theta along the flow when X is the field at x.
+    ``grad_theta`` is the gradient, used only for the section's constraint
+    frame.  Orientation +1 counts crossings where theta increases along the
+    flow.
     """
 
     theta: Callable[[np.ndarray], np.ndarray]
+    dtheta: Callable[[np.ndarray, np.ndarray], np.ndarray]
     grad_theta: Callable[[np.ndarray], np.ndarray]
     level: float = 0.0
     orientation: int = 1
@@ -102,7 +108,7 @@ class SectionSpec:
 
 def _rates(sec: SectionSpec, x: np.ndarray, field: np.ndarray) -> np.ndarray:
     """d theta/dt at states x (..., dim) whose field values are known."""
-    return np.einsum("...i,...i->...", np.asarray(sec.grad_theta(x), dtype=float), field)
+    return sec.dtheta(x, field)
 
 
 def coordinate_section(chart: ChartManifold, index: int, level: float = 0.0,
@@ -114,6 +120,7 @@ def coordinate_section(chart: ChartManifold, index: int, level: float = 0.0,
 
     return SectionSpec(
         theta=lambda x: (np.asarray(x, dtype=float)[..., index] * scale) % TWO_PI,
+        dtheta=lambda x, X: scale * X[..., index],
         grad_theta=lambda x: np.broadcast_to(grad, np.shape(x)),
         level=(level * scale) % TWO_PI,
         orientation=orientation,
@@ -232,34 +239,9 @@ class GlobalityReport:
                 "vacuous": self.vacuous, "passed": self.passed}
 
 
-class _Directed:
-    """Time-reversal wrapper: integrating it forward traces the orbit backward."""
-
-    def __init__(self, system, sign: int):
-        self._system, self.sign = system, sign
-
-    def field(self, coords: np.ndarray) -> np.ndarray:   # forward: no multiply by 1
-        return self._system.field(coords) if self.sign > 0 else -self._system.field(coords)
-
-
 def _clamp(rate: np.ndarray, oriented: int) -> np.ndarray:
     """Rate pushed to at least TANGENCY_MARGIN in the crossing direction."""
     return oriented * np.maximum(oriented * rate, TANGENCY_MARGIN)
-
-
-class _HenonFlow:
-    """Rows (x, t, dv) with the lifted angle as independent variable s in
-    [0, 1]: dx/ds = dv X / r and dt/ds = dv / r, where dv is the row's
-    constant angle gap to its lattice value and r the clamped rate."""
-
-    def __init__(self, directed, sec: SectionSpec, oriented: int):
-        self.directed, self.sec, self.oriented = directed, sec, oriented
-
-    def field(self, y: np.ndarray) -> np.ndarray:
-        x, dv = y[:, :-2], y[:, -1]
-        X = self.directed.field(x)
-        dt = dv / _clamp(_rates(self.sec, x, X), self.oriented)
-        return np.concatenate([X * dt[:, None], dt[:, None], np.zeros((len(y), 1))], axis=1)
 
 
 def _polish(directed, sec: SectionSpec, x: np.ndarray, oriented: int, max_iter: int = 8):
@@ -310,8 +292,8 @@ class _Scan:
       of the lift comes within NEAR_LATTICE of a lattice value neither end
       has passed, the step ends at the turning time (exempting it and the next);
     - passage: a step whose end has passed a lattice value upward holds a
-      crossing; its bracket and the passages and least |rate| since the one
-      before go into the (g, m, k) record.  An orbit stops at its k-th, or at
+      crossing; its orbit, index, bracket, and the passages and least |rate|
+      since the one before go into the log.  An orbit stops at its k-th, or at
       a step end t_max past its last (or the start); a group once all have."""
 
     def __init__(self, sec: SectionSpec, directed, starts: np.ndarray, oriented: int,
@@ -324,36 +306,36 @@ class _Scan:
         w = self._turns(self.lift)
         own = np.round(w)
         self.cell = np.where(np.abs(w - own) * TWO_PI <= ON_SECTION_TOL, own, np.floor(w + 1e-12))
-        self.seen, self.count = np.zeros((g, m), dtype=int), np.zeros((g, m), dtype=int)
+        self.seen, self.count = np.zeros((g, m)), np.zeros((g, m), dtype=int)   # passages, crossings
         self.deadline = np.full((g, m), float(t_max))   # -inf once an orbit has all k
-        # per crossing the Hénon step's start (state, time 0, angle gap; one not
-        # reached rides along with a zero gap), the step times, passages and margin
-        self.bracket = np.concatenate([np.repeat(starts[:, :, None], k, 2), np.zeros((g, m, k, 2)),
-                                       np.full((g, m, k, 2), np.nan)], -1)
-        self.seen_k, self.margins_k = np.zeros((g, m, k), dtype=int), np.full((g, m, k), np.nan)
         self.turning = np.zeros(g, dtype=int)   # accepted steps left exempt from the turning rule
+        self.log = []   # per step with crossings, the arrays of its crossings
 
     def _turns(self, v: np.ndarray) -> np.ndarray:
         """Oriented turns of lifted angles past the level."""
-        return self.oriented * (v - self.sec.level) / TWO_PI
+        return (v - self.sec.level if self.oriented > 0 else self.sec.level - v) / TWO_PI
 
     def __call__(self, rows, t, y, t_new, y_new, f, f_new):
         # every row in order while none has finished: slices, not gathers
         sel = slice(None) if len(rows) == len(self.turning) else rows
-        x1 = y_new.reshape(len(rows), *self.shape)
-        r0, r1 = self.rate[sel], _rates(self.sec, x1, f_new.reshape(x1.shape))
-        theta = np.asarray(self.sec.theta(x1), dtype=float)
-        lift0 = self.lift[sel]
-        lift1 = lift0 - ((self.theta[sel] - theta + math.pi) % TWO_PI - math.pi)
-        h = t_new - t
-        going = t[:, None] < self.deadline[sel]
-        speed = np.fmax(np.fmax(np.abs(r0), np.abs(r1)), np.abs(lift1 - lift0) / h[:, None])
-        allowed = np.divide(0.5 * math.pi, speed, out=np.full(speed.shape, np.inf),
-                            where=going & (speed > 0)).min(axis=1)
-        ok = h <= allowed
-        cap = 0.9 * allowed   # a tenth under the bound: steady rates then pass it
-        i, j = np.nonzero(going & (r0 * r1 < 0) & (self.turning[sel] == 0)[:, None])
-        if i.size:
+        x1, r0, lift0 = y_new.reshape(-1, self.shape[1]), self.rate[sel], self.lift[sel]
+        r1 = _rates(self.sec, x1, f_new.reshape(x1.shape)).reshape(len(rows), -1)
+        theta, abs1 = self.sec.theta(x1).reshape(len(rows), -1), np.abs(r1)
+        lift1, h = lift0 - ((self.theta[sel] - theta + math.pi) % TWO_PI - math.pi), t_new - t
+        # an orbit alone in its row goes on until the row is done
+        going = True if self.shape[0] == 1 else t[:, None] < self.deadline[sel]
+        all_going = going is True or np.count_nonzero(going) == going.size
+        speed = np.fmax(np.fmax(np.abs(r0), abs1), np.abs(lift1 - lift0) / h[:, None])
+        # pi/2 over the fastest going orbit's speed is the least of their bounds
+        fastest = (speed[:, 0] if going is True else
+                   np.fmax.reduce(speed if all_going else np.where(going, speed, 0.0), axis=1))
+        allowed = (0.5 * math.pi / fastest if np.count_nonzero(fastest > 0) == len(rows) else
+                   np.divide(0.5 * math.pi, fastest, out=np.full(len(rows), np.inf),
+                             where=fastest > 0))
+        ok, cap = h <= allowed, 0.9 * allowed   # a cap under the bound: steady rates pass it
+        flips = r0 * r1 < 0
+        if np.count_nonzero(flips):
+            i, j = np.nonzero(going & flips & (self.turning[sel] == 0)[:, None])
             frac = r0[i, j] / (r0[i, j] - r1[i, j])
             w0 = self._turns(lift0[i, j])
             cell = np.floor(w0 + 1e-12)
@@ -366,32 +348,34 @@ class _Scan:
             self.turning[rows[turn & (cut <= cap)]] = 2
             ok &= ~turn
             cap = np.where(turn, np.minimum(cap, cut), cap)
-        done = np.zeros(len(rows), dtype=bool)
         a = slice(None) if np.count_nonzero(ok) == len(rows) else np.flatnonzero(ok)
         ra = sel if isinstance(a, slice) else rows[a]
-        self.turning[ra] = np.maximum(self.turning[ra] - 1, 0)
+        if np.count_nonzero(self.turning):
+            self.turning[ra] = np.maximum(self.turning[ra] - 1, 0)
         c1 = np.floor(self._turns(lift1[a]) + 1e-12)   # lattice cells at the step ends
         steps = c1 - self.cell[ra]
-        steps[~np.isfinite(steps)] = 0.0
-        up = going[a] & (steps > 0)
-        moved = going[a] & ~up
-        self.seen[ra] += np.where(moved, np.abs(steps), up).astype(int)
-        self.margins[ra] = np.minimum(self.margins[ra], np.where(moved, np.abs(r1[a]), np.inf))
-        if np.count_nonzero(up):
-            i, j = np.nonzero(up)
-            q = np.arange(len(rows))[a][i]
-            rk = rows[q]
-            c = self.count[rk, j]
-            gap = self.sec.level - lift0[q, j] + self.oriented * TWO_PI * (self.cell[rk, j] + 1)
-            left = y[q].reshape(-1, *self.shape)[np.arange(len(i)), j]
-            self.bracket[rk, j, c] = np.column_stack([left, np.zeros(len(q)), gap, t[q], t_new[q]])
-            self.seen_k[rk, j, c], self.margins_k[rk, j, c] = self.seen[rk, j], self.margins[rk, j]
-            self.seen[rk, j], self.margins[rk, j] = 0, np.inf
-            self.count[rk, j] = c + 1
-            self.deadline[rk, j] = np.where(c + 1 < self.k, t_new[q] + self.t_max, -np.inf)
-        done[a] = ~(t_new[a, None] < self.deadline[ra]).any(axis=1)
-        self.theta[ra], self.lift[ra], self.rate[ra], self.cell[ra] = theta[a], lift1[a], r1[a], c1
-        return ok, cap, done
+        if not all_going or np.count_nonzero(steps):   # lattice values passed
+            steps[~np.isfinite(steps) if all_going else ~(np.isfinite(steps) & going[a])] = 0.0
+            self.seen[ra] += np.abs(np.minimum(steps, 1))   # an upward one counts once
+            up = steps > 0
+            if np.count_nonzero(up):
+                i, j = np.nonzero(up)
+                q = i if isinstance(a, slice) else a[i]
+                rk = rows[q]
+                c = self.count[rk, j]
+                self.count[rk, j] = c + 1
+                self.log.append((rk, j, c, y.reshape(len(rows), *self.shape)[q, j], lift0[q, j],
+                                 self.cell[rk, j], t[q], t_new[q], self.seen[rk, j],
+                                 self.margins[rk, j]))
+                # the counts restart, and the crossing step's end rate is not in them
+                self.seen[rk, j], self.margins[rk, j], abs1[q, j] = 0, np.inf, np.inf
+                self.deadline[rk, j] = np.where(c + 1 < self.k, t_new[q] + self.t_max, -np.inf)
+            self.cell[ra] = c1
+        self.margins[ra] = np.minimum(self.margins[ra], abs1[a] if all_going else
+                                      np.where(going[a], abs1[a], np.inf))
+        self.theta[ra], self.lift[ra], self.rate[ra] = theta[a], lift1[a], r1[a]
+        latest = self.deadline[sel, 0] if going is True else self.deadline[sel].max(axis=1)
+        return ok, cap, ok & (t_new >= latest)   # a group is done at its latest deadline
 
 
 def first_crossings(system, sec: SectionSpec, starts: np.ndarray,
@@ -412,7 +396,8 @@ def first_crossings(system, sec: SectionSpec, starts: np.ndarray,
     groups = starts if starts.ndim == 3 else starts.reshape(-1, 1, starts.shape[-1])
     g, m, dim = groups.shape
     n = g * m
-    directed = _Directed(system, direction)
+    # a backward scan integrates the reversed field forward
+    directed = system if direction > 0 else SimpleNamespace(field=lambda x: -system.field(x))
     oriented = sec.orientation * direction
     scan = _Scan(sec, directed, groups, oriented, k, t_max)
     failures = ["no crossing"] * n
@@ -422,20 +407,39 @@ def first_crossings(system, sec: SectionSpec, starts: np.ndarray,
         # a crossing of the row before the stall gets its own verdict below
         for row, t in zip(exc.rows, exc.times):
             failures[row * m:(row + 1) * m] = [f"unconverged: integration stalled at t={t:.6g}"] * m
-    # an orbit's entry after its last crossing holds what its scan counted since
+    # the (g, m, k) record: per crossing the Hénon step's start (state, time 0, angle
+    # gap; one not reached rides along with a zero gap), the step times, passages and
+    # margin; an orbit's entry after its last crossing holds what it counted since
+    bracket = np.concatenate([np.repeat(groups[:, :, None], k, 2), np.zeros((g, m, k, 2)),
+                              np.full((g, m, k, 2), np.nan)], -1)
+    seen, margins = np.zeros((g, m, k), dtype=int), np.full((g, m, k), np.nan)
     last = np.nonzero(scan.count < k)
-    scan.seen_k[last + (scan.count[last],)] = scan.seen[last]
-    scan.margins_k[last + (scan.count[last],)] = scan.margins[last]
+    seen[last + (scan.count[last],)], margins[last + (scan.count[last],)] = (scan.seen[last],
+                                                                             scan.margins[last])
+    if scan.log:
+        rk, j, c, left, lift0, cell, t0, t1, seen_c, margins_c = map(np.concatenate, zip(*scan.log))
+        seen[rk, j, c], margins[rk, j, c] = seen_c, margins_c
+        gap = sec.level - lift0 + oriented * TWO_PI * (cell + 1)
+        bracket[rk, j, c] = np.column_stack([left, np.zeros(len(rk)), gap, t0, t1])
     out = Crossings(np.full(n * k, np.nan), np.full((n * k, dim), np.nan), np.full(n * k, np.nan),
-                    scan.margins_k.ravel(), np.full(n * k, np.nan), scan.seen_k.ravel(),
-                    failures, np.zeros(n * k, dtype=bool))
+                    margins.ravel(), np.full(n * k, np.nan), seen.ravel(), failures,
+                    np.zeros(n * k, dtype=bool))
     # one Hénon row per group and crossing index
     hit = (np.arange(k) < scan.count[..., None]).transpose(0, 2, 1).reshape(g * k, m)
-    bracket = scan.bracket.transpose(0, 2, 1, 3).reshape(g * k, m, dim + 4)
+    bracket = bracket.transpose(0, 2, 1, 3).reshape(g * k, m, dim + 4)
     rows = np.flatnonzero(hit.any(axis=1))
     hit, bracket = hit[rows], bracket[rows]
-    y = phase.integrate_batch(_HenonFlow(directed, sec, oriented), bracket[..., :dim + 2],
-                              0.0, 1.0, tol).y_end
+
+    def henon(y):
+        """Rows (x, t, dv) over the lifted angle s in [0, 1]: dx/ds = dv X / r and
+        dt/ds = dv / r, with dv the row's angle gap and r the clamped rate."""
+        x, dv = y[:, :-2], y[:, -1]
+        X = directed.field(x)
+        dt = dv / _clamp(_rates(sec, x, X), oriented)
+        return np.concatenate([X * dt[:, None], dt[:, None], np.zeros((len(y), 1))], axis=1)
+
+    y = phase.integrate_batch(SimpleNamespace(field=henon), bracket[..., :dim + 2], 0.0, 1.0,
+                              tol).y_end
     x, t_corr, residual, slowest = _polish(directed, sec, y[..., :dim][hit], oriented)
     entries = (((rows // k * m)[:, None] + np.arange(m)) * k + (rows % k)[:, None])[hit]
     t_left, t_right = bracket[hit][:, dim + 2:].T
@@ -686,10 +690,6 @@ class MappingTorusChart:
     table: np.ndarray            # (n_grid, n_t, dim), reduced coordinates
     gluing_residual: float
     energy_residual: float
-
-    @property
-    def holonomy(self) -> list:
-        return [r.image for r in self.records]
 
 
 def mapping_torus_chart(system, sec: SectionSpec, grid: Sequence[Point],

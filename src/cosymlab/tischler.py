@@ -214,14 +214,18 @@ def extract_leaf(ra: RationalApproximation, manifold: ChartManifold,
     g = int(np.gcd.reduce(np.abs(n[n != 0])))
     weights = n / np.asarray(manifold.periods)
     scale = TWO_PI / g
+    grad = weights * scale   # the constant gradient of theta
 
     def theta(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         s = np.einsum("...i,i->...", x, weights)
         return (s % g) * scale
 
-    def grad_theta(x: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(weights * scale, np.shape(x))
+    def dtheta(x: np.ndarray, X: np.ndarray) -> np.ndarray:
+        return np.einsum("...i,i->...", X, grad)
 
-    return SectionSpec(theta, grad_theta, level=level, orientation=orientation,
+    def grad_theta(x: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(grad, np.shape(x))
+
+    return SectionSpec(theta, dtheta, grad_theta, level=level, orientation=orientation,
                        name=f"leaf(n={n.tolist()}, d={ra.d})")

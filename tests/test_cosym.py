@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cosymlab import catalog, cosym as C, forms as F, section as S
+from cosymlab import catalog, cosym as C, forms as F, phase as P, section as S
 
 TWO_PI = 2.0 * math.pi
 
@@ -130,6 +130,22 @@ def test_cosym_to_field_rejects_zero_form(t4_system, samples3):
                                  F.wedge(F.coordinate_form(3, 0), F.coordinate_form(3, 1)))
     with pytest.raises(ValueError, match="vanishes"):
         C.cosym_to_field(t4_system, Z, cs, samples3)
+
+
+def test_slice_off_its_level_is_refused(t3_seed, samples3):
+    # H = sin(angle) is 0 on the angle-zero slice, not 0.5: neither direction
+    # of the correspondence may build or check a pair on it
+    Z = P.EnergySurface(catalog.product_system("t3"), 0.5, 3, 0.0)
+    message = r"not the level set H = 0\.5: max \|H - level\| = 5\.000e-01"
+    with pytest.raises(ValueError, match=message):
+        C.field_to_cosym(Z.system, Z, neg_dtheta, samples3)
+    with pytest.raises(ValueError, match="not the level set"):
+        C.cosym_to_field(Z.system, Z, t3_seed, samples3)
+    # within the bound, relative to max(1, |level|), the slice is accepted
+    near = P.EnergySurface(Z.system, 5e-9, 3, 0.0)
+    assert C.verify_cosymplectic(C.field_to_cosym(Z.system, near, neg_dtheta, samples3),
+                                 samples3).passed
+    assert C.cosym_to_field(Z.system, near, t3_seed, samples3).passed
 
 
 # -- product construction -------------------------------------------------------------

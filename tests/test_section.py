@@ -1,11 +1,13 @@
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from cosymlab import catalog, forms as F, phase as P, section as S
+from cosymlab import catalog, forms as F, phase as P, section as S, tischler as T
 
 TWO_PI = 2.0 * math.pi
 SQRT2 = math.sqrt(2.0)
@@ -257,6 +259,45 @@ def test_grazing_crossing_fails_on_every_path():
         S.first_return(graze, sec, graze.point([x0, 0.0]), t_max=20.0)
 
 
+_RATE_CHART = F.ChartManifold(4, (True,) * 4, (TWO_PI, 3.0, TWO_PI, 0.7))
+RATE_SECTIONS = {
+    "coordinate, period 3": S.coordinate_section(_RATE_CHART, 1, 0.4),
+    "coordinate, period 2 pi": S.coordinate_section(_RATE_CHART, 2, orientation=-1),
+    "angle (2, 3)": catalog.oscillator_angle_section((2, 3)),
+    "angle (1, 0)": catalog.oscillator_angle_section((1, 0)),
+    "leaf, mixed-sign n": T.extract_leaf(T.RationalApproximation(7, np.array([3, -5, 0, 2]), 0.0),
+                                         _RATE_CHART),
+}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(RATE_SECTIONS)), st.sampled_from([(4,), (6, 4), (3, 2, 4), (1, 1, 4)]),
+       st.data())
+def test_closed_form_rate_matches_the_gradient(name, shape, data):
+    # each section's closed-form rate is d theta(X) bit for bit: the gradient
+    # contracted with X by einsum, on (n, dim) and (g, m, dim) batches alike
+    sec = RATE_SECTIONS[name]
+    values = hnp.arrays(float, shape, elements=st.floats(-1e3, 1e3))
+    x, X = data.draw(values), data.draw(values)
+    expected = np.einsum("...i,...i->...", np.asarray(sec.grad_theta(x), dtype=float), X)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rate = sec.dtheta(x, X)
+    assert np.shape(rate) == shape[:-1]
+    assert np.array_equal(rate, expected, equal_nan=True)
+
+
+def test_angle_rate_is_nan_at_zero_amplitude():
+    # the angle section is singular where its pair vanishes; the rate says so
+    # with NaN (and no warning), so the crossing scan reports the orbit
+    sec = RATE_SECTIONS["angle (2, 3)"]
+    x = np.array([[0.3, 0.1, 0.0, 0.0], [0.3, 0.1, 0.6, 0.8]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rate = sec.dtheta(x, np.ones((2, 4)))
+    assert np.isnan(rate[0]) and rate[1] == pytest.approx(0.8 - 0.6)
+
+
 def test_unconverged_polish_is_reported(suspension_system):
     # angle noise the gradient does not know about: Newton cannot push the
     # residual below the noise, so no crossing may be certified
@@ -266,7 +307,7 @@ def test_unconverged_polish_is_reported(suspension_system):
         x = np.asarray(x, dtype=float)
         return base.theta(x) + 1e-10 * np.sin(1e13 * np.sum(x, axis=-1))
 
-    sec = S.SectionSpec(noisy_theta, base.grad_theta, base.level, base.orientation)
+    sec = S.SectionSpec(noisy_theta, base.dtheta, base.grad_theta, base.level, base.orientation)
     starts = np.array([[0.2, 0.0], [0.7, 0.0]])
     rep = S.verify_global(suspension_system, sec, starts, t_max=5.0)
     assert len(rep.failures) == 4
