@@ -460,16 +460,17 @@ def cmd_demo_product(cfg: dict, runner: Runner, seed: int) -> None:
         rep = verify_global(system, sec, leaf_samples, t_max, tol)
     runner.check("verify_global", rep.passed, rep.as_dict())
 
+    # the checks use at most as many points as there are samples, and say how many
     with runner.timed("return_map"):
+        points = leaf_samples[:cfg["n_return_points"]]
         try:
-            jacs = return_map_jacobians(system, sec, leaf_samples[:cfg["n_return_points"]],
-                                        t_max=t_max, tol=tol)
+            jacs = return_map_jacobians(system, sec, points, t_max=t_max, tol=tol)
         except CROSSING_ERRORS as exc:
-            runner.check("return_map_symplectic", False, error=str(exc))
+            runner.check("return_map_symplectic", False, error=str(exc), n_points=len(points))
         else:
             max_det_err = float(np.max(np.abs(np.linalg.det(jacs) - 1.0)))
             max_dev = float(np.max(np.abs(jacs - np.eye(jacs.shape[-1]))))
-            runner.check("return_map_symplectic", max_det_err < 1e-6,
+            runner.check("return_map_symplectic", max_det_err < 1e-6, n_points=len(points),
                          max_det_error=max_det_err, max_identity_deviation=max_dev)
 
     with runner.timed("mapping_torus"):
@@ -477,10 +478,10 @@ def cmd_demo_product(cfg: dict, runner: Runner, seed: int) -> None:
         try:
             mt = mapping_torus_chart(system, sec, grid, t_max=t_max, tol=tol)
         except CROSSING_ERRORS + (GluingError,) as exc:
-            runner.check("mapping_torus_gluing", False, error=str(exc))
+            runner.check("mapping_torus_gluing", False, error=str(exc), n_points=len(grid))
         else:
             runner.check("mapping_torus_gluing", mt.gluing_residual < 10 * tol,
-                         gluing_residual=mt.gluing_residual,
+                         n_points=len(grid), gluing_residual=mt.gluing_residual,
                          energy_residual=mt.energy_residual)
 
     with runner.timed("crossings"):
@@ -643,14 +644,15 @@ def cmd_return_map(cfg: dict, runner: Runner, seed: int) -> None:
                  failures=[(i, *f) for i, f in enumerate(returns.failures) if f is not None])
 
     with runner.timed("jacobians"):
+        points = starts[:cfg["n_return_points"]]   # at most as many as there are starts
         try:
-            jacs = return_map_jacobians(system, sec, starts[:cfg["n_return_points"]],
-                                        fd_step=cfg["fd_step"], t_max=t_max, tol=tol)
+            jacs = return_map_jacobians(system, sec, points, fd_step=cfg["fd_step"],
+                                        t_max=t_max, tol=tol)
         except CROSSING_ERRORS as exc:
-            runner.check("symplectic_determinant", False, error=str(exc))
+            runner.check("symplectic_determinant", False, error=str(exc), n_points=len(points))
         else:
             max_det_err = float(np.max(np.abs(np.linalg.det(jacs) - 1.0)))
-            runner.check("symplectic_determinant", max_det_err < 1e-6,
+            runner.check("symplectic_determinant", max_det_err < 1e-6, n_points=len(points),
                          max_det_error=max_det_err)
 
     write_crossings_csv(runner.add_artifact("crossings.csv"), rows, system.dim)

@@ -15,7 +15,9 @@ Flows integrate through one entry point, `integrate_batch`, with the
 package's own batched DOP853 stepper (`dop853`: the explicit Runge-Kutta pair
 of order 8 with SciPy's step-size control, in NumPy only) at a caller-given
 tolerance, rtol = tol and atol = tol / 100; each orbit of a batch, or each
-group of orbits, takes its own steps.
+group of orbits, takes its own steps, and the integration returns the states
+they end in.  A caller that needs states along an orbit integrates to each
+time it needs, or watches the steps through a step hook.
 """
 from __future__ import annotations
 
@@ -217,18 +219,15 @@ class EnergySurface:
 
 
 def integrate_batch(system, x0: np.ndarray, t0: float, t1: float,
-                    tol: float = DEFAULT_FLOW_TOL, dense: bool = False,
-                    step: Optional[Callable] = None):
-    """Integrate a batch of initial conditions.  An (n, dim) batch is n orbits,
-    each on its own steps; a single orbit is a batch of one.  A (g, m, dim)
-    batch is g groups of m orbits, each group one stacked state that shares
-    one step sequence (and so one smooth integration error).  Coordinates are
-    NOT reduced: orbits live in the periodic cover so section functions can
-    be lifted continuously.  Returns the `dop853` solution, with the end
-    states ``y_end`` shaped like x0; a batch of one row also has its step
-    times ``t``, states ``y`` (m * dim, steps) and, when ``dense``, the
-    interpolant ``sol``.  ``step`` is the step hook of `dop853.solve`, which
-    hands it rows of m * dim values."""
+                    tol: float = DEFAULT_FLOW_TOL, step: Optional[Callable] = None) -> np.ndarray:
+    """Integrate a batch of initial conditions and return the end states,
+    shaped like x0.  An (n, dim) batch is n orbits, each on its own steps; a
+    single orbit is a batch of one.  A (g, m, dim) batch is g groups of m
+    orbits, each group one stacked state that shares one step sequence (and
+    so one smooth integration error).  Coordinates are NOT reduced: orbits
+    live in the periodic cover so section functions can be lifted
+    continuously.  ``step`` is the step hook of `dop853.solve`, which hands it
+    rows of m * dim values."""
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     x0 = np.asarray(x0, dtype=float)
@@ -240,7 +239,4 @@ def integrate_batch(system, x0: np.ndarray, t0: float, t1: float,
     rows = x0.reshape(len(x0), int(np.prod(x0.shape[1:])))
     if rows.shape[1] == dim:   # a row is one state: the field maps rows as they are
         rhs = system.field
-    sol = solve(rhs, t0, t1, rows, tol, tol * 1e-2, dense, step)
-    sol.y_end = sol.y_end.reshape(x0.shape)
-    return sol
-
+    return solve(rhs, t0, t1, rows, tol, tol * 1e-2, step).reshape(x0.shape)

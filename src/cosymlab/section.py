@@ -52,6 +52,7 @@ ON_SECTION_TOL = 1e-8
 NEAR_LATTICE = 1e-3     # lattice units (turns of the section angle)
 DEFAULT_T_MAX = 1e3
 ENERGY_RESIDUAL_MAX = 1e-8   # largest |H - H(p)| over a mapping-torus table
+TORUS_TIMES = 9   # fiber times t of a mapping-torus table, evenly spaced over [0, 1]
 
 
 class TangencyError(RuntimeError):
@@ -103,12 +104,7 @@ class SectionSpec:
     def rate(self, system, coords: np.ndarray) -> np.ndarray:
         """Time derivative of theta along the system flow."""
         coords = np.asarray(coords, dtype=float)
-        return _rates(self, coords, system.field(coords))
-
-
-def _rates(sec: SectionSpec, x: np.ndarray, field: np.ndarray) -> np.ndarray:
-    """d theta/dt at states x (..., dim) whose field values are known."""
-    return sec.dtheta(x, field)
+        return self.dtheta(coords, system.field(coords))
 
 
 def coordinate_section(chart: ChartManifold, index: int, level: float = 0.0,
@@ -261,7 +257,7 @@ def _polish(directed, sec: SectionSpec, x: np.ndarray, oriented: int, max_iter: 
         if not todo.size:
             break
         X = directed.field(x[todo])
-        rate = _rates(sec, x[todo], X)
+        rate = sec.dtheta(x[todo], X)
         near = np.abs(f[todo]) < ANGLE_RESIDUAL
         slowest[todo[near]] = np.minimum(slowest[todo[near]], np.abs(rate[near]))
         dt = -f[todo] / _clamp(rate, oriented)
@@ -319,7 +315,7 @@ class _Scan:
         # every row in order while none has finished: slices, not gathers
         sel = slice(None) if len(rows) == len(self.turning) else rows
         x1, r0, lift0 = y_new.reshape(-1, self.shape[1]), self.rate[sel], self.lift[sel]
-        r1 = _rates(self.sec, x1, f_new.reshape(x1.shape)).reshape(len(rows), -1)
+        r1 = self.sec.dtheta(x1, f_new.reshape(x1.shape)).reshape(len(rows), -1)
         theta, abs1 = self.sec.theta(x1).reshape(len(rows), -1), np.abs(r1)
         lift1, h = lift0 - ((self.theta[sel] - theta + math.pi) % TWO_PI - math.pi), t_new - t
         # an orbit alone in its row goes on until the row is done
@@ -435,11 +431,10 @@ def first_crossings(system, sec: SectionSpec, starts: np.ndarray,
         dt/ds = dv / r, with dv the row's angle gap and r the clamped rate."""
         x, dv = y[:, :-2], y[:, -1]
         X = directed.field(x)
-        dt = dv / _clamp(_rates(sec, x, X), oriented)
+        dt = dv / _clamp(sec.dtheta(x, X), oriented)
         return np.concatenate([X * dt[:, None], dt[:, None], np.zeros((len(y), 1))], axis=1)
 
-    y = phase.integrate_batch(SimpleNamespace(field=henon), bracket[..., :dim + 2], 0.0, 1.0,
-                              tol).y_end
+    y = phase.integrate_batch(SimpleNamespace(field=henon), bracket[..., :dim + 2], 0.0, 1.0, tol)
     x, t_corr, residual, slowest = _polish(directed, sec, y[..., :dim][hit], oriented)
     entries = (((rows // k * m)[:, None] + np.arange(m)) * k + (rows % k)[:, None])[hit]
     t_left, t_right = bracket[hit][:, dim + 2:].T
@@ -693,32 +688,39 @@ class MappingTorusChart:
 
 
 def mapping_torus_chart(system, sec: SectionSpec, grid: Sequence[Point],
-                        n_time: int = 9, t_max: float = DEFAULT_T_MAX,
+                        t_max: float = DEFAULT_T_MAX,
                         tol: float = phase.DEFAULT_FLOW_TOL) -> MappingTorusChart:
-    """Tabulate the suspension chart over a section grid.
+    """Tabulate the suspension chart over a section grid at TORUS_TIMES fiber
+    times.
 
-    Checks the gluing Psi(p, 1) = holonomy(p) within 10*tol and, for
-    Hamiltonian systems, that every table entry stays on the energy level
-    within ENERGY_RESIDUAL_MAX; raises GluingError otherwise.
+    Every entry after t = 0 comes from one batched integration: the row
+    (x, tau) with tau = t * T(p) follows dx/ds = tau X(x), dtau/ds = 0 over
+    s in [0, 1], on its own steps.  The t = 1 rows are integrated apart from
+    the crossing engine, so the gluing check Psi(p, 1) = holonomy(p) within
+    10*tol compares two independent computations.  For Hamiltonian systems
+    every table entry must also stay on the energy level within
+    ENERGY_RESIDUAL_MAX; GluingError is raised otherwise.
     """
     chart = system.manifold
-    t_samples = np.linspace(0.0, 1.0, n_time)
-    rows, gluing, energy_res = [], 0.0, 0.0
-    has_energy = hasattr(system, "energy")
-    returns = iterate_returns(system, sec, np.array([p.coords for p in grid]), 1, t_max, tol)
+    t_samples = np.linspace(0.0, 1.0, TORUS_TIMES)
+    starts = np.array([p.coords for p in grid])
+    returns = iterate_returns(system, sec, starts, 1, t_max, tol)
     returns.raise_failure()
     records = [returns.first(i, p) for i, p in enumerate(grid)]
-    for p, rec in zip(grid, records):
-        sol = phase.integrate_batch(system, p.coords[None], 0.0, rec.return_time, tol, dense=True)
-        states = sol.sol(t_samples * rec.return_time).T
-        states[0] = p.coords
-        rows.append(np.stack([chart.reduce(s) for s in states]))
-        gap = np.max(np.abs(chart.wrapped_delta(chart.reduce(states[-1]),
-                                                rec.image.coords)))
-        gluing = max(gluing, float(gap))
-        if has_energy:
-            h0 = float(system.energy(p.coords))
-            energy_res = max(energy_res, float(np.max(np.abs(system.energy(states) - h0))))
+    n, dim = starts.shape
+    taus = returns.times[:, :1] * t_samples[1:]   # (n, TORUS_TIMES - 1)
+    rows = np.concatenate([np.repeat(starts, TORUS_TIMES - 1, axis=0), taus.reshape(-1, 1)], 1)
+
+    def scaled(y):
+        return np.concatenate([system.field(y[:, :-1]) * y[:, -1:], np.zeros((len(y), 1))], 1)
+
+    ends = phase.integrate_batch(SimpleNamespace(field=scaled), rows, 0.0, 1.0, tol)
+    states = np.concatenate([starts[:, None], ends[:, :dim].reshape(n, TORUS_TIMES - 1, dim)], 1)
+    table = chart.reduce(states)
+    gluing = float(np.max(np.abs(chart.wrapped_delta(table[:, -1], returns.images[:, 0]))))
+    energy_res = 0.0
+    if hasattr(system, "energy"):
+        energy_res = float(np.max(np.abs(system.energy(states) - system.energy(starts)[:, None])))
     gluing_tol = 10.0 * tol
     if gluing > gluing_tol:
         raise GluingError(f"gluing residual {gluing:.3e} exceeds {gluing_tol:.3e}; "
@@ -726,7 +728,7 @@ def mapping_torus_chart(system, sec: SectionSpec, grid: Sequence[Point],
     if energy_res > ENERGY_RESIDUAL_MAX:
         raise GluingError(f"energy residual {energy_res:.3e} exceeds {ENERGY_RESIDUAL_MAX:.0e}; "
                           "the chart leaves the energy level")
-    return MappingTorusChart(list(grid), records, t_samples, np.stack(rows), gluing, energy_res)
+    return MappingTorusChart(list(grid), records, t_samples, table, gluing, energy_res)
 
 
 def write_crossings_csv(path, rows: Sequence[Sequence[float]], dim: int) -> None:

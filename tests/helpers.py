@@ -1,5 +1,6 @@
-"""Helpers shared by test modules: the README's example configs, and the energy
-drift and divergence of a system's flow."""
+"""Helpers shared by test modules: the README's example configs, a step hook
+that records an integration's steps, and the energy drift and divergence of a
+system's flow."""
 import json
 import re
 from pathlib import Path
@@ -22,11 +23,24 @@ def readme_configs():
     return out
 
 
-def energy_drift(system, p0, t_max: float, samples: int = 200,
-                 tol: float = phase.DEFAULT_FLOW_TOL) -> float:
-    """Maximum |H(flow_t(p0)) - H(p0)| over sampled times in [0, t_max]."""
-    sol = phase.integrate_batch(system, p0.coords[None], 0.0, t_max, tol, dense=True)
-    states = sol.sol(np.linspace(0.0, t_max, samples)).T
+def step_recorder(log: list):
+    """A step hook for `dop853.solve` that appends (t_new, y_new) of the rows
+    of every step it sees to log and lets each stand, with no cap and no end:
+    it changes no step, and the log holds every accepted step."""
+
+    def hook(rows, t, y, t_new, y_new, f, f_new):
+        log.append((t_new.copy(), y_new.copy()))
+        return np.ones(len(rows), dtype=bool), np.inf, np.zeros(len(rows), dtype=bool)
+
+    return hook
+
+
+def energy_drift(system, p0, t_max: float, tol: float = phase.DEFAULT_FLOW_TOL) -> float:
+    """Maximum |H(flow_t(p0)) - H(p0)| over the integrator's step ends in
+    [0, t_max]."""
+    log = []
+    phase.integrate_batch(system, p0.coords[None], 0.0, t_max, tol, step=step_recorder(log))
+    states = np.concatenate([p0.coords[None]] + [y_new for _, y_new in log])
     return float(np.max(np.abs(system.energy(states) - system.energy(p0.coords))))
 
 

@@ -185,7 +185,7 @@ def test_criterion_8_conservation_suite():
             worst_div = max(worst_div, abs(divergence(system, system.point(x).coords)))
 
         def end(x, t):
-            return chart.reduce(phase.integrate_batch(system, x[None], 0.0, t, tol).y_end[0])
+            return chart.reduce(phase.integrate_batch(system, x[None], 0.0, t, tol)[0])
 
         two, one = end(end(x0, 0.9), 1.3), end(x0, 2.2)
         worst_comp = max(worst_comp, float(np.max(np.abs(chart.wrapped_delta(two, one)))))

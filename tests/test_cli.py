@@ -420,6 +420,24 @@ def test_return_map_inline_system(tmp_path):
     assert checks["iterates"]["max_return_time"] == pytest.approx(2 * math.pi, abs=1e-8)
 
 
+def test_checks_report_how_many_points_they_used(tmp_path):
+    # grid 9 over 4 leaf samples tabulates 4 fiber points
+    code, out = run(tmp_path, "demo-product", {"seed": "t3", "samples": 4, "grid": 9,
+                                               "n_return_points": 2, "t_max": 30.0}, out="demo")
+    assert code == 0
+    checks = {c["name"]: c for c in read_report(out)["report"]["checks"]}
+    assert checks["mapping_torus_gluing"]["n_points"] == 4
+    assert checks["return_map_symplectic"]["n_points"] == 2
+    # the README's inline return-map config has one start point, so its
+    # default n_return_points 10 checks one Jacobian
+    config = next(c for command, c in readme_configs()
+                  if command == "return-map" and "points" in c)
+    code, out = run(tmp_path, "return-map", config, out="inline")
+    assert code == 0
+    checks = {c["name"]: c for c in read_report(out)["report"]["checks"]}
+    assert checks["symplectic_determinant"]["n_points"] == 1
+
+
 def test_inline_system_bad_expression_exits_2(tmp_path):
     cfg = {"system": {"dim": 2, "omega": [[0, 1, 1.0]], "hamiltonian": "q +"},
            "points": [[1.0, 0.0]], "section": {"kind": "angle", "pair": [0, 1]}}
@@ -433,8 +451,8 @@ def test_demo_product_forwards_t_max(tmp_path):
                                                "n_return_points": 1, "grid": 2})
     assert code == 1
     checks = {c["name"]: c for c in read_report(out)["report"]["checks"]}
-    for name in ("return_map_symplectic", "mapping_torus_gluing"):
-        assert not checks[name]["passed"]
+    for name, n_points in (("return_map_symplectic", 1), ("mapping_torus_gluing", 2)):
+        assert not checks[name]["passed"] and checks[name]["n_points"] == n_points
         assert "no crossing" in checks[name]["error"]
 
 

@@ -4,12 +4,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from cosymlab import catalog, cli, dop853, phase as P
 
-REL = 1e-12
+from helpers import step_recorder
+
 INLINE = cli.validate("obstruct", {"system": {
     "dim": 2, "coordinates": ["q", "p"], "omega": [[0, 1, "1 + 0.5*sin(q)"]],
     "hamiltonian": "0.5*(q^2 + p^2)"}})["system"]
@@ -27,14 +27,9 @@ def cases():
     return out
 
 
-def close(a, b) -> bool:
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and bool(np.all(np.abs(a - b) <= REL * np.maximum(1.0, np.abs(b))))
-
-
 def reference(rhs, t1, y0, tol):
     return solve_ivp(lambda _t, y: rhs(y), (0.0, t1), y0, method="DOP853",
-                     rtol=tol, atol=1e-2 * tol, dense_output=True)
+                     rtol=tol, atol=1e-2 * tol)
 
 
 def test_catalog_covers_constant_and_inline_omega():
@@ -46,47 +41,33 @@ def test_catalog_covers_constant_and_inline_omega():
 
 @pytest.mark.parametrize("name, system", cases(), ids=[c[0] for c in cases()])
 @pytest.mark.parametrize("batch", [1, 5])
-@pytest.mark.parametrize("t1, tol", [(7.3, 1e-10), (-2.9, 1e-6)])
+@pytest.mark.parametrize("t1, tol", [(7.3, 1e-10), (-2.9, 1e-6), (20.0, 1e-10)])
 def test_matches_solve_ivp(name, system, batch, t1, tol):
     rng = np.random.default_rng(batch)
     starts = 0.5 + rng.uniform(-0.4, 0.4, size=(batch, system.dim))
+    log = []
     if batch == 1:
         x0 = starts[0]
-        sol = P.integrate_batch(system, x0[None], 0.0, t1, tol, dense=True)
+        end = P.integrate_batch(system, x0[None], 0.0, t1, tol, step=step_recorder(log))[0]
         rhs = system.field
     else:
         # one group of five orbits: a single row, stacked as solve_ivp stacks it
         x0 = starts.ravel()
-        sol = P.integrate_batch(system, starts[None], 0.0, t1, tol, dense=True)
+        end = P.integrate_batch(system, starts[None], 0.0, t1, tol, step=step_recorder(log))
+        end = end.ravel()
 
         def rhs(y):
             return system.field(y.reshape(batch, system.dim)).ravel()
 
     ref = reference(rhs, t1, x0, tol)
-    assert sol.success and ref.success
-    # bit for bit: the same accepted steps, the same states on them and the
-    # same dense output
-    assert np.array_equal(sol.t, ref.t)
-    assert np.array_equal(sol.y, ref.y)
-    ts = rng.uniform(min(0.0, t1), max(0.0, t1), 40)
-    assert np.array_equal(sol.sol(ts), ref.sol(ts))
-    assert np.array_equal(sol.sol(ts[0]), ref.sol(ts[0]))
-    assert np.array_equal(sol.sol(sol.t), ref.sol(ref.t))  # step ends take the earlier segment
-
-
-def test_dense_output_extrapolates_like_solve_ivp():
-    system = catalog.get_system("harmonic_oscillator")
-    sol = P.integrate_batch(system, [[1.0, 0.0]], 0.0, 3.0, 1e-8, dense=True)
-    ref = reference(system.field, 3.0, np.array([1.0, 0.0]), 1e-8)
-    outside = np.array([-0.1, 3.05])
-    assert close(sol.sol(outside), ref.sol(outside))
-
-
-def test_states_without_dense_output():
-    system = catalog.get_system("oscillator_2dof_sqrt2")
-    sol = P.integrate_batch(system, [[0.6, 0.0, 0.8, 0.0]], 0.0, 5.0)
-    assert sol.sol is None
-    assert sol.y.shape == (4, len(sol.t)) and sol.t[0] == 0.0 and sol.t[-1] == 5.0
+    assert ref.success
+    # bit for bit: the same accepted steps, the same states on them, and the
+    # last of them is the end state
+    t = np.concatenate([[0.0], [t_new[0] for t_new, _ in log]])
+    y = np.column_stack([x0] + [y_new[0] for _, y_new in log])
+    assert np.array_equal(t, ref.t)
+    assert np.array_equal(y, ref.y)
+    assert np.array_equal(end, ref.y[:, -1])
 
 
 def test_stalled_step_raises():
@@ -95,29 +76,32 @@ def test_stalled_step_raises():
                     rtol=1e-10, atol=1e-12)
     assert not ref.success
     with pytest.raises(dop853.StepSizeUnderflow, match="stalled"):
-        dop853.solve(lambda y: 1.0 + y ** 2, 0.0, 10.0, [0.0], 1e-10, 1e-12)
+        dop853.solve(lambda y: 1.0 + y ** 2, 0.0, 10.0, [[0.0]], 1e-10, 1e-12)
     assert P.StepSizeUnderflow is dop853.StepSizeUnderflow
 
 
 def test_rejects_bad_input():
     with pytest.raises(ValueError, match="empty"):
-        dop853.solve(lambda y: y, 1.0, 1.0, [1.0], 1e-8, 1e-10)
+        dop853.solve(lambda y: y, 1.0, 1.0, [[1.0]], 1e-8, 1e-10)
     with pytest.raises(ValueError, match="finite"):
-        dop853.solve(lambda y: y, 0.0, 1.0, [np.nan], 1e-8, 1e-10)
-    with pytest.raises(ValueError, match="one vector"):
-        dop853.solve(lambda y: y, 0.0, 1.0, [[[1.0]]], 1e-8, 1e-10)
+        dop853.solve(lambda y: y, 0.0, 1.0, [[np.nan]], 1e-8, 1e-10)
+    # a state is rows of vectors: a single vector is refused like a 3-d array
+    for y0 in ([1.0], [[[1.0]]]):
+        with pytest.raises(ValueError, match="rows of vectors"):
+            dop853.solve(lambda y: y, 0.0, 1.0, y0, 1e-8, 1e-10)
 
 
 def test_initial_step_survives_an_overflowing_norm():
     # a zero component has error scale atol, so a field of order 1e150 there
     # squares past the largest float in the starting-step norm
+    log = []
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        sol = dop853.solve(lambda y: np.array([y[1], -y[0]]), 0.0, 1.0, [1e150, 0.0],
-                           1e-10, 1e-12)
-    first = sol.t[1] - sol.t[0]
+        end = dop853.solve(lambda y: y[:, ::-1] * [1.0, -1.0], 0.0, 1.0, [[1e150, 0.0]],
+                           1e-10, 1e-12, step_recorder(log))
+    first = log[0][0][0]
     assert np.isfinite(first) and first > 1e-300
-    assert np.allclose(sol.y[:, -1] / 1e150, [np.cos(1.0), -np.sin(1.0)], rtol=0, atol=1e-8)
+    assert np.allclose(end[0] / 1e150, [np.cos(1.0), -np.sin(1.0)], rtol=0, atol=1e-8)
     x = np.array([3e200, 0.0, -4e200])
     assert dop853._rms(x) == pytest.approx(5e200 / np.sqrt(3.0), rel=1e-15)
 
@@ -133,29 +117,3 @@ def test_step_factor_powers_match_python_pow():
     base = err[np.isfinite(err)]
     assert np.array_equal(dop853._scalar_powers(base, -dop853.ERROR_EXPONENT),
                           [b ** -dop853.ERROR_EXPONENT for b in base.tolist()])
-
-
-def _dense(direction):
-    system = catalog.get_system("oscillator_2dof_sqrt2")
-    starts = np.array([[0.6, 0.0, 0.8, 0.0], [0.1, 0.3, -0.9, 0.2], [1.2, -0.4, 0.0, 0.5]])
-    return P.integrate_batch(system, starts[None], 0.0, 9.0 * direction, 1e-8, dense=True).sol
-
-
-DENSE = {1: _dense(1), -1: _dense(-1)}
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(st.sampled_from([1, -1]), st.integers(1, 60), st.data())
-def test_dense_output_is_split_invariant(direction, m, data):
-    # every time is evaluated on its own, so any split of a time array
-    # evaluates to the same bits
-    sol = DENSE[direction]
-    span = np.sort(sol.t)
-    pool = st.one_of(st.sampled_from(list(span)),
-                     st.floats(span[0] - 0.5, span[-1] + 0.5, allow_nan=False))
-    ts = np.array(data.draw(st.lists(pool, min_size=m, max_size=m)))
-    cuts = sorted(data.draw(st.lists(st.integers(0, m), max_size=6)))
-    parts = np.split(ts, cuts)
-    whole = sol(ts)
-    assert np.array_equal(whole, np.concatenate([sol(p) for p in parts], axis=1))
-    assert all(np.array_equal(whole[:, k], sol(t)) for k, t in enumerate(ts[:5]))
