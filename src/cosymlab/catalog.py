@@ -1,8 +1,9 @@
 """Catalog of charts, systems, cosymplectic seeds, Betti profiles and meshed
 surfaces used by the verification pipelines and the CLI.
 
-Topology metadata (compactness, simple connectivity, Betti numbers) is
-declared per entry; nothing topological is inferred numerically.
+Topology metadata (compactness and simple connectivity of ambient manifolds,
+Betti numbers) is declared per entry; nothing topological is inferred
+numerically.
 """
 from __future__ import annotations
 
@@ -20,17 +21,16 @@ from .phase import EnergySurface, FlowSystem, HamiltonianSystem
 from .section import SectionSpec, coordinate_section
 
 TWO_PI = 2.0 * math.pi
-SQRT2 = math.sqrt(2.0)
+FREQ2 = math.sqrt(2.0)   # frequency of the second oscillator pair, incommensurate with the first
+ROTATION = 1.0 / 3.0   # rotation number of the suspended circle rotation
 
 
 def torus(n: int, period: float = TWO_PI, name: str = "") -> ChartManifold:
-    return ChartManifold(n, (True,) * n, (period,) * n, name=name or f"T{n}",
-                         compact=True, simply_connected=False)
+    return ChartManifold(n, (True,) * n, (period,) * n, name=name or f"T{n}")
 
 
 def euclidean(n: int, name: str = "", cotangent: bool = False) -> ChartManifold:
-    return ChartManifold(n, (False,) * n, name=name or f"R{n}",
-                         compact=False, simply_connected=True, cotangent_model=cotangent)
+    return ChartManifold(n, (False,) * n, name=name or f"R{n}", cotangent_model=cotangent)
 
 
 # -- cosymplectic seeds ---------------------------------------------------------
@@ -81,9 +81,9 @@ def harmonic_oscillator() -> HamiltonianSystem:
                              lam=KForm(1, 2, lam_coeffs), name="harmonic_oscillator")
 
 
-def oscillator_2dof(freq2: float = SQRT2) -> HamiltonianSystem:
-    """Two uncoupled oscillators with frequency ratio freq2 (incommensurate by
-    default); coordinates (q1, p1, q2, p2)."""
+def oscillator_2dof() -> HamiltonianSystem:
+    """Two uncoupled oscillators with frequency ratio FREQ2; coordinates
+    (q1, p1, q2, p2)."""
     c4 = euclidean(4, "R4(q1,p1,q2,p2)")
     omega = (wedge(coordinate_form(4, 0), coordinate_form(4, 1))
              + wedge(coordinate_form(4, 2), coordinate_form(4, 3)))
@@ -97,15 +97,15 @@ def oscillator_2dof(freq2: float = SQRT2) -> HamiltonianSystem:
     def h(x):
         x = np.asarray(x, dtype=float)
         return 0.5 * (x[..., 0] ** 2 + x[..., 1] ** 2) \
-            + 0.5 * freq2 * (x[..., 2] ** 2 + x[..., 3] ** 2)
+            + 0.5 * FREQ2 * (x[..., 2] ** 2 + x[..., 3] ** 2)
 
-    weights = np.array([1.0, 1.0, freq2, freq2])
+    weights = np.array([1.0, 1.0, FREQ2, FREQ2])
 
     def grad_h(x):
         return np.asarray(x, dtype=float) * weights
 
     return HamiltonianSystem(c4, omega, h, grad_h, lam=KForm(1, 4, lam_coeffs),
-                             name=f"oscillator_2dof({freq2:g})")
+                             name=f"oscillator_2dof({FREQ2:g})")
 
 
 def canonical_r4() -> HamiltonianSystem:
@@ -141,13 +141,13 @@ def product_system(seed: str = "t3") -> HamiltonianSystem:
     return build_product_system(SEEDS[seed]())
 
 
-def suspension_rotation(rho: float = 1.0 / 3.0) -> FlowSystem:
-    """Suspension of the circle rotation by rho on unit-period T^2 coordinates
-    (x, t): unit speed in t, holonomy x -> x + rho."""
-    t2 = ChartManifold(2, (True, True), (1.0, 1.0), name="T2(x,t)", compact=True)
-    vel = np.array([rho, 1.0])
+def suspension_rotation() -> FlowSystem:
+    """Suspension of the circle rotation by ROTATION on unit-period T^2
+    coordinates (x, t): unit speed in t, holonomy x -> x + ROTATION."""
+    t2 = ChartManifold(2, (True, True), (1.0, 1.0), name="T2(x,t)")
+    vel = np.array([ROTATION, 1.0])
     return FlowSystem(t2, lambda x: np.broadcast_to(vel, np.shape(x)).copy(),
-                      name=f"suspension_rotation({rho:g})")
+                      name=f"suspension_rotation({ROTATION:g})")
 
 
 # -- sections, samplers and the system registry ---------------------------------
@@ -190,30 +190,21 @@ def oscillator_angle_section(index_pair: tuple[int, int] = (2, 3)) -> SectionSpe
         x = np.asarray(x, dtype=float)
         return np.arctan2(-x[..., j], x[..., i]) % TWO_PI
 
-    def grad_theta(x):
-        x = np.asarray(x, dtype=float)
-        r2 = x[..., i] ** 2 + x[..., j] ** 2
-        g = np.zeros(x.shape)
-        # NaN on the zero-amplitude orbit is deliberate: the section is
-        # singular there and the crossing scan reports it as a failure
-        with np.errstate(invalid="ignore", divide="ignore"):
-            g[..., i] = x[..., j] / r2
-            g[..., j] = -x[..., i] / r2
-        return g
-
     def dtheta(x, X):
         xi, xj = x[..., i], x[..., j]
         r2 = xi * xi + xj * xj
         if np.count_nonzero(r2) == r2.size:   # the quiet block costs more than the rate
             return xj / r2 * X[..., i] - xi / r2 * X[..., j]
+        # NaN on the zero-amplitude orbit is deliberate: the section is
+        # singular there and the crossing scan reports it as a failure
         with np.errstate(invalid="ignore", divide="ignore"):
             return xj / r2 * X[..., i] - xi / r2 * X[..., j]
 
-    return SectionSpec(theta, dtheta, grad_theta, 0.0, 1, f"angle({i},{j})")
+    return SectionSpec(theta, dtheta, 0.0, 1, f"angle({i},{j})")
 
 
 def sample_oscillator_surface(system: HamiltonianSystem, level: float, rng: Rng, n: int,
-                              freq2: float = SQRT2, on_section: bool = False) -> np.ndarray:
+                              on_section: bool = False) -> np.ndarray:
     """Points of the oscillator level set, splitting the energy between the
     two pairs away from the degenerate axes; the level must be positive."""
     if not level > 0:
@@ -221,7 +212,7 @@ def sample_oscillator_surface(system: HamiltonianSystem, level: float, rng: Rng,
     f = rng.uniform(0.1, 0.9, size=n)
     e1 = f * level
     r1 = np.sqrt(2.0 * e1)
-    r2 = np.sqrt(2.0 * (level - e1) / freq2)
+    r2 = np.sqrt(2.0 * (level - e1) / FREQ2)
     phi1 = rng.uniform(0.0, TWO_PI, size=n)
     phi2 = np.zeros(n) if on_section else rng.uniform(0.0, TWO_PI, size=n)
     return np.stack([r1 * np.cos(phi1), -r1 * np.sin(phi1),

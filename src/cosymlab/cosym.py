@@ -20,12 +20,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .forms import (ChartManifold, ChartMap, KForm, Rng, coordinate_form,
+from .forms import (CLOSED_TOL, ChartManifold, ChartMap, KForm, Rng, coordinate_form,
                     covector_values, exterior_derivative, interior,
-                    max_coeff_magnitude, power, pullback, two_form_matrix, wedge)
-from .phase import EnergySurface, HamiltonianSystem
+                    max_coeff_magnitude, power, pullback, wedge)
+from .phase import EnergySurface, HamiltonianSystem, solve_pairing
 
-CLOSED_TOL = 1e-6
 VOLUME_MARGIN = 1e-9
 TRANSVERSALITY_MARGIN = 1e-8
 LEVEL_TOL = 1e-8   # largest |H - level| on a slice, relative to max(1, |level|)
@@ -90,9 +89,7 @@ class TransverseFieldReport:
                 "min_transversality": self.min_transversality}
 
 
-def verify_cosymplectic(cs: CosymplecticStructure, samples: np.ndarray,
-                        closed_tol: float = CLOSED_TOL,
-                        volume_margin: float = VOLUME_MARGIN) -> CosymReport:
+def verify_cosymplectic(cs: CosymplecticStructure, samples: np.ndarray) -> CosymReport:
     """Sampled verification: alpha and beta closed, alpha ^ beta^(n-1)
     nonvanishing on the coordinate frame."""
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
@@ -106,7 +103,7 @@ def verify_cosymplectic(cs: CosymplecticStructure, samples: np.ndarray,
     vol = cs.volume_form().coeffs(samples)[..., 0]
     worst = samples[int(np.argmin(np.abs(vol)))]
     margin = float(np.min(np.abs(vol)))
-    passed = d_alpha < closed_tol and d_beta < closed_tol and margin > volume_margin
+    passed = d_alpha < CLOSED_TOL and d_beta < CLOSED_TOL and margin > VOLUME_MARGIN
     return CosymReport(passed, float(d_alpha), float(d_beta), margin, worst)
 
 
@@ -120,9 +117,8 @@ def _check_level(sys: HamiltonianSystem, Z: EnergySurface, ambient: np.ndarray) 
 
 
 def field_to_cosym(sys: HamiltonianSystem, Z: EnergySurface,
-                   X: Callable[[np.ndarray], np.ndarray], samples: np.ndarray,
-                   closed_tol: float = CLOSED_TOL,
-                   margin: float = TRANSVERSALITY_MARGIN) -> CosymplecticStructure:
+                   X: Callable[[np.ndarray], np.ndarray],
+                   samples: np.ndarray) -> CosymplecticStructure:
     """Induced pair on a slice level set from a transverse symplectic field.
 
     alpha is the symplectic pairing of X restricted to the slice chart of Z,
@@ -136,18 +132,18 @@ def field_to_cosym(sys: HamiltonianSystem, Z: EnergySurface,
     xv = np.asarray(X(ambient), dtype=float)
     dh = np.asarray(sys.grad_h(ambient), dtype=float)
     trans = np.abs(np.einsum("...i,...i->...", dh, xv))
-    if float(np.min(trans)) <= margin:
+    if float(np.min(trans)) <= TRANSVERSALITY_MARGIN:
         raise TransversalityError(
             f"field tangent to the level set at a sample: min |dH(X)| = {float(np.min(trans)):.3e}")
     alpha_ambient = interior(X, sys.omega)
     residual = max_coeff_magnitude(exterior_derivative(alpha_ambient), ambient)
-    if residual >= closed_tol:
+    if residual >= CLOSED_TOL:
         raise ValueError(f"field is not symplectic: sampled |d(iota_X omega)| = {residual:.3e}")
     cs = CosymplecticStructure(Z.section_chart,
                                pullback(incl, alpha_ambient),
                                pullback(incl, sys.omega),
                                name=f"induced on {sys.name or 'system'} level set")
-    report = verify_cosymplectic(cs, samples, closed_tol)
+    report = verify_cosymplectic(cs, samples)
     if not report.passed:
         raise ValueError(f"induced pair fails verification: {report.as_dict()}")
     return cs
@@ -158,7 +154,9 @@ def cosym_to_field(sys: HamiltonianSystem, Z: EnergySurface, cs: CosymplecticStr
     """Transverse symplectic field recovering a verified pair on Z.
 
     The defining one-form is extended constantly in the collar coordinate and
-    the pairing equation iota_X omega = alpha is solved pointwise.  Reports
+    the pairing equation iota_X omega = alpha is solved pointwise
+    (`phase.solve_pairing`, which raises SingularOmegaError where omega is
+    singular or the solve misses its residual bound).  Reports
     the transversality and symplectic-closedness margins of the result.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
@@ -173,9 +171,7 @@ def cosym_to_field(sys: HamiltonianSystem, Z: EnergySurface, cs: CosymplecticStr
 
     def field(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        M = two_form_matrix(omega, x)
-        a = covector_values(alpha_ext, x)
-        return np.linalg.solve(np.swapaxes(M, -1, -2), a[..., None])[..., 0]
+        return solve_pairing(omega, x, covector_values(alpha_ext, x))
 
     values = field(ambient)
     dh = np.asarray(sys.grad_h(ambient), dtype=float)
@@ -184,7 +180,15 @@ def cosym_to_field(sys: HamiltonianSystem, Z: EnergySurface, cs: CosymplecticStr
     return TransverseFieldReport(values, float(residual), trans, field)
 
 
-def build_product_system(cs: CosymplecticStructure, samples: Optional[np.ndarray] = None,
+def _collar_form(cs: CosymplecticStructure) -> KForm:
+    """beta + alpha ^ dt on the chart of cs times one more coordinate t, with
+    alpha and beta lifted along the projection that forgets t."""
+    dim = cs.manifold.dim + 1
+    proj = ChartMap.coordinate_projection(dim, range(dim - 1))
+    return pullback(proj, cs.beta) + wedge(pullback(proj, cs.alpha), coordinate_form(dim, dim - 1))
+
+
+def build_product_system(cs: CosymplecticStructure,
                          rng: Optional[Rng] = None) -> HamiltonianSystem:
     """Product of a verified cosymplectic chart with a circle.
 
@@ -198,17 +202,14 @@ def build_product_system(cs: CosymplecticStructure, samples: Optional[np.ndarray
         raise ValueError("product construction needs a seed of dimension >= 3 "
                          "(beta powers degenerate below that)")
     rng = rng or Rng(0)
-    seed_samples = samples if samples is not None else n_chart.sample(rng, 32)
+    seed_samples = n_chart.sample(rng, 32)
     report = verify_cosymplectic(cs, seed_samples)
     if not report.passed:
         raise ValueError(f"seed pair fails verification: {report.as_dict()}")
     dim = n_chart.dim + 1
     chart = ChartManifold(dim, n_chart.periodic + (True,), n_chart.periods + (2.0 * math.pi,),
-                          name=f"{n_chart.name or 'N'}xS1",
-                          compact=n_chart.compact)
-    proj = ChartMap.coordinate_projection(dim, range(n_chart.dim))
-    d_theta = coordinate_form(dim, dim - 1)
-    omega = pullback(proj, cs.beta) + wedge(pullback(proj, cs.alpha), d_theta)
+                          name=f"{n_chart.name or 'N'}xS1")
+    omega = _collar_form(cs)
 
     def h(x: np.ndarray) -> np.ndarray:
         return np.sin(np.asarray(x, dtype=float)[..., dim - 1])
@@ -236,16 +237,11 @@ class CollarModel:
     epsilon: float
 
 
-def build_collar_form(cs: CosymplecticStructure, epsilon: Optional[float] = None) -> CollarModel:
-    """Symplectic collar of a verified pair; restricts to beta on the zero slice."""
+def build_collar_form(cs: CosymplecticStructure) -> CollarModel:
+    """Symplectic collar of a verified pair, of half-width a tenth of the
+    shortest period; restricts to beta on the zero slice."""
     n_chart = cs.manifold
-    eps = epsilon if epsilon is not None else 0.1 * min(n_chart.periods)
-    if eps <= 0:
-        raise ValueError("collar width must be positive")
-    dim = n_chart.dim + 1
-    chart = ChartManifold(dim, n_chart.periodic + (False,), n_chart.periods + (1.0,),
+    eps = 0.1 * min(n_chart.periods)
+    chart = ChartManifold(n_chart.dim + 1, n_chart.periodic + (False,), n_chart.periods + (1.0,),
                           name=f"{n_chart.name or 'Z'}x(-{eps:g},{eps:g})")
-    proj = ChartMap.coordinate_projection(dim, range(n_chart.dim))
-    dt = coordinate_form(dim, dim - 1)
-    form = pullback(proj, cs.beta) + wedge(pullback(proj, cs.alpha), dt)
-    return CollarModel(chart, form, eps)
+    return CollarModel(chart, _collar_form(cs), eps)

@@ -26,7 +26,8 @@ CoeffFn = Callable[[np.ndarray], np.ndarray]
 #: vector field function: coords (..., dim) -> components (..., dim)
 FieldFn = Callable[[np.ndarray], np.ndarray]
 
-DEFAULT_FD_STEP = 1e-5
+FD_STEP = 1e-5      # central-difference step of the exterior derivative
+CLOSED_TOL = 1e-6   # a form passes as closed when its sampled |d form| is below it
 
 
 class Rng:
@@ -83,7 +84,7 @@ class ChartManifold:
     """Flat coordinate model: dimension plus per-coordinate periodicity.
 
     ``periods`` has one entry per coordinate; it is only meaningful where the
-    ``periodic`` mask is set (default period 2*pi).  The topology flags are
+    ``periodic`` mask is set (default period 2*pi).  ``cotangent_model`` is
     declared metadata for catalog entries, never inferred.
     """
 
@@ -91,8 +92,6 @@ class ChartManifold:
     periodic: tuple[bool, ...] = ()
     periods: tuple[float, ...] = ()
     name: str = ""
-    compact: bool = False
-    simply_connected: bool = False
     cotangent_model: bool = False
 
     def __post_init__(self):
@@ -136,15 +135,15 @@ class ChartManifold:
     def tangent(self, coords: Sequence[float], components: Sequence[float]) -> "TangentVector":
         return TangentVector(self.point(coords), np.asarray(components, dtype=float))
 
-    def sample(self, rng: Rng, n: int, box: float = 1.0) -> np.ndarray:
+    def sample(self, rng: Rng, n: int) -> np.ndarray:
         """Uniform sample of n coordinate tuples; non-periodic coordinates are
-        drawn from [-box, box]."""
+        drawn from [-1, 1]."""
         cols = []
         for i in range(self.dim):
             if self.periodic[i]:
                 cols.append(rng.uniform(0.0, self.periods[i], size=n))
             else:
-                cols.append(rng.uniform(-box, box, size=n))
+                cols.append(rng.uniform(-1.0, 1.0, size=n))
         return np.stack(cols, axis=-1)
 
 
@@ -422,9 +421,9 @@ def interior(X: FieldFn, f: KForm) -> KForm:
     return KForm(k - 1, dim, coeffs)
 
 
-def exterior_derivative(f: KForm, h: float = DEFAULT_FD_STEP) -> KForm:
+def exterior_derivative(f: KForm) -> KForm:
     """Exterior derivative: exactly zero for a constant form, else central
-    finite differences with step h."""
+    finite differences with step FD_STEP."""
     if f.degree >= f.dim:
         raise ValueError("exterior derivative of a top-degree form")
     dim, k = f.dim, f.degree
@@ -443,8 +442,8 @@ def exterior_derivative(f: KForm, h: float = DEFAULT_FD_STEP) -> KForm:
         partials = []
         for j in range(dim):
             e = np.zeros(dim)
-            e[j] = h
-            partials.append((cf(x + e) - cf(x - e)) / (2.0 * h))
+            e[j] = FD_STEP
+            partials.append((cf(x + e) - cf(x - e)) / (2.0 * FD_STEP))
         out = np.zeros(x.shape[:-1] + (n_coeffs(dim, k + 1),))
         for ro, j, ri, sign in terms:
             out[..., ro] += sign * partials[j][..., ri]

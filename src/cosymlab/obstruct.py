@@ -24,11 +24,10 @@ from typing import Optional
 
 import numpy as np
 
-from .forms import (ChartMap, KForm, Rng, evaluate_frame, exterior_derivative,
+from .forms import (CLOSED_TOL, ChartMap, KForm, Rng, evaluate_frame, exterior_derivative,
                     max_coeff_magnitude)
 from .phase import HamiltonianSystem
 
-PRIMITIVE_TOL = 1e-6
 DEFAULT_QUAD_NODES = 256
 #: values held by one block of the quadrature's nodes: their patch Jacobians
 BLOCK_VALUES = 2 ** 17
@@ -93,8 +92,7 @@ def surface_integral(form: KForm, surf: MeshedSurface, n: int = DEFAULT_QUAD_NOD
 
 
 def stokes_exactness_check(sys: HamiltonianSystem, surf: MeshedSurface,
-                           n: int = DEFAULT_QUAD_NODES,
-                           samples: Optional[np.ndarray] = None) -> float:
+                           n: int = DEFAULT_QUAD_NODES) -> float:
     """Integral of the restricted symplectic form over a closed surface.
 
     Requires a verified primitive; the result must vanish within quadrature
@@ -105,19 +103,18 @@ def stokes_exactness_check(sys: HamiltonianSystem, surf: MeshedSurface,
         raise PrimitiveError("no global primitive declared for the symplectic form")
     if not surf.closed:
         raise ValueError("the Stokes test needs a closed surface")
-    check_primitive(sys, samples)
+    check_primitive(sys)
     return surface_integral(sys.omega, surf, n)
 
 
-def check_primitive(sys: HamiltonianSystem, samples: Optional[np.ndarray] = None,
-                    tol: float = PRIMITIVE_TOL) -> float:
-    """Sampled residual of d(lambda) - omega; raises on mismatch."""
+def check_primitive(sys: HamiltonianSystem) -> float:
+    """Residual of d(lambda) - omega at 32 seeded chart samples; raises
+    PrimitiveError unless it is below CLOSED_TOL."""
     if sys.lam is None:
         raise PrimitiveError("no global primitive declared")
-    if samples is None:
-        samples = sys.manifold.sample(Rng(11), 32)
+    samples = sys.manifold.sample(Rng(11), 32)
     residual = max_coeff_magnitude(exterior_derivative(sys.lam) - sys.omega, samples)
-    if residual >= tol:
+    if residual >= CLOSED_TOL:
         raise PrimitiveError(f"declared primitive fails d(lambda) = omega: "
                              f"sampled residual {residual:.3e}")
     return float(residual)
@@ -138,14 +135,13 @@ class Verdict:
                 "evidence": self.evidence}
 
 
-def exactness_verdict(sys: HamiltonianSystem,
-                      samples: Optional[np.ndarray] = None) -> Verdict:
+def exactness_verdict(sys: HamiltonianSystem) -> Verdict:
     """Global-section verdict from exactness of the symplectic form."""
     if sys.lam is None:
         return Verdict("inconclusive",
                        "no global primitive declared; exactness obstruction does not apply",
                        {"primitive": None})
-    residual = check_primitive(sys, samples)
+    residual = check_primitive(sys)
     statement = ("exact symplectic form: no compact level set of any Hamiltonian "
                  "on this manifold admits a global transverse Poincaré section")
     evidence = {"primitive_residual": residual}
@@ -208,20 +204,14 @@ def betti_necessary_condition(bp: BettiProfile) -> BettiResult:
 
 
 def simply_connected_verdict(compact: bool, simply_connected: bool,
-                             connected_level_set: bool = True,
                              name: str = "") -> Verdict:
-    """Global-section verdict for level sets in a compact simply connected
-    ambient manifold.
+    """Global-section verdict for connected level sets in a compact simply
+    connected ambient manifold.
 
     A transverse symplectic field would push one side of a separating
     hypersurface into a proper subset of itself with the same volume, which
-    is impossible; hence the negative verdict whenever both flags hold.  The
-    level set must be declared connected; disconnected level sets are out of
-    scope and refused.
+    is impossible; hence the negative verdict whenever both flags hold.
     """
-    if not connected_level_set:
-        raise ValueError("level set not declared connected; verdict undefined "
-                         "for disconnected hypersurfaces")
     label = f" on {name}" if name else ""
     if compact and simply_connected:
         return Verdict(

@@ -28,12 +28,11 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .dop853 import StepSizeUnderflow, solve  # noqa: F401  (StepSizeUnderflow re-exported)
-from .forms import (ChartManifold, ChartMap, KForm, Point, exterior_derivative,
-                    max_coeff_magnitude, two_form_matrix)
+from .forms import (CLOSED_TOL, ChartManifold, ChartMap, KForm, Point,
+                    exterior_derivative, max_coeff_magnitude, two_form_matrix)
 
 RCOND_MIN = 1e-10
 FIELD_RESIDUAL_MAX = 1e-10
-CLOSED_TOL = 1e-6
 DEFAULT_FLOW_TOL = 1e-10
 
 
@@ -45,6 +44,27 @@ class SingularOmegaError(RuntimeError):
                  else f"at {np.array2string(np.asarray(coords), precision=4)}")
         super().__init__(f"symplectic matrix near-singular (rcond estimate {rcond:.3e}) {where}")
         self.rcond = rcond
+
+
+def solve_pairing(omega: KForm, coords: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The vectors X with iota_X omega = a, one linear solve per point of
+    coords (..., dim), for covector values a (..., dim).
+
+    Raises SingularOmegaError where omega is singular, or where a residual
+    |M^T X - a| exceeds FIELD_RESIDUAL_MAX * max(1, |a|).
+    """
+    M = two_form_matrix(omega, coords)
+    try:
+        X = np.linalg.solve(np.swapaxes(M, -1, -2), a[..., None])[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise SingularOmegaError(0.0, coords) from exc
+    # initial=0: an empty batch has nothing to check
+    residual = np.max(np.abs(np.einsum("...ji,...j->...i", M, X) - a), initial=0.0)
+    scale = max(1.0, float(np.max(np.abs(a), initial=0.0)))
+    if residual > FIELD_RESIDUAL_MAX * scale:
+        rcond = float(1.0 / np.max(np.linalg.cond(M)))
+        raise SingularOmegaError(rcond, coords)
+    return X
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,31 +127,20 @@ class HamiltonianSystem:
     def field(self, coords: np.ndarray) -> np.ndarray:
         """Hamiltonian vector field components, vectorised over (..., dim).
 
-        A constant omega uses its cached `poisson_matrix`; otherwise solves
-        omega(X, .) = dH(.) at each point and verifies the residual.
+        A constant omega uses its cached `poisson_matrix`; otherwise
+        `solve_pairing` solves omega(X, .) = dH(.) at each point.
         """
         coords = np.asarray(coords, dtype=float)
         g = np.asarray(self.grad_h(coords), dtype=float)
         P = self.poisson_matrix
         if P is not None:
             return g @ P.T
-        M = two_form_matrix(self.omega, coords)
-        try:
-            X = np.linalg.solve(np.swapaxes(M, -1, -2), g[..., None])[..., 0]
-        except np.linalg.LinAlgError as exc:
-            raise SingularOmegaError(0.0, coords) from exc
-        # initial=0: an empty batch has nothing to check
-        residual = np.max(np.abs(np.einsum("...ji,...j->...i", M, X) - g), initial=0.0)
-        scale = max(1.0, float(np.max(np.abs(g), initial=0.0)))
-        if residual > FIELD_RESIDUAL_MAX * scale:
-            rcond = float(1.0 / np.max(np.linalg.cond(M)))
-            raise SingularOmegaError(rcond, coords)
-        return X
+        return solve_pairing(self.omega, coords, g)
 
     def energy(self, coords: np.ndarray) -> np.ndarray:
         return np.asarray(self.h(np.asarray(coords, dtype=float)), dtype=float)
 
-    def validate(self, samples: np.ndarray, closed_tol: float = CLOSED_TOL) -> dict:
+    def validate(self, samples: np.ndarray) -> dict:
         """Sampled structural checks: omega closed and nondegenerate, and
         d(lambda) = omega when a primitive is declared.  Returns margins."""
         samples = np.asarray(samples, dtype=float)
@@ -139,7 +148,7 @@ class HamiltonianSystem:
         if self.omega.degree + 1 <= self.dim:
             domega = exterior_derivative(self.omega)
             report["d_omega_max"] = max_coeff_magnitude(domega, samples)
-            if report["d_omega_max"] >= closed_tol:
+            if report["d_omega_max"] >= CLOSED_TOL:
                 raise ValueError(f"omega is not closed: sampled |d omega| = {report['d_omega_max']:.3e}")
         else:
             report["d_omega_max"] = 0.0
@@ -153,7 +162,7 @@ class HamiltonianSystem:
         if self.lam is not None:
             diff = exterior_derivative(self.lam) - self.omega
             report["d_lambda_minus_omega_max"] = max_coeff_magnitude(diff, samples)
-            if report["d_lambda_minus_omega_max"] >= closed_tol:
+            if report["d_lambda_minus_omega_max"] >= CLOSED_TOL:
                 raise ValueError("declared primitive does not differentiate to omega: "
                                  f"sampled max {report['d_lambda_minus_omega_max']:.3e}")
         return report

@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 from types import SimpleNamespace
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -52,6 +52,9 @@ ON_SECTION_TOL = 1e-8
 NEAR_LATTICE = 1e-3     # lattice units (turns of the section angle)
 DEFAULT_T_MAX = 1e3
 ENERGY_RESIDUAL_MAX = 1e-8   # largest |H - H(p)| over a mapping-torus table
+GLUING_FACTOR = 10.0   # largest gluing residual of a mapping-torus table, in units of tol
+DET_ERROR_MAX = 1e-6   # largest |det J - 1| of a return-map Jacobian that passes
+FD_STEP = 1e-6   # relative central-difference step of a return-map Jacobian
 TORUS_TIMES = 9   # fiber times t of a mapping-torus table, evenly spaced over [0, 1]
 
 
@@ -83,15 +86,13 @@ class SectionSpec:
 
     ``theta`` maps coordinates (..., dim) to an angle, and ``dtheta`` maps
     states x and vectors X (both (..., dim)) to d theta_x(X) in closed form:
-    the rate of theta along the flow when X is the field at x.
-    ``grad_theta`` is the gradient, used only for the section's constraint
-    frame.  Orientation +1 counts crossings where theta increases along the
-    flow.
+    the rate of theta along the flow when X is the field at x, and the
+    gradient of theta when X runs through the coordinate vectors.
+    Orientation +1 counts crossings where theta increases along the flow.
     """
 
     theta: Callable[[np.ndarray], np.ndarray]
     dtheta: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    grad_theta: Callable[[np.ndarray], np.ndarray]
     level: float = 0.0
     orientation: int = 1
     name: str = ""
@@ -111,13 +112,9 @@ def coordinate_section(chart: ChartManifold, index: int, level: float = 0.0,
                        orientation: int = 1, name: str = "") -> SectionSpec:
     """Section {x_index = level} for a periodic coordinate."""
     scale = TWO_PI / chart.periods[index]
-    grad = np.zeros(chart.dim)
-    grad[index] = scale
-
     return SectionSpec(
         theta=lambda x: (np.asarray(x, dtype=float)[..., index] * scale) % TWO_PI,
         dtheta=lambda x, X: scale * X[..., index],
-        grad_theta=lambda x: np.broadcast_to(grad, np.shape(x)),
         level=(level * scale) % TWO_PI,
         orientation=orientation,
         name=name or f"coord{index}={level}")
@@ -212,11 +209,15 @@ class Returns:
 
 @dataclass(eq=False)
 class GlobalityReport:
+    """Outcome of `verify_global`; ``forward`` is the forward scan's record
+    (None for an empty sample set), kept out of `as_dict`."""
+
     n_samples: int
     failures: list
     min_margin: float
     max_return_time: float
     vacuous: bool = False
+    forward: Optional[Crossings] = None
 
     @property
     def n_pass(self) -> int:
@@ -533,16 +534,14 @@ def verify_global(system, sec: SectionSpec, samples: np.ndarray,
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     if samples.size == 0:
         return GlobalityReport(0, [], math.inf, 0.0, vacuous=True)
-    failures, min_margin, max_time = [], math.inf, 0.0
-    for direction, label in ((1, "forward"), (-1, "backward")):
-        c = first_crossings(system, sec, samples, t_max, tol, direction)
-        failures += [(i, label, reason) for i, reason in enumerate(c.failures)
-                     if reason is not None]
-        if c.ok.any():
-            min_margin = min(min_margin, float(np.min(c.margins[c.ok])))
-            if direction == 1:
-                max_time = float(np.max(np.abs(c.times[c.ok])))
-    return GlobalityReport(len(samples), failures, min_margin, max_time)
+    forward, backward = (first_crossings(system, sec, samples, t_max, tol, direction)
+                         for direction in (1, -1))
+    failures = [(i, label, reason) for c, label in ((forward, "forward"), (backward, "backward"))
+                for i, reason in enumerate(c.failures) if reason is not None]
+    margins = np.concatenate([forward.margins[forward.ok], backward.margins[backward.ok]])
+    return GlobalityReport(len(samples), failures, float(np.min(margins, initial=math.inf)),
+                           float(np.max(np.abs(forward.times[forward.ok]), initial=0.0)),
+                           forward=forward)
 
 
 # -- return-map Jacobian ------------------------------------------------------
@@ -605,9 +604,10 @@ def section_coordinates(system, sec: SectionSpec, p: Point):
 
 
 def _constraint_grads(system, sec: SectionSpec, x: np.ndarray) -> np.ndarray:
-    """Gradients of the section's constraints at x: d theta, and dH for a
-    Hamiltonian system."""
-    g = [np.asarray(sec.grad_theta(x), dtype=float)]
+    """Gradients of the section's constraints at x: d theta, read off the
+    rate along each coordinate vector, and dH for a Hamiltonian system."""
+    dim = len(x)
+    g = [np.asarray(sec.dtheta(np.broadcast_to(x, (dim, dim)), np.eye(dim)), dtype=float)]
     if hasattr(system, "grad_h"):
         g.append(np.asarray(system.grad_h(x), dtype=float))
     return np.stack(g)
@@ -628,13 +628,13 @@ def restricted_form_matrix(system, sec: SectionSpec, p: Point) -> np.ndarray:
 
 
 def return_map_jacobians(system, sec: SectionSpec, points: Sequence[np.ndarray],
-                         fd_step: float = 1e-6, t_max: float = DEFAULT_T_MAX,
+                         t_max: float = DEFAULT_T_MAX,
                          tol: float = phase.DEFAULT_FLOW_TOL) -> np.ndarray:
     """Central-difference Jacobians of the return map in section coordinates,
     one (k, k) block per section point.
 
     Section coordinate a of a point s is perturbed by the relative step
-    fd_step * max(1, |s_a|), so the stencil does not round back onto its
+    FD_STEP * max(1, |s_a|), so the stencil does not round back onto its
     centre at large amplitudes.  Every finite-difference stencil orbit goes
     through one `first_crossings` call, and the 2k stencil orbits of a point
     form one group on one step sequence, so the smooth integration error is
@@ -644,15 +644,13 @@ def return_map_jacobians(system, sec: SectionSpec, points: Sequence[np.ndarray],
     determinant is 1 up to integration error (the return map preserves the
     restricted symplectic form).
     """
-    if fd_step <= 0:
-        raise ValueError("fd_step must be positive")
     chart = system.manifold
     stencils, projections, steps = [], [], []
     for x in points:
         p = chart.point(np.asarray(x, dtype=float))
         free, embed, project = section_coordinates(system, sec, p)
         s0 = project(p.coords)
-        h = fd_step * np.maximum(1.0, np.abs(s0))
+        h = FD_STEP * np.maximum(1.0, np.abs(s0))
         for a in range(len(free)):
             for sign in (1.0, -1.0):
                 s = s0.copy()
@@ -697,9 +695,9 @@ def mapping_torus_chart(system, sec: SectionSpec, grid: Sequence[Point],
     (x, tau) with tau = t * T(p) follows dx/ds = tau X(x), dtau/ds = 0 over
     s in [0, 1], on its own steps.  The t = 1 rows are integrated apart from
     the crossing engine, so the gluing check Psi(p, 1) = holonomy(p) within
-    10*tol compares two independent computations.  For Hamiltonian systems
-    every table entry must also stay on the energy level within
-    ENERGY_RESIDUAL_MAX; GluingError is raised otherwise.
+    GLUING_FACTOR * tol compares two independent computations.  For
+    Hamiltonian systems every table entry must also stay on the energy level
+    within ENERGY_RESIDUAL_MAX; GluingError is raised otherwise.
     """
     chart = system.manifold
     t_samples = np.linspace(0.0, 1.0, TORUS_TIMES)
@@ -721,7 +719,7 @@ def mapping_torus_chart(system, sec: SectionSpec, grid: Sequence[Point],
     energy_res = 0.0
     if hasattr(system, "energy"):
         energy_res = float(np.max(np.abs(system.energy(states) - system.energy(starts)[:, None])))
-    gluing_tol = 10.0 * tol
+    gluing_tol = GLUING_FACTOR * tol
     if gluing > gluing_tol:
         raise GluingError(f"gluing residual {gluing:.3e} exceeds {gluing_tol:.3e}; "
                           "section is inconsistent over the grid")

@@ -23,13 +23,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .forms import (ChartManifold, KForm, Rng, constant_form, covector_values,
+from .forms import (CLOSED_TOL, ChartManifold, KForm, Rng, constant_form, covector_values,
                     exterior_derivative, max_coeff_magnitude)
 from .section import SectionSpec
 
 TWO_PI = 2.0 * math.pi
 
-CLOSED_TOL = 1e-6
 PERIOD_QUAD_NODES = 128     # Gauss-Legendre nodes; the error check doubles them
 PERIOD_QUAD_ERR = 1e-10
 DEFAULT_D_CAP = 10_000
@@ -88,8 +87,8 @@ def _loop_integrals(alpha: KForm, base: np.ndarray, periods: np.ndarray,
     return 0.5 * periods * (a @ w)
 
 
-def periods(alpha: KForm, manifold: ChartManifold, base: Optional[Sequence[float]] = None,
-            closed_tol: float = CLOSED_TOL) -> PeriodVector:
+def periods(alpha: KForm, manifold: ChartManifold,
+            base: Optional[Sequence[float]] = None) -> PeriodVector:
     """Loop integrals of a closed one-form over the coordinate circles,
     normalized by 2*pi.
 
@@ -103,7 +102,7 @@ def periods(alpha: KForm, manifold: ChartManifold, base: Optional[Sequence[float
     if not manifold.is_torus:
         raise ValueError("period computation needs a torus chart (all coordinates periodic)")
     residual = max_coeff_magnitude(exterior_derivative(alpha), manifold.sample(Rng(7), 32))
-    if residual >= closed_tol:
+    if residual >= CLOSED_TOL:
         raise ValueError(f"one-form not closed (sampled |d alpha| = {residual:.3e}); "
                          "loop integrals would be path dependent")
     base_pt = np.zeros(manifold.dim) if base is None else np.asarray(base, dtype=float)
@@ -157,15 +156,17 @@ def build_approximation(alpha: KForm, pv: PeriodVector, ra: RationalApproximatio
     normalized angular units and keeps the exact part unchanged, so re-running
     the period computation reproduces n_i / d.
     """
-    m = pv.manifold
-    correction = (ra.fractions - pv.values) * TWO_PI / np.asarray(m.periods)
-    return alpha + constant_form(m.dim, 1, correction)
+    return alpha + constant_form(pv.manifold.dim, 1, _correction(pv, ra))
 
 
 def coefficient_distance(pv: PeriodVector, ra: RationalApproximation) -> float:
     """Sup-norm coefficient distance between a form and its rationalization."""
-    correction = (ra.fractions - pv.values) * TWO_PI / np.asarray(pv.manifold.periods)
-    return float(np.max(np.abs(correction)))
+    return float(np.max(np.abs(_correction(pv, ra))))
+
+
+def _correction(pv: PeriodVector, ra: RationalApproximation) -> np.ndarray:
+    """Constant coefficients that move the periods from their values to n_i / d."""
+    return (ra.fractions - pv.values) * TWO_PI / np.asarray(pv.manifold.periods)
 
 
 @dataclass(eq=False)
@@ -201,12 +202,12 @@ def check_transversality_preserved(system, alpha_prime: KForm, samples: np.ndarr
 
 
 def extract_leaf(ra: RationalApproximation, manifold: ChartManifold,
-                 level: float = 0.0, orientation: int = 1) -> SectionSpec:
+                 orientation: int = 1) -> SectionSpec:
     """Compact fibration leaf of the rationalized form as a section.
 
     The circle-valued map winds n_i times around coordinate i; dividing by
-    the gcd of the integers makes its fibers connected.  The level set is a
-    compact leaf usable by the section machinery.
+    the gcd of the integers makes its fibers connected.  Its level set at
+    angle 0 is a compact leaf usable by the section machinery.
     """
     n = np.asarray(ra.n, dtype=int)
     if not np.any(n):
@@ -224,8 +225,5 @@ def extract_leaf(ra: RationalApproximation, manifold: ChartManifold,
     def dtheta(x: np.ndarray, X: np.ndarray) -> np.ndarray:
         return np.einsum("...i,i->...", X, grad)
 
-    def grad_theta(x: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(grad, np.shape(x))
-
-    return SectionSpec(theta, dtheta, grad_theta, level=level, orientation=orientation,
+    return SectionSpec(theta, dtheta, orientation=orientation,
                        name=f"leaf(n={n.tolist()}, d={ra.d})")

@@ -36,4 +36,4 @@ def t6_system():
 
 @pytest.fixture(scope="session")
 def suspension_system():
-    return catalog.suspension_rotation(1.0 / 3.0)
+    return catalog.suspension_rotation()

@@ -125,7 +125,8 @@ def test_empty_check_counts_exit_2(tmp_path, capsys, command, base, field):
 
 
 @pytest.mark.parametrize("command, config, field", [
-    ("return-map", {**RETURN_MAP_OSC, "fd_step": 0}, "fd_step"),
+    # the Jacobian step is section.FD_STEP, so even its value is an unknown field
+    ("return-map", {**RETURN_MAP_OSC, "fd_step": 1e-6}, "fd_step"),
     ("return-map", {**RETURN_MAP_OSC, "fd_step": "x"}, "fd_step"),
     ("obstruct", {"system": "canonical_r4", "quad_nodes": 0}, "quad_nodes"),
     ("obstruct", {"system": "canonical_r4", "quad_nodes": -3}, "quad_nodes"),

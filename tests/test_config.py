@@ -2,9 +2,11 @@
 and mutated configs run in-process through `cli.main`."""
 import contextlib
 import copy
+import importlib
 import io
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -42,6 +44,24 @@ def test_readme_config_blocks_validate():
 @pytest.mark.parametrize("title", sorted(SCHEMA_TABLES))
 def test_readme_lists_each_field_table(title):
     assert f"Fields of {title}:\n\n{field_rows(SCHEMA_TABLES[title])}\n" in README
+
+
+BOUNDS = ("ANGLE_RESIDUAL", "TANGENCY_MARGIN", "ON_SECTION_TOL", "FIELD_RESIDUAL_MAX",
+          "RCOND_MIN", "CLOSED_TOL", "VOLUME_MARGIN", "LEVEL_TOL", "ENERGY_RESIDUAL_MAX",
+          "GLUING_FACTOR", "DET_ERROR_MAX", "PERIOD_QUAD_ERR")
+SRC = Path(cli.__file__).parent
+
+
+def test_readme_bounds_table_matches_the_constants():
+    # one row per certified bound, naming the one module that defines it and its value
+    table = README.split("### Certified bounds\n", 1)[1].split("\n#", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \| `([^`]+)` \|", table, re.M)
+    assert tuple(name for name, _, _ in rows) == BOUNDS
+    for name, module, value in rows:
+        assert value == repr(getattr(importlib.import_module(f"cosymlab.{module}"), name)), name
+        defined = [p.stem for p in sorted(SRC.glob("*.py"))
+                   if re.search(rf"^{name} = ", p.read_text(), re.M)]
+        assert defined == [module], (name, defined)
 
 
 # -- mutated configs ---------------------------------------------------------------

@@ -132,6 +132,30 @@ def test_cosym_to_field_rejects_zero_form(t4_system, samples3):
         C.cosym_to_field(t4_system, Z, cs, samples3)
 
 
+def test_cosym_to_field_raises_where_omega_is_singular():
+    # omega = x0 dx0^dx1 + dx2^dx3 is singular on {x0 = 0}: the recovered field's
+    # pairing solve raises SingularOmegaError there, as the Hamiltonian field does
+    def omega_coeffs(x):
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape[:-1] + (6,))
+        out[..., 0], out[..., 5] = x[..., 0], 1.0   # basis dx0^dx1, ..., dx2^dx3
+        return out
+
+    def grad_h(x):
+        return np.broadcast_to([0.0, 0.0, 0.0, 1.0], np.shape(x))
+
+    system = P.HamiltonianSystem(F.ChartManifold(4), F.KForm(2, 4, omega_coeffs),
+                                 lambda x: np.asarray(x)[..., 3], grad_h)
+    Z = P.EnergySurface(system, 0.0, slice_coord=3, slice_value=0.0)
+    cs = C.CosymplecticStructure(Z.section_chart, F.coordinate_form(3, 2),
+                                 F.wedge(F.coordinate_form(3, 0), F.coordinate_form(3, 1)))
+    samples = np.array([[0.0, 0.5, 0.3]])
+    with pytest.raises(P.SingularOmegaError):
+        system.field(Z.inclusion().value(samples))
+    with pytest.raises(P.SingularOmegaError):
+        C.cosym_to_field(system, Z, cs, samples)
+
+
 def test_slice_off_its_level_is_refused(t3_seed, samples3):
     # H = sin(angle) is 0 on the angle-zero slice, not 0.5: neither direction
     # of the correspondence may build or check a pair on it

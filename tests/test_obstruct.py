@@ -194,11 +194,6 @@ def test_simply_connected_verdicts():
         assert O.simply_connected_verdict(compact, simply, name=name).verdict == expected
 
 
-def test_simply_connected_requires_connected_level_set():
-    with pytest.raises(ValueError, match="connected"):
-        O.simply_connected_verdict(True, True, connected_level_set=False)
-
-
 # -- cross-module consistency -------------------------------------------------------------
 
 

@@ -136,8 +136,7 @@ def test_return_map_symplectic_on_nonlinear_flow():
     assert max(abs(float(coupled.energy(r.image.coords))
                    - float(coupled.energy(r.start.coords))) for r in recs) < 1e-8
 
-    dets = np.linalg.det(S.return_map_jacobians(coupled, sec, pts, fd_step=1e-6,
-                                                t_max=50.0, tol=1e-11))
+    dets = np.linalg.det(S.return_map_jacobians(coupled, sec, pts, t_max=50.0, tol=1e-11))
     assert np.max(np.abs(dets - 1.0)) < 1e-6
 
     p = coupled.point(pts[0])
@@ -270,21 +269,44 @@ RATE_SECTIONS = {
 }
 
 
+#: the pair of each angle section: its theta is singular where the pair vanishes
+ANGLE_PAIRS = {"angle (2, 3)": (2, 3), "angle (1, 0)": (1, 0)}
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(st.sampled_from(sorted(RATE_SECTIONS)), st.sampled_from([(4,), (6, 4), (3, 2, 4), (1, 1, 4)]),
        st.data())
-def test_closed_form_rate_matches_the_gradient(name, shape, data):
-    # each section's closed-form rate is d theta(X) bit for bit: the gradient
-    # contracted with X by einsum, on (n, dim) and (g, m, dim) batches alike
+def test_closed_form_rate_matches_a_difference_of_theta(name, shape, data):
+    # each section's closed-form rate d theta(X), on (n, dim) and (g, m, dim)
+    # batches alike, against the wrapped central difference of theta along X,
+    # which uses no derivative code.  The step is 1e-6 of the length over which
+    # theta is close to linear: the pair's amplitude r of an angle section, whose
+    # |d theta| is 1/r, else max(1, |x|) (theta is linear up to its wrap); the
+    # bound is 1e-7 |X| |d theta|, with a floor for products on the subnormal grid
     sec = RATE_SECTIONS[name]
     values = hnp.arrays(float, shape, elements=st.floats(-1e3, 1e3))
     x, X = data.draw(values), data.draw(values)
-    expected = np.einsum("...i,...i->...", np.asarray(sec.grad_theta(x), dtype=float), X)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rate = sec.dtheta(x, X)
     assert np.shape(rate) == shape[:-1]
-    assert np.array_equal(rate, expected, equal_nan=True)
+    x, X, rate = x.reshape(-1, 4), X.reshape(-1, 4), np.reshape(rate, -1)
+    if name in ANGLE_PAIRS:
+        i, j = ANGLE_PAIRS[name]
+        # compared where the squared amplitude of the closed form is a normal float
+        keep = x[:, i] ** 2 + x[:, j] ** 2 >= np.finfo(float).tiny
+        x, X, rate = x[keep], X[keep], rate[keep]
+        length = np.hypot(x[:, i], x[:, j])
+        slope = 1.0 / length
+    else:
+        length, slope = np.maximum(1.0, np.max(np.abs(x), axis=1)), 1.0
+    size = np.max(np.abs(X), axis=1)
+    U = X / np.where(size > 0, size, 1.0)[:, None]
+    h = 1e-6 * length
+    diff = sec.theta(x + h[:, None] * U) - sec.theta(x - h[:, None] * U)
+    quotient = ((diff + math.pi) % TWO_PI - math.pi) / (2.0 * h)
+    bound = 1e-7 * slope * size + np.finfo(float).tiny
+    assert np.all(np.abs(rate - quotient * size) <= bound)
 
 
 def test_angle_rate_is_nan_at_zero_amplitude():
@@ -299,7 +321,7 @@ def test_angle_rate_is_nan_at_zero_amplitude():
 
 
 def test_unconverged_polish_is_reported(suspension_system):
-    # angle noise the gradient does not know about: Newton cannot push the
+    # angle noise the rate does not know about: Newton cannot push the
     # residual below the noise, so no crossing may be certified
     base = S.coordinate_section(suspension_system.manifold, 1)
 
@@ -307,7 +329,7 @@ def test_unconverged_polish_is_reported(suspension_system):
         x = np.asarray(x, dtype=float)
         return base.theta(x) + 1e-10 * np.sin(1e13 * np.sum(x, axis=-1))
 
-    sec = S.SectionSpec(noisy_theta, base.dtheta, base.grad_theta, base.level, base.orientation)
+    sec = S.SectionSpec(noisy_theta, base.dtheta, base.level, base.orientation)
     starts = np.array([[0.2, 0.0], [0.7, 0.0]])
     rep = S.verify_global(suspension_system, sec, starts, t_max=5.0)
     assert len(rep.failures) == 4
@@ -623,7 +645,7 @@ def test_mapping_torus_product(t4_system, t4_section):
 
 def _torus_cases():
     t4, osc = catalog.product_system("t3"), catalog.oscillator_2dof()
-    susp = catalog.suspension_rotation(1.0 / 3.0)
+    susp = catalog.suspension_rotation()
     pts = catalog.sample_oscillator_surface(osc, 1.0, np.random.default_rng(0), 3,
                                             on_section=True)
     return [("t4 product leaf", t4, catalog.product_leaf_section(t4),
@@ -884,6 +906,24 @@ def test_mixed_rate_batch_brackets_on_own_rows(direction):
     alone = [S.first_crossings(system, sec, x[None], 50.0, direction=direction) for x in starts]
     assert np.max(np.abs(together.times - [c.times[0] for c in alone])) < 1e-8
     assert together.crossings_seen.tolist() == [int(c.crossings_seen[0]) for c in alone]
+
+
+def test_verify_global_keeps_its_forward_scan():
+    # the rows of a scan are independent, so the first 50 of verify_global's
+    # 1500-orbit forward record, which demo-product writes to crossings.csv,
+    # equal a 50-orbit scan bit for bit
+    from cosymlab import cosym
+    rng = F.Rng(1)
+    system = cosym.build_product_system(catalog.SEEDS["t5"](), rng=rng)
+    sec = catalog.product_leaf_section(system)
+    samples = catalog.sample_product_leaf(system, rng, 1500)
+    whole = S.verify_global(system, sec, samples, 100.0, 1e-10).forward
+    part = S.first_crossings(system, sec, samples[:50], 100.0, 1e-10)
+    for name in ("times", "states", "rates", "margins", "residuals", "crossings_seen", "ok"):
+        assert np.array_equal(getattr(whole, name)[:50], getattr(part, name)), name
+    assert whole.failures[:50] == part.failures
+    assert "forward" not in S.verify_global(system, sec, samples[:2]).as_dict()
+    assert S.verify_global(system, sec, samples[:0]).forward is None
 
 
 def _verify_global_traced_peak(n):

@@ -220,7 +220,8 @@ def test_extract_leaf_angle_coordinate():
     sec = T.extract_leaf(ra, t3())
     x = np.array([1.0, 2.0, 0.7])
     assert sec.theta(x) == pytest.approx(0.7)
-    assert np.allclose(sec.grad_theta(x), [0, 0, 1])
+    # its rate along the coordinate vectors is the gradient of theta
+    assert np.allclose(sec.dtheta(np.broadcast_to(x, (3, 3)), np.eye(3)), [0, 0, 1])
 
 
 def test_extract_leaf_subtorus_circle():
