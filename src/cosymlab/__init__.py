@@ -4,13 +4,12 @@ first-return maps, cosymplectic structures and their correspondence with
 transverse symplectic fields, period rationalization, and topological
 non-existence obstructions."""
 
-from .forms import (ChartManifold, ChartMap, KForm, Point, TangentVector,
-                    constant_form, coordinate_form, evaluate, exterior_derivative,
-                    interior, power, pullback, wedge)
+from .forms import (ChartManifold, ChartMap, KForm, constant_form, coordinate_form,
+                    evaluate_frame, exterior_derivative, interior, power, pullback, wedge)
 from .phase import EnergySurface, FlowSystem, HamiltonianSystem, SingularOmegaError
 from .section import (Crossings, GlobalityReport, MappingTorusChart, NoCrossingError,
-                      RefinementError, ReturnRecord, Returns, SectionSpec, TangencyError,
-                      coordinate_section, first_crossings, first_return, iterate_returns,
+                      RefinementError, Returns, SectionSpec, TangencyError,
+                      coordinate_section, first_crossings, iterate_returns,
                       mapping_torus_chart, return_map_jacobians, verify_global,
                       write_crossings_csv)
 from .cosym import (CollarModel, CosymplecticStructure, TransversalityError,

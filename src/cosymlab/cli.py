@@ -475,7 +475,7 @@ def cmd_demo_product(cfg: dict, runner: Runner, seed: int) -> None:
 
     # the chart raises GluingError past its gluing and energy bounds, so a chart passes
     with runner.timed("mapping_torus"):
-        grid = [system.point(pt) for pt in leaf_samples[:cfg["grid"]]]
+        grid = leaf_samples[:cfg["grid"]]
         try:
             mt = mapping_torus_chart(system, sec, grid, t_max=t_max, tol=tol)
         except CROSSING_ERRORS + (GluingError,) as exc:
@@ -555,7 +555,7 @@ def cmd_tischler(cfg: dict, runner: Runner, seed: int) -> None:
             alpha_prime = tischler.build_approximation(alpha, pv, ra)
             pv_check = tischler.periods(alpha_prime, pv.manifold)
             residual = float(np.max(np.abs(pv_check.values - ra.fractions)))
-        runner.check("rebuilt_periods", residual < 1e-10, residual=residual,
+        runner.check("rebuilt_periods", residual < tischler.PERIOD_QUAD_ERR, residual=residual,
                      coefficient_distance=tischler.coefficient_distance(pv, ra))
 
     if cfg["system"] is not None:
@@ -618,7 +618,7 @@ def cmd_return_map(cfg: dict, runner: Runner, seed: int) -> None:
 
     starts = section_start_points(entry, system, sec, cfg, rng)
     try:
-        _, _, project = section_coordinates(system, sec, system.point(starts[0]))
+        _, _, project = section_coordinates(system, sec, starts[0])
     except SectionChartError:  # no section chart there: plot against return time
         project = None
     with runner.timed("iterate"):

@@ -24,9 +24,9 @@ from .forms import (CLOSED_TOL, ChartManifold, ChartMap, KForm, Rng, coordinate_
                     covector_values, exterior_derivative, interior,
                     max_coeff_magnitude, power, pullback, wedge)
 from .phase import EnergySurface, HamiltonianSystem, solve_pairing
+from .section import TANGENCY_MARGIN
 
 VOLUME_MARGIN = 1e-9
-TRANSVERSALITY_MARGIN = 1e-8
 LEVEL_TOL = 1e-8   # largest |H - level| on a slice, relative to max(1, |level|)
 
 
@@ -82,7 +82,8 @@ class TransverseFieldReport:
 
     @property
     def passed(self) -> bool:
-        return self.symplectic_residual < CLOSED_TOL and self.min_transversality > 0.0
+        return (self.symplectic_residual < CLOSED_TOL
+                and self.min_transversality >= TANGENCY_MARGIN)
 
     def as_dict(self) -> dict:
         return {"passed": self.passed, "symplectic_residual": self.symplectic_residual,
@@ -131,10 +132,10 @@ def field_to_cosym(sys: HamiltonianSystem, Z: EnergySurface,
     _check_level(sys, Z, ambient)
     xv = np.asarray(X(ambient), dtype=float)
     dh = np.asarray(sys.grad_h(ambient), dtype=float)
-    trans = np.abs(np.einsum("...i,...i->...", dh, xv))
-    if float(np.min(trans)) <= TRANSVERSALITY_MARGIN:
+    trans = float(np.min(np.abs(np.einsum("...i,...i->...", dh, xv))))
+    if not trans >= TANGENCY_MARGIN:
         raise TransversalityError(
-            f"field tangent to the level set at a sample: min |dH(X)| = {float(np.min(trans)):.3e}")
+            f"field tangent to the level set at a sample: min |dH(X)| = {trans:.3e}")
     alpha_ambient = interior(X, sys.omega)
     residual = max_coeff_magnitude(exterior_derivative(alpha_ambient), ambient)
     if residual >= CLOSED_TOL:

@@ -120,9 +120,6 @@ class ChartManifold:
                 out[..., i] %= p
         return out
 
-    def point(self, coords: Sequence[float]) -> "Point":
-        return Point(self, np.asarray(coords, dtype=float))
-
     def wrapped_delta(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Coordinate difference a - b with periodic entries wrapped to the
         shortest representative [-period/2, period/2)."""
@@ -131,9 +128,6 @@ class ChartManifold:
             if per:
                 d[..., i] = (d[..., i] + 0.5 * p) % p - 0.5 * p
         return d
-
-    def tangent(self, coords: Sequence[float], components: Sequence[float]) -> "TangentVector":
-        return TangentVector(self.point(coords), np.asarray(components, dtype=float))
 
     def sample(self, rng: Rng, n: int) -> np.ndarray:
         """Uniform sample of n coordinate tuples; non-periodic coordinates are
@@ -145,37 +139,6 @@ class ChartManifold:
             else:
                 cols.append(rng.uniform(-1.0, 1.0, size=n))
         return np.stack(cols, axis=-1)
-
-
-@dataclass(frozen=True, eq=False)
-class Point:
-    """A chart point; periodic coordinates are stored reduced to [0, period)."""
-
-    chart: ChartManifold
-    coords: np.ndarray
-
-    def __post_init__(self):
-        coords = np.asarray(self.coords, dtype=float)
-        if coords.shape != (self.chart.dim,):
-            raise ValueError(f"expected {self.chart.dim} coordinates, got shape {coords.shape}")
-        object.__setattr__(self, "coords", self.chart.reduce(coords))
-
-    def __repr__(self):
-        return f"Point({np.array2string(self.coords, precision=6)})"
-
-
-@dataclass(frozen=True, eq=False)
-class TangentVector:
-    """Coordinate-frame components of a tangent vector at a base point."""
-
-    base: Point
-    components: np.ndarray
-
-    def __post_init__(self):
-        comps = np.asarray(self.components, dtype=float)
-        if comps.shape != (self.base.chart.dim,):
-            raise ValueError(f"expected {self.base.chart.dim} components, got shape {comps.shape}")
-        object.__setattr__(self, "components", comps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,34 +284,6 @@ def evaluate_frame(f: KForm, coords: np.ndarray, frame: np.ndarray) -> np.ndarra
     if f.constant_value is not None:
         return np.einsum("...c,c->...", minors, f.constant_value)
     return np.einsum("...c,...c->...", f.coeffs(coords), minors)
-
-
-def _perm_parity(order: np.ndarray) -> float:
-    inversions = sum(1 for i in range(len(order)) for j in range(i + 1, len(order))
-                     if order[i] > order[j])
-    return -1.0 if inversions % 2 else 1.0
-
-
-def evaluate(f: KForm, vectors: Sequence[TangentVector]) -> float:
-    """Evaluate the form on k tangent vectors sharing a base point.
-
-    Alternating and multilinear in the vectors.  The columns are brought to a
-    canonical order before the determinants, so swapping two arguments flips
-    the sign exactly (any argument order reduces to one computation).
-    """
-    if len(vectors) != f.degree:
-        raise ValueError(f"degree-{f.degree} form takes {f.degree} vectors, got {len(vectors)}")
-    if f.degree == 0:
-        raise ValueError("degree-0 evaluation needs a base point; call f.coeffs directly")
-    base = vectors[0].base
-    for v in vectors[1:]:
-        if v.base is not base and not np.array_equal(v.base.coords, base.coords):
-            raise ValueError("all vectors must share a base point")
-    if base.chart.dim != f.dim:
-        raise ValueError(f"point dimension {base.chart.dim} != form dimension {f.dim}")
-    frame = np.stack([v.components for v in vectors], axis=-1)
-    order = np.lexsort(frame[::-1])
-    return _perm_parity(order) * float(evaluate_frame(f, base.coords, frame[:, order]))
 
 
 # -- wedge, interior, derivative, pullback ------------------------------------

@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from .dop853 import StepSizeUnderflow, solve  # noqa: F401  (StepSizeUnderflow re-exported)
-from .forms import (CLOSED_TOL, ChartManifold, ChartMap, KForm, Point,
-                    exterior_derivative, max_coeff_magnitude, two_form_matrix)
+from .forms import (CLOSED_TOL, ChartManifold, ChartMap, KForm, exterior_derivative,
+                    max_coeff_magnitude, two_form_matrix)
 
 RCOND_MIN = 1e-10
 FIELD_RESIDUAL_MAX = 1e-10
@@ -94,9 +94,6 @@ class HamiltonianSystem:
     @property
     def dim(self) -> int:
         return self.manifold.dim
-
-    def point(self, coords: Sequence[float]) -> Point:
-        return self.manifold.point(coords)
 
     @functools.cached_property
     def poisson_matrix(self) -> Optional[np.ndarray]:
@@ -184,9 +181,6 @@ class FlowSystem:
     def dim(self) -> int:
         return self.manifold.dim
 
-    def point(self, coords: Sequence[float]) -> Point:
-        return self.manifold.point(coords)
-
     def field(self, coords: np.ndarray) -> np.ndarray:
         return np.asarray(self.field_fn(np.asarray(coords, dtype=float)), dtype=float)
 
@@ -227,13 +221,15 @@ class EnergySurface:
         return ChartMap.coordinate_projection(self.system.dim, self._kept)
 
 
-def integrate_batch(system, x0: np.ndarray, t0: float, t1: float,
-                    tol: float = DEFAULT_FLOW_TOL, step: Optional[Callable] = None) -> np.ndarray:
-    """Integrate a batch of initial conditions and return the end states,
-    shaped like x0.  An (n, dim) batch is n orbits, each on its own steps; a
-    single orbit is a batch of one.  A (g, m, dim) batch is g groups of m
-    orbits, each group one stacked state that shares one step sequence (and
-    so one smooth integration error).  Coordinates are NOT reduced: orbits
+def integrate_batch(field: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, t0: float,
+                    t1: float, tol: float = DEFAULT_FLOW_TOL,
+                    step: Optional[Callable] = None) -> np.ndarray:
+    """Integrate a batch of initial conditions along ``field``, a function of
+    state rows (n, dim), and return the end states, shaped like x0.  An
+    (n, dim) batch is n orbits, each on its own steps; a single orbit is a
+    batch of one.  A (g, m, dim) batch is g groups of m orbits, each group
+    one stacked state that shares one step sequence (and so one smooth
+    integration error).  Coordinates are NOT reduced: orbits
     live in the periodic cover so section functions can be lifted
     continuously.  ``step`` is the step hook of `dop853.solve`, which hands it
     rows of m * dim values."""
@@ -243,9 +239,9 @@ def integrate_batch(system, x0: np.ndarray, t0: float, t1: float,
     dim = x0.shape[-1]
 
     def rhs(y):
-        return system.field(y.reshape(-1, dim)).reshape(y.shape)
+        return field(y.reshape(-1, dim)).reshape(y.shape)
 
     rows = x0.reshape(len(x0), int(np.prod(x0.shape[1:])))
     if rows.shape[1] == dim:   # a row is one state: the field maps rows as they are
-        rhs = system.field
+        rhs = field
     return solve(rhs, t0, t1, rows, tol, tol * 1e-2, step).reshape(x0.shape)

@@ -36,12 +36,11 @@ import csv
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .forms import ChartManifold, Point, two_form_matrix
+from .forms import ChartManifold, two_form_matrix
 from . import phase
 
 TWO_PI = 2.0 * math.pi
@@ -102,11 +101,6 @@ class SectionSpec:
         v = np.asarray(self.theta(np.asarray(coords, dtype=float))) - self.level
         return -((-v + math.pi) % TWO_PI - math.pi)
 
-    def rate(self, system, coords: np.ndarray) -> np.ndarray:
-        """Time derivative of theta along the system flow."""
-        coords = np.asarray(coords, dtype=float)
-        return self.dtheta(coords, system.field(coords))
-
 
 def coordinate_section(chart: ChartManifold, index: int, level: float = 0.0,
                        orientation: int = 1, name: str = "") -> SectionSpec:
@@ -118,15 +112,6 @@ def coordinate_section(chart: ChartManifold, index: int, level: float = 0.0,
         level=(level * scale) % TWO_PI,
         orientation=orientation,
         name=name or f"coord{index}={level}")
-
-
-@dataclass(frozen=True, eq=False)
-class ReturnRecord:
-    start: Point
-    return_time: float
-    image: Point
-    transversality_margin: float
-    crossings_seen: int
 
 
 _FAILURE_ERRORS = {"no crossing": NoCrossingError, "tangency": TangencyError,
@@ -195,13 +180,6 @@ class Returns:
         failure = self.failures[orbit]
         return self.times.shape[1] if failure is None else failure[0]
 
-    def first(self, orbit: int, start: Point) -> ReturnRecord:
-        """The first return of a certified orbit as a record."""
-        return ReturnRecord(start=start, return_time=float(self.times[orbit, 0]),
-                            image=start.chart.point(self.images[orbit, 0]),
-                            transversality_margin=float(self.margins[orbit, 0]),
-                            crossings_seen=int(self.crossings_seen[orbit, 0]))
-
     def raise_failure(self) -> None:
         """Raise the error of the first failed orbit, if there is one."""
         _raise_first(f and f[1] for f in self.failures)
@@ -241,7 +219,7 @@ def _clamp(rate: np.ndarray, oriented: int) -> np.ndarray:
     return oriented * np.maximum(oriented * rate, TANGENCY_MARGIN)
 
 
-def _polish(directed, sec: SectionSpec, x: np.ndarray, oriented: int, max_iter: int = 8):
+def _polish(field, sec: SectionSpec, x: np.ndarray, oriented: int, max_iter: int = 8):
     """Newton on the section angle for every row of x, advancing by single
     classical fourth-order flow steps (the corrections are tiny, so they keep
     full precision).  A row stops where it and its Newton iterate are within
@@ -257,15 +235,15 @@ def _polish(directed, sec: SectionSpec, x: np.ndarray, oriented: int, max_iter: 
     for _ in range(max_iter):
         if not todo.size:
             break
-        X = directed.field(x[todo])
+        X = field(x[todo])
         rate = sec.dtheta(x[todo], X)
         near = np.abs(f[todo]) < ANGLE_RESIDUAL
         slowest[todo[near]] = np.minimum(slowest[todo[near]], np.abs(rate[near]))
         dt = -f[todo] / _clamp(rate, oriented)
         h = dt[:, None]
-        k2 = directed.field(x[todo] + 0.5 * h * X)
-        k3 = directed.field(x[todo] + 0.5 * h * k2)
-        k4 = directed.field(x[todo] + h * k3)
+        k2 = field(x[todo] + 0.5 * h * X)
+        k3 = field(x[todo] + 0.5 * h * k2)
+        k4 = field(x[todo] + h * k3)
         step = x[todo] + (h / 6.0) * (X + 2 * k2 + 2 * k3 + k4)
         f_step = np.asarray(sec.offset(step), dtype=float)
         residual[todo] = np.maximum(np.abs(f[todo]), np.abs(f_step))
@@ -293,12 +271,12 @@ class _Scan:
       since the one before go into the log.  An orbit stops at its k-th, or at
       a step end t_max past its last (or the start); a group once all have."""
 
-    def __init__(self, sec: SectionSpec, directed, starts: np.ndarray, oriented: int,
+    def __init__(self, sec: SectionSpec, field, starts: np.ndarray, oriented: int,
                  k: int, t_max: float):
         g, m, dim = starts.shape
         self.sec, self.oriented, self.shape, self.k, self.t_max = sec, oriented, (m, dim), k, t_max
         self.theta = np.array(sec.theta(starts), dtype=float)
-        self.rate = np.asarray(sec.rate(directed, starts), dtype=float)
+        self.rate = np.asarray(sec.dtheta(starts, field(starts)), dtype=float)
         self.lift, self.margins = self.theta.copy(), np.abs(self.rate)
         w = self._turns(self.lift)
         own = np.round(w)
@@ -394,12 +372,12 @@ def first_crossings(system, sec: SectionSpec, starts: np.ndarray,
     g, m, dim = groups.shape
     n = g * m
     # a backward scan integrates the reversed field forward
-    directed = system if direction > 0 else SimpleNamespace(field=lambda x: -system.field(x))
+    field = system.field if direction > 0 else lambda x: -system.field(x)
     oriented = sec.orientation * direction
-    scan = _Scan(sec, directed, groups, oriented, k, t_max)
+    scan = _Scan(sec, field, groups, oriented, k, t_max)
     failures = ["no crossing"] * n
     try:
-        phase.integrate_batch(directed, groups, 0.0, k * t_max, tol, step=scan)
+        phase.integrate_batch(field, groups, 0.0, k * t_max, tol, step=scan)
     except phase.StepSizeUnderflow as exc:
         # a crossing of the row before the stall gets its own verdict below
         for row, t in zip(exc.rows, exc.times):
@@ -431,17 +409,17 @@ def first_crossings(system, sec: SectionSpec, starts: np.ndarray,
         """Rows (x, t, dv) over the lifted angle s in [0, 1]: dx/ds = dv X / r and
         dt/ds = dv / r, with dv the row's angle gap and r the clamped rate."""
         x, dv = y[:, :-2], y[:, -1]
-        X = directed.field(x)
+        X = field(x)
         dt = dv / _clamp(sec.dtheta(x, X), oriented)
         return np.concatenate([X * dt[:, None], dt[:, None], np.zeros((len(y), 1))], axis=1)
 
-    y = phase.integrate_batch(SimpleNamespace(field=henon), bracket[..., :dim + 2], 0.0, 1.0, tol)
-    x, t_corr, residual, slowest = _polish(directed, sec, y[..., :dim][hit], oriented)
+    y = phase.integrate_batch(henon, bracket[..., :dim + 2], 0.0, 1.0, tol)
+    x, t_corr, residual, slowest = _polish(field, sec, y[..., :dim][hit], oriented)
     entries = (((rows // k * m)[:, None] + np.arange(m)) * k + (rows % k)[:, None])[hit]
     t_left, t_right = bracket[hit][:, dim + 2:].T
     t_local = t_left + y[..., dim][hit] + t_corr
     out.times[entries], out.states[entries] = direction * t_local, x
-    out.rates[entries], out.residuals[entries] = sec.rate(system, x), residual
+    out.rates[entries], out.residuals[entries] = sec.dtheta(x, system.field(x)), residual
     # a return starts at the crossing before it, at that crossing's rate
     margins = out.margins.reshape(n, k)
     margins[:, 1:] = np.fmin(margins[:, 1:], np.abs(out.rates.reshape(n, k)[:, :-1]))
@@ -483,7 +461,7 @@ def iterate_returns(system, sec: SectionSpec, starts: np.ndarray, k: int,
     x = system.manifold.reduce(starts)
     # a start must lie on the section and be transverse to the flow
     off = np.abs(np.asarray(sec.offset(x), dtype=float))
-    rate = np.abs(np.asarray(sec.rate(system, x), dtype=float))
+    rate = np.abs(np.asarray(sec.dtheta(x, system.field(x)), dtype=float))
     reasons = [f"start point is not on the section: |theta - level| = {o:.3e}"
                if not o <= ON_SECTION_TOL else
                f"tangency: flow tangent to section at start: |d theta/dt| = {r:.3e}"
@@ -505,19 +483,6 @@ def iterate_returns(system, sec: SectionSpec, starts: np.ndarray, k: int,
     out.crossings_seen[ready] = np.where(np.arange(k) <= completed[ready, None],
                                          c.crossings_seen.reshape(-1, k), 0)
     return out
-
-
-def first_return(system, sec: SectionSpec, p: Point, t_max: float = DEFAULT_T_MAX,
-                 tol: float = phase.DEFAULT_FLOW_TOL) -> ReturnRecord:
-    """First positively-oriented return of a section point: `iterate_returns`
-    on a batch of one with k = 1.
-
-    The start must lie on the section (else ValueError) and be transverse
-    to the flow.  Raises NoCrossingError, TangencyError or RefinementError.
-    """
-    returns = iterate_returns(system, sec, p.coords, 1, t_max, tol)
-    returns.raise_failure()
-    return returns.first(0, p)
 
 
 def verify_global(system, sec: SectionSpec, samples: np.ndarray,
@@ -547,8 +512,9 @@ def verify_global(system, sec: SectionSpec, samples: np.ndarray,
 # -- return-map Jacobian ------------------------------------------------------
 
 
-def section_coordinates(system, sec: SectionSpec, p: Point):
-    """Local graph coordinates on the section through p.
+def section_coordinates(system, sec: SectionSpec, x: np.ndarray):
+    """Local graph coordinates on the section through the point x (reduced
+    to the chart first).
 
     Eliminates the coordinates best aligned with (d theta, dH) (only the
     theta constraint for plain flows) and treats the section as a graph over
@@ -559,7 +525,7 @@ def section_coordinates(system, sec: SectionSpec, p: Point):
     equal to one.  Returns (free_indices, embed, project) where embed solves
     the constraints by Newton iteration.
     """
-    x0 = np.asarray(p.coords, dtype=float)
+    x0 = system.manifold.reduce(x)
     dim = x0.size
     has_energy = hasattr(system, "grad_h")
     level_h = float(system.energy(x0)) if has_energy else None
@@ -613,12 +579,12 @@ def _constraint_grads(system, sec: SectionSpec, x: np.ndarray) -> np.ndarray:
     return np.stack(g)
 
 
-def restricted_form_matrix(system, sec: SectionSpec, p: Point) -> np.ndarray:
-    """Matrix of the ambient two-form on the section's tangent frame at p,
-    one column per section coordinate (the implicit-function derivative of
-    the embedding)."""
-    x = np.asarray(p.coords, dtype=float)
-    free = list(section_coordinates(system, sec, p)[0])
+def restricted_form_matrix(system, sec: SectionSpec, x: np.ndarray) -> np.ndarray:
+    """Matrix of the ambient two-form on the section's tangent frame at the
+    point x (reduced to the chart first), one column per section coordinate
+    (the implicit-function derivative of the embedding)."""
+    free = list(section_coordinates(system, sec, x)[0])
+    x = system.manifold.reduce(x)
     elim = [i for i in range(len(x)) if i not in free]
     G = _constraint_grads(system, sec, x)
     E = np.zeros((len(x), len(free)))
@@ -647,9 +613,8 @@ def return_map_jacobians(system, sec: SectionSpec, points: Sequence[np.ndarray],
     chart = system.manifold
     stencils, projections, steps = [], [], []
     for x in points:
-        p = chart.point(np.asarray(x, dtype=float))
-        free, embed, project = section_coordinates(system, sec, p)
-        s0 = project(p.coords)
+        free, embed, project = section_coordinates(system, sec, x)
+        s0 = project(chart.reduce(x))
         h = FD_STEP * np.maximum(1.0, np.abs(s0))
         for a in range(len(free)):
             for sign in (1.0, -1.0):
@@ -675,21 +640,19 @@ def return_map_jacobians(system, sec: SectionSpec, points: Sequence[np.ndarray],
 
 @dataclass(eq=False)
 class MappingTorusChart:
-    """Tabulated suspension chart Psi(p, t) = flow_{t*T(p)}(p) over a fiber grid."""
+    """Tabulated suspension chart Psi(p, t) = flow_{t*T(p)}(p) over a fiber
+    grid, at the fiber times t = linspace(0, 1, TORUS_TIMES)."""
 
-    fiber_grid: list
-    records: list
-    t_samples: np.ndarray
-    table: np.ndarray            # (n_grid, n_t, dim), reduced coordinates
+    table: np.ndarray            # (n_grid, TORUS_TIMES, dim), reduced coordinates
     gluing_residual: float
     energy_residual: float
 
 
-def mapping_torus_chart(system, sec: SectionSpec, grid: Sequence[Point],
+def mapping_torus_chart(system, sec: SectionSpec, grid: np.ndarray,
                         t_max: float = DEFAULT_T_MAX,
                         tol: float = phase.DEFAULT_FLOW_TOL) -> MappingTorusChart:
-    """Tabulate the suspension chart over a section grid at TORUS_TIMES fiber
-    times.
+    """Tabulate the suspension chart over a section grid (n, dim), reduced to
+    the chart first, at TORUS_TIMES fiber times.
 
     Every entry after t = 0 comes from one batched integration: the row
     (x, tau) with tau = t * T(p) follows dx/ds = tau X(x), dtau/ds = 0 over
@@ -700,19 +663,17 @@ def mapping_torus_chart(system, sec: SectionSpec, grid: Sequence[Point],
     within ENERGY_RESIDUAL_MAX; GluingError is raised otherwise.
     """
     chart = system.manifold
-    t_samples = np.linspace(0.0, 1.0, TORUS_TIMES)
-    starts = np.array([p.coords for p in grid])
+    starts = chart.reduce(grid)
     returns = iterate_returns(system, sec, starts, 1, t_max, tol)
     returns.raise_failure()
-    records = [returns.first(i, p) for i, p in enumerate(grid)]
     n, dim = starts.shape
-    taus = returns.times[:, :1] * t_samples[1:]   # (n, TORUS_TIMES - 1)
+    taus = returns.times[:, :1] * np.linspace(0.0, 1.0, TORUS_TIMES)[1:]   # (n, TORUS_TIMES - 1)
     rows = np.concatenate([np.repeat(starts, TORUS_TIMES - 1, axis=0), taus.reshape(-1, 1)], 1)
 
     def scaled(y):
         return np.concatenate([system.field(y[:, :-1]) * y[:, -1:], np.zeros((len(y), 1))], 1)
 
-    ends = phase.integrate_batch(SimpleNamespace(field=scaled), rows, 0.0, 1.0, tol)
+    ends = phase.integrate_batch(scaled, rows, 0.0, 1.0, tol)
     states = np.concatenate([starts[:, None], ends[:, :dim].reshape(n, TORUS_TIMES - 1, dim)], 1)
     table = chart.reduce(states)
     gluing = float(np.max(np.abs(chart.wrapped_delta(table[:, -1], returns.images[:, 0]))))
@@ -726,7 +687,7 @@ def mapping_torus_chart(system, sec: SectionSpec, grid: Sequence[Point],
     if energy_res > ENERGY_RESIDUAL_MAX:
         raise GluingError(f"energy residual {energy_res:.3e} exceeds {ENERGY_RESIDUAL_MAX:.0e}; "
                           "the chart leaves the energy level")
-    return MappingTorusChart(list(grid), records, t_samples, table, gluing, energy_res)
+    return MappingTorusChart(table, gluing, energy_res)
 
 
 def write_crossings_csv(path, rows: Sequence[Sequence[float]], dim: int) -> None:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .forms import (CLOSED_TOL, ChartManifold, KForm, Rng, constant_form, covector_values,
                     exterior_derivative, max_coeff_magnitude)
-from .section import SectionSpec
+from .section import TANGENCY_MARGIN, SectionSpec
 
 TWO_PI = 2.0 * math.pi
 
@@ -171,12 +171,18 @@ def _correction(pv: PeriodVector, ra: RationalApproximation) -> np.ndarray:
 
 @dataclass(eq=False)
 class TransversalityReport:
+    """Least |alpha'(X)|, least and greatest signed alpha'(X) of the rebuilt
+    form over the samples, and the least |alpha(X)| of the original."""
+
     min_margin: float
+    signed_min: float
+    signed_max: float
     min_margin_original: Optional[float]
     passed: bool
 
     def as_dict(self) -> dict:
-        return {"min_margin": self.min_margin,
+        return {"min_margin": self.min_margin, "signed_min": self.signed_min,
+                "signed_max": self.signed_max,
                 "min_margin_original": self.min_margin_original,
                 "passed": self.passed}
 
@@ -185,20 +191,24 @@ def check_transversality_preserved(system, alpha_prime: KForm, samples: np.ndarr
                                    alpha: Optional[KForm] = None) -> TransversalityReport:
     """Margin of the rationalized form against the flow over the samples.
 
+    The report passes only when alpha'(X) keeps one sign over the samples and
+    |alpha'(X)| >= TANGENCY_MARGIN at every one: a form whose pairing changes
+    sign is tangent to the flow somewhere between the samples.
     Transversality is an open condition, so a small enough approximation
-    error keeps the margin positive; a failed report calls for a smaller eps,
-    not an exception.
+    error keeps the margin; a failed report calls for a smaller eps, not an
+    exception.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     field = system.field(samples)
 
-    def margin(form: KForm) -> float:
-        pairing = np.einsum("...i,...i->...", covector_values(form, samples), field)
-        return float(np.min(np.abs(pairing)))
+    def pairing(form: KForm) -> np.ndarray:
+        return np.einsum("...i,...i->...", covector_values(form, samples), field)
 
-    m_prime = margin(alpha_prime)
-    m_orig = margin(alpha) if alpha is not None else None
-    return TransversalityReport(m_prime, m_orig, m_prime > 0.0)
+    values = pairing(alpha_prime)
+    m_prime, lo, hi = float(np.min(np.abs(values))), float(np.min(values)), float(np.max(values))
+    m_orig = float(np.min(np.abs(pairing(alpha)))) if alpha is not None else None
+    return TransversalityReport(m_prime, lo, hi, m_orig,
+                                m_prime >= TANGENCY_MARGIN and (lo > 0) == (hi > 0))
 
 
 def extract_leaf(ra: RationalApproximation, manifold: ChartManifold,

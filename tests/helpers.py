@@ -1,13 +1,13 @@
 """Helpers shared by test modules: the README's example configs, a step hook
-that records an integration's steps, and the energy drift and divergence of a
-system's flow."""
+that records an integration's steps, the first return of one section point,
+and the energy drift and divergence of a system's flow."""
 import json
 import re
 from pathlib import Path
 
 import numpy as np
 
-from cosymlab import cli, phase
+from cosymlab import cli, phase, section
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -35,13 +35,23 @@ def step_recorder(log: list):
     return hook
 
 
-def energy_drift(system, p0, t_max: float, tol: float = phase.DEFAULT_FLOW_TOL) -> float:
-    """Maximum |H(flow_t(p0)) - H(p0)| over the integrator's step ends in
+def first_return(system, sec, x, **kwargs) -> section.Returns:
+    """`section.iterate_returns` of the one start x with k = 1, its failure
+    raised: entry [0, 0] of times, images, margins and crossings_seen is the
+    first return."""
+    returns = section.iterate_returns(system, sec, x, 1, **kwargs)
+    returns.raise_failure()
+    return returns
+
+
+def energy_drift(system, x0, t_max: float, tol: float = phase.DEFAULT_FLOW_TOL) -> float:
+    """Maximum |H(flow_t(x0)) - H(x0)| over the integrator's step ends in
     [0, t_max]."""
+    x0 = np.asarray(x0, dtype=float)
     log = []
-    phase.integrate_batch(system, p0.coords[None], 0.0, t_max, tol, step=step_recorder(log))
-    states = np.concatenate([p0.coords[None]] + [y_new for _, y_new in log])
-    return float(np.max(np.abs(system.energy(states) - system.energy(p0.coords))))
+    phase.integrate_batch(system.field, x0[None], 0.0, t_max, tol, step=step_recorder(log))
+    states = np.concatenate([x0[None]] + [y_new for _, y_new in log])
+    return float(np.max(np.abs(system.energy(states) - system.energy(x0))))
 
 
 def divergence(system, x, h: float = 1e-5) -> float:

@@ -357,6 +357,23 @@ def test_tischler_transversality_against_system(tmp_path):
     assert checks["transversality"]["min_margin"] == pytest.approx(1.0, abs=1e-9)
 
 
+def test_tischler_transversality_fails_on_a_sign_change(tmp_path):
+    # alpha = dq against H = sin(p) on T^2: alpha(X) = cos(p) runs from -0.999
+    # to 0.995 over the samples, never below 0.0496 in magnitude, so only its
+    # sign change shows that the rebuilt form is tangent to the flow somewhere
+    cfg = {"tischler": {"dim": 2, "alpha": [[0, 1.0]]},
+           "system": {"dim": 2, "coordinates": ["q", "p"], "periodic": [True, True],
+                      "omega": [[0, 1, 1.0]], "hamiltonian": "sin(p)"}}
+    code, out = run(tmp_path, "tischler", cfg)
+    assert code == 1
+    checks = {c["name"]: c for c in read_report(out)["report"]["checks"]}
+    trans = checks["transversality"]
+    assert not trans["passed"]
+    assert trans["signed_min"] < -0.99 and trans["signed_max"] > 0.99
+    assert trans["min_margin"] > 0.04
+    assert [c["name"] for c in checks.values() if not c["passed"]] == ["transversality"]
+
+
 def test_obstruct_betti_failure(tmp_path):
     code, out = run(tmp_path, "obstruct", {"betti": "s3"})
     assert code == 1

@@ -41,6 +41,14 @@ def test_readme_config_blocks_validate():
         cli.validate(command, cfg)
 
 
+def test_readme_library_example_runs():
+    # the README's python block, run as written: one first return on the T^4 leaf
+    (block,) = re.findall(r"```python\n(.*?)```", README, re.S)
+    namespace = {}
+    exec(block, namespace)
+    assert abs(namespace["T"] - 2.0 * math.pi) < 1e-12
+
+
 @pytest.mark.parametrize("title", sorted(SCHEMA_TABLES))
 def test_readme_lists_each_field_table(title):
     assert f"Fields of {title}:\n\n{field_rows(SCHEMA_TABLES[title])}\n" in README
@@ -53,10 +61,14 @@ SRC = Path(cli.__file__).parent
 
 
 def test_readme_bounds_table_matches_the_constants():
-    # one row per certified bound, naming the one module that defines it and its value
+    # one row per certified bound, naming the one module that defines it and its value;
+    # every margin a module defines is a certified bound, so a duplicate shows up here
     table = README.split("### Certified bounds\n", 1)[1].split("\n#", 1)[0]
     rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \| `([^`]+)` \|", table, re.M)
     assert tuple(name for name, _, _ in rows) == BOUNDS
+    margins = {m for p in SRC.glob("*.py")
+               for m in re.findall(r"^(\w+_MARGIN) = ", p.read_text(), re.M)}
+    assert margins <= set(BOUNDS), margins - set(BOUNDS)
     for name, module, value in rows:
         assert value == repr(getattr(importlib.import_module(f"cosymlab.{module}"), name)), name
         defined = [p.stem for p in sorted(SRC.glob("*.py"))

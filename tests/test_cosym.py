@@ -87,6 +87,19 @@ def test_field_to_cosym_rejects_tangent_field(t4_system, samples3):
         C.field_to_cosym(t4_system, Z, t4_system.field, samples3)
 
 
+def test_transversality_checks_read_the_tangency_margin(t4_system, samples3):
+    # |dH(X)| = c on the zero level: the pair is built at TANGENCY_MARGIN and
+    # refused under it, and a field report passes on the same terms
+    Z = catalog.product_energy_surface(t4_system)
+    m = S.TANGENCY_MARGIN
+    C.field_to_cosym(t4_system, Z, lambda x: m * neg_dtheta(x), samples3)
+    with pytest.raises(C.TransversalityError):
+        C.field_to_cosym(t4_system, Z, lambda x: 0.5 * m * neg_dtheta(x), samples3)
+    values = np.zeros((1, 4))
+    assert C.TransverseFieldReport(values, 0.0, m, neg_dtheta).passed
+    assert not C.TransverseFieldReport(values, 0.0, 0.5 * m, neg_dtheta).passed
+
+
 def test_field_to_cosym_rejects_non_symplectic_field(t4_system, samples3):
     Z = catalog.product_energy_surface(t4_system)
 
@@ -249,8 +262,7 @@ def test_collar_pairs_normal_direction_with_alpha(t3_seed):
 
 def test_collar_volume_and_restriction(t3_seed, samples3):
     col = C.build_collar_form(t3_seed)
-    frame = [col.chart.tangent(np.zeros(4), e) for e in np.eye(4)]
-    assert F.evaluate(F.power(col.form, 2), frame) == pytest.approx(2.0)
+    assert F.evaluate_frame(F.power(col.form, 2), np.zeros(4), np.eye(4)) == pytest.approx(2.0)
     # restriction to the zero slice agrees with beta on coordinate frames
     incl = F.ChartMap.coordinate_inclusion(4, [0, 1, 2], {3: 0.0})
     restricted = F.pullback(incl, col.form)

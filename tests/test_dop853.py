@@ -48,12 +48,12 @@ def test_matches_solve_ivp(name, system, batch, t1, tol):
     log = []
     if batch == 1:
         x0 = starts[0]
-        end = P.integrate_batch(system, x0[None], 0.0, t1, tol, step=step_recorder(log))[0]
+        end = P.integrate_batch(system.field, x0[None], 0.0, t1, tol, step=step_recorder(log))[0]
         rhs = system.field
     else:
         # one group of five orbits: a single row, stacked as solve_ivp stacks it
         x0 = starts.ravel()
-        end = P.integrate_batch(system, starts[None], 0.0, t1, tol, step=step_recorder(log))
+        end = P.integrate_batch(system.field, starts[None], 0.0, t1, tol, step=step_recorder(log))
         end = end.ravel()
 
         def rhs(y):

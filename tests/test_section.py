@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from helpers import first_return
 from hypothesis.extra import numpy as hnp
 
 from cosymlab import catalog, forms as F, phase as P, section as S, tischler as T
@@ -20,19 +21,19 @@ def t4_section():
 
 def test_first_return_product_constant_flow(t4_system, t4_section):
     # cross-check of the constant-flow prediction T = 2*pi by integration
-    p = t4_system.point([0.3, 1.1, 0.0, 0.0])
-    rec = S.first_return(t4_system, t4_section, p)
-    assert abs(rec.return_time - TWO_PI) < 1e-10
-    assert np.max(np.abs(t4_system.manifold.wrapped_delta(rec.image.coords, p.coords))) < 1e-9
-    assert rec.transversality_margin == pytest.approx(1.0, abs=1e-12)
-    assert rec.crossings_seen == 1
+    p = np.array([0.3, 1.1, 0.0, 0.0])
+    r = first_return(t4_system, t4_section, p)
+    assert abs(r.times[0, 0] - TWO_PI) < 1e-10
+    assert np.max(np.abs(t4_system.manifold.wrapped_delta(r.images[0, 0], p))) < 1e-9
+    assert r.margins[0, 0] == pytest.approx(1.0, abs=1e-12)
+    assert r.crossings_seen[0, 0] == 1
 
 
 def test_first_return_suspension(suspension_system):
     sec = S.coordinate_section(suspension_system.manifold, 1)
-    rec = S.first_return(suspension_system, sec, suspension_system.point([0.2, 0.0]))
-    assert abs(rec.return_time - 1.0) < 1e-12
-    delta = suspension_system.manifold.wrapped_delta(rec.image.coords, [0.2 + 1.0 / 3.0, 0.0])
+    r = first_return(suspension_system, sec, [0.2, 0.0])
+    assert abs(r.times[0, 0] - 1.0) < 1e-12
+    delta = suspension_system.manifold.wrapped_delta(r.images[0, 0], [0.2 + 1.0 / 3.0, 0.0])
     assert abs(delta[0]) < 1e-10
     assert abs(delta[1]) < 1e-10
 
@@ -41,37 +42,34 @@ def test_first_return_oscillator_closed_form(osc_system):
     # linear flow: the second pair rotates at rate sqrt(2), so the first
     # return to its zero-phase half-plane takes 2*pi/sqrt(2)
     sec = catalog.oscillator_angle_section()
-    p = osc_system.point([0.6, 0.0, 0.8, 0.0])
-    rec = S.first_return(osc_system, sec, p)
-    assert abs(rec.return_time - TWO_PI / SQRT2) < 1e-9
-    assert abs(float(sec.offset(rec.image.coords))) < 1e-10
-    assert abs(float(osc_system.energy(rec.image.coords))
-               - float(osc_system.energy(p.coords))) < 1e-8
-    assert rec.transversality_margin == pytest.approx(SQRT2, rel=1e-9)
+    p = np.array([0.6, 0.0, 0.8, 0.0])
+    r = first_return(osc_system, sec, p)
+    assert abs(r.times[0, 0] - TWO_PI / SQRT2) < 1e-9
+    assert abs(float(sec.offset(r.images[0, 0]))) < 1e-10
+    assert abs(float(osc_system.energy(r.images[0, 0])) - float(osc_system.energy(p))) < 1e-8
+    assert r.margins[0, 0] == pytest.approx(SQRT2, rel=1e-9)
 
 
 def test_first_return_requires_section_point(t4_system, t4_section):
     with pytest.raises(ValueError, match="not on the section"):
-        S.first_return(t4_system, t4_section, t4_system.point([0.0, 0.0, 1.0, 0.0]))
+        first_return(t4_system, t4_section, [0.0, 0.0, 1.0, 0.0])
 
 
 def test_first_return_tangency_is_distinct(t4_system):
     # flow is d/dz; a section through the x coordinate never moves
     sec = S.coordinate_section(t4_system.manifold, 0)
     with pytest.raises(S.TangencyError):
-        S.first_return(t4_system, sec, t4_system.point([0.0, 0.5, 0.3, 0.0]))
+        first_return(t4_system, sec, [0.0, 0.5, 0.3, 0.0])
     assert not issubclass(S.TangencyError, S.NoCrossingError)
 
 
 def test_return_consistency_iterated(suspension_system):
     sec = S.coordinate_section(suspension_system.manifold, 1)
-    p = suspension_system.point([0.05, 0.0])
-    x = p
+    x = np.array([0.05, 0.0])
     for k in range(1, 4):
-        rec = S.first_return(suspension_system, sec, x)
-        x = rec.image
+        x = first_return(suspension_system, sec, x).images[0, 0]
         expected = (0.05 + k / 3.0) % 1.0
-        assert abs(x.coords[0] - expected) < k * 1e-8
+        assert abs(x[0] - expected) < k * 1e-8
 
 
 def test_return_map_jacobian_identity_cases(t4_system, t4_section, suspension_system):
@@ -85,8 +83,7 @@ def test_return_map_jacobian_identity_cases(t4_system, t4_section, suspension_sy
 def test_return_map_jacobian_oscillator_rotation(osc_system):
     # closed form: the (q1, p1) pair rotates clockwise by T = 2*pi/sqrt(2)
     sec = catalog.oscillator_angle_section()
-    p = osc_system.point([0.6, 0.0, 0.8, 0.0])
-    J = S.return_map_jacobians(osc_system, sec, [p.coords])[0]
+    J = S.return_map_jacobians(osc_system, sec, [[0.6, 0.0, 0.8, 0.0]])[0]
     T = TWO_PI / SQRT2
     expected = np.array([[math.cos(T), math.sin(T)], [-math.sin(T), math.cos(T)]])
     assert np.max(np.abs(J - expected)) < 1e-8
@@ -129,29 +126,25 @@ def test_return_map_symplectic_on_nonlinear_flow():
     rng = np.random.default_rng(1)
     pts = catalog.sample_oscillator_surface(coupled, 1.0, rng, 8, on_section=True)
 
-    recs = [S.first_return(coupled, sec, coupled.point(x), t_max=50.0, tol=1e-11)
-            for x in pts]
-    times = [r.return_time for r in recs]
-    assert max(times) - min(times) > 0.01   # the coupling really bends the map
-    assert max(abs(float(coupled.energy(r.image.coords))
-                   - float(coupled.energy(r.start.coords))) for r in recs) < 1e-8
+    r = S.iterate_returns(coupled, sec, pts, 1, t_max=50.0, tol=1e-11)
+    r.raise_failure()
+    assert np.ptp(r.times) > 0.01   # the coupling really bends the map
+    assert np.max(np.abs(coupled.energy(r.images[:, 0]) - coupled.energy(pts))) < 1e-8
 
     dets = np.linalg.det(S.return_map_jacobians(coupled, sec, pts, t_max=50.0, tol=1e-11))
     assert np.max(np.abs(dets - 1.0)) < 1e-6
 
-    p = coupled.point(pts[0])
-    J = S.return_map_jacobians(coupled, sec, [p.coords], t_max=50.0, tol=1e-11)[0]
-    M0 = S.restricted_form_matrix(coupled, sec, p)
-    image = S.first_return(coupled, sec, p, t_max=50.0, tol=1e-11).image
-    M1 = S.restricted_form_matrix(coupled, sec, image)
+    J = S.return_map_jacobians(coupled, sec, pts[:1], t_max=50.0, tol=1e-11)[0]
+    M0 = S.restricted_form_matrix(coupled, sec, pts[0])
+    M1 = S.restricted_form_matrix(coupled, sec, r.images[0, 0])
     assert np.max(np.abs(J.T @ M1 @ J - M0)) < 1e-6
 
 
 def test_higher_dimensional_symplecticity(t6_system):
     # four-dimensional section: the Jacobian preserves the restricted form
     sec = catalog.product_leaf_section(t6_system)
-    p = t6_system.point([0.3, 1.0, 2.0, 0.7, 0.0, 0.0])
-    J = S.return_map_jacobians(t6_system, sec, [p.coords])[0]
+    p = np.array([0.3, 1.0, 2.0, 0.7, 0.0, 0.0])
+    J = S.return_map_jacobians(t6_system, sec, [p])[0]
     M = S.restricted_form_matrix(t6_system, sec, p)
     assert np.max(np.abs(J.T @ M @ J - M)) < 1e-5
 
@@ -160,7 +153,7 @@ def test_restricted_form_degenerates_on_a_lagrangian_section(t4_system):
     # {x = 0} inside the zero level {theta = 0} of omega = dx^dy + dz^dtheta is
     # spanned by e_y and e_z, on which omega vanishes
     sec = S.coordinate_section(t4_system.manifold, 0)
-    M = S.restricted_form_matrix(t4_system, sec, t4_system.point([0.0, 0.4, 1.1, 0.0]))
+    M = S.restricted_form_matrix(t4_system, sec, [0.0, 0.4, 1.1, 0.0])
     assert M.shape == (2, 2)
     assert np.array_equal(M, np.zeros((2, 2)))
 
@@ -236,8 +229,8 @@ def test_short_recrossings_match_analytic_lift(a):
     assert np.max(np.abs(c.times - expected)) < 1e-8
     assert np.max(c.residuals) < S.ANGLE_RESIDUAL
     for i in (135, 142, 145):
-        rec = S.first_return(wig, sec, wig.point(starts[i]), t_max=200.0)
-        assert abs(rec.return_time - expected[i]) < 1e-8
+        r = first_return(wig, sec, starts[i], t_max=200.0)
+        assert abs(r.times[0, 0] - expected[i]) < 1e-8
 
 
 def test_grazing_crossing_fails_on_every_path():
@@ -255,7 +248,7 @@ def test_grazing_crossing_fails_on_every_path():
     # a section point of the same orbit, one lap of y before the graze
     x0 = math.pi - (6.0 * math.pi) ** (1.0 / 3.0)
     with pytest.raises(S.TangencyError):
-        S.first_return(graze, sec, graze.point([x0, 0.0]), t_max=20.0)
+        first_return(graze, sec, [x0, 0.0], t_max=20.0)
 
 
 _RATE_CHART = F.ChartManifold(4, (True,) * 4, (TWO_PI, 3.0, TWO_PI, 0.7))
@@ -335,7 +328,7 @@ def test_unconverged_polish_is_reported(suspension_system):
     assert len(rep.failures) == 4
     assert all(f[2].startswith("unconverged") for f in rep.failures)
     with pytest.raises(S.RefinementError, match="residual"):
-        S.first_return(suspension_system, sec, suspension_system.point(starts[0]))
+        first_return(suspension_system, sec, starts[0])
 
 
 @st.composite
@@ -441,7 +434,7 @@ def test_iterate_returns_images_match_time_integration(batch, k):
     for i, x in enumerate(chart.reduce(starts)):
         for j in range(r.completed(i)):
             T = r.times[i, j]
-            end = chart.reduce(P.integrate_batch(system, x[None], 0.0, T)[0])
+            end = chart.reduce(P.integrate_batch(system.field, x[None], 0.0, T)[0])
             assert np.max(np.abs(chart.wrapped_delta(end, r.images[i, j]))) < 1e-9
             x = r.images[i, j]
 
@@ -478,16 +471,16 @@ def _record_scan_steps(monkeypatch):
     steps = []
     integrate = P.integrate_batch
 
-    def recording(system, x0, t0, t1, tol=P.DEFAULT_FLOW_TOL, step=None):
+    def recording(field, x0, t0, t1, tol=P.DEFAULT_FLOW_TOL, step=None):
         if step is None:
-            return integrate(system, x0, t0, t1, tol)
+            return integrate(field, x0, t0, t1, tol)
 
         def hook(rows, t, y, t_new, y_new, f, f_new):
             ok, cap, done = step(rows, t, y, t_new, y_new, f, f_new)
             steps.append((rows, t, t_new, ok, done))
             return ok, cap, done
 
-        return integrate(system, x0, t0, t1, tol, hook)
+        return integrate(field, x0, t0, t1, tol, hook)
 
     monkeypatch.setattr(S.phase, "integrate_batch", recording)
     return steps
@@ -635,12 +628,11 @@ def test_iterate_returns_t_max_below_first_return():
 
 
 def test_mapping_torus_product(t4_system, t4_section):
-    grid = [t4_system.point([x, y, 0.0, 0.0]) for x in (0.5, 2.0, 4.0) for y in (1.0, 3.0)]
+    grid = np.array([[x, y, 0.0, 0.0] for x in (0.5, 2.0, 4.0) for y in (1.0, 3.0)])
     mt = S.mapping_torus_chart(t4_system, t4_section, grid, tol=1e-10)
     assert mt.gluing_residual < 1e-8
     assert mt.energy_residual < 1e-8
-    for i, p in enumerate(grid):
-        assert np.allclose(mt.table[i, 0], p.coords)
+    assert np.allclose(mt.table[:, 0], grid)
 
 
 def _torus_cases():
@@ -662,14 +654,14 @@ def test_mapping_torus_table_matches_direct_integration(name, system, sec, point
     # each entry to its own time t_j * T(p_i)
     tol = 1e-10
     chart = system.manifold
-    grid = [system.point(p) for p in points]
+    grid = chart.reduce(points)
     mt = S.mapping_torus_chart(system, sec, grid, tol=tol)
     assert mt.table.shape == (len(grid), S.TORUS_TIMES, system.dim)
-    for i, (p, rec) in enumerate(zip(grid, mt.records)):
-        assert np.array_equal(mt.table[i, 0], chart.reduce(p.coords))
-        for j, t in enumerate(mt.t_samples[1:], start=1):
-            x = chart.reduce(P.integrate_batch(system, p.coords[None], 0.0,
-                                               t * rec.return_time, tol)[0])
+    times = S.iterate_returns(system, sec, grid, 1, tol=tol).times[:, 0]
+    for i, (p, T) in enumerate(zip(grid, times)):
+        assert np.array_equal(mt.table[i, 0], p)
+        for j, t in enumerate(np.linspace(0.0, 1.0, S.TORUS_TIMES)[1:], start=1):
+            x = chart.reduce(P.integrate_batch(system.field, p[None], 0.0, t * T, tol)[0])
             assert np.max(np.abs(chart.wrapped_delta(mt.table[i, j], x))) < 10 * tol
 
 
@@ -679,26 +671,25 @@ def test_mapping_torus_energy_residual_is_enforced(osc_system):
     sec = catalog.oscillator_angle_section()
     pts = catalog.sample_oscillator_surface(osc_system, 1.0, np.random.default_rng(0), 3,
                                             on_section=True)
-    grid = [osc_system.point(p) for p in pts]
     with pytest.raises(S.GluingError, match="energy residual"):
-        S.mapping_torus_chart(osc_system, sec, grid, tol=1e-6)
-    mt = S.mapping_torus_chart(osc_system, sec, grid, tol=1e-10)
+        S.mapping_torus_chart(osc_system, sec, pts, tol=1e-6)
+    mt = S.mapping_torus_chart(osc_system, sec, pts, tol=1e-10)
     assert mt.energy_residual < S.ENERGY_RESIDUAL_MAX
 
 
 def test_mapping_torus_rational_rotation_cycles(suspension_system):
     sec = S.coordinate_section(suspension_system.manifold, 1)
-    grid = [suspension_system.point([x, 0.0]) for x in (0.0, 1.0 / 3.0, 2.0 / 3.0)]
+    grid = np.array([[x, 0.0] for x in (0.0, 1.0 / 3.0, 2.0 / 3.0)])
     mt = S.mapping_torus_chart(suspension_system, sec, grid, tol=1e-10)
     # holonomy is rotation by 1/3: applying it three times returns the grid
     x = grid[0]
     for _ in range(3):
-        x = S.first_return(suspension_system, sec, x).image
+        x = first_return(suspension_system, sec, x).images[0, 0]
     chart = suspension_system.manifold
-    assert np.max(np.abs(chart.wrapped_delta(x.coords, grid[0].coords))) < 3e-8
-    for start, rec in zip(grid, mt.records):
-        expected = np.array([(start.coords[0] + 1.0 / 3.0) % 1.0, 0.0])
-        assert np.max(np.abs(chart.wrapped_delta(rec.image.coords, expected))) < 1e-9
+    assert np.max(np.abs(chart.wrapped_delta(x, grid[0]))) < 3e-8
+    # the table's t = 1 row is the holonomy image of its grid point
+    expected = np.column_stack([(grid[:, 0] + 1.0 / 3.0) % 1.0, grid[:, 1]])
+    assert np.max(np.abs(chart.wrapped_delta(mt.table[:, -1], expected))) < 1e-9
 
 
 def test_first_return_with_wiggling_rate():
@@ -725,13 +716,13 @@ def test_first_return_with_wiggling_rate():
     target = TWO_PI * lattice[i + 1]
     T_oracle = oracle_root(lambda t: lift(t) - target, ts[i], ts[i + 1], xtol=1e-14)
 
-    rec = S.first_return(wig, sec, wig.point([x0, 0.0]))
-    assert abs(rec.return_time - T_oracle) < 1e-9
-    assert abs(rec.image.coords[0] - (x0 + T_oracle) % TWO_PI) < 1e-9
-    assert rec.crossings_seen == 2   # one downward dip, then the counted return
+    r = first_return(wig, sec, [x0, 0.0])
+    assert abs(r.times[0, 0] - T_oracle) < 1e-9
+    assert abs(r.images[0, 0, 0] - (x0 + T_oracle) % TWO_PI) < 1e-9
+    assert r.crossings_seen[0, 0] == 2   # one downward dip, then the counted return
     # the rate vanishes somewhere along the orbit, so the margin is small but
     # the crossing itself is transverse
-    assert 0 < rec.transversality_margin < 0.1
+    assert 0 < r.margins[0, 0] < 0.1
 
 
 def test_orientation_selects_crossing_direction():
@@ -739,20 +730,19 @@ def test_orientation_selects_crossing_direction():
     t2 = F.ChartManifold(2, (True, True), (1.0, 1.0))
     falling = P.FlowSystem(t2, lambda x: np.broadcast_to(np.array([0.25, -1.0]),
                                                          np.shape(x)), name="falling")
-    p = falling.point([0.1, 0.0])
+    p = [0.1, 0.0]
     sec_down = S.coordinate_section(t2, 1, orientation=-1)
-    rec = S.first_return(falling, sec_down, p)
-    assert abs(rec.return_time - 1.0) < 1e-10
+    assert abs(first_return(falling, sec_down, p).times[0, 0] - 1.0) < 1e-10
     sec_up = S.coordinate_section(t2, 1, orientation=1)
     with pytest.raises(S.NoCrossingError):
-        S.first_return(falling, sec_up, p, t_max=3.0)
+        first_return(falling, sec_up, p, t_max=3.0)
     rep = S.verify_global(falling, sec_up, np.array([[0.3, 0.4]]), t_max=3.0)
     assert not rep.passed  # upward crossings never happen
 
 
 def test_transversality_sign_constant_along_orbits(t4_system, t4_section):
     samples = catalog.sample_product_leaf(t4_system, np.random.default_rng(3), 10)
-    rates = t4_section.rate(t4_system, samples)
+    rates = t4_section.dtheta(samples, t4_system.field(samples))
     assert np.all(rates > 0)
 
 

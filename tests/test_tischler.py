@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from helpers import first_return
 
 from cosymlab import catalog, forms as F, phase as P, section as S, tischler as T
 
@@ -200,6 +201,22 @@ def test_transversality_failure_is_reported_not_raised(t4_system):
     assert report.min_margin == pytest.approx(0.0, abs=1e-15)
 
 
+def test_transversality_needs_one_sign_and_the_tangency_margin(t4_system):
+    # on the zero level X_H = d/dz, so alpha = c dz pairs to c: it passes at
+    # TANGENCY_MARGIN and fails just under it; over the whole chart
+    # X_H = cos(theta) d/dz, and dz pairs to cos(theta), which changes sign
+    level = catalog.sample_product_surface(t4_system, np.random.default_rng(5), 16)
+    dz = F.coordinate_form(4, 2)
+    for c, passed in ((S.TANGENCY_MARGIN, True), (0.5 * S.TANGENCY_MARGIN, False)):
+        report = T.check_transversality_preserved(t4_system, c * dz, level)
+        assert report.passed == passed
+        assert report.signed_min == report.signed_max == report.min_margin == c
+    chart = np.random.default_rng(6).uniform(0.0, TWO_PI, (64, 4))
+    report = T.check_transversality_preserved(t4_system, dz, chart)
+    assert report.signed_min < -0.5 and report.signed_max > 0.5
+    assert report.min_margin > S.TANGENCY_MARGIN and not report.passed
+
+
 def test_margin_converges_as_eps_shrinks(t4_system):
     samples = catalog.sample_product_surface(t4_system, np.random.default_rng(4), 16)
     alpha = F.coordinate_form(4, 2)
@@ -267,7 +284,6 @@ def test_extracted_leaf_usable_as_section():
     report = T.check_transversality_preserved(flow_sys, T.build_approximation(alpha, pv, ra),
                                               t2().sample(np.random.default_rng(5), 16))
     assert report.passed
-    start = t2().point([0.0, 0.0])
-    rec = S.first_return(flow_sys, sec, start)
-    assert rec.return_time > 0
-    assert abs(float(sec.offset(rec.image.coords))) < 1e-10
+    r = first_return(flow_sys, sec, [0.0, 0.0])
+    assert r.times[0, 0] > 0
+    assert abs(float(sec.offset(r.images[0, 0]))) < 1e-10
