@@ -1,26 +1,34 @@
 """Catalog of charts, systems, cosymplectic seeds, Betti profiles and meshed
-surfaces used by the verification pipelines and the CLI.
+surfaces used by the verification pipelines and the CLI, and the defaults of
+the CLI's rationalization and quadrature sizes.
 
 Topology metadata (compactness and simple connectivity of ambient manifolds,
 Betti numbers) is declared per entry; nothing topological is inferred
 numerically.
+
+Importing the catalog loads only `forms` and `phase`: an entry imports the
+`cosym`, `section` or `obstruct` types it builds when it is built.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
-from .cosym import CosymplecticStructure, build_product_system
 from .forms import (ChartManifold, ChartMap, KForm, Rng, constant_form, coordinate_form,
                     wedge)
-from .obstruct import BettiProfile, MeshedSurface
 from .phase import EnergySurface, FlowSystem, HamiltonianSystem
-from .section import SectionSpec, coordinate_section
+
+if TYPE_CHECKING:
+    from .cosym import CosymplecticStructure
+    from .obstruct import MeshedSurface
+    from .section import SectionSpec
 
 TWO_PI = 2.0 * math.pi
+DEFAULT_D_CAP = 10_000      # largest denominator `tischler.rationalize` tries
+DEFAULT_QUAD_NODES = 256    # n of the n x n midpoint rule of `obstruct.surface_integral`
 FREQ2 = math.sqrt(2.0)   # frequency of the second oscillator pair, incommensurate with the first
 ROTATION = 1.0 / 3.0   # rotation number of the suspended circle rotation
 
@@ -39,6 +47,7 @@ def euclidean(n: int, name: str = "", cotangent: bool = False) -> ChartManifold:
 def seed_t3() -> CosymplecticStructure:
     """T^3 with the angle form of the last coordinate and the area form of the
     first two: the smallest standard cosymplectic chart."""
+    from .cosym import CosymplecticStructure
     t3 = torus(3)
     return CosymplecticStructure(t3, coordinate_form(3, 2),
                                  wedge(coordinate_form(3, 0), coordinate_form(3, 1)),
@@ -47,6 +56,7 @@ def seed_t3() -> CosymplecticStructure:
 
 def seed_t5() -> CosymplecticStructure:
     """T^5 with two area blocks and the angle form of the last coordinate."""
+    from .cosym import CosymplecticStructure
     t5 = torus(5)
     beta = (wedge(coordinate_form(5, 0), coordinate_form(5, 1))
             + wedge(coordinate_form(5, 2), coordinate_form(5, 3)))
@@ -136,6 +146,7 @@ def canonical_r4() -> HamiltonianSystem:
 
 
 def product_system(seed: str = "t3") -> HamiltonianSystem:
+    from .cosym import build_product_system
     if seed not in SEEDS:
         raise KeyError(f"unknown cosymplectic seed {seed!r}; available: {sorted(SEEDS)}")
     return build_product_system(SEEDS[seed]())
@@ -156,6 +167,7 @@ def suspension_rotation() -> FlowSystem:
 def product_leaf_section(system: HamiltonianSystem) -> SectionSpec:
     """Leaf {z = 0} of the foliation on the zero level of a product system
     (z is the seed angle coordinate, second to last)."""
+    from .section import coordinate_section
     return coordinate_section(system.manifold, system.dim - 2, 0.0, 1, "product_leaf")
 
 
@@ -184,6 +196,7 @@ def sample_product_surface(system: HamiltonianSystem, rng: Rng, n: int) -> np.nd
 def oscillator_angle_section(index_pair: tuple[int, int] = (2, 3)) -> SectionSpec:
     """Phase-angle section of one oscillator pair, counted where the angle
     increases along the flow; singular at zero amplitude of that pair."""
+    from .section import SectionSpec
     i, j = index_pair
 
     def theta(x):
@@ -201,6 +214,12 @@ def oscillator_angle_section(index_pair: tuple[int, int] = (2, 3)) -> SectionSpe
             return xj / r2 * X[..., i] - xi / r2 * X[..., j]
 
     return SectionSpec(theta, dtheta, 0.0, 1, f"angle({i},{j})")
+
+
+def suspension_section(system: FlowSystem) -> SectionSpec:
+    """The circle {t = 0} of the suspension, crossed once per unit time."""
+    from .section import coordinate_section
+    return coordinate_section(system.manifold, 1)
 
 
 def sample_oscillator_surface(system: HamiltonianSystem, level: float, rng: Rng, n: int,
@@ -246,7 +265,7 @@ SYSTEMS: dict[str, SystemEntry] = {
     "t4_product": SystemEntry(lambda: product_system("t3"), **_PRODUCT),
     "t6_product": SystemEntry(lambda: product_system("t5"), **_PRODUCT),
     "suspension_rotation": SystemEntry(
-        suspension_rotation, lambda system: coordinate_section(system.manifold, 1),
+        suspension_rotation, suspension_section,
         lambda system, rng, n, level: sample_zero_slice(system, rng, n, [1])),
 }
 
@@ -258,6 +277,26 @@ def get_system(name: str):
 
 
 # -- Betti catalog and ambient topology flags -------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class BettiProfile:
+    """Catalog Betti numbers b_0 .. b_{dim} of a named manifold."""
+
+    name: str
+    betti: tuple[int, ...]
+
+    def __post_init__(self):
+        betti = tuple(self.betti)
+        if not betti or any(type(b) is not int or b < 0 for b in betti):
+            raise ValueError("malformed Betti profile: needs non-negative integers")
+        if betti[0] < 1:
+            raise ValueError("b_0 must be at least 1")
+        object.__setattr__(self, "betti", betti)
+
+    @property
+    def dim(self) -> int:
+        return len(self.betti) - 1
 
 
 BETTI_PROFILES: dict[str, BettiProfile] = {
@@ -285,6 +324,7 @@ def embedded_torus_r4(r1: float = 1.0, r2: float = 0.7,
                       center: Optional[np.ndarray] = None) -> MeshedSurface:
     """Product of circles in the (0,1) and (2,3) coordinate planes of a
     4-dimensional chart."""
+    from .obstruct import MeshedSurface
     c = np.zeros(4) if center is None else np.asarray(center, dtype=float)
 
     def value(p):
@@ -311,6 +351,7 @@ def embedded_sphere_r4(radius: float = 1.0, center: Optional[np.ndarray] = None,
                        axes: tuple[int, int, int] = (0, 1, 2)) -> MeshedSurface:
     """Round 2-sphere inside a 3-coordinate slice of a 4-dimensional chart,
     parametrized by colatitude and longitude (poles degenerate, surface closed)."""
+    from .obstruct import MeshedSurface
     c = np.zeros(4) if center is None else np.asarray(center, dtype=float)
     a0, a1, a2 = axes
 
@@ -340,5 +381,6 @@ def embedded_sphere_r4(radius: float = 1.0, center: Optional[np.ndarray] = None,
 
 def coordinate_torus_t4(z0: float = 0.0, theta0: float = 0.0) -> MeshedSurface:
     """Coordinate 2-torus {z = z0, theta = theta0} in the standard T^4 chart."""
+    from .obstruct import MeshedSurface
     incl = ChartMap.coordinate_inclusion(4, [0, 1], {2: z0, 3: theta0})
     return MeshedSurface(incl, (TWO_PI, TWO_PI), name="coordinate_torus_t4")

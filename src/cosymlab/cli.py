@@ -14,6 +14,11 @@ its traceback goes to stderr).
 Reports are deterministic for a fixed (config, seed): volatile data
 (timestamp, wall-clock timings) is segregated under the "meta" key; the
 "report" payload is byte-stable.
+
+Importing this module loads the config schema, the catalog, `forms` and
+`phase`.  A command imports the other layers it runs (`section`, `cosym`,
+`tischler`, `obstruct`, `expr`) when it runs, and only those its config
+needs.
 """
 from __future__ import annotations
 
@@ -25,21 +30,16 @@ import sys
 import time
 import traceback
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from . import catalog, cosym, expr, obstruct, tischler
+from . import catalog
 from .forms import ChartManifold, KForm, Rng, basis_indices, constant_form
 from .phase import HamiltonianSystem
-from .section import (DET_ERROR_MAX, ON_SECTION_TOL, GluingError, NoCrossingError,
-                      RefinementError, SectionChartError, SectionSpec, TangencyError,
-                      coordinate_section, iterate_returns, mapping_torus_chart,
-                      return_map_jacobians, section_coordinates, verify_global,
-                      write_crossings_csv)
 
-# a crossing, or a section chart, that cannot be found or certified fails its check
-CROSSING_ERRORS = (NoCrossingError, TangencyError, RefinementError, SectionChartError)
+if TYPE_CHECKING:
+    from .section import SectionSpec
 
 
 class ConfigError(ValueError):
@@ -146,7 +146,7 @@ TISCHLER = {
               "with 'periods'"),
     "dim": (DIM[0], None, "torus dimension; required with 'alpha'"),
     "eps": (num(0, 1), 1e-2, "largest error allowed between n_i / d and period_i"),
-    "d_cap": (count(1, 100_000), tischler.DEFAULT_D_CAP, "largest denominator d tried"),
+    "d_cap": (count(1, 100_000), catalog.DEFAULT_D_CAP, "largest denominator d tried"),
 }
 SYSTEM = name_in(catalog.SYSTEMS, ", or an inline system object", lambda v: INLINE_SYSTEM)
 SEED = (name_in(catalog.SEEDS), "t3", "catalog cosymplectic seed")
@@ -178,7 +178,7 @@ COMMAND_FIELDS = {
             b and len(b) % 2 == 0 and b[0] > 0)).ok(v)), None, "Betti profile to check"),
         "system": (SYSTEM, None, "Hamiltonian system of the exactness obstruction"),
         "ambient": (name_in(catalog.AMBIENT_TOPOLOGY), None, "ambient manifold to judge"),
-        "quad_nodes": (count(1, 5120), obstruct.DEFAULT_QUAD_NODES, "n of the n × n midpoint "
+        "quad_nodes": (count(1, 5120), catalog.DEFAULT_QUAD_NODES, "n of the n × n midpoint "
                        "rule on each Stokes surface"), "rng_seed": RNG_SEED},
     "return-map": {
         "system": (SYSTEM, REQUIRED, "catalog or inline system"),
@@ -222,10 +222,13 @@ def _form_from_entries(dim: int, names: Sequence[str], entries, degree: int) -> 
     for *idx, coeff in entries:
         if max(idx) >= dim:
             raise ConfigError(f"form indices {idx} must be below dimension {dim}")
-        try:
-            value = expr.parse(coeff, names) if isinstance(coeff, str) else coeff
-        except expr.ExprError as exc:
-            raise ConfigError(f"form coefficient {coeff!r}: {exc}") from exc
+        value = coeff
+        if isinstance(coeff, str):
+            from . import expr
+            try:
+                value = expr.parse(coeff, names)
+            except expr.ExprError as exc:
+                raise ConfigError(f"form coefficient {coeff!r}: {exc}") from exc
         terms.append((rank[tuple(sorted(idx))], 1.0 if idx == sorted(idx) else -1.0, value))
 
     def coeffs(x):
@@ -250,6 +253,7 @@ def _coordinate_names(spec: dict) -> list:
 
 def build_inline_system(spec: dict) -> HamiltonianSystem:
     """The system of a validated inline spec (table INLINE_SYSTEM)."""
+    from . import expr
     dim, names = spec["dim"], _coordinate_names(spec)
     try:
         chart = ChartManifold(dim, tuple(spec["periodic"]), tuple(spec["periods"]),
@@ -288,17 +292,20 @@ def build_section(sec: Optional[dict], entry: catalog.SystemEntry, system) -> Se
     if sec["kind"] == "leaf":
         if len(sec["n"]) != dim:
             raise ConfigError(f"section field 'n' must list {dim} integers, got {sec['n']!r}")
+        from . import tischler
         ra = tischler.RationalApproximation(sec["d"], np.asarray(sec["n"]), 0.0)
         return tischler.extract_leaf(ra, system.manifold, orientation=sec["orientation"])
     index = dim - 2 if sec["index"] is None else sec["index"]
     if not 0 <= index < dim:
         raise ConfigError(f"section field 'index' must be below dimension {dim}, got {index}")
+    from .section import coordinate_section
     return coordinate_section(system.manifold, index, sec["level"], sec["orientation"])
 
 
 def section_start_points(entry: catalog.SystemEntry, system, sec: SectionSpec, cfg: dict,
                          rng: Rng) -> np.ndarray:
     """Explicit 'points', or the entry's start samples; both must lie on the section."""
+    from .section import ON_SECTION_TOL
     if cfg["points"] is not None:
         if any(len(p) != system.dim for p in cfg["points"]):
             raise ConfigError(f"config field 'points' must hold {system.dim} coordinates each")
@@ -445,6 +452,9 @@ def cmd_demo_product(cfg: dict, runner: Runner, seed: int) -> None:
     Constructs the product of the chosen cosymplectic seed with a circle,
     then runs globality, return-map, and mapping-torus checks on its leaf.
     """
+    from . import cosym
+    from .section import (CROSSING_ERRORS, DET_ERROR_MAX, GluingError, mapping_torus_chart,
+                          return_map_jacobians, verify_global, write_crossings_csv)
     rng = Rng(seed)
     tol, t_max = cfg["tol"], cfg["t_max"]
 
@@ -499,6 +509,7 @@ def cmd_demo_product(cfg: dict, runner: Runner, seed: int) -> None:
 
 def cmd_verify_cosym(cfg: dict, runner: Runner, seed: int) -> None:
     """Verify a cosymplectic pair (catalog seed or inline forms)."""
+    from . import cosym
     rng = Rng(seed)
     spec = cfg["cosym"] or cfg["seed"]
     if isinstance(spec, str):
@@ -519,6 +530,7 @@ def cmd_verify_cosym(cfg: dict, runner: Runner, seed: int) -> None:
 
 def cmd_tischler(cfg: dict, runner: Runner, seed: int) -> None:
     """Rationalize periods (given directly or computed from an inline form)."""
+    from . import tischler
     tcfg = cfg["tischler"]
     if tcfg["periods"] is not None and tcfg["alpha"] is not None:
         raise ConfigError("tischler config takes 'periods' or 'alpha', not both")
@@ -577,6 +589,7 @@ def cmd_obstruct(cfg: dict, runner: Runner, seed: int) -> None:
     Exit 1 when an obstruction fires (a necessary condition fails or a
     negative verdict applies): the section is ruled out.
     """
+    from . import obstruct
     if cfg["betti"] is None and cfg["system"] is None and cfg["ambient"] is None:
         raise ConfigError("obstruct config needs at least one of 'betti', 'system', 'ambient'")
 
@@ -611,6 +624,8 @@ def cmd_obstruct(cfg: dict, runner: Runner, seed: int) -> None:
 
 def cmd_return_map(cfg: dict, runner: Runner, seed: int) -> None:
     """Return times, map iterates and symplecticity of a configured section."""
+    from .section import (CROSSING_ERRORS, DET_ERROR_MAX, SectionChartError, iterate_returns,
+                          return_map_jacobians, section_coordinates, write_crossings_csv)
     rng = Rng(seed)
     name, entry, system = resolve_system(cfg["system"])
     sec = build_section(cfg["section"], entry, system)
@@ -692,10 +707,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         raw = load_config(args.config)
         cfg = validate(args.command, raw)
-        seed = args.seed if args.seed is not None else cfg["rng_seed"]
-        if seed < 0:
-            raise ConfigError("seed must be non-negative")
-        args.out.mkdir(parents=True, exist_ok=True)
+        if args.seed is not None and not RNG_SEED[0].ok(args.seed):
+            raise ConfigError(f"--seed must be {RNG_SEED[0].text}, got {args.seed}")
+        seed = cfg["rng_seed"] if args.seed is None else args.seed
+        try:
+            args.out.mkdir(parents=True, exist_ok=True)
+        except (FileExistsError, NotADirectoryError) as exc:
+            raise ConfigError(f"--out {args.out} is not a directory: {exc}") from exc
         runner = Runner(args.command, raw, args.out, seed)
         COMMANDS[args.command](cfg, runner, seed)
         runner.write_report()

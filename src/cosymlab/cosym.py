@@ -28,6 +28,7 @@ from .section import TANGENCY_MARGIN
 
 VOLUME_MARGIN = 1e-9
 LEVEL_TOL = 1e-8   # largest |H - level| on a slice, relative to max(1, |level|)
+ALPHA_MIN = 1e-14   # a defining one-form sampled below it everywhere is degenerate
 
 
 class TransversalityError(RuntimeError):
@@ -165,7 +166,7 @@ def cosym_to_field(sys: HamiltonianSystem, Z: EnergySurface, cs: CosymplecticStr
     alpha_ext = pullback(proj, cs.alpha)
     ambient = Z.inclusion().value(samples)
     _check_level(sys, Z, ambient)
-    if max_coeff_magnitude(alpha_ext, ambient) < 1e-14:
+    if max_coeff_magnitude(alpha_ext, ambient) < ALPHA_MIN:
         raise ValueError("degenerate one-form: alpha vanishes at the samples")
 
     omega = sys.omega

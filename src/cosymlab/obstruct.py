@@ -24,11 +24,13 @@ from typing import Optional
 
 import numpy as np
 
+# the Betti profiles and the quadrature default live beside the catalog data that
+# the CLI reads without loading this module; they are re-exported here
+from .catalog import DEFAULT_QUAD_NODES, BettiProfile  # noqa: F401
 from .forms import (CLOSED_TOL, ChartMap, KForm, Rng, evaluate_frame, exterior_derivative,
                     max_coeff_magnitude)
 from .phase import HamiltonianSystem
 
-DEFAULT_QUAD_NODES = 256
 #: values held by one block of the quadrature's nodes: their patch Jacobians
 BLOCK_VALUES = 2 ** 17
 
@@ -150,26 +152,6 @@ def exactness_verdict(sys: HamiltonianSystem) -> Verdict:
                       "every level energy surface)")
         evidence["cotangent_model"] = True
     return Verdict("negative", statement, evidence)
-
-
-@dataclass(frozen=True, eq=False)
-class BettiProfile:
-    """Catalog Betti numbers b_0 .. b_{dim} of a named manifold."""
-
-    name: str
-    betti: tuple[int, ...]
-
-    def __post_init__(self):
-        betti = tuple(self.betti)
-        if not betti or any(type(b) is not int or b < 0 for b in betti):
-            raise ValueError("malformed Betti profile: needs non-negative integers")
-        if betti[0] < 1:
-            raise ValueError("b_0 must be at least 1")
-        object.__setattr__(self, "betti", betti)
-
-    @property
-    def dim(self) -> int:
-        return len(self.betti) - 1
 
 
 @dataclass(frozen=True, eq=False)

@@ -53,6 +53,8 @@ DEFAULT_T_MAX = 1e3
 ENERGY_RESIDUAL_MAX = 1e-8   # largest |H - H(p)| over a mapping-torus table
 GLUING_FACTOR = 10.0   # largest gluing residual of a mapping-torus table, in units of tol
 DET_ERROR_MAX = 1e-6   # largest |det J - 1| of a return-map Jacobian that passes
+ELIMINATION_DET_MIN = 1e-12   # smallest |det| of a section chart's elimination block
+EMBED_TOL = 1e-13   # section-chart Newton stop; the energy row's is times max(1, |level|)
 FD_STEP = 1e-6   # relative central-difference step of a return-map Jacobian
 TORUS_TIMES = 9   # fiber times t of a mapping-torus table, evenly spaced over [0, 1]
 
@@ -77,6 +79,10 @@ class SectionChartError(ValueError):
     """The section has no local graph chart at a point: its constraints have no
     invertible elimination block there, or the embedding Newton iteration does not
     converge."""
+
+
+# a crossing, or a section chart, that cannot be found or certified fails its check
+CROSSING_ERRORS = (NoCrossingError, TangencyError, RefinementError, SectionChartError)
 
 
 @dataclass(frozen=True, eq=False)
@@ -546,11 +552,11 @@ def section_coordinates(system, sec: SectionSpec, x: np.ndarray):
                 best, elim = d, cols
         if best > 1e-8:
             break
-    if best < 1e-12:
+    if best < ELIMINATION_DET_MIN:
         raise SectionChartError("degenerate constraints: no invertible elimination block")
     free = tuple(i for i in range(dim) if i not in elim)
     # the energy row's rounding error grows with the level, so its bound does too
-    bounds = 1e-13 * np.array([1.0, max(1.0, abs(level_h))] if has_energy else [1.0])
+    bounds = EMBED_TOL * np.array([1.0, max(1.0, abs(level_h))] if has_energy else [1.0])
 
     def embed(s: np.ndarray) -> np.ndarray:
         x = x0.copy()

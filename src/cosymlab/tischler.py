@@ -23,6 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .catalog import DEFAULT_D_CAP
 from .forms import (CLOSED_TOL, ChartManifold, KForm, Rng, constant_form, covector_values,
                     exterior_derivative, max_coeff_magnitude)
 from .section import TANGENCY_MARGIN, SectionSpec
@@ -31,7 +32,6 @@ TWO_PI = 2.0 * math.pi
 
 PERIOD_QUAD_NODES = 128     # Gauss-Legendre nodes; the error check doubles them
 PERIOD_QUAD_ERR = 1e-10
-DEFAULT_D_CAP = 10_000
 
 
 class RationalizationError(RuntimeError):

@@ -172,6 +172,22 @@ def test_malformed_numeric_fields_exit_2(tmp_path, capsys, command, config, fiel
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("out, seed, flag", [
+    ("taken", None, "--out"),             # an existing file
+    ("taken/sub", None, "--out"),         # a path under one
+    ("out", 2**64, "--seed"),             # one past the u64 range of rng_seed
+    ("out", -1, "--seed"),
+])
+def test_malformed_arguments_exit_2(tmp_path, capsys, out, seed, flag):
+    (tmp_path / "taken").write_text("kept")
+    code, _ = run(tmp_path, "verify-cosym", {"seed": "t3", "samples": 8}, out, seed)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert flag in err and "usage" in err and "Traceback" not in err
+    assert (tmp_path / "taken").read_text() == "kept"
+    assert not list(tmp_path.rglob("report.json"))
+
+
 def test_obstruct_inline_primitive_decides_the_verdict(tmp_path):
     # spelled right, the README's primitive makes the exactness obstruction fire
     code, out = run(tmp_path, "obstruct", {"system": {**INLINE_OSCILLATOR,
@@ -594,3 +610,48 @@ def test_cli_import_loads_neither_numpy_random_nor_numpy_polynomial():
     assert fresh_python("import json, sys\nimport cosymlab.cli\nprint(json.dumps("
                         "[m in sys.modules for m in ('numpy.random', 'numpy.polynomial')]))"
                         ) == [False, False]
+
+
+# `import cosymlab.cli` loads the schema, the catalog, forms and phase; each command
+# adds only the layers it runs.  The bench configs, their sizes shrunk.
+CLI_IMPORT = ["cosymlab", "cosymlab.catalog", "cosymlab.cli", "cosymlab.dop853",
+              "cosymlab.forms", "cosymlab.phase"]
+BENCH_INLINE_RETURN_MAP = {
+    "system": {"dim": 2, "coordinates": ["q", "p"], "omega": [[0, 1, "1 + 0.5*sin(q)"]],
+               "hamiltonian": "0.5*(q^2 + p^2)"},
+    "section": {"kind": "angle", "pair": [0, 1]}, "points": [[0.8, 0.0], [1.2, 0.0]],
+    "iterations": 2, "n_return_points": 1}
+
+
+@pytest.mark.parametrize("command, config, adds", [
+    ("obstruct", {"betti": "t5", "system": "canonical_r4", "ambient": "t4", "quad_nodes": 16},
+     ["obstruct"]),
+    ("return-map", {**RETURN_MAP_OSC, "tol": 1e-10}, ["section"]),
+    ("return-map", BENCH_INLINE_RETURN_MAP, ["expr", "section"]),
+    ("verify-cosym", {"seed": "t5", "samples": 64}, ["cosym", "section"]),
+    ("demo-product", {"seed": "t5", "samples": 4, "n_return_points": 1, "grid": 2,
+                      "t_max": 20.0}, ["cosym", "section"]),
+    ("tischler", {"tischler": {"dim": 4, "alpha": [[0, "1.0 + 0.3*cos(x0)"], [1, math.sqrt(2.0)],
+                                                   [2, "0.5*sin(x2) + 1.7320508075688772"],
+                                                   [3, 0.1]],
+                               "eps": 1e-3, "d_cap": 10000},
+                  "system": "t4_product", "samples": 64},
+     ["cosym", "expr", "section", "tischler"]),
+], ids=["obstruct", "return-map-osc", "return-map-inline", "verify-cosym", "demo-product",
+        "tischler"])
+def test_cli_process_loads_only_the_layers_its_command_runs(tmp_path, command, config, adds):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+    result = fresh_python("\n".join([
+        "import json, sys",
+        "def loaded():",
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'cosymlab')",
+        "import cosymlab.cli as cli",
+        "before = loaded()",
+        f"code = cli.main({argv!r})",
+        "print(json.dumps({'code': code, 'before': before, 'after': loaded()}))",
+    ]))
+    assert result["code"] == (1 if command == "obstruct" else 0)
+    assert result["before"] == CLI_IMPORT
+    assert sorted(set(result["after"]) - set(CLI_IMPORT)) == [f"cosymlab.{m}" for m in adds]
