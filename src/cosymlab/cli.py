@@ -446,6 +446,24 @@ def _jsonable(value):
 # -- commands -----------------------------------------------------------------------
 
 
+def check_jacobians(runner: Runner, name: str, system, sec, points: np.ndarray, t_max: float,
+                    tol: float, identity: bool = False) -> None:
+    """Check |det J - 1| < DET_ERROR_MAX over the return-map Jacobians at the
+    points; ``identity`` also reports the largest |J - I|.  A Jacobian that
+    cannot be certified fails the check."""
+    from .section import CROSSING_ERRORS, DET_ERROR_MAX, return_map_jacobians
+    try:
+        jacs = return_map_jacobians(system, sec, points, t_max=t_max, tol=tol)
+    except CROSSING_ERRORS as exc:
+        runner.check(name, False, error=str(exc), n_points=len(points))
+        return
+    max_det_err = float(np.max(np.abs(np.linalg.det(jacs) - 1.0)))
+    deviation = ({"max_identity_deviation": float(np.max(np.abs(jacs - np.eye(jacs.shape[-1]))))}
+                 if identity else {})
+    runner.check(name, max_det_err < DET_ERROR_MAX, n_points=len(points),
+                 max_det_error=max_det_err, **deviation)
+
+
 def cmd_demo_product(cfg: dict, runner: Runner, seed: int) -> None:
     """Build and verify the full section pipeline of a seeded product system.
 
@@ -453,8 +471,8 @@ def cmd_demo_product(cfg: dict, runner: Runner, seed: int) -> None:
     then runs globality, return-map, and mapping-torus checks on its leaf.
     """
     from . import cosym
-    from .section import (CROSSING_ERRORS, DET_ERROR_MAX, GluingError, mapping_torus_chart,
-                          return_map_jacobians, verify_global, write_crossings_csv)
+    from .section import (CROSSING_ERRORS, GluingError, mapping_torus_chart, verify_global,
+                          write_crossings_csv)
     rng = Rng(seed)
     tol, t_max = cfg["tol"], cfg["t_max"]
 
@@ -471,17 +489,9 @@ def cmd_demo_product(cfg: dict, runner: Runner, seed: int) -> None:
 
     # the checks use at most as many points as there are samples, and say how many
     with runner.timed("return_map"):
-        points = leaf_samples[:cfg["n_return_points"]]
-        try:
-            jacs = return_map_jacobians(system, sec, points, t_max=t_max, tol=tol)
-        except CROSSING_ERRORS as exc:
-            runner.check("return_map_symplectic", False, error=str(exc), n_points=len(points))
-        else:
-            max_det_err = float(np.max(np.abs(np.linalg.det(jacs) - 1.0)))
-            max_dev = float(np.max(np.abs(jacs - np.eye(jacs.shape[-1]))))
-            runner.check("return_map_symplectic", max_det_err < DET_ERROR_MAX,
-                         n_points=len(points), max_det_error=max_det_err,
-                         max_identity_deviation=max_dev)
+        # every leaf point returns to itself, so the Jacobians are the identity
+        check_jacobians(runner, "return_map_symplectic", system, sec,
+                        leaf_samples[:cfg["n_return_points"]], t_max, tol, identity=True)
 
     # the chart raises GluingError past its gluing and energy bounds, so a chart passes
     with runner.timed("mapping_torus"):
@@ -624,8 +634,7 @@ def cmd_obstruct(cfg: dict, runner: Runner, seed: int) -> None:
 
 def cmd_return_map(cfg: dict, runner: Runner, seed: int) -> None:
     """Return times, map iterates and symplecticity of a configured section."""
-    from .section import (CROSSING_ERRORS, DET_ERROR_MAX, SectionChartError, iterate_returns,
-                          return_map_jacobians, section_coordinates, write_crossings_csv)
+    from .section import SectionChartError, iterate_returns, section_frame, write_crossings_csv
     rng = Rng(seed)
     name, entry, system = resolve_system(cfg["system"])
     sec = build_section(cfg["section"], entry, system)
@@ -633,9 +642,9 @@ def cmd_return_map(cfg: dict, runner: Runner, seed: int) -> None:
 
     starts = section_start_points(entry, system, sec, cfg, rng)
     try:
-        _, _, project = section_coordinates(system, sec, starts[0])
+        free = list(section_frame(system, sec, starts[0])[0])
     except SectionChartError:  # no section chart there: plot against return time
-        project = None
+        free = []
     with runner.timed("iterate"):
         returns = iterate_returns(system, sec, starts, cfg["iterations"], t_max, tol)
         rows, iterates = [], []
@@ -645,7 +654,7 @@ def cmd_return_map(cfg: dict, runner: Runner, seed: int) -> None:
                 t_accum += float(returns.times[i, j])
                 image = returns.images[i, j]
                 rows.append((i, t_accum, *image, returns.margins[i, j]))
-                s = project(image) if project else ()
+                s = image[free]
                 iterates.append((s[0] if len(s) > 0 else t_accum,
                                  s[1] if len(s) > 1 else 0.0))
     done = np.isfinite(returns.times)
@@ -661,15 +670,9 @@ def cmd_return_map(cfg: dict, runner: Runner, seed: int) -> None:
                  failures=[(i, *f) for i, f in enumerate(returns.failures) if f is not None])
 
     with runner.timed("jacobians"):
-        points = starts[:cfg["n_return_points"]]   # at most as many as there are starts
-        try:
-            jacs = return_map_jacobians(system, sec, points, t_max=t_max, tol=tol)
-        except CROSSING_ERRORS as exc:
-            runner.check("symplectic_determinant", False, error=str(exc), n_points=len(points))
-        else:
-            max_det_err = float(np.max(np.abs(np.linalg.det(jacs) - 1.0)))
-            runner.check("symplectic_determinant", max_det_err < DET_ERROR_MAX,
-                         n_points=len(points), max_det_error=max_det_err)
+        # at most as many points as there are starts
+        check_jacobians(runner, "symplectic_determinant", system, sec,
+                        starts[:cfg["n_return_points"]], t_max, tol)
 
     write_crossings_csv(runner.add_artifact("crossings.csv"), rows, system.dim)
     svg_scatter(runner.add_artifact("plot.svg"),

@@ -131,7 +131,7 @@ class HamiltonianSystem:
         g = np.asarray(self.grad_h(coords), dtype=float)
         P = self.poisson_matrix
         if P is not None:
-            return g @ P.T
+            return g.dot(P.T)
         return solve_pairing(self.omega, coords, g)
 
     def energy(self, coords: np.ndarray) -> np.ndarray:

@@ -11,12 +11,12 @@ double-cover the mapping-torus fiber.
 Every crossing comes from one batched engine, `first_crossings`, which
 follows each orbit through its first k crossings in three steps:
 
-- bracket: each orbit, or group of orbits sharing one step sequence, takes
-  its own DOP853 steps, and a step hook (`_Scan`) follows its lifted angle
-  from step end to step end.  A step sweeps at most pi/2 of angle and ends at
-  a turning point of the lift near a lattice value, so a short excursion
-  through the section is seen.  Each step that passes a lattice value upward
-  holds a crossing, and the orbit is stepped no further than its k-th;
+- bracket: each orbit takes its own DOP853 steps, one orbit per integrator
+  row, and a step hook (`_Scan`) follows its lifted angle from step end to
+  step end.  A step sweeps at most pi/2 of angle and ends at a turning point
+  of the lift near a lattice value, so a short excursion through the section
+  is seen.  Each step that passes a lattice value upward holds a crossing,
+  and the orbit is stepped no further than its k-th;
 - refine: a batched Hénon step (M. Hénon, Physica D 5 (1982) 412) per
   crossing integrates over the lifted angle from that step's left end, an
   accepted integrator state, exactly onto the lattice value;
@@ -27,8 +27,10 @@ follows each orbit through its first k crossings in three steps:
   integration that stalls, ends the orbit's record with a failure.
 
 Return-map iteration (`iterate_returns`: k returns of a batch are one engine
-call, a first return is k = 1), globality checks and return-map Jacobians
-all go through the engine, so the same bounds hold on every path.
+call, a first return is k = 1), globality checks and the return times of
+return-map Jacobians all go through the engine, so the same bounds hold on
+every path.  A Jacobian differentiates the flow over the certified return
+time and projects out the field (`return_map_jacobians`).
 """
 from __future__ import annotations
 
@@ -54,7 +56,6 @@ ENERGY_RESIDUAL_MAX = 1e-8   # largest |H - H(p)| over a mapping-torus table
 GLUING_FACTOR = 10.0   # largest gluing residual of a mapping-torus table, in units of tol
 DET_ERROR_MAX = 1e-6   # largest |det J - 1| of a return-map Jacobian that passes
 ELIMINATION_DET_MIN = 1e-12   # smallest |det| of a section chart's elimination block
-EMBED_TOL = 1e-13   # section-chart Newton stop; the energy row's is times max(1, |level|)
 FD_STEP = 1e-6   # relative central-difference step of a return-map Jacobian
 TORUS_TIMES = 9   # fiber times t of a mapping-torus table, evenly spaced over [0, 1]
 
@@ -77,8 +78,7 @@ class GluingError(RuntimeError):
 
 class SectionChartError(ValueError):
     """The section has no local graph chart at a point: its constraints have no
-    invertible elimination block there, or the embedding Newton iteration does not
-    converge."""
+    invertible elimination block there."""
 
 
 # a crossing, or a section chart, that cannot be found or certified fails its check
@@ -262,10 +262,10 @@ def _polish(field, sec: SectionSpec, x: np.ndarray, oriented: int, max_iter: int
 
 
 class _Scan:
-    """Step hook of a crossing scan (`dop853.solve`) over g groups of m
-    orbits, a group per integrator row.  It lifts each orbit's angle from step
-    end to step end, keeps its least |rate| there, and applies three rules to
-    each attempted step over the orbits of the group still going:
+    """Step hook of a crossing scan (`dop853.solve`) over n orbits, an orbit
+    per integrator row.  It lifts each orbit's angle from step end to step
+    end, keeps its least |rate| there, and applies three rules to each
+    attempted step:
 
     - angles: the step sweeps at most pi/2 of angle, by either end's rate
       times its length and by its wrapped angle change;
@@ -275,21 +275,21 @@ class _Scan:
     - passage: a step whose end has passed a lattice value upward holds a
       crossing; its orbit, index, bracket, and the passages and least |rate|
       since the one before go into the log.  An orbit stops at its k-th, or at
-      a step end t_max past its last (or the start); a group once all have."""
+      a step end t_max past its last (or the start)."""
 
     def __init__(self, sec: SectionSpec, field, starts: np.ndarray, oriented: int,
                  k: int, t_max: float):
-        g, m, dim = starts.shape
-        self.sec, self.oriented, self.shape, self.k, self.t_max = sec, oriented, (m, dim), k, t_max
+        n = len(starts)
+        self.sec, self.oriented, self.k, self.t_max = sec, oriented, k, t_max
         self.theta = np.array(sec.theta(starts), dtype=float)
         self.rate = np.asarray(sec.dtheta(starts, field(starts)), dtype=float)
         self.lift, self.margins = self.theta.copy(), np.abs(self.rate)
         w = self._turns(self.lift)
         own = np.round(w)
         self.cell = np.where(np.abs(w - own) * TWO_PI <= ON_SECTION_TOL, own, np.floor(w + 1e-12))
-        self.seen, self.count = np.zeros((g, m)), np.zeros((g, m), dtype=int)   # passages, crossings
-        self.deadline = np.full((g, m), float(t_max))   # -inf once an orbit has all k
-        self.turning = np.zeros(g, dtype=int)   # accepted steps left exempt from the turning rule
+        self.seen, self.count = np.zeros(n), np.zeros(n, dtype=int)   # passages, crossings
+        self.deadline = np.full(n, float(t_max))   # -inf once an orbit has all k
+        self.turning = np.zeros(n, dtype=int)   # accepted steps left exempt from the turning rule
         self.log = []   # per step with crossings, the arrays of its crossings
 
     def _turns(self, v: np.ndarray) -> np.ndarray:
@@ -299,32 +299,26 @@ class _Scan:
     def __call__(self, rows, t, y, t_new, y_new, f, f_new):
         # every row in order while none has finished: slices, not gathers
         sel = slice(None) if len(rows) == len(self.turning) else rows
-        x1, r0, lift0 = y_new.reshape(-1, self.shape[1]), self.rate[sel], self.lift[sel]
-        r1 = self.sec.dtheta(x1, f_new.reshape(x1.shape)).reshape(len(rows), -1)
-        theta, abs1 = self.sec.theta(x1).reshape(len(rows), -1), np.abs(r1)
+        r0, lift0 = self.rate[sel], self.lift[sel]
+        r1 = self.sec.dtheta(y_new, f_new)
+        theta, abs1 = self.sec.theta(y_new), np.abs(r1)
         lift1, h = lift0 - ((self.theta[sel] - theta + math.pi) % TWO_PI - math.pi), t_new - t
-        # an orbit alone in its row goes on until the row is done
-        going = True if self.shape[0] == 1 else t[:, None] < self.deadline[sel]
-        all_going = going is True or np.count_nonzero(going) == going.size
-        speed = np.fmax(np.fmax(np.abs(r0), abs1), np.abs(lift1 - lift0) / h[:, None])
-        # pi/2 over the fastest going orbit's speed is the least of their bounds
-        fastest = (speed[:, 0] if going is True else
-                   np.fmax.reduce(speed if all_going else np.where(going, speed, 0.0), axis=1))
-        allowed = (0.5 * math.pi / fastest if np.count_nonzero(fastest > 0) == len(rows) else
-                   np.divide(0.5 * math.pi, fastest, out=np.full(len(rows), np.inf),
-                             where=fastest > 0))
+        speed = np.fmax(np.fmax(np.abs(r0), abs1), np.abs(lift1 - lift0) / h)
+        allowed = (0.5 * math.pi / speed if np.count_nonzero(speed > 0) == len(rows) else
+                   np.divide(0.5 * math.pi, speed, out=np.full(len(rows), np.inf),
+                             where=speed > 0))
         ok, cap = h <= allowed, 0.9 * allowed   # a cap under the bound: steady rates pass it
         flips = r0 * r1 < 0
         if np.count_nonzero(flips):
-            i, j = np.nonzero(going & flips & (self.turning[sel] == 0)[:, None])
-            frac = r0[i, j] / (r0[i, j] - r1[i, j])
-            w0 = self._turns(lift0[i, j])
+            i = np.flatnonzero(flips & (self.turning[sel] == 0))
+            frac = r0[i] / (r0[i] - r1[i])
+            w0 = self._turns(lift0[i])
             cell = np.floor(w0 + 1e-12)
-            peak = w0 + self.oriented * 0.5 * r0[i, j] * frac * h[i] / TWO_PI
-            near = np.floor(self._turns(lift1[i, j]) + 1e-12) == cell
+            peak = w0 + self.oriented * 0.5 * r0[i] * frac * h[i] / TWO_PI
+            near = np.floor(self._turns(lift1[i]) + 1e-12) == cell
             near &= (peak + NEAR_LATTICE >= cell + 1) | (peak - NEAR_LATTICE < cell)
             cut = np.full(len(rows), np.inf)
-            np.minimum.at(cut, i[near], frac[near] * h[i[near]])
+            cut[i[near]] = frac[near] * h[i[near]]
             turn = cut < h
             self.turning[rows[turn & (cut <= cap)]] = 2
             ok &= ~turn
@@ -335,28 +329,24 @@ class _Scan:
             self.turning[ra] = np.maximum(self.turning[ra] - 1, 0)
         c1 = np.floor(self._turns(lift1[a]) + 1e-12)   # lattice cells at the step ends
         steps = c1 - self.cell[ra]
-        if not all_going or np.count_nonzero(steps):   # lattice values passed
-            steps[~np.isfinite(steps) if all_going else ~(np.isfinite(steps) & going[a])] = 0.0
+        if np.count_nonzero(steps):   # lattice values passed
+            steps[~np.isfinite(steps)] = 0.0
             self.seen[ra] += np.abs(np.minimum(steps, 1))   # an upward one counts once
             up = steps > 0
             if np.count_nonzero(up):
-                i, j = np.nonzero(up)
-                q = i if isinstance(a, slice) else a[i]
+                q = np.flatnonzero(up) if isinstance(a, slice) else a[up]
                 rk = rows[q]
-                c = self.count[rk, j]
-                self.count[rk, j] = c + 1
-                self.log.append((rk, j, c, y.reshape(len(rows), *self.shape)[q, j], lift0[q, j],
-                                 self.cell[rk, j], t[q], t_new[q], self.seen[rk, j],
-                                 self.margins[rk, j]))
+                c = self.count[rk]
+                self.count[rk] = c + 1
+                self.log.append((rk, c, y[q], lift0[q], self.cell[rk], t[q], t_new[q],
+                                 self.seen[rk], self.margins[rk]))
                 # the counts restart, and the crossing step's end rate is not in them
-                self.seen[rk, j], self.margins[rk, j], abs1[q, j] = 0, np.inf, np.inf
-                self.deadline[rk, j] = np.where(c + 1 < self.k, t_new[q] + self.t_max, -np.inf)
+                self.seen[rk], self.margins[rk], abs1[q] = 0, np.inf, np.inf
+                self.deadline[rk] = np.where(c + 1 < self.k, t_new[q] + self.t_max, -np.inf)
             self.cell[ra] = c1
-        self.margins[ra] = np.minimum(self.margins[ra], abs1[a] if all_going else
-                                      np.where(going[a], abs1[a], np.inf))
+        self.margins[ra] = np.minimum(self.margins[ra], abs1[a])
         self.theta[ra], self.lift[ra], self.rate[ra] = theta[a], lift1[a], r1[a]
-        latest = self.deadline[sel, 0] if going is True else self.deadline[sel].max(axis=1)
-        return ok, cap, ok & (t_new >= latest)   # a group is done at its latest deadline
+        return ok, cap, ok & (t_new >= self.deadline[sel])
 
 
 def first_crossings(system, sec: SectionSpec, starts: np.ndarray,
@@ -364,8 +354,7 @@ def first_crossings(system, sec: SectionSpec, starts: np.ndarray,
                     direction: int = 1, k: int = 1) -> Crossings:
     """The first k oriented crossings of the section along each start's orbit.
 
-    ``starts`` is (n, dim), n orbits each on its own integrator steps, or
-    (g, m, dim), g groups of m orbits on one shared step sequence each; the
+    ``starts`` is (n, dim), n orbits each on its own integrator steps; the
     record has k entries per orbit, in order.  ``direction`` +1 scans forward
     time, -1 backward.  A start within ON_SECTION_TOL of a lattice value owns
     it: leaving it is not a crossing.  One integration steps each orbit
@@ -374,42 +363,38 @@ def first_crossings(system, sec: SectionSpec, starts: np.ndarray,
     a stalled integration among them, are entries, not exceptions.
     """
     starts = np.asarray(starts, dtype=float)
-    groups = starts if starts.ndim == 3 else starts.reshape(-1, 1, starts.shape[-1])
-    g, m, dim = groups.shape
-    n = g * m
+    n, dim = starts.shape
     # a backward scan integrates the reversed field forward
     field = system.field if direction > 0 else lambda x: -system.field(x)
     oriented = sec.orientation * direction
-    scan = _Scan(sec, field, groups, oriented, k, t_max)
+    scan = _Scan(sec, field, starts, oriented, k, t_max)
     failures = ["no crossing"] * n
     try:
-        phase.integrate_batch(field, groups, 0.0, k * t_max, tol, step=scan)
+        phase.integrate_batch(field, starts, 0.0, k * t_max, tol, step=scan)
     except phase.StepSizeUnderflow as exc:
         # a crossing of the row before the stall gets its own verdict below
         for row, t in zip(exc.rows, exc.times):
-            failures[row * m:(row + 1) * m] = [f"unconverged: integration stalled at t={t:.6g}"] * m
-    # the (g, m, k) record: per crossing the Hénon step's start (state, time 0, angle
-    # gap; one not reached rides along with a zero gap), the step times, passages and
+            failures[row] = f"unconverged: integration stalled at t={t:.6g}"
+    # the (n, k) record: per crossing the Hénon step's start (state, time 0, angle gap;
+    # one not reached rides along with a zero gap), the step times, passages and
     # margin; an orbit's entry after its last crossing holds what it counted since
-    bracket = np.concatenate([np.repeat(groups[:, :, None], k, 2), np.zeros((g, m, k, 2)),
-                              np.full((g, m, k, 2), np.nan)], -1)
-    seen, margins = np.zeros((g, m, k), dtype=int), np.full((g, m, k), np.nan)
-    last = np.nonzero(scan.count < k)
-    seen[last + (scan.count[last],)], margins[last + (scan.count[last],)] = (scan.seen[last],
-                                                                             scan.margins[last])
+    bracket = np.concatenate([np.repeat(starts[:, None], k, 1), np.zeros((n, k, 2)),
+                              np.full((n, k, 2), np.nan)], -1)
+    seen, margins = np.zeros((n, k), dtype=int), np.full((n, k), np.nan)
+    last = np.flatnonzero(scan.count < k)
+    seen[last, scan.count[last]], margins[last, scan.count[last]] = (scan.seen[last],
+                                                                     scan.margins[last])
     if scan.log:
-        rk, j, c, left, lift0, cell, t0, t1, seen_c, margins_c = map(np.concatenate, zip(*scan.log))
-        seen[rk, j, c], margins[rk, j, c] = seen_c, margins_c
+        rk, c, left, lift0, cell, t0, t1, seen_c, margins_c = map(np.concatenate, zip(*scan.log))
+        seen[rk, c], margins[rk, c] = seen_c, margins_c
         gap = sec.level - lift0 + oriented * TWO_PI * (cell + 1)
-        bracket[rk, j, c] = np.column_stack([left, np.zeros(len(rk)), gap, t0, t1])
+        bracket[rk, c] = np.column_stack([left, np.zeros(len(rk)), gap, t0, t1])
     out = Crossings(np.full(n * k, np.nan), np.full((n * k, dim), np.nan), np.full(n * k, np.nan),
                     margins.ravel(), np.full(n * k, np.nan), seen.ravel(), failures,
                     np.zeros(n * k, dtype=bool))
-    # one Hénon row per group and crossing index
-    hit = (np.arange(k) < scan.count[..., None]).transpose(0, 2, 1).reshape(g * k, m)
-    bracket = bracket.transpose(0, 2, 1, 3).reshape(g * k, m, dim + 4)
-    rows = np.flatnonzero(hit.any(axis=1))
-    hit, bracket = hit[rows], bracket[rows]
+    # one Hénon row per crossing reached
+    entries = np.flatnonzero(np.arange(k) < scan.count[:, None])
+    bracket = bracket.reshape(n * k, dim + 4)[entries]
 
     def henon(y):
         """Rows (x, t, dv) over the lifted angle s in [0, 1]: dx/ds = dv X / r and
@@ -419,11 +404,10 @@ def first_crossings(system, sec: SectionSpec, starts: np.ndarray,
         dt = dv / _clamp(sec.dtheta(x, X), oriented)
         return np.concatenate([X * dt[:, None], dt[:, None], np.zeros((len(y), 1))], axis=1)
 
-    y = phase.integrate_batch(henon, bracket[..., :dim + 2], 0.0, 1.0, tol)
-    x, t_corr, residual, slowest = _polish(field, sec, y[..., :dim][hit], oriented)
-    entries = (((rows // k * m)[:, None] + np.arange(m)) * k + (rows % k)[:, None])[hit]
-    t_left, t_right = bracket[hit][:, dim + 2:].T
-    t_local = t_left + y[..., dim][hit] + t_corr
+    y = phase.integrate_batch(henon, bracket[:, :dim + 2], 0.0, 1.0, tol)
+    x, t_corr, residual, slowest = _polish(field, sec, y[:, :dim], oriented)
+    t_left, t_right = bracket[:, dim + 2:].T
+    t_local = t_left + y[:, dim] + t_corr
     out.times[entries], out.states[entries] = direction * t_local, x
     out.rates[entries], out.residuals[entries] = sec.dtheta(x, system.field(x)), residual
     # a return starts at the crossing before it, at that crossing's rate
@@ -518,9 +502,9 @@ def verify_global(system, sec: SectionSpec, samples: np.ndarray,
 # -- return-map Jacobian ------------------------------------------------------
 
 
-def section_coordinates(system, sec: SectionSpec, x: np.ndarray):
-    """Local graph coordinates on the section through the point x (reduced
-    to the chart first).
+def section_frame(system, sec: SectionSpec, x: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
+    """The section's local graph chart through the point x (reduced to the
+    chart first): its free coordinates and its tangent frame E there.
 
     Eliminates the coordinates best aligned with (d theta, dH) (only the
     theta constraint for plain flows) and treats the section as a graph over
@@ -528,19 +512,13 @@ def section_coordinates(system, sec: SectionSpec, x: np.ndarray):
     pair (2i, 2i+1) is eliminated whenever one carries the constraints: with
     a pairwise-block symplectic form the remaining coordinates then inherit a
     constant restricted form, which is what makes the return-map determinant
-    equal to one.  Returns (free_indices, embed, project) where embed solves
-    the constraints by Newton iteration.
+    equal to one.  E (dim, len(free)) has one column per free coordinate, the
+    implicit-function derivative of the graph: E[free] = I and
+    E[elim] = -G_elim^-1 G_free, with G the constraint gradients.
     """
-    x0 = system.manifold.reduce(x)
-    dim = x0.size
-    has_energy = hasattr(system, "grad_h")
-    level_h = float(system.energy(x0)) if has_energy else None
-
-    def constraints(x):
-        energy = [float(system.energy(x)) - level_h] if has_energy else []
-        return np.array([float(sec.offset(x))] + energy)
-
-    G = _constraint_grads(system, sec, x0)
+    x = system.manifold.reduce(x)
+    dim = x.size
+    G = _constraint_grads(system, sec, x)
     n_con = G.shape[0]
     pairs = [[(2 * i, 2 * i + 1) for i in range(dim // 2)]] if n_con == 2 and dim % 2 == 0 else []
     candidates = pairs + [list(combinations(range(dim), n_con))]
@@ -555,24 +533,10 @@ def section_coordinates(system, sec: SectionSpec, x: np.ndarray):
     if best < ELIMINATION_DET_MIN:
         raise SectionChartError("degenerate constraints: no invertible elimination block")
     free = tuple(i for i in range(dim) if i not in elim)
-    # the energy row's rounding error grows with the level, so its bound does too
-    bounds = EMBED_TOL * np.array([1.0, max(1.0, abs(level_h))] if has_energy else [1.0])
-
-    def embed(s: np.ndarray) -> np.ndarray:
-        x = x0.copy()
-        x[list(free)] = s
-        for _ in range(60):
-            c = constraints(x)
-            if np.all(np.abs(c) < bounds):
-                return x
-            A = _constraint_grads(system, sec, x)[:, list(elim)]
-            x[list(elim)] -= np.linalg.solve(A, c)
-        raise SectionChartError("section embedding did not converge")
-
-    def project(x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=float)[..., list(free)]
-
-    return free, embed, project
+    E = np.zeros((dim, len(free)))
+    E[free, np.arange(len(free))] = 1.0
+    E[list(elim), :] = -np.linalg.solve(G[:, list(elim)], G[:, free])
+    return free, E
 
 
 def _constraint_grads(system, sec: SectionSpec, x: np.ndarray) -> np.ndarray:
@@ -586,59 +550,70 @@ def _constraint_grads(system, sec: SectionSpec, x: np.ndarray) -> np.ndarray:
 
 
 def restricted_form_matrix(system, sec: SectionSpec, x: np.ndarray) -> np.ndarray:
-    """Matrix of the ambient two-form on the section's tangent frame at the
+    """Matrix of the ambient two-form on the section's tangent frame E at the
     point x (reduced to the chart first), one column per section coordinate
-    (the implicit-function derivative of the embedding)."""
-    free = list(section_coordinates(system, sec, x)[0])
-    x = system.manifold.reduce(x)
-    elim = [i for i in range(len(x)) if i not in free]
-    G = _constraint_grads(system, sec, x)
-    E = np.zeros((len(x), len(free)))
-    E[free, np.arange(len(free))] = 1.0
-    E[elim, :] = -np.linalg.solve(G[:, elim], G[:, free])
-    return E.T @ two_form_matrix(system.omega, x) @ E
+    (`section_frame`)."""
+    E = section_frame(system, sec, x)[1]
+    return E.T @ two_form_matrix(system.omega, system.manifold.reduce(x)) @ E
+
+
+def _flow(system, x: np.ndarray, times: np.ndarray, tol: float) -> np.ndarray:
+    """End states of the flow from each state of x (..., dim) over its time,
+    times shaped x.shape[:-1], in one batched integration: the row (x, tau)
+    follows dx/ds = tau X(x), dtau/ds = 0 over s in [0, 1].  Groups of a
+    (g, m, dim) batch share one step sequence (`phase.integrate_batch`)."""
+
+    def scaled(y):
+        return np.concatenate([system.field(y[:, :-1]) * y[:, -1:], np.zeros((len(y), 1))], 1)
+
+    rows = np.concatenate([x, times[..., None]], -1)
+    return phase.integrate_batch(scaled, rows, 0.0, 1.0, tol)[..., :-1]
 
 
 def return_map_jacobians(system, sec: SectionSpec, points: Sequence[np.ndarray],
                          t_max: float = DEFAULT_T_MAX,
                          tol: float = phase.DEFAULT_FLOW_TOL) -> np.ndarray:
-    """Central-difference Jacobians of the return map in section coordinates,
-    one (k, k) block per section point.
+    """Jacobians of the return map, one (k, k) block per point on the
+    section (reduced to the chart first), in its section coordinates
+    (`section_frame`).
 
-    Section coordinate a of a point s is perturbed by the relative step
-    FD_STEP * max(1, |s_a|), so the stencil does not round back onto its
-    centre at large amplitudes.  Every finite-difference stencil orbit goes
-    through one `first_crossings` call, and the 2k stencil orbits of a point
-    form one group on one step sequence, so the smooth integration error is
-    shared across a stencil and cancels in the central differences.
-    Unreduced end states are continuous in the initial condition, so raw
-    differences need no period wrapping.  For two-dimensional sections the
-    determinant is 1 up to integration error (the return map preserves the
-    restricted symplectic form).
+    Each point's first return (time T, image y) is certified once, by
+    `iterate_returns`.  Then the flow over the fixed time T is differentiated
+    along the frame: D_a is the central difference of Phi_T over the stencil
+    x +- h_a E_a, with the relative step h_a = FD_STEP * max(1, |x_a|) of free
+    coordinate a, so the stencil does not round back onto its centre at large
+    amplitudes.  A stencil need not lie on the section or the energy level:
+    Phi_T is smooth, and the offset, quadratic in h_a, cancels in D_a.  A
+    point's 2k stencils flow as one group on one step sequence, so the smooth
+    integration error cancels too; their end states are unreduced, continuous
+    in the start, so raw differences need no period wrapping.  Column a is the free coordinates of
+    D_a - X(y) d theta_y(D_a) / d theta_y(X(y)): the Poincaré-map derivative
+    (I - X (x) d theta / d theta(X)) DPhi_T (T. S. Parker and L. O. Chua,
+    *Practical Numerical Algorithms for Chaotic Systems*, Springer 1989,
+    ch. 3).  For two-dimensional sections the determinant is 1 up to
+    integration error (the return map preserves the restricted symplectic
+    form).
     """
     chart = system.manifold
-    stencils, projections, steps = [], [], []
-    for x in points:
-        free, embed, project = section_coordinates(system, sec, x)
-        s0 = project(chart.reduce(x))
-        h = FD_STEP * np.maximum(1.0, np.abs(s0))
-        for a in range(len(free)):
-            for sign in (1.0, -1.0):
-                s = s0.copy()
-                s[a] += sign * h[a]
-                stencils.append(embed(s))
-        projections.append(project)
-        steps.append(h)
-    n = len(projections)
-    k = len(stencils) // (2 * n) if n else 0
+    x = chart.reduce(np.asarray(points, dtype=float).reshape(-1, chart.dim))
+    frames = [section_frame(system, sec, p) for p in x]
+    n, k = len(x), len(frames[0][0]) if frames else 0
     if not k:  # no points, or a zero-dimensional section: nothing to differentiate
         return np.zeros((n, 0, 0))
-    crossings = first_crossings(system, sec, np.reshape(stencils, (n, 2 * k, chart.dim)),
-                                t_max, tol)
-    crossings.raise_failure()
-    ends = crossings.states.reshape(n, k, 2, chart.dim)
-    return np.stack([project(e[:, 0] - e[:, 1]).T / (2.0 * h)
-                     for project, e, h in zip(projections, ends, steps)])
+    returns = iterate_returns(system, sec, x, 1, t_max, tol)
+    returns.raise_failure()
+    free = np.array([f for f, _ in frames])                          # (n, k)
+    h = FD_STEP * np.maximum(1.0, np.abs(np.take_along_axis(x, free, 1)))
+    offsets = np.stack([E.T for _, E in frames]) * h[..., None]      # (n, k, dim)
+    stencils = x[:, None, None] + np.array([1.0, -1.0])[:, None] * offsets[:, :, None]
+    ends = _flow(system, stencils.reshape(n, 2 * k, chart.dim),
+                 np.repeat(returns.times, 2 * k, axis=1), tol).reshape(n, k, 2, chart.dim)
+    D = (ends[:, :, 0] - ends[:, :, 1]) / (2.0 * h[..., None])
+    y = returns.images[:, 0]
+    X = system.field(y)
+    lead = sec.dtheta(y[:, None], D) / sec.dtheta(y, X)[:, None]   # (n, k): -dT along E_a
+    DP = D - X[:, None] * lead[..., None]
+    return np.take_along_axis(DP, free[:, None], 2).transpose(0, 2, 1)
 
 
 # -- mapping torus ------------------------------------------------------------
@@ -660,13 +635,13 @@ def mapping_torus_chart(system, sec: SectionSpec, grid: np.ndarray,
     """Tabulate the suspension chart over a section grid (n, dim), reduced to
     the chart first, at TORUS_TIMES fiber times.
 
-    Every entry after t = 0 comes from one batched integration: the row
-    (x, tau) with tau = t * T(p) follows dx/ds = tau X(x), dtau/ds = 0 over
-    s in [0, 1], on its own steps.  The t = 1 rows are integrated apart from
-    the crossing engine, so the gluing check Psi(p, 1) = holonomy(p) within
-    GLUING_FACTOR * tol compares two independent computations.  For
-    Hamiltonian systems every table entry must also stay on the energy level
-    within ENERGY_RESIDUAL_MAX; GluingError is raised otherwise.
+    Every entry after t = 0 comes from one batched integration (`_flow`) over
+    the time t * T(p), each on its own steps.  The t = 1 rows are integrated
+    apart from the crossing engine, so the gluing check Psi(p, 1) =
+    holonomy(p) within GLUING_FACTOR * tol compares two independent
+    computations.  For Hamiltonian systems every table entry must also stay
+    on the energy level within ENERGY_RESIDUAL_MAX; GluingError is raised
+    otherwise.
     """
     chart = system.manifold
     starts = chart.reduce(grid)
@@ -674,13 +649,8 @@ def mapping_torus_chart(system, sec: SectionSpec, grid: np.ndarray,
     returns.raise_failure()
     n, dim = starts.shape
     taus = returns.times[:, :1] * np.linspace(0.0, 1.0, TORUS_TIMES)[1:]   # (n, TORUS_TIMES - 1)
-    rows = np.concatenate([np.repeat(starts, TORUS_TIMES - 1, axis=0), taus.reshape(-1, 1)], 1)
-
-    def scaled(y):
-        return np.concatenate([system.field(y[:, :-1]) * y[:, -1:], np.zeros((len(y), 1))], 1)
-
-    ends = phase.integrate_batch(scaled, rows, 0.0, 1.0, tol)
-    states = np.concatenate([starts[:, None], ends[:, :dim].reshape(n, TORUS_TIMES - 1, dim)], 1)
+    ends = _flow(system, np.repeat(starts, TORUS_TIMES - 1, axis=0), taus.ravel(), tol)
+    states = np.concatenate([starts[:, None], ends.reshape(n, TORUS_TIMES - 1, dim)], 1)
     table = chart.reduce(states)
     gluing = float(np.max(np.abs(chart.wrapped_delta(table[:, -1], returns.images[:, 0]))))
     energy_res = 0.0

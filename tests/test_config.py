@@ -57,7 +57,7 @@ def test_readme_lists_each_field_table(title):
 BOUNDS = ("ANGLE_RESIDUAL", "TANGENCY_MARGIN", "ON_SECTION_TOL", "FIELD_RESIDUAL_MAX",
           "RCOND_MIN", "CLOSED_TOL", "VOLUME_MARGIN", "LEVEL_TOL", "ALPHA_MIN",
           "ENERGY_RESIDUAL_MAX", "GLUING_FACTOR", "DET_ERROR_MAX", "ELIMINATION_DET_MIN",
-          "EMBED_TOL", "PERIOD_QUAD_ERR")
+          "PERIOD_QUAD_ERR")
 SRC = Path(cli.__file__).parent
 
 

@@ -100,10 +100,12 @@ def test_return_map_determinants_match_per_point(osc_system):
     assert abs(np.linalg.det(J) - dets[0]) < 1e-7
 
 
-def test_return_map_symplectic_on_nonlinear_flow():
-    # quartic coupling makes return times vary along the section; the map is
-    # genuinely curved but must still transport the restricted form exactly
-    eps = 0.05
+COUPLING = 0.05
+
+
+def _coupled_oscillator() -> P.HamiltonianSystem:
+    """The sqrt(2) oscillator with the quartic coupling COUPLING * q1^2 q2^2."""
+    eps = COUPLING
     c4 = F.ChartManifold(4, name="R4")
     om = F.wedge(F.coordinate_form(4, 0), F.coordinate_form(4, 1)) \
         + F.wedge(F.coordinate_form(4, 2), F.coordinate_form(4, 3))
@@ -121,7 +123,13 @@ def test_return_map_symplectic_on_nonlinear_flow():
                          SQRT2 * x[..., 2] + 2 * eps * x[..., 0] ** 2 * x[..., 2],
                          SQRT2 * x[..., 3]], axis=-1)
 
-    coupled = P.HamiltonianSystem(c4, om, h, grad_h, name="coupled")
+    return P.HamiltonianSystem(c4, om, h, grad_h, name="coupled")
+
+
+def test_return_map_symplectic_on_nonlinear_flow():
+    # quartic coupling makes return times vary along the section; the map is
+    # genuinely curved but must still transport the restricted form exactly
+    coupled = _coupled_oscillator()
     sec = catalog.oscillator_angle_section()
     rng = np.random.default_rng(1)
     pts = catalog.sample_oscillator_surface(coupled, 1.0, rng, 8, on_section=True)
@@ -138,6 +146,34 @@ def test_return_map_symplectic_on_nonlinear_flow():
     M0 = S.restricted_form_matrix(coupled, sec, pts[0])
     M1 = S.restricted_form_matrix(coupled, sec, r.images[0, 0])
     assert np.max(np.abs(J.T @ M1 @ J - M0)) < 1e-6
+
+
+def test_return_map_jacobian_matches_differenced_images():
+    # Jacobian values where the return time varies along the section: against
+    # central differences of certified return images of the section points
+    # (q1, p1, q2, 0) on H = 1, with q2 > 0 in closed form
+    coupled, sec, level, h = _coupled_oscillator(), catalog.oscillator_angle_section(), 1.0, 1e-5
+
+    def on_section(s):
+        q1, p1 = s[..., 0], s[..., 1]
+        q2 = np.sqrt((level - 0.5 * (q1 ** 2 + p1 ** 2)) / (0.5 * SQRT2 + COUPLING * q1 ** 2))
+        return np.stack([q1, p1, q2, np.zeros_like(q1)], axis=-1)
+
+    rng = np.random.default_rng(3)
+    radius, phi = np.sqrt(rng.uniform(0.2, 1.6, 6)), rng.uniform(0.0, TWO_PI, 6)
+    s = np.column_stack([radius * np.cos(phi), radius * np.sin(phi)])
+    pts = on_section(s)
+    assert all(S.section_frame(coupled, sec, p)[0] == (0, 1) for p in pts)
+    # stencil (point, column a, sign) of (q1, p1)
+    stencil = s[:, None, None] + h * np.array([1.0, -1.0])[:, None] * np.eye(2)[:, None]
+    r = S.iterate_returns(coupled, sec, on_section(stencil).reshape(-1, 4), 1, t_max=50.0,
+                          tol=1e-12)
+    r.raise_failure()
+    assert np.ptp(r.times) > 0.01   # the return time varies over the points
+    images = r.images[:, 0, :2].reshape(6, 2, 2, 2)
+    expected = ((images[:, :, 0] - images[:, :, 1]) / (2 * h)).transpose(0, 2, 1)
+    J = S.return_map_jacobians(coupled, sec, pts, t_max=50.0)
+    assert np.max(np.abs(J - expected)) < 1e-7
 
 
 def test_higher_dimensional_symplecticity(t6_system):
