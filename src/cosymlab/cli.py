@@ -142,8 +142,8 @@ SECTION_KINDS = {
 TISCHLER = {
     "periods": (list_of(FINITE.ok, "a list of 1 to 12 numbers", lambda v: 1 <= len(v) <= 12),
                 None, "the periods, one per circle of the torus"),
-    "alpha": (form(1), None, "else: the periods of this closed one-form on T^dim; not "
-              "with 'periods'"),
+    "alpha": (form(1), None, "else: the periods of this closed one-form on T^dim, or on "
+              "the 'system' chart; not with 'periods'"),
     "dim": (DIM[0], None, "torus dimension; required with 'alpha'"),
     "eps": (num(0, 1), 1e-2, "largest error allowed between n_i / d and period_i"),
     "d_cap": (count(1, 100_000), catalog.DEFAULT_D_CAP, "largest denominator d tried"),
@@ -446,14 +446,14 @@ def _jsonable(value):
 # -- commands -----------------------------------------------------------------------
 
 
-def check_jacobians(runner: Runner, name: str, system, sec, points: np.ndarray, t_max: float,
+def check_jacobians(runner: Runner, name: str, system, sec, points: np.ndarray, first,
                     tol: float, identity: bool = False) -> None:
     """Check |det J - 1| < DET_ERROR_MAX over the return-map Jacobians at the
-    points; ``identity`` also reports the largest |J - I|.  A Jacobian that
-    cannot be certified fails the check."""
+    points, whose orbits lead the crossing record ``first``; ``identity`` also
+    reports the largest |J - I|.  A Jacobian that cannot be certified fails."""
     from .section import CROSSING_ERRORS, DET_ERROR_MAX, return_map_jacobians
     try:
-        jacs = return_map_jacobians(system, sec, points, t_max=t_max, tol=tol)
+        jacs = return_map_jacobians(system, sec, points, first, tol)
     except CROSSING_ERRORS as exc:
         runner.check(name, False, error=str(exc), n_points=len(points))
         return
@@ -491,13 +491,13 @@ def cmd_demo_product(cfg: dict, runner: Runner, seed: int) -> None:
     with runner.timed("return_map"):
         # every leaf point returns to itself, so the Jacobians are the identity
         check_jacobians(runner, "return_map_symplectic", system, sec,
-                        leaf_samples[:cfg["n_return_points"]], t_max, tol, identity=True)
+                        leaf_samples[:cfg["n_return_points"]], rep.forward, tol, identity=True)
 
     # the chart raises GluingError past its gluing and energy bounds, so a chart passes
     with runner.timed("mapping_torus"):
         grid = leaf_samples[:cfg["grid"]]
         try:
-            mt = mapping_torus_chart(system, sec, grid, t_max=t_max, tol=tol)
+            mt = mapping_torus_chart(system, sec, grid, rep.forward, tol)
         except CROSSING_ERRORS + (GluingError,) as exc:
             runner.check("mapping_torus_gluing", False, error=str(exc), n_points=len(grid))
         else:
@@ -507,8 +507,8 @@ def cmd_demo_product(cfg: dict, runner: Runner, seed: int) -> None:
     # the first 50 samples' crossings, read off verify_global's forward scan
     with runner.timed("crossings"):
         fwd = rep.forward
-        ok = fwd.ok[:50]
-        rows = [(i, fwd.times[i], *system.manifold.reduce(fwd.states[i]), fwd.margins[i])
+        ok = fwd.ok[:50, 0]
+        rows = [(i, fwd.times[i, 0], *fwd.states[i, 0], fwd.margins[i, 0])
                 for i in np.flatnonzero(ok)]
         write_crossings_csv(runner.add_artifact("crossings.csv"), rows, system.dim)
         pts2 = np.array([[r[2], r[3]] for r in rows]) if rows else np.zeros((0, 2))
@@ -547,6 +547,8 @@ def cmd_tischler(cfg: dict, runner: Runner, seed: int) -> None:
     if cfg["system"] is not None and tcfg["alpha"] is None:
         raise ConfigError("config field 'system' needs the 'tischler' field 'alpha': "
                           "only a rebuilt one-form has a transversality to check")
+    # the periods of alpha are taken on the system's chart
+    _, entry, system = (None,) * 3 if cfg["system"] is None else resolve_system(cfg["system"])
     with runner.timed("periods"):
         alpha, values = None, tcfg["periods"]
         if values is not None:
@@ -558,7 +560,8 @@ def cmd_tischler(cfg: dict, runner: Runner, seed: int) -> None:
             dim = tcfg["dim"]
             alpha = _form_from_entries(dim, [f"x{i}" for i in range(dim)], tcfg["alpha"], 1)
             try:
-                pv = tischler.periods(alpha, catalog.torus(dim))
+                pv = tischler.periods(alpha, catalog.torus(dim) if system is None
+                                      else system.manifold)
             except ValueError as exc:
                 raise ConfigError(f"bad 'tischler' spec: {exc}") from exc
     runner.check("periods", True, values=pv.values, cycles=list(pv.cycles))
@@ -580,11 +583,7 @@ def cmd_tischler(cfg: dict, runner: Runner, seed: int) -> None:
         runner.check("rebuilt_periods", residual < tischler.PERIOD_QUAD_ERR, residual=residual,
                      coefficient_distance=tischler.coefficient_distance(pv, ra))
 
-    if cfg["system"] is not None:
-        _, entry, system = resolve_system(cfg["system"])
-        if system.dim != alpha_prime.dim:
-            raise ConfigError(f"system dimension {system.dim} does not match the "
-                              f"one-form dimension {alpha_prime.dim}")
+    if system is not None:
         sample = entry.surface or (lambda s, r, k: s.manifold.sample(r, k))
         samples = sample(system, Rng(seed), cfg["samples"])
         with runner.timed("transversality"):
@@ -649,30 +648,27 @@ def cmd_return_map(cfg: dict, runner: Runner, seed: int) -> None:
         returns = iterate_returns(system, sec, starts, cfg["iterations"], t_max, tol)
         rows, iterates = [], []
         for i in range(len(starts)):
-            t_accum = 0.0
             for j in range(returns.completed(i)):
-                t_accum += float(returns.times[i, j])
-                image = returns.images[i, j]
-                rows.append((i, t_accum, *image, returns.margins[i, j]))
+                t, image = float(returns.times[i, j]), returns.states[i, j]
+                rows.append((i, t, *image, returns.margins[i, j]))
                 s = image[free]
-                iterates.append((s[0] if len(s) > 0 else t_accum,
-                                 s[1] if len(s) > 1 else 0.0))
-    done = np.isfinite(returns.times)
+                iterates.append((s[0] if len(s) > 0 else t, s[1] if len(s) > 1 else 0.0))
+    done = returns.ok
 
     def over_done(reduce, values):
         return reduce(values[done]) if done.any() else None
 
     runner.check("iterates", all(f is None for f in returns.failures), n_rows=len(rows),
-                 max_return_time=over_done(np.max, returns.times),
+                 max_return_time=over_done(np.max, np.diff(returns.times, prepend=0.0)),
                  min_margin=over_done(np.min, returns.margins),
                  max_angle_residual=over_done(np.max, returns.residuals),
                  crossings_seen_total=int(returns.crossings_seen.sum()),
                  failures=[(i, *f) for i, f in enumerate(returns.failures) if f is not None])
 
     with runner.timed("jacobians"):
-        # at most as many points as there are starts
+        # at most as many points as there are starts, on their certified first returns
         check_jacobians(runner, "symplectic_determinant", system, sec,
-                        starts[:cfg["n_return_points"]], t_max, tol)
+                        starts[:cfg["n_return_points"]], returns, tol)
 
     write_crossings_csv(runner.add_artifact("crossings.csv"), rows, system.dim)
     svg_scatter(runner.add_artifact("plot.svg"),

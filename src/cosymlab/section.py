@@ -27,10 +27,10 @@ follows each orbit through its first k crossings in three steps:
   integration that stalls, ends the orbit's record with a failure.
 
 Return-map iteration (`iterate_returns`: k returns of a batch are one engine
-call, a first return is k = 1), globality checks and the return times of
-return-map Jacobians all go through the engine, so the same bounds hold on
-every path.  A Jacobian differentiates the flow over the certified return
-time and projects out the field (`return_map_jacobians`).
+call, a first return is k = 1) and globality checks return the engine's one
+record, `Crossings`, so the same bounds hold on every path.  Return-map
+Jacobians (the flow over the certified return time, the field projected out)
+and the mapping torus read the record their caller certified.
 """
 from __future__ import annotations
 
@@ -124,27 +124,27 @@ _FAILURE_ERRORS = {"no crossing": NoCrossingError, "tangency": TangencyError,
                    "start point is not on the section": ValueError}
 
 
-def _raise_first(reasons) -> None:
-    """Raise the error of the first reason that is not None, if there is one."""
-    for reason in reasons:
-        if reason is not None:
-            raise _FAILURE_ERRORS.get(reason.split(":")[0], RefinementError)(reason)
+def _error(reason: str) -> Exception:
+    """The exception of a failure reason."""
+    return _FAILURE_ERRORS.get(reason.split(":")[0], RefinementError)(reason)
 
 
 @dataclass(eq=False)
 class Crossings:
-    """The first k oriented crossings of a batch of orbits: entry i * k + j
+    """The first k oriented crossings of a batch of orbits: row i, column j
     is crossing j of orbit i.
 
-    ``times`` are signed (negative when scanning backward) and ``states`` are
-    unreduced coordinates.  ``rates`` is d theta/dt along the true flow at a
-    crossing, ``margins`` the least |d theta/dt| at the crossing before it
-    (the start, for the first) and at the step ends between, ``residuals``
-    the final |theta - level| and ``crossings_seen`` the lattice passages
-    counted since the crossing before, up to and including this one.  ``ok``
-    marks each orbit's certified crossings, the leading ones that pass every
-    bound.  ``failures`` holds per orbit None, or why its first uncertified
-    crossing failed or is missing.  Entries without a bracket keep NaN.
+    ``times`` are signed crossing times since the start (negative when
+    scanning backward) and ``states`` the crossing states, reduced to the
+    chart.  ``rates`` is d theta/dt along the true flow at a crossing,
+    ``margins`` the least |d theta/dt| at the crossing before it (the start,
+    for the first) and at the step ends between, and ``residuals`` the final
+    |theta - level|.  ``crossings_seen`` counts the lattice passages since
+    the crossing before, up to and including this one, through the first
+    uncertified crossing, and is 0 after it.  ``failures`` holds per orbit
+    None, or (certified count, why the next crossing failed or is missing).
+    An orbit's certified crossings are its leading ones that pass every
+    bound; only they hold values, the other entries are NaN.
     """
 
     times: np.ndarray
@@ -154,41 +154,22 @@ class Crossings:
     residuals: np.ndarray
     crossings_seen: np.ndarray
     failures: list
-    ok: np.ndarray
 
-    def raise_failure(self) -> None:
-        """Raise the error of the first failed orbit, if there is one."""
-        _raise_first(self.failures)
-
-
-@dataclass(eq=False)
-class Returns:
-    """k successive first returns of a batch of orbits: row i, column j is
-    the j-th return of orbit i.
-
-    The entries come from one `first_crossings` record: ``times`` are the
-    differences of consecutive crossing times, ``images`` the reduced
-    crossing states, and ``margins``, ``residuals`` and ``crossings_seen``
-    those of the crossings.  ``failures`` holds None per orbit, or (iterate,
-    reason) for an orbit that stopped; its times, images, margins and
-    residuals from that iterate on stay NaN.
-    """
-
-    times: np.ndarray
-    images: np.ndarray
-    margins: np.ndarray
-    residuals: np.ndarray
-    crossings_seen: np.ndarray
-    failures: list
+    @property
+    def ok(self) -> np.ndarray:
+        """The certified entries."""
+        return ~np.isnan(self.times)
 
     def completed(self, orbit: int) -> int:
-        """Number of certified iterates of an orbit."""
+        """Number of certified crossings of an orbit."""
         failure = self.failures[orbit]
         return self.times.shape[1] if failure is None else failure[0]
 
     def raise_failure(self) -> None:
         """Raise the error of the first failed orbit, if there is one."""
-        _raise_first(f and f[1] for f in self.failures)
+        for failure in self.failures:
+            if failure is not None:
+                raise _error(failure[1])
 
 
 @dataclass(eq=False)
@@ -354,13 +335,13 @@ def first_crossings(system, sec: SectionSpec, starts: np.ndarray,
                     direction: int = 1, k: int = 1) -> Crossings:
     """The first k oriented crossings of the section along each start's orbit.
 
-    ``starts`` is (n, dim), n orbits each on its own integrator steps; the
-    record has k entries per orbit, in order.  ``direction`` +1 scans forward
-    time, -1 backward.  A start within ON_SECTION_TOL of a lattice value owns
-    it: leaving it is not a crossing.  One integration steps each orbit
+    ``starts`` is (n, dim), n orbits each on its own integrator steps; row i
+    of the (n, k) record holds orbit i's crossings, in order.  ``direction``
+    +1 scans forward time, -1 backward.  A start within ON_SECTION_TOL of a
+    lattice value owns it: leaving it is not a crossing.  One integration steps each orbit
     through its crossings (`_Scan`), each within t_max of the one before (or
     the start); one Hénon batch and one polish certify them all.  Failures,
-    a stalled integration among them, are entries, not exceptions.
+    a stalled integration among them, are record entries, not exceptions.
     """
     starts = np.asarray(starts, dtype=float)
     n, dim = starts.shape
@@ -389,12 +370,9 @@ def first_crossings(system, sec: SectionSpec, starts: np.ndarray,
         seen[rk, c], margins[rk, c] = seen_c, margins_c
         gap = sec.level - lift0 + oriented * TWO_PI * (cell + 1)
         bracket[rk, c] = np.column_stack([left, np.zeros(len(rk)), gap, t0, t1])
-    out = Crossings(np.full(n * k, np.nan), np.full((n * k, dim), np.nan), np.full(n * k, np.nan),
-                    margins.ravel(), np.full(n * k, np.nan), seen.ravel(), failures,
-                    np.zeros(n * k, dtype=bool))
-    # one Hénon row per crossing reached
-    entries = np.flatnonzero(np.arange(k) < scan.count[:, None])
-    bracket = bracket.reshape(n * k, dim + 4)[entries]
+    # one Hénon row per crossing reached, (row, column) of the record
+    rows, cols = np.nonzero(np.arange(k) < scan.count[:, None])
+    bracket = bracket[rows, cols]
 
     def henon(y):
         """Rows (x, t, dv) over the lifted angle s in [0, 1]: dx/ds = dv X / r and
@@ -408,48 +386,54 @@ def first_crossings(system, sec: SectionSpec, starts: np.ndarray,
     x, t_corr, residual, slowest = _polish(field, sec, y[:, :dim], oriented)
     t_left, t_right = bracket[:, dim + 2:].T
     t_local = t_left + y[:, dim] + t_corr
-    out.times[entries], out.states[entries] = direction * t_local, x
-    out.rates[entries], out.residuals[entries] = sec.dtheta(x, system.field(x)), residual
+    out = Crossings(np.full((n, k), np.nan), np.full((n, k, dim), np.nan), np.full((n, k), np.nan),
+                    margins, np.full((n, k), np.nan), seen, failures)
+    out.times[rows, cols], out.states[rows, cols] = direction * t_local, x
+    out.rates[rows, cols], out.residuals[rows, cols] = sec.dtheta(x, system.field(x)), residual
     # a return starts at the crossing before it, at that crossing's rate
-    margins = out.margins.reshape(n, k)
-    margins[:, 1:] = np.fmin(margins[:, 1:], np.abs(out.rates.reshape(n, k)[:, :-1]))
-    rate = np.minimum(np.abs(out.rates[entries]), slowest)
+    margins[:, 1:] = np.fmin(margins[:, 1:], np.abs(out.rates[:, :-1]))
+    rate = np.minimum(np.abs(out.rates[rows, cols]), slowest)
     slack = 1e-3 * (t_right - t_left)
-    late = t_local - np.where(entries % k > 0, direction * out.times[entries - 1], 0.0) > t_max
+    late = t_local - np.where(cols > 0, direction * out.times[rows, cols - 1], 0.0) > t_max
     tangent = ~(rate >= TANGENCY_MARGIN)
     loose = ~(residual < ANGLE_RESIDUAL)
     outside = ~((t_left - slack <= t_local) & (t_local <= t_right + slack))
     bad = late | tangent | loose | outside
-    out.ok[entries] = ~bad
+    good = np.zeros((n, k), dtype=bool)
+    good[rows, cols] = ~bad
     # an orbit's record ends at its first crossing that is missing or fails
-    completed = np.cumprod(out.ok.reshape(n, k), axis=1).sum(axis=1)
-    out.ok = (np.arange(k) < completed[:, None]).ravel()
-    for e in np.flatnonzero(bad & (entries % k == completed[entries // k])).tolist():
-        t = out.times[entries[e]]
-        failures[entries[e] // k] = "no crossing" if late[e] else (
+    completed = np.cumprod(good, axis=1).sum(axis=1)
+    for e in np.flatnonzero(bad & (cols == completed[rows])).tolist():
+        t = out.times[rows[e], cols[e]]
+        failures[rows[e]] = "no crossing" if late[e] else (
             f"tangency: grazing crossing at t={t:.6g}: |d theta/dt| = {rate[e]:.3e}"
             f" < {TANGENCY_MARGIN}" if tangent[e] else
             f"unconverged: angular residual {residual[e]:.3e} >= {ANGLE_RESIDUAL}" if loose[e]
             else f"outside bracket: crossing at t={t:.6g} outside the bracketing step of its orbit")
-    out.failures = [None if c == k else f for c, f in zip(completed.tolist(), failures)]
+    out.failures = [None if c == k else (c, f) for c, f in zip(completed.tolist(), failures)]
+    # only certified entries keep values, and passages count through the first failure
+    ok = np.arange(k) < completed[:, None]
+    for values in (out.times, out.states, out.rates, out.margins, out.residuals):
+        values[~ok] = np.nan
+    out.states[ok] = system.manifold.reduce(out.states[ok])
+    seen[np.arange(k) > completed[:, None]] = 0
     return out
 
 
 def iterate_returns(system, sec: SectionSpec, starts: np.ndarray, k: int,
                     t_max: float = DEFAULT_T_MAX,
-                    tol: float = phase.DEFAULT_FLOW_TOL) -> Returns:
-    """k successive positively-oriented first returns of every start, all
-    from one `first_crossings` call.
+                    tol: float = phase.DEFAULT_FLOW_TOL) -> Crossings:
+    """The first k positively-oriented crossings of every start, from one
+    `first_crossings` call: crossing j is the image of return j, which runs
+    from crossing j - 1 (the start, for j = 0).
 
-    Return j runs from certified crossing j - 1 (the start, for j = 0) to
-    crossing j, and its image is crossing j's reduced state.  An orbit whose
-    start is off the section or tangent to the flow, or whose crossing fails
-    its bounds, stops there with a failure; its earlier returns stand.
+    A start must lie on the section and be transverse to the flow; one that
+    does not gets an empty row and the failure (0, reason).  An orbit whose
+    crossing fails its bounds stops there; its earlier returns stand.
     """
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
-    n, dim = starts.shape
+    n = len(starts)
     x = system.manifold.reduce(starts)
-    # a start must lie on the section and be transverse to the flow
     off = np.abs(np.asarray(sec.offset(x), dtype=float))
     rate = np.abs(np.asarray(sec.dtheta(x, system.field(x)), dtype=float))
     reasons = [f"start point is not on the section: |theta - level| = {o:.3e}"
@@ -458,21 +442,14 @@ def iterate_returns(system, sec: SectionSpec, starts: np.ndarray, k: int,
                if not r >= TANGENCY_MARGIN else None for o, r in zip(off, rate)]
     ready = np.flatnonzero([r is None for r in reasons])
     c = first_crossings(system, sec, x[ready], t_max, tol, k=k)
-    for row, reason in zip(ready, c.failures):
-        reasons[row] = reason
-    ok = np.zeros((n, k), dtype=bool)
-    ok[ready] = c.ok.reshape(-1, k)
-    completed = ok.sum(axis=1)
-    out = Returns(np.full((n, k), np.nan), np.full((n, k, dim), np.nan), np.full((n, k), np.nan),
-                  np.full((n, k), np.nan), np.zeros((n, k), dtype=int),
-                  [None if r is None else (int(completed[i]), r) for i, r in enumerate(reasons)])
-    # ok holds the certified entries of c in c's order
-    out.times[ok] = np.diff(c.times.reshape(-1, k), axis=1, prepend=0.0).ravel()[c.ok]
-    out.images[ok] = system.manifold.reduce(c.states[c.ok])
-    out.margins[ok], out.residuals[ok] = c.margins[c.ok], c.residuals[c.ok]
-    out.crossings_seen[ready] = np.where(np.arange(k) <= completed[ready, None],
-                                         c.crossings_seen.reshape(-1, k), 0)
-    return out
+    # a refused start takes the empty row appended to c's
+    row = np.full(n, len(ready))
+    row[ready] = np.arange(len(ready))
+    fields = [np.concatenate([a, np.full((1,) + a.shape[1:], np.nan if a.dtype == float else 0,
+                                         a.dtype)])[row]
+              for a in (c.times, c.states, c.rates, c.margins, c.residuals, c.crossings_seen)]
+    failures = iter(c.failures)
+    return Crossings(*fields, [next(failures) if r is None else (0, r) for r in reasons])
 
 
 def verify_global(system, sec: SectionSpec, samples: np.ndarray,
@@ -491,8 +468,8 @@ def verify_global(system, sec: SectionSpec, samples: np.ndarray,
         return GlobalityReport(0, [], math.inf, 0.0, vacuous=True)
     forward, backward = (first_crossings(system, sec, samples, t_max, tol, direction)
                          for direction in (1, -1))
-    failures = [(i, label, reason) for c, label in ((forward, "forward"), (backward, "backward"))
-                for i, reason in enumerate(c.failures) if reason is not None]
+    failures = [(i, label, f[1]) for c, label in ((forward, "forward"), (backward, "backward"))
+                for i, f in enumerate(c.failures) if f is not None]
     margins = np.concatenate([forward.margins[forward.ok], backward.margins[backward.ok]])
     return GlobalityReport(len(samples), failures, float(np.min(margins, initial=math.inf)),
                            float(np.max(np.abs(forward.times[forward.ok]), initial=0.0)),
@@ -570,23 +547,40 @@ def _flow(system, x: np.ndarray, times: np.ndarray, tol: float) -> np.ndarray:
     return phase.integrate_batch(scaled, rows, 0.0, 1.0, tol)[..., :-1]
 
 
+def _first_returns(sec: SectionSpec, x: np.ndarray, first: Crossings):
+    """Times (n, 1) and states (n, dim) of the first crossings of the points
+    x (n, dim), read off row i of the record ``first`` for point i.  A point
+    off the section is refused, and the error of the first orbit with no
+    certified crossing is raised."""
+    off = np.abs(np.asarray(sec.offset(x), dtype=float))
+    for i in np.flatnonzero(~(off <= ON_SECTION_TOL)).tolist():
+        raise ValueError(f"point {i} is not on the section: |theta - level| = {off[i]:.3e}")
+    for failure in first.failures[:len(x)]:
+        if failure is not None and failure[0] == 0:
+            raise _error(failure[1])
+    return first.times[:len(x), :1], first.states[:len(x), 0]
+
+
 def return_map_jacobians(system, sec: SectionSpec, points: Sequence[np.ndarray],
-                         t_max: float = DEFAULT_T_MAX,
+                         first: Crossings,
                          tol: float = phase.DEFAULT_FLOW_TOL) -> np.ndarray:
     """Jacobians of the return map, one (k, k) block per point on the
     section (reduced to the chart first), in its section coordinates
     (`section_frame`).
 
-    Each point's first return (time T, image y) is certified once, by
-    `iterate_returns`.  Then the flow over the fixed time T is differentiated
-    along the frame: D_a is the central difference of Phi_T over the stencil
-    x +- h_a E_a, with the relative step h_a = FD_STEP * max(1, |x_a|) of free
-    coordinate a, so the stencil does not round back onto its centre at large
-    amplitudes.  A stencil need not lie on the section or the energy level:
-    Phi_T is smooth, and the offset, quadratic in h_a, cancels in D_a.  A
-    point's 2k stencils flow as one group on one step sequence, so the smooth
-    integration error cancels too; their end states are unreduced, continuous
-    in the start, so raw differences need no period wrapping.  Column a is the free coordinates of
+    ``first`` is the certified crossing record of the points' orbits, row i
+    the orbit of point i (rows past the points are not read): `iterate_returns`
+    of the points, or `verify_global`'s forward record.  Its column 0 gives
+    each point's return time T and image y.  The flow over the fixed time T
+    is differentiated along the frame: D_a is the central difference of Phi_T
+    over the stencil x +- h_a E_a, with the relative step
+    h_a = FD_STEP * max(1, |x_a|) of free coordinate a, so the stencil does
+    not round back onto its centre at large amplitudes.  A stencil need not
+    lie on the section or the energy level: Phi_T is smooth, and the offset,
+    quadratic in h_a, cancels in D_a.  A point's 2k stencils flow as one group
+    on one step sequence, so the smooth integration error cancels too; their
+    end states are unreduced, continuous in the start, so raw differences
+    need no period wrapping.  Column a is the free coordinates of
     D_a - X(y) d theta_y(D_a) / d theta_y(X(y)): the Poincaré-map derivative
     (I - X (x) d theta / d theta(X)) DPhi_T (T. S. Parker and L. O. Chua,
     *Practical Numerical Algorithms for Chaotic Systems*, Springer 1989,
@@ -600,16 +594,14 @@ def return_map_jacobians(system, sec: SectionSpec, points: Sequence[np.ndarray],
     n, k = len(x), len(frames[0][0]) if frames else 0
     if not k:  # no points, or a zero-dimensional section: nothing to differentiate
         return np.zeros((n, 0, 0))
-    returns = iterate_returns(system, sec, x, 1, t_max, tol)
-    returns.raise_failure()
+    T, y = _first_returns(sec, x, first)
     free = np.array([f for f, _ in frames])                          # (n, k)
     h = FD_STEP * np.maximum(1.0, np.abs(np.take_along_axis(x, free, 1)))
     offsets = np.stack([E.T for _, E in frames]) * h[..., None]      # (n, k, dim)
     stencils = x[:, None, None] + np.array([1.0, -1.0])[:, None] * offsets[:, :, None]
     ends = _flow(system, stencils.reshape(n, 2 * k, chart.dim),
-                 np.repeat(returns.times, 2 * k, axis=1), tol).reshape(n, k, 2, chart.dim)
+                 np.repeat(T, 2 * k, axis=1), tol).reshape(n, k, 2, chart.dim)
     D = (ends[:, :, 0] - ends[:, :, 1]) / (2.0 * h[..., None])
-    y = returns.images[:, 0]
     X = system.field(y)
     lead = sec.dtheta(y[:, None], D) / sec.dtheta(y, X)[:, None]   # (n, k): -dT along E_a
     DP = D - X[:, None] * lead[..., None]
@@ -629,30 +621,30 @@ class MappingTorusChart:
     energy_residual: float
 
 
-def mapping_torus_chart(system, sec: SectionSpec, grid: np.ndarray,
-                        t_max: float = DEFAULT_T_MAX,
+def mapping_torus_chart(system, sec: SectionSpec, grid: np.ndarray, first: Crossings,
                         tol: float = phase.DEFAULT_FLOW_TOL) -> MappingTorusChart:
     """Tabulate the suspension chart over a section grid (n, dim), reduced to
     the chart first, at TORUS_TIMES fiber times.
 
-    Every entry after t = 0 comes from one batched integration (`_flow`) over
-    the time t * T(p), each on its own steps.  The t = 1 rows are integrated
-    apart from the crossing engine, so the gluing check Psi(p, 1) =
-    holonomy(p) within GLUING_FACTOR * tol compares two independent
-    computations.  For Hamiltonian systems every table entry must also stay
-    on the energy level within ENERGY_RESIDUAL_MAX; GluingError is raised
-    otherwise.
+    ``first`` is the certified crossing record of the grid's orbits, row i
+    the orbit of grid point i (rows past the grid are not read); its column
+    0 gives the return time T(p) and the holonomy image.  Every entry after
+    t = 0 comes from one batched integration (`_flow`) over the time
+    t * T(p), each on its own steps.  The t = 1 rows are integrated apart
+    from the crossing engine, so the gluing check Psi(p, 1) = holonomy(p)
+    within GLUING_FACTOR * tol compares two independent computations.  For
+    Hamiltonian systems every table entry must also stay on the energy level
+    within ENERGY_RESIDUAL_MAX; GluingError is raised otherwise.
     """
     chart = system.manifold
     starts = chart.reduce(grid)
-    returns = iterate_returns(system, sec, starts, 1, t_max, tol)
-    returns.raise_failure()
+    T, holonomy = _first_returns(sec, starts, first)
     n, dim = starts.shape
-    taus = returns.times[:, :1] * np.linspace(0.0, 1.0, TORUS_TIMES)[1:]   # (n, TORUS_TIMES - 1)
+    taus = T * np.linspace(0.0, 1.0, TORUS_TIMES)[1:]   # (n, TORUS_TIMES - 1)
     ends = _flow(system, np.repeat(starts, TORUS_TIMES - 1, axis=0), taus.ravel(), tol)
     states = np.concatenate([starts[:, None], ends.reshape(n, TORUS_TIMES - 1, dim)], 1)
     table = chart.reduce(states)
-    gluing = float(np.max(np.abs(chart.wrapped_delta(table[:, -1], returns.images[:, 0]))))
+    gluing = float(np.max(np.abs(chart.wrapped_delta(table[:, -1], holonomy))))
     energy_res = 0.0
     if hasattr(system, "energy"):
         energy_res = float(np.max(np.abs(system.energy(states) - system.energy(starts)[:, None])))

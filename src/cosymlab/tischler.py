@@ -95,18 +95,27 @@ def periods(alpha: KForm, manifold: ChartManifold,
     Gauss-Legendre quadrature on PERIOD_QUAD_NODES and twice as many nodes;
     raises RuntimeError when the two rules differ by more than
     PERIOD_QUAD_ERR on a cycle.  Refuses non-closed input, whose "periods"
-    would be path dependent.
+    would be path dependent, and input that is not a form on the chart: a
+    sampled |alpha(x + L_i e_i) - alpha(x)|, L_i the period of coordinate i,
+    at or above CLOSED_TOL.
     """
     if alpha.degree != 1 or alpha.dim != manifold.dim:
-        raise ValueError("periods need a one-form on the given chart")
+        raise ValueError(f"periods need a one-form on the chart, got a {alpha.degree}-form in "
+                         f"dimension {alpha.dim} on a chart of dimension {manifold.dim}")
     if not manifold.is_torus:
         raise ValueError("period computation needs a torus chart (all coordinates periodic)")
-    residual = max_coeff_magnitude(exterior_derivative(alpha), manifold.sample(Rng(7), 32))
+    samples = manifold.sample(Rng(7), 32)
+    residual = max_coeff_magnitude(exterior_derivative(alpha), samples)
     if residual >= CLOSED_TOL:
         raise ValueError(f"one-form not closed (sampled |d alpha| = {residual:.3e}); "
                          "loop integrals would be path dependent")
-    base_pt = np.zeros(manifold.dim) if base is None else np.asarray(base, dtype=float)
     lengths = np.asarray(manifold.periods, dtype=float)
+    shifted = samples + lengths[:, None, None] * np.eye(manifold.dim)[:, None]   # (dim, 32, dim)
+    jump = float(np.max(np.abs(covector_values(alpha, shifted) - covector_values(alpha, samples))))
+    if jump >= CLOSED_TOL:
+        raise ValueError(f"one-form not periodic on the chart (sampled |alpha(x + L_i e_i)"
+                         f" - alpha(x)| = {jump:.3e}); it is not a form on this chart")
+    base_pt = np.zeros(manifold.dim) if base is None else np.asarray(base, dtype=float)
     coarse = _loop_integrals(alpha, base_pt, lengths, PERIOD_QUAD_NODES)
     fine = _loop_integrals(alpha, base_pt, lengths, 2 * PERIOD_QUAD_NODES)
     err = np.abs(fine - coarse)

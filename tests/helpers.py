@@ -1,6 +1,7 @@
 """Helpers shared by test modules: the README's example configs, a step hook
 that records an integration's steps, the first return of one section point,
-and the energy drift and divergence of a system's flow."""
+return-map Jacobians and mapping-torus charts on certified first returns, and
+the energy drift and divergence of a system's flow."""
 import json
 import re
 from pathlib import Path
@@ -35,13 +36,29 @@ def step_recorder(log: list):
     return hook
 
 
-def first_return(system, sec, x, **kwargs) -> section.Returns:
+def first_return(system, sec, x, **kwargs) -> section.Crossings:
     """`section.iterate_returns` of the one start x with k = 1, its failure
-    raised: entry [0, 0] of times, images, margins and crossings_seen is the
+    raised: entry [0, 0] of times, states, margins and crossings_seen is the
     first return."""
     returns = section.iterate_returns(system, sec, x, 1, **kwargs)
     returns.raise_failure()
     return returns
+
+
+def jacobians(system, sec, points, t_max: float = section.DEFAULT_T_MAX,
+              tol: float = phase.DEFAULT_FLOW_TOL):
+    """`section.return_map_jacobians` of the points on the first returns that
+    `section.iterate_returns` certifies for them."""
+    first = section.iterate_returns(system, sec, points, 1, t_max, tol)
+    return section.return_map_jacobians(system, sec, points, first, tol)
+
+
+def torus_chart(system, sec, grid, t_max: float = section.DEFAULT_T_MAX,
+                tol: float = phase.DEFAULT_FLOW_TOL):
+    """`section.mapping_torus_chart` of the grid on the first returns that
+    `section.iterate_returns` certifies for it."""
+    first = section.iterate_returns(system, sec, grid, 1, t_max, tol)
+    return section.mapping_torus_chart(system, sec, grid, first, tol)
 
 
 def energy_drift(system, x0, t_max: float, tol: float = phase.DEFAULT_FLOW_TOL) -> float:

@@ -7,7 +7,7 @@ import math
 import time
 
 import numpy as np
-from helpers import divergence, energy_drift, first_return
+from helpers import divergence, energy_drift, first_return, jacobians
 
 from cosymlab import catalog, cli, cosym, forms as F, obstruct, phase, section, tischler
 
@@ -39,7 +39,7 @@ def test_criterion_1_product_pipeline():
 
         identity_dev = 0.0
         for x in samples[:10]:
-            image = first_return(system, sec, x, tol=1e-10).images[0, 0]
+            image = first_return(system, sec, x, tol=1e-10).states[0, 0]
             gap = system.manifold.wrapped_delta(image, x)
             identity_dev = max(identity_dev, float(np.max(np.abs(gap))))
         ok &= identity_dev < 1e-8
@@ -56,12 +56,12 @@ def test_criterion_2_return_map_symplecticity():
     rng = np.random.default_rng(3)
     t4 = catalog.product_system("t3")
     pts4 = catalog.sample_product_leaf(t4, rng, 100)
-    dets4 = np.linalg.det(section.return_map_jacobians(t4, catalog.product_leaf_section(t4),
-                                                       pts4, t_max=100.0, tol=1e-10))
+    dets4 = np.linalg.det(jacobians(t4, catalog.product_leaf_section(t4), pts4, t_max=100.0,
+                                    tol=1e-10))
     osc = catalog.oscillator_2dof()
     pts_osc = catalog.sample_oscillator_surface(osc, 1.0, rng, 100, on_section=True)
-    dets_osc = np.linalg.det(section.return_map_jacobians(osc, catalog.oscillator_angle_section(),
-                                                          pts_osc, t_max=100.0, tol=1e-10))
+    dets_osc = np.linalg.det(jacobians(osc, catalog.oscillator_angle_section(), pts_osc,
+                                       t_max=100.0, tol=1e-10))
     err4 = float(np.max(np.abs(dets4 - 1.0)))
     err_osc = float(np.max(np.abs(dets_osc - 1.0)))
     elapsed = time.perf_counter() - t0

@@ -364,6 +364,24 @@ def test_tischler_transversality_against_system(tmp_path):
     assert checks["transversality"]["min_margin"] == pytest.approx(1.0, abs=1e-9)
 
 
+def test_tischler_takes_periods_on_the_system_chart(tmp_path, capsys):
+    # suspension_rotation's chart has period 1: a constant alpha has periods
+    # L_i a_i / (2 pi) there, and 5 sin(x0) dx0 is no form on it, so exit 2
+    base = {"eps": 1e-2, "d_cap": 100}
+    cfg = {"tischler": {**base, "dim": 2, "alpha": [[0, 1.0], [1, 0.5]]},
+           "system": "suspension_rotation"}
+    code, out = run(tmp_path, "tischler", cfg, out="constant")
+    checks = {c["name"]: c for c in read_report(out)["report"]["checks"]}
+    assert checks["periods"]["values"] == pytest.approx([1.0 / (2 * math.pi),
+                                                         0.5 / (2 * math.pi)], abs=1e-12)
+    cfg = {"tischler": {**base, "dim": 2, "alpha": [[0, "5*sin(x0)"], [1, 0.5]]},
+           "system": "suspension_rotation"}
+    code, out = run(tmp_path, "tischler", cfg, out="wavy")
+    assert code == 2
+    assert "not periodic" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_tischler_transversality_fails_on_a_sign_change(tmp_path):
     # alpha = dq against H = sin(p) on T^2: alpha(X) = cos(p) runs from -0.999
     # to 0.995 over the samples, never below 0.0496 in magnitude, so only its
@@ -479,6 +497,21 @@ def test_demo_product_forwards_t_max(tmp_path):
     for name, n_points in (("return_map_symplectic", 1), ("mapping_torus_gluing", 2)):
         assert not checks[name]["passed"] and checks[name]["n_points"] == n_points
         assert "no crossing" in checks[name]["error"]
+
+
+@pytest.mark.parametrize("command, config", [
+    (c, cfg) for c, cfg in readme_configs() if c in ("return-map", "demo-product")])
+def test_each_run_scans_its_crossings_once(tmp_path, monkeypatch, command, config):
+    # return-map's Jacobians read its iterate record, and demo-product's
+    # Jacobians and mapping torus read verify_global's forward record: one
+    # crossing scan, or one forward and one backward
+    from cosymlab import section
+    calls = []
+    scan = section.first_crossings
+    monkeypatch.setattr(section, "first_crossings",
+                        lambda *a, **kw: calls.append(1) or scan(*a, **kw))
+    assert run(tmp_path, command, config)[0] == 0
+    assert len(calls) == {"return-map": 1, "demo-product": 2}[command]
 
 
 def test_return_map_points_off_section_exit_2(tmp_path, capsys):

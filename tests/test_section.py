@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from helpers import first_return
+from helpers import first_return, jacobians, torus_chart
 from hypothesis.extra import numpy as hnp
 
 from cosymlab import catalog, forms as F, phase as P, section as S, tischler as T
@@ -24,7 +24,7 @@ def test_first_return_product_constant_flow(t4_system, t4_section):
     p = np.array([0.3, 1.1, 0.0, 0.0])
     r = first_return(t4_system, t4_section, p)
     assert abs(r.times[0, 0] - TWO_PI) < 1e-10
-    assert np.max(np.abs(t4_system.manifold.wrapped_delta(r.images[0, 0], p))) < 1e-9
+    assert np.max(np.abs(t4_system.manifold.wrapped_delta(r.states[0, 0], p))) < 1e-9
     assert r.margins[0, 0] == pytest.approx(1.0, abs=1e-12)
     assert r.crossings_seen[0, 0] == 1
 
@@ -33,7 +33,7 @@ def test_first_return_suspension(suspension_system):
     sec = S.coordinate_section(suspension_system.manifold, 1)
     r = first_return(suspension_system, sec, [0.2, 0.0])
     assert abs(r.times[0, 0] - 1.0) < 1e-12
-    delta = suspension_system.manifold.wrapped_delta(r.images[0, 0], [0.2 + 1.0 / 3.0, 0.0])
+    delta = suspension_system.manifold.wrapped_delta(r.states[0, 0], [0.2 + 1.0 / 3.0, 0.0])
     assert abs(delta[0]) < 1e-10
     assert abs(delta[1]) < 1e-10
 
@@ -45,8 +45,8 @@ def test_first_return_oscillator_closed_form(osc_system):
     p = np.array([0.6, 0.0, 0.8, 0.0])
     r = first_return(osc_system, sec, p)
     assert abs(r.times[0, 0] - TWO_PI / SQRT2) < 1e-9
-    assert abs(float(sec.offset(r.images[0, 0]))) < 1e-10
-    assert abs(float(osc_system.energy(r.images[0, 0])) - float(osc_system.energy(p))) < 1e-8
+    assert abs(float(sec.offset(r.states[0, 0]))) < 1e-10
+    assert abs(float(osc_system.energy(r.states[0, 0])) - float(osc_system.energy(p))) < 1e-8
     assert r.margins[0, 0] == pytest.approx(SQRT2, rel=1e-9)
 
 
@@ -67,23 +67,23 @@ def test_return_consistency_iterated(suspension_system):
     sec = S.coordinate_section(suspension_system.manifold, 1)
     x = np.array([0.05, 0.0])
     for k in range(1, 4):
-        x = first_return(suspension_system, sec, x).images[0, 0]
+        x = first_return(suspension_system, sec, x).states[0, 0]
         expected = (0.05 + k / 3.0) % 1.0
         assert abs(x[0] - expected) < k * 1e-8
 
 
 def test_return_map_jacobian_identity_cases(t4_system, t4_section, suspension_system):
-    J = S.return_map_jacobians(t4_system, t4_section, [[0.4, 2.0, 0.0, 0.0]])[0]
+    J = jacobians(t4_system, t4_section, [[0.4, 2.0, 0.0, 0.0]])[0]
     assert np.max(np.abs(J - np.eye(2))) < 1e-8
     sec = S.coordinate_section(suspension_system.manifold, 1)
-    J1 = S.return_map_jacobians(suspension_system, sec, [[0.2, 0.0]])[0]
+    J1 = jacobians(suspension_system, sec, [[0.2, 0.0]])[0]
     assert np.max(np.abs(J1 - np.eye(1))) < 1e-8
 
 
 def test_return_map_jacobian_oscillator_rotation(osc_system):
     # closed form: the (q1, p1) pair rotates clockwise by T = 2*pi/sqrt(2)
     sec = catalog.oscillator_angle_section()
-    J = S.return_map_jacobians(osc_system, sec, [[0.6, 0.0, 0.8, 0.0]])[0]
+    J = jacobians(osc_system, sec, [[0.6, 0.0, 0.8, 0.0]])[0]
     T = TWO_PI / SQRT2
     expected = np.array([[math.cos(T), math.sin(T)], [-math.sin(T), math.cos(T)]])
     assert np.max(np.abs(J - expected)) < 1e-8
@@ -94,9 +94,9 @@ def test_return_map_determinants_match_per_point(osc_system):
     sec = catalog.oscillator_angle_section()
     rng = np.random.default_rng(7)
     pts = catalog.sample_oscillator_surface(osc_system, 1.0, rng, 8, on_section=True)
-    dets = np.linalg.det(S.return_map_jacobians(osc_system, sec, pts, t_max=50.0))
+    dets = np.linalg.det(jacobians(osc_system, sec, pts, t_max=50.0))
     assert np.max(np.abs(dets - 1.0)) < 1e-6
-    J = S.return_map_jacobians(osc_system, sec, pts[:1], t_max=50.0)[0]
+    J = jacobians(osc_system, sec, pts[:1], t_max=50.0)[0]
     assert abs(np.linalg.det(J) - dets[0]) < 1e-7
 
 
@@ -137,14 +137,14 @@ def test_return_map_symplectic_on_nonlinear_flow():
     r = S.iterate_returns(coupled, sec, pts, 1, t_max=50.0, tol=1e-11)
     r.raise_failure()
     assert np.ptp(r.times) > 0.01   # the coupling really bends the map
-    assert np.max(np.abs(coupled.energy(r.images[:, 0]) - coupled.energy(pts))) < 1e-8
+    assert np.max(np.abs(coupled.energy(r.states[:, 0]) - coupled.energy(pts))) < 1e-8
 
-    dets = np.linalg.det(S.return_map_jacobians(coupled, sec, pts, t_max=50.0, tol=1e-11))
+    dets = np.linalg.det(jacobians(coupled, sec, pts, t_max=50.0, tol=1e-11))
     assert np.max(np.abs(dets - 1.0)) < 1e-6
 
-    J = S.return_map_jacobians(coupled, sec, pts[:1], t_max=50.0, tol=1e-11)[0]
+    J = jacobians(coupled, sec, pts[:1], t_max=50.0, tol=1e-11)[0]
     M0 = S.restricted_form_matrix(coupled, sec, pts[0])
-    M1 = S.restricted_form_matrix(coupled, sec, r.images[0, 0])
+    M1 = S.restricted_form_matrix(coupled, sec, r.states[0, 0])
     assert np.max(np.abs(J.T @ M1 @ J - M0)) < 1e-6
 
 
@@ -170,9 +170,9 @@ def test_return_map_jacobian_matches_differenced_images():
                           tol=1e-12)
     r.raise_failure()
     assert np.ptp(r.times) > 0.01   # the return time varies over the points
-    images = r.images[:, 0, :2].reshape(6, 2, 2, 2)
+    images = r.states[:, 0, :2].reshape(6, 2, 2, 2)
     expected = ((images[:, :, 0] - images[:, :, 1]) / (2 * h)).transpose(0, 2, 1)
-    J = S.return_map_jacobians(coupled, sec, pts, t_max=50.0)
+    J = jacobians(coupled, sec, pts, t_max=50.0)
     assert np.max(np.abs(J - expected)) < 1e-7
 
 
@@ -180,9 +180,25 @@ def test_higher_dimensional_symplecticity(t6_system):
     # four-dimensional section: the Jacobian preserves the restricted form
     sec = catalog.product_leaf_section(t6_system)
     p = np.array([0.3, 1.0, 2.0, 0.7, 0.0, 0.0])
-    J = S.return_map_jacobians(t6_system, sec, [p])[0]
+    J = jacobians(t6_system, sec, [p])[0]
     M = S.restricted_form_matrix(t6_system, sec, p)
     assert np.max(np.abs(J.T @ M @ J - M)) < 1e-5
+
+
+def test_jacobians_and_torus_refuse_a_point_off_the_section(t4_system, t4_section):
+    # verify_global does not ask its samples to lie on the section, so its
+    # forward record certifies a crossing of the second one; the Jacobians
+    # and the mapping torus refuse that point all the same
+    samples = np.array([[0.3, 1.1, 0.0, 0.0], [0.5, 2.0, 1.0, 0.0]])
+    first = S.verify_global(t4_system, t4_section, samples, t_max=20.0).forward
+    assert first.failures == [None, None]
+    with pytest.raises(ValueError, match="point 1 is not on the section"):
+        S.return_map_jacobians(t4_system, t4_section, samples, first)
+    with pytest.raises(ValueError, match="point 1 is not on the section"):
+        S.mapping_torus_chart(t4_system, t4_section, samples, first)
+    # on the section, the record's first crossings are the points' returns
+    J = S.return_map_jacobians(t4_system, t4_section, samples[:1], first)
+    assert np.max(np.abs(J - np.eye(2))) < 1e-8
 
 
 def test_restricted_form_degenerates_on_a_lagrangian_section(t4_system):
@@ -262,7 +278,7 @@ def test_short_recrossings_match_analytic_lift(a):
     expected = np.array([_wiggle_first_return(a, x0, 200.0) for x0 in xs])
     c = S.first_crossings(wig, sec, starts, t_max=200.0)
     assert c.ok.all()
-    assert np.max(np.abs(c.times - expected)) < 1e-8
+    assert np.max(np.abs(c.times[:, 0] - expected)) < 1e-8
     assert np.max(c.residuals) < S.ANGLE_RESIDUAL
     for i in (135, 142, 145):
         r = first_return(wig, sec, starts[i], t_max=200.0)
@@ -395,7 +411,7 @@ def test_batch_matches_batches_of_one(batch, direction):
     alone = [S.first_crossings(system, sec, x[None], 100.0, direction=direction)
              for x in starts]
     assert [f is None for f in together.failures] == [c.failures[0] is None for c in alone]
-    assert together.crossings_seen.tolist() == [int(c.crossings_seen[0]) for c in alone]
+    assert together.crossings_seen[:, 0].tolist() == [int(c.crossings_seen[0, 0]) for c in alone]
     ok = together.ok
     times_alone = np.array([c.times[0] for c in alone])
     assert np.all(np.abs(together.times[ok] - times_alone[ok]) < 1e-8)
@@ -409,11 +425,11 @@ def test_backward_scan_from_forward_crossing_returns_to_start(batch):
     system, sec, starts = batch
     forward = S.first_crossings(system, sec, starts, 100.0)
     assert forward.ok.all()
-    back = S.first_crossings(system, sec, forward.states, 100.0, direction=-1)
+    back = S.first_crossings(system, sec, forward.states[:, 0], 100.0, direction=-1)
     assert back.ok.all()
     assert np.all(np.abs(back.times + forward.times) < 1e-8)
     chart = system.manifold
-    assert np.all(np.abs(chart.wrapped_delta(chart.reduce(back.states), starts)) < 1e-8)
+    assert np.all(np.abs(chart.wrapped_delta(back.states[:, 0], starts)) < 1e-8)
 
 
 @st.composite
@@ -463,16 +479,17 @@ def test_iterate_returns_batch_matches_batches_of_one(batch, k):
 @given(_return_batches(), st.integers(1, 3))
 def test_iterate_returns_images_match_time_integration(batch, k):
     # an independent oracle for every certified image: integrate the true flow
-    # from the previous image for the reported return time
+    # from the previous image for the return time, the difference of the
+    # reported crossing times
     system, sec, starts, t_max = batch
     chart = system.manifold
     r = S.iterate_returns(system, sec, starts, k, t_max)
     for i, x in enumerate(chart.reduce(starts)):
         for j in range(r.completed(i)):
-            T = r.times[i, j]
+            T = r.times[i, j] - (r.times[i, j - 1] if j else 0.0)
             end = chart.reduce(P.integrate_batch(system.field, x[None], 0.0, T)[0])
-            assert np.max(np.abs(chart.wrapped_delta(end, r.images[i, j]))) < 1e-9
-            x = r.images[i, j]
+            assert np.max(np.abs(chart.wrapped_delta(end, r.states[i, j]))) < 1e-9
+            x = r.states[i, j]
 
 
 def test_iterate_returns_oscillator_closed_form(osc_system):
@@ -483,8 +500,8 @@ def test_iterate_returns_oscillator_closed_form(osc_system):
                                                on_section=True)
     r = S.iterate_returns(osc_system, sec, starts, 12, t_max=20.0)
     assert r.failures == [None] * 6
-    assert np.max(np.abs(r.times - TWO_PI / SQRT2)) < 1e-9
-    assert np.max(np.abs(osc_system.energy(r.images) - 1.0)) < 1e-8
+    assert np.max(np.abs(np.diff(r.times, prepend=0.0) - TWO_PI / SQRT2)) < 1e-9
+    assert np.max(np.abs(osc_system.energy(r.states) - 1.0)) < 1e-8
     assert np.max(r.residuals) < S.ANGLE_RESIDUAL
     assert (r.crossings_seen == 1).all()
 
@@ -497,7 +514,7 @@ def test_iterate_returns_failure_stops_one_orbit(suspension_system):
     assert r.failures[0] is None and r.completed(0) == 3
     assert r.failures[1][0] == 0 and r.failures[1][1].startswith("start point is not on")
     assert r.completed(1) == 0 and np.isnan(r.times[1]).all()
-    assert np.max(np.abs(r.images[0, :, 0] - (0.1 + np.arange(1, 4) / 3.0) % 1.0)) < 1e-9
+    assert np.max(np.abs(r.states[0, :, 0] - (0.1 + np.arange(1, 4) / 3.0) % 1.0)) < 1e-9
 
 
 def _record_scan_steps(monkeypatch):
@@ -541,11 +558,11 @@ def test_crossing_scan_ends_one_step_past_last_crossing(monkeypatch):
     steps = _record_scan_steps(monkeypatch)
     c = S.first_crossings(system, sec, starts, t_max=50.0)
     assert c.ok.all()
-    assert np.max(np.abs(c.times - (TWO_PI - phi0) / (1 + r ** 2))) < 1e-8
+    assert np.max(np.abs(c.times[:, 0] - (TWO_PI - phi0) / (1 + r ** 2))) < 1e-8
     # no orbit is stepped past the step that holds its crossing: every step
     # it attempts starts before the crossing, and the last one stands, holds
     # the crossing and ends the orbit
-    for orbit, t_cross in enumerate(c.times):
+    for orbit, t_cross in enumerate(c.times[:, 0]):
         tried = [(t[k], t_new[k], ok[k], done[k]) for rows, t, t_new, ok, done in steps
                  for k in np.flatnonzero(rows == orbit)]
         assert all(t0 < t_cross for t0, _, _, _ in tried)
@@ -574,7 +591,7 @@ def test_aliased_early_stop_continues_to_analytic_crossing(monkeypatch):
     steps = _record_scan_steps(monkeypatch)
     c = S.first_crossings(system, sec, np.array([[u0, v0]]), t_max=50.0, tol=1e-3)
     assert c.failures == [None]
-    assert abs(c.times[0] - expected) < 1e-9
+    assert abs(c.times[0, 0] - expected) < 1e-9
     stood = [(t[0], t_new[0]) for _, t, t_new, ok, _ in steps if ok[0]]
     assert max(abs(u(b) - u(a)) for a, b in stood) <= 0.5 * math.pi
     assert any(not ok[0] for _, _, _, ok, _ in steps)   # the error control would take them
@@ -617,13 +634,15 @@ def test_crossing_verdicts_keep_their_precedence(monkeypatch):
 
     monkeypatch.setattr(S, "_polish", forged)
     c = S.first_crossings(system, sec, [[0.0, v] for v in (1.0, 1.1, 1.2, 1.3, 1.4)], 100.0)
-    t = c.times
+    # the failed crossings keep no time: the forged ones of the starts (0, v)
+    # come at 2*pi / v plus their forged correction
+    t = TWO_PI / np.array([1.0, 1.1, 1.2]) + [0.0, 50.0, 50.0]
     assert c.failures == [
-        f"tangency: grazing crossing at t={t[0]:.6g}: |d theta/dt| = 1.000e-09 < 1e-08",
-        "unconverged: angular residual 2.000e-12 >= 1e-12",
-        f"outside bracket: crossing at t={t[2]:.6g} outside the bracketing step of its orbit",
-        "no crossing", None]
-    assert c.ok.tolist() == [False] * 4 + [True]
+        (0, f"tangency: grazing crossing at t={t[0]:.6g}: |d theta/dt| = 1.000e-09 < 1e-08"),
+        (0, "unconverged: angular residual 2.000e-12 >= 1e-12"),
+        (0, f"outside bracket: crossing at t={t[2]:.6g} outside the bracketing step of its orbit"),
+        (0, "no crossing"), None]
+    assert c.ok[:, 0].tolist() == [False] * 4 + [True]
 
 
 def _slowing_drift(c):
@@ -644,13 +663,13 @@ def test_iterate_returns_t_max_bounds_each_return():
     assert laps.sum() < 3 * t_max
     r = S.iterate_returns(system, sec, np.array([[0.0, 0.0]]), 3, t_max)
     assert r.failures == [(2, "no crossing")]
-    assert np.max(np.abs(r.times[0, :2] - laps[:2])) < 1e-8
-    assert np.isnan(r.times[0, 2]) and np.isnan(r.images[0, 2]).all()
+    assert np.max(np.abs(np.diff(r.times[0, :2], prepend=0.0) - laps[:2])) < 1e-8
+    assert np.isnan(r.times[0, 2]) and np.isnan(r.states[0, 2]).all()
     assert np.max(r.residuals[0, :2]) < S.ANGLE_RESIDUAL
     # the crossing engine's record: cumulative times, two certified entries
     c = S.first_crossings(system, sec, np.array([[0.0, 0.0]]), t_max, k=3)
-    assert c.ok.tolist() == [True, True, False] and c.failures == ["no crossing"]
-    assert np.max(np.abs(c.times[:2] - np.cumsum(laps[:2]))) < 1e-8
+    assert c.ok.tolist() == [[True, True, False]] and c.failures == [(2, "no crossing")]
+    assert np.max(np.abs(c.times[0, :2] - np.cumsum(laps[:2]))) < 1e-8
 
 
 def test_iterate_returns_t_max_below_first_return():
@@ -665,7 +684,7 @@ def test_iterate_returns_t_max_below_first_return():
 
 def test_mapping_torus_product(t4_system, t4_section):
     grid = np.array([[x, y, 0.0, 0.0] for x in (0.5, 2.0, 4.0) for y in (1.0, 3.0)])
-    mt = S.mapping_torus_chart(t4_system, t4_section, grid, tol=1e-10)
+    mt = torus_chart(t4_system, t4_section, grid, tol=1e-10)
     assert mt.gluing_residual < 1e-8
     assert mt.energy_residual < 1e-8
     assert np.allclose(mt.table[:, 0], grid)
@@ -691,7 +710,7 @@ def test_mapping_torus_table_matches_direct_integration(name, system, sec, point
     tol = 1e-10
     chart = system.manifold
     grid = chart.reduce(points)
-    mt = S.mapping_torus_chart(system, sec, grid, tol=tol)
+    mt = torus_chart(system, sec, grid, tol=tol)
     assert mt.table.shape == (len(grid), S.TORUS_TIMES, system.dim)
     times = S.iterate_returns(system, sec, grid, 1, tol=tol).times[:, 0]
     for i, (p, T) in enumerate(zip(grid, times)):
@@ -708,19 +727,19 @@ def test_mapping_torus_energy_residual_is_enforced(osc_system):
     pts = catalog.sample_oscillator_surface(osc_system, 1.0, np.random.default_rng(0), 3,
                                             on_section=True)
     with pytest.raises(S.GluingError, match="energy residual"):
-        S.mapping_torus_chart(osc_system, sec, pts, tol=1e-6)
-    mt = S.mapping_torus_chart(osc_system, sec, pts, tol=1e-10)
+        torus_chart(osc_system, sec, pts, tol=1e-6)
+    mt = torus_chart(osc_system, sec, pts, tol=1e-10)
     assert mt.energy_residual < S.ENERGY_RESIDUAL_MAX
 
 
 def test_mapping_torus_rational_rotation_cycles(suspension_system):
     sec = S.coordinate_section(suspension_system.manifold, 1)
     grid = np.array([[x, 0.0] for x in (0.0, 1.0 / 3.0, 2.0 / 3.0)])
-    mt = S.mapping_torus_chart(suspension_system, sec, grid, tol=1e-10)
+    mt = torus_chart(suspension_system, sec, grid, tol=1e-10)
     # holonomy is rotation by 1/3: applying it three times returns the grid
     x = grid[0]
     for _ in range(3):
-        x = first_return(suspension_system, sec, x).images[0, 0]
+        x = first_return(suspension_system, sec, x).states[0, 0]
     chart = suspension_system.manifold
     assert np.max(np.abs(chart.wrapped_delta(x, grid[0]))) < 3e-8
     # the table's t = 1 row is the holonomy image of its grid point
@@ -754,7 +773,7 @@ def test_first_return_with_wiggling_rate():
 
     r = first_return(wig, sec, [x0, 0.0])
     assert abs(r.times[0, 0] - T_oracle) < 1e-9
-    assert abs(r.images[0, 0, 0] - (x0 + T_oracle) % TWO_PI) < 1e-9
+    assert abs(r.states[0, 0, 0] - (x0 + T_oracle) % TWO_PI) < 1e-9
     assert r.crossings_seen[0, 0] == 2   # one downward dip, then the counted return
     # the rate vanishes somewhere along the orbit, so the margin is small but
     # the crossing itself is transverse
@@ -819,8 +838,8 @@ def test_fast_orbit_in_slow_batch_is_not_aliased(v_fast):
     starts = _fast_among_slow(v_fast)
     c = S.first_crossings(system, sec, starts, t_max=100.0)
     assert c.failures == [None] * 10
-    assert np.max(np.abs(c.times - TWO_PI / starts[:, 1])) < 1e-9
-    assert c.crossings_seen.tolist() == [1] * 10
+    assert np.max(np.abs(c.times[:, 0] - TWO_PI / starts[:, 1])) < 1e-9
+    assert c.crossings_seen[:, 0].tolist() == [1] * 10
 
 
 @pytest.mark.parametrize("v_fast", [-97.0, -99.0, -101.0, -150.0, -300.0])
@@ -834,11 +853,11 @@ def test_fast_backward_orbit_in_slow_batch_matches_batch_of_one(v_fast):
     starts = _fast_among_slow(v_fast)
     alone = [S.first_crossings(system, sec, x[None], t_max=40.0) for x in starts]
     c = S.first_crossings(system, sec, starts, t_max=40.0)
-    assert c.failures == [a.failures[0] for a in alone] == [None] * 9 + ["no crossing"]
-    assert np.max(np.abs(c.times[:9] - TWO_PI / starts[:9, 1])) < 1e-9
-    assert np.max(np.abs(c.times[:9] - [a.times[0] for a in alone[:9]])) < 1e-12
-    assert c.crossings_seen.tolist() == [int(a.crossings_seen[0]) for a in alone]
-    assert np.isnan(c.times[9])
+    assert c.failures == [a.failures[0] for a in alone] == [None] * 9 + [(0, "no crossing")]
+    assert np.max(np.abs(c.times[:9, 0] - TWO_PI / starts[:9, 1])) < 1e-9
+    assert np.max(np.abs(c.times[:9, 0] - [a.times[0, 0] for a in alone[:9]])) < 1e-12
+    assert c.crossings_seen[:, 0].tolist() == [int(a.crossings_seen[0, 0]) for a in alone]
+    assert np.isnan(c.times[9, 0])
 
 
 def _tilted(v):
@@ -858,14 +877,14 @@ def test_orbit_error_does_not_grow_with_its_batch(tol, n):
     # dilute the error of a hard one (v = 1): at tol 1e-6 its crossing-time
     # error grew from 2.3e-7 alone to 8.3e-5 among 9 others
     system, sec, starts, exact = _tilted(np.array([0.0] * (n - 1) + [1.0]))
-    alone = {v: S.first_crossings(system, sec, [[0.0, v]], t_max=20.0, tol=tol).times[0]
+    alone = {v: S.first_crossings(system, sec, [[0.0, v]], t_max=20.0, tol=tol).times[0, 0]
              for v in (0.0, 1.0)}
     batch = S.first_crossings(system, sec, starts, t_max=20.0, tol=tol)
     assert batch.ok.all()
     alone_error = np.abs([alone[v] for v in starts[:, 1]] - exact)
-    assert abs(batch.times[-1] - exact[-1]) <= 2.0 * alone_error[-1]
+    assert abs(batch.times[-1, 0] - exact[-1]) <= 2.0 * alone_error[-1]
     # the easy orbits are near exact alone: a floor for rounding, far below tol
-    assert np.all(np.abs(batch.times - exact) <= 2.0 * alone_error + 1e-13)
+    assert np.all(np.abs(batch.times[:, 0] - exact) <= 2.0 * alone_error + 1e-13)
 
 
 def _exact_first_crossings(system, sec, starts, direction):
@@ -889,11 +908,11 @@ def test_orbit_error_in_a_batch_is_within_twice_its_error_alone(batch, direction
     if exact is None:
         return
     together = S.first_crossings(system, sec, starts, 100.0, direction=direction)
-    alone = np.array([S.first_crossings(system, sec, x[None], 100.0, direction=direction).times[0]
-                      for x in starts])
+    alone = np.array([S.first_crossings(system, sec, x[None], 100.0,
+                                        direction=direction).times[0, 0] for x in starts])
     assert together.ok.all()
     # a row alone and in a batch may round differently, far below any tol
-    assert np.all(np.abs(together.times - exact) <= 2.0 * np.abs(alone - exact) + 1e-13)
+    assert np.all(np.abs(together.times[:, 0] - exact) <= 2.0 * np.abs(alone - exact) + 1e-13)
 
 
 @pytest.mark.parametrize("direction", [1, -1])
@@ -930,8 +949,8 @@ def test_mixed_rate_batch_brackets_on_own_rows(direction):
     together = S.first_crossings(system, sec, starts, 50.0, direction=direction)
     assert together.ok.all()
     alone = [S.first_crossings(system, sec, x[None], 50.0, direction=direction) for x in starts]
-    assert np.max(np.abs(together.times - [c.times[0] for c in alone])) < 1e-8
-    assert together.crossings_seen.tolist() == [int(c.crossings_seen[0]) for c in alone]
+    assert np.max(np.abs(together.times[:, 0] - [c.times[0, 0] for c in alone])) < 1e-8
+    assert together.crossings_seen[:, 0].tolist() == [int(c.crossings_seen[0, 0]) for c in alone]
 
 
 def test_verify_global_keeps_its_forward_scan():

@@ -71,6 +71,16 @@ def test_periods_reject_non_closed():
         T.periods(bad, t2())
 
 
+def test_periods_reject_a_form_not_periodic_on_the_chart():
+    # 5 sin(x0) dx0 is closed, and periodic on the 2*pi torus but not on a
+    # chart of period 1, where it is no form
+    wavy = F.KForm(1, 2, lambda x: np.stack([5.0 * np.sin(x[..., 0]),
+                                             np.full(np.shape(x)[:-1], 0.5)], axis=-1))
+    assert T.periods(wavy, t2()).values[1] == pytest.approx(0.5, abs=1e-12)
+    with pytest.raises(ValueError, match="not periodic"):
+        T.periods(wavy, F.ChartManifold(2, (True, True), (1.0, 1.0)))
+
+
 def test_periods_need_torus():
     with pytest.raises(ValueError, match="torus"):
         T.periods(F.coordinate_form(2, 0), F.ChartManifold(2))
@@ -286,4 +296,4 @@ def test_extracted_leaf_usable_as_section():
     assert report.passed
     r = first_return(flow_sys, sec, [0.0, 0.0])
     assert r.times[0, 0] > 0
-    assert abs(float(sec.offset(r.images[0, 0]))) < 1e-10
+    assert abs(float(sec.offset(r.states[0, 0]))) < 1e-10
