@@ -357,22 +357,23 @@ def embedded_sphere_r4(radius: float = 1.0, center: Optional[np.ndarray] = None,
 
     def value(p):
         p = np.asarray(p, dtype=float)
-        u, v = p[..., 0], p[..., 1]
+        su, v = np.sin(p[..., 0]), p[..., 1]
         out = np.broadcast_to(c, p.shape[:-1] + (4,)).copy()
-        out[..., a0] += radius * np.sin(u) * np.cos(v)
-        out[..., a1] += radius * np.sin(u) * np.sin(v)
-        out[..., a2] += radius * np.cos(u)
+        out[..., a0] += radius * su * np.cos(v)
+        out[..., a1] += radius * su * np.sin(v)
+        out[..., a2] += radius * np.cos(p[..., 0])
         return out
 
     def jacobian(p):
         p = np.asarray(p, dtype=float)
-        u, v = p[..., 0], p[..., 1]
+        su, cu = np.sin(p[..., 0]), np.cos(p[..., 0])
+        sv, cv = np.sin(p[..., 1]), np.cos(p[..., 1])
         out = np.zeros(p.shape[:-1] + (4, 2))
-        out[..., a0, 0] = radius * np.cos(u) * np.cos(v)
-        out[..., a1, 0] = radius * np.cos(u) * np.sin(v)
-        out[..., a2, 0] = -radius * np.sin(u)
-        out[..., a0, 1] = -radius * np.sin(u) * np.sin(v)
-        out[..., a1, 1] = radius * np.sin(u) * np.cos(v)
+        out[..., a0, 0] = radius * cu * cv
+        out[..., a1, 0] = radius * cu * sv
+        out[..., a2, 0] = -radius * su
+        out[..., a0, 1] = -radius * su * sv
+        out[..., a1, 1] = radius * su * cv
         return out
 
     return MeshedSurface(ChartMap(2, 4, value, jacobian), (math.pi, TWO_PI),

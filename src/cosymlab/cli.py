@@ -231,16 +231,22 @@ def _form_from_entries(dim: int, names: Sequence[str], entries, degree: int) -> 
                 raise ConfigError(f"form coefficient {coeff!r}: {exc}") from exc
         terms.append((rank[tuple(sorted(idx))], 1.0 if idx == sorted(idx) else -1.0, value))
 
-    def coeffs(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1] + (len(rank),))
+    if not any(isinstance(coeff, str) for *_, coeff in entries):
+        vec = np.zeros(len(rank))
         for r, sign, value in terms:
-            out[..., r] += sign * (value(x) if callable(value) else value)
-        return out
-
-    if any(callable(value) for *_, value in terms):
-        return KForm(degree, dim, coeffs)
-    return constant_form(dim, degree, coeffs(np.zeros(dim)))
+            vec[r] += sign * value
+        return constant_form(dim, degree, vec)
+    # one generated function: column r is the sum of rank r's signed terms
+    from . import expr
+    columns: list = [None] * len(rank)
+    for r, sign, value in terms:
+        if isinstance(value, expr.Expression):
+            term = value.root if sign > 0 else expr.Neg(value.root)
+        else:
+            term = expr.Num(sign * value)
+        columns[r] = term if columns[r] is None else expr.BinOp("+", columns[r], term)
+    return KForm(degree, dim, expr.compile_nodes([expr.Num(0.0) if c is None else c
+                                                  for c in columns]))
 
 
 def _coordinate_names(spec: dict) -> list:

@@ -23,8 +23,7 @@ import numpy as np
 from .forms import (CLOSED_TOL, ChartManifold, ChartMap, KForm, Rng, coordinate_form,
                     covector_values, exterior_derivative, interior,
                     max_coeff_magnitude, power, pullback, wedge)
-from .phase import EnergySurface, HamiltonianSystem, solve_pairing
-from .section import TANGENCY_MARGIN
+from .phase import TANGENCY_MARGIN, EnergySurface, HamiltonianSystem, solve_pairing
 
 VOLUME_MARGIN = 1e-9
 LEVEL_TOL = 1e-8   # largest |H - level| on a slice, relative to max(1, |level|)

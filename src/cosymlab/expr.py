@@ -3,8 +3,10 @@
 Config files may define Hamiltonians as strings over the chart coordinates,
 e.g. ``"0.5*(q^2 + p^2)"`` or ``"sin(theta)"``.  The grammar covers sums,
 products, quotients, integer powers and the sine/cosine calls; parsed
-expressions evaluate vectorised over coordinate arrays and differentiate
-symbolically, which supplies the gradient callbacks the solvers need.
+expressions differentiate symbolically, which supplies the gradient callbacks
+the solvers need.  Values are computed by generated code: `compile_nodes`
+emits one straight-line NumPy function per list of trees, from the validated
+tree only, and executes it once in a namespace that holds only ``np``.
 
     expr   := term (('+' | '-') term)*
     term   := unary (('*' | '/') unary)*
@@ -14,6 +16,7 @@ symbolically, which supplies the gradient callbacks the solvers need.
 """
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -34,9 +37,11 @@ _TOKEN = re.compile(r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\
                     r"|\d+(?:[eE][+-]?\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
                     r"|(?P<op>\*\*|[-+*/^()]))")
 
+# function name -> derivative of fn(arg) with respect to arg; the generated code
+# calls np.<name>
 _FUNCTIONS = {
-    "sin": (np.sin, lambda arg: Call("cos", arg)),
-    "cos": (np.cos, lambda arg: Neg(Call("sin", arg))),
+    "sin": lambda arg: Call("cos", arg),
+    "cos": lambda arg: Neg(Call("sin", arg)),
 }
 
 
@@ -66,16 +71,13 @@ def _tokenize(text: str):
 class Node:
     """Expression tree node.
 
-    Calling a node evaluates it on a float array of coordinates, shape
-    (..., dim).  A subtree that reads no coordinate returns a NumPy scalar,
-    which broadcasts where it meets an array; `Expression` gives every
-    result the batch shape.
+    The code `compile_nodes` generates evaluates a node on a float array of
+    coordinates, shape (n, dim).  A subtree that reads no coordinate gives a
+    NumPy scalar, which broadcasts where it meets an array; the generated
+    function writes every result into an output of the batch shape.
     """
 
     def diff(self, index: int) -> "Node":
-        raise NotImplementedError
-
-    def __call__(self, coords: np.ndarray):
         raise NotImplementedError
 
 
@@ -91,9 +93,6 @@ class Num(Node):
     def diff(self, index):
         return Num(0.0)
 
-    def __call__(self, coords):
-        return self.value
-
     def __str__(self):
         return f"{self.value:g}"
 
@@ -106,9 +105,6 @@ class Var(Node):
     def diff(self, index):
         return Num(1.0 if index == self.index else 0.0)
 
-    def __call__(self, coords):
-        return coords[..., self.index]
-
     def __str__(self):
         return self.name
 
@@ -119,9 +115,6 @@ class Neg(Node):
 
     def diff(self, index):
         return Neg(self.arg.diff(index))
-
-    def __call__(self, coords):
-        return -self.arg(coords)
 
     def __str__(self):
         return f"(-{self.arg})"
@@ -145,16 +138,6 @@ class BinOp(Node):
         num = _sub(_mul(dl, self.right), _mul(self.left, dr))
         return BinOp("/", num, BinOp("*", self.right, self.right))
 
-    def __call__(self, coords):
-        a, b = self.left(coords), self.right(coords)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        return a / b
-
     def __str__(self):
         return f"({self.left} {self.op} {self.right})"
 
@@ -172,9 +155,6 @@ class Pow(Node):
                      Pow(self.base, self.exponent - 1) if self.exponent != 1 else Num(1.0))
         return _mul(outer, inner)
 
-    def __call__(self, coords):
-        return self.base(coords) ** self.exponent
-
     def __str__(self):
         return f"({self.base}^{self.exponent})"
 
@@ -185,12 +165,7 @@ class Call(Node):
     arg: Node
 
     def diff(self, index):
-        _, derivative = _FUNCTIONS[self.fn]
-        return _mul(derivative(self.arg), self.arg.diff(index))
-
-    def __call__(self, coords):
-        fn, _ = _FUNCTIONS[self.fn]
-        return fn(self.arg(coords))
+        return _mul(_FUNCTIONS[self.fn](self.arg), self.arg.diff(index))
 
     def __str__(self):
         return f"{self.fn}({self.arg})"
@@ -314,44 +289,118 @@ class _Parser:
         raise ExprError(f"unexpected token {val!r}", pos)
 
 
-def _as_batch(coords: np.ndarray) -> np.ndarray:
-    """A single point as a batch of one.
+# -- code generation --------------------------------------------------------------
 
-    Then every value that depends on the coordinates is an array, and a point
-    gets bit for bit the value it gets inside a batch: NumPy's scalar power
-    rounds differently from its array power.
+_BINARY = ("+", "-", "*", "/")
+
+
+class _Emitter:
+    """Straight-line NumPy statements for expression trees: one statement per
+    distinct subtree, so a subtree that occurs twice (as in a gradient) is
+    computed once, and one default argument per distinct constant."""
+
+    def __init__(self):
+        self.lines: list[str] = []
+        self.constants: dict[str, str] = {}   # float literal -> parameter name
+        self.temps: dict[str, str] = {}       # right-hand side -> temporary name
+
+    def _temp(self, rhs: str) -> str:
+        if rhs not in self.temps:
+            self.temps[rhs] = f"t{len(self.temps)}"
+            self.lines.append(f"    {self.temps[rhs]} = {rhs}")
+        return self.temps[rhs]
+
+    def emit(self, node: Node) -> str:
+        """Name of the local that holds the node's value."""
+        if isinstance(node, Num):
+            value = float(node.value)
+            literal = repr(value) if math.isfinite(value) else repr(repr(value))
+            return self.constants.setdefault(literal, f"c{len(self.constants)}")
+        if isinstance(node, Var):
+            return self._temp(f"x[..., {int(node.index)}]")
+        if isinstance(node, Neg):
+            return self._temp(f"-{self.emit(node.arg)}")
+        if isinstance(node, BinOp) and node.op in _BINARY:
+            left, right = self.emit(node.left), self.emit(node.right)
+            return self._temp(f"{left} {node.op} {right}")
+        if isinstance(node, Pow):
+            base = self.emit(node.base)
+            # base ** 1 is base bit for bit, for arrays and NumPy scalars alike
+            return base if node.exponent == 1 else self._temp(f"{base} ** {int(node.exponent)}")
+        if isinstance(node, Call) and node.fn in _FUNCTIONS:
+            return self._temp(f"np.{node.fn}({self.emit(node.arg)})")
+        raise TypeError(f"not an expression node: {node!r}")
+
+
+def compile_nodes(columns: Sequence[Node],
+                  scalar: bool = False) -> Callable[[np.ndarray], np.ndarray]:
+    """One generated NumPy function of coords (..., dim) that evaluates the
+    trees: column i of its result, shape (..., len(columns)), is the value of
+    columns[i]; with ``scalar`` the one tree's values, shape (...,).
+
+    The source is emitted from the tree alone (coordinate columns
+    ``x[..., i]``, constants ``np.float64(<repr>)``, the four operators,
+    integer powers, ``np.sin`` and ``np.cos``) and executed once, in a
+    namespace that holds only ``np`` and no builtins.  A constant is a NumPy
+    double, so constant arithmetic follows IEEE rules (1/0 is inf) as array
+    arithmetic does.  A single point is evaluated as a batch of one: then
+    every value that depends on the coordinates is an array, and a point gets
+    bit for bit the value it gets inside a batch (NumPy's scalar power rounds
+    differently from its array power).
     """
-    return coords[None] if coords.ndim == 1 else coords
+    if scalar and len(columns) != 1:
+        raise ValueError("a scalar result needs exactly one tree")
+    emitter = _Emitter()
+    results = [emitter.emit(node) for node in columns]
+    if scalar:
+        tail, stores = "()", [f"    out[...] = {results[0]}"]
+    else:
+        tail = f"({len(columns)},)"
+        stores = [f"    out[..., {i}] = {name}" for i, name in enumerate(results)]
+    params = "".join(f", {name}=np.float64({literal})"
+                     for literal, name in emitter.constants.items())
+    source = "\n".join([
+        f"def compiled(coords{params}):",
+        "    x = np.asarray(coords, dtype=np.float64)",
+        "    single = x.ndim == 1",
+        "    if single:",
+        "        x = x[None]",
+        f"    out = np.empty(x.shape[:-1] + {tail})",
+        *emitter.lines,
+        *stores,
+        f"    return out.reshape({tail}) if single else out",
+        ""])
+    namespace = {"np": np, "__builtins__": {}}
+    exec(compile(source, "<cosymlab.expr>", "exec"), namespace)  # noqa: S102 (tree-built source)
+    return namespace.pop("compiled")
 
 
 @dataclass(frozen=True)
 class Expression:
-    """Parsed expression over named coordinates; callable and differentiable."""
+    """Parsed expression over named coordinates; callable and differentiable.
+
+    Values and gradients are computed by generated code only (`compile_nodes`).
+    """
 
     root: Node
     names: tuple[str, ...]
 
+    def compile(self) -> Callable[[np.ndarray], np.ndarray]:
+        """The values as one generated function of coords (..., dim), shape (...,)."""
+        return compile_nodes([self.root], scalar=True)
+
+    @functools.cached_property
+    def _values(self) -> Callable[[np.ndarray], np.ndarray]:
+        return self.compile()
+
     def __call__(self, coords: np.ndarray) -> np.ndarray:
         """Values at coords (..., dim), shape (...,)."""
-        coords = np.asarray(coords, dtype=float)
-        x = _as_batch(coords)
-        out = np.empty(x.shape[:-1])
-        out[...] = self.root(x)
-        return out.reshape(coords.shape[:-1])
+        return self._values(coords)
 
     def gradient(self) -> Callable[[np.ndarray], np.ndarray]:
-        """Callable giving the symbolic gradient at coords (..., dim), shape (..., dim)."""
-        partials = [self.root.diff(i) for i in range(len(self.names))]
-
-        def grad(coords: np.ndarray) -> np.ndarray:
-            coords = np.asarray(coords, dtype=float)
-            x = _as_batch(coords)
-            out = np.empty(x.shape)
-            for i, p in enumerate(partials):
-                out[..., i] = p(x)
-            return out.reshape(coords.shape)
-
-        return grad
+        """Generated function giving the symbolic gradient at coords (..., dim),
+        shape (..., dim)."""
+        return compile_nodes([self.root.diff(i) for i in range(len(self.names))])
 
     def __str__(self):
         return str(self.root)

@@ -79,6 +79,13 @@ def _merge_sign(left: tuple[int, ...], right: tuple[int, ...]):
     return merged, (-1) ** inversions
 
 
+def _wrap(values: np.ndarray, period: float) -> None:
+    """Reduce values to [0, period) in place.  NumPy's remainder of a value
+    just below 0 rounds up to the period itself; that value becomes 0."""
+    np.remainder(values, period, out=values)
+    np.subtract(values, period, out=values, where=values >= period)
+
+
 @dataclass(frozen=True)
 class ChartManifold:
     """Flat coordinate model: dimension plus per-coordinate periodicity.
@@ -113,11 +120,12 @@ class ChartManifold:
         return all(self.periodic)
 
     def reduce(self, coords: np.ndarray) -> np.ndarray:
-        """Reduce periodic coordinates to [0, period)."""
+        """Reduce periodic coordinates to [0, period); reducing twice changes
+        nothing."""
         out = np.array(coords, dtype=float, copy=True)
         for i, (per, p) in enumerate(zip(self.periodic, self.periods)):
             if per:
-                out[..., i] %= p
+                _wrap(out[..., i], p)
         return out
 
     def wrapped_delta(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -126,7 +134,10 @@ class ChartManifold:
         d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
         for i, (per, p) in enumerate(zip(self.periodic, self.periods)):
             if per:
-                d[..., i] = (d[..., i] + 0.5 * p) % p - 0.5 * p
+                col = d[..., i]
+                col += 0.5 * p
+                _wrap(col, p)
+                col -= 0.5 * p
         return d
 
     def sample(self, rng: Rng, n: int) -> np.ndarray:

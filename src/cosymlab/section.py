@@ -44,10 +44,10 @@ import numpy as np
 
 from .forms import ChartManifold, two_form_matrix
 from . import phase
+from .phase import TANGENCY_MARGIN
 
 TWO_PI = 2.0 * math.pi
 
-TANGENCY_MARGIN = 1e-8
 ANGLE_RESIDUAL = 1e-12
 ON_SECTION_TOL = 1e-8
 NEAR_LATTICE = 1e-3     # lattice units (turns of the section angle)

@@ -26,7 +26,8 @@ import numpy as np
 from .catalog import DEFAULT_D_CAP
 from .forms import (CLOSED_TOL, ChartManifold, KForm, Rng, constant_form, covector_values,
                     exterior_derivative, max_coeff_magnitude)
-from .section import TANGENCY_MARGIN, SectionSpec
+from .phase import TANGENCY_MARGIN
+from .section import SectionSpec
 
 TWO_PI = 2.0 * math.pi
 

@@ -652,7 +652,7 @@ BENCH_INLINE_RETURN_MAP = {
      ["obstruct"]),
     ("return-map", {**RETURN_MAP_OSC, "tol": 1e-10}, ["section"]),
     ("return-map", BENCH_INLINE_RETURN_MAP, ["expr", "section"]),
-    ("verify-cosym", {"seed": "t5", "samples": 64}, ["cosym", "section"]),
+    ("verify-cosym", {"seed": "t5", "samples": 64}, ["cosym"]),
     ("demo-product", {"seed": "t5", "samples": 4, "n_return_points": 1, "grid": 2,
                       "t_max": 20.0}, ["cosym", "section"]),
     ("tischler", {"tischler": {"dim": 4, "alpha": [[0, "1.0 + 0.3*cos(x0)"], [1, math.sqrt(2.0)],

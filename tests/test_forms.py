@@ -41,6 +41,47 @@ def test_wrapped_delta():
     assert np.allclose(d, [-0.1, 2.0])
 
 
+TINY_NEGATIVE = [-1e-17, -1e-300, -5e-324, -2e-16, -4.4e-16, -0.0]
+
+
+@pytest.mark.parametrize("period", [TWO_PI, 1.0, 3.0, 1e-3])
+def test_reduce_maps_tiny_negatives_into_the_period_and_is_idempotent(period):
+    # NumPy's remainder of a value just below 0 rounds up to the period itself
+    chart = F.ChartManifold(2, (True, False), (period, period))
+    x = np.array([[v, v] for v in TINY_NEGATIVE] + [[period, 0.5], [-period, 0.5]])
+    once = chart.reduce(x)
+    assert np.all((once[:, 0] >= 0.0) & (once[:, 0] < period)), once[:, 0]
+    assert np.array_equal(chart.reduce(once), once)
+    assert np.array_equal(once[:, 1], x[:, 1])   # a non-periodic coordinate is kept
+    assert np.all(np.abs(chart.wrapped_delta(once, x)[:, 0]) <= 1e-15 * max(1.0, period))
+
+
+@pytest.mark.parametrize("period", [TWO_PI, 1.0, 3.0])
+def test_wrapped_delta_stays_below_half_the_period(period):
+    # a difference just below -period/2 wraps to [-period/2, period/2), not to period/2
+    chart = F.ChartManifold(1, (True,), (period,))
+    half = 0.5 * period
+    d = np.array([np.nextafter(-half, -np.inf), -half, np.nextafter(half, np.inf), half,
+                  -half - 1e-17, half + period, -half - period])
+    out = chart.wrapped_delta(d[:, None], np.zeros((len(d), 1)))[:, 0]
+    assert np.all((out >= -half) & (out < half)), out
+    # each result is d up to a whole number of periods, to rounding
+    turns = (d - out) / period
+    assert np.all(np.abs(turns - np.round(turns)) < 1e-15)
+
+
+def test_reduce_of_the_unit_period_suspension_chart():
+    from cosymlab import catalog
+    chart = catalog.torus(2)
+    assert np.array_equal(chart.reduce([[-1e-17, 0.5]]), [[0.0, 0.5]])
+    system = catalog.suspension_rotation()
+    x = np.full((1, system.dim), -1e-17)
+    once = system.manifold.reduce(x)
+    periodic = np.array(system.manifold.periodic)
+    assert np.all(once[0, periodic] == 0.0)
+    assert np.array_equal(system.manifold.reduce(once), once)
+
+
 # -- seeded sampler ----------------------------------------------------------------
 
 

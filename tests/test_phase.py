@@ -1,8 +1,12 @@
 import math
+import warnings
+from itertools import combinations
 
 import numpy as np
 import pytest
 from helpers import divergence, energy_drift
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cosymlab import catalog, forms as F, phase as P
 
@@ -129,13 +133,109 @@ def test_near_singular_constant_omega_field(rcond):
 
 
 def test_non_constant_omega_takes_solve_path(monkeypatch):
+    # the field of a non-constant omega is the pointwise solve_pairing; in dim 2
+    # that is the closed form, bit for bit LAPACK's solution without calling it
     system = _inline([[0, 1, "1 + 0.5*sin(q)"]])
     assert system.poisson_matrix is None
     xs = system.manifold.sample(np.random.default_rng(3), 16)
     expected = _solved_field(system, xs)
+    pairings, solve_pairing = [], P.solve_pairing
+    monkeypatch.setattr(P, "solve_pairing", lambda *a: pairings.append(1) or solve_pairing(*a))
     calls = _counting_solve(monkeypatch)
     assert np.array_equal(system.field(xs), expected)
-    assert calls
+    assert np.array_equal(system.field(xs[3]), expected[3])
+    assert pairings == [1, 1] and not calls
+
+
+def _wavy_omega(dim, rng, amplitude):
+    """A non-constant two-form: the standard one plus amplitude * sin of a random
+    linear function of the point in every coefficient (not closed; the pairing
+    solve does not need that), with its coefficient matrices at points."""
+    pairs = list(combinations(range(dim), 2))
+    base = np.array([1.0 if j == i + 1 and i % 2 == 0 else 0.0 for i, j in pairs])
+    W, phase = rng.normal(size=(len(pairs), dim)), rng.uniform(0.0, TWO_PI, len(pairs))
+    scale = rng.uniform(0.5, 2.0)
+
+    def coeffs(x):   # elementwise, so that a point gets the same bits in any batch
+        return scale * (base + amplitude * np.sin((np.asarray(x)[..., None, :] * W).sum(-1)
+                                                  + phase))
+
+    return F.KForm(2, dim, coeffs)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from([2, 4]), st.integers(1, 8), st.floats(0.0, 0.3),
+       st.integers(0, 2 ** 32 - 1))
+def test_closed_form_pairing_matches_lapack(dim, n, amplitude, seed):
+    # dim 2 and 4 solve M^T X = a in closed form; LAPACK's solution agrees to
+    # 1e-12 relative on well-conditioned non-constant omegas, and in dim 2 bit for bit
+    rng = np.random.default_rng(seed)
+    omega = _wavy_omega(dim, rng, amplitude)
+    xs, a = rng.normal(size=(n, dim)) * 3.0, rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-3, 4)
+    M = F.two_form_matrix(omega, xs)
+    expected = np.linalg.solve(np.swapaxes(M, -1, -2), a[..., None])[..., 0]
+    X = P.solve_pairing(omega, xs, a)
+    assert X.shape == (n, dim)
+    assert np.all(np.abs(X - expected) <= 1e-12 * np.max(np.abs(expected), axis=-1, keepdims=True))
+    if dim == 2:
+        assert np.array_equal(X, expected)
+    assert np.array_equal(P.solve_pairing(omega, xs[0], a[0]), X[0])
+
+
+@pytest.mark.parametrize("dim, lapack", [(2, False), (4, False), (6, True)])
+def test_pairing_takes_lapack_only_above_dim_4(dim, lapack, monkeypatch):
+    rng = np.random.default_rng(7)
+    omega = _wavy_omega(dim, rng, 0.2)
+    xs, a = rng.normal(size=(5, dim)), rng.normal(size=(5, dim))
+    calls = _counting_solve(monkeypatch)
+    X = P.solve_pairing(omega, xs, a)
+    assert bool(calls) == lapack
+    M = F.two_form_matrix(omega, xs)
+    assert np.max(np.abs(np.einsum("...ji,...j->...i", M, X) - a)) < 1e-12
+    assert P.solve_pairing(omega, np.zeros((0, dim)), np.zeros((0, dim))).shape == (0, dim)
+
+
+def _inline4(omega):
+    from cosymlab.cli import build_inline_system, validate
+    return build_inline_system(validate("obstruct", {"system": {
+        "dim": 4, "coordinates": ["q1", "p1", "q2", "p2"], "omega": omega,
+        "hamiltonian": "0.5*(q1^2 + p1^2 + q2^2 + p2^2)"}})["system"])
+
+
+@pytest.mark.parametrize("system, point", [
+    (lambda: _inline([[0, 1, "sin(q)"]]), [0.0, 0.7]),
+    (lambda: _inline([[0, 1, "sin(q)^3"]]), [1e-110, 0.7]),        # m underflows to 0
+    (lambda: _inline4([[0, 1, "sin(q1)"], [2, 3, 1.0]]), [0.0, 0.3, 0.2, 0.1]),
+    # Pf = 1 - (1 + sin(q2)) vanishes at q2 = 0
+    (lambda: _inline4([[0, 1, 1.0], [2, 3, 1.0], [0, 2, "1 + sin(q2)"], [1, 3, 1.0]]),
+     [0.3, 0.2, 0.0, 0.1]),
+])
+def test_degenerate_omega_raises_without_a_warning(system, point):
+    # a vanishing m (dim 2) or Pf (dim 4) is caught by the residual bound, with every
+    # RuntimeWarning an error
+    system = system()
+    x = np.array([point, [0.5, 0.5] + [0.5] * (len(point) - 2)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(P.SingularOmegaError):
+            system.field(x)
+        with pytest.raises(P.SingularOmegaError):
+            system.field(x[0])
+        assert np.all(np.isfinite(system.field(x[1:])))
+
+
+@pytest.mark.parametrize("dim, coefficients, a", [
+    (2, [1e-310], [1.0, 1.0]),              # X = a / m overflows
+    (4, [1e200, 0.0, 0.0, 0.0, 0.0, 1e200], [1.0, 0.0, 0.0, 0.0]),   # Pf overflows
+    (4, [1e-170, 0.0, 0.0, 0.0, 0.0, 1e-170], [1.0, 0.0, 0.0, 0.0]),  # Pf underflows to 0
+    (2, [np.nan], [1.0, 1.0]),
+])
+def test_overflowing_pairing_raises_without_a_warning(dim, coefficients, a):
+    omega = F.constant_form(dim, 2, coefficients)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(P.SingularOmegaError):
+            P.solve_pairing(omega, np.zeros((3, dim)), np.tile(a, (3, 1)))
 
 
 def test_flow_quarter_period(ho_system):
