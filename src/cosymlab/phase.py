@@ -2,9 +2,9 @@
 
 The Hamiltonian vector field is obtained pointwise by solving the linear
 system pairing the symplectic form with the differential of the energy
-("insert X into omega, read off dH"): in closed form in dimensions 2 and 4,
-by LAPACK above, with the residual checked on every call; for a constant
-omega the inverse of that system is computed and checked once per system.
+("insert X into omega, read off dH"): in closed form in dimension 2, by
+LAPACK above, with the residual checked on every call; for a constant omega
+the inverse of that system is computed and checked once per system.
 Sign convention, fixed throughout:
 
     iota_{X_H} omega = dH
@@ -48,27 +48,6 @@ class SingularOmegaError(RuntimeError):
         self.rcond = rcond
 
 
-# Dim 4: each component of N v and of M^T v is a sum of three terms c_p v_q s, for
-# a two-form's coefficients c over the pairs (01, 02, 03, 12, 13, 23) and a vector
-# v; _COFACTOR (for N v) and _TRANSPOSE (for M^T v) give (p, q, s) per component
-# and term.  N[i, j] = (-1)^(i + j + 1) c_(k, l) for i < j, {k, l} the other two
-# indices, and N[j, i] = -N[i, j], so that M N = -Pf(M) I.
-_OTHERS = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
-_COFACTOR = (np.array([[5, 4, 3], [5, 2, 1], [4, 2, 0], [3, 1, 0]]), _OTHERS,
-             np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, -1.0], [1.0, -1.0, 1.0], [-1.0, 1.0, -1.0]]))
-_TRANSPOSE = (np.array([[0, 1, 2], [0, 3, 4], [1, 3, 5], [2, 4, 5]]), _OTHERS,
-              np.array([[-1.0, -1.0, -1.0], [1.0, -1.0, -1.0], [1.0, 1.0, -1.0], [1.0, 1.0, 1.0]]))
-
-
-def _contract(c: np.ndarray, v: np.ndarray, table: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Component i is the sum over k of c[p[i, k]] * v[q[i, k]] * s[i, k] for
-    (p, q, s) = table, summed left to right and elementwise, so that every
-    point gets the same bits in any batch."""
-    p, q, sign = table
-    terms = c[..., p] * v[..., q] * sign
-    return terms[..., 0] + terms[..., 1] + terms[..., 2]
-
-
 _FLIP = np.array([1.0, -1.0])
 
 
@@ -77,34 +56,26 @@ def solve_pairing(omega: KForm, coords: np.ndarray, a: np.ndarray) -> np.ndarray
     of omega) at each point of coords (..., dim), for covector values a
     (..., dim).
 
-    In dim 2 X = (a_1, -a_0) / m_01, bit for bit what LAPACK returns; in dim 4
-    X = N a / Pf(M) by the Pfaffian cofactors N (M^-1 = adj M / Pf^2 = -N / Pf);
-    larger dimensions take one LAPACK solve per point.  Every call checks the
+    In dim 2 X = (a_1, -a_0) / m_01, bit for bit what LAPACK returns; larger
+    dimensions take one LAPACK solve per point.  Every call checks the
     residual: raises SingularOmegaError unless |M^T X - a| is within
     FIELD_RESIDUAL_MAX * max(1, |a|) over the batch, so a vanishing or
-    overflowing m_01 or Pf raises too (without a RuntimeWarning).
+    overflowing m_01 raises too (without a RuntimeWarning).
     """
-    dim = omega.dim
-    if dim == 2 or dim == 4:
-        c = np.asarray(omega.coeffs(coords), dtype=float)
-        with np.errstate(all="ignore"):   # a NaN or inf here fails the residual bound
-            if dim == 2:
-                # M^T X = (-m X_1, m X_0), so |M^T X - a| = |m X - b| with b = (a_1, -a_0)
-                b = a[..., ::-1] * _FLIP
-                X = b / c
-                residual = c * X - b
-            else:
-                m = c[..., :3] * c[..., :2:-1]   # m01 m23, m02 m13, m03 m12
-                pf = m[..., 0] - m[..., 1] + m[..., 2]
-                X = _contract(c, a, _COFACTOR) / pf[..., None]
-                residual = _contract(c, X, _TRANSPOSE) - a
-    else:
-        M = two_form_matrix(omega, coords)
-        try:
-            X = np.linalg.solve(np.swapaxes(M, -1, -2), a[..., None])[..., 0]
-        except np.linalg.LinAlgError as exc:
-            raise SingularOmegaError(0.0, coords) from exc
-        residual = np.einsum("...ji,...j->...i", M, X) - a
+    with np.errstate(all="ignore"):   # a NaN or inf here fails the residual bound
+        if omega.dim == 2:
+            c = np.asarray(omega.coeffs(coords), dtype=float)
+            # M^T X = (-m X_1, m X_0), so |M^T X - a| = |m X - b| with b = (a_1, -a_0)
+            b = a[..., ::-1] * _FLIP
+            X = b / c
+            residual = c * X - b
+        else:
+            M = two_form_matrix(omega, coords)
+            try:
+                X = np.linalg.solve(np.swapaxes(M, -1, -2), a[..., None])[..., 0]
+            except np.linalg.LinAlgError as exc:
+                raise SingularOmegaError(0.0, coords) from exc
+            residual = np.einsum("...ji,...j->...i", M, X) - a
     # an empty batch has nothing to check; max |a| is needed only past the bound at |a| <= 1
     worst = np.abs(residual).max() if X.size else 0.0
     if not (worst <= FIELD_RESIDUAL_MAX
