@@ -256,7 +256,8 @@ _PRODUCT = dict(section=product_leaf_section, surface=sample_product_surface,
                 starts=lambda system, rng, n, level: sample_product_leaf(system, rng, n))
 
 SYSTEMS: dict[str, SystemEntry] = {
-    "harmonic_oscillator": SystemEntry(harmonic_oscillator),
+    "harmonic_oscillator": SystemEntry(harmonic_oscillator,
+                                       lambda system: oscillator_angle_section((0, 1))),
     "oscillator_2dof_sqrt2": SystemEntry(
         oscillator_2dof, lambda system: oscillator_angle_section(),
         lambda system, rng, n, level: sample_oscillator_surface(system, level, rng, n,

@@ -305,7 +305,11 @@ def build_section(sec: Optional[dict], entry: catalog.SystemEntry, system) -> Se
     if not 0 <= index < dim:
         raise ConfigError(f"section field 'index' must be below dimension {dim}, got {index}")
     from .section import coordinate_section
-    return coordinate_section(system.manifold, index, sec["level"], sec["orientation"])
+    try:
+        return coordinate_section(system.manifold, index, sec["level"], sec["orientation"])
+    except ValueError as exc:
+        raise ConfigError(f"coordinate section: {exc}; configure a 'section' on a periodic "
+                          "coordinate, or of kind 'angle' or 'leaf'") from exc
 
 
 def section_start_points(entry: catalog.SystemEntry, system, sec: SectionSpec, cfg: dict,
@@ -452,21 +456,26 @@ def _jsonable(value):
 # -- commands -----------------------------------------------------------------------
 
 
-def check_jacobians(runner: Runner, name: str, system, sec, points: np.ndarray, first,
-                    tol: float, identity: bool = False) -> None:
-    """Check |det J - 1| < DET_ERROR_MAX over the return-map Jacobians at the
-    points, whose orbits lead the crossing record ``first``; ``identity`` also
-    reports the largest |J - I|.  A Jacobian that cannot be certified fails."""
-    from .section import CROSSING_ERRORS, DET_ERROR_MAX, return_map_jacobians
+def check_jacobians(runner: Runner, name: str, system, sec, record,
+                    identity: bool = False) -> None:
+    """Check |det J - 1| < DET_ERROR_MAX over the return-map Jacobians of the
+    starts of a crossing record; ``identity`` also reports the largest
+    |J - I|.  A start with no certified first crossing or no section chart
+    fails the check."""
+    from .section import DET_ERROR_MAX, SectionChartError, return_map_jacobians
+    n_points, missing = len(record.starts), record.first_missing()
+    error = missing and missing[1]
     try:
-        jacs = return_map_jacobians(system, sec, points, first, tol)
-    except CROSSING_ERRORS as exc:
-        runner.check(name, False, error=str(exc), n_points=len(points))
+        jacs = None if error else return_map_jacobians(system, sec, record)
+    except SectionChartError as exc:
+        error = str(exc)
+    if error:
+        runner.check(name, False, error=error, n_points=n_points)
         return
     max_det_err = float(np.max(np.abs(np.linalg.det(jacs) - 1.0)))
     deviation = ({"max_identity_deviation": float(np.max(np.abs(jacs - np.eye(jacs.shape[-1]))))}
                  if identity else {})
-    runner.check(name, max_det_err < DET_ERROR_MAX, n_points=len(points),
+    runner.check(name, max_det_err < DET_ERROR_MAX, n_points=n_points,
                  max_det_error=max_det_err, **deviation)
 
 
@@ -477,8 +486,7 @@ def cmd_demo_product(cfg: dict, runner: Runner, seed: int) -> None:
     then runs globality, return-map, and mapping-torus checks on its leaf.
     """
     from . import cosym
-    from .section import (CROSSING_ERRORS, GluingError, mapping_torus_chart, verify_global,
-                          write_crossings_csv)
+    from .section import mapping_torus_chart, verify_global, write_crossings_csv
     rng = Rng(seed)
     tol, t_max = cfg["tol"], cfg["t_max"]
 
@@ -493,21 +501,21 @@ def cmd_demo_product(cfg: dict, runner: Runner, seed: int) -> None:
         rep = verify_global(system, sec, leaf_samples, t_max, tol)
     runner.check("verify_global", rep.passed, rep.as_dict())
 
-    # the checks use at most as many points as there are samples, and say how many
+    # the checks read the leading rows of the forward record, at most as many as
+    # there are samples, and say how many
     with runner.timed("return_map"):
         # every leaf point returns to itself, so the Jacobians are the identity
         check_jacobians(runner, "return_map_symplectic", system, sec,
-                        leaf_samples[:cfg["n_return_points"]], rep.forward, tol, identity=True)
+                        rep.forward.select(slice(cfg["n_return_points"])), identity=True)
 
-    # the chart raises GluingError past its gluing and energy bounds, so a chart passes
     with runner.timed("mapping_torus"):
-        grid = leaf_samples[:cfg["grid"]]
-        try:
-            mt = mapping_torus_chart(system, sec, grid, rep.forward, tol)
-        except CROSSING_ERRORS + (GluingError,) as exc:
-            runner.check("mapping_torus_gluing", False, error=str(exc), n_points=len(grid))
+        grid = rep.forward.select(slice(cfg["grid"]))
+        missing = grid.first_missing()
+        if missing:
+            runner.check("mapping_torus_gluing", False, error=missing[1], n_points=len(grid.starts))
         else:
-            runner.check("mapping_torus_gluing", True, n_points=len(grid),
+            mt = mapping_torus_chart(system, sec, grid)
+            runner.check("mapping_torus_gluing", mt.passed, n_points=len(grid.starts),
                          gluing_residual=mt.gluing_residual, energy_residual=mt.energy_residual)
 
     # the first 50 samples' crossings, read off verify_global's forward scan
@@ -674,7 +682,7 @@ def cmd_return_map(cfg: dict, runner: Runner, seed: int) -> None:
     with runner.timed("jacobians"):
         # at most as many points as there are starts, on their certified first returns
         check_jacobians(runner, "symplectic_determinant", system, sec,
-                        starts[:cfg["n_return_points"]], returns, tol)
+                        returns.select(slice(cfg["n_return_points"])))
 
     write_crossings_csv(runner.add_artifact("crossings.csv"), rows, system.dim)
     svg_scatter(runner.add_artifact("plot.svg"),

@@ -15,10 +15,11 @@ return maps, transversality margins) uses this convention.
 Flows integrate through one entry point, `integrate_batch`, with the
 package's own batched DOP853 stepper (`dop853`: the explicit Runge-Kutta pair
 of order 8 with SciPy's step-size control, in NumPy only) at a caller-given
-tolerance, rtol = tol and atol = tol / 100; each orbit of a batch, or each
-group of orbits, takes its own steps, and the integration returns the states
-they end in.  A caller that needs states along an orbit integrates to each
-time it needs, or watches the steps through a step hook.
+tolerance, rtol = tol and atol = tol / 100; each orbit of a batch takes its
+own steps, and the integration returns the states they end in.  Orbits that
+must share one step sequence are stacked by their caller into one row.  A
+caller that needs states along an orbit integrates to each time it needs, or
+watches the steps through a step hook.
 """
 from __future__ import annotations
 
@@ -251,24 +252,12 @@ class EnergySurface:
 def integrate_batch(field: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, t0: float,
                     t1: float, tol: float = DEFAULT_FLOW_TOL,
                     step: Optional[Callable] = None) -> np.ndarray:
-    """Integrate a batch of initial conditions along ``field``, a function of
-    state rows (n, dim), and return the end states, shaped like x0.  An
-    (n, dim) batch is n orbits, each on its own steps; a single orbit is a
-    batch of one.  A (g, m, dim) batch is g groups of m orbits, each group
-    one stacked state that shares one step sequence (and so one smooth
-    integration error).  Coordinates are NOT reduced: orbits
-    live in the periodic cover so section functions can be lifted
-    continuously.  ``step`` is the step hook of `dop853.solve`, which hands it
-    rows of m * dim values."""
+    """Integrate a batch of initial conditions x0 (n, dim) along ``field``, a
+    function of state rows (n, dim), and return the end states (n, dim).
+    Each row is one orbit on its own steps; a single orbit is a batch of
+    one.  Coordinates are NOT reduced: orbits live in the periodic cover so
+    section functions can be lifted continuously.  ``step`` is the step hook
+    of `dop853.solve`."""
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    x0 = np.asarray(x0, dtype=float)
-    dim = x0.shape[-1]
-
-    def rhs(y):
-        return field(y.reshape(-1, dim)).reshape(y.shape)
-
-    rows = x0.reshape(len(x0), int(np.prod(x0.shape[1:])))
-    if rows.shape[1] == dim:   # a row is one state: the field maps rows as they are
-        rhs = field
-    return solve(rhs, t0, t1, rows, tol, tol * 1e-2, step).reshape(x0.shape)
+    return solve(field, t0, t1, x0, tol, tol * 1e-2, step)

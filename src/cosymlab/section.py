@@ -28,9 +28,13 @@ follows each orbit through its first k crossings in three steps:
 
 Return-map iteration (`iterate_returns`: k returns of a batch are one engine
 call, a first return is k = 1) and globality checks return the engine's one
-record, `Crossings`, so the same bounds hold on every path.  Return-map
-Jacobians (the flow over the certified return time, the field projected out)
-and the mapping torus read the record their caller certified.
+record, `Crossings`, so the same bounds hold on every path.  The record
+carries the starts it was scanned from and the tol it was certified at, and
+a failure is data in it: (certified count, reason) per orbit, never an
+exception.  Return-map Jacobians (the flow over the certified return time,
+the field projected out) and the mapping torus read a record whole, or a row
+selection of it, and refuse a start off the section or with no certified
+first crossing.
 """
 from __future__ import annotations
 
@@ -60,29 +64,9 @@ FD_STEP = 1e-6   # relative central-difference step of a return-map Jacobian
 TORUS_TIMES = 9   # fiber times t of a mapping-torus table, evenly spaced over [0, 1]
 
 
-class TangencyError(RuntimeError):
-    """Grazing crossing: the section derivative fell below the margin."""
-
-
-class NoCrossingError(RuntimeError):
-    """No oriented crossing found before t_max."""
-
-
-class RefinementError(RuntimeError):
-    """A bracketed crossing missed its angular residual or left its bracket."""
-
-
-class GluingError(RuntimeError):
-    """Mapping-torus gluing or energy residual beyond tolerance."""
-
-
 class SectionChartError(ValueError):
     """The section has no local graph chart at a point: its constraints have no
     invertible elimination block there."""
-
-
-# a crossing, or a section chart, that cannot be found or certified fails its check
-CROSSING_ERRORS = (NoCrossingError, TangencyError, RefinementError, SectionChartError)
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,7 +94,12 @@ class SectionSpec:
 
 def coordinate_section(chart: ChartManifold, index: int, level: float = 0.0,
                        orientation: int = 1, name: str = "") -> SectionSpec:
-    """Section {x_index = level} for a periodic coordinate."""
+    """Section {x_index = level} of a periodic coordinate.  Raises ValueError
+    for a coordinate that is not periodic: its angle x_index mod 2 pi would
+    count crossings of x_index = level + 2 pi k as returns."""
+    if not chart.periodic[index]:
+        raise ValueError(f"coordinate {index} is not periodic, so x_{index} = {level} "
+                         "is no circle-valued section")
     scale = TWO_PI / chart.periods[index]
     return SectionSpec(
         theta=lambda x: (np.asarray(x, dtype=float)[..., index] * scale) % TWO_PI,
@@ -120,13 +109,7 @@ def coordinate_section(chart: ChartManifold, index: int, level: float = 0.0,
         name=name or f"coord{index}={level}")
 
 
-_FAILURE_ERRORS = {"no crossing": NoCrossingError, "tangency": TangencyError,
-                   "start point is not on the section": ValueError}
-
-
-def _error(reason: str) -> Exception:
-    """The exception of a failure reason."""
-    return _FAILURE_ERRORS.get(reason.split(":")[0], RefinementError)(reason)
+_ROWS = ("starts", "times", "states", "rates", "margins", "residuals", "crossings_seen")
 
 
 @dataclass(eq=False)
@@ -134,19 +117,22 @@ class Crossings:
     """The first k oriented crossings of a batch of orbits: row i, column j
     is crossing j of orbit i.
 
-    ``times`` are signed crossing times since the start (negative when
-    scanning backward) and ``states`` the crossing states, reduced to the
-    chart.  ``rates`` is d theta/dt along the true flow at a crossing,
-    ``margins`` the least |d theta/dt| at the crossing before it (the start,
-    for the first) and at the step ends between, and ``residuals`` the final
-    |theta - level|.  ``crossings_seen`` counts the lattice passages since
-    the crossing before, up to and including this one, through the first
-    uncertified crossing, and is 0 after it.  ``failures`` holds per orbit
-    None, or (certified count, why the next crossing failed or is missing).
-    An orbit's certified crossings are its leading ones that pass every
-    bound; only they hold values, the other entries are NaN.
+    ``starts`` holds the state each row was scanned from and ``tol`` the
+    integrator tolerance the crossings were certified at.  ``times`` are
+    signed crossing times since the start (negative when scanning backward)
+    and ``states`` the crossing states, reduced to the chart.  ``rates`` is
+    d theta/dt along the true flow at a crossing, ``margins`` the least
+    |d theta/dt| at the crossing before it (the start, for the first) and at
+    the step ends between, and ``residuals`` the final |theta - level|.
+    ``crossings_seen`` counts the lattice passages since the crossing before,
+    up to and including this one, through the first uncertified crossing,
+    and is 0 after it.  ``failures`` holds per orbit None, or (certified
+    count, why the next crossing failed or is missing).  An orbit's certified
+    crossings are its leading ones that pass every bound; only they hold
+    values, the other entries are NaN.
     """
 
+    starts: np.ndarray
     times: np.ndarray
     states: np.ndarray
     rates: np.ndarray
@@ -154,6 +140,7 @@ class Crossings:
     residuals: np.ndarray
     crossings_seen: np.ndarray
     failures: list
+    tol: float
 
     @property
     def ok(self) -> np.ndarray:
@@ -165,11 +152,26 @@ class Crossings:
         failure = self.failures[orbit]
         return self.times.shape[1] if failure is None else failure[0]
 
-    def raise_failure(self) -> None:
-        """Raise the error of the first failed orbit, if there is one."""
-        for failure in self.failures:
-            if failure is not None:
-                raise _error(failure[1])
+    def first_missing(self) -> Optional[tuple]:
+        """(row, reason) of the first orbit with no certified crossing, or None."""
+        return next(((i, f[1]) for i, f in enumerate(self.failures) if f and f[0] == 0), None)
+
+    def select(self, rows) -> Crossings:
+        """The record of the given rows (indices, a mask or a slice), in their
+        order.  Orbits are scanned on their own steps, so it is the record a
+        scan of those starts alone gives, up to the rounding of the stage
+        sums over a batch."""
+        rows = np.arange(len(self.starts))[rows]
+        return Crossings(*(getattr(self, name)[rows] for name in _ROWS),
+                         [self.failures[i] for i in rows.tolist()], self.tol)
+
+
+def _blank(starts: np.ndarray, k: int, tol: float, failures: list) -> Crossings:
+    """The record of starts (n, dim) with no crossing certified yet: NaN
+    values and no passages."""
+    n, dim = starts.shape
+    nan = [np.full((n, k) + shape, np.nan) for shape in ((), (dim,), (), (), ())]
+    return Crossings(starts, *nan, np.zeros((n, k), dtype=int), failures, tol)
 
 
 @dataclass(eq=False)
@@ -342,14 +344,16 @@ def first_crossings(system, sec: SectionSpec, starts: np.ndarray,
     through its crossings (`_Scan`), each within t_max of the one before (or
     the start); one Hénon batch and one polish certify them all.  Failures,
     a stalled integration among them, are record entries, not exceptions.
+    The record keeps the starts and tol.
     """
-    starts = np.asarray(starts, dtype=float)
+    starts = np.array(starts, dtype=float)
     n, dim = starts.shape
     # a backward scan integrates the reversed field forward
     field = system.field if direction > 0 else lambda x: -system.field(x)
     oriented = sec.orientation * direction
     scan = _Scan(sec, field, starts, oriented, k, t_max)
     failures = ["no crossing"] * n
+    out = _blank(starts, k, tol, failures)
     try:
         phase.integrate_batch(field, starts, 0.0, k * t_max, tol, step=scan)
     except phase.StepSizeUnderflow as exc:
@@ -361,7 +365,7 @@ def first_crossings(system, sec: SectionSpec, starts: np.ndarray,
     # margin; an orbit's entry after its last crossing holds what it counted since
     bracket = np.concatenate([np.repeat(starts[:, None], k, 1), np.zeros((n, k, 2)),
                               np.full((n, k, 2), np.nan)], -1)
-    seen, margins = np.zeros((n, k), dtype=int), np.full((n, k), np.nan)
+    seen, margins = out.crossings_seen, out.margins
     last = np.flatnonzero(scan.count < k)
     seen[last, scan.count[last]], margins[last, scan.count[last]] = (scan.seen[last],
                                                                      scan.margins[last])
@@ -386,8 +390,6 @@ def first_crossings(system, sec: SectionSpec, starts: np.ndarray,
     x, t_corr, residual, slowest = _polish(field, sec, y[:, :dim], oriented)
     t_left, t_right = bracket[:, dim + 2:].T
     t_local = t_left + y[:, dim] + t_corr
-    out = Crossings(np.full((n, k), np.nan), np.full((n, k, dim), np.nan), np.full((n, k), np.nan),
-                    margins, np.full((n, k), np.nan), seen, failures)
     out.times[rows, cols], out.states[rows, cols] = direction * t_local, x
     out.rates[rows, cols], out.residuals[rows, cols] = sec.dtheta(x, system.field(x)), residual
     # a return starts at the crossing before it, at that crossing's rate
@@ -431,9 +433,7 @@ def iterate_returns(system, sec: SectionSpec, starts: np.ndarray, k: int,
     does not gets an empty row and the failure (0, reason).  An orbit whose
     crossing fails its bounds stops there; its earlier returns stand.
     """
-    starts = np.atleast_2d(np.asarray(starts, dtype=float))
-    n = len(starts)
-    x = system.manifold.reduce(starts)
+    x = system.manifold.reduce(np.atleast_2d(np.asarray(starts, dtype=float)))
     off = np.abs(np.asarray(sec.offset(x), dtype=float))
     rate = np.abs(np.asarray(sec.dtheta(x, system.field(x)), dtype=float))
     reasons = [f"start point is not on the section: |theta - level| = {o:.3e}"
@@ -442,14 +442,12 @@ def iterate_returns(system, sec: SectionSpec, starts: np.ndarray, k: int,
                if not r >= TANGENCY_MARGIN else None for o, r in zip(off, rate)]
     ready = np.flatnonzero([r is None for r in reasons])
     c = first_crossings(system, sec, x[ready], t_max, tol, k=k)
-    # a refused start takes the empty row appended to c's
-    row = np.full(n, len(ready))
-    row[ready] = np.arange(len(ready))
-    fields = [np.concatenate([a, np.full((1,) + a.shape[1:], np.nan if a.dtype == float else 0,
-                                         a.dtype)])[row]
-              for a in (c.times, c.states, c.rates, c.margins, c.residuals, c.crossings_seen)]
+    # a refused start keeps a blank row
     failures = iter(c.failures)
-    return Crossings(*fields, [next(failures) if r is None else (0, r) for r in reasons])
+    out = _blank(x, k, tol, [next(failures) if r is None else (0, r) for r in reasons])
+    for name in _ROWS[1:]:
+        getattr(out, name)[ready] = getattr(c, name)
+    return out
 
 
 def verify_global(system, sec: SectionSpec, samples: np.ndarray,
@@ -535,43 +533,46 @@ def restricted_form_matrix(system, sec: SectionSpec, x: np.ndarray) -> np.ndarra
 
 
 def _flow(system, x: np.ndarray, times: np.ndarray, tol: float) -> np.ndarray:
-    """End states of the flow from each state of x (..., dim) over its time,
-    times shaped x.shape[:-1], in one batched integration: the row (x, tau)
-    follows dx/ds = tau X(x), dtau/ds = 0 over s in [0, 1].  Groups of a
-    (g, m, dim) batch share one step sequence (`phase.integrate_batch`)."""
+    """End states (g, m, dim) of the flow from each state of x (g, m, dim)
+    over its time, times (g, m), in one batched integration: the state
+    (x, tau) follows dx/ds = tau X(x), dtau/ds = 0 over s in [0, 1].  The m
+    states of a group are stacked into one integrator row, so they share one
+    step sequence (and so one smooth integration error)."""
+    g, m, dim = x.shape
 
-    def scaled(y):
-        return np.concatenate([system.field(y[:, :-1]) * y[:, -1:], np.zeros((len(y), 1))], 1)
+    def stacked(y):
+        z = y.reshape(-1, dim + 1)
+        return np.concatenate([system.field(z[:, :-1]) * z[:, -1:],
+                               np.zeros((len(z), 1))], 1).reshape(y.shape)
 
-    rows = np.concatenate([x, times[..., None]], -1)
-    return phase.integrate_batch(scaled, rows, 0.0, 1.0, tol)[..., :-1]
+    rows = np.concatenate([x, times[..., None]], -1).reshape(g, m * (dim + 1))
+    return phase.integrate_batch(stacked, rows, 0.0, 1.0, tol).reshape(g, m, dim + 1)[..., :-1]
 
 
-def _first_returns(sec: SectionSpec, x: np.ndarray, first: Crossings):
-    """Times (n, 1) and states (n, dim) of the first crossings of the points
-    x (n, dim), read off row i of the record ``first`` for point i.  A point
-    off the section is refused, and the error of the first orbit with no
-    certified crossing is raised."""
+def _certified_returns(system, sec: SectionSpec, record: Crossings):
+    """Starts (n, dim), reduced to the chart, and the times (n, 1) and
+    states (n, dim) of their first crossings, read off column 0 of the
+    record.  Raises ValueError for a start off the section or with no
+    certified first crossing."""
+    x = system.manifold.reduce(record.starts)
     off = np.abs(np.asarray(sec.offset(x), dtype=float))
     for i in np.flatnonzero(~(off <= ON_SECTION_TOL)).tolist():
         raise ValueError(f"point {i} is not on the section: |theta - level| = {off[i]:.3e}")
-    for failure in first.failures[:len(x)]:
-        if failure is not None and failure[0] == 0:
-            raise _error(failure[1])
-    return first.times[:len(x), :1], first.states[:len(x), 0]
+    missing = record.first_missing()
+    if missing:
+        raise ValueError("point %d has no certified first crossing: %s" % missing)
+    return x, record.times[:, :1], record.states[:, 0]
 
 
-def return_map_jacobians(system, sec: SectionSpec, points: Sequence[np.ndarray],
-                         first: Crossings,
-                         tol: float = phase.DEFAULT_FLOW_TOL) -> np.ndarray:
-    """Jacobians of the return map, one (k, k) block per point on the
-    section (reduced to the chart first), in its section coordinates
-    (`section_frame`).
+def return_map_jacobians(system, sec: SectionSpec, record: Crossings) -> np.ndarray:
+    """Jacobians of the return map, one (k, k) block per start of the
+    certified crossing record (reduced to the chart first), in its section
+    coordinates (`section_frame`).
 
-    ``first`` is the certified crossing record of the points' orbits, row i
-    the orbit of point i (rows past the points are not read): `iterate_returns`
-    of the points, or `verify_global`'s forward record.  Its column 0 gives
-    each point's return time T and image y.  The flow over the fixed time T
+    The record is `iterate_returns` of the points, or `verify_global`'s
+    forward record, or a row selection of either (`Crossings.select`).  Its
+    column 0 gives each start's return time T and image y, and the flow is
+    integrated at the record's tol.  The flow over the fixed time T
     is differentiated along the frame: D_a is the central difference of Phi_T
     over the stencil x +- h_a E_a, with the relative step
     h_a = FD_STEP * max(1, |x_a|) of free coordinate a, so the stencil does
@@ -589,18 +590,17 @@ def return_map_jacobians(system, sec: SectionSpec, points: Sequence[np.ndarray],
     form).
     """
     chart = system.manifold
-    x = chart.reduce(np.asarray(points, dtype=float).reshape(-1, chart.dim))
-    frames = [section_frame(system, sec, p) for p in x]
-    n, k = len(x), len(frames[0][0]) if frames else 0
+    frames = [section_frame(system, sec, p) for p in record.starts]
+    n, k = len(frames), len(frames[0][0]) if frames else 0
     if not k:  # no points, or a zero-dimensional section: nothing to differentiate
         return np.zeros((n, 0, 0))
-    T, y = _first_returns(sec, x, first)
+    x, T, y = _certified_returns(system, sec, record)
     free = np.array([f for f, _ in frames])                          # (n, k)
     h = FD_STEP * np.maximum(1.0, np.abs(np.take_along_axis(x, free, 1)))
     offsets = np.stack([E.T for _, E in frames]) * h[..., None]      # (n, k, dim)
     stencils = x[:, None, None] + np.array([1.0, -1.0])[:, None] * offsets[:, :, None]
-    ends = _flow(system, stencils.reshape(n, 2 * k, chart.dim),
-                 np.repeat(T, 2 * k, axis=1), tol).reshape(n, k, 2, chart.dim)
+    ends = _flow(system, stencils.reshape(n, 2 * k, chart.dim), np.repeat(T, 2 * k, axis=1),
+                 record.tol).reshape(n, k, 2, chart.dim)
     D = (ends[:, :, 0] - ends[:, :, 1]) / (2.0 * h[..., None])
     X = system.field(y)
     lead = sec.dtheta(y[:, None], D) / sec.dtheta(y, X)[:, None]   # (n, k): -dT along E_a
@@ -614,48 +614,49 @@ def return_map_jacobians(system, sec: SectionSpec, points: Sequence[np.ndarray],
 @dataclass(eq=False)
 class MappingTorusChart:
     """Tabulated suspension chart Psi(p, t) = flow_{t*T(p)}(p) over a fiber
-    grid, at the fiber times t = linspace(0, 1, TORUS_TIMES)."""
+    grid, at the fiber times t = linspace(0, 1, TORUS_TIMES), integrated at
+    tolerance ``tol``."""
 
     table: np.ndarray            # (n_grid, TORUS_TIMES, dim), reduced coordinates
     gluing_residual: float
     energy_residual: float
+    tol: float
+
+    @property
+    def passed(self) -> bool:
+        """The gluing residual is within GLUING_FACTOR * tol and the energy
+        residual within ENERGY_RESIDUAL_MAX."""
+        return (self.gluing_residual <= GLUING_FACTOR * self.tol
+                and self.energy_residual <= ENERGY_RESIDUAL_MAX)
 
 
-def mapping_torus_chart(system, sec: SectionSpec, grid: np.ndarray, first: Crossings,
-                        tol: float = phase.DEFAULT_FLOW_TOL) -> MappingTorusChart:
-    """Tabulate the suspension chart over a section grid (n, dim), reduced to
-    the chart first, at TORUS_TIMES fiber times.
+def mapping_torus_chart(system, sec: SectionSpec, record: Crossings) -> MappingTorusChart:
+    """Tabulate the suspension chart over the starts of a certified crossing
+    record, reduced to the chart first, at TORUS_TIMES fiber times.
 
-    ``first`` is the certified crossing record of the grid's orbits, row i
-    the orbit of grid point i (rows past the grid are not read); its column
-    0 gives the return time T(p) and the holonomy image.  Every entry after
-    t = 0 comes from one batched integration (`_flow`) over the time
-    t * T(p), each on its own steps.  The t = 1 rows are integrated apart
-    from the crossing engine, so the gluing check Psi(p, 1) = holonomy(p)
-    within GLUING_FACTOR * tol compares two independent computations.  For
-    Hamiltonian systems every table entry must also stay on the energy level
-    within ENERGY_RESIDUAL_MAX; GluingError is raised otherwise.
+    Column 0 of the record gives the return time T(p) and the holonomy image
+    of each start p, and the table is integrated at the record's tol.  Every
+    entry after t = 0 comes from one batched integration (`_flow`) over the
+    time t * T(p), each on its own steps.  The t = 1 rows are integrated
+    apart from the crossing engine, so the gluing residual |Psi(p, 1) -
+    holonomy(p)| compares two independent computations.  For Hamiltonian
+    systems the energy residual is the largest drift of a table entry off
+    its start's energy level (0 otherwise); `MappingTorusChart.passed` holds
+    both to their bounds.
     """
     chart = system.manifold
-    starts = chart.reduce(grid)
-    T, holonomy = _first_returns(sec, starts, first)
+    starts, T, holonomy = _certified_returns(system, sec, record)
     n, dim = starts.shape
     taus = T * np.linspace(0.0, 1.0, TORUS_TIMES)[1:]   # (n, TORUS_TIMES - 1)
-    ends = _flow(system, np.repeat(starts, TORUS_TIMES - 1, axis=0), taus.ravel(), tol)
+    ends = _flow(system, np.repeat(starts, TORUS_TIMES - 1, axis=0)[:, None],
+                 taus.reshape(-1, 1), record.tol)
     states = np.concatenate([starts[:, None], ends.reshape(n, TORUS_TIMES - 1, dim)], 1)
     table = chart.reduce(states)
     gluing = float(np.max(np.abs(chart.wrapped_delta(table[:, -1], holonomy))))
     energy_res = 0.0
     if hasattr(system, "energy"):
         energy_res = float(np.max(np.abs(system.energy(states) - system.energy(starts)[:, None])))
-    gluing_tol = GLUING_FACTOR * tol
-    if gluing > gluing_tol:
-        raise GluingError(f"gluing residual {gluing:.3e} exceeds {gluing_tol:.3e}; "
-                          "section is inconsistent over the grid")
-    if energy_res > ENERGY_RESIDUAL_MAX:
-        raise GluingError(f"energy residual {energy_res:.3e} exceeds {ENERGY_RESIDUAL_MAX:.0e}; "
-                          "the chart leaves the energy level")
-    return MappingTorusChart(table, gluing, energy_res)
+    return MappingTorusChart(table, gluing, energy_res, record.tol)
 
 
 def write_crossings_csv(path, rows: Sequence[Sequence[float]], dim: int) -> None:

@@ -37,28 +37,28 @@ def step_recorder(log: list):
 
 
 def first_return(system, sec, x, **kwargs) -> section.Crossings:
-    """`section.iterate_returns` of the one start x with k = 1, its failure
-    raised: entry [0, 0] of times, states, margins and crossings_seen is the
-    first return."""
+    """`section.iterate_returns` of the one start x with k = 1, which must
+    certify it: entry [0, 0] of times, states, margins and crossings_seen is
+    the first return."""
     returns = section.iterate_returns(system, sec, x, 1, **kwargs)
-    returns.raise_failure()
+    assert returns.failures == [None], returns.failures
     return returns
 
 
 def jacobians(system, sec, points, t_max: float = section.DEFAULT_T_MAX,
               tol: float = phase.DEFAULT_FLOW_TOL):
-    """`section.return_map_jacobians` of the points on the first returns that
-    `section.iterate_returns` certifies for them."""
-    first = section.iterate_returns(system, sec, points, 1, t_max, tol)
-    return section.return_map_jacobians(system, sec, points, first, tol)
+    """`section.return_map_jacobians` on the record `section.iterate_returns`
+    certifies for the points."""
+    return section.return_map_jacobians(
+        system, sec, section.iterate_returns(system, sec, points, 1, t_max, tol))
 
 
 def torus_chart(system, sec, grid, t_max: float = section.DEFAULT_T_MAX,
                 tol: float = phase.DEFAULT_FLOW_TOL):
-    """`section.mapping_torus_chart` of the grid on the first returns that
-    `section.iterate_returns` certifies for it."""
-    first = section.iterate_returns(system, sec, grid, 1, t_max, tol)
-    return section.mapping_torus_chart(system, sec, grid, first, tol)
+    """`section.mapping_torus_chart` on the record `section.iterate_returns`
+    certifies for the grid."""
+    return section.mapping_torus_chart(
+        system, sec, section.iterate_returns(system, sec, grid, 1, t_max, tol))
 
 
 def energy_drift(system, x0, t_max: float, tol: float = phase.DEFAULT_FLOW_TOL) -> float:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from helpers import readme_configs
 
-from cosymlab import catalog, cli
+from cosymlab import catalog, cli, section
 
 
 def run(tmp_path, command, config, out="out", seed=None):
@@ -213,16 +213,22 @@ def test_oscillator_level_must_be_positive(tmp_path, capsys, level):
 
 
 def test_degenerate_section_at_explicit_points_fails_its_checks(tmp_path):
-    # H = x0 on the section x0 = 0: the flow is tangent to the section and the
-    # section and energy constraints share one gradient, so no section chart exists
-    cfg = {"system": {"dim": 2, "omega": [[0, 1, 1.0]], "hamiltonian": "x0"},
+    # H = x0 on the circle section x0 = 0: the flow is tangent to the section and
+    # the section and energy constraints share one gradient, so no section chart
+    # exists; the Jacobian check fails on the start's missing first return
+    cfg = {"system": {"dim": 2, "periodic": [True, False], "omega": [[0, 1, 1.0]],
+                      "hamiltonian": "x0"},
            "points": [[0, 0]]}
     code, out = run(tmp_path, "return-map", cfg)
     assert code == 1
     checks = {c["name"]: c for c in read_report(out)["report"]["checks"]}
     assert not checks["iterates"]["passed"]
     assert not checks["symplectic_determinant"]["passed"]
-    assert "degenerate constraints" in checks["symplectic_determinant"]["error"]
+    assert checks["symplectic_determinant"]["error"] == \
+        "tangency: flow tangent to section at start: |d theta/dt| = 0.000e+00"
+    system = cli.build_inline_system(cli.validate("return-map", cfg)["system"])
+    with pytest.raises(section.SectionChartError, match="degenerate constraints"):
+        section.section_frame(system, section.coordinate_section(system.manifold, 0), [0.0, 0.0])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -260,13 +266,17 @@ def test_tischler_non_closed_alpha_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("name", sorted(catalog.SYSTEMS))
 def test_catalog_system_alone_runs_on_its_default_section(tmp_path, capsys, name):
     # an entry's start sampler lands on the entry's default section; an entry
-    # without one needs explicit 'points'
+    # without one needs explicit 'points', and an entry without a default
+    # section a periodic coordinate for the default coordinate section
     code, out = run(tmp_path, "return-map", {"system": name, "samples": 2, "iterations": 2,
                                              "n_return_points": 1, "t_max": 30.0})
     err = capsys.readouterr().err
-    if catalog.SYSTEMS[name].starts is None:
+    entry = catalog.SYSTEMS[name]
+    if entry.starts is None:
         assert code == 2
-        assert "supply explicit 'points'" in err and "Traceback" not in err
+        message = ("supply explicit 'points'" if entry.section is not None else
+                   "coordinate 2 is not periodic")
+        assert message in err and "Traceback" not in err
         assert not (out / "report.json").exists()
     else:
         assert code == 0, err
@@ -274,11 +284,49 @@ def test_catalog_system_alone_runs_on_its_default_section(tmp_path, capsys, name
 
 def test_inline_system_name_selects_no_sampler(tmp_path, capsys):
     cfg = {"system": {"dim": 2, "coordinates": ["q", "p"], "omega": [[0, 1, 1.0]],
-                      "hamiltonian": "0.5*(q^2 + p^2)", "name": "oscillator"}}
+                      "hamiltonian": "0.5*(q^2 + p^2)", "name": "oscillator"},
+           "section": {"kind": "angle", "pair": [0, 1]}}
     code, out = run(tmp_path, "return-map", cfg)
     assert code == 2
     assert "supply explicit 'points'" in capsys.readouterr().err
     assert not (out / "report.json").exists()
+
+
+HARMONIC_OFF_AXIS = {"system": "harmonic_oscillator", "points": [[0.0, 10.0], [0.0, 1.0]],
+                     "iterations": 3, "n_return_points": 2}
+
+
+def test_coordinate_section_on_a_non_periodic_coordinate_exits_2(tmp_path, capsys):
+    # on the line q, the angle q mod 2 pi counted the crossings of q = +-2 pi of
+    # these orbits as returns (orbit 0 "returned" at t = 0.6794 with q = 2 pi);
+    # the catalog section of harmonic_oscillator is the phase angle, which
+    # these starts are not on, and a coordinate section there is refused
+    for section_cfg, message in ((None, "start point 0 is not on the section"),
+                                 ({"kind": "coordinate", "index": 0},
+                                  "coordinate 0 is not periodic")):
+        cfg = HARMONIC_OFF_AXIS if section_cfg is None else {**HARMONIC_OFF_AXIS,
+                                                             "section": section_cfg}
+        code, out = run(tmp_path, "return-map", cfg)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert message in err and "Traceback" not in err
+        assert not (out / "report.json").exists()
+    with pytest.raises(ValueError, match="coordinate 0 is not periodic"):
+        section.coordinate_section(catalog.harmonic_oscillator().manifold, 0)
+
+
+def test_harmonic_oscillator_returns_on_its_phase_angle_section(tmp_path):
+    code, out = run(tmp_path, "return-map", {"system": "harmonic_oscillator",
+                                             "points": [[10, 0], [1, 0]], "iterations": 3,
+                                             "n_return_points": 2})
+    assert code == 0
+    with open(out / "crossings.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(r["orbit_id"]) for r in rows] == [0, 0, 0, 1, 1, 1]
+    # return k comes at 2 pi k, each lap within 5e-11 (4.6e-11 seen)
+    for j, r in enumerate(rows):
+        k = j % 3 + 1
+        assert abs(float(r["t"]) - 2 * math.pi * k) <= 5e-11 * k
 
 
 def test_sampled_starts_off_configured_section_exit_2(tmp_path, capsys):

@@ -45,20 +45,15 @@ def test_catalog_covers_constant_and_inline_omega():
 def test_matches_solve_ivp(name, system, batch, t1, tol):
     rng = np.random.default_rng(batch)
     starts = 0.5 + rng.uniform(-0.4, 0.4, size=(batch, system.dim))
+    # one orbit, or a group of five stacked into one row as solve_ivp stacks it
+    x0 = starts.ravel()
+
+    def rhs(y):
+        return system.field(y.reshape(-1, system.dim)).reshape(y.shape)
+
     log = []
-    if batch == 1:
-        x0 = starts[0]
-        end = P.integrate_batch(system.field, x0[None], 0.0, t1, tol, step=step_recorder(log))[0]
-        rhs = system.field
-    else:
-        # one group of five orbits: a single row, stacked as solve_ivp stacks it
-        x0 = starts.ravel()
-        end = P.integrate_batch(system.field, starts[None], 0.0, t1, tol, step=step_recorder(log))
-        end = end.ravel()
-
-        def rhs(y):
-            return system.field(y.reshape(batch, system.dim)).ravel()
-
+    end = P.integrate_batch(system.field if batch == 1 else rhs, x0[None], 0.0, t1, tol,
+                            step=step_recorder(log))[0]
     ref = reference(rhs, t1, x0, tol)
     assert ref.success
     # bit for bit: the same accepted steps, the same states on them, and the

@@ -51,16 +51,18 @@ def test_first_return_oscillator_closed_form(osc_system):
 
 
 def test_first_return_requires_section_point(t4_system, t4_section):
-    with pytest.raises(ValueError, match="not on the section"):
-        first_return(t4_system, t4_section, [0.0, 0.0, 1.0, 0.0])
+    r = S.iterate_returns(t4_system, t4_section, [0.0, 0.0, 1.0, 0.0], 1)
+    assert r.failures == [(0, "start point is not on the section: |theta - level| = 1.000e+00")]
+    assert np.isnan(r.times).all()
 
 
 def test_first_return_tangency_is_distinct(t4_system):
-    # flow is d/dz; a section through the x coordinate never moves
+    # flow is d/dz; a section through the x coordinate never moves: the start
+    # is refused as tangent, not reported as an orbit with no crossing
     sec = S.coordinate_section(t4_system.manifold, 0)
-    with pytest.raises(S.TangencyError):
-        first_return(t4_system, sec, [0.0, 0.5, 0.3, 0.0])
-    assert not issubclass(S.TangencyError, S.NoCrossingError)
+    r = S.iterate_returns(t4_system, sec, [0.0, 0.5, 0.3, 0.0], 1)
+    assert r.failures == [(0, "tangency: flow tangent to section at start: "
+                              "|d theta/dt| = 0.000e+00")]
 
 
 def test_return_consistency_iterated(suspension_system):
@@ -135,7 +137,7 @@ def test_return_map_symplectic_on_nonlinear_flow():
     pts = catalog.sample_oscillator_surface(coupled, 1.0, rng, 8, on_section=True)
 
     r = S.iterate_returns(coupled, sec, pts, 1, t_max=50.0, tol=1e-11)
-    r.raise_failure()
+    assert r.failures == [None] * len(pts)
     assert np.ptp(r.times) > 0.01   # the coupling really bends the map
     assert np.max(np.abs(coupled.energy(r.states[:, 0]) - coupled.energy(pts))) < 1e-8
 
@@ -168,7 +170,7 @@ def test_return_map_jacobian_matches_differenced_images():
     stencil = s[:, None, None] + h * np.array([1.0, -1.0])[:, None] * np.eye(2)[:, None]
     r = S.iterate_returns(coupled, sec, on_section(stencil).reshape(-1, 4), 1, t_max=50.0,
                           tol=1e-12)
-    r.raise_failure()
+    assert r.failures == [None] * len(r.starts)
     assert np.ptp(r.times) > 0.01   # the return time varies over the points
     images = r.states[:, 0, :2].reshape(6, 2, 2, 2)
     expected = ((images[:, :, 0] - images[:, :, 1]) / (2 * h)).transpose(0, 2, 1)
@@ -193,12 +195,23 @@ def test_jacobians_and_torus_refuse_a_point_off_the_section(t4_system, t4_sectio
     first = S.verify_global(t4_system, t4_section, samples, t_max=20.0).forward
     assert first.failures == [None, None]
     with pytest.raises(ValueError, match="point 1 is not on the section"):
-        S.return_map_jacobians(t4_system, t4_section, samples, first)
+        S.return_map_jacobians(t4_system, t4_section, first)
     with pytest.raises(ValueError, match="point 1 is not on the section"):
-        S.mapping_torus_chart(t4_system, t4_section, samples, first)
+        S.mapping_torus_chart(t4_system, t4_section, first)
     # on the section, the record's first crossings are the points' returns
-    J = S.return_map_jacobians(t4_system, t4_section, samples[:1], first)
+    J = S.return_map_jacobians(t4_system, t4_section, first.select([0]))
     assert np.max(np.abs(J - np.eye(2))) < 1e-8
+
+
+def test_jacobians_and_torus_refuse_a_point_without_a_first_return(t4_system, t4_section):
+    # a t_max short of the 2*pi leaf return certifies no first crossing
+    samples = catalog.sample_product_leaf(t4_system, np.random.default_rng(2), 2)
+    first = S.iterate_returns(t4_system, t4_section, samples, 1, t_max=1.0)
+    assert first.failures == [(0, "no crossing")] * 2
+    with pytest.raises(ValueError, match="point 0 has no certified first crossing: no crossing"):
+        S.return_map_jacobians(t4_system, t4_section, first)
+    with pytest.raises(ValueError, match="point 0 has no certified first crossing: no crossing"):
+        S.mapping_torus_chart(t4_system, t4_section, first)
 
 
 def test_restricted_form_degenerates_on_a_lagrangian_section(t4_system):
@@ -299,8 +312,8 @@ def test_grazing_crossing_fails_on_every_path():
     assert rep.failures[0][2].startswith("tangency")
     # a section point of the same orbit, one lap of y before the graze
     x0 = math.pi - (6.0 * math.pi) ** (1.0 / 3.0)
-    with pytest.raises(S.TangencyError):
-        first_return(graze, sec, [x0, 0.0], t_max=20.0)
+    r = S.iterate_returns(graze, sec, [x0, 0.0], 1, t_max=20.0)
+    assert r.failures[0][0] == 0 and r.failures[0][1].startswith("tangency: grazing crossing")
 
 
 _RATE_CHART = F.ChartManifold(4, (True,) * 4, (TWO_PI, 3.0, TWO_PI, 0.7))
@@ -379,8 +392,9 @@ def test_unconverged_polish_is_reported(suspension_system):
     rep = S.verify_global(suspension_system, sec, starts, t_max=5.0)
     assert len(rep.failures) == 4
     assert all(f[2].startswith("unconverged") for f in rep.failures)
-    with pytest.raises(S.RefinementError, match="residual"):
-        first_return(suspension_system, sec, starts[0])
+    r = S.iterate_returns(suspension_system, sec, starts[0], 1)
+    assert r.failures[0][0] == 0
+    assert r.failures[0][1].startswith("unconverged: angular residual")
 
 
 @st.composite
@@ -726,10 +740,12 @@ def test_mapping_torus_energy_residual_is_enforced(osc_system):
     sec = catalog.oscillator_angle_section()
     pts = catalog.sample_oscillator_surface(osc_system, 1.0, np.random.default_rng(0), 3,
                                             on_section=True)
-    with pytest.raises(S.GluingError, match="energy residual"):
-        torus_chart(osc_system, sec, pts, tol=1e-6)
+    loose = torus_chart(osc_system, sec, pts, tol=1e-6)
+    assert not loose.passed
+    assert loose.gluing_residual <= S.GLUING_FACTOR * 1e-6
+    assert loose.energy_residual > S.ENERGY_RESIDUAL_MAX
     mt = torus_chart(osc_system, sec, pts, tol=1e-10)
-    assert mt.energy_residual < S.ENERGY_RESIDUAL_MAX
+    assert mt.passed and mt.energy_residual < S.ENERGY_RESIDUAL_MAX
 
 
 def test_mapping_torus_rational_rotation_cycles(suspension_system):
@@ -789,8 +805,7 @@ def test_orientation_selects_crossing_direction():
     sec_down = S.coordinate_section(t2, 1, orientation=-1)
     assert abs(first_return(falling, sec_down, p).times[0, 0] - 1.0) < 1e-10
     sec_up = S.coordinate_section(t2, 1, orientation=1)
-    with pytest.raises(S.NoCrossingError):
-        first_return(falling, sec_up, p, t_max=3.0)
+    assert S.iterate_returns(falling, sec_up, p, 1, t_max=3.0).failures == [(0, "no crossing")]
     rep = S.verify_global(falling, sec_up, np.array([[0.3, 0.4]]), t_max=3.0)
     assert not rep.passed  # upward crossings never happen
 
@@ -969,6 +984,66 @@ def test_verify_global_keeps_its_forward_scan():
     assert whole.failures[:50] == part.failures
     assert "forward" not in S.verify_global(system, sec, samples[:2]).as_dict()
     assert S.verify_global(system, sec, samples[:0]).forward is None
+
+
+PRODUCT_LEAVES = {name: catalog.get_system(name) for name in ("t4_product", "t6_product")}
+
+
+def _leaf_starts(name, n=6, off=None):
+    """n leaf points of a product system's leaf section, the row ``off``
+    moved off it."""
+    system = PRODUCT_LEAVES[name]
+    starts = catalog.sample_product_leaf(system, np.random.default_rng(4), n)
+    if off is not None:
+        starts[off, -2] += 0.3
+    return system, catalog.product_leaf_section(system), starts
+
+
+def _assert_same_record(a, b, atol=0.0):
+    """Records a and b hold the same starts, failures, tol and passages, NaN
+    at the same entries, and values within atol (0: bit for bit)."""
+    assert a.failures == b.failures and a.tol == b.tol
+    assert np.array_equal(a.starts, b.starts)
+    assert np.array_equal(a.crossings_seen, b.crossings_seen)
+    for name in ("times", "states", "rates", "margins", "residuals"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert np.array_equal(np.isnan(x), np.isnan(y)), name
+        assert np.all(np.abs(x[~np.isnan(x)] - y[~np.isnan(y)]) <= atol), name
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_LEAVES))
+def test_consumers_read_any_record_of_the_same_starts_bit_for_bit(name):
+    # verify_global's forward record and iterate_returns' record of the same
+    # starts give the same Jacobians and mapping-torus table, bit for bit
+    system, sec, starts = _leaf_starts(name)
+    forward = S.verify_global(system, sec, starts, 20.0).forward
+    returns = S.iterate_returns(system, sec, starts, 1, 20.0)
+    assert forward.failures == returns.failures == [None] * len(starts)
+    assert np.array_equal(S.return_map_jacobians(system, sec, forward),
+                          S.return_map_jacobians(system, sec, returns))
+    assert np.array_equal(S.mapping_torus_chart(system, sec, forward).table,
+                          S.mapping_torus_chart(system, sec, returns).table)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(PRODUCT_LEAVES)),
+       st.lists(st.integers(0, 5), min_size=1, max_size=6), st.sampled_from([None, 1]))
+def test_row_selection_equals_the_record_of_those_starts(name, rows, off):
+    # rows are scanned on their own steps, so selecting rows of a record
+    # gives the record of a scan of those starts alone; with a start off the
+    # section, iterate_returns' refused row is selected too.  Values agree to
+    # rounding only: the BLAS product that combines a step's stages over the
+    # stacked rows rounds the rows of its tail block differently (t4_product,
+    # rows [1]: the crossing time differs by 8.9e-16 from the batch of 6)
+    system, sec, starts = _leaf_starts(name, off=off)
+    for scan in (lambda x: S.first_crossings(system, sec, x, 20.0, k=2),
+                 lambda x: S.iterate_returns(system, sec, x, 2, 20.0),
+                 lambda x: S.verify_global(system, sec, x, 20.0).forward):
+        whole = scan(starts)
+        _assert_same_record(whole.select(rows), scan(starts[rows]), atol=1e-12)
+        # selections compose exactly: reversing twice reads the same rows
+        twice = whole.select(rows[::-1]).select(slice(None, None, -1))
+        _assert_same_record(twice, whole.select(rows))
 
 
 def _verify_global_traced_peak(n):
