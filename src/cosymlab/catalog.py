@@ -6,8 +6,8 @@ Topology metadata (compactness and simple connectivity of ambient manifolds,
 Betti numbers) is declared per entry; nothing topological is inferred
 numerically.
 
-Importing the catalog loads only `forms` and `phase`: an entry imports the
-`cosym`, `section` or `obstruct` types it builds when it is built.
+Importing the catalog loads only `forms` and `phase`: a builder imports the
+`cosym`, `section` or `obstruct` types it builds when it is called.
 """
 from __future__ import annotations
 
@@ -171,11 +171,6 @@ def product_leaf_section(system: HamiltonianSystem) -> SectionSpec:
     return coordinate_section(system.manifold, system.dim - 2, 0.0, 1, "product_leaf")
 
 
-def product_energy_surface(system: HamiltonianSystem) -> EnergySurface:
-    """Zero level of a product system as the angle-zero coordinate slice."""
-    return EnergySurface(system, 0.0, slice_coord=system.dim - 1, slice_value=0.0)
-
-
 def sample_zero_slice(system, rng: Rng, n: int, coords: list[int]) -> np.ndarray:
     """Chart samples with the given coordinates set to zero."""
     pts = system.manifold.sample(rng, n)
@@ -186,40 +181,6 @@ def sample_zero_slice(system, rng: Rng, n: int, coords: list[int]) -> np.ndarray
 def sample_product_leaf(system: HamiltonianSystem, rng: Rng, n: int) -> np.ndarray:
     """Points of the {z = 0, angle = 0} leaf of a product system."""
     return sample_zero_slice(system, rng, n, [-2, -1])
-
-
-def sample_product_surface(system: HamiltonianSystem, rng: Rng, n: int) -> np.ndarray:
-    """Points of the zero level {angle = 0} of a product system."""
-    return sample_zero_slice(system, rng, n, [-1])
-
-
-def oscillator_angle_section(index_pair: tuple[int, int] = (2, 3)) -> SectionSpec:
-    """Phase-angle section of one oscillator pair, counted where the angle
-    increases along the flow; singular at zero amplitude of that pair."""
-    from .section import SectionSpec
-    i, j = index_pair
-
-    def theta(x):
-        x = np.asarray(x, dtype=float)
-        return np.arctan2(-x[..., j], x[..., i]) % TWO_PI
-
-    def dtheta(x, X):
-        xi, xj = x[..., i], x[..., j]
-        r2 = xi * xi + xj * xj
-        if np.count_nonzero(r2) == r2.size:   # the quiet block costs more than the rate
-            return xj / r2 * X[..., i] - xi / r2 * X[..., j]
-        # NaN on the zero-amplitude orbit is deliberate: the section is
-        # singular there and the crossing scan reports it as a failure
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return xj / r2 * X[..., i] - xi / r2 * X[..., j]
-
-    return SectionSpec(theta, dtheta, 0.0, 1, f"angle({i},{j})")
-
-
-def suspension_section(system: FlowSystem) -> SectionSpec:
-    """The circle {t = 0} of the suspension, crossed once per unit time."""
-    from .section import coordinate_section
-    return coordinate_section(system.manifold, 1)
 
 
 def sample_oscillator_surface(system: HamiltonianSystem, level: float, rng: Rng, n: int,
@@ -240,33 +201,36 @@ def sample_oscillator_surface(system: HamiltonianSystem, level: float, rng: Rng,
 
 @dataclass(frozen=True)
 class SystemEntry:
-    """A catalog system: ``factory()`` builds it, ``section(system)`` is its
-    default section, ``starts(system, rng, n, level)`` samples n start points
-    on that section and ``surface(system, rng, n)`` its energy surface.  None
-    means no default section, no start sampler, or `manifold.sample` for the
-    surface.  An inline system gets the empty entry."""
+    """A catalog system: ``factory()`` builds it, ``section`` is its default
+    section as a `return-map` 'section' config object, ``starts(system, rng,
+    n, level)`` samples n start points on that section and ``level(system)``
+    is its energy surface (`phase.EnergySurface`).  None means no default
+    section, no start sampler, or no declared level (its samples are then
+    `manifold.sample`).  An inline system gets the empty entry."""
 
     factory: Optional[Callable[[], object]] = None
-    section: Optional[Callable[[object], SectionSpec]] = None
+    section: Optional[dict] = None
     starts: Optional[Callable[..., np.ndarray]] = None
-    surface: Optional[Callable[..., np.ndarray]] = None
+    level: Optional[Callable[[HamiltonianSystem], EnergySurface]] = None
 
 
-_PRODUCT = dict(section=product_leaf_section, surface=sample_product_surface,
-                starts=lambda system, rng, n, level: sample_product_leaf(system, rng, n))
+# the leaf {z = 0} (coordinate dim - 2) on the zero level {angle = 0} of a product system
+_PRODUCT = dict(section={"kind": "coordinate"},
+                starts=lambda system, rng, n, level: sample_product_leaf(system, rng, n),
+                level=lambda system: EnergySurface(system, 0.0, system.dim - 1, 0.0))
 
 SYSTEMS: dict[str, SystemEntry] = {
-    "harmonic_oscillator": SystemEntry(harmonic_oscillator,
-                                       lambda system: oscillator_angle_section((0, 1))),
+    "harmonic_oscillator": SystemEntry(harmonic_oscillator, {"kind": "angle", "pair": [0, 1]}),
     "oscillator_2dof_sqrt2": SystemEntry(
-        oscillator_2dof, lambda system: oscillator_angle_section(),
+        oscillator_2dof, {"kind": "angle", "pair": [2, 3]},
         lambda system, rng, n, level: sample_oscillator_surface(system, level, rng, n,
                                                                 on_section=True)),
     "canonical_r4": SystemEntry(canonical_r4),
     "t4_product": SystemEntry(lambda: product_system("t3"), **_PRODUCT),
     "t6_product": SystemEntry(lambda: product_system("t5"), **_PRODUCT),
+    # the circle {t = 0}, crossed once per unit time
     "suspension_rotation": SystemEntry(
-        suspension_rotation, suspension_section,
+        suspension_rotation, {"kind": "coordinate", "index": 1},
         lambda system, rng, n, level: sample_zero_slice(system, rng, n, [1])),
 }
 

@@ -135,10 +135,17 @@ SECTION_KINDS = {
     "angle": {"kind": KIND, "pair": (list_of(INDEX.ok, "two distinct integers >= 0", lambda v: (
         len(v) == 2 and v[0] != v[1])), (2, 3), "(i, j): the section atan2(-x_j, x_i) = 0")},
     "leaf": {"kind": KIND, "orientation": ORIENTATION,
-             "d": (count(1, 100_000), REQUIRED, "common denominator"),
              "n": (list_of(count(-100_000, 100_000).ok, "a list of integers in [-100000, "
                            "100000], not all 0", any), REQUIRED, "winding per coordinate")},
 }
+
+
+def section_table(sec: dict) -> dict:
+    """The field table of a 'section' object, by its kind (an unknown kind fails the
+    'kind' field)."""
+    return SECTION_KINDS.get(str(sec.get("kind", "coordinate")), SECTION_KINDS["coordinate"])
+
+
 TISCHLER = {
     "periods": (list_of(FINITE.ok, "a list of 1 to 12 numbers", lambda v: 1 <= len(v) <= 12),
                 None, "the periods, one per circle of the torus"),
@@ -182,9 +189,8 @@ COMMAND_FIELDS = {
                        "rule on each Stokes surface"), "rng_seed": RNG_SEED},
     "return-map": {
         "system": (SYSTEM, REQUIRED, "catalog or inline system"),
-        "section": (OBJECT._replace(table=lambda v: SECTION_KINDS.get(str(v.get(
-            "kind", "coordinate")), SECTION_KINDS["coordinate"])), None,
-            "default: the catalog entry's own, else kind coordinate"),
+        "section": (OBJECT._replace(table=section_table), None,
+                    "default: the catalog entry's own, else kind coordinate"),
         "points": (list_of(list_of(FINITE.ok, "").ok, "a non-empty list of lists of numbers",
                            len), None, "start points on the section; default sampled"),
         "level": (num(0), 1.0, "energy level of the oscillator start sampler"),
@@ -287,26 +293,27 @@ def resolve_system(spec):
 
 def build_section(sec: Optional[dict], entry: catalog.SystemEntry, system) -> SectionSpec:
     """The validated 'section' setting on the system; without one, the entry's
-    default section, else a coordinate section with the table's defaults."""
-    if sec is None and entry.section is not None:
-        return entry.section(system)
-    sec, dim = sec or _fields(SECTION_KINDS["coordinate"], {}, "section"), system.dim
+    default section object, else the coordinate kind's defaults, through the
+    same table."""
+    from . import section
+    if sec is None:
+        default = entry.section or {}
+        sec = _fields(section_table(default), default, "section")
+    dim = system.dim
     if sec["kind"] == "angle":
         if max(sec["pair"]) >= dim:
             raise ConfigError(f"section field 'pair' {sec['pair']} must be below dim {dim}")
-        return catalog.oscillator_angle_section(tuple(sec["pair"]))
+        return section.angle_section(tuple(sec["pair"]))
     if sec["kind"] == "leaf":
         if len(sec["n"]) != dim:
             raise ConfigError(f"section field 'n' must list {dim} integers, got {sec['n']!r}")
-        from . import tischler
-        ra = tischler.RationalApproximation(sec["d"], np.asarray(sec["n"]), 0.0)
-        return tischler.extract_leaf(ra, system.manifold, orientation=sec["orientation"])
+        return section.leaf_section(system.manifold, sec["n"], sec["orientation"])
     index = dim - 2 if sec["index"] is None else sec["index"]
     if not 0 <= index < dim:
         raise ConfigError(f"section field 'index' must be below dimension {dim}, got {index}")
-    from .section import coordinate_section
     try:
-        return coordinate_section(system.manifold, index, sec["level"], sec["orientation"])
+        return section.coordinate_section(system.manifold, index, sec["level"],
+                                          sec["orientation"])
     except ValueError as exc:
         raise ConfigError(f"coordinate section: {exc}; configure a 'section' on a periodic "
                           "coordinate, or of kind 'angle' or 'leaf'") from exc
@@ -598,8 +605,8 @@ def cmd_tischler(cfg: dict, runner: Runner, seed: int) -> None:
                      coefficient_distance=tischler.coefficient_distance(pv, ra))
 
     if system is not None:
-        sample = entry.surface or (lambda s, r, k: s.manifold.sample(r, k))
-        samples = sample(system, Rng(seed), cfg["samples"])
+        sample = entry.level(system).sample if entry.level else system.manifold.sample
+        samples = sample(Rng(seed), cfg["samples"])
         with runner.timed("transversality"):
             trans = tischler.check_transversality_preserved(system, alpha_prime,
                                                             samples, alpha=alpha)

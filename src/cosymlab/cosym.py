@@ -26,7 +26,6 @@ from .forms import (CLOSED_TOL, ChartManifold, ChartMap, KForm, Rng, coordinate_
 from .phase import TANGENCY_MARGIN, EnergySurface, HamiltonianSystem, solve_pairing
 
 VOLUME_MARGIN = 1e-9
-LEVEL_TOL = 1e-8   # largest |H - level| on a slice, relative to max(1, |level|)
 ALPHA_MIN = 1e-14   # a defining one-form sampled below it everywhere is degenerate
 
 
@@ -108,51 +107,44 @@ def verify_cosymplectic(cs: CosymplecticStructure, samples: np.ndarray) -> Cosym
     return CosymReport(passed, float(d_alpha), float(d_beta), margin, worst)
 
 
-def _check_level(sys: HamiltonianSystem, Z: EnergySurface, ambient: np.ndarray) -> None:
-    """Raise ValueError unless H equals Z's level at the lifted samples, within
-    LEVEL_TOL relative to max(1, |level|)."""
-    off = float(np.max(np.abs(sys.energy(ambient) - Z.level), initial=0.0))
-    if not off <= LEVEL_TOL * max(1.0, abs(Z.level)):
-        raise ValueError(f"the slice is not the level set H = {Z.level:g}: "
-                         f"max |H - level| = {off:.3e} at the samples")
-
-
-def field_to_cosym(sys: HamiltonianSystem, Z: EnergySurface,
-                   X: Callable[[np.ndarray], np.ndarray],
+def field_to_cosym(Z: EnergySurface, X: Callable[[np.ndarray], np.ndarray],
                    samples: np.ndarray) -> CosymplecticStructure:
-    """Induced pair on a slice level set from a transverse symplectic field.
+    """Induced pair on a slice level set of ``Z.system`` from a transverse
+    symplectic field.
 
     alpha is the symplectic pairing of X restricted to the slice chart of Z,
-    beta the restriction of the ambient form.  Raises on tangency or when X
-    fails to be symplectic at the samples.
+    beta the restriction of the ambient form.  Raises on a slice off its level
+    (`EnergySurface.check`), on tangency, or when X fails to be symplectic at
+    the samples.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
+    system = Z.system
     incl = Z.inclusion()
     ambient = incl.value(samples)
-    _check_level(sys, Z, ambient)
+    Z.check(ambient)
     xv = np.asarray(X(ambient), dtype=float)
-    dh = np.asarray(sys.grad_h(ambient), dtype=float)
+    dh = np.asarray(system.grad_h(ambient), dtype=float)
     trans = float(np.min(np.abs(np.einsum("...i,...i->...", dh, xv))))
     if not trans >= TANGENCY_MARGIN:
         raise TransversalityError(
             f"field tangent to the level set at a sample: min |dH(X)| = {trans:.3e}")
-    alpha_ambient = interior(X, sys.omega)
+    alpha_ambient = interior(X, system.omega)
     residual = max_coeff_magnitude(exterior_derivative(alpha_ambient), ambient)
     if residual >= CLOSED_TOL:
         raise ValueError(f"field is not symplectic: sampled |d(iota_X omega)| = {residual:.3e}")
     cs = CosymplecticStructure(Z.section_chart,
                                pullback(incl, alpha_ambient),
-                               pullback(incl, sys.omega),
-                               name=f"induced on {sys.name or 'system'} level set")
+                               pullback(incl, system.omega),
+                               name=f"induced on {system.name or 'system'} level set")
     report = verify_cosymplectic(cs, samples)
     if not report.passed:
         raise ValueError(f"induced pair fails verification: {report.as_dict()}")
     return cs
 
 
-def cosym_to_field(sys: HamiltonianSystem, Z: EnergySurface, cs: CosymplecticStructure,
+def cosym_to_field(Z: EnergySurface, cs: CosymplecticStructure,
                    samples: np.ndarray) -> TransverseFieldReport:
-    """Transverse symplectic field recovering a verified pair on Z.
+    """Transverse symplectic field of ``Z.system`` recovering a verified pair on Z.
 
     The defining one-form is extended constantly in the collar coordinate and
     the pairing equation iota_X omega = alpha is solved pointwise
@@ -164,18 +156,18 @@ def cosym_to_field(sys: HamiltonianSystem, Z: EnergySurface, cs: CosymplecticStr
     proj = Z.projection()
     alpha_ext = pullback(proj, cs.alpha)
     ambient = Z.inclusion().value(samples)
-    _check_level(sys, Z, ambient)
+    Z.check(ambient)
     if max_coeff_magnitude(alpha_ext, ambient) < ALPHA_MIN:
         raise ValueError("degenerate one-form: alpha vanishes at the samples")
 
-    omega = sys.omega
+    omega = Z.system.omega
 
     def field(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         return solve_pairing(omega, x, covector_values(alpha_ext, x))
 
     values = field(ambient)
-    dh = np.asarray(sys.grad_h(ambient), dtype=float)
+    dh = np.asarray(Z.system.grad_h(ambient), dtype=float)
     trans = float(np.min(np.abs(np.einsum("...i,...i->...", dh, values))))
     residual = max_coeff_magnitude(exterior_derivative(interior(field, omega)), ambient)
     return TransverseFieldReport(values, float(residual), trans, field)

@@ -37,6 +37,7 @@ RCOND_MIN = 1e-10
 FIELD_RESIDUAL_MAX = 1e-10
 DEFAULT_FLOW_TOL = 1e-10
 TANGENCY_MARGIN = 1e-8   # least |rate| of a transverse crossing, field or form
+LEVEL_TOL = 1e-8   # largest |H - level| on a slice, relative to max(1, |level|)
 
 
 class SingularOmegaError(RuntimeError):
@@ -222,6 +223,20 @@ class EnergySurface:
     level: float
     slice_coord: int
     slice_value: float
+
+    def sample(self, rng, n: int) -> np.ndarray:
+        """n ambient points of Z: chart samples with the slice coordinate pinned."""
+        pts = self.system.manifold.sample(rng, n)
+        pts[:, self.slice_coord] = self.slice_value
+        return pts
+
+    def check(self, ambient: np.ndarray) -> None:
+        """Raise ValueError unless H equals the level at the ambient points,
+        within LEVEL_TOL relative to max(1, |level|)."""
+        off = float(np.max(np.abs(self.system.energy(ambient) - self.level), initial=0.0))
+        if not off <= LEVEL_TOL * max(1.0, abs(self.level)):
+            raise ValueError(f"the slice is not the level set H = {self.level:g}: "
+                             f"max |H - level| = {off:.3e} at the samples")
 
     @property
     def _kept(self) -> list[int]:

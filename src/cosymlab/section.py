@@ -1,5 +1,5 @@
-"""Poincaré sections: crossing detection, first-return maps, globality checks
-and the mapping-torus chart of a verified section.
+"""Poincaré sections: the section kinds, crossing detection, first-return maps,
+globality checks and the mapping-torus chart of a verified section.
 
 The section function is circle valued, and a section supplies its rate along
 a field in closed form.  Along an orbit its angle is lifted to a continuous
@@ -107,6 +107,55 @@ def coordinate_section(chart: ChartManifold, index: int, level: float = 0.0,
         level=(level * scale) % TWO_PI,
         orientation=orientation,
         name=name or f"coord{index}={level}")
+
+
+def angle_section(pair: tuple[int, int] = (2, 3)) -> SectionSpec:
+    """Phase-angle section of one oscillator pair, counted where the angle
+    increases along the flow; singular at zero amplitude of that pair."""
+    i, j = pair
+
+    def theta(x):
+        x = np.asarray(x, dtype=float)
+        return np.arctan2(-x[..., j], x[..., i]) % TWO_PI
+
+    def dtheta(x, X):
+        xi, xj = x[..., i], x[..., j]
+        r2 = xi * xi + xj * xj
+        if np.count_nonzero(r2) == r2.size:   # the quiet block costs more than the rate
+            return xj / r2 * X[..., i] - xi / r2 * X[..., j]
+        # NaN on the zero-amplitude orbit is deliberate: the section is
+        # singular there and the crossing scan reports it as a failure
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return xj / r2 * X[..., i] - xi / r2 * X[..., j]
+
+    return SectionSpec(theta, dtheta, 0.0, 1, f"angle({i},{j})")
+
+
+def leaf_section(chart: ChartManifold, n: Sequence[int], orientation: int = 1) -> SectionSpec:
+    """Compact leaf of the fibration of a closed one-form with integer periods
+    n (`tischler.rationalize`) on the chart, as a section.
+
+    The circle-valued map winds n_i times around coordinate i; dividing by
+    the gcd of the integers makes its fibers connected.  Its level set at
+    angle 0 is a compact leaf.  Raises ValueError when every n_i vanishes.
+    """
+    n = np.asarray(n, dtype=int)
+    if not np.any(n):
+        raise ValueError("all integers vanish: the rationalized form defines no fibration")
+    g = int(np.gcd.reduce(np.abs(n[n != 0])))
+    weights = n / np.asarray(chart.periods)
+    scale = TWO_PI / g
+    grad = weights * scale   # the constant gradient of theta
+
+    def theta(x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        s = np.einsum("...i,i->...", x, weights)
+        return (s % g) * scale
+
+    def dtheta(x: np.ndarray, X: np.ndarray) -> np.ndarray:
+        return np.einsum("...i,i->...", X, grad)
+
+    return SectionSpec(theta, dtheta, orientation=orientation, name=f"leaf(n={n.tolist()})")
 
 
 _ROWS = ("starts", "times", "states", "rates", "margins", "residuals", "crossings_seen")
@@ -273,7 +322,9 @@ class _Scan:
         self.seen, self.count = np.zeros(n), np.zeros(n, dtype=int)   # passages, crossings
         self.deadline = np.full(n, float(t_max))   # -inf once an orbit has all k
         self.turning = np.zeros(n, dtype=int)   # accepted steps left exempt from the turning rule
-        self.log = []   # per step with crossings, the arrays of its crossings
+        # per step with crossings, the arrays of its crossings, after an empty entry
+        self.log = [(np.zeros(0, dtype=int), np.zeros(0, dtype=int), starts[:0],
+                     *np.zeros((6, 0)))]
 
     def _turns(self, v: np.ndarray) -> np.ndarray:
         """Oriented turns of lifted angles past the level."""
@@ -360,23 +411,20 @@ def first_crossings(system, sec: SectionSpec, starts: np.ndarray,
         # a crossing of the row before the stall gets its own verdict below
         for row, t in zip(exc.rows, exc.times):
             failures[row] = f"unconverged: integration stalled at t={t:.6g}"
-    # the (n, k) record: per crossing the Hénon step's start (state, time 0, angle gap;
-    # one not reached rides along with a zero gap), the step times, passages and
-    # margin; an orbit's entry after its last crossing holds what it counted since
-    bracket = np.concatenate([np.repeat(starts[:, None], k, 1), np.zeros((n, k, 2)),
-                              np.full((n, k, 2), np.nan)], -1)
+    # per crossing its passages and margin; an orbit's entry after its last
+    # crossing holds what it counted since
     seen, margins = out.crossings_seen, out.margins
     last = np.flatnonzero(scan.count < k)
     seen[last, scan.count[last]], margins[last, scan.count[last]] = (scan.seen[last],
                                                                      scan.margins[last])
-    if scan.log:
-        rk, c, left, lift0, cell, t0, t1, seen_c, margins_c = map(np.concatenate, zip(*scan.log))
-        seen[rk, c], margins[rk, c] = seen_c, margins_c
-        gap = sec.level - lift0 + oriented * TWO_PI * (cell + 1)
-        bracket[rk, c] = np.column_stack([left, np.zeros(len(rk)), gap, t0, t1])
-    # one Hénon row per crossing reached, (row, column) of the record
-    rows, cols = np.nonzero(np.arange(k) < scan.count[:, None])
-    bracket = bracket[rows, cols]
+    rk, c, left, lift0, cell, t0, t1, seen_c, margins_c = map(np.concatenate, zip(*scan.log))
+    seen[rk, c], margins[rk, c] = seen_c, margins_c
+    # one Hénon row per logged crossing, (row, column) of the record in its row-major
+    # order: the step's start (state, time 0, angle gap) and the step times
+    order = np.lexsort((c, rk))
+    rows, cols = rk[order], c[order]
+    gap = sec.level - lift0 + oriented * TWO_PI * (cell + 1)
+    bracket = np.column_stack([left, np.zeros(len(rk)), gap, t0, t1])[order]
 
     def henon(y):
         """Rows (x, t, dv) over the lifted angle s in [0, 1]: dx/ds = dv X / r and

@@ -5,9 +5,9 @@ the form by a nearby one whose periods are rational (a common-denominator
 combination of circle-generator pullbacks) turns the foliation into a
 fibration with compact leaves, each usable as a Poincaré section.  The steps:
 compute the loop periods, approximate them simultaneously by fractions
-n_i / d, rebuild the form with the rationalized constant part (the exact part
-is kept unchanged), and extract a circle-valued section function from the
-integer data.
+n_i / d, and rebuild the form with the rationalized constant part (the exact
+part is kept unchanged).  The integers n_i give the leaf as a section
+(`section.leaf_section`).
 
 Periods are normalized by 2*pi, so an integer entry means the form winds that
 many times around the corresponding coordinate circle.  The coefficient norm
@@ -27,7 +27,6 @@ from .catalog import DEFAULT_D_CAP
 from .forms import (CLOSED_TOL, ChartManifold, KForm, Rng, constant_form, covector_values,
                     exterior_derivative, max_coeff_magnitude)
 from .phase import TANGENCY_MARGIN
-from .section import SectionSpec
 
 TWO_PI = 2.0 * math.pi
 
@@ -220,30 +219,3 @@ def check_transversality_preserved(system, alpha_prime: KForm, samples: np.ndarr
     return TransversalityReport(m_prime, lo, hi, m_orig,
                                 m_prime >= TANGENCY_MARGIN and (lo > 0) == (hi > 0))
 
-
-def extract_leaf(ra: RationalApproximation, manifold: ChartManifold,
-                 orientation: int = 1) -> SectionSpec:
-    """Compact fibration leaf of the rationalized form as a section.
-
-    The circle-valued map winds n_i times around coordinate i; dividing by
-    the gcd of the integers makes its fibers connected.  Its level set at
-    angle 0 is a compact leaf usable by the section machinery.
-    """
-    n = np.asarray(ra.n, dtype=int)
-    if not np.any(n):
-        raise ValueError("all integers vanish: the rationalized form defines no fibration")
-    g = int(np.gcd.reduce(np.abs(n[n != 0])))
-    weights = n / np.asarray(manifold.periods)
-    scale = TWO_PI / g
-    grad = weights * scale   # the constant gradient of theta
-
-    def theta(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        s = np.einsum("...i,i->...", x, weights)
-        return (s % g) * scale
-
-    def dtheta(x: np.ndarray, X: np.ndarray) -> np.ndarray:
-        return np.einsum("...i,i->...", X, grad)
-
-    return SectionSpec(theta, dtheta, orientation=orientation,
-                       name=f"leaf(n={n.tolist()}, d={ra.d})")

@@ -60,7 +60,7 @@ def test_criterion_2_return_map_symplecticity():
                                     tol=1e-10))
     osc = catalog.oscillator_2dof()
     pts_osc = catalog.sample_oscillator_surface(osc, 1.0, rng, 100, on_section=True)
-    dets_osc = np.linalg.det(jacobians(osc, catalog.oscillator_angle_section(), pts_osc,
+    dets_osc = np.linalg.det(jacobians(osc, section.angle_section(), pts_osc,
                                        t_max=100.0, tol=1e-10))
     err4 = float(np.max(np.abs(dets4 - 1.0)))
     err_osc = float(np.max(np.abs(dets_osc - 1.0)))
@@ -80,7 +80,7 @@ def test_criterion_3_sections_are_symplectic_submanifolds():
                     catalog.sample_product_leaf(t4, rng, 100)),
         "t6 leaf": (t6, catalog.product_leaf_section(t6),
                     catalog.sample_product_leaf(t6, rng, 100)),
-        "oscillator section": (osc, catalog.oscillator_angle_section(),
+        "oscillator section": (osc, section.angle_section(),
                                catalog.sample_oscillator_surface(osc, 1.0, rng, 100,
                                                                  on_section=True)),
     }
@@ -96,12 +96,12 @@ def test_criterion_3_sections_are_symplectic_submanifolds():
 
 def test_criterion_4_roundtrip_and_collar():
     t4 = catalog.product_system("t3")
-    Z = catalog.product_energy_surface(t4)
+    Z = catalog.SYSTEMS["t4_product"].level(t4)
     samples = catalog.torus(3).sample(np.random.default_rng(5), 64)
 
     X = lambda x: np.broadcast_to(np.array([0.0, 0.0, 0.0, -1.0]), np.shape(x))
-    cs = cosym.field_to_cosym(t4, Z, X, samples)
-    recovered = cosym.cosym_to_field(t4, Z, cs, samples)
+    cs = cosym.field_to_cosym(Z, X, samples)
+    recovered = cosym.cosym_to_field(Z, cs, samples)
     ambient = Z.inclusion().value(samples)
     roundtrip_err = float(np.max(np.abs(recovered.field_values - X(ambient))))
 
@@ -122,7 +122,7 @@ def test_criterion_5_tischler_pipeline():
     alpha = F.coordinate_form(2, 0) + SQRT2 * F.coordinate_form(2, 1)
     pv = tischler.periods(alpha, t2)
     ra = tischler.rationalize(pv, 1e-2, 100)
-    leaf = tischler.extract_leaf(ra, t2)
+    leaf = section.leaf_section(t2, ra.n)
     flow_sys = phase.FlowSystem(t2, lambda x: np.broadcast_to(np.array([1.0, 1.0]),
                                                               np.shape(x)))
     alpha_prime = tischler.build_approximation(alpha, pv, ra)

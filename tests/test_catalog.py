@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cosymlab import catalog
+from cosymlab import catalog, forms as F
 
 SQRT2 = math.sqrt(2.0)
 
@@ -78,3 +78,19 @@ def test_catalog_evaluations_match_stacked_reference(name, build, reference, dim
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("name", sorted(n for n, e in catalog.SYSTEMS.items() if e.level))
+def test_declared_level_samples_lie_on_the_level(name):
+    # a level's samples are chart samples with the slice coordinate pinned, and
+    # its check accepts them and refuses the slice moved off the level
+    system = catalog.get_system(name)
+    Z = catalog.SYSTEMS[name].level(system)
+    pts = Z.sample(F.Rng(3), 64)
+    chart = system.manifold.sample(F.Rng(3), 64)
+    chart[:, Z.slice_coord] = Z.slice_value
+    assert np.array_equal(pts, chart)
+    Z.check(pts)
+    pts[:, Z.slice_coord] += 0.5
+    with pytest.raises(ValueError, match="not the level set"):
+        Z.check(pts)

@@ -282,6 +282,13 @@ def test_catalog_system_alone_runs_on_its_default_section(tmp_path, capsys, name
         assert code == 0, err
 
 
+@pytest.mark.parametrize("name", sorted(n for n, e in catalog.SYSTEMS.items() if e.section))
+def test_catalog_default_section_is_a_section_config(name):
+    # an entry's default section is the config object a user writes
+    sec = catalog.SYSTEMS[name].section
+    assert cli._fields(cli.SECTION_KINDS[sec["kind"]], sec, "section")["kind"] == sec["kind"]
+
+
 def test_inline_system_name_selects_no_sampler(tmp_path, capsys):
     cfg = {"system": {"dim": 2, "coordinates": ["q", "p"], "omega": [[0, 1, 1.0]],
                       "hamiltonian": "0.5*(q^2 + p^2)", "name": "oscillator"},
@@ -585,15 +592,41 @@ def test_malformed_level_exits_2(tmp_path, capsys, level):
     assert not (out / "report.json").exists()
 
 
-@pytest.mark.parametrize("section", [{"kind": "leaf", "n": [0, 0, 1, 0]},
-                                     {"kind": "leaf", "d": 0, "n": [0, 0, 1, 0]},
-                                     {"kind": "leaf", "d": 1, "n": [0, 1]},
-                                     {"kind": "leaf", "d": 1, "n": [0, 0, 0, 0]}])
+@pytest.mark.parametrize("section", [{"kind": "leaf", "d": 0, "n": [0, 0, 1, 0]},
+                                     {"kind": "leaf", "n": [0, 1]},
+                                     {"kind": "leaf", "n": [0, 0, 0, 0]}])
 def test_malformed_leaf_section_exits_2(tmp_path, capsys, section):
     cfg = {"system": "t4_product", "section": section, "samples": 2, "iterations": 1}
     code, _ = run(tmp_path, "return-map", cfg)
     assert code == 2
-    assert "section field" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # the leaf is the integer data n alone: a 'd' field is unknown
+    assert "section field" in err
+    assert ("unknown section field 'd'" in err) == ("d" in section)
+
+
+def test_leaf_section_returns_as_the_default_coordinate_section(tmp_path):
+    # the leaf of n = (0, 0, 1, 0) on T^4 is {z = 0}, t4_product's default section:
+    # the same checks, crossing states and margins, and the same crossing times up to
+    # the rounding of the leaf's angle
+    cfg = {"system": "t4_product", "samples": 3, "iterations": 2, "n_return_points": 2,
+           "t_max": 30.0}
+    leaf_code, leaf = run(tmp_path, "return-map",
+                          {**cfg, "section": {"kind": "leaf", "n": [0, 0, 1, 0]}}, out="leaf")
+    code, default = run(tmp_path, "return-map", cfg, out="default")
+    assert leaf_code == code == 0
+    checks = read_report(leaf)["report"]["checks"]
+    assert checks == read_report(default)["report"]["checks"]
+    assert next(c for c in checks if c["name"] == "iterates")["n_rows"] == 6
+    tables = []
+    for out in (leaf, default):
+        with open(out / "crossings.csv") as fh:
+            tables.append(list(csv.DictReader(fh)))
+    leaf_rows, rows = tables
+    assert len(leaf_rows) == len(rows) == 6
+    for a, b in zip(leaf_rows, rows):
+        assert abs(float(a.pop("t")) - float(b.pop("t"))) <= 4e-15
+        assert a == b
 
 
 def test_inline_system_failing_structure_checks_exits_2(tmp_path, capsys):
@@ -708,7 +741,7 @@ BENCH_INLINE_RETURN_MAP = {
                                                    [3, 0.1]],
                                "eps": 1e-3, "d_cap": 10000},
                   "system": "t4_product", "samples": 64},
-     ["cosym", "expr", "section", "tischler"]),
+     ["cosym", "expr", "tischler"]),
 ], ids=["obstruct", "return-map-osc", "return-map-inline", "verify-cosym", "demo-product",
         "tischler"])
 def test_cli_process_loads_only_the_layers_its_command_runs(tmp_path, command, config, adds):

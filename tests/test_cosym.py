@@ -66,42 +66,42 @@ def test_verify_needs_samples(t3_seed):
 
 
 def test_field_to_cosym_standard(t4_system, samples3):
-    Z = catalog.product_energy_surface(t4_system)
-    cs = C.field_to_cosym(t4_system, Z, neg_dtheta, samples3)
+    Z = catalog.SYSTEMS["t4_product"].level(t4_system)
+    cs = C.field_to_cosym(Z, neg_dtheta, samples3)
     assert np.allclose(F.covector_values(cs.alpha, samples3), [0, 0, 1])
     assert np.allclose(cs.beta.coeffs(samples3)[..., 0], 1.0)
     assert np.allclose(cs.beta.coeffs(samples3)[..., 1:], 0.0)
 
 
 def test_field_to_cosym_scales_linearly(t4_system, samples3):
-    Z = catalog.product_energy_surface(t4_system)
+    Z = catalog.SYSTEMS["t4_product"].level(t4_system)
     doubled = lambda x: 2.0 * neg_dtheta(x)
-    cs = C.field_to_cosym(t4_system, Z, doubled, samples3)
+    cs = C.field_to_cosym(Z, doubled, samples3)
     assert np.allclose(F.covector_values(cs.alpha, samples3), [0, 0, 2])
     assert C.verify_cosymplectic(cs, samples3).passed
 
 
 def test_field_to_cosym_rejects_tangent_field(t4_system, samples3):
-    Z = catalog.product_energy_surface(t4_system)
+    Z = catalog.SYSTEMS["t4_product"].level(t4_system)
     with pytest.raises(C.TransversalityError):
-        C.field_to_cosym(t4_system, Z, t4_system.field, samples3)
+        C.field_to_cosym(Z, t4_system.field, samples3)
 
 
 def test_transversality_checks_read_the_tangency_margin(t4_system, samples3):
     # |dH(X)| = c on the zero level: the pair is built at TANGENCY_MARGIN and
     # refused under it, and a field report passes on the same terms
-    Z = catalog.product_energy_surface(t4_system)
+    Z = catalog.SYSTEMS["t4_product"].level(t4_system)
     m = S.TANGENCY_MARGIN
-    C.field_to_cosym(t4_system, Z, lambda x: m * neg_dtheta(x), samples3)
+    C.field_to_cosym(Z, lambda x: m * neg_dtheta(x), samples3)
     with pytest.raises(C.TransversalityError):
-        C.field_to_cosym(t4_system, Z, lambda x: 0.5 * m * neg_dtheta(x), samples3)
+        C.field_to_cosym(Z, lambda x: 0.5 * m * neg_dtheta(x), samples3)
     values = np.zeros((1, 4))
     assert C.TransverseFieldReport(values, 0.0, m, neg_dtheta).passed
     assert not C.TransverseFieldReport(values, 0.0, 0.5 * m, neg_dtheta).passed
 
 
 def test_field_to_cosym_rejects_non_symplectic_field(t4_system, samples3):
-    Z = catalog.product_energy_surface(t4_system)
+    Z = catalog.SYSTEMS["t4_product"].level(t4_system)
 
     def warped(x):
         x = np.asarray(x, dtype=float)
@@ -110,15 +110,15 @@ def test_field_to_cosym_rejects_non_symplectic_field(t4_system, samples3):
         return out
 
     with pytest.raises(ValueError, match="not symplectic"):
-        C.field_to_cosym(t4_system, Z, warped, samples3)
+        C.field_to_cosym(Z, warped, samples3)
 
 
 # -- field from a pair --------------------------------------------------------------
 
 
 def test_cosym_to_field_recovers_transverse_field(t4_system, t3_seed, samples3):
-    Z = catalog.product_energy_surface(t4_system)
-    rep = C.cosym_to_field(t4_system, Z, t3_seed, samples3)
+    Z = catalog.SYSTEMS["t4_product"].level(t4_system)
+    rep = C.cosym_to_field(Z, t3_seed, samples3)
     assert rep.passed
     assert np.max(np.abs(rep.field_values - np.array([0, 0, 0, -1.0]))) < 1e-10
     assert rep.min_transversality == pytest.approx(1.0)
@@ -126,23 +126,23 @@ def test_cosym_to_field_recovers_transverse_field(t4_system, t3_seed, samples3):
 
 
 def test_round_trip_both_ways(t4_system, samples3):
-    Z = catalog.product_energy_surface(t4_system)
-    cs = C.field_to_cosym(t4_system, Z, neg_dtheta, samples3)
-    rep = C.cosym_to_field(t4_system, Z, cs, samples3)
+    Z = catalog.SYSTEMS["t4_product"].level(t4_system)
+    cs = C.field_to_cosym(Z, neg_dtheta, samples3)
+    rep = C.cosym_to_field(Z, cs, samples3)
     ambient = Z.inclusion().value(samples3)
     assert np.max(np.abs(rep.field_values - neg_dtheta(ambient))) < 1e-8
-    cs2 = C.field_to_cosym(t4_system, Z, rep.field, samples3)
+    cs2 = C.field_to_cosym(Z, rep.field, samples3)
     assert np.max(np.abs(F.covector_values(cs2.alpha, samples3)
                          - F.covector_values(cs.alpha, samples3))) < 1e-8
     assert np.max(np.abs(cs2.beta.coeffs(samples3) - cs.beta.coeffs(samples3))) < 1e-8
 
 
 def test_cosym_to_field_rejects_zero_form(t4_system, samples3):
-    Z = catalog.product_energy_surface(t4_system)
+    Z = catalog.SYSTEMS["t4_product"].level(t4_system)
     cs = C.CosymplecticStructure(catalog.torus(3), F.constant_form(3, 1, np.zeros(3)),
                                  F.wedge(F.coordinate_form(3, 0), F.coordinate_form(3, 1)))
     with pytest.raises(ValueError, match="vanishes"):
-        C.cosym_to_field(t4_system, Z, cs, samples3)
+        C.cosym_to_field(Z, cs, samples3)
 
 
 def test_cosym_to_field_raises_where_omega_is_singular():
@@ -166,7 +166,7 @@ def test_cosym_to_field_raises_where_omega_is_singular():
     with pytest.raises(P.SingularOmegaError):
         system.field(Z.inclusion().value(samples))
     with pytest.raises(P.SingularOmegaError):
-        C.cosym_to_field(system, Z, cs, samples)
+        C.cosym_to_field(Z, cs, samples)
 
 
 def test_slice_off_its_level_is_refused(t3_seed, samples3):
@@ -175,14 +175,14 @@ def test_slice_off_its_level_is_refused(t3_seed, samples3):
     Z = P.EnergySurface(catalog.product_system("t3"), 0.5, 3, 0.0)
     message = r"not the level set H = 0\.5: max \|H - level\| = 5\.000e-01"
     with pytest.raises(ValueError, match=message):
-        C.field_to_cosym(Z.system, Z, neg_dtheta, samples3)
+        C.field_to_cosym(Z, neg_dtheta, samples3)
     with pytest.raises(ValueError, match="not the level set"):
-        C.cosym_to_field(Z.system, Z, t3_seed, samples3)
+        C.cosym_to_field(Z, t3_seed, samples3)
     # within the bound, relative to max(1, |level|), the slice is accepted
     near = P.EnergySurface(Z.system, 5e-9, 3, 0.0)
-    assert C.verify_cosymplectic(C.field_to_cosym(Z.system, near, neg_dtheta, samples3),
+    assert C.verify_cosymplectic(C.field_to_cosym(near, neg_dtheta, samples3),
                                  samples3).passed
-    assert C.cosym_to_field(Z.system, near, t3_seed, samples3).passed
+    assert C.cosym_to_field(near, t3_seed, samples3).passed
 
 
 # -- product construction -------------------------------------------------------------

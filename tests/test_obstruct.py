@@ -206,7 +206,7 @@ def test_verdicts_consistent_with_section_module(t4_system, osc_system):
     assert not O.exactness_verdict(t4_system).negative
 
     assert O.exactness_verdict(osc_system).negative
-    sec = catalog.oscillator_angle_section()
+    sec = S.angle_section()
     rng = np.random.default_rng(0)
     samples = catalog.sample_oscillator_surface(osc_system, 1.0, rng, 4)
     boundary_orbit = np.array([math.sqrt(2.0), 0.0, 0.0, 0.0])  # all energy in pair one

@@ -321,7 +321,7 @@ def test_energy_surface_regularity_and_slices(osc_system, t4_system):
     # a regular level: dH stays away from zero on it
     assert np.min(np.linalg.norm(osc_system.grad_h(zs), axis=-1)) > 0.1
 
-    Z = catalog.product_energy_surface(t4_system)
+    Z = catalog.SYSTEMS["t4_product"].level(t4_system)
     assert Z.section_chart.dim == 3
     incl = Z.inclusion()
     pts = Z.section_chart.sample(rng, 4)

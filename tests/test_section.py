@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import first_return, jacobians, torus_chart
 from hypothesis.extra import numpy as hnp
 
-from cosymlab import catalog, forms as F, phase as P, section as S, tischler as T
+from cosymlab import catalog, forms as F, phase as P, section as S
 
 TWO_PI = 2.0 * math.pi
 SQRT2 = math.sqrt(2.0)
@@ -41,7 +41,7 @@ def test_first_return_suspension(suspension_system):
 def test_first_return_oscillator_closed_form(osc_system):
     # linear flow: the second pair rotates at rate sqrt(2), so the first
     # return to its zero-phase half-plane takes 2*pi/sqrt(2)
-    sec = catalog.oscillator_angle_section()
+    sec = S.angle_section()
     p = np.array([0.6, 0.0, 0.8, 0.0])
     r = first_return(osc_system, sec, p)
     assert abs(r.times[0, 0] - TWO_PI / SQRT2) < 1e-9
@@ -84,7 +84,7 @@ def test_return_map_jacobian_identity_cases(t4_system, t4_section, suspension_sy
 
 def test_return_map_jacobian_oscillator_rotation(osc_system):
     # closed form: the (q1, p1) pair rotates clockwise by T = 2*pi/sqrt(2)
-    sec = catalog.oscillator_angle_section()
+    sec = S.angle_section()
     J = jacobians(osc_system, sec, [[0.6, 0.0, 0.8, 0.0]])[0]
     T = TWO_PI / SQRT2
     expected = np.array([[math.cos(T), math.sin(T)], [-math.sin(T), math.cos(T)]])
@@ -93,7 +93,7 @@ def test_return_map_jacobian_oscillator_rotation(osc_system):
 
 
 def test_return_map_determinants_match_per_point(osc_system):
-    sec = catalog.oscillator_angle_section()
+    sec = S.angle_section()
     rng = np.random.default_rng(7)
     pts = catalog.sample_oscillator_surface(osc_system, 1.0, rng, 8, on_section=True)
     dets = np.linalg.det(jacobians(osc_system, sec, pts, t_max=50.0))
@@ -132,7 +132,7 @@ def test_return_map_symplectic_on_nonlinear_flow():
     # quartic coupling makes return times vary along the section; the map is
     # genuinely curved but must still transport the restricted form exactly
     coupled = _coupled_oscillator()
-    sec = catalog.oscillator_angle_section()
+    sec = S.angle_section()
     rng = np.random.default_rng(1)
     pts = catalog.sample_oscillator_surface(coupled, 1.0, rng, 8, on_section=True)
 
@@ -154,7 +154,7 @@ def test_return_map_jacobian_matches_differenced_images():
     # Jacobian values where the return time varies along the section: against
     # central differences of certified return images of the section points
     # (q1, p1, q2, 0) on H = 1, with q2 > 0 in closed form
-    coupled, sec, level, h = _coupled_oscillator(), catalog.oscillator_angle_section(), 1.0, 1e-5
+    coupled, sec, level, h = _coupled_oscillator(), S.angle_section(), 1.0, 1e-5
 
     def on_section(s):
         q1, p1 = s[..., 0], s[..., 1]
@@ -320,10 +320,9 @@ _RATE_CHART = F.ChartManifold(4, (True,) * 4, (TWO_PI, 3.0, TWO_PI, 0.7))
 RATE_SECTIONS = {
     "coordinate, period 3": S.coordinate_section(_RATE_CHART, 1, 0.4),
     "coordinate, period 2 pi": S.coordinate_section(_RATE_CHART, 2, orientation=-1),
-    "angle (2, 3)": catalog.oscillator_angle_section((2, 3)),
-    "angle (1, 0)": catalog.oscillator_angle_section((1, 0)),
-    "leaf, mixed-sign n": T.extract_leaf(T.RationalApproximation(7, np.array([3, -5, 0, 2]), 0.0),
-                                         _RATE_CHART),
+    "angle (2, 3)": S.angle_section((2, 3)),
+    "angle (1, 0)": S.angle_section((1, 0)),
+    "leaf, mixed-sign n": S.leaf_section(_RATE_CHART, [3, -5, 0, 2]),
 }
 
 
@@ -413,7 +412,7 @@ def _crossing_batches(draw, families=("wiggle", "product", "oscillator")):
         return system, catalog.product_leaf_section(system), \
             catalog.sample_product_leaf(system, rng, n)
     system = catalog.oscillator_2dof()
-    return system, catalog.oscillator_angle_section(), \
+    return system, S.angle_section(), \
         catalog.sample_oscillator_surface(system, 1.0, rng, n, on_section=True)
 
 
@@ -466,7 +465,7 @@ def _return_batches(draw):
         starts, t_max, angle = catalog.sample_product_leaf(system, rng, n), 20.0, 2
     else:
         system = catalog.oscillator_2dof()
-        sec = catalog.oscillator_angle_section()
+        sec = S.angle_section()
         starts = catalog.sample_oscillator_surface(system, 1.0, rng, n, on_section=True)
         t_max, angle = 20.0, 3
     if draw(st.booleans()):
@@ -509,7 +508,7 @@ def test_iterate_returns_images_match_time_integration(batch, k):
 def test_iterate_returns_oscillator_closed_form(osc_system):
     # every return of the second pair's phase takes 2*pi/sqrt(2), and the
     # iterates stay on the energy level
-    sec = catalog.oscillator_angle_section()
+    sec = S.angle_section()
     starts = catalog.sample_oscillator_surface(osc_system, 1.0, np.random.default_rng(11), 6,
                                                on_section=True)
     r = S.iterate_returns(osc_system, sec, starts, 12, t_max=20.0)
@@ -565,7 +564,7 @@ def _phase_rotor():
 def test_crossing_scan_ends_one_step_past_last_crossing(monkeypatch):
     # each start at phase phi0 crosses phase 2*pi at (2*pi - phi0) / (1 + r^2)
     system = _phase_rotor()
-    sec = catalog.oscillator_angle_section((0, 1))
+    sec = S.angle_section((0, 1))
     rng = np.random.default_rng(8)
     r, phi0 = rng.uniform(0.3, 1.2, 6), rng.uniform(0.5, 6.0, 6)
     starts = np.stack([r * np.cos(phi0), -r * np.sin(phi0)], axis=1)
@@ -619,7 +618,7 @@ def test_iterate_returns_field_work(monkeypatch):
     # second time, 1839 on a shared sample grid ending one step past the
     # last crossing, 3063 when every scan integrated its whole chunk)
     system = catalog.oscillator_2dof()
-    sec = catalog.oscillator_angle_section()
+    sec = S.angle_section()
     starts = catalog.sample_oscillator_surface(system, 1.0, np.random.default_rng(3), 4,
                                                on_section=True)
     calls = []
@@ -711,7 +710,7 @@ def _torus_cases():
                                             on_section=True)
     return [("t4 product leaf", t4, catalog.product_leaf_section(t4),
              [[x, y, 0.0, 0.0] for x in (0.5, 2.0, 4.0) for y in (1.0, 3.0)]),
-            ("oscillator angle", osc, catalog.oscillator_angle_section(), pts),
+            ("oscillator angle", osc, S.angle_section(), pts),
             ("suspension rotation", susp, S.coordinate_section(susp.manifold, 1),
              [[x, 0.0] for x in (0.0, 0.2, 0.7)])]
 
@@ -737,7 +736,7 @@ def test_mapping_torus_table_matches_direct_integration(name, system, sec, point
 def test_mapping_torus_energy_residual_is_enforced(osc_system):
     # at tol 1e-6 the gluing passes its 10*tol bound (8.3e-8) but the table
     # drifts off the energy level by 5.1e-7, beyond the documented 1e-8
-    sec = catalog.oscillator_angle_section()
+    sec = S.angle_section()
     pts = catalog.sample_oscillator_surface(osc_system, 1.0, np.random.default_rng(0), 3,
                                             on_section=True)
     loose = torus_chart(osc_system, sec, pts, tol=1e-6)
@@ -957,7 +956,7 @@ def test_mixed_rate_batch_brackets_on_own_rows(direction):
     # orbits of different rates and phases cross on different steps of their
     # own; the result matches batches of one
     system = _phase_rotor()
-    sec = catalog.oscillator_angle_section((0, 1))
+    sec = S.angle_section((0, 1))
     rng = np.random.default_rng(11)
     r, phi0 = rng.uniform(0.2, 1.6, 7), rng.uniform(0.3, 6.0, 7)
     starts = np.stack([r * np.cos(phi0), -r * np.sin(phi0)], axis=1)

@@ -195,7 +195,7 @@ def test_coefficient_distance_matches_eps():
 
 
 def test_transversality_margin_product_leaf(t4_system):
-    samples = catalog.sample_product_surface(t4_system, np.random.default_rng(2), 32)
+    samples = catalog.SYSTEMS["t4_product"].level(t4_system).sample(np.random.default_rng(2), 32)
     alpha = F.coordinate_form(4, 2)
     report = T.check_transversality_preserved(t4_system, alpha, samples, alpha=alpha)
     assert report.passed
@@ -204,7 +204,7 @@ def test_transversality_margin_product_leaf(t4_system):
 
 
 def test_transversality_failure_is_reported_not_raised(t4_system):
-    samples = catalog.sample_product_surface(t4_system, np.random.default_rng(3), 16)
+    samples = catalog.SYSTEMS["t4_product"].level(t4_system).sample(np.random.default_rng(3), 16)
     tangent = F.coordinate_form(4, 0)   # pairs to zero against the flow
     report = T.check_transversality_preserved(t4_system, tangent, samples)
     assert not report.passed
@@ -215,7 +215,7 @@ def test_transversality_needs_one_sign_and_the_tangency_margin(t4_system):
     # on the zero level X_H = d/dz, so alpha = c dz pairs to c: it passes at
     # TANGENCY_MARGIN and fails just under it; over the whole chart
     # X_H = cos(theta) d/dz, and dz pairs to cos(theta), which changes sign
-    level = catalog.sample_product_surface(t4_system, np.random.default_rng(5), 16)
+    level = catalog.SYSTEMS["t4_product"].level(t4_system).sample(np.random.default_rng(5), 16)
     dz = F.coordinate_form(4, 2)
     for c, passed in ((S.TANGENCY_MARGIN, True), (0.5 * S.TANGENCY_MARGIN, False)):
         report = T.check_transversality_preserved(t4_system, c * dz, level)
@@ -228,7 +228,7 @@ def test_transversality_needs_one_sign_and_the_tangency_margin(t4_system):
 
 
 def test_margin_converges_as_eps_shrinks(t4_system):
-    samples = catalog.sample_product_surface(t4_system, np.random.default_rng(4), 16)
+    samples = catalog.SYSTEMS["t4_product"].level(t4_system).sample(np.random.default_rng(4), 16)
     alpha = F.coordinate_form(4, 2)
     margins = []
     for eps in (0.5, 0.1, 0.01):
@@ -243,8 +243,7 @@ def test_margin_converges_as_eps_shrinks(t4_system):
 
 
 def test_extract_leaf_angle_coordinate():
-    ra = T.RationalApproximation(1, np.array([0, 0, 1]), 0.0)
-    sec = T.extract_leaf(ra, t3())
+    sec = S.leaf_section(t3(), [0, 0, 1])
     x = np.array([1.0, 2.0, 0.7])
     assert sec.theta(x) == pytest.approx(0.7)
     # its rate along the coordinate vectors is the gradient of theta
@@ -254,8 +253,7 @@ def test_extract_leaf_angle_coordinate():
 def test_extract_leaf_subtorus_circle():
     # the (1, 2) integer data foliates the torus by closed curves in the
     # direction (2, -1); the section function is constant along each
-    ra = T.RationalApproximation(1, np.array([1, 2]), 0.0)
-    sec = T.extract_leaf(ra, t2())
+    sec = S.leaf_section(t2(), [1, 2])
     ts = np.linspace(0.0, TWO_PI, 33)
     curve = np.stack([(-2.0 * ts) % TWO_PI, ts], axis=-1)
     assert np.max(np.abs(sec.offset(curve))) < 1e-9
@@ -264,8 +262,7 @@ def test_extract_leaf_subtorus_circle():
 def test_extract_leaf_high_winding_connected():
     # gcd(70, 99) = 1: the leaf through the origin is one closed curve in
     # the (99, -70) direction, traversed once as the parameter runs a period
-    ra = T.RationalApproximation(70, np.array([70, 99]), 7.2e-5)
-    sec = T.extract_leaf(ra, t2())
+    sec = S.leaf_section(t2(), [70, 99])
     x0 = np.array([0.3, 0.4])
     for shift in (np.array([TWO_PI, 0.0]), np.array([0.0, TWO_PI])):
         assert sec.theta(x0 + shift) == pytest.approx(sec.theta(x0), abs=1e-12)
@@ -279,7 +276,7 @@ def test_extract_leaf_high_winding_connected():
 
 def test_extract_leaf_rejects_zero_data():
     with pytest.raises(ValueError):
-        T.extract_leaf(T.RationalApproximation(1, np.zeros(3, dtype=int), 0.0), t3())
+        S.leaf_section(t3(), np.zeros(3, dtype=int))
 
 
 def test_extracted_leaf_usable_as_section():
@@ -288,7 +285,7 @@ def test_extracted_leaf_usable_as_section():
     alpha = F.coordinate_form(2, 0) + SQRT2 * F.coordinate_form(2, 1)
     pv = T.periods(alpha, t2())
     ra = T.rationalize(pv, 1e-2, 100)
-    sec = T.extract_leaf(ra, t2())
+    sec = S.leaf_section(t2(), ra.n)
     flow_sys = P.FlowSystem(t2(), lambda x: np.broadcast_to(np.array([1.0, 1.0]),
                                                             np.shape(x)), name="diag")
     report = T.check_transversality_preserved(flow_sys, T.build_approximation(alpha, pv, ra),
