@@ -29,6 +29,7 @@ import json
 import sys
 import time
 import traceback
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
@@ -130,13 +131,15 @@ ORIENTATION = (Check("1 or -1", lambda v: type(v) is int and v in (1, -1)), 1,
                "+1 counts crossings where the section angle increases along the flow")
 SECTION_KINDS = {
     "coordinate": {"kind": KIND, "orientation": ORIENTATION,
-                   "index": (INDEX, None, "i of the section x_i = level; default dim - 2"),
+                   "index": (INDEX, None, "periodic coordinate i of the section x_i = level; "
+                             "default dim - 2"),
                    "level": (FINITE, 0.0, "level of the section x_i = level")},
     "angle": {"kind": KIND, "pair": (list_of(INDEX.ok, "two distinct integers >= 0", lambda v: (
         len(v) == 2 and v[0] != v[1])), (2, 3), "(i, j): the section atan2(-x_j, x_i) = 0")},
     "leaf": {"kind": KIND, "orientation": ORIENTATION,
              "n": (list_of(count(-100_000, 100_000).ok, "a list of integers in [-100000, "
-                           "100000], not all 0", any), REQUIRED, "winding per coordinate")},
+                           "100000], not all 0", any), REQUIRED,
+                   "winding per coordinate, 0 on each coordinate that is not periodic")},
 }
 
 
@@ -307,16 +310,17 @@ def build_section(sec: Optional[dict], entry: catalog.SystemEntry, system) -> Se
     if sec["kind"] == "leaf":
         if len(sec["n"]) != dim:
             raise ConfigError(f"section field 'n' must list {dim} integers, got {sec['n']!r}")
-        return section.leaf_section(system.manifold, sec["n"], sec["orientation"])
-    index = dim - 2 if sec["index"] is None else sec["index"]
-    if not 0 <= index < dim:
-        raise ConfigError(f"section field 'index' must be below dimension {dim}, got {index}")
+        build = partial(section.leaf_section, system.manifold, sec["n"])
+    else:
+        index = dim - 2 if sec["index"] is None else sec["index"]
+        if not 0 <= index < dim:
+            raise ConfigError(f"section field 'index' must be below dimension {dim}, got {index}")
+        build = partial(section.coordinate_section, system.manifold, index, sec["level"])
     try:
-        return section.coordinate_section(system.manifold, index, sec["level"],
-                                          sec["orientation"])
+        return build(orientation=sec["orientation"])
     except ValueError as exc:
-        raise ConfigError(f"coordinate section: {exc}; configure a 'section' on a periodic "
-                          "coordinate, or of kind 'angle' or 'leaf'") from exc
+        raise ConfigError(f"{sec['kind']} section: {exc}; configure a 'section' that winds "
+                          "only around periodic coordinates, or of kind 'angle'") from exc
 
 
 def section_start_points(entry: catalog.SystemEntry, system, sec: SectionSpec, cfg: dict,

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Callable, Optional, Sequence
 
@@ -94,19 +94,13 @@ class SectionSpec:
 
 def coordinate_section(chart: ChartManifold, index: int, level: float = 0.0,
                        orientation: int = 1, name: str = "") -> SectionSpec:
-    """Section {x_index = level} of a periodic coordinate.  Raises ValueError
-    for a coordinate that is not periodic: its angle x_index mod 2 pi would
-    count crossings of x_index = level + 2 pi k as returns."""
-    if not chart.periodic[index]:
-        raise ValueError(f"coordinate {index} is not periodic, so x_{index} = {level} "
-                         "is no circle-valued section")
-    scale = TWO_PI / chart.periods[index]
-    return SectionSpec(
-        theta=lambda x: (np.asarray(x, dtype=float)[..., index] * scale) % TWO_PI,
-        dtheta=lambda x, X: scale * X[..., index],
-        level=(level * scale) % TWO_PI,
-        orientation=orientation,
-        name=name or f"coord{index}={level}")
+    """Section {x_index = level}: the leaf of the unit winding vector
+    e_index at the angle level * 2 pi / period (`leaf_section`).  Raises
+    ValueError for a coordinate that is not periodic."""
+    n = np.zeros(chart.dim, dtype=int)
+    n[index] = 1
+    sec = leaf_section(chart, n, level * (TWO_PI / chart.periods[index]), orientation)
+    return replace(sec, name=name or f"coord{index}={level}")
 
 
 def angle_section(pair: tuple[int, int] = (2, 3)) -> SectionSpec:
@@ -131,31 +125,31 @@ def angle_section(pair: tuple[int, int] = (2, 3)) -> SectionSpec:
     return SectionSpec(theta, dtheta, 0.0, 1, f"angle({i},{j})")
 
 
-def leaf_section(chart: ChartManifold, n: Sequence[int], orientation: int = 1) -> SectionSpec:
+def leaf_section(chart: ChartManifold, n: Sequence[int], level: float = 0.0,
+                 orientation: int = 1) -> SectionSpec:
     """Compact leaf of the fibration of a closed one-form with integer periods
-    n (`tischler.rationalize`) on the chart, as a section.
+    n (`tischler.rationalize`) on the chart, as a section; every linear
+    section is one (`coordinate_section`).
 
-    The circle-valued map winds n_i times around coordinate i; dividing by
-    the gcd of the integers makes its fibers connected.  Its level set at
-    angle 0 is a compact leaf.  Raises ValueError when every n_i vanishes.
+    The circle-valued map theta = (2 pi / g) sum_i n_i x_i / L_i mod 2 pi,
+    with L_i the periods and g the gcd of the integers, winds n_i / g times
+    around coordinate i, and dividing by g makes its fibers connected.  Its
+    level set at the angle ``level`` is a compact leaf.  Raises ValueError
+    when every n_i vanishes, and for an n_i != 0 on a coordinate that is not
+    periodic: there x_i mod L_i would count the crossings of every lattice
+    value x_i = c + k L_i as returns.
     """
     n = np.asarray(n, dtype=int)
     if not np.any(n):
         raise ValueError("all integers vanish: the rationalized form defines no fibration")
+    for i in np.flatnonzero((n != 0) & ~np.asarray(chart.periodic)).tolist():
+        raise ValueError(f"coordinate {i} is not periodic, so no circle-valued section "
+                         f"winds around it (n_{i} = {n[i]})")
     g = int(np.gcd.reduce(np.abs(n[n != 0])))
-    weights = n / np.asarray(chart.periods)
-    scale = TWO_PI / g
-    grad = weights * scale   # the constant gradient of theta
-
-    def theta(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        s = np.einsum("...i,i->...", x, weights)
-        return (s % g) * scale
-
-    def dtheta(x: np.ndarray, X: np.ndarray) -> np.ndarray:
-        return np.einsum("...i,i->...", X, grad)
-
-    return SectionSpec(theta, dtheta, orientation=orientation, name=f"leaf(n={n.tolist()})")
+    grad = n * (TWO_PI / g) / np.asarray(chart.periods)   # the constant gradient of theta
+    return SectionSpec(theta=lambda x: np.dot(x, grad) % TWO_PI,
+                       dtheta=lambda x, X: np.dot(X, grad), level=level % TWO_PI,
+                       orientation=orientation, name=f"leaf(n={n.tolist()})")
 
 
 _ROWS = ("starts", "times", "states", "rates", "margins", "residuals", "crossings_seen")

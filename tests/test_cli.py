@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from helpers import readme_configs
 
-from cosymlab import catalog, cli, section
+from cosymlab import catalog, cli, forms, section
 
 
 def run(tmp_path, command, config, out="out", seed=None):
@@ -307,19 +307,30 @@ def test_coordinate_section_on_a_non_periodic_coordinate_exits_2(tmp_path, capsy
     # on the line q, the angle q mod 2 pi counted the crossings of q = +-2 pi of
     # these orbits as returns (orbit 0 "returned" at t = 0.6794 with q = 2 pi);
     # the catalog section of harmonic_oscillator is the phase angle, which
-    # these starts are not on, and a coordinate section there is refused
-    for section_cfg, message in ((None, "start point 0 is not on the section"),
-                                 ({"kind": "coordinate", "index": 0},
-                                  "coordinate 0 is not periodic")):
-        cfg = HARMONIC_OFF_AXIS if section_cfg is None else {**HARMONIC_OFF_AXIS,
-                                                             "section": section_cfg}
+    # these starts are not on, and a coordinate section there is refused.  A
+    # leaf that winds around a line is the same section and refused alike: on
+    # canonical_r4 the leaf of n = (1, 0, 0, 0) certified "returns" at t = 2 pi,
+    # 4 pi and 6 pi, where x0 passed the lattice values 2 pi k of its line
+    leaf = {"system": "canonical_r4", "section": {"kind": "leaf", "n": [1, 0, 0, 0]},
+            "points": [[0, 0, -1, 0.5]]}
+    for cfg, message in ((HARMONIC_OFF_AXIS, "start point 0 is not on the section"),
+                         ({**HARMONIC_OFF_AXIS, "section": {"kind": "coordinate", "index": 0}},
+                          "coordinate 0 is not periodic"),
+                         (leaf, "coordinate 0 is not periodic")):
         code, out = run(tmp_path, "return-map", cfg)
         err = capsys.readouterr().err
         assert code == 2
         assert message in err and "Traceback" not in err
+        assert "'leaf'" not in err
         assert not (out / "report.json").exists()
     with pytest.raises(ValueError, match="coordinate 0 is not periodic"):
         section.coordinate_section(catalog.harmonic_oscillator().manifold, 0)
+    with pytest.raises(ValueError, match="coordinate 2 is not periodic"):
+        section.leaf_section(catalog.canonical_r4().manifold, [0, 0, 3, 0])
+    # a leaf that winds only around the periodic coordinates of a mixed chart builds
+    mixed = forms.ChartManifold(4, (True, False, True, False), (2.0, 1.0, 3.0, 1.0))
+    sec = section.leaf_section(mixed, [2, 0, -3, 0])
+    assert sec.theta(np.array([[0.25, 7.0, 0.0, -4.0]])) == pytest.approx([math.pi / 2])
 
 
 def test_harmonic_oscillator_returns_on_its_phase_angle_section(tmp_path):
@@ -606,9 +617,8 @@ def test_malformed_leaf_section_exits_2(tmp_path, capsys, section):
 
 
 def test_leaf_section_returns_as_the_default_coordinate_section(tmp_path):
-    # the leaf of n = (0, 0, 1, 0) on T^4 is {z = 0}, t4_product's default section:
-    # the same checks, crossing states and margins, and the same crossing times up to
-    # the rounding of the leaf's angle
+    # the leaf of n = (0, 0, 1, 0) on T^4 is {z = 0}, t4_product's default section,
+    # built by the same code: the same checks and the same crossings, byte for byte
     cfg = {"system": "t4_product", "samples": 3, "iterations": 2, "n_return_points": 2,
            "t_max": 30.0}
     leaf_code, leaf = run(tmp_path, "return-map",
@@ -618,15 +628,7 @@ def test_leaf_section_returns_as_the_default_coordinate_section(tmp_path):
     checks = read_report(leaf)["report"]["checks"]
     assert checks == read_report(default)["report"]["checks"]
     assert next(c for c in checks if c["name"] == "iterates")["n_rows"] == 6
-    tables = []
-    for out in (leaf, default):
-        with open(out / "crossings.csv") as fh:
-            tables.append(list(csv.DictReader(fh)))
-    leaf_rows, rows = tables
-    assert len(leaf_rows) == len(rows) == 6
-    for a, b in zip(leaf_rows, rows):
-        assert abs(float(a.pop("t")) - float(b.pop("t"))) <= 4e-15
-        assert a == b
+    assert (leaf / "crossings.csv").read_bytes() == (default / "crossings.csv").read_bytes()
 
 
 def test_inline_system_failing_structure_checks_exits_2(tmp_path, capsys):

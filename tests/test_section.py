@@ -323,6 +323,7 @@ RATE_SECTIONS = {
     "angle (2, 3)": S.angle_section((2, 3)),
     "angle (1, 0)": S.angle_section((1, 0)),
     "leaf, mixed-sign n": S.leaf_section(_RATE_CHART, [3, -5, 0, 2]),
+    "leaf, gcd 2 at a level": S.leaf_section(_RATE_CHART, [4, 0, -6, 2], level=1.3),
 }
 
 
@@ -364,6 +365,29 @@ def test_closed_form_rate_matches_a_difference_of_theta(name, shape, data):
     quotient = ((diff + math.pi) % TWO_PI - math.pi) / (2.0 * h)
     bound = 1e-7 * slope * size + np.finfo(float).tiny
     assert np.all(np.abs(rate - quotient * size) <= bound)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(0, 3), st.floats(-1e3, 1e3), st.sampled_from([1, -1]),
+       st.sampled_from([(4,), (6, 4), (3, 2, 4)]), st.data())
+def test_coordinate_section_is_its_closed_form_bit_for_bit(index, level, orientation, shape,
+                                                           data):
+    # the leaf of e_i at the angle c * 2 pi / L_i is {x_i = c} to the bit: its
+    # angle (x_i * (2 pi / L_i)) mod 2 pi, its rate (2 pi / L_i) * X_i and its
+    # level (c * (2 pi / L_i)) mod 2 pi.  The rate is a sum of products, which
+    # drops the sign of a zero; adding 0.0 drops it on both sides
+    sec = S.coordinate_section(_RATE_CHART, index, level, orientation)
+    scale = TWO_PI / _RATE_CHART.periods[index]
+    values = hnp.arrays(float, shape, elements=st.floats(-1e6, 1e6))
+    x, X = data.draw(values), data.draw(values)
+    assert np.array_equal(_bits(sec.theta(x)), _bits((x[..., index] * scale) % TWO_PI))
+    assert np.array_equal(_bits(sec.dtheta(x, X) + 0.0), _bits(scale * X[..., index] + 0.0))
+    assert _bits(sec.level) == _bits((level * scale) % TWO_PI)
+    assert sec.orientation == orientation
 
 
 def test_angle_rate_is_nan_at_zero_amplitude():
