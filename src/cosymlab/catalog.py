@@ -7,24 +7,23 @@ Betti numbers) is declared per entry; nothing topological is inferred
 numerically.
 
 Importing the catalog loads only `forms` and `phase`: a builder imports the
-`cosym`, `section` or `obstruct` types it builds when it is called.
+`cosym` or `obstruct` types it builds when it is called.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
-from .forms import (ChartManifold, ChartMap, KForm, Rng, constant_form, coordinate_form,
-                    wedge)
+from .forms import (ChartManifold, ChartMap, KForm, Rng, basis_indices, constant_form,
+                    coordinate_form, wedge)
 from .phase import EnergySurface, FlowSystem, HamiltonianSystem
 
 if TYPE_CHECKING:
     from .cosym import CosymplecticStructure
     from .obstruct import MeshedSurface
-    from .section import SectionSpec
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_D_CAP = 10_000      # largest denominator `tischler.rationalize` tries
@@ -72,77 +71,69 @@ SEEDS: dict[str, Callable[[], CosymplecticStructure]] = {
 # -- systems --------------------------------------------------------------------
 
 
-def harmonic_oscillator() -> HamiltonianSystem:
-    """One-degree oscillator; exact chart, so the exactness obstruction applies."""
-    c2 = euclidean(2, "R2(q,p)")
-    omega = wedge(coordinate_form(2, 0), coordinate_form(2, 1))
+def quadratic_system(chart: ChartManifold, weights: Sequence[float],
+                     primitive: Sequence[tuple[int, int]], name: str) -> HamiltonianSystem:
+    """H = 1/2 sum_i w_i x_i^2 on the chart, with the linear primitive
+    lambda = sum x_j dx_i over the (i, j) pairs of ``primitive`` and
+    omega = d lambda = sum dx_j ^ dx_i, a constant form.
+
+    The gradient is x * w, one multiply; where a weight is zero its entry is
+    left at +0.0, since x * 0 would give -0.0 for x < 0.
+    """
+    dim = chart.dim
+    w = np.asarray(weights, dtype=float)
+    rank = {idx: r for r, idx in enumerate(basis_indices(dim, 2))}
+    omega = np.zeros(len(rank))
+    for i, j in primitive:
+        omega[rank[(min(i, j), max(i, j))]] = 1.0 if j < i else -1.0
+    lam_cols, lam_rows = [i for i, _ in primitive], [j for _, j in primitive]
 
     def lam_coeffs(x):
         x = np.asarray(x, dtype=float)
         out = np.zeros(x.shape)
-        out[..., 1] = x[..., 0]
+        out[..., lam_cols] = x[..., lam_rows]
         return out
 
     def h(x):
         x = np.asarray(x, dtype=float)
-        return 0.5 * (x[..., 0] ** 2 + x[..., 1] ** 2)
+        return 0.5 * np.sum(x * x * w, axis=-1)
 
-    return HamiltonianSystem(c2, omega, h, lambda x: np.asarray(x, dtype=float).copy(),
-                             lam=KForm(1, 2, lam_coeffs), name="harmonic_oscillator")
+    if w.all():
+        def grad_h(x):
+            return np.asarray(x, dtype=float) * w
+    else:
+        moving = np.flatnonzero(w)
+
+        def grad_h(x):
+            x = np.asarray(x, dtype=float)
+            out = np.zeros(x.shape)
+            out[..., moving] = x[..., moving] * w[moving]
+            return out
+
+    return HamiltonianSystem(chart, constant_form(dim, 2, omega), h, grad_h,
+                             lam=KForm(1, dim, lam_coeffs), name=name)
+
+
+def harmonic_oscillator() -> HamiltonianSystem:
+    """One-degree oscillator on (q, p); exact chart, so the exactness
+    obstruction applies."""
+    return quadratic_system(euclidean(2, "R2(q,p)"), (1.0, 1.0), [(1, 0)],
+                            "harmonic_oscillator")
 
 
 def oscillator_2dof() -> HamiltonianSystem:
     """Two uncoupled oscillators with frequency ratio FREQ2; coordinates
     (q1, p1, q2, p2)."""
-    c4 = euclidean(4, "R4(q1,p1,q2,p2)")
-    omega = (wedge(coordinate_form(4, 0), coordinate_form(4, 1))
-             + wedge(coordinate_form(4, 2), coordinate_form(4, 3)))
-
-    def lam_coeffs(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape)
-        out[..., 1::2] = x[..., 0::2]
-        return out
-
-    def h(x):
-        x = np.asarray(x, dtype=float)
-        return 0.5 * (x[..., 0] ** 2 + x[..., 1] ** 2) \
-            + 0.5 * FREQ2 * (x[..., 2] ** 2 + x[..., 3] ** 2)
-
-    weights = np.array([1.0, 1.0, FREQ2, FREQ2])
-
-    def grad_h(x):
-        return np.asarray(x, dtype=float) * weights
-
-    return HamiltonianSystem(c4, omega, h, grad_h, lam=KForm(1, 4, lam_coeffs),
-                             name=f"oscillator_2dof({FREQ2:g})")
+    return quadratic_system(euclidean(4, "R4(q1,p1,q2,p2)"), (1.0, 1.0, FREQ2, FREQ2),
+                            [(1, 0), (3, 2)], f"oscillator_2dof({FREQ2:g})")
 
 
 def canonical_r4() -> HamiltonianSystem:
-    """Cotangent-model chart (q1, q2, p1, p2) with the canonical exact form and
-    its tautological primitive."""
-    c4 = euclidean(4, "T*R2", cotangent=True)
-    # omega = dp1 ^ dq1 + dp2 ^ dq2; basis order {01, 02, 03, 12, 13, 23}
-    omega = constant_form(4, 2, [0.0, -1.0, 0.0, 0.0, -1.0, 0.0])
-
-    def lam_coeffs(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape)
-        out[..., :2] = x[..., 2:]
-        return out
-
-    def h(x):
-        x = np.asarray(x, dtype=float)
-        return 0.5 * (x[..., 2] ** 2 + x[..., 3] ** 2)
-
-    def grad_h(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape)
-        out[..., 2:] = x[..., 2:]
-        return out
-
-    return HamiltonianSystem(c4, omega, h, grad_h, lam=KForm(1, 4, lam_coeffs),
-                             name="canonical_r4")
+    """Cotangent-model chart (q1, q2, p1, p2) with the canonical exact form
+    dp1 ^ dq1 + dp2 ^ dq2, its tautological primitive p1 dq1 + p2 dq2 and the
+    free-particle energy."""
+    return quadratic_system(euclidean(4, "T*R2", cotangent=True), (0.0, 0.0, 1.0, 1.0),
+                            [(0, 2), (1, 3)], "canonical_r4")
 
 
 def product_system(seed: str = "t3") -> HamiltonianSystem:
@@ -161,14 +152,7 @@ def suspension_rotation() -> FlowSystem:
                       name=f"suspension_rotation({ROTATION:g})")
 
 
-# -- sections, samplers and the system registry ---------------------------------
-
-
-def product_leaf_section(system: HamiltonianSystem) -> SectionSpec:
-    """Leaf {z = 0} of the foliation on the zero level of a product system
-    (z is the seed angle coordinate, second to last)."""
-    from .section import coordinate_section
-    return coordinate_section(system.manifold, system.dim - 2, 0.0, 1, "product_leaf")
+# -- samplers and the system registry --------------------------------------------
 
 
 def sample_zero_slice(system, rng: Rng, n: int, coords: list[int]) -> np.ndarray:
@@ -176,11 +160,6 @@ def sample_zero_slice(system, rng: Rng, n: int, coords: list[int]) -> np.ndarray
     pts = system.manifold.sample(rng, n)
     pts[:, coords] = 0.0
     return pts
-
-
-def sample_product_leaf(system: HamiltonianSystem, rng: Rng, n: int) -> np.ndarray:
-    """Points of the {z = 0, angle = 0} leaf of a product system."""
-    return sample_zero_slice(system, rng, n, [-2, -1])
 
 
 def sample_oscillator_surface(system: HamiltonianSystem, level: float, rng: Rng, n: int,
@@ -214,10 +193,12 @@ class SystemEntry:
     level: Optional[Callable[[HamiltonianSystem], EnergySurface]] = None
 
 
-# the leaf {z = 0} (coordinate dim - 2) on the zero level {angle = 0} of a product system
-_PRODUCT = dict(section={"kind": "coordinate"},
-                starts=lambda system, rng, n, level: sample_product_leaf(system, rng, n),
-                level=lambda system: EnergySurface(system, 0.0, system.dim - 1, 0.0))
+#: the one declaration of a product system N x S^1 (`product_system`): the leaf
+#: {z = 0} (coordinate dim - 2) on the zero level {angle = 0}, and its points
+PRODUCT = SystemEntry(
+    section={"kind": "coordinate"},
+    starts=lambda system, rng, n, level: sample_zero_slice(system, rng, n, [-2, -1]),
+    level=lambda system: EnergySurface(system, 0.0, system.dim - 1, 0.0))
 
 SYSTEMS: dict[str, SystemEntry] = {
     "harmonic_oscillator": SystemEntry(harmonic_oscillator, {"kind": "angle", "pair": [0, 1]}),
@@ -226,8 +207,8 @@ SYSTEMS: dict[str, SystemEntry] = {
         lambda system, rng, n, level: sample_oscillator_surface(system, level, rng, n,
                                                                 on_section=True)),
     "canonical_r4": SystemEntry(canonical_r4),
-    "t4_product": SystemEntry(lambda: product_system("t3"), **_PRODUCT),
-    "t6_product": SystemEntry(lambda: product_system("t5"), **_PRODUCT),
+    "t4_product": replace(PRODUCT, factory=lambda: product_system("t3")),
+    "t6_product": replace(PRODUCT, factory=lambda: product_system("t5")),
     # the circle {t = 0}, crossed once per unit time
     "suspension_rotation": SystemEntry(
         suspension_rotation, {"kind": "coordinate", "index": 1},

@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import catalog
-from .forms import ChartManifold, KForm, Rng, basis_indices, constant_form
+from .forms import ChartManifold, KForm, Rng, basis_indices, check_periodic, constant_form
 from .phase import HamiltonianSystem
 
 if TYPE_CHECKING:
@@ -506,8 +506,8 @@ def cmd_demo_product(cfg: dict, runner: Runner, seed: int) -> None:
         structure = system.validate(system.manifold.sample(rng, 64))
     runner.check("structure", True, **structure)
 
-    sec = catalog.product_leaf_section(system)
-    leaf_samples = catalog.sample_product_leaf(system, rng, cfg["samples"])
+    sec = build_section(None, catalog.PRODUCT, system)
+    leaf_samples = catalog.PRODUCT.starts(system, rng, cfg["samples"], 0.0)
     with runner.timed("verify_global"):
         rep = verify_global(system, sec, leaf_samples, t_max, tol)
     runner.check("verify_global", rep.passed, rep.as_dict())
@@ -556,6 +556,11 @@ def cmd_verify_cosym(cfg: dict, runner: Runner, seed: int) -> None:
                 ChartManifold(dim, (True,) * dim, name=spec["name"]),
                 _form_from_entries(dim, names, spec["alpha"], 1),
                 _form_from_entries(dim, names, spec["beta"], 2), name=spec["name"])
+            # fixed samples, as for an inline system: whether a form lives on the
+            # chart does not depend on the seed
+            samples = cs.manifold.sample(Rng(0), 32)
+            for form_name, form in (("alpha", cs.alpha), ("beta", cs.beta)):
+                check_periodic(form, cs.manifold, samples, form_name)
         except ValueError as exc:
             raise ConfigError(f"bad cosym spec: {exc}") from exc
     with runner.timed("verify"):

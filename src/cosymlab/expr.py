@@ -93,9 +93,6 @@ class Num(Node):
     def diff(self, index):
         return Num(0.0)
 
-    def __str__(self):
-        return f"{self.value:g}"
-
 
 @dataclass(frozen=True)
 class Var(Node):
@@ -105,9 +102,6 @@ class Var(Node):
     def diff(self, index):
         return Num(1.0 if index == self.index else 0.0)
 
-    def __str__(self):
-        return self.name
-
 
 @dataclass(frozen=True)
 class Neg(Node):
@@ -115,9 +109,6 @@ class Neg(Node):
 
     def diff(self, index):
         return Neg(self.arg.diff(index))
-
-    def __str__(self):
-        return f"(-{self.arg})"
 
 
 @dataclass(frozen=True)
@@ -138,9 +129,6 @@ class BinOp(Node):
         num = _sub(_mul(dl, self.right), _mul(self.left, dr))
         return BinOp("/", num, BinOp("*", self.right, self.right))
 
-    def __str__(self):
-        return f"({self.left} {self.op} {self.right})"
-
 
 @dataclass(frozen=True)
 class Pow(Node):
@@ -155,9 +143,6 @@ class Pow(Node):
                      Pow(self.base, self.exponent - 1) if self.exponent != 1 else Num(1.0))
         return _mul(outer, inner)
 
-    def __str__(self):
-        return f"({self.base}^{self.exponent})"
-
 
 @dataclass(frozen=True)
 class Call(Node):
@@ -166,9 +151,6 @@ class Call(Node):
 
     def diff(self, index):
         return _mul(_FUNCTIONS[self.fn](self.arg), self.arg.diff(index))
-
-    def __str__(self):
-        return f"{self.fn}({self.arg})"
 
 
 def _is_zero(node: Node) -> bool:
@@ -401,9 +383,6 @@ class Expression:
         """Generated function giving the symbolic gradient at coords (..., dim),
         shape (..., dim)."""
         return compile_nodes([self.root.diff(i) for i in range(len(self.names))])
-
-    def __str__(self):
-        return str(self.root)
 
 
 def parse(text: str, names: Sequence[str]) -> Expression:

@@ -525,6 +525,23 @@ def covector_values(f: KForm, coords: np.ndarray) -> np.ndarray:
     return f.coeffs(np.asarray(coords, dtype=float))
 
 
+def check_periodic(f: KForm, chart: ChartManifold, samples: np.ndarray, name: str) -> None:
+    """Raise ValueError, naming the form, unless f is a form on the chart: its
+    sampled |f(x + L_i e_i) - f(x)| is below CLOSED_TOL along every periodic
+    coordinate i, L_i its period.  A constant form passes unevaluated."""
+    axes = np.flatnonzero(chart.periodic)
+    if f.constant_value is not None or not axes.size:
+        return
+    samples = np.asarray(samples, dtype=float)
+    shifts = np.zeros((axes.size, chart.dim))
+    shifts[np.arange(axes.size), axes] = np.asarray(chart.periods)[axes]
+    jump = float(np.max(np.abs(f.coeffs(samples + shifts[:, None]) - f.coeffs(samples)),
+                        initial=0.0))
+    if jump >= CLOSED_TOL:
+        raise ValueError(f"{name} is not periodic on the chart (sampled |{name}(x + L_i e_i) - "
+                         f"{name}(x)| = {jump:.3e}); it is not a form on this chart")
+
+
 def max_coeff_magnitude(f: KForm, samples: np.ndarray) -> float:
     """Largest coefficient magnitude over a batch of sample coordinates.
 

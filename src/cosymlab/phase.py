@@ -30,8 +30,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .dop853 import StepSizeUnderflow, solve  # noqa: F401  (StepSizeUnderflow re-exported)
-from .forms import (CLOSED_TOL, ChartManifold, ChartMap, KForm, exterior_derivative,
-                    max_coeff_magnitude, two_form_matrix)
+from .forms import (CLOSED_TOL, ChartManifold, ChartMap, KForm, check_periodic,
+                    exterior_derivative, max_coeff_magnitude, two_form_matrix)
 
 RCOND_MIN = 1e-10
 FIELD_RESIDUAL_MAX = 1e-10
@@ -167,9 +167,15 @@ class HamiltonianSystem:
         return np.asarray(self.h(np.asarray(coords, dtype=float)), dtype=float)
 
     def validate(self, samples: np.ndarray) -> dict:
-        """Sampled structural checks: omega closed and nondegenerate, and
-        d(lambda) = omega when a primitive is declared.  Returns margins."""
+        """Sampled structural checks: omega, lambda and dH are forms on the
+        chart (`check_periodic`; H itself need not be periodic), omega is
+        closed and nondegenerate, and d(lambda) = omega when a primitive is
+        declared.  Returns margins."""
         samples = np.asarray(samples, dtype=float)
+        for name, form in (("omega", self.omega), ("lambda", self.lam),
+                           ("dH", KForm(1, self.dim, self.grad_h))):
+            if form is not None:
+                check_periodic(form, self.manifold, samples, name)
         report: dict = {}
         if self.omega.degree + 1 <= self.dim:
             domega = exterior_derivative(self.omega)

@@ -93,14 +93,14 @@ class SectionSpec:
 
 
 def coordinate_section(chart: ChartManifold, index: int, level: float = 0.0,
-                       orientation: int = 1, name: str = "") -> SectionSpec:
+                       orientation: int = 1) -> SectionSpec:
     """Section {x_index = level}: the leaf of the unit winding vector
     e_index at the angle level * 2 pi / period (`leaf_section`).  Raises
     ValueError for a coordinate that is not periodic."""
     n = np.zeros(chart.dim, dtype=int)
     n[index] = 1
     sec = leaf_section(chart, n, level * (TWO_PI / chart.periods[index]), orientation)
-    return replace(sec, name=name or f"coord{index}={level}")
+    return replace(sec, name=f"coord{index}={level}")
 
 
 def angle_section(pair: tuple[int, int] = (2, 3)) -> SectionSpec:
@@ -531,11 +531,15 @@ def section_frame(system, sec: SectionSpec, x: np.ndarray) -> tuple[tuple[int, .
     constant restricted form, which is what makes the return-map determinant
     equal to one.  E (dim, len(free)) has one column per free coordinate, the
     implicit-function derivative of the graph: E[free] = I and
-    E[elim] = -G_elim^-1 G_free, with G the constraint gradients.
+    E[elim] = -G_elim^-1 G_free, with G the constraint gradients.  Raises
+    SectionChartError where a constraint gradient is not finite or no
+    elimination block is invertible.
     """
     x = system.manifold.reduce(x)
     dim = x.size
     G = _constraint_grads(system, sec, x)
+    if not np.isfinite(G).all():   # a singular section, such as an angle at zero amplitude
+        raise SectionChartError("non-finite constraint gradients: the section is singular here")
     n_con = G.shape[0]
     pairs = [[(2 * i, 2 * i + 1) for i in range(dim // 2)]] if n_con == 2 and dim % 2 == 0 else []
     candidates = pairs + [list(combinations(range(dim), n_con))]

@@ -24,8 +24,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .catalog import DEFAULT_D_CAP
-from .forms import (CLOSED_TOL, ChartManifold, KForm, Rng, constant_form, covector_values,
-                    exterior_derivative, max_coeff_magnitude)
+from .forms import (CLOSED_TOL, ChartManifold, KForm, Rng, check_periodic, constant_form,
+                    covector_values, exterior_derivative, max_coeff_magnitude)
 from .phase import TANGENCY_MARGIN
 
 TWO_PI = 2.0 * math.pi
@@ -95,9 +95,8 @@ def periods(alpha: KForm, manifold: ChartManifold,
     Gauss-Legendre quadrature on PERIOD_QUAD_NODES and twice as many nodes;
     raises RuntimeError when the two rules differ by more than
     PERIOD_QUAD_ERR on a cycle.  Refuses non-closed input, whose "periods"
-    would be path dependent, and input that is not a form on the chart: a
-    sampled |alpha(x + L_i e_i) - alpha(x)|, L_i the period of coordinate i,
-    at or above CLOSED_TOL.
+    would be path dependent, and input that is not a form on the chart
+    (`forms.check_periodic`).
     """
     if alpha.degree != 1 or alpha.dim != manifold.dim:
         raise ValueError(f"periods need a one-form on the chart, got a {alpha.degree}-form in "
@@ -109,12 +108,8 @@ def periods(alpha: KForm, manifold: ChartManifold,
     if residual >= CLOSED_TOL:
         raise ValueError(f"one-form not closed (sampled |d alpha| = {residual:.3e}); "
                          "loop integrals would be path dependent")
+    check_periodic(alpha, manifold, samples, "alpha")
     lengths = np.asarray(manifold.periods, dtype=float)
-    shifted = samples + lengths[:, None, None] * np.eye(manifold.dim)[:, None]   # (dim, 32, dim)
-    jump = float(np.max(np.abs(covector_values(alpha, shifted) - covector_values(alpha, samples))))
-    if jump >= CLOSED_TOL:
-        raise ValueError(f"one-form not periodic on the chart (sampled |alpha(x + L_i e_i)"
-                         f" - alpha(x)| = {jump:.3e}); it is not a form on this chart")
     base_pt = np.zeros(manifold.dim) if base is None else np.asarray(base, dtype=float)
     coarse = _loop_integrals(alpha, base_pt, lengths, PERIOD_QUAD_NODES)
     fine = _loop_integrals(alpha, base_pt, lengths, 2 * PERIOD_QUAD_NODES)

@@ -31,8 +31,8 @@ def test_criterion_1_product_pipeline():
         margins = system.validate(system.manifold.sample(np.random.default_rng(1), 64))
         ok &= margins["d_omega_max"] < 1e-6 and margins["omega_rcond_min"] > 1e-10
 
-        sec = catalog.product_leaf_section(system)
-        samples = catalog.sample_product_leaf(system, np.random.default_rng(2), 1000)
+        sec = section.coordinate_section(system.manifold, system.dim - 2)
+        samples = catalog.PRODUCT.starts(system, np.random.default_rng(2), 1000, 0.0)
         rep = section.verify_global(system, sec, samples, t_max=100.0, tol=1e-10)
         ok &= rep.passed
         ok &= abs(rep.max_return_time - TWO_PI) < 1e-6
@@ -55,9 +55,9 @@ def test_criterion_2_return_map_symplecticity():
     t0 = time.perf_counter()
     rng = np.random.default_rng(3)
     t4 = catalog.product_system("t3")
-    pts4 = catalog.sample_product_leaf(t4, rng, 100)
-    dets4 = np.linalg.det(jacobians(t4, catalog.product_leaf_section(t4), pts4, t_max=100.0,
-                                    tol=1e-10))
+    pts4 = catalog.PRODUCT.starts(t4, rng, 100, 0.0)
+    sec4 = section.coordinate_section(t4.manifold, t4.dim - 2)
+    dets4 = np.linalg.det(jacobians(t4, sec4, pts4, t_max=100.0, tol=1e-10))
     osc = catalog.oscillator_2dof()
     pts_osc = catalog.sample_oscillator_surface(osc, 1.0, rng, 100, on_section=True)
     dets_osc = np.linalg.det(jacobians(osc, section.angle_section(), pts_osc,
@@ -76,10 +76,10 @@ def test_criterion_3_sections_are_symplectic_submanifolds():
     t6 = catalog.product_system("t5")
     osc = catalog.oscillator_2dof()
     cases = {
-        "t4 leaf": (t4, catalog.product_leaf_section(t4),
-                    catalog.sample_product_leaf(t4, rng, 100)),
-        "t6 leaf": (t6, catalog.product_leaf_section(t6),
-                    catalog.sample_product_leaf(t6, rng, 100)),
+        "t4 leaf": (t4, section.coordinate_section(t4.manifold, t4.dim - 2),
+                    catalog.PRODUCT.starts(t4, rng, 100, 0.0)),
+        "t6 leaf": (t6, section.coordinate_section(t6.manifold, t6.dim - 2),
+                    catalog.PRODUCT.starts(t6, rng, 100, 0.0)),
         "oscillator section": (osc, section.angle_section(),
                                catalog.sample_oscillator_surface(osc, 1.0, rng, 100,
                                                                  on_section=True)),

@@ -639,6 +639,67 @@ def test_inline_system_failing_structure_checks_exits_2(tmp_path, capsys):
     assert "primitive" in capsys.readouterr().err
 
 
+# omega = dx^dy + dz^dt and H = sin(t) on T^4 with lambda = x dy + z dt: d lambda =
+# omega, but lambda jumps by 2 pi dy across x and by 2 pi dt across z, so it is no
+# form on the torus.  obstruct read it as a primitive and gave a negative
+# exactness verdict (exit 1), while return-map certified returns to {z = 0} on the
+# same system (exit 0).  On the circle x0 times a line, the omega (2 + x0 / 10)
+# dx0^dx1 and the dH = x0 dx0 of H = x0^2 / 2 jump across x0 (H = x0 itself may:
+# dH = dx0 is a form there).  verify-cosym passed the alpha (1 + x0) dx0, and the
+# closed beta (1 + x0) dx0^dx1 + dx1^dx2 against alpha = dx0 (exit 0)
+T4_NON_PERIODIC_LAMBDA = {"dim": 4, "coordinates": ["x", "y", "z", "t"], "periodic": [True] * 4,
+                          "omega": [[0, 1, 1.0], [2, 3, 1.0]], "hamiltonian": "sin(t)",
+                          "lambda": [[1, "x"], [3, "z"]]}
+CYLINDER = {"dim": 2, "periodic": [True, False], "omega": [[0, 1, 1.0]]}
+NON_PERIODIC_FORMS = {
+    "obstruct lambda": ("obstruct", {"system": T4_NON_PERIODIC_LAMBDA}, "lambda"),
+    "return-map lambda": ("return-map", {"system": T4_NON_PERIODIC_LAMBDA,
+                                         "points": [[0.1, 0.2, 0.0, 0.0]]}, "lambda"),
+    "return-map omega": ("return-map", {"system": {**CYLINDER, "omega": [[0, 1, "2 + 0.1*x0"]],
+                                                   "hamiltonian": "sin(x0)"},
+                                        "points": [[0.0, 0.5]]}, "omega"),
+    "return-map dH": ("return-map", {"system": {**CYLINDER, "hamiltonian": "0.5*x0^2"},
+                                     "points": [[0.0, 0.5]]}, "dH"),
+    "verify-cosym alpha": ("verify-cosym", {"cosym": {"dim": 3, "alpha": [[0, "1 + x0"]],
+                                                      "beta": [[1, 2, 1.0]]}}, "alpha"),
+    "verify-cosym beta": ("verify-cosym", {"cosym": {"dim": 3, "alpha": [[0, 1.0]],
+                                                     "beta": [[0, 1, "1 + x0"], [1, 2, 1.0]]}},
+                          "beta"),
+}
+
+
+@pytest.mark.parametrize("command, config, form", NON_PERIODIC_FORMS.values(),
+                         ids=list(NON_PERIODIC_FORMS))
+def test_form_not_periodic_on_its_chart_exits_2(tmp_path, capsys, command, config, form):
+    code, out = run(tmp_path, command, config)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{form} is not periodic on the chart" in err and "Traceback" not in err
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_zero_amplitude_start_on_an_angle_section_fails_its_checks(tmp_path):
+    # the phase angle is singular at the origin, where its rate is NaN: the start
+    # check reports a tangency and the section chart is refused.  The chart took
+    # np.linalg.det of the NaN gradients, whose RuntimeWarning made the run exit 3
+    cfg = {"system": {"dim": 2, "omega": [[0, 1, 1.0]], "hamiltonian": "0.5*(x0^2 + x1^2)"},
+           "section": {"kind": "angle", "pair": [0, 1]}, "points": [[0, 0]]}
+    code, out = run(tmp_path, "return-map", cfg)
+    assert code == 1
+    checks = {c["name"]: c for c in read_report(out)["report"]["checks"]}
+    tangency = "tangency: flow tangent to section at start: |d theta/dt| = nan"
+    assert checks["iterates"] == {
+        "name": "iterates", "passed": False, "n_rows": 0, "crossings_seen_total": 0,
+        "failures": [[0, 0, tangency]], "max_angle_residual": None, "max_return_time": None,
+        "min_margin": None}
+    assert checks["symplectic_determinant"] == {
+        "name": "symplectic_determinant", "passed": False, "error": tangency, "n_points": 1}
+    system = cli.build_inline_system(cli.validate("return-map", cfg)["system"])
+    with pytest.raises(section.SectionChartError, match="non-finite constraint gradients"):
+        section.section_frame(system, section.angle_section((0, 1)), [0.0, 0.0])
+
+
 def test_crash_exits_3_with_traceback(tmp_path, capsys, monkeypatch):
     def broken(cfg, out, seed):
         raise ZeroDivisionError("boom")

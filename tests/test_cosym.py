@@ -225,8 +225,8 @@ def test_product_t5_passes_structure_checks(t6_system):
     report = t6_system.validate(t6_system.manifold.sample(rng, 32))
     assert report["omega_rcond_min"] > 0.5
     # zero level passes globality on its leaf
-    sec = catalog.product_leaf_section(t6_system)
-    samples = catalog.sample_product_leaf(t6_system, rng, 50)
+    sec = S.coordinate_section(t6_system.manifold, t6_system.dim - 2)
+    samples = catalog.PRODUCT.starts(t6_system, rng, 50, 0.0)
     assert S.verify_global(t6_system, sec, samples, t_max=50.0).passed
 
 

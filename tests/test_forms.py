@@ -441,6 +441,21 @@ def test_catalog_coefficients_respect_periods(rng):
     assert np.allclose(h.coeffs(xs), h.coeffs(shifted))
 
 
+def test_check_periodic_shifts_only_the_periodic_coordinates():
+    # x1 dx0 on the circle x0 times the line x1 is a form there; on the torus it
+    # jumps by L1 dx0 across x1, and the message names the form
+    lam = F.KForm(1, 2, lambda x: np.stack([x[..., 1], np.zeros(x.shape[:-1])], axis=-1))
+    samples = np.random.default_rng(0).uniform(0.0, 3.0, (16, 2))
+    F.check_periodic(lam, F.ChartManifold(2, (True, False)), samples, "lambda")
+    with pytest.raises(ValueError, match=r"^lambda is not periodic .* = 3\.000e\+00\)"):
+        F.check_periodic(lam, F.ChartManifold(2, (True, True), (5.0, 3.0)), samples, "lambda")
+
+
+def test_check_periodic_passes_a_constant_form_unevaluated():
+    broken = F.KForm(1, 2, lambda x: 1 / 0, constant_value=np.array([1.0, 2.0]))
+    F.check_periodic(broken, F.ChartManifold(2, (True, True)), np.zeros((4, 2)), "alpha")
+
+
 def test_constant_value_propagation():
     omega = standard_omega4()
     assert omega.constant_value is not None

@@ -16,7 +16,8 @@ SQRT2 = math.sqrt(2.0)
 
 @pytest.fixture(scope="module")
 def t4_section():
-    return catalog.product_leaf_section(catalog.product_system("t3"))
+    system = catalog.product_system("t3")
+    return S.coordinate_section(system.manifold, system.dim - 2)
 
 
 def test_first_return_product_constant_flow(t4_system, t4_section):
@@ -180,7 +181,7 @@ def test_return_map_jacobian_matches_differenced_images():
 
 def test_higher_dimensional_symplecticity(t6_system):
     # four-dimensional section: the Jacobian preserves the restricted form
-    sec = catalog.product_leaf_section(t6_system)
+    sec = S.coordinate_section(t6_system.manifold, t6_system.dim - 2)
     p = np.array([0.3, 1.0, 2.0, 0.7, 0.0, 0.0])
     J = jacobians(t6_system, sec, [p])[0]
     M = S.restricted_form_matrix(t6_system, sec, p)
@@ -205,7 +206,7 @@ def test_jacobians_and_torus_refuse_a_point_off_the_section(t4_system, t4_sectio
 
 def test_jacobians_and_torus_refuse_a_point_without_a_first_return(t4_system, t4_section):
     # a t_max short of the 2*pi leaf return certifies no first crossing
-    samples = catalog.sample_product_leaf(t4_system, np.random.default_rng(2), 2)
+    samples = catalog.PRODUCT.starts(t4_system, np.random.default_rng(2), 2, 0.0)
     first = S.iterate_returns(t4_system, t4_section, samples, 1, t_max=1.0)
     assert first.failures == [(0, "no crossing")] * 2
     with pytest.raises(ValueError, match="point 0 has no certified first crossing: no crossing"):
@@ -224,7 +225,7 @@ def test_restricted_form_degenerates_on_a_lagrangian_section(t4_system):
 
 
 def test_verify_global_product(t4_system, t4_section, rng):
-    samples = catalog.sample_product_leaf(t4_system, np.random.default_rng(1), 100)
+    samples = catalog.PRODUCT.starts(t4_system, np.random.default_rng(1), 100, 0.0)
     rep = S.verify_global(t4_system, t4_section, samples, t_max=50.0)
     assert rep.passed
     assert abs(rep.max_return_time - TWO_PI) < 1e-9
@@ -433,8 +434,8 @@ def _crossing_batches(draw, families=("wiggle", "product", "oscillator")):
         return system, sec, np.stack([xs, np.zeros(n)], axis=1)
     if family == "product":
         system = catalog.product_system("t3")
-        return system, catalog.product_leaf_section(system), \
-            catalog.sample_product_leaf(system, rng, n)
+        return system, S.coordinate_section(system.manifold, system.dim - 2), \
+            catalog.PRODUCT.starts(system, rng, n, 0.0)
     system = catalog.oscillator_2dof()
     return system, S.angle_section(), \
         catalog.sample_oscillator_surface(system, 1.0, rng, n, on_section=True)
@@ -485,8 +486,8 @@ def _return_batches(draw):
         angle = 1
     elif family == "product":
         system = catalog.product_system("t3")
-        sec = catalog.product_leaf_section(system)
-        starts, t_max, angle = catalog.sample_product_leaf(system, rng, n), 20.0, 2
+        sec = S.coordinate_section(system.manifold, system.dim - 2)
+        starts, t_max, angle = catalog.PRODUCT.starts(system, rng, n, 0.0), 20.0, 2
     else:
         system = catalog.oscillator_2dof()
         sec = S.angle_section()
@@ -732,7 +733,7 @@ def _torus_cases():
     susp = catalog.suspension_rotation()
     pts = catalog.sample_oscillator_surface(osc, 1.0, np.random.default_rng(0), 3,
                                             on_section=True)
-    return [("t4 product leaf", t4, catalog.product_leaf_section(t4),
+    return [("t4 product leaf", t4, S.coordinate_section(t4.manifold, t4.dim - 2),
              [[x, y, 0.0, 0.0] for x in (0.5, 2.0, 4.0) for y in (1.0, 3.0)]),
             ("oscillator angle", osc, S.angle_section(), pts),
             ("suspension rotation", susp, S.coordinate_section(susp.manifold, 1),
@@ -834,7 +835,7 @@ def test_orientation_selects_crossing_direction():
 
 
 def test_transversality_sign_constant_along_orbits(t4_system, t4_section):
-    samples = catalog.sample_product_leaf(t4_system, np.random.default_rng(3), 10)
+    samples = catalog.PRODUCT.starts(t4_system, np.random.default_rng(3), 10, 0.0)
     rates = t4_section.dtheta(samples, t4_system.field(samples))
     assert np.all(rates > 0)
 
@@ -928,7 +929,7 @@ def test_orbit_error_does_not_grow_with_its_batch(tol, n):
 def _exact_first_crossings(system, sec, starts, direction):
     """Analytic first crossing times of the `_crossing_batches` families,
     forward only for the wiggle (None backward)."""
-    if sec.name == "product_leaf":
+    if system.name.startswith("product"):
         return np.full(len(starts), direction * TWO_PI)
     if sec.name.startswith("angle"):
         return np.full(len(starts), direction * TWO_PI / SQRT2)
@@ -965,8 +966,8 @@ def test_scan_stops_evaluating_at_last_first_passage(monkeypatch, t4_system, t6_
         field = P.HamiltonianSystem.field
         monkeypatch.setattr(P.HamiltonianSystem, "field",
                             lambda self, x: points.append(np.array(x)) or field(self, x))
-        sec = catalog.product_leaf_section(system)
-        starts = catalog.sample_product_leaf(system, np.random.default_rng(5), 40)
+        sec = S.coordinate_section(system.manifold, system.dim - 2)
+        starts = catalog.PRODUCT.starts(system, np.random.default_rng(5), 40, 0.0)
         c = S.first_crossings(system, sec, starts, t_max=50.0, direction=direction)
         monkeypatch.undo()
         assert c.ok.all()
@@ -998,8 +999,8 @@ def test_verify_global_keeps_its_forward_scan():
     from cosymlab import cosym
     rng = F.Rng(1)
     system = cosym.build_product_system(catalog.SEEDS["t5"](), rng=rng)
-    sec = catalog.product_leaf_section(system)
-    samples = catalog.sample_product_leaf(system, rng, 1500)
+    sec = S.coordinate_section(system.manifold, system.dim - 2)
+    samples = catalog.PRODUCT.starts(system, rng, 1500, 0.0)
     whole = S.verify_global(system, sec, samples, 100.0, 1e-10).forward
     part = S.first_crossings(system, sec, samples[:50], 100.0, 1e-10)
     for name in ("times", "states", "rates", "margins", "residuals", "crossings_seen", "ok"):
@@ -1016,10 +1017,10 @@ def _leaf_starts(name, n=6, off=None):
     """n leaf points of a product system's leaf section, the row ``off``
     moved off it."""
     system = PRODUCT_LEAVES[name]
-    starts = catalog.sample_product_leaf(system, np.random.default_rng(4), n)
+    starts = catalog.PRODUCT.starts(system, np.random.default_rng(4), n, 0.0)
     if off is not None:
         starts[off, -2] += 0.3
-    return system, catalog.product_leaf_section(system), starts
+    return system, S.coordinate_section(system.manifold, system.dim - 2), starts
 
 
 def _assert_same_record(a, b, atol=0.0):
@@ -1077,8 +1078,8 @@ def _verify_global_traced_peak(n):
     rng = np.random.default_rng(1000)
     system = cosym.build_product_system(catalog.SEEDS["t5"](), rng=rng)
     system.validate(system.manifold.sample(rng, 64))
-    samples = catalog.sample_product_leaf(system, rng, n)
-    sec = catalog.product_leaf_section(system)
+    samples = catalog.PRODUCT.starts(system, rng, n, 0.0)
+    sec = S.coordinate_section(system.manifold, system.dim - 2)
     tracemalloc.start()
     try:
         rep = S.verify_global(system, sec, samples, 100.0, 1e-10)
