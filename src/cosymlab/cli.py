@@ -592,6 +592,10 @@ def cmd_tischler(cfg: dict, runner: Runner, seed: int) -> None:
             try:
                 pv = tischler.periods(alpha, catalog.torus(dim) if system is None
                                       else system.manifold)
+            except tischler.QuadratureError as exc:
+                runner.check("periods", False, error=str(exc), cycle=exc.cycle,
+                             estimate=exc.estimate)
+                return
             except ValueError as exc:
                 raise ConfigError(f"bad 'tischler' spec: {exc}") from exc
     runner.check("periods", True, values=pv.values, cycles=list(pv.cycles))
@@ -608,10 +612,16 @@ def cmd_tischler(cfg: dict, runner: Runner, seed: int) -> None:
     if alpha is not None:
         with runner.timed("rebuild"):
             alpha_prime = tischler.build_approximation(alpha, pv, ra)
-            pv_check = tischler.periods(alpha_prime, pv.manifold)
-            residual = float(np.max(np.abs(pv_check.values - ra.fractions)))
-        runner.check("rebuilt_periods", residual < tischler.PERIOD_QUAD_ERR, residual=residual,
-                     coefficient_distance=tischler.coefficient_distance(pv, ra))
+            try:
+                pv_check = tischler.periods(alpha_prime, pv.manifold)
+            except tischler.QuadratureError as exc:
+                runner.check("rebuilt_periods", False, error=str(exc), cycle=exc.cycle,
+                             estimate=exc.estimate)
+            else:
+                residual = float(np.max(np.abs(pv_check.values - ra.fractions)))
+                runner.check("rebuilt_periods", residual < tischler.PERIOD_QUAD_ERR,
+                             residual=residual,
+                             coefficient_distance=tischler.coefficient_distance(pv, ra))
 
     if system is not None:
         sample = entry.level(system).sample if entry.level else system.manifold.sample

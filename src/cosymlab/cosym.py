@@ -129,8 +129,9 @@ def field_to_cosym(Z: EnergySurface, X: Callable[[np.ndarray], np.ndarray],
         raise TransversalityError(
             f"field tangent to the level set at a sample: min |dH(X)| = {trans:.3e}")
     alpha_ambient = interior(X, system.omega)
-    residual = max_coeff_magnitude(exterior_derivative(alpha_ambient), ambient)
-    if residual >= CLOSED_TOL:
+    with np.errstate(all="ignore"):  # a NaN residual fails the bound below
+        residual = max_coeff_magnitude(exterior_derivative(alpha_ambient), ambient)
+    if not residual < CLOSED_TOL:
         raise ValueError(f"field is not symplectic: sampled |d(iota_X omega)| = {residual:.3e}")
     cs = CosymplecticStructure(Z.section_chart,
                                pullback(incl, alpha_ambient),
@@ -157,7 +158,7 @@ def cosym_to_field(Z: EnergySurface, cs: CosymplecticStructure,
     alpha_ext = pullback(proj, cs.alpha)
     ambient = Z.inclusion().value(samples)
     Z.check(ambient)
-    if max_coeff_magnitude(alpha_ext, ambient) < ALPHA_MIN:
+    if not max_coeff_magnitude(alpha_ext, ambient) >= ALPHA_MIN:  # NaN is degenerate too
         raise ValueError("degenerate one-form: alpha vanishes at the samples")
 
     omega = Z.system.omega

@@ -38,6 +38,15 @@ class RationalizationError(RuntimeError):
     """Denominator cap exhausted before the requested accuracy was met."""
 
 
+class QuadratureError(RuntimeError):
+    """Loop periods whose two quadrature rules differ by more than PERIOD_QUAD_ERR
+    on a cycle: the cycle and that estimate."""
+
+    def __init__(self, cycle: int, estimate: float):
+        super().__init__(f"quadrature error estimate {estimate:.3e} too large on cycle {cycle}")
+        self.cycle, self.estimate = cycle, estimate
+
+
 @dataclass(frozen=True, eq=False)
 class PeriodVector:
     """Normalized loop periods of a closed one-form over the generator cycles."""
@@ -93,7 +102,7 @@ def periods(alpha: KForm, manifold: ChartManifold,
     normalized by 2*pi.
 
     Gauss-Legendre quadrature on PERIOD_QUAD_NODES and twice as many nodes;
-    raises RuntimeError when the two rules differ by more than
+    raises QuadratureError when the two rules differ by more than
     PERIOD_QUAD_ERR on a cycle.  Refuses non-closed input, whose "periods"
     would be path dependent, and input that is not a form on the chart
     (`forms.check_periodic`).
@@ -104,8 +113,9 @@ def periods(alpha: KForm, manifold: ChartManifold,
     if not manifold.is_torus:
         raise ValueError("period computation needs a torus chart (all coordinates periodic)")
     samples = manifold.sample(Rng(7), 32)
-    residual = max_coeff_magnitude(exterior_derivative(alpha), samples)
-    if residual >= CLOSED_TOL:
+    with np.errstate(all="ignore"):  # a NaN residual fails the bound below
+        residual = max_coeff_magnitude(exterior_derivative(alpha), samples)
+    if not residual < CLOSED_TOL:
         raise ValueError(f"one-form not closed (sampled |d alpha| = {residual:.3e}); "
                          "loop integrals would be path dependent")
     check_periodic(alpha, manifold, samples, "alpha")
@@ -116,8 +126,7 @@ def periods(alpha: KForm, manifold: ChartManifold,
     err = np.abs(fine - coarse)
     too_large = np.flatnonzero(~(err <= PERIOD_QUAD_ERR))
     if too_large.size:
-        i = too_large[0]
-        raise RuntimeError(f"quadrature error estimate {err[i]:.3e} too large on cycle {i}")
+        raise QuadratureError(int(too_large[0]), float(err[too_large[0]]))
     cycles = tuple(f"loop along coordinate {i}, period {period:g}"
                    for i, period in enumerate(manifold.periods))
     return PeriodVector(fine / TWO_PI, cycles, manifold)

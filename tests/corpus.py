@@ -26,6 +26,7 @@ import importlib.util
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -142,6 +143,26 @@ REGRESSION = {
     # the schema's largest quad_nodes, in bounded node blocks; the obstruction fires
     "obstruct-5120": ("obstruct", {"betti": "t5", "system": "canonical_r4", "ambient": "t4",
                                    "quad_nodes": 5120}, 1, []),
+    # a NaN residual fails each structure check, so these inline forms exit 2
+    "obstruct-nan-lambda": ("obstruct", {"system": {
+        "dim": 4, "omega": [[0, 1, 1.0], [2, 3, 1.0]],
+        "hamiltonian": "0.5*(x0^2 + x1^2 + x2^2 + x3^2)",
+        "lambda": [[1, "x0 + 0/0"], [3, "x2"]]}}, 2, [error_names("primitive")]),
+    "obstruct-nan-lambda-torus": ("obstruct", {"system": {
+        "dim": 2, "periodic": [True, True], "omega": [[0, 1, 1.0]], "hamiltonian": "sin(x1)",
+        "lambda": [[1, "x0 + 0/0"]]}}, 2, [error_names("lambda is not periodic")]),
+    "tischler-nan-alpha": ("tischler", {"tischler": {
+        "dim": 2, "alpha": [[0, "1 + 0/0"], [1, 1.4142135623730951]]}}, 2,
+        [error_names("not closed")]),
+    "verify-cosym-nan-alpha": ("verify-cosym", {"cosym": {
+        "dim": 3, "alpha": [[2, "1 + 0/0*x0"]], "beta": [[0, 1, 1.0]]}}, 2,
+        [error_names("alpha is not periodic")]),
+    # a closed periodic form beyond what the period quadrature resolves: a failed check
+    "tischler-quadrature": ("tischler", {"tischler": {
+        "dim": 2, "alpha": [[0, "1 + 0.5*cos(300*x0)"], [1, 1.4142135623730951]]}}, 1, [
+        ("periods fails on cycle 0, its estimate above 1e-10",
+         lambda r, out: not named(r, "periods")["passed"] and named(r, "periods")["cycle"] == 0
+         and named(r, "periods")["estimate"] > 1e-10)]),
 }
 
 
@@ -208,7 +229,8 @@ def in_process(argv: list) -> tuple:
 
 def console_script(argv: list) -> tuple:
     """(exit code, stderr) of the installed `cosymlab` script."""
-    proc = subprocess.run(["cosymlab", *argv], capture_output=True, text=True)
+    proc = subprocess.run(["cosymlab", *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning"})
     return proc.returncode, proc.stderr
 
 
@@ -271,12 +293,12 @@ def main(argv: list) -> int:
             CORPUS.write_text(json.dumps({"entries": entries}, indent=1, sort_keys=True) + "\n")
             print(f"wrote {len(entries)} entries to {CORPUS}")
             return 0
-        failed = 0
-        for i, entry in enumerate(load()):
+        entries, failed = load(), 0
+        for i, entry in enumerate(entries):
             problems = replay(entry, Path(tmp) / str(i), console_script)
             failed += bool(problems)
             print(f"{entry['name']}: " + ("; ".join(problems[:5]) if problems else "ok"))
-        print(f"{failed} of {i + 1} entries differ")
+        print(f"{failed} of {len(entries)} entries differ")
         return 1 if failed else 0
 
 

@@ -414,6 +414,28 @@ def test_tischler_inline_alpha_rebuild(tmp_path):
     assert checks["rebuilt_periods"]["passed"]
 
 
+def test_tischler_rebuilt_period_quadrature_failure_is_a_failed_check(tmp_path, monkeypatch):
+    # the first call takes the periods of alpha, the second those of the rebuilt form
+    from cosymlab import tischler
+    periods, calls = tischler.periods, []
+
+    def second_fails(alpha, manifold, base=None):
+        calls.append(alpha)
+        if len(calls) == 2:
+            raise tischler.QuadratureError(1, 0.25)
+        return periods(alpha, manifold, base)
+
+    monkeypatch.setattr(tischler, "periods", second_fails)
+    cfg = {"tischler": {"dim": 2, "alpha": [[0, 1.0], [1, math.sqrt(2.0)]]}}
+    code, out = run(tmp_path, "tischler", cfg)
+    assert code == 1
+    checks = {c["name"]: c for c in read_report(out)["report"]["checks"]}
+    assert checks["periods"]["passed"] and checks["rationalize"]["passed"]
+    assert checks["rebuilt_periods"] == {
+        "name": "rebuilt_periods", "passed": False, "cycle": 1, "estimate": 0.25,
+        "error": "quadrature error estimate 2.500e-01 too large on cycle 1"}
+
+
 def test_tischler_cap_exhausted_exit_one(tmp_path):
     cfg = {"tischler": {"periods": [math.pi / 10.0], "eps": 1e-12, "d_cap": 10}}
     code, out = run(tmp_path, "tischler", cfg)

@@ -113,6 +113,20 @@ def test_field_to_cosym_rejects_non_symplectic_field(t4_system, samples3):
         C.field_to_cosym(Z, warped, samples3)
 
 
+def test_field_to_cosym_refuses_a_nan_residual(t4_system, samples3):
+    # transverse at the samples, NaN at the difference stencils around them
+    Z = catalog.SYSTEMS["t4_product"].level(t4_system)
+    ambient = Z.inclusion().value(samples3)
+
+    def nan_off_samples(x):
+        x = np.asarray(x, dtype=float)
+        on = (x[..., None, :] == ambient).all(axis=-1).any(axis=-1)
+        return np.where(on[..., None], neg_dtheta(x), np.nan)
+
+    with pytest.raises(ValueError, match="not symplectic: .* = nan"):
+        C.field_to_cosym(Z, nan_off_samples, samples3)
+
+
 # -- field from a pair --------------------------------------------------------------
 
 
@@ -142,6 +156,14 @@ def test_cosym_to_field_rejects_zero_form(t4_system, samples3):
     cs = C.CosymplecticStructure(catalog.torus(3), F.constant_form(3, 1, np.zeros(3)),
                                  F.wedge(F.coordinate_form(3, 0), F.coordinate_form(3, 1)))
     with pytest.raises(ValueError, match="vanishes"):
+        C.cosym_to_field(Z, cs, samples3)
+
+
+def test_cosym_to_field_rejects_a_nan_form(t4_system, samples3):
+    Z = catalog.SYSTEMS["t4_product"].level(t4_system)
+    cs = C.CosymplecticStructure(catalog.torus(3), F.constant_form(3, 1, np.full(3, np.nan)),
+                                 F.wedge(F.coordinate_form(3, 0), F.coordinate_form(3, 1)))
+    with pytest.raises(ValueError, match="degenerate one-form"):
         C.cosym_to_field(Z, cs, samples3)
 
 

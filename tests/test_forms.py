@@ -451,6 +451,13 @@ def test_check_periodic_shifts_only_the_periodic_coordinates():
         F.check_periodic(lam, F.ChartManifold(2, (True, True), (5.0, 3.0)), samples, "lambda")
 
 
+def test_check_periodic_refuses_a_nan_jump():
+    nan = F.KForm(1, 2, lambda x: np.stack([1.0 + np.zeros(x.shape[:-1]) / 0.0,
+                                            np.ones(x.shape[:-1])], axis=-1))
+    with pytest.raises(ValueError, match=r"^alpha is not periodic .* = nan\)"):
+        F.check_periodic(nan, F.ChartManifold(2, (True, True)), np.zeros((4, 2)), "alpha")
+
+
 def test_check_periodic_passes_a_constant_form_unevaluated():
     broken = F.KForm(1, 2, lambda x: 1 / 0, constant_value=np.array([1.0, 2.0]))
     F.check_periodic(broken, F.ChartManifold(2, (True, True)), np.zeros((4, 2)), "alpha")

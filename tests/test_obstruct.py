@@ -137,6 +137,16 @@ def test_exactness_verdict_rejects_wrong_primitive(r4_system):
         O.exactness_verdict(bad)
 
 
+def test_check_primitive_refuses_a_nan_residual(r4_system):
+    def coeffs(x):
+        return np.asarray(r4_system.lam.coeffs(x)) + np.zeros(np.shape(x)) / 0.0
+
+    bad = P.HamiltonianSystem(r4_system.manifold, r4_system.omega, r4_system.h,
+                              r4_system.grad_h, lam=F.KForm(1, 4, coeffs))
+    with pytest.raises(O.PrimitiveError, match="nan"):
+        O.check_primitive(bad)
+
+
 # -- Betti condition -------------------------------------------------------------------
 
 

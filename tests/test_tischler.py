@@ -71,6 +71,13 @@ def test_periods_reject_non_closed():
         T.periods(bad, t2())
 
 
+def test_periods_reject_a_nan_closedness_residual():
+    nan = F.KForm(1, 2, lambda x: np.stack([1.0 + np.zeros(x.shape[:-1]) / 0.0,
+                                            np.full(x.shape[:-1], SQRT2)], axis=-1))
+    with pytest.raises(ValueError, match=r"not closed \(sampled \|d alpha\| = nan\)"):
+        T.periods(nan, t2())
+
+
 def test_periods_reject_a_form_not_periodic_on_the_chart():
     # 5 sin(x0) dx0 is closed, and periodic on the 2*pi torus but not on a
     # chart of period 1, where it is no form
