@@ -16,7 +16,8 @@ operation, so that one row takes the same steps and reaches the same states:
 
 - error scale ``atol + rtol * max(|y_old|, |y_new|)`` and the RMS norm over
   the row;
-- the initial step of Hairer-Norsett-Wanner section II.4;
+- the initial step of Hairer-Norsett-Wanner section II.4, or the caller's
+  ``first_step``, as SciPy takes it;
 - step factor ``0.9 * err**(-1/8)``, clipped to [0.2, 10], and no growth
   right after a rejected step;
 - a step smaller than ten floating-point spacings of the current time stalls
@@ -257,7 +258,8 @@ def _error_norm(K_T: np.ndarray, h_abs: np.ndarray, scale: np.ndarray) -> np.nda
 
 
 def solve(fun: Callable[[np.ndarray], np.ndarray], t0: float, t1: float, y0,
-          rtol: float, atol: float, step: Optional[Callable] = None) -> np.ndarray:
+          rtol: float, atol: float, step: Optional[Callable] = None,
+          first_step: Optional[float] = None) -> np.ndarray:
     """Integrate the autonomous system y' = fun(y) from t0 to t1, every row of
     the state on its own steps, and return the end states (rows, n).
 
@@ -273,6 +275,11 @@ def solve(fun: Callable[[np.ndarray], np.ndarray], t0: float, t1: float, y0,
     and whether the row is done after it.  A step that does not stand is
     retried at the cap, as after a rejection; a done row stops.
 
+    ``first_step``, when given, is every row's first step size in place of
+    Hairer-Norsett-Wanner's, which saves that guess its field call; as in
+    SciPy it must be positive and no longer than |t1 - t0|, and the steps
+    after it, a shrink after its rejection among them, are the usual ones.
+
     A row whose step size falls below ten floating-point spacings of its time
     stalls; once every other row has finished, StepSizeUnderflow names the
     stalled rows.
@@ -280,6 +287,9 @@ def solve(fun: Callable[[np.ndarray], np.ndarray], t0: float, t1: float, y0,
     t0, t1 = float(t0), float(t1)
     if t1 == t0:
         raise ValueError("empty integration interval")
+    if first_step is not None and not 0 < first_step <= abs(t1 - t0):
+        raise ValueError(f"first_step must be positive and at most |t1 - t0| = {abs(t1 - t0):g}, "
+                         f"got {first_step!r}")
     y = np.array(y0, dtype=float)
     if y.ndim != 2:
         raise ValueError("the initial state must be rows of vectors")
@@ -290,7 +300,8 @@ def solve(fun: Callable[[np.ndarray], np.ndarray], t0: float, t1: float, y0,
     rows = np.arange(len(y))
     t = np.full(len(y), t0)
     f = fun(y)
-    h_abs = _initial_step(fun, y, f, abs(t1 - t0), direction, rtol, atol)
+    h_abs = (_initial_step(fun, y, f, abs(t1 - t0), direction, rtol, atol) if first_step is None
+             else np.full(len(y), float(first_step)))
     rejected = None   # per row whether its last step was rejected; None when none was
     y_end = y.copy()
     stalled, stall_times = [], []

@@ -527,7 +527,8 @@ def covector_values(f: KForm, coords: np.ndarray) -> np.ndarray:
 
 def check_periodic(f: KForm, chart: ChartManifold, samples: np.ndarray, name: str) -> None:
     """Raise ValueError, naming the form, unless f is a form on the chart: its
-    sampled |f(x + L_i e_i) - f(x)| is below CLOSED_TOL along every periodic
+    coefficients are finite at the samples, and its sampled
+    |f(x + L_i e_i) - f(x)| is below CLOSED_TOL along every periodic
     coordinate i, L_i its period.  A constant form passes unevaluated."""
     axes = np.flatnonzero(chart.periodic)
     if f.constant_value is not None or not axes.size:
@@ -535,8 +536,11 @@ def check_periodic(f: KForm, chart: ChartManifold, samples: np.ndarray, name: st
     samples = np.asarray(samples, dtype=float)
     shifts = np.zeros((axes.size, chart.dim))
     shifts[np.arange(axes.size), axes] = np.asarray(chart.periods)[axes]
-    with np.errstate(all="ignore"):  # a NaN jump fails the bound below
-        jump = float(np.max(np.abs(f.coeffs(samples + shifts[:, None]) - f.coeffs(samples)),
+    with np.errstate(all="ignore"):  # a NaN fails the checks below
+        at_samples = f.coeffs(samples)
+        if not np.isfinite(at_samples).all():
+            raise ValueError(f"{name} is not finite at a sample")
+        jump = float(np.max(np.abs(f.coeffs(samples + shifts[:, None]) - at_samples),
                             initial=0.0))
     if not jump < CLOSED_TOL:
         raise ValueError(f"{name} is not periodic on the chart (sampled |{name}(x + L_i e_i) - "

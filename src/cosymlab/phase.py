@@ -274,13 +274,14 @@ class EnergySurface:
 
 def integrate_batch(field: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, t0: float,
                     t1: float, tol: float = DEFAULT_FLOW_TOL,
-                    step: Optional[Callable] = None) -> np.ndarray:
+                    step: Optional[Callable] = None,
+                    first_step: Optional[float] = None) -> np.ndarray:
     """Integrate a batch of initial conditions x0 (n, dim) along ``field``, a
     function of state rows (n, dim), and return the end states (n, dim).
     Each row is one orbit on its own steps; a single orbit is a batch of
     one.  Coordinates are NOT reduced: orbits live in the periodic cover so
-    section functions can be lifted continuously.  ``step`` is the step hook
-    of `dop853.solve`."""
+    section functions can be lifted continuously.  ``step`` and
+    ``first_step`` are those of `dop853.solve`."""
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    return solve(field, t0, t1, x0, tol, tol * 1e-2, step)
+    return solve(field, t0, t1, x0, tol, tol * 1e-2, step, first_step)

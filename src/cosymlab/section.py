@@ -19,7 +19,9 @@ follows each orbit through its first k crossings in three steps:
   and the orbit is stepped no further than its k-th;
 - refine: a batched Hénon step (M. Hénon, Physica D 5 (1982) 412) per
   crossing integrates over the lifted angle from that step's left end, an
-  accepted integrator state, exactly onto the lattice value;
+  accepted integrator state, exactly onto the lattice value.  Its first
+  step is one step over the whole angle gap, which the bracketing step has
+  already carried under the same error control, so it almost always stands;
 - polish and check: vectorised Newton steps with fourth-order flow
   micro-steps.  A crossing is accepted only if its time lies inside its step
   and within t_max of the crossing before, its angular residual is below
@@ -387,9 +389,12 @@ def first_crossings(system, sec: SectionSpec, starts: np.ndarray,
     +1 scans forward time, -1 backward.  A start within ON_SECTION_TOL of a
     lattice value owns it: leaving it is not a crossing.  One integration steps each orbit
     through its crossings (`_Scan`), each within t_max of the one before (or
-    the start); one Hénon batch and one polish certify them all.  Failures,
-    a stalled integration among them, are record entries, not exceptions.
-    The record keeps the starts and tol.
+    the start); one Hénon batch and one polish certify them all.  The Hénon
+    batch starts each crossing with one step over its whole angle gap, at
+    most the pi/2 its bracketing step swept; a step the error control
+    rejects shrinks as any other.  Failures, a stalled integration among
+    them, are record entries, not exceptions.  The record keeps the starts
+    and tol.
     """
     starts = np.array(starts, dtype=float)
     n, dim = starts.shape
@@ -428,7 +433,7 @@ def first_crossings(system, sec: SectionSpec, starts: np.ndarray,
         dt = dv / _clamp(sec.dtheta(x, X), oriented)
         return np.concatenate([X * dt[:, None], dt[:, None], np.zeros((len(y), 1))], axis=1)
 
-    y = phase.integrate_batch(henon, bracket[:, :dim + 2], 0.0, 1.0, tol)
+    y = phase.integrate_batch(henon, bracket[:, :dim + 2], 0.0, 1.0, tol, first_step=1.0)
     x, t_corr, residual, slowest = _polish(field, sec, y[:, :dim], oriented)
     t_left, t_right = bracket[:, dim + 2:].T
     t_local = t_left + y[:, dim] + t_corr

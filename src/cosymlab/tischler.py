@@ -30,7 +30,8 @@ from .phase import TANGENCY_MARGIN
 
 TWO_PI = 2.0 * math.pi
 
-PERIOD_QUAD_NODES = 128     # Gauss-Legendre nodes; the error check doubles them
+PERIOD_QUAD_NODES = 128     # Gauss-Legendre nodes of the first rule; refinement doubles them
+PERIOD_QUAD_MAX_NODES = 16 * PERIOD_QUAD_NODES   # nodes of the last rule refinement tries
 PERIOD_QUAD_ERR = 1e-10
 
 
@@ -39,8 +40,9 @@ class RationalizationError(RuntimeError):
 
 
 class QuadratureError(RuntimeError):
-    """Loop periods whose two quadrature rules differ by more than PERIOD_QUAD_ERR
-    on a cycle: the cycle and that estimate."""
+    """Loop periods whose last two quadrature rules, of PERIOD_QUAD_MAX_NODES
+    nodes and half as many, differ by more than PERIOD_QUAD_ERR on a cycle:
+    the cycle and that estimate."""
 
     def __init__(self, cycle: int, estimate: float):
         super().__init__(f"quadrature error estimate {estimate:.3e} too large on cycle {cycle}")
@@ -101,9 +103,10 @@ def periods(alpha: KForm, manifold: ChartManifold,
     """Loop integrals of a closed one-form over the coordinate circles,
     normalized by 2*pi.
 
-    Gauss-Legendre quadrature on PERIOD_QUAD_NODES and twice as many nodes;
-    raises QuadratureError when the two rules differ by more than
-    PERIOD_QUAD_ERR on a cycle.  Refuses non-closed input, whose "periods"
+    Gauss-Legendre quadrature on PERIOD_QUAD_NODES nodes, doubled while two
+    successive rules differ by more than PERIOD_QUAD_ERR on a cycle; raises
+    QuadratureError when they still do at PERIOD_QUAD_MAX_NODES nodes.  The
+    finer rule's values are returned.  Refuses non-closed input, whose "periods"
     would be path dependent, and input that is not a form on the chart
     (`forms.check_periodic`).
     """
@@ -121,12 +124,17 @@ def periods(alpha: KForm, manifold: ChartManifold,
     check_periodic(alpha, manifold, samples, "alpha")
     lengths = np.asarray(manifold.periods, dtype=float)
     base_pt = np.zeros(manifold.dim) if base is None else np.asarray(base, dtype=float)
-    coarse = _loop_integrals(alpha, base_pt, lengths, PERIOD_QUAD_NODES)
-    fine = _loop_integrals(alpha, base_pt, lengths, 2 * PERIOD_QUAD_NODES)
-    err = np.abs(fine - coarse)
-    too_large = np.flatnonzero(~(err <= PERIOD_QUAD_ERR))
-    if too_large.size:
-        raise QuadratureError(int(too_large[0]), float(err[too_large[0]]))
+    nodes = PERIOD_QUAD_NODES
+    fine = _loop_integrals(alpha, base_pt, lengths, nodes)
+    while True:
+        nodes, coarse = 2 * nodes, fine
+        fine = _loop_integrals(alpha, base_pt, lengths, nodes)
+        err = np.abs(fine - coarse)
+        too_large = np.flatnonzero(~(err <= PERIOD_QUAD_ERR))
+        if not too_large.size:
+            break
+        if nodes >= PERIOD_QUAD_MAX_NODES:
+            raise QuadratureError(int(too_large[0]), float(err[too_large[0]]))
     cycles = tuple(f"loop along coordinate {i}, period {period:g}"
                    for i, period in enumerate(manifold.periods))
     return PeriodVector(fine / TWO_PI, cycles, manifold)

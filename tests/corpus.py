@@ -10,7 +10,8 @@ below at the default seed, each with the exit code and the conditions its output
 must meet.  A replay compares every recorded field exactly, each float to the bit,
 and checks those conditions on the fresh outputs.
 
-    python tests/corpus.py write     # rerun every declared entry in process; rewrite the file
+    python tests/corpus.py write     # rerun every declared entry in process, name the
+                                     # entries that moved, and rewrite the file
     python tests/corpus.py replay    # replay the file through the installed `cosymlab` script
 
 tests/test_corpus.py replays it in process.  Every run treats a RuntimeWarning as an
@@ -150,19 +151,21 @@ REGRESSION = {
         "lambda": [[1, "x0 + 0/0"], [3, "x2"]]}}, 2, [error_names("primitive")]),
     "obstruct-nan-lambda-torus": ("obstruct", {"system": {
         "dim": 2, "periodic": [True, True], "omega": [[0, 1, 1.0]], "hamiltonian": "sin(x1)",
-        "lambda": [[1, "x0 + 0/0"]]}}, 2, [error_names("lambda is not periodic")]),
+        "lambda": [[1, "x0 + 0/0"]]}}, 2, [error_names("lambda is not finite at a sample")]),
     "tischler-nan-alpha": ("tischler", {"tischler": {
         "dim": 2, "alpha": [[0, "1 + 0/0"], [1, 1.4142135623730951]]}}, 2,
         [error_names("not closed")]),
     "verify-cosym-nan-alpha": ("verify-cosym", {"cosym": {
         "dim": 3, "alpha": [[2, "1 + 0/0*x0"]], "beta": [[0, 1, 1.0]]}}, 2,
-        [error_names("alpha is not periodic")]),
-    # a closed periodic form beyond what the period quadrature resolves: a failed check
+        [error_names("alpha is not finite at a sample")]),
+    # a closed periodic form that the first two period rules do not resolve: the rules
+    # double until two agree, at 512 and 1024 nodes
     "tischler-quadrature": ("tischler", {"tischler": {
-        "dim": 2, "alpha": [[0, "1 + 0.5*cos(300*x0)"], [1, 1.4142135623730951]]}}, 1, [
-        ("periods fails on cycle 0, its estimate above 1e-10",
-         lambda r, out: not named(r, "periods")["passed"] and named(r, "periods")["cycle"] == 0
-         and named(r, "periods")["estimate"] > 1e-10)]),
+        "dim": 2, "alpha": [[0, "1 + 0.5*cos(300*x0)"], [1, 1.4142135623730951]]}}, 0, [
+        ("periods passes with values within 1e-10 of (1, sqrt 2)",
+         lambda r, out: named(r, "periods")["passed"]
+         and abs(named(r, "periods")["values"][0] - 1.0) < 1e-10
+         and abs(named(r, "periods")["values"][1] - math.sqrt(2)) < 1e-10)]),
 }
 
 
@@ -269,6 +272,37 @@ def mismatches(expected, actual, path: str = "") -> list:
     return [] if same else [f"{path}: {expected!r:.80} != {actual!r:.80}"]
 
 
+def floats_blanked(value):
+    """value with every float replaced by 0.0: equal to another such value where the
+    two differ in float values alone."""
+    if isinstance(value, dict):
+        return {k: floats_blanked(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [floats_blanked(v) for v in value]
+    return 0.0 if isinstance(value, float) else value
+
+
+def report_moves(old: list, fresh: list) -> None:
+    """Print each fresh entry whose recorded fields differ from the old entry of its
+    name, with its first mismatching paths, then the count of moved entries and of
+    those among them where more than float values and artifact digests moved."""
+    before = {e["name"]: {key: e[key] for key in RESULT} for e in old}
+    moved = other = 0
+    for entry in fresh:
+        after = {key: entry[key] for key in RESULT}
+        was = before.get(entry["name"])
+        problems = ["new entry"] if was is None else mismatches(was, after)
+        if not problems:
+            continue
+        moved += 1
+        other += was is None or bool(mismatches(
+            *(floats_blanked({k: v for k, v in r.items() if k not in ARTIFACTS})
+              for r in (was, after))))
+        print(f"moved {entry['name']}: " + "; ".join(problems[:3]))
+    print(f"{moved} entries moved, {other} of them in more than float values and "
+          "artifact digests")
+
+
 def load() -> list:
     return json.loads(CORPUS.read_text())["entries"]
 
@@ -290,6 +324,7 @@ def main(argv: list) -> int:
         if argv == ["write"]:
             entries = [{**e, **run(e, Path(tmp) / str(i), in_process)}
                        for i, e in enumerate(declared())]
+            report_moves(load() if CORPUS.exists() else [], entries)
             CORPUS.write_text(json.dumps({"entries": entries}, indent=1, sort_keys=True) + "\n")
             print(f"wrote {len(entries)} entries to {CORPUS}")
             return 0

@@ -37,3 +37,20 @@ def test_corpus_comparison_fails_on_one_ulp_and_one_exit_code():
 
     assert corpus.mismatches(recorded, {**recorded, "exit": recorded["exit"] + 1}) == [
         f".exit: {recorded['exit']} != {recorded['exit'] + 1}"]
+
+
+def test_write_names_the_moved_entries_and_counts_the_structural_moves(capsys):
+    old = [e for e in ENTRIES if e["name"] in ("tischler", "return-map", "demo-product")]
+    fresh = json.loads(json.dumps(old))
+    fresh[0]["report"]["checks"][0]["values"][0] += 1.0     # a float value
+    fresh[1]["crossings_sha256"] = "0" * 64                 # an artifact digest
+    fresh[2]["exit"] = 1                                    # the exit code
+    corpus.report_moves(old, fresh + [{**old[0], "name": "added"}])
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:-1]] == [
+        "moved tischler", "moved return-map", "moved demo-product", "moved added"]
+    assert lines[2] == "moved demo-product: .exit: 0 != 1"
+    assert lines[-1] == "4 entries moved, 2 of them in more than float values and artifact digests"
+    corpus.report_moves(old, old)
+    assert capsys.readouterr().out == (
+        "0 entries moved, 0 of them in more than float values and artifact digests\n")

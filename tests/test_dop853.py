@@ -27,9 +27,9 @@ def cases():
     return out
 
 
-def reference(rhs, t1, y0, tol):
+def reference(rhs, t1, y0, tol, first_step=None):
     return solve_ivp(lambda _t, y: rhs(y), (0.0, t1), y0, method="DOP853",
-                     rtol=tol, atol=1e-2 * tol)
+                     rtol=tol, atol=1e-2 * tol, first_step=first_step)
 
 
 def test_catalog_covers_constant_and_inline_omega():
@@ -39,30 +39,64 @@ def test_catalog_covers_constant_and_inline_omega():
     assert cli.build_inline_system(INLINE).omega.constant_value is None
 
 
-@pytest.mark.parametrize("name, system", cases(), ids=[c[0] for c in cases()])
-@pytest.mark.parametrize("batch", [1, 5])
-@pytest.mark.parametrize("t1, tol", [(7.3, 1e-10), (-2.9, 1e-6), (20.0, 1e-10)])
-def test_matches_solve_ivp(name, system, batch, t1, tol):
+def assert_matches_solve_ivp(system, batch, t1, tol, first_step=None):
+    """One orbit, or a group of five stacked into one row as solve_ivp stacks
+    it, integrated by integrate_batch and by solve_ivp: the same accepted
+    steps, the same states on them, the last of them the end state, and the
+    same field calls.  Returns solve_ivp's result."""
     rng = np.random.default_rng(batch)
-    starts = 0.5 + rng.uniform(-0.4, 0.4, size=(batch, system.dim))
-    # one orbit, or a group of five stacked into one row as solve_ivp stacks it
-    x0 = starts.ravel()
+    x0 = (0.5 + rng.uniform(-0.4, 0.4, size=(batch, system.dim))).ravel()
 
     def rhs(y):
         return system.field(y.reshape(-1, system.dim)).reshape(y.shape)
 
-    log = []
-    end = P.integrate_batch(system.field if batch == 1 else rhs, x0[None], 0.0, t1, tol,
-                            step=step_recorder(log))[0]
-    ref = reference(rhs, t1, x0, tol)
+    log, calls = [], []
+
+    def counted(y):
+        calls.append(1)
+        return system.field(y) if batch == 1 else rhs(y)
+
+    end = P.integrate_batch(counted, x0[None], 0.0, t1, tol, step=step_recorder(log),
+                            first_step=first_step)[0]
+    ref = reference(rhs, t1, x0, tol, first_step)
     assert ref.success
-    # bit for bit: the same accepted steps, the same states on them, and the
-    # last of them is the end state
     t = np.concatenate([[0.0], [t_new[0] for t_new, _ in log]])
     y = np.column_stack([x0] + [y_new[0] for _, y_new in log])
     assert np.array_equal(t, ref.t)
     assert np.array_equal(y, ref.y)
     assert np.array_equal(end, ref.y[:, -1])
+    assert len(calls) == ref.nfev
+    return ref
+
+
+@pytest.mark.parametrize("name, system", cases(), ids=[c[0] for c in cases()])
+@pytest.mark.parametrize("batch", [1, 5])
+@pytest.mark.parametrize("t1, tol", [(7.3, 1e-10), (-2.9, 1e-6), (20.0, 1e-10)])
+def test_matches_solve_ivp(name, system, batch, t1, tol):
+    assert_matches_solve_ivp(system, batch, t1, tol)
+
+
+def rejections(ref) -> int:
+    """Steps solve_ivp's error control rejected, from its field calls: one for
+    the start, and 12 per attempted step when the first step is given."""
+    return (ref.nfev - 1) // 12 - (len(ref.t) - 1)
+
+
+# a first step the error control rejects on every non-linear case below
+REJECTED_FIRST_STEP = 2.5
+
+
+@pytest.mark.parametrize("name, system", cases(), ids=[c[0] for c in cases()])
+@pytest.mark.parametrize("batch", [1, 5])
+@pytest.mark.parametrize("t1, tol", [(7.3, 1e-10), (-2.9, 1e-6), (20.0, 1e-10)])
+@pytest.mark.parametrize("first", ["span", "rejected"])
+def test_matches_solve_ivp_from_a_first_step(name, system, batch, t1, tol, first):
+    # the whole span is the first step of a crossing refinement; on a linear
+    # or constant field the error estimate is rounding noise and passes any step
+    ref = assert_matches_solve_ivp(system, batch, t1, tol,
+                                   abs(t1) if first == "span" else REJECTED_FIRST_STEP)
+    linear = name in ("canonical_r4", "t4_product", "t6_product")
+    assert (rejections(ref) == 0) if linear else (rejections(ref) > 0)
 
 
 def test_stalled_step_raises():
@@ -84,6 +118,15 @@ def test_rejects_bad_input():
     for y0 in ([1.0], [[[1.0]]]):
         with pytest.raises(ValueError, match="rows of vectors"):
             dop853.solve(lambda y: y, 0.0, 1.0, y0, 1e-8, 1e-10)
+
+
+@pytest.mark.parametrize("first_step", [0.0, -0.5, np.nan, np.inf, 2.0 + 1e-15])
+@pytest.mark.parametrize("t1", [2.0, -2.0])
+def test_rejects_a_first_step_outside_the_span(first_step, t1):
+    # as solve_ivp: positive and at most |t1 - t0|; a NaN is refused too
+    with pytest.raises(ValueError, match="first_step"):
+        dop853.solve(lambda y: y, 0.0, t1, [[1.0]], 1e-8, 1e-10, first_step=first_step)
+    dop853.solve(lambda y: y, 0.0, t1, [[1.0]], 1e-8, 1e-10, first_step=2.0)
 
 
 def test_initial_step_survives_an_overflowing_norm():

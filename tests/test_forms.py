@@ -452,9 +452,18 @@ def test_check_periodic_shifts_only_the_periodic_coordinates():
 
 
 def test_check_periodic_refuses_a_nan_jump():
+    # finite at the samples x0 = 0, NaN one period on, at x0 = 2 pi
+    jumpy = F.KForm(1, 2, lambda x: np.stack([np.sqrt(1.0 - x[..., 0]),
+                                              np.ones(x.shape[:-1])], axis=-1))
+    with pytest.raises(ValueError, match=r"^alpha is not periodic .* = nan\)"):
+        F.check_periodic(jumpy, F.ChartManifold(2, (True, True)), np.zeros((4, 2)), "alpha")
+
+
+def test_check_periodic_names_a_non_finite_coefficient():
+    # a coefficient that is NaN at the samples is named as such, before any jump
     nan = F.KForm(1, 2, lambda x: np.stack([1.0 + np.zeros(x.shape[:-1]) / 0.0,
                                             np.ones(x.shape[:-1])], axis=-1))
-    with pytest.raises(ValueError, match=r"^alpha is not periodic .* = nan\)"):
+    with pytest.raises(ValueError, match=r"^alpha is not finite at a sample$"):
         F.check_periodic(nan, F.ChartManifold(2, (True, True)), np.zeros((4, 2)), "alpha")
 
 

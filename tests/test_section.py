@@ -562,16 +562,16 @@ def _record_scan_steps(monkeypatch):
     steps = []
     integrate = P.integrate_batch
 
-    def recording(field, x0, t0, t1, tol=P.DEFAULT_FLOW_TOL, step=None):
+    def recording(field, x0, t0, t1, tol=P.DEFAULT_FLOW_TOL, step=None, first_step=None):
         if step is None:
-            return integrate(field, x0, t0, t1, tol)
+            return integrate(field, x0, t0, t1, tol, first_step=first_step)
 
         def hook(rows, t, y, t_new, y_new, f, f_new):
             ok, cap, done = step(rows, t, y, t_new, y_new, f, f_new)
             steps.append((rows, t, t_new, ok, done))
             return ok, cap, done
 
-        return integrate(field, x0, t0, t1, tol, hook)
+        return integrate(field, x0, t0, t1, tol, hook, first_step)
 
     monkeypatch.setattr(S.phase, "integrate_batch", recording)
     return steps
@@ -637,8 +637,10 @@ def test_aliased_early_stop_continues_to_analytic_crossing(monkeypatch):
 
 def test_iterate_returns_field_work(monkeypatch):
     # machine-independent work of three returns of a fixed oscillator batch:
-    # 747 field calls with all three followed in one crossing scan and
-    # certified by one Hénon batch and one polish (897 with one engine call
+    # 722 field calls with all three followed in one crossing scan and
+    # certified by one Hénon batch, which starts with one step over each
+    # whole angle gap, and one polish (747 when the Hénon batch grew its
+    # steps from the Hairer-Norsett-Wanner guess, 897 with one engine call
     # per return, 1651 when every return was re-integrated and polished a
     # second time, 1839 on a shared sample grid ending one step past the
     # last crossing, 3063 when every scan integrated its whole chunk)
@@ -652,7 +654,7 @@ def test_iterate_returns_field_work(monkeypatch):
                         lambda self, x: calls.append(1) or field(self, x))
     r = S.iterate_returns(system, sec, starts, 3, t_max=20.0)
     assert r.failures == [None] * 4
-    assert len(calls) <= 1.1 * 747
+    assert len(calls) <= 1.1 * 722
 
 
 def test_crossing_verdicts_keep_their_precedence(monkeypatch):
@@ -1047,6 +1049,28 @@ def test_consumers_read_any_record_of_the_same_starts_bit_for_bit(name):
                           S.return_map_jacobians(system, sec, returns))
     assert np.array_equal(S.mapping_torus_chart(system, sec, forward).table,
                           S.mapping_torus_chart(system, sec, returns).table)
+
+
+def test_henon_refinement_is_one_step_on_a_constant_field(monkeypatch):
+    # the field of t4_product is constant on its level, so the error control
+    # passes the Hénon batch's first step over the whole angle gap: one step
+    # of 12 stages and the end field, 13 field calls for the whole batch
+    system, sec, starts = _leaf_starts("t4_product")
+    henon_calls = []
+    integrate = P.integrate_batch
+
+    def counting(field, x0, t0, t1, tol=P.DEFAULT_FLOW_TOL, step=None, first_step=None):
+        if step is None:   # the Hénon batch; the scan has a step hook
+            def counted(y):
+                henon_calls.append(len(y))
+                return field(y)
+            return integrate(counted, x0, t0, t1, tol, first_step=first_step)
+        return integrate(field, x0, t0, t1, tol, step, first_step)
+
+    monkeypatch.setattr(S.phase, "integrate_batch", counting)
+    c = S.first_crossings(system, sec, starts, 20.0, k=2)
+    assert c.failures == [None] * len(starts)
+    assert henon_calls == [2 * len(starts)] * 13
 
 
 @settings(max_examples=10, deadline=None, derandomize=True)

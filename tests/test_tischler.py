@@ -56,12 +56,26 @@ def test_periods_of_non_constant_form_to_1e_10():
     assert np.max(np.abs(pv.values - [1.0, SQRT2, math.sqrt(3.0), 0.1])) < 1e-10
 
 
+def _wave(frequency):
+    """cos(frequency x0) dx0 + sqrt 2 dx1: periods (0, sqrt 2) in units of 2 pi."""
+    return F.KForm(1, 2, lambda x: np.stack([np.cos(frequency * np.asarray(x)[..., 0]),
+                                             np.full(np.shape(x)[:-1], SQRT2)], axis=-1))
+
+
 def test_periods_quadrature_error_is_enforced():
-    # far beyond what the Gauss-Legendre rules resolve: the two rules disagree
-    fast = F.KForm(1, 2, lambda x: np.stack([np.cos(400 * np.asarray(x)[..., 0]),
-                                             np.zeros(np.shape(x)[:-1])], axis=-1))
-    with pytest.raises(RuntimeError, match="quadrature error estimate .* cycle 0"):
-        T.periods(fast, t2())
+    # far beyond what PERIOD_QUAD_MAX_NODES nodes resolve: the last two rules
+    # still disagree
+    with pytest.raises(T.QuadratureError, match="quadrature error estimate .* cycle 0"):
+        T.periods(_wave(1000), t2())
+
+
+@pytest.mark.parametrize("frequency", [300, 400])
+def test_periods_refine_until_two_rules_agree(frequency):
+    # the 128- and 256-node rules disagree on these waves; doubling the nodes
+    # reaches two rules that agree (512 and 1024 nodes for 300, 1024 and 2048
+    # for 400, the cap)
+    pv = T.periods(_wave(frequency), t2())
+    assert np.max(np.abs(pv.values - [0.0, SQRT2])) < 1e-10
 
 
 def test_periods_reject_non_closed():
