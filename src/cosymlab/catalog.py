@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
-from .forms import (ChartManifold, ChartMap, KForm, Rng, basis_indices, constant_form,
+from .forms import (ChartManifold, KForm, Rng, basis_indices, constant_form,
                     coordinate_form, wedge)
 from .phase import EnergySurface, FlowSystem, HamiltonianSystem
 
@@ -264,6 +264,21 @@ AMBIENT_TOPOLOGY: dict[str, tuple[bool, bool]] = {
 
 
 # -- meshed surfaces --------------------------------------------------------------
+# A surface's value(u, v) and jacobian(u, v) take parameter arrays that broadcast
+# (`obstruct.MeshedSurface`); each term in one parameter is computed on that
+# parameter's array and broadcast, so a quadrature block pays it once per value.
+
+
+def _grid_shape(u, v) -> tuple[int, ...]:
+    return np.broadcast_shapes(np.shape(u), np.shape(v))
+
+
+def _patch_jacobian(u, v) -> tuple[np.ndarray, np.ndarray]:
+    """Zero Jacobians of shape S + (4, 2) over the grid of (u, v), and the
+    same memory as a (4, 2) + S array, so that each entry is filled, and
+    read by `forms.frame_minors`, as one contiguous array."""
+    entries = np.zeros((4, 2) + _grid_shape(u, v))
+    return np.moveaxis(entries, (0, 1), (-2, -1)), entries
 
 
 def embedded_torus_r4(r1: float = 1.0, r2: float = 0.7,
@@ -273,61 +288,69 @@ def embedded_torus_r4(r1: float = 1.0, r2: float = 0.7,
     from .obstruct import MeshedSurface
     c = np.zeros(4) if center is None else np.asarray(center, dtype=float)
 
-    def value(p):
-        p = np.asarray(p, dtype=float)
-        u, v = p[..., 0], p[..., 1]
-        return np.stack([c[0] + r1 * np.cos(u), c[1] + r1 * np.sin(u),
-                         c[2] + r2 * np.cos(v), c[3] + r2 * np.sin(v)], axis=-1)
-
-    def jacobian(p):
-        p = np.asarray(p, dtype=float)
-        u, v = p[..., 0], p[..., 1]
-        out = np.zeros(p.shape[:-1] + (4, 2))
-        out[..., 0, 0] = -r1 * np.sin(u)
-        out[..., 1, 0] = r1 * np.cos(u)
-        out[..., 2, 1] = -r2 * np.sin(v)
-        out[..., 3, 1] = r2 * np.cos(v)
+    def value(u, v):
+        out = np.empty(_grid_shape(u, v) + (4,))
+        out[..., 0] = c[0] + r1 * np.cos(u)
+        out[..., 1] = c[1] + r1 * np.sin(u)
+        out[..., 2] = c[2] + r2 * np.cos(v)
+        out[..., 3] = c[3] + r2 * np.sin(v)
         return out
 
-    return MeshedSurface(ChartMap(2, 4, value, jacobian), (TWO_PI, TWO_PI),
-                         name="torus_r4")
+    def jacobian(u, v):
+        out, entries = _patch_jacobian(u, v)
+        entries[0, 0] = -r1 * np.sin(u)
+        entries[1, 0] = r1 * np.cos(u)
+        entries[2, 1] = -r2 * np.sin(v)
+        entries[3, 1] = r2 * np.cos(v)
+        return out
+
+    return MeshedSurface(value, jacobian, (TWO_PI, TWO_PI), name="torus_r4")
 
 
 def embedded_sphere_r4(radius: float = 1.0, center: Optional[np.ndarray] = None,
                        axes: tuple[int, int, int] = (0, 1, 2)) -> MeshedSurface:
     """Round 2-sphere inside a 3-coordinate slice of a 4-dimensional chart,
-    parametrized by colatitude and longitude (poles degenerate, surface closed)."""
+    parametrized by colatitude u and longitude v (poles degenerate, surface
+    closed)."""
     from .obstruct import MeshedSurface
     c = np.zeros(4) if center is None else np.asarray(center, dtype=float)
     a0, a1, a2 = axes
 
-    def value(p):
-        p = np.asarray(p, dtype=float)
-        su, v = np.sin(p[..., 0]), p[..., 1]
-        out = np.broadcast_to(c, p.shape[:-1] + (4,)).copy()
-        out[..., a0] += radius * su * np.cos(v)
-        out[..., a1] += radius * su * np.sin(v)
-        out[..., a2] += radius * np.cos(p[..., 0])
+    def value(u, v):
+        r_su = radius * np.sin(u)
+        out = np.broadcast_to(c, _grid_shape(u, v) + (4,)).copy()
+        out[..., a0] += r_su * np.cos(v)
+        out[..., a1] += r_su * np.sin(v)
+        out[..., a2] += radius * np.cos(u)
         return out
 
-    def jacobian(p):
-        p = np.asarray(p, dtype=float)
-        su, cu = np.sin(p[..., 0]), np.cos(p[..., 0])
-        sv, cv = np.sin(p[..., 1]), np.cos(p[..., 1])
-        out = np.zeros(p.shape[:-1] + (4, 2))
-        out[..., a0, 0] = radius * cu * cv
-        out[..., a1, 0] = radius * cu * sv
-        out[..., a2, 0] = -radius * su
-        out[..., a0, 1] = -radius * su * sv
-        out[..., a1, 1] = radius * su * cv
+    def jacobian(u, v):
+        r_su, r_cu = radius * np.sin(u), radius * np.cos(u)
+        sv, cv = np.sin(v), np.cos(v)
+        out, entries = _patch_jacobian(u, v)
+        entries[a0, 0] = r_cu * cv
+        entries[a1, 0] = r_cu * sv
+        entries[a2, 0] = -r_su
+        entries[a0, 1] = -r_su * sv
+        entries[a1, 1] = r_su * cv
         return out
 
-    return MeshedSurface(ChartMap(2, 4, value, jacobian), (math.pi, TWO_PI),
-                         name="sphere_r4")
+    return MeshedSurface(value, jacobian, (math.pi, TWO_PI), name="sphere_r4")
 
 
 def coordinate_torus_t4(z0: float = 0.0, theta0: float = 0.0) -> MeshedSurface:
-    """Coordinate 2-torus {z = z0, theta = theta0} in the standard T^4 chart."""
+    """Coordinate 2-torus {z = z0, theta = theta0} in the standard T^4 chart,
+    parametrized by its first two coordinates."""
     from .obstruct import MeshedSurface
-    incl = ChartMap.coordinate_inclusion(4, [0, 1], {2: z0, 3: theta0})
-    return MeshedSurface(incl, (TWO_PI, TWO_PI), name="coordinate_torus_t4")
+    jac = np.zeros((4, 2))
+    jac[0, 0] = jac[1, 1] = 1.0
+
+    def value(u, v):
+        out = np.empty(_grid_shape(u, v) + (4,))
+        out[..., 0], out[..., 1], out[..., 2], out[..., 3] = u, v, z0, theta0
+        return out
+
+    def jacobian(u, v):
+        return np.broadcast_to(jac, _grid_shape(u, v) + jac.shape)
+
+    return MeshedSurface(value, jacobian, (TWO_PI, TWO_PI), name="coordinate_torus_t4")

@@ -9,7 +9,9 @@ Two families of obstructions:
   computable: the integral of the restricted form over any meshed closed
   surface must vanish.  The composite midpoint rule evaluates its n x n
   nodes one block of u-rows at a time within the ``BLOCK_VALUES`` budget,
-  so its memory does not grow with n.
+  so its memory does not grow with n; a surface's patch is evaluated on
+  the block's column of u against the row of v, so a parametrization built
+  from per-axis terms computes them once per block, not at every node.
 * cohomology: an energy hypersurface carrying such a section carries a
   cosymplectic pair, whose powers represent nonzero classes in every degree,
   so all Betti numbers must be positive.  Betti numbers come from a curated
@@ -20,14 +22,14 @@ Two families of obstructions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 # the Betti profiles and the quadrature default live beside the catalog data that
 # the CLI reads without loading this module; they are re-exported here
 from .catalog import DEFAULT_QUAD_NODES, BettiProfile  # noqa: F401
-from .forms import (CLOSED_TOL, ChartMap, KForm, Rng, evaluate_frame, exterior_derivative,
+from .forms import (CLOSED_TOL, KForm, Rng, evaluate_frame, exterior_derivative,
                     max_coeff_magnitude)
 from .phase import HamiltonianSystem
 
@@ -43,38 +45,33 @@ class PrimitiveError(ValueError):
 class MeshedSurface:
     """Closed parametrized 2-submanifold over a rectangular parameter patch.
 
-    ``patch`` maps parameters (u, v) in [0, extents[0]) x [0, extents[1]) into
-    the ambient chart.  Closedness is encoded by the parametrization (periodic
-    parameters, or degenerate edges such as sphere poles) and declared by the
-    builder.
+    ``value(u, v)`` maps parameters in [0, extents[0]) x [0, extents[1]) into
+    the ambient chart and ``jacobian(u, v)`` gives the patch's partials, with
+    u and v arrays that broadcast against each other: for a broadcast shape
+    S they return shapes S + (dim,) and S + (dim, 2).  The quadrature passes
+    u as a column and v as a row, so a term in one parameter is computed on
+    that parameter's values alone.  Closedness is encoded by the parametrization
+    (periodic parameters, or degenerate edges such as sphere poles) and
+    declared by the builder.
     """
 
-    patch: ChartMap
+    value: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray]
     extents: tuple[float, float]
     closed: bool = True
     name: str = ""
 
     def __post_init__(self):
-        if self.patch.source_dim != 2:
-            raise ValueError("meshed surface needs a 2-parameter patch")
         if any(e <= 0 for e in self.extents):
             raise ValueError("parameter extents must be positive")
-
-    def nodes(self, n: int, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
-        """Tensor-product midpoint nodes of the u-rows start..stop-1 (every
-        row by default) of the n x n rule, row by row: shape
-        ((stop - start) * n, 2)."""
-        u = (np.arange(start, n if stop is None else stop) + 0.5) * self.extents[0] / n
-        v = (np.arange(n) + 0.5) * self.extents[1] / n
-        U, V = np.meshgrid(u, v, indexing="ij")
-        return np.stack([U.ravel(), V.ravel()], axis=-1)
 
 
 def surface_integral(form: KForm, surf: MeshedSurface, n: int = DEFAULT_QUAD_NODES) -> float:
     """Integral of a two-form over the surface by composite midpoint quadrature.
 
-    The n x n nodes are evaluated one block of u-rows at a time, and a
-    block's patch Jacobians hold at most ``BLOCK_VALUES`` values, so
+    The n x n nodes are evaluated one block of u-rows at a time: the patch
+    sees the block's u values as a column and the n values of v as a row.
+    A block's patch Jacobians hold at most ``BLOCK_VALUES`` values, so
     memory does not grow with n (time grows as n^2).  Each u-row is summed
     on its own and the row sums last, so the result does not depend on the
     block size.
@@ -82,13 +79,15 @@ def surface_integral(form: KForm, surf: MeshedSurface, n: int = DEFAULT_QUAD_NOD
     if form.degree != 2:
         raise ValueError("surface integral needs a two-form")
     rows = max(1, BLOCK_VALUES // (n * form.dim * 2))
+    u = ((np.arange(n) + 0.5) * surf.extents[0] / n)[:, None]
+    v = (np.arange(n) + 0.5) * surf.extents[1] / n
     row_sums = np.empty(n)
     for a in range(0, n, rows):
-        params = surf.nodes(n, a, min(a + rows, n))
+        block = u[a:a + rows]
         # a constant form never reads the points, so the patch is not evaluated there
-        pts = None if form.constant_value is not None else surf.patch.value(params)
-        vals = evaluate_frame(form, pts, surf.patch.jacobian(params))
-        np.sum(vals.reshape(-1, n), axis=1, out=row_sums[a:a + rows])
+        pts = None if form.constant_value is not None else surf.value(block, v)
+        vals = evaluate_frame(form, pts, surf.jacobian(block, v))
+        np.sum(vals, axis=1, out=row_sums[a:a + rows])
     cell = (surf.extents[0] / n) * (surf.extents[1] / n)
     return float(np.sum(row_sums) * cell)
 

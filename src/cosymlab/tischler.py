@@ -4,7 +4,8 @@ The foliation of a generic closed one-form has non-compact leaves.  Replacing
 the form by a nearby one whose periods are rational (a common-denominator
 combination of circle-generator pullbacks) turns the foliation into a
 fibration with compact leaves, each usable as a Poincaré section.  The steps:
-compute the loop periods, approximate them simultaneously by fractions
+compute the loop periods (Gauss-Legendre quadrature on rules built by Newton's
+method on the Legendre recurrence), approximate them simultaneously by fractions
 n_i / d, and rebuild the form with the rationalized constant part (the exact
 part is kept unchanged).  The integers n_i give the leaf as a section
 (`section.leaf_section`).
@@ -79,10 +80,54 @@ class RationalApproximation:
         return self.n / float(self.d)
 
 
+#: Newton steps `_leggauss` takes at most; from Tricomi's guesses it needs 3 or 4
+LEGGAUSS_MAX_STEPS = 10
+#: largest node step of a converged Newton iteration: a few ulp of |x| <= 1
+LEGGAUSS_STEP_TOL = 1e-15
+
+
+def _legendre(nodes: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(x) and P_n'(x), n = nodes, by the three-term recurrence
+    (j + 1) P_{j+1} = (2j + 1) x P_j - j P_{j-1}, written as
+    P_{j+1} = x P_j + j / (j + 1) (x P_j - P_{j-1})."""
+    p0, p1 = np.ones_like(x), x
+    for j in range(1, nodes):
+        t = x * p1
+        p0, p1 = p1, t + (j / (j + 1)) * (t - p0)
+    return p1, nodes * (x * p1 - p0) / (x * x - 1.0)
+
+
 @functools.lru_cache(maxsize=None)
-def _leggauss(nodes: int):
-    """Gauss-Legendre nodes and weights; loads numpy.polynomial on first use."""
-    return np.polynomial.legendre.leggauss(nodes)
+def _leggauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes, ascending, and weights on [-1, 1].
+
+    Newton's method on P_n through its three-term recurrence (N. Hale and
+    A. Townsend, SIAM J. Sci. Comput. 35 (2013) A652), every node at once from
+    Tricomi's initial guesses, so the rule takes O(n) memory and O(n^2) time,
+    where numpy's `leggauss` solves a dense n x n eigenproblem.  The weights
+    are 2 / ((1 - x^2) P_n'(x)^2); as in numpy, nodes and weights are
+    symmetrised and the weights scaled to sum to 2.  Raises ArithmeticError
+    when no Newton step within LEGGAUSS_MAX_STEPS moves every node by at most
+    LEGGAUSS_STEP_TOL.
+    """
+    theta = (4 * np.arange(nodes, 0, -1) - 1) * (math.pi / (4 * nodes + 2))
+    x = (1.0 - (nodes - 1) / (8 * nodes ** 3)
+         - (39.0 - 28.0 / np.sin(theta) ** 2) / (384 * nodes ** 4)) * np.cos(theta)
+    for _ in range(LEGGAUSS_MAX_STEPS):
+        p, dp = _legendre(nodes, x)
+        step = p / dp
+        x = x - step
+        if np.max(np.abs(step)) <= LEGGAUSS_STEP_TOL:
+            break
+    else:
+        raise ArithmeticError(f"Gauss-Legendre Newton iteration on {nodes} nodes did not "
+                              f"converge in {LEGGAUSS_MAX_STEPS} steps")
+    _, dp = _legendre(nodes, x)
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    x = (x - x[::-1]) / 2.0
+    w = (w + w[::-1]) / 2.0
+    w *= 2.0 / w.sum()
+    return x, w
 
 
 def _loop_integrals(alpha: KForm, base: np.ndarray, periods: np.ndarray,
@@ -103,12 +148,12 @@ def periods(alpha: KForm, manifold: ChartManifold,
     """Loop integrals of a closed one-form over the coordinate circles,
     normalized by 2*pi.
 
-    Gauss-Legendre quadrature on PERIOD_QUAD_NODES nodes, doubled while two
-    successive rules differ by more than PERIOD_QUAD_ERR on a cycle; raises
-    QuadratureError when they still do at PERIOD_QUAD_MAX_NODES nodes.  The
-    finer rule's values are returned.  Refuses non-closed input, whose "periods"
-    would be path dependent, and input that is not a form on the chart
-    (`forms.check_periodic`).
+    Gauss-Legendre quadrature (`_leggauss`) on PERIOD_QUAD_NODES nodes,
+    doubled while two successive rules differ by more than PERIOD_QUAD_ERR on
+    a cycle; raises QuadratureError when they still do at
+    PERIOD_QUAD_MAX_NODES nodes.  The finer rule's values are returned.
+    Refuses non-closed input, whose "periods" would be path dependent, and
+    input that is not a form on the chart (`forms.check_periodic`).
     """
     if alpha.degree != 1 or alpha.dim != manifold.dim:
         raise ValueError(f"periods need a one-form on the chart, got a {alpha.degree}-form in "

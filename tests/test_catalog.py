@@ -57,6 +57,11 @@ def _sphere_jacobian(p, radius=1.0, axes=(0, 1, 2)):
     return np.stack([du, dv], axis=-1)
 
 
+def _at_points(patch):
+    """A surface patch of (u, v) as a function of points p of shape (..., 2)."""
+    return lambda p: patch(p[..., 0], p[..., 1])
+
+
 CASES = [
     ("oscillator grad_h", lambda: catalog.oscillator_2dof().grad_h, _osc_grad_h, 4),
     ("oscillator lambda", lambda: catalog.oscillator_2dof().lam.coeffs, _osc_lam, 4),
@@ -64,12 +69,12 @@ CASES = [
     ("canonical_r4 lambda", lambda: catalog.canonical_r4().lam.coeffs, _r4_lam, 4),
     ("harmonic grad_h", lambda: catalog.harmonic_oscillator().grad_h, _ho_grad_h, 2),
     ("harmonic lambda", lambda: catalog.harmonic_oscillator().lam.coeffs, _ho_lam, 2),
-    ("torus_r4 jacobian", lambda: catalog.embedded_torus_r4().patch.jacobian,
+    ("torus_r4 jacobian", lambda: _at_points(catalog.embedded_torus_r4().jacobian),
      _torus_jacobian, 2),
-    ("sphere_r4 jacobian", lambda: catalog.embedded_sphere_r4().patch.jacobian,
+    ("sphere_r4 jacobian", lambda: _at_points(catalog.embedded_sphere_r4().jacobian),
      _sphere_jacobian, 2),
     ("sphere_r4 jacobian, other axes",
-     lambda: catalog.embedded_sphere_r4(2.5, axes=(3, 0, 1)).patch.jacobian,
+     lambda: _at_points(catalog.embedded_sphere_r4(2.5, axes=(3, 0, 1)).jacobian),
      lambda p: _sphere_jacobian(p, 2.5, (3, 0, 1)), 2),
 ]
 

@@ -777,7 +777,8 @@ def test_cli_processes_do_not_import_scipy(tmp_path):
 
 
 # numpy.random adds about 6 MB to every process's peak RSS; samples come from
-# forms.Rng.  numpy.polynomial is loaded only where Gauss-Legendre quadrature runs.
+# forms.Rng.  No command loads numpy.polynomial: tischler builds its Gauss-Legendre
+# rules itself.
 @pytest.mark.parametrize("command, config", readme_configs(),
                          ids=[f"{i}-{c}" for i, (c, _) in enumerate(readme_configs())])
 def test_readme_config_processes_do_not_import_numpy_random(tmp_path, command, config):
@@ -793,7 +794,7 @@ def test_readme_config_processes_do_not_import_numpy_random(tmp_path, command, c
     ]))
     assert result["code"] == (1 if command == "obstruct" else 0)
     assert not result["random"]
-    assert result["polynomial"] == (command == "tischler")
+    assert not result["polynomial"]
 
 
 def test_cli_import_loads_neither_numpy_random_nor_numpy_polynomial():
@@ -840,8 +841,10 @@ def test_cli_process_loads_only_the_layers_its_command_runs(tmp_path, command, c
         "import cosymlab.cli as cli",
         "before = loaded()",
         f"code = cli.main({argv!r})",
-        "print(json.dumps({'code': code, 'before': before, 'after': loaded()}))",
+        "print(json.dumps({'code': code, 'before': before, 'after': loaded(),",
+        "                  'polynomial': 'numpy.polynomial' in sys.modules}))",
     ]))
     assert result["code"] == (1 if command == "obstruct" else 0)
     assert result["before"] == CLI_IMPORT
     assert sorted(set(result["after"]) - set(CLI_IMPORT)) == [f"cosymlab.{m}" for m in adds]
+    assert not result["polynomial"]

@@ -30,10 +30,10 @@ def test_constant_form_integral_never_evaluates_the_patch(t4_system):
     # a constant form reads only the patch Jacobian, never the node positions
     torus = catalog.coordinate_torus_t4()
 
-    def value(p):
+    def value(u, v):
         raise AssertionError("patch value evaluated for a constant form")
 
-    blind = O.MeshedSurface(F.ChartMap(2, 4, value, torus.patch.jacobian), torus.extents)
+    blind = O.MeshedSurface(value, torus.jacobian, torus.extents)
     assert t4_system.omega.constant_value is not None
     assert O.surface_integral(t4_system.omega, blind, n=64) == \
         O.surface_integral(t4_system.omega, torus, n=64) == pytest.approx(TWO_PI ** 2)
@@ -45,8 +45,8 @@ def test_stokes_requires_primitive(t4_system):
 
 
 def test_stokes_requires_closed_surface(r4_system):
-    open_patch = O.MeshedSurface(catalog.embedded_torus_r4().patch, (TWO_PI, TWO_PI),
-                                 closed=False)
+    torus = catalog.embedded_torus_r4()
+    open_patch = O.MeshedSurface(torus.value, torus.jacobian, torus.extents, closed=False)
     with pytest.raises(ValueError, match="closed"):
         O.stokes_exactness_check(r4_system, open_patch)
 
@@ -91,6 +91,31 @@ def test_quadrature_is_independent_of_the_block_size(monkeypatch, r4_system, n):
         results.append([O.surface_integral(form, surf, n) for form, surf in cases])
     assert results[0] == results[1] == results[2]
     assert all(abs(value) < 1e-12 for value in results[0][:2])
+
+
+def _pointwise_integral(form, surf, n):
+    """The midpoint rule with the patch evaluated node by node: u and v as flat
+    arrays over all n^2 nodes, each u-row summed on its own and the row sums last."""
+    u = (np.arange(n) + 0.5) * surf.extents[0] / n
+    v = (np.arange(n) + 0.5) * surf.extents[1] / n
+    U, V = (a.ravel() for a in np.meshgrid(u, v, indexing="ij"))
+    pts = None if form.constant_value is not None else surf.value(U, V)
+    vals = F.evaluate_frame(form, pts, surf.jacobian(U, V)).reshape(n, n)
+    return float(np.sum(np.sum(vals, axis=1)) * ((surf.extents[0] / n) * (surf.extents[1] / n)))
+
+
+@pytest.mark.parametrize("surface", ["torus", "sphere", "coordinate torus"])
+@pytest.mark.parametrize("form", ["constant", "exp(x2)"])
+@pytest.mark.parametrize("n", [7, 100])
+def test_per_axis_quadrature_equals_the_pointwise_rule(monkeypatch, r4_system, surface, form, n):
+    # the quadrature passes each block a column of u and a row of v; every node
+    # sees the same arithmetic as when the patch is evaluated at it alone, so the
+    # integrals agree to the bit.  Blocks of 3 u-rows, which divide neither n
+    surf = {"torus": catalog.embedded_torus_r4, "sphere": _offset_sphere,
+            "coordinate torus": catalog.coordinate_torus_t4}[surface]()
+    form = r4_system.omega if form == "constant" else _exp_form()
+    monkeypatch.setattr(O, "BLOCK_VALUES", 3 * n * 4 * 2)
+    assert O.surface_integral(form, surf, n) == _pointwise_integral(form, surf, n)
 
 
 def test_stokes_memory_bound(r4_system):

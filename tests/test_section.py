@@ -654,7 +654,7 @@ def test_iterate_returns_field_work(monkeypatch):
                         lambda self, x: calls.append(1) or field(self, x))
     r = S.iterate_returns(system, sec, starts, 3, t_max=20.0)
     assert r.failures == [None] * 4
-    assert len(calls) <= 1.1 * 722
+    assert len(calls) == 722
 
 
 def test_crossing_verdicts_keep_their_precedence(monkeypatch):

@@ -107,6 +107,57 @@ def test_periods_need_torus():
         T.periods(F.coordinate_form(2, 0), F.ChartManifold(2))
 
 
+# -- the Gauss-Legendre rule ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 128, 256, 2048])
+def test_gauss_legendre_rule_is_symmetric_and_weights_sum_to_two(n):
+    x, w = T._leggauss(n)
+    assert x.shape == w.shape == (n,)
+    assert np.all(np.diff(x) > 0) and -1 < x[0] and x[-1] < 1
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    assert np.all(w > 0)
+    assert abs(w.sum() - 2.0) <= np.spacing(2.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 128, 2048])
+def test_gauss_legendre_rule_integrates_even_monomials_exactly(n):
+    # an n-node rule is exact up to degree 2n - 1: x^(2k) integrates to 2 / (2k + 1)
+    x, w = T._leggauss(n)
+    for k in range(min(n, 6)):
+        assert abs(w @ x ** (2 * k) - 2.0 / (2 * k + 1)) < 1e-14, k
+
+
+@pytest.mark.parametrize("n", [128, 256])
+def test_gauss_legendre_rule_matches_numpy(n):
+    # numpy solves the companion eigenproblem and takes one Newton step; both
+    # rules are exact to a few ulp, numpy's weights to about 6e-15
+    x, w = T._leggauss(n)
+    x_ref, w_ref = np.polynomial.legendre.leggauss(n)
+    assert np.all(np.abs(x - x_ref) <= 2 * np.spacing(np.abs(x_ref)))
+    assert np.max(np.abs(w - w_ref)) < 1e-14
+
+
+def test_gauss_legendre_rule_memory_is_linear_in_the_nodes():
+    # numpy's eigenproblem holds a 2048 x 2048 matrix (32 MiB); the recurrence
+    # holds a few arrays of 2048 floats
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        T._leggauss.__wrapped__(2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_gauss_legendre_rule_raises_when_newton_does_not_converge(monkeypatch):
+    # one step from Tricomi's guesses moves the 128 nodes by up to 2.5e-7
+    monkeypatch.setattr(T, "LEGGAUSS_MAX_STEPS", 1)
+    with pytest.raises(ArithmeticError, match="128 nodes did not converge in 1 steps"):
+        T._leggauss.__wrapped__(128)
+
+
 # -- rationalization -----------------------------------------------------------------
 
 
