@@ -32,12 +32,12 @@ FREQ2 = math.sqrt(2.0)   # frequency of the second oscillator pair, incommensura
 ROTATION = 1.0 / 3.0   # rotation number of the suspended circle rotation
 
 
-def torus(n: int, period: float = TWO_PI, name: str = "") -> ChartManifold:
-    return ChartManifold(n, (True,) * n, (period,) * n, name=name or f"T{n}")
+def torus(n: int) -> ChartManifold:
+    return ChartManifold(n, (True,) * n)
 
 
-def euclidean(n: int, name: str = "", cotangent: bool = False) -> ChartManifold:
-    return ChartManifold(n, (False,) * n, name=name or f"R{n}", cotangent_model=cotangent)
+def euclidean(n: int, cotangent: bool = False) -> ChartManifold:
+    return ChartManifold(n, (False,) * n, cotangent_model=cotangent)
 
 
 # -- cosymplectic seeds ---------------------------------------------------------
@@ -49,8 +49,7 @@ def seed_t3() -> CosymplecticStructure:
     from .cosym import CosymplecticStructure
     t3 = torus(3)
     return CosymplecticStructure(t3, coordinate_form(3, 2),
-                                 wedge(coordinate_form(3, 0), coordinate_form(3, 1)),
-                                 name="t3")
+                                 wedge(coordinate_form(3, 0), coordinate_form(3, 1)))
 
 
 def seed_t5() -> CosymplecticStructure:
@@ -59,7 +58,7 @@ def seed_t5() -> CosymplecticStructure:
     t5 = torus(5)
     beta = (wedge(coordinate_form(5, 0), coordinate_form(5, 1))
             + wedge(coordinate_form(5, 2), coordinate_form(5, 3)))
-    return CosymplecticStructure(t5, coordinate_form(5, 4), beta, name="t5")
+    return CosymplecticStructure(t5, coordinate_form(5, 4), beta)
 
 
 SEEDS: dict[str, Callable[[], CosymplecticStructure]] = {
@@ -72,7 +71,7 @@ SEEDS: dict[str, Callable[[], CosymplecticStructure]] = {
 
 
 def quadratic_system(chart: ChartManifold, weights: Sequence[float],
-                     primitive: Sequence[tuple[int, int]], name: str) -> HamiltonianSystem:
+                     primitive: Sequence[tuple[int, int]]) -> HamiltonianSystem:
     """H = 1/2 sum_i w_i x_i^2 on the chart, with the linear primitive
     lambda = sum x_j dx_i over the (i, j) pairs of ``primitive`` and
     omega = d lambda = sum dx_j ^ dx_i, a constant form.
@@ -111,29 +110,27 @@ def quadratic_system(chart: ChartManifold, weights: Sequence[float],
             return out
 
     return HamiltonianSystem(chart, constant_form(dim, 2, omega), h, grad_h,
-                             lam=KForm(1, dim, lam_coeffs), name=name)
+                             lam=KForm(1, dim, lam_coeffs))
 
 
 def harmonic_oscillator() -> HamiltonianSystem:
     """One-degree oscillator on (q, p); exact chart, so the exactness
     obstruction applies."""
-    return quadratic_system(euclidean(2, "R2(q,p)"), (1.0, 1.0), [(1, 0)],
-                            "harmonic_oscillator")
+    return quadratic_system(euclidean(2), (1.0, 1.0), [(1, 0)])
 
 
 def oscillator_2dof() -> HamiltonianSystem:
     """Two uncoupled oscillators with frequency ratio FREQ2; coordinates
     (q1, p1, q2, p2)."""
-    return quadratic_system(euclidean(4, "R4(q1,p1,q2,p2)"), (1.0, 1.0, FREQ2, FREQ2),
-                            [(1, 0), (3, 2)], f"oscillator_2dof({FREQ2:g})")
+    return quadratic_system(euclidean(4), (1.0, 1.0, FREQ2, FREQ2), [(1, 0), (3, 2)])
 
 
 def canonical_r4() -> HamiltonianSystem:
     """Cotangent-model chart (q1, q2, p1, p2) with the canonical exact form
     dp1 ^ dq1 + dp2 ^ dq2, its tautological primitive p1 dq1 + p2 dq2 and the
     free-particle energy."""
-    return quadratic_system(euclidean(4, "T*R2", cotangent=True), (0.0, 0.0, 1.0, 1.0),
-                            [(0, 2), (1, 3)], "canonical_r4")
+    return quadratic_system(euclidean(4, cotangent=True), (0.0, 0.0, 1.0, 1.0),
+                            [(0, 2), (1, 3)])
 
 
 def product_system(seed: str = "t3") -> HamiltonianSystem:
@@ -146,10 +143,9 @@ def product_system(seed: str = "t3") -> HamiltonianSystem:
 def suspension_rotation() -> FlowSystem:
     """Suspension of the circle rotation by ROTATION on unit-period T^2
     coordinates (x, t): unit speed in t, holonomy x -> x + ROTATION."""
-    t2 = ChartManifold(2, (True, True), (1.0, 1.0), name="T2(x,t)")
+    t2 = ChartManifold(2, (True, True), (1.0, 1.0))
     vel = np.array([ROTATION, 1.0])
-    return FlowSystem(t2, lambda x: np.broadcast_to(vel, np.shape(x)).copy(),
-                      name=f"suspension_rotation({ROTATION:g})")
+    return FlowSystem(t2, lambda x: np.broadcast_to(vel, np.shape(x)).copy())
 
 
 # -- samplers and the system registry --------------------------------------------
@@ -162,10 +158,11 @@ def sample_zero_slice(system, rng: Rng, n: int, coords: list[int]) -> np.ndarray
     return pts
 
 
-def sample_oscillator_surface(system: HamiltonianSystem, level: float, rng: Rng, n: int,
-                              on_section: bool = False) -> np.ndarray:
-    """Points of the oscillator level set, splitting the energy between the
-    two pairs away from the degenerate axes; the level must be positive."""
+def sample_oscillator_surface(system: HamiltonianSystem, level: float, rng: Rng,
+                              n: int) -> np.ndarray:
+    """Points of the oscillator level set on its default section, the phase
+    angle 0 of the pair (2, 3), splitting the energy between the two pairs
+    away from the degenerate axes; the level must be positive."""
     if not level > 0:
         raise ValueError(f"oscillator energy level must be positive, got {level!r}")
     f = rng.uniform(0.1, 0.9, size=n)
@@ -173,9 +170,7 @@ def sample_oscillator_surface(system: HamiltonianSystem, level: float, rng: Rng,
     r1 = np.sqrt(2.0 * e1)
     r2 = np.sqrt(2.0 * (level - e1) / FREQ2)
     phi1 = rng.uniform(0.0, TWO_PI, size=n)
-    phi2 = np.zeros(n) if on_section else rng.uniform(0.0, TWO_PI, size=n)
-    return np.stack([r1 * np.cos(phi1), -r1 * np.sin(phi1),
-                     r2 * np.cos(phi2), -r2 * np.sin(phi2)], axis=-1)
+    return np.stack([r1 * np.cos(phi1), -r1 * np.sin(phi1), r2, np.zeros(n)], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -204,8 +199,7 @@ SYSTEMS: dict[str, SystemEntry] = {
     "harmonic_oscillator": SystemEntry(harmonic_oscillator, {"kind": "angle", "pair": [0, 1]}),
     "oscillator_2dof_sqrt2": SystemEntry(
         oscillator_2dof, {"kind": "angle", "pair": [2, 3]},
-        lambda system, rng, n, level: sample_oscillator_surface(system, level, rng, n,
-                                                                on_section=True)),
+        lambda system, rng, n, level: sample_oscillator_surface(system, level, rng, n)),
     "canonical_r4": SystemEntry(canonical_r4),
     "t4_product": replace(PRODUCT, factory=lambda: product_system("t3")),
     "t6_product": replace(PRODUCT, factory=lambda: product_system("t5")),
@@ -281,30 +275,28 @@ def _patch_jacobian(u, v) -> tuple[np.ndarray, np.ndarray]:
     return np.moveaxis(entries, (0, 1), (-2, -1)), entries
 
 
-def embedded_torus_r4(r1: float = 1.0, r2: float = 0.7,
-                      center: Optional[np.ndarray] = None) -> MeshedSurface:
-    """Product of circles in the (0,1) and (2,3) coordinate planes of a
-    4-dimensional chart."""
+def embedded_torus_r4() -> MeshedSurface:
+    """Product of the circles of radius 1 and 0.7 about the origin in the
+    (0,1) and (2,3) coordinate planes of a 4-dimensional chart."""
     from .obstruct import MeshedSurface
-    c = np.zeros(4) if center is None else np.asarray(center, dtype=float)
 
     def value(u, v):
         out = np.empty(_grid_shape(u, v) + (4,))
-        out[..., 0] = c[0] + r1 * np.cos(u)
-        out[..., 1] = c[1] + r1 * np.sin(u)
-        out[..., 2] = c[2] + r2 * np.cos(v)
-        out[..., 3] = c[3] + r2 * np.sin(v)
+        out[..., 0] = np.cos(u)
+        out[..., 1] = np.sin(u)
+        out[..., 2] = 0.7 * np.cos(v)
+        out[..., 3] = 0.7 * np.sin(v)
         return out
 
     def jacobian(u, v):
         out, entries = _patch_jacobian(u, v)
-        entries[0, 0] = -r1 * np.sin(u)
-        entries[1, 0] = r1 * np.cos(u)
-        entries[2, 1] = -r2 * np.sin(v)
-        entries[3, 1] = r2 * np.cos(v)
+        entries[0, 0] = -np.sin(u)
+        entries[1, 0] = np.cos(u)
+        entries[2, 1] = -0.7 * np.sin(v)
+        entries[3, 1] = 0.7 * np.cos(v)
         return out
 
-    return MeshedSurface(value, jacobian, (TWO_PI, TWO_PI), name="torus_r4")
+    return MeshedSurface(value, jacobian, (TWO_PI, TWO_PI))
 
 
 def embedded_sphere_r4(radius: float = 1.0, center: Optional[np.ndarray] = None,
@@ -335,11 +327,11 @@ def embedded_sphere_r4(radius: float = 1.0, center: Optional[np.ndarray] = None,
         entries[a1, 1] = r_su * cv
         return out
 
-    return MeshedSurface(value, jacobian, (math.pi, TWO_PI), name="sphere_r4")
+    return MeshedSurface(value, jacobian, (math.pi, TWO_PI))
 
 
-def coordinate_torus_t4(z0: float = 0.0, theta0: float = 0.0) -> MeshedSurface:
-    """Coordinate 2-torus {z = z0, theta = theta0} in the standard T^4 chart,
+def coordinate_torus_t4() -> MeshedSurface:
+    """Coordinate 2-torus {z = 0, theta = 0} in the standard T^4 chart,
     parametrized by its first two coordinates."""
     from .obstruct import MeshedSurface
     jac = np.zeros((4, 2))
@@ -347,10 +339,10 @@ def coordinate_torus_t4(z0: float = 0.0, theta0: float = 0.0) -> MeshedSurface:
 
     def value(u, v):
         out = np.empty(_grid_shape(u, v) + (4,))
-        out[..., 0], out[..., 1], out[..., 2], out[..., 3] = u, v, z0, theta0
+        out[..., 0], out[..., 1], out[..., 2], out[..., 3] = u, v, 0.0, 0.0
         return out
 
     def jacobian(u, v):
         return np.broadcast_to(jac, _grid_shape(u, v) + jac.shape)
 
-    return MeshedSurface(value, jacobian, (TWO_PI, TWO_PI), name="coordinate_torus_t4")
+    return MeshedSurface(value, jacobian, (TWO_PI, TWO_PI))

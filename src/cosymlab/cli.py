@@ -114,7 +114,7 @@ OBJECT = Check("an object", lambda v: False)
 # a cosymplectic check in dimension 12 builds wedge powers of binomial(12, 6) components
 DIM = (count(1, 12), REQUIRED, "chart dimension")
 INLINE_SYSTEM = {
-    "dim": DIM, "name": (STRING, "inline", "name in the report"),
+    "dim": DIM, "name": (STRING, "inline", "title of return-map's plot.svg"),
     "coordinates": (list_of(STRING.ok, "a list of names"), (), "default x0, x1, ..."),
     "periodic": (list_of(lambda v: type(v) is bool, "a list of booleans"), (), "default none"),
     "periods": (list_of(num(0).ok, "a list of positive numbers"), (), "default 2π each"),
@@ -123,7 +123,7 @@ INLINE_SYSTEM = {
                     REQUIRED, "energy H; the flow X solves ι_X ω = dH"),
     "lambda": (form(1), None, "primitive λ of ω, checked: dλ = ω; default none"),
 }
-INLINE_COSYM = {**{k: INLINE_SYSTEM[k] for k in ("dim", "name", "coordinates")},
+INLINE_COSYM = {**{k: INLINE_SYSTEM[k] for k in ("dim", "coordinates")},
                 "alpha": (form(1), REQUIRED, "closed one-form α"),
                 "beta": (form(2), REQUIRED, "closed two-form β")}
 KIND = (name_in(("coordinate", "angle", "leaf")), "coordinate", "section family")
@@ -271,13 +271,12 @@ def build_inline_system(spec: dict) -> HamiltonianSystem:
     from . import expr
     dim, names = spec["dim"], _coordinate_names(spec)
     try:
-        chart = ChartManifold(dim, tuple(spec["periodic"]), tuple(spec["periods"]),
-                              name=spec["name"])
+        chart = ChartManifold(dim, tuple(spec["periodic"]), tuple(spec["periods"]))
         h_expr = expr.parse(str(spec["hamiltonian"]), names)
         lam = None if spec["lambda"] is None else _form_from_entries(dim, names,
                                                                       spec["lambda"], 1)
         system = HamiltonianSystem(chart, _form_from_entries(dim, names, spec["omega"], 2),
-                                   h_expr, h_expr.gradient(), lam=lam, name=spec["name"])
+                                   h_expr, h_expr.gradient(), lam=lam)
     except ValueError as exc:
         raise ConfigError(f"bad inline system spec: {exc}") from exc
     try:
@@ -553,9 +552,9 @@ def cmd_verify_cosym(cfg: dict, runner: Runner, seed: int) -> None:
         dim, names = spec["dim"], _coordinate_names(spec)
         try:
             cs = cosym.CosymplecticStructure(
-                ChartManifold(dim, (True,) * dim, name=spec["name"]),
+                ChartManifold(dim, (True,) * dim),
                 _form_from_entries(dim, names, spec["alpha"], 1),
-                _form_from_entries(dim, names, spec["beta"], 2), name=spec["name"])
+                _form_from_entries(dim, names, spec["beta"], 2))
             # fixed samples, as for an inline system: whether a form lives on the
             # chart does not depend on the seed
             samples = cs.manifold.sample(Rng(0), 32)
@@ -627,8 +626,7 @@ def cmd_tischler(cfg: dict, runner: Runner, seed: int) -> None:
         sample = entry.level(system).sample if entry.level else system.manifold.sample
         samples = sample(Rng(seed), cfg["samples"])
         with runner.timed("transversality"):
-            trans = tischler.check_transversality_preserved(system, alpha_prime,
-                                                            samples, alpha=alpha)
+            trans = tischler.check_transversality_preserved(system, alpha_prime, samples, alpha)
         runner.check("transversality", trans.passed, trans.as_dict())
 
 
@@ -655,13 +653,15 @@ def cmd_obstruct(cfg: dict, runner: Runner, seed: int) -> None:
             raise ConfigError(f"config field 'system': {name!r} is not a Hamiltonian system, "
                               "so the exactness obstruction does not apply")
         with runner.timed("exactness"):
+            # the verdict certifies the primitive, so the Stokes integrals of a
+            # negative one need no second check
             verdict = obstruct.exactness_verdict(system)
             integrals = {}
-            if system.lam is not None and system.dim == 4 and not any(system.manifold.periodic):
+            if verdict.negative and system.dim == 4 and not any(system.manifold.periodic):
                 for surface, build in (("torus", catalog.embedded_torus_r4),
                                        ("sphere", catalog.embedded_sphere_r4)):
-                    integrals[surface] = obstruct.stokes_exactness_check(
-                        system, build(), cfg["quad_nodes"])
+                    integrals[surface] = obstruct.surface_integral(system.omega, build(),
+                                                                   cfg["quad_nodes"])
         runner.check("exactness_verdict", not verdict.negative,
                      verdict.as_dict(), surface_integrals=integrals)
 

@@ -40,7 +40,6 @@ class CosymplecticStructure:
     manifold: ChartManifold
     alpha: KForm
     beta: KForm
-    name: str = ""
 
     def __post_init__(self):
         if self.manifold.dim % 2 == 0:
@@ -95,12 +94,14 @@ def verify_cosymplectic(cs: CosymplecticStructure, samples: np.ndarray) -> Cosym
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     if samples.size == 0:
         raise ValueError("verification needs a nonempty sample set")
-    d_alpha = max_coeff_magnitude(exterior_derivative(cs.alpha), samples)
-    dim = cs.manifold.dim
-    d_beta = 0.0
-    if cs.beta.degree + 1 <= dim:
-        d_beta = max_coeff_magnitude(exterior_derivative(cs.beta), samples)
-    vol = cs.volume_form().coeffs(samples)[..., 0]
+    # a NaN residual or volume fails the bounds below; a constant wedge
+    # is computed when the volume form is built
+    with np.errstate(all="ignore"):
+        d_alpha = max_coeff_magnitude(exterior_derivative(cs.alpha), samples)
+        d_beta = 0.0
+        if cs.beta.degree + 1 <= cs.manifold.dim:
+            d_beta = max_coeff_magnitude(exterior_derivative(cs.beta), samples)
+        vol = cs.volume_form().coeffs(samples)[..., 0]
     worst = samples[int(np.argmin(np.abs(vol)))]
     margin = float(np.min(np.abs(vol)))
     passed = d_alpha < CLOSED_TOL and d_beta < CLOSED_TOL and margin > VOLUME_MARGIN
@@ -135,8 +136,7 @@ def field_to_cosym(Z: EnergySurface, X: Callable[[np.ndarray], np.ndarray],
         raise ValueError(f"field is not symplectic: sampled |d(iota_X omega)| = {residual:.3e}")
     cs = CosymplecticStructure(Z.section_chart,
                                pullback(incl, alpha_ambient),
-                               pullback(incl, system.omega),
-                               name=f"induced on {system.name or 'system'} level set")
+                               pullback(incl, system.omega))
     report = verify_cosymplectic(cs, samples)
     if not report.passed:
         raise ValueError(f"induced pair fails verification: {report.as_dict()}")
@@ -201,8 +201,7 @@ def build_product_system(cs: CosymplecticStructure,
     if not report.passed:
         raise ValueError(f"seed pair fails verification: {report.as_dict()}")
     dim = n_chart.dim + 1
-    chart = ChartManifold(dim, n_chart.periodic + (True,), n_chart.periods + (2.0 * math.pi,),
-                          name=f"{n_chart.name or 'N'}xS1")
+    chart = ChartManifold(dim, n_chart.periodic + (True,), n_chart.periods + (2.0 * math.pi,))
     omega = _collar_form(cs)
 
     def h(x: np.ndarray) -> np.ndarray:
@@ -214,8 +213,7 @@ def build_product_system(cs: CosymplecticStructure,
         g[..., dim - 1] = np.cos(x[..., dim - 1])
         return g
 
-    system = HamiltonianSystem(chart, omega, h, grad_h,
-                               name=f"product({cs.name or n_chart.name or 'seed'})")
+    system = HamiltonianSystem(chart, omega, h, grad_h)
     amb = np.concatenate([seed_samples, rng.uniform(0, 2 * math.pi, (len(seed_samples), 1))],
                          axis=-1)
     system.validate(amb)
@@ -236,6 +234,5 @@ def build_collar_form(cs: CosymplecticStructure) -> CollarModel:
     shortest period; restricts to beta on the zero slice."""
     n_chart = cs.manifold
     eps = 0.1 * min(n_chart.periods)
-    chart = ChartManifold(n_chart.dim + 1, n_chart.periodic + (False,), n_chart.periods + (1.0,),
-                          name=f"{n_chart.name or 'Z'}x(-{eps:g},{eps:g})")
+    chart = ChartManifold(n_chart.dim + 1, n_chart.periodic + (False,), n_chart.periods + (1.0,))
     return CollarModel(chart, _collar_form(cs), eps)

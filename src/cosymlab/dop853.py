@@ -6,8 +6,11 @@ Differential Equations I: Nonstiff Problems*, 2nd ed., Springer 1993,
 section II.5; E. Hairer's Fortran code ``dop853.f``).  A step takes 12
 stages.
 
-`solve` integrates rows of state vectors, each on its own steps, and returns
-the state each row ends in: a row has its own time, step size, error norm
+`solve` integrates rows of state vectors forward in time, from t = 0 to a
+t1 > 0, each on its own steps, and returns the state each row ends in (a
+backward integration is the forward one of the reversed field, whose steps
+and states are SciPy's backward ones, times negated): a row has its own
+time, step size, error norm
 and accept/reject decision, and every stage of a step is one batched field
 call over the rows still going.  A row is one orbit, or a group of orbits
 stacked into one vector that shares one step sequence.  Each row's step-size
@@ -224,7 +227,7 @@ def _rms(x: np.ndarray):
     return (norm / x.shape[-1] ** 0.5).reshape(x.shape[:-1])[()]
 
 
-def _initial_step(fun, y0, f0, span, direction, rtol, atol) -> np.ndarray:
+def _initial_step(fun, y0, f0, span, rtol, atol) -> np.ndarray:
     """Hairer-Norsett-Wanner's starting step (section II.4) of every row."""
     scale = atol + np.abs(y0) * rtol
     d0 = _rms(y0 / scale)
@@ -232,7 +235,7 @@ def _initial_step(fun, y0, f0, span, direction, rtol, atol) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
     h0 = np.minimum(h0, span)
-    f1 = fun(y0 + h0[:, None] * direction * f0)
+    f1 = fun(y0 + h0[:, None] * f0)
     d2 = _rms((f1 - f0) / scale) / h0
     flat = (d1 <= 1e-15) & (d2 <= 1e-15)
     with np.errstate(divide="ignore"):
@@ -257,11 +260,11 @@ def _error_norm(K_T: np.ndarray, h_abs: np.ndarray, scale: np.ndarray) -> np.nda
     return h_abs * err5_norm_2 / np.sqrt(denom * scale.shape[1])
 
 
-def solve(fun: Callable[[np.ndarray], np.ndarray], t0: float, t1: float, y0,
-          rtol: float, atol: float, step: Optional[Callable] = None,
-          first_step: Optional[float] = None) -> np.ndarray:
-    """Integrate the autonomous system y' = fun(y) from t0 to t1, every row of
-    the state on its own steps, and return the end states (rows, n).
+def solve(fun: Callable[[np.ndarray], np.ndarray], t1: float, y0, rtol: float, atol: float,
+          step: Optional[Callable] = None, first_step: Optional[float] = None) -> np.ndarray:
+    """Integrate the autonomous system y' = fun(y) forward from t = 0 to
+    t1 > 0, every row of the state on its own steps, and return the end
+    states (rows, n).
 
     ``y0`` holds rows (rows, n), and ``fun`` maps any (k, n) rows to (k, n):
     each stage of a step is one call over the rows still going.  Every row has
@@ -277,18 +280,18 @@ def solve(fun: Callable[[np.ndarray], np.ndarray], t0: float, t1: float, y0,
 
     ``first_step``, when given, is every row's first step size in place of
     Hairer-Norsett-Wanner's, which saves that guess its field call; as in
-    SciPy it must be positive and no longer than |t1 - t0|, and the steps
-    after it, a shrink after its rejection among them, are the usual ones.
+    SciPy it must be positive and no longer than t1, and the steps after it,
+    a shrink after its rejection among them, are the usual ones.
 
     A row whose step size falls below ten floating-point spacings of its time
     stalls; once every other row has finished, StepSizeUnderflow names the
     stalled rows.
     """
-    t0, t1 = float(t0), float(t1)
-    if t1 == t0:
-        raise ValueError("empty integration interval")
-    if first_step is not None and not 0 < first_step <= abs(t1 - t0):
-        raise ValueError(f"first_step must be positive and at most |t1 - t0| = {abs(t1 - t0):g}, "
+    t1 = float(t1)
+    if not t1 > 0:
+        raise ValueError(f"integration runs forward from t = 0: t1 must be positive, got {t1!r}")
+    if first_step is not None and not 0 < first_step <= t1:
+        raise ValueError(f"first_step must be positive and at most t1 = {t1:g}, "
                          f"got {first_step!r}")
     y = np.array(y0, dtype=float)
     if y.ndim != 2:
@@ -296,21 +299,18 @@ def solve(fun: Callable[[np.ndarray], np.ndarray], t0: float, t1: float, y0,
     if not np.isfinite(y).all():
         raise ValueError("the initial state must be finite")
     rtol = max(rtol, RTOL_MIN)
-    direction = 1.0 if t1 > t0 else -1.0
     rows = np.arange(len(y))
-    t = np.full(len(y), t0)
+    t = np.zeros(len(y))
     f = fun(y)
-    h_abs = (_initial_step(fun, y, f, abs(t1 - t0), direction, rtol, atol) if first_step is None
+    h_abs = (_initial_step(fun, y, f, t1, rtol, atol) if first_step is None
              else np.full(len(y), float(first_step)))
     rejected = None   # per row whether its last step was rejected; None when none was
     y_end = y.copy()
     stalled, stall_times = [], []
     laid_out = 0   # the number of rows the stage arrays below are laid out for
     while rows.size:
-        # ten spacings of each row's time toward t1; the difference has the
-        # direction's sign, so it needs no abs
-        min_step = (10 * (np.nextafter(t, np.inf) - t) if direction > 0 else
-                    10 * (t - np.nextafter(t, -np.inf)))
+        # ten spacings of each row's time toward t1
+        min_step = 10 * (np.nextafter(t, np.inf) - t)
         if rejected is None:
             h_abs = np.maximum(h_abs, min_step)
         else:
@@ -324,11 +324,9 @@ def solve(fun: Callable[[np.ndarray], np.ndarray], t0: float, t1: float, y0,
                 rows, t, y, f, h_abs, rejected = (a[keep] for a in (rows, t, y, f, h_abs, rejected))
                 if not rows.size:
                     break
-        # t + h_abs * direction, without the multiply by +-1
-        t_new = np.minimum(t + h_abs, t1) if direction > 0 else np.maximum(t - h_abs, t1)
-        h = t_new - t
-        h_abs = h if direction > 0 else -h
-        h_each = h.repeat(y.shape[1])   # each row's step at each of its values
+        t_new = np.minimum(t + h_abs, t1)
+        h_abs = t_new - t
+        h_each = h_abs.repeat(y.shape[1])   # each row's step at each of its values
         if len(rows) != laid_out:
             laid_out = len(rows)
             # the 12 stages and the end field of all rows side by side, the same

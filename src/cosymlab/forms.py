@@ -98,7 +98,6 @@ class ChartManifold:
     dim: int
     periodic: tuple[bool, ...] = ()
     periods: tuple[float, ...] = ()
-    name: str = ""
     cotangent_model: bool = False
 
     def __post_init__(self):

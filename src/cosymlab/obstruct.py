@@ -51,15 +51,12 @@ class MeshedSurface:
     S they return shapes S + (dim,) and S + (dim, 2).  The quadrature passes
     u as a column and v as a row, so a term in one parameter is computed on
     that parameter's values alone.  Closedness is encoded by the parametrization
-    (periodic parameters, or degenerate edges such as sphere poles) and
-    declared by the builder.
+    (periodic parameters, or degenerate edges such as sphere poles).
     """
 
     value: Callable[[np.ndarray, np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray]
     extents: tuple[float, float]
-    closed: bool = True
-    name: str = ""
 
     def __post_init__(self):
         if any(e <= 0 for e in self.extents):
@@ -90,22 +87,6 @@ def surface_integral(form: KForm, surf: MeshedSurface, n: int = DEFAULT_QUAD_NOD
         np.sum(vals, axis=1, out=row_sums[a:a + rows])
     cell = (surf.extents[0] / n) * (surf.extents[1] / n)
     return float(np.sum(row_sums) * cell)
-
-
-def stokes_exactness_check(sys: HamiltonianSystem, surf: MeshedSurface,
-                           n: int = DEFAULT_QUAD_NODES) -> float:
-    """Integral of the restricted symplectic form over a closed surface.
-
-    Requires a verified primitive; the result must vanish within quadrature
-    tolerance, certifying that no closed surface carries the strictly
-    positive symplectic area a symplectic submanifold would need.
-    """
-    if sys.lam is None:
-        raise PrimitiveError("no global primitive declared for the symplectic form")
-    if not surf.closed:
-        raise ValueError("the Stokes test needs a closed surface")
-    check_primitive(sys)
-    return surface_integral(sys.omega, surf, n)
 
 
 def check_primitive(sys: HamiltonianSystem) -> float:
@@ -185,8 +166,7 @@ def betti_necessary_condition(bp: BettiProfile) -> BettiResult:
                        f"{bp.name}: all Betti numbers positive (necessary condition only)")
 
 
-def simply_connected_verdict(compact: bool, simply_connected: bool,
-                             name: str = "") -> Verdict:
+def simply_connected_verdict(compact: bool, simply_connected: bool, name: str) -> Verdict:
     """Global-section verdict for connected level sets in a compact simply
     connected ambient manifold.
 
@@ -194,11 +174,10 @@ def simply_connected_verdict(compact: bool, simply_connected: bool,
     hypersurface into a proper subset of itself with the same volume, which
     is impossible; hence the negative verdict whenever both flags hold.
     """
-    label = f" on {name}" if name else ""
     if compact and simply_connected:
         return Verdict(
             "negative",
-            f"compact simply connected ambient manifold{label}: every separating "
+            f"compact simply connected ambient manifold on {name}: every separating "
             "hypersurface bounds, so no transverse symplectic field and no level "
             "set with a global transverse Poincaré section exists",
             {"compact": True, "simply_connected": True})
@@ -208,6 +187,6 @@ def simply_connected_verdict(compact: bool, simply_connected: bool,
     if not simply_connected:
         reason.append("not simply connected")
     return Verdict("inconclusive",
-                   f"ambient manifold{label} is {' and '.join(reason)}; "
+                   f"ambient manifold on {name} is {' and '.join(reason)}; "
                    "the volume argument does not apply",
                    {"compact": compact, "simply_connected": simply_connected})

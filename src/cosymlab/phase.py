@@ -12,11 +12,12 @@ Sign convention, fixed throughout:
 Classical references differ by a sign; every derived quantity here (flows,
 return maps, transversality margins) uses this convention.
 
-Flows integrate through one entry point, `integrate_batch`, with the
-package's own batched DOP853 stepper (`dop853`: the explicit Runge-Kutta pair
-of order 8 with SciPy's step-size control, in NumPy only) at a caller-given
-tolerance, rtol = tol and atol = tol / 100; each orbit of a batch takes its
-own steps, and the integration returns the states they end in.  Orbits that
+Flows integrate forward in time through one entry point, `integrate_batch`,
+with the package's own batched DOP853 stepper (`dop853`: the explicit
+Runge-Kutta pair of order 8 with SciPy's step-size control, in NumPy only)
+at a caller-given tolerance, rtol = tol and atol = tol / 100; each orbit of
+a batch takes its own steps, and the integration returns the states they
+end in.  Orbits that
 must share one step sequence are stacked by their caller into one row.  A
 caller that needs states along an orbit integrates to each time it needs, or
 watches the steps through a step hook.
@@ -110,7 +111,6 @@ class HamiltonianSystem:
     h: Callable[[np.ndarray], np.ndarray]
     grad_h: Callable[[np.ndarray], np.ndarray]
     lam: Optional[KForm] = None
-    name: str = ""
 
     def __post_init__(self):
         if self.manifold.dim % 2:
@@ -212,7 +212,6 @@ class FlowSystem:
 
     manifold: ChartManifold
     field_fn: Callable[[np.ndarray], np.ndarray]
-    name: str = ""
 
     @property
     def dim(self) -> int:
@@ -256,8 +255,7 @@ class EnergySurface:
         m = self.system.manifold
         return ChartManifold(m.dim - 1,
                              tuple(m.periodic[i] for i in self._kept),
-                             tuple(m.periods[i] for i in self._kept),
-                             name=f"{m.name or 'chart'}|slice{self.slice_coord}")
+                             tuple(m.periods[i] for i in self._kept))
 
     def inclusion(self) -> ChartMap:
         """ChartMap embedding the slice copy of Z into the ambient chart."""
@@ -272,16 +270,16 @@ class EnergySurface:
         return ChartMap.coordinate_projection(self.system.dim, self._kept)
 
 
-def integrate_batch(field: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, t0: float,
-                    t1: float, tol: float = DEFAULT_FLOW_TOL,
-                    step: Optional[Callable] = None,
+def integrate_batch(field: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, t1: float,
+                    tol: float = DEFAULT_FLOW_TOL, step: Optional[Callable] = None,
                     first_step: Optional[float] = None) -> np.ndarray:
     """Integrate a batch of initial conditions x0 (n, dim) along ``field``, a
-    function of state rows (n, dim), and return the end states (n, dim).
+    function of state rows (n, dim), forward from t = 0 to t1 > 0, and return
+    the end states (n, dim).
     Each row is one orbit on its own steps; a single orbit is a batch of
     one.  Coordinates are NOT reduced: orbits live in the periodic cover so
     section functions can be lifted continuously.  ``step`` and
     ``first_step`` are those of `dop853.solve`."""
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    return solve(field, t0, t1, x0, tol, tol * 1e-2, step, first_step)
+    return solve(field, t1, x0, tol, tol * 1e-2, step, first_step)

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Optional, Sequence
 
@@ -86,7 +86,6 @@ class SectionSpec:
     dtheta: Callable[[np.ndarray, np.ndarray], np.ndarray]
     level: float = 0.0
     orientation: int = 1
-    name: str = ""
 
     def offset(self, coords: np.ndarray) -> np.ndarray:
         """Signed angular distance to the level, wrapped to (-pi, pi]."""
@@ -101,8 +100,7 @@ def coordinate_section(chart: ChartManifold, index: int, level: float = 0.0,
     ValueError for a coordinate that is not periodic."""
     n = np.zeros(chart.dim, dtype=int)
     n[index] = 1
-    sec = leaf_section(chart, n, level * (TWO_PI / chart.periods[index]), orientation)
-    return replace(sec, name=f"coord{index}={level}")
+    return leaf_section(chart, n, level * (TWO_PI / chart.periods[index]), orientation)
 
 
 def angle_section(pair: tuple[int, int] = (2, 3)) -> SectionSpec:
@@ -124,7 +122,7 @@ def angle_section(pair: tuple[int, int] = (2, 3)) -> SectionSpec:
         with np.errstate(invalid="ignore", divide="ignore"):
             return xj / r2 * X[..., i] - xi / r2 * X[..., j]
 
-    return SectionSpec(theta, dtheta, 0.0, 1, f"angle({i},{j})")
+    return SectionSpec(theta, dtheta)
 
 
 def leaf_section(chart: ChartManifold, n: Sequence[int], level: float = 0.0,
@@ -151,7 +149,7 @@ def leaf_section(chart: ChartManifold, n: Sequence[int], level: float = 0.0,
     grad = n * (TWO_PI / g) / np.asarray(chart.periods)   # the constant gradient of theta
     return SectionSpec(theta=lambda x: np.dot(x, grad) % TWO_PI,
                        dtheta=lambda x, X: np.dot(X, grad), level=level % TWO_PI,
-                       orientation=orientation, name=f"leaf(n={n.tolist()})")
+                       orientation=orientation)
 
 
 _ROWS = ("starts", "times", "states", "rates", "margins", "residuals", "crossings_seen")
@@ -253,10 +251,10 @@ def _clamp(rate: np.ndarray, oriented: int) -> np.ndarray:
     return oriented * np.maximum(oriented * rate, TANGENCY_MARGIN)
 
 
-def _polish(field, sec: SectionSpec, x: np.ndarray, oriented: int, max_iter: int = 8):
-    """Newton on the section angle for every row of x, advancing by single
-    classical fourth-order flow steps (the corrections are tiny, so they keep
-    full precision).  A row stops where it and its Newton iterate are within
+def _polish(field, sec: SectionSpec, x: np.ndarray, oriented: int):
+    """At most 8 Newton steps on the section angle for every row of x,
+    advancing by single classical fourth-order flow steps (the corrections
+    are tiny, so they keep full precision).  A row stops where it and its Newton iterate are within
     ANGLE_RESIDUAL and the iterate is on the section or no closer: as close
     as Newton gets, and noise that brings the angle under the bound once does
     not pass.  Returns states, time corrections, the larger residual of each
@@ -266,7 +264,7 @@ def _polish(field, sec: SectionSpec, x: np.ndarray, oriented: int, max_iter: int
     f = np.asarray(sec.offset(x), dtype=float)
     residual, t_corr, slowest = np.abs(f), np.zeros(len(x)), np.full(len(x), np.inf)
     todo = np.arange(len(x))
-    for _ in range(max_iter):
+    for _ in range(8):
         if not todo.size:
             break
         X = field(x[todo])
@@ -405,7 +403,7 @@ def first_crossings(system, sec: SectionSpec, starts: np.ndarray,
     failures = ["no crossing"] * n
     out = _blank(starts, k, tol, failures)
     try:
-        phase.integrate_batch(field, starts, 0.0, k * t_max, tol, step=scan)
+        phase.integrate_batch(field, starts, k * t_max, tol, step=scan)
     except phase.StepSizeUnderflow as exc:
         # a crossing of the row before the stall gets its own verdict below
         for row, t in zip(exc.rows, exc.times):
@@ -433,7 +431,7 @@ def first_crossings(system, sec: SectionSpec, starts: np.ndarray,
         dt = dv / _clamp(sec.dtheta(x, X), oriented)
         return np.concatenate([X * dt[:, None], dt[:, None], np.zeros((len(y), 1))], axis=1)
 
-    y = phase.integrate_batch(henon, bracket[:, :dim + 2], 0.0, 1.0, tol, first_step=1.0)
+    y = phase.integrate_batch(henon, bracket[:, :dim + 2], 1.0, tol, first_step=1.0)
     x, t_corr, residual, slowest = _polish(field, sec, y[:, :dim], oriented)
     t_left, t_right = bracket[:, dim + 2:].T
     t_local = t_left + y[:, dim] + t_corr
@@ -597,7 +595,7 @@ def _flow(system, x: np.ndarray, times: np.ndarray, tol: float) -> np.ndarray:
                                np.zeros((len(z), 1))], 1).reshape(y.shape)
 
     rows = np.concatenate([x, times[..., None]], -1).reshape(g, m * (dim + 1))
-    return phase.integrate_batch(stacked, rows, 0.0, 1.0, tol).reshape(g, m, dim + 1)[..., :-1]
+    return phase.integrate_batch(stacked, rows, 1.0, tol).reshape(g, m, dim + 1)[..., :-1]
 
 
 def _certified_returns(system, sec: SectionSpec, record: Crossings):

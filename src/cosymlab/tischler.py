@@ -243,7 +243,7 @@ class TransversalityReport:
     min_margin: float
     signed_min: float
     signed_max: float
-    min_margin_original: Optional[float]
+    min_margin_original: float
     passed: bool
 
     def as_dict(self) -> dict:
@@ -254,8 +254,9 @@ class TransversalityReport:
 
 
 def check_transversality_preserved(system, alpha_prime: KForm, samples: np.ndarray,
-                                   alpha: Optional[KForm] = None) -> TransversalityReport:
-    """Margin of the rationalized form against the flow over the samples.
+                                   alpha: KForm) -> TransversalityReport:
+    """Margin of the rationalized form alpha' against the flow over the
+    samples, beside the margin of the original alpha.
 
     The report passes only when alpha'(X) keeps one sign over the samples and
     |alpha'(X)| >= TANGENCY_MARGIN at every one: a form whose pairing changes
@@ -272,7 +273,7 @@ def check_transversality_preserved(system, alpha_prime: KForm, samples: np.ndarr
 
     values = pairing(alpha_prime)
     m_prime, lo, hi = float(np.min(np.abs(values))), float(np.min(values)), float(np.max(values))
-    m_orig = float(np.min(np.abs(pairing(alpha)))) if alpha is not None else None
+    m_orig = float(np.min(np.abs(pairing(alpha))))
     return TransversalityReport(m_prime, lo, hi, m_orig,
                                 m_prime >= TANGENCY_MARGIN and (lo > 0) == (hi > 0))
 

@@ -63,6 +63,9 @@ def error_names(text: str):
     return f"the error line names {text!r}", lambda r, out: text in r["error"]
 
 
+LAMBDA_T4 = {"dim": 4, "coordinates": ["x", "y", "z", "t"], "periodic": [True] * 4,
+             "omega": [[0, 1, 1.0], [2, 3, 1.0]], "hamiltonian": "sin(t)",
+             "lambda": [[1, "x"], [3, "z"]]}
 OSCILLATOR = {"system": "oscillator_2dof_sqrt2", "section": {"kind": "angle", "pair": [2, 3]},
               "level": 1.0, "samples": 20, "iterations": 50, "n_return_points": 10}
 
@@ -125,10 +128,7 @@ REGRESSION = {
         "system": "canonical_r4", "section": {"kind": "leaf", "n": [1, 0, 0, 0]},
         "points": [[0, 0, -1, 0.5]]}, 2, [error_names("coordinate 0")]),
     # lambda = x dy + z dt differentiates to omega but jumps across x and z on T^4
-    "obstruct-lambda": ("obstruct", {"system": {
-        "dim": 4, "coordinates": ["x", "y", "z", "t"], "periodic": [True] * 4,
-        "omega": [[0, 1, 1.0], [2, 3, 1.0]], "hamiltonian": "sin(t)",
-        "lambda": [[1, "x"], [3, "z"]]}}, 2, [error_names("lambda")]),
+    "obstruct-lambda": ("obstruct", {"system": LAMBDA_T4}, 2, [error_names("lambda")]),
     # a start at zero amplitude has a NaN rate: a verdict, not a crash
     "return-map-zero": ("return-map", {
         "system": {"dim": 2, "omega": [[0, 1, 1.0]], "hamiltonian": "0.5*(x0^2 + x1^2)"},
@@ -166,6 +166,20 @@ REGRESSION = {
          lambda r, out: named(r, "periods")["passed"]
          and abs(named(r, "periods")["values"][0] - 1.0) < 1e-10
          and abs(named(r, "periods")["values"][1] - math.sqrt(2)) < 1e-10)]),
+    # beta ^ beta overflows: a NaN volume fails the check, with no RuntimeWarning
+    "verify-cosym-overflow": ("verify-cosym", {"cosym": {
+        "dim": 5, "alpha": [[4, 1.0]], "beta": [[0, 1, 1e200], [2, 3, 1e200]]}}, 1, [
+        ("cosymplectic fails", lambda r, out: not named(r, "cosymplectic")["passed"])]),
+    # a coordinate section around a line coordinate is no circle-valued section
+    "return-map-coordinate-line": ("return-map", {
+        "system": "canonical_r4", "section": {"kind": "coordinate", "index": 0},
+        "points": [[0, 0, -1, 0.5]]}, 2, [error_names("coordinate 0 is not periodic")]),
+    # alpha = (1 + x0) dx0 is closed but no form on T^3
+    "verify-cosym-aperiodic-alpha": ("verify-cosym", {"cosym": {
+        "dim": 3, "alpha": [[0, "1 + x0"]], "beta": [[1, 2, 1.0]]}}, 2,
+        [error_names("alpha is not periodic")]),
+    "return-map-lambda": ("return-map", {"system": LAMBDA_T4, "section": {"kind": "coordinate"}},
+                          2, [error_names("lambda is not periodic")]),
 }
 
 

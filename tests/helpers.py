@@ -66,7 +66,7 @@ def energy_drift(system, x0, t_max: float, tol: float = phase.DEFAULT_FLOW_TOL) 
     [0, t_max]."""
     x0 = np.asarray(x0, dtype=float)
     log = []
-    phase.integrate_batch(system.field, x0[None], 0.0, t_max, tol, step=step_recorder(log))
+    phase.integrate_batch(system.field, x0[None], t_max, tol, step=step_recorder(log))
     states = np.concatenate([x0[None]] + [y_new for _, y_new in log])
     return float(np.max(np.abs(system.energy(states) - system.energy(x0))))
 

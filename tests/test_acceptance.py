@@ -59,7 +59,7 @@ def test_criterion_2_return_map_symplecticity():
     sec4 = section.coordinate_section(t4.manifold, t4.dim - 2)
     dets4 = np.linalg.det(jacobians(t4, sec4, pts4, t_max=100.0, tol=1e-10))
     osc = catalog.oscillator_2dof()
-    pts_osc = catalog.sample_oscillator_surface(osc, 1.0, rng, 100, on_section=True)
+    pts_osc = catalog.sample_oscillator_surface(osc, 1.0, rng, 100)
     dets_osc = np.linalg.det(jacobians(osc, section.angle_section(), pts_osc,
                                        t_max=100.0, tol=1e-10))
     err4 = float(np.max(np.abs(dets4 - 1.0)))
@@ -81,8 +81,7 @@ def test_criterion_3_sections_are_symplectic_submanifolds():
         "t6 leaf": (t6, section.coordinate_section(t6.manifold, t6.dim - 2),
                     catalog.PRODUCT.starts(t6, rng, 100, 0.0)),
         "oscillator section": (osc, section.angle_section(),
-                               catalog.sample_oscillator_surface(osc, 1.0, rng, 100,
-                                                                 on_section=True)),
+                               catalog.sample_oscillator_surface(osc, 1.0, rng, 100)),
     }
     margins = {}
     for name, (system, sec, points) in cases.items():
@@ -127,7 +126,7 @@ def test_criterion_5_tischler_pipeline():
                                                               np.shape(x)))
     alpha_prime = tischler.build_approximation(alpha, pv, ra)
     trans = tischler.check_transversality_preserved(
-        flow_sys, alpha_prime, t2.sample(np.random.default_rng(6), 64), alpha=alpha)
+        flow_sys, alpha_prime, t2.sample(np.random.default_rng(6), 64), alpha)
     leaf_margin = first_return(flow_sys, leaf, [0.0, 0.0]).margins[0, 0]
     elapsed = time.perf_counter() - t0
     ok = (ra.d <= 100 and ra.epsilon_achieved <= 1e-2
@@ -141,10 +140,12 @@ def test_criterion_5_tischler_pipeline():
 
 
 def test_criterion_6_exactness_obstruction():
+    # the verdict certifies the primitive; the closed-surface integrals of its
+    # omega must then vanish
     r4 = catalog.canonical_r4()
-    i_torus = obstruct.stokes_exactness_check(r4, catalog.embedded_torus_r4(), n=256)
-    i_sphere = obstruct.stokes_exactness_check(r4, catalog.embedded_sphere_r4(), n=256)
     verdict = obstruct.exactness_verdict(r4)
+    i_torus = obstruct.surface_integral(r4.omega, catalog.embedded_torus_r4(), n=256)
+    i_sphere = obstruct.surface_integral(r4.omega, catalog.embedded_sphere_r4(), n=256)
 
     t4 = catalog.product_system("t3")
     i_t4 = obstruct.surface_integral(t4.omega, catalog.coordinate_torus_t4(), n=256)
@@ -184,7 +185,7 @@ def test_criterion_8_conservation_suite():
             worst_div = max(worst_div, abs(divergence(system, chart.reduce(x))))
 
         def end(x, t):
-            return chart.reduce(phase.integrate_batch(system.field, x[None], 0.0, t, tol)[0])
+            return chart.reduce(phase.integrate_batch(system.field, x[None], t, tol)[0])
 
         two, one = end(end(x0, 0.9), 1.3), end(x0, 2.2)
         worst_comp = max(worst_comp, float(np.max(np.abs(chart.wrapped_delta(two, one)))))

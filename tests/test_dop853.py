@@ -43,9 +43,13 @@ def assert_matches_solve_ivp(system, batch, t1, tol, first_step=None):
     """One orbit, or a group of five stacked into one row as solve_ivp stacks
     it, integrated by integrate_batch and by solve_ivp: the same accepted
     steps, the same states on them, the last of them the end state, and the
-    same field calls.  Returns solve_ivp's result."""
+    same field calls.  A negative t1 is solve_ivp's backward integration
+    against integrate_batch's of the reversed field forward to |t1|, as a
+    backward crossing scan integrates: its times are solve_ivp's negated.
+    Returns solve_ivp's result."""
     rng = np.random.default_rng(batch)
     x0 = (0.5 + rng.uniform(-0.4, 0.4, size=(batch, system.dim))).ravel()
+    sign = 1.0 if t1 > 0 else -1.0
 
     def rhs(y):
         return system.field(y.reshape(-1, system.dim)).reshape(y.shape)
@@ -54,13 +58,14 @@ def assert_matches_solve_ivp(system, batch, t1, tol, first_step=None):
 
     def counted(y):
         calls.append(1)
-        return system.field(y) if batch == 1 else rhs(y)
+        f = system.field(y) if batch == 1 else rhs(y)
+        return f if t1 > 0 else -f
 
-    end = P.integrate_batch(counted, x0[None], 0.0, t1, tol, step=step_recorder(log),
+    end = P.integrate_batch(counted, x0[None], abs(t1), tol, step=step_recorder(log),
                             first_step=first_step)[0]
     ref = reference(rhs, t1, x0, tol, first_step)
     assert ref.success
-    t = np.concatenate([[0.0], [t_new[0] for t_new, _ in log]])
+    t = sign * np.concatenate([[0.0], [t_new[0] for t_new, _ in log]])
     y = np.column_stack([x0] + [y_new[0] for _, y_new in log])
     assert np.array_equal(t, ref.t)
     assert np.array_equal(y, ref.y)
@@ -105,28 +110,32 @@ def test_stalled_step_raises():
                     rtol=1e-10, atol=1e-12)
     assert not ref.success
     with pytest.raises(dop853.StepSizeUnderflow, match="stalled"):
-        dop853.solve(lambda y: 1.0 + y ** 2, 0.0, 10.0, [[0.0]], 1e-10, 1e-12)
+        dop853.solve(lambda y: 1.0 + y ** 2, 10.0, [[0.0]], 1e-10, 1e-12)
     assert P.StepSizeUnderflow is dop853.StepSizeUnderflow
 
 
 def test_rejects_bad_input():
-    with pytest.raises(ValueError, match="empty"):
-        dop853.solve(lambda y: y, 1.0, 1.0, [[1.0]], 1e-8, 1e-10)
+    # the integration runs forward from t = 0
+    for t1 in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="t1 must be positive"):
+            dop853.solve(lambda y: y, t1, [[1.0]], 1e-8, 1e-10)
     with pytest.raises(ValueError, match="finite"):
-        dop853.solve(lambda y: y, 0.0, 1.0, [[np.nan]], 1e-8, 1e-10)
+        dop853.solve(lambda y: y, 1.0, [[np.nan]], 1e-8, 1e-10)
     # a state is rows of vectors: a single vector is refused like a 3-d array
     for y0 in ([1.0], [[[1.0]]]):
         with pytest.raises(ValueError, match="rows of vectors"):
-            dop853.solve(lambda y: y, 0.0, 1.0, y0, 1e-8, 1e-10)
+            dop853.solve(lambda y: y, 1.0, y0, 1e-8, 1e-10)
 
 
 @pytest.mark.parametrize("first_step", [0.0, -0.5, np.nan, np.inf, 2.0 + 1e-15])
 @pytest.mark.parametrize("t1", [2.0, -2.0])
 def test_rejects_a_first_step_outside_the_span(first_step, t1):
-    # as solve_ivp: positive and at most |t1 - t0|; a NaN is refused too
-    with pytest.raises(ValueError, match="first_step"):
-        dop853.solve(lambda y: y, 0.0, t1, [[1.0]], 1e-8, 1e-10, first_step=first_step)
-    dop853.solve(lambda y: y, 0.0, t1, [[1.0]], 1e-8, 1e-10, first_step=2.0)
+    # as solve_ivp: positive and at most t1; a NaN is refused too.  The span
+    # runs forward from 0, so a negative t1 is refused whatever the first step
+    with pytest.raises(ValueError, match="first_step" if t1 > 0 else "t1 must be positive"):
+        dop853.solve(lambda y: y, t1, [[1.0]], 1e-8, 1e-10, first_step=first_step)
+    if t1 > 0:
+        dop853.solve(lambda y: y, t1, [[1.0]], 1e-8, 1e-10, first_step=2.0)
 
 
 def test_initial_step_survives_an_overflowing_norm():
@@ -135,7 +144,7 @@ def test_initial_step_survives_an_overflowing_norm():
     log = []
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        end = dop853.solve(lambda y: y[:, ::-1] * [1.0, -1.0], 0.0, 1.0, [[1e150, 0.0]],
+        end = dop853.solve(lambda y: y[:, ::-1] * [1.0, -1.0], 1.0, [[1e150, 0.0]],
                            1e-10, 1e-12, step_recorder(log))
     first = log[0][0][0]
     assert np.isfinite(first) and first > 1e-300

@@ -12,7 +12,7 @@ TWO_PI = 2.0 * math.pi
 
 
 def t4():
-    return F.ChartManifold(4, (True,) * 4, name="T4")
+    return F.ChartManifold(4, (True,) * 4)
 
 
 def standard_omega4():

@@ -1,9 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from cosymlab import catalog, forms as F, obstruct as O, phase as P, section as S
+from cosymlab import catalog, cli, forms as F, obstruct as O, phase as P, section as S
 
 TWO_PI = 2.0 * math.pi
 
@@ -14,9 +15,10 @@ TWO_PI = 2.0 * math.pi
 def test_stokes_torus_and_sphere_vanish(r4_system):
     # quadrature oracle at two resolutions: both integrals vanish (the
     # ambient form is exact, so closed surfaces carry no symplectic area)
+    assert O.exactness_verdict(r4_system).negative
     for surf in (catalog.embedded_torus_r4(), catalog.embedded_sphere_r4()):
-        coarse = O.stokes_exactness_check(r4_system, surf, n=128)
-        fine = O.stokes_exactness_check(r4_system, surf, n=256)
+        coarse = O.surface_integral(r4_system.omega, surf, n=128)
+        fine = O.surface_integral(r4_system.omega, surf, n=256)
         assert abs(fine) < 1e-8
         assert abs(coarse - fine) < 1e-8
 
@@ -40,15 +42,28 @@ def test_constant_form_integral_never_evaluates_the_patch(t4_system):
 
 
 def test_stokes_requires_primitive(t4_system):
+    # without a primitive there is nothing to certify, and no Stokes verdict
+    assert not O.exactness_verdict(t4_system).negative
     with pytest.raises(O.PrimitiveError):
-        O.stokes_exactness_check(t4_system, catalog.coordinate_torus_t4())
+        O.check_primitive(t4_system)
 
 
-def test_stokes_requires_closed_surface(r4_system):
-    torus = catalog.embedded_torus_r4()
-    open_patch = O.MeshedSurface(torus.value, torus.jacobian, torus.extents, closed=False)
-    with pytest.raises(ValueError, match="closed"):
-        O.stokes_exactness_check(r4_system, open_patch)
+def test_obstruct_certifies_the_primitive_once(tmp_path, monkeypatch):
+    # the verdict's certificate covers both Stokes integrals of the run
+    calls = []
+    check = O.check_primitive
+
+    def counted(system):
+        calls.append(1)
+        return check(system)
+
+    monkeypatch.setattr(O, "check_primitive", counted)
+    config = tmp_path / "obstruct.json"
+    config.write_text('{"system": "canonical_r4", "quad_nodes": 16}')
+    assert cli.main(["obstruct", "--config", str(config), "--out", str(tmp_path)]) == 1
+    assert len(calls) == 1
+    report = json.loads((tmp_path / "report.json").read_text())["report"]
+    assert set(report["checks"][0]["surface_integrals"]) == {"torus", "sphere"}
 
 
 def _exp_form():
@@ -126,7 +141,7 @@ def test_stokes_memory_bound(r4_system):
     sphere = catalog.embedded_sphere_r4()
     tracemalloc.start()
     try:
-        value = O.stokes_exactness_check(r4_system, sphere, n=1024)
+        value = O.surface_integral(r4_system.omega, sphere, n=1024)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -96,7 +96,7 @@ def test_return_map_jacobian_oscillator_rotation(osc_system):
 def test_return_map_determinants_match_per_point(osc_system):
     sec = S.angle_section()
     rng = np.random.default_rng(7)
-    pts = catalog.sample_oscillator_surface(osc_system, 1.0, rng, 8, on_section=True)
+    pts = catalog.sample_oscillator_surface(osc_system, 1.0, rng, 8)
     dets = np.linalg.det(jacobians(osc_system, sec, pts, t_max=50.0))
     assert np.max(np.abs(dets - 1.0)) < 1e-6
     J = jacobians(osc_system, sec, pts[:1], t_max=50.0)[0]
@@ -109,7 +109,7 @@ COUPLING = 0.05
 def _coupled_oscillator() -> P.HamiltonianSystem:
     """The sqrt(2) oscillator with the quartic coupling COUPLING * q1^2 q2^2."""
     eps = COUPLING
-    c4 = F.ChartManifold(4, name="R4")
+    c4 = F.ChartManifold(4)
     om = F.wedge(F.coordinate_form(4, 0), F.coordinate_form(4, 1)) \
         + F.wedge(F.coordinate_form(4, 2), F.coordinate_form(4, 3))
 
@@ -126,7 +126,7 @@ def _coupled_oscillator() -> P.HamiltonianSystem:
                          SQRT2 * x[..., 2] + 2 * eps * x[..., 0] ** 2 * x[..., 2],
                          SQRT2 * x[..., 3]], axis=-1)
 
-    return P.HamiltonianSystem(c4, om, h, grad_h, name="coupled")
+    return P.HamiltonianSystem(c4, om, h, grad_h)
 
 
 def test_return_map_symplectic_on_nonlinear_flow():
@@ -135,7 +135,7 @@ def test_return_map_symplectic_on_nonlinear_flow():
     coupled = _coupled_oscillator()
     sec = S.angle_section()
     rng = np.random.default_rng(1)
-    pts = catalog.sample_oscillator_surface(coupled, 1.0, rng, 8, on_section=True)
+    pts = catalog.sample_oscillator_surface(coupled, 1.0, rng, 8)
 
     r = S.iterate_returns(coupled, sec, pts, 1, t_max=50.0, tol=1e-11)
     assert r.failures == [None] * len(pts)
@@ -253,9 +253,9 @@ def _wiggle(a):
     # x' = 1, y' = a + cos(x) on T^2: along an orbit the y angle lifts to
     # v(t) = a t + sin(x0 + t) - sin(x0), which dips and recrosses lattice values
     t2 = F.ChartManifold(2, (True, True))
-    return P.FlowSystem(t2, lambda x: np.stack([np.ones_like(x[..., 0]),
-                                                a + np.cos(x[..., 0])], axis=-1),
-                        name=f"wiggle({a})"), S.coordinate_section(t2, 1)
+    system = P.FlowSystem(t2, lambda x: np.stack([np.ones_like(x[..., 0]),
+                                                  a + np.cos(x[..., 0])], axis=-1))
+    return system, S.coordinate_section(t2, 1)
 
 
 def _wiggle_first_return(a, x0, t_max):
@@ -438,7 +438,7 @@ def _crossing_batches(draw, families=("wiggle", "product", "oscillator")):
             catalog.PRODUCT.starts(system, rng, n, 0.0)
     system = catalog.oscillator_2dof()
     return system, S.angle_section(), \
-        catalog.sample_oscillator_surface(system, 1.0, rng, n, on_section=True)
+        catalog.sample_oscillator_surface(system, 1.0, rng, n)
 
 
 @settings(max_examples=12, deadline=None, derandomize=True)
@@ -491,7 +491,7 @@ def _return_batches(draw):
     else:
         system = catalog.oscillator_2dof()
         sec = S.angle_section()
-        starts = catalog.sample_oscillator_surface(system, 1.0, rng, n, on_section=True)
+        starts = catalog.sample_oscillator_surface(system, 1.0, rng, n)
         t_max, angle = 20.0, 3
     if draw(st.booleans()):
         starts[draw(st.integers(0, n - 1)), angle] += 0.25
@@ -525,7 +525,7 @@ def test_iterate_returns_images_match_time_integration(batch, k):
     for i, x in enumerate(chart.reduce(starts)):
         for j in range(r.completed(i)):
             T = r.times[i, j] - (r.times[i, j - 1] if j else 0.0)
-            end = chart.reduce(P.integrate_batch(system.field, x[None], 0.0, T)[0])
+            end = chart.reduce(P.integrate_batch(system.field, x[None], T)[0])
             assert np.max(np.abs(chart.wrapped_delta(end, r.states[i, j]))) < 1e-9
             x = r.states[i, j]
 
@@ -534,8 +534,7 @@ def test_iterate_returns_oscillator_closed_form(osc_system):
     # every return of the second pair's phase takes 2*pi/sqrt(2), and the
     # iterates stay on the energy level
     sec = S.angle_section()
-    starts = catalog.sample_oscillator_surface(osc_system, 1.0, np.random.default_rng(11), 6,
-                                               on_section=True)
+    starts = catalog.sample_oscillator_surface(osc_system, 1.0, np.random.default_rng(11), 6)
     r = S.iterate_returns(osc_system, sec, starts, 12, t_max=20.0)
     assert r.failures == [None] * 6
     assert np.max(np.abs(np.diff(r.times, prepend=0.0) - TWO_PI / SQRT2)) < 1e-9
@@ -562,16 +561,16 @@ def _record_scan_steps(monkeypatch):
     steps = []
     integrate = P.integrate_batch
 
-    def recording(field, x0, t0, t1, tol=P.DEFAULT_FLOW_TOL, step=None, first_step=None):
+    def recording(field, x0, t1, tol=P.DEFAULT_FLOW_TOL, step=None, first_step=None):
         if step is None:
-            return integrate(field, x0, t0, t1, tol, first_step=first_step)
+            return integrate(field, x0, t1, tol, first_step=first_step)
 
         def hook(rows, t, y, t_new, y_new, f, f_new):
             ok, cap, done = step(rows, t, y, t_new, y_new, f, f_new)
             steps.append((rows, t, t_new, ok, done))
             return ok, cap, done
 
-        return integrate(field, x0, t0, t1, tol, hook, first_step)
+        return integrate(field, x0, t1, tol, hook, first_step)
 
     monkeypatch.setattr(S.phase, "integrate_batch", recording)
     return steps
@@ -579,7 +578,7 @@ def _record_scan_steps(monkeypatch):
 
 def _phase_rotor():
     # H = I + I^2 with I = (q^2 + p^2)/2: the phase turns at rate 1 + q^2 + p^2
-    chart = F.ChartManifold(2, name="R2(q,p)")
+    chart = F.ChartManifold(2)
     omega = F.wedge(F.coordinate_form(2, 0), F.coordinate_form(2, 1))
     return P.HamiltonianSystem(
         chart, omega, lambda x: 0.5 * np.sum(x ** 2, -1) * (1 + 0.5 * np.sum(x ** 2, -1)),
@@ -646,8 +645,7 @@ def test_iterate_returns_field_work(monkeypatch):
     # last crossing, 3063 when every scan integrated its whole chunk)
     system = catalog.oscillator_2dof()
     sec = S.angle_section()
-    starts = catalog.sample_oscillator_surface(system, 1.0, np.random.default_rng(3), 4,
-                                               on_section=True)
+    starts = catalog.sample_oscillator_surface(system, 1.0, np.random.default_rng(3), 4)
     calls = []
     field = P.HamiltonianSystem.field
     monkeypatch.setattr(P.HamiltonianSystem, "field",
@@ -664,8 +662,8 @@ def test_crossing_verdicts_keep_their_precedence(monkeypatch):
     system, sec = _drift()
     polish = S._polish
 
-    def forged(directed, sec_, x, oriented, max_iter=8):
-        x, t_corr, residual, slowest = polish(directed, sec_, x, oriented, max_iter)
+    def forged(directed, sec_, x, oriented):
+        x, t_corr, residual, slowest = polish(directed, sec_, x, oriented)
         slowest[0], residual[0] = 1e-9, 1e-9          # grazing and unconverged
         residual[1], t_corr[1] = 2e-12, 50.0          # unconverged and outside
         t_corr[2] = 50.0                               # outside its step only
@@ -733,8 +731,7 @@ def test_mapping_torus_product(t4_system, t4_section):
 def _torus_cases():
     t4, osc = catalog.product_system("t3"), catalog.oscillator_2dof()
     susp = catalog.suspension_rotation()
-    pts = catalog.sample_oscillator_surface(osc, 1.0, np.random.default_rng(0), 3,
-                                            on_section=True)
+    pts = catalog.sample_oscillator_surface(osc, 1.0, np.random.default_rng(0), 3)
     return [("t4 product leaf", t4, S.coordinate_section(t4.manifold, t4.dim - 2),
              [[x, y, 0.0, 0.0] for x in (0.5, 2.0, 4.0) for y in (1.0, 3.0)]),
             ("oscillator angle", osc, S.angle_section(), pts),
@@ -756,7 +753,7 @@ def test_mapping_torus_table_matches_direct_integration(name, system, sec, point
     for i, (p, T) in enumerate(zip(grid, times)):
         assert np.array_equal(mt.table[i, 0], p)
         for j, t in enumerate(np.linspace(0.0, 1.0, S.TORUS_TIMES)[1:], start=1):
-            x = chart.reduce(P.integrate_batch(system.field, p[None], 0.0, t * T, tol)[0])
+            x = chart.reduce(P.integrate_batch(system.field, p[None], t * T, tol)[0])
             assert np.max(np.abs(chart.wrapped_delta(mt.table[i, j], x))) < 10 * tol
 
 
@@ -764,8 +761,7 @@ def test_mapping_torus_energy_residual_is_enforced(osc_system):
     # at tol 1e-6 the gluing passes its 10*tol bound (8.3e-8) but the table
     # drifts off the energy level by 5.1e-7, beyond the documented 1e-8
     sec = S.angle_section()
-    pts = catalog.sample_oscillator_surface(osc_system, 1.0, np.random.default_rng(0), 3,
-                                            on_section=True)
+    pts = catalog.sample_oscillator_surface(osc_system, 1.0, np.random.default_rng(0), 3)
     loose = torus_chart(osc_system, sec, pts, tol=1e-6)
     assert not loose.passed
     assert loose.gluing_residual <= S.GLUING_FACTOR * 1e-6
@@ -826,7 +822,7 @@ def test_orientation_selects_crossing_direction():
     # downward flow through the section: only the reversed orientation counts it
     t2 = F.ChartManifold(2, (True, True), (1.0, 1.0))
     falling = P.FlowSystem(t2, lambda x: np.broadcast_to(np.array([0.25, -1.0]),
-                                                         np.shape(x)), name="falling")
+                                                         np.shape(x)))
     p = [0.1, 0.0]
     sec_down = S.coordinate_section(t2, 1, orientation=-1)
     assert abs(first_return(falling, sec_down, p).times[0, 0] - 1.0) < 1e-10
@@ -930,11 +926,11 @@ def test_orbit_error_does_not_grow_with_its_batch(tol, n):
 
 def _exact_first_crossings(system, sec, starts, direction):
     """Analytic first crossing times of the `_crossing_batches` families,
-    forward only for the wiggle (None backward)."""
-    if system.name.startswith("product"):
-        return np.full(len(starts), direction * TWO_PI)
-    if sec.name.startswith("angle"):
-        return np.full(len(starts), direction * TWO_PI / SQRT2)
+    forward only for the wiggle (None backward): the wiggle is the plain
+    flow, and of the Hamiltonian families the product has no primitive."""
+    if isinstance(system, P.HamiltonianSystem):
+        period = TWO_PI if system.lam is None else TWO_PI / SQRT2
+        return np.full(len(starts), direction * period)
     if direction < 0:
         return None
     a = float(system.field(np.zeros((1, 2)))[0, 1]) - 1.0
@@ -1059,13 +1055,13 @@ def test_henon_refinement_is_one_step_on_a_constant_field(monkeypatch):
     henon_calls = []
     integrate = P.integrate_batch
 
-    def counting(field, x0, t0, t1, tol=P.DEFAULT_FLOW_TOL, step=None, first_step=None):
+    def counting(field, x0, t1, tol=P.DEFAULT_FLOW_TOL, step=None, first_step=None):
         if step is None:   # the Hénon batch; the scan has a step hook
             def counted(y):
                 henon_calls.append(len(y))
                 return field(y)
-            return integrate(counted, x0, t0, t1, tol, first_step=first_step)
-        return integrate(field, x0, t0, t1, tol, step, first_step)
+            return integrate(counted, x0, t1, tol, first_step=first_step)
+        return integrate(field, x0, t1, tol, step, first_step)
 
     monkeypatch.setattr(S.phase, "integrate_batch", counting)
     c = S.first_crossings(system, sec, starts, 20.0, k=2)

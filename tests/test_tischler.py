@@ -269,7 +269,7 @@ def test_coefficient_distance_matches_eps():
 def test_transversality_margin_product_leaf(t4_system):
     samples = catalog.SYSTEMS["t4_product"].level(t4_system).sample(np.random.default_rng(2), 32)
     alpha = F.coordinate_form(4, 2)
-    report = T.check_transversality_preserved(t4_system, alpha, samples, alpha=alpha)
+    report = T.check_transversality_preserved(t4_system, alpha, samples, alpha)
     assert report.passed
     # margin |alpha(X_H)| = |cos theta| = 1 on the zero level
     assert report.min_margin == pytest.approx(1.0, abs=1e-10)
@@ -278,7 +278,7 @@ def test_transversality_margin_product_leaf(t4_system):
 def test_transversality_failure_is_reported_not_raised(t4_system):
     samples = catalog.SYSTEMS["t4_product"].level(t4_system).sample(np.random.default_rng(3), 16)
     tangent = F.coordinate_form(4, 0)   # pairs to zero against the flow
-    report = T.check_transversality_preserved(t4_system, tangent, samples)
+    report = T.check_transversality_preserved(t4_system, tangent, samples, tangent)
     assert not report.passed
     assert report.min_margin == pytest.approx(0.0, abs=1e-15)
 
@@ -290,11 +290,11 @@ def test_transversality_needs_one_sign_and_the_tangency_margin(t4_system):
     level = catalog.SYSTEMS["t4_product"].level(t4_system).sample(np.random.default_rng(5), 16)
     dz = F.coordinate_form(4, 2)
     for c, passed in ((S.TANGENCY_MARGIN, True), (0.5 * S.TANGENCY_MARGIN, False)):
-        report = T.check_transversality_preserved(t4_system, c * dz, level)
+        report = T.check_transversality_preserved(t4_system, c * dz, level, dz)
         assert report.passed == passed
         assert report.signed_min == report.signed_max == report.min_margin == c
     chart = np.random.default_rng(6).uniform(0.0, TWO_PI, (64, 4))
-    report = T.check_transversality_preserved(t4_system, dz, chart)
+    report = T.check_transversality_preserved(t4_system, dz, chart, dz)
     assert report.signed_min < -0.5 and report.signed_max > 0.5
     assert report.min_margin > S.TANGENCY_MARGIN and not report.passed
 
@@ -305,8 +305,8 @@ def test_margin_converges_as_eps_shrinks(t4_system):
     margins = []
     for eps in (0.5, 0.1, 0.01):
         perturbed = (1.0 - eps) * alpha
-        margins.append(T.check_transversality_preserved(t4_system, perturbed,
-                                                        samples).min_margin)
+        margins.append(T.check_transversality_preserved(t4_system, perturbed, samples,
+                                                        alpha).min_margin)
     assert margins[0] < margins[1] < margins[2] <= 1.0
     assert margins[2] == pytest.approx(0.99, abs=1e-10)
 
@@ -359,9 +359,9 @@ def test_extracted_leaf_usable_as_section():
     ra = T.rationalize(pv, 1e-2, 100)
     sec = S.leaf_section(t2(), ra.n)
     flow_sys = P.FlowSystem(t2(), lambda x: np.broadcast_to(np.array([1.0, 1.0]),
-                                                            np.shape(x)), name="diag")
+                                                            np.shape(x)))
     report = T.check_transversality_preserved(flow_sys, T.build_approximation(alpha, pv, ra),
-                                              t2().sample(np.random.default_rng(5), 16))
+                                              t2().sample(np.random.default_rng(5), 16), alpha)
     assert report.passed
     r = first_return(flow_sys, sec, [0.0, 0.0])
     assert r.times[0, 0] > 0
