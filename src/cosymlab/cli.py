@@ -280,7 +280,7 @@ def build_inline_system(spec: dict) -> HamiltonianSystem:
     except ValueError as exc:
         raise ConfigError(f"bad inline system spec: {exc}") from exc
     try:
-        system.validate(chart.sample(Rng(0), 32))
+        system.structure
     except ValueError as exc:
         raise ConfigError(f"inline system fails its structure checks: {exc}") from exc
     return system
@@ -501,9 +501,8 @@ def cmd_demo_product(cfg: dict, runner: Runner, seed: int) -> None:
     tol, t_max = cfg["tol"], cfg["t_max"]
 
     with runner.timed("build"):
-        system = cosym.build_product_system(catalog.SEEDS[cfg["seed"]](), rng=rng)
-        structure = system.validate(system.manifold.sample(rng, 64))
-    runner.check("structure", True, **structure)
+        system = cosym.build_product_system(catalog.SEEDS[cfg["seed"]]())
+    runner.check("structure", True, **system.structure)
 
     sec = build_section(None, catalog.PRODUCT, system)
     leaf_samples = catalog.PRODUCT.starts(system, rng, cfg["samples"], 0.0)
@@ -612,7 +611,8 @@ def cmd_tischler(cfg: dict, runner: Runner, seed: int) -> None:
         with runner.timed("rebuild"):
             alpha_prime = tischler.build_approximation(alpha, pv, ra)
             try:
-                pv_check = tischler.periods(alpha_prime, pv.manifold)
+                # alpha' - alpha is constant, so alpha's certificate covers alpha'
+                pv_check = tischler.loop_periods(alpha_prime, pv.manifold)
             except tischler.QuadratureError as exc:
                 runner.check("rebuilt_periods", False, error=str(exc), cycle=exc.cycle,
                              estimate=exc.estimate)
@@ -653,8 +653,8 @@ def cmd_obstruct(cfg: dict, runner: Runner, seed: int) -> None:
             raise ConfigError(f"config field 'system': {name!r} is not a Hamiltonian system, "
                               "so the exactness obstruction does not apply")
         with runner.timed("exactness"):
-            # the verdict certifies the primitive, so the Stokes integrals of a
-            # negative one need no second check
+            # the verdict reads the system's certified primitive, so the Stokes
+            # integrals of a negative one need no second check
             verdict = obstruct.exactness_verdict(system)
             integrals = {}
             if verdict.negative and system.dim == 4 and not any(system.manifold.periodic):

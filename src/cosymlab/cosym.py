@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -94,13 +94,13 @@ def verify_cosymplectic(cs: CosymplecticStructure, samples: np.ndarray) -> Cosym
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     if samples.size == 0:
         raise ValueError("verification needs a nonempty sample set")
-    # a NaN residual or volume fails the bounds below; a constant wedge
-    # is computed when the volume form is built
+    d_alpha = max_coeff_magnitude(exterior_derivative(cs.alpha), samples)
+    d_beta = 0.0
+    if cs.beta.degree + 1 <= cs.manifold.dim:
+        d_beta = max_coeff_magnitude(exterior_derivative(cs.beta), samples)
+    # a NaN volume fails the bound below; a constant wedge is computed when
+    # the volume form is built
     with np.errstate(all="ignore"):
-        d_alpha = max_coeff_magnitude(exterior_derivative(cs.alpha), samples)
-        d_beta = 0.0
-        if cs.beta.degree + 1 <= cs.manifold.dim:
-            d_beta = max_coeff_magnitude(exterior_derivative(cs.beta), samples)
         vol = cs.volume_form().coeffs(samples)[..., 0]
     worst = samples[int(np.argmin(np.abs(vol)))]
     margin = float(np.min(np.abs(vol)))
@@ -130,8 +130,7 @@ def field_to_cosym(Z: EnergySurface, X: Callable[[np.ndarray], np.ndarray],
         raise TransversalityError(
             f"field tangent to the level set at a sample: min |dH(X)| = {trans:.3e}")
     alpha_ambient = interior(X, system.omega)
-    with np.errstate(all="ignore"):  # a NaN residual fails the bound below
-        residual = max_coeff_magnitude(exterior_derivative(alpha_ambient), ambient)
+    residual = max_coeff_magnitude(exterior_derivative(alpha_ambient), ambient)
     if not residual < CLOSED_TOL:
         raise ValueError(f"field is not symplectic: sampled |d(iota_X omega)| = {residual:.3e}")
     cs = CosymplecticStructure(Z.section_chart,
@@ -182,22 +181,21 @@ def _collar_form(cs: CosymplecticStructure) -> KForm:
     return pullback(proj, cs.beta) + wedge(pullback(proj, cs.alpha), coordinate_form(dim, dim - 1))
 
 
-def build_product_system(cs: CosymplecticStructure,
-                         rng: Optional[Rng] = None) -> HamiltonianSystem:
+def build_product_system(cs: CosymplecticStructure) -> HamiltonianSystem:
     """Product of a verified cosymplectic chart with a circle.
 
     The symplectic form is the lifted beta plus the wedge of the lifted alpha
     with the circle generator; the energy is the sine of the circle angle, so
     the zero level contains the angle-zero copy of the seed chart and the
-    flow there is transverse to every leaf of the foliation.
+    flow there is transverse to every leaf of the foliation.  The seed pair
+    is verified at 32 fixed samples (`Rng(0)`) and the product certified once,
+    through its `structure`.
     """
     n_chart = cs.manifold
     if n_chart.dim < 3:
         raise ValueError("product construction needs a seed of dimension >= 3 "
                          "(beta powers degenerate below that)")
-    rng = rng or Rng(0)
-    seed_samples = n_chart.sample(rng, 32)
-    report = verify_cosymplectic(cs, seed_samples)
+    report = verify_cosymplectic(cs, n_chart.sample(Rng(0), 32))
     if not report.passed:
         raise ValueError(f"seed pair fails verification: {report.as_dict()}")
     dim = n_chart.dim + 1
@@ -214,9 +212,7 @@ def build_product_system(cs: CosymplecticStructure,
         return g
 
     system = HamiltonianSystem(chart, omega, h, grad_h)
-    amb = np.concatenate([seed_samples, rng.uniform(0, 2 * math.pi, (len(seed_samples), 1))],
-                         axis=-1)
-    system.validate(amb)
+    system.structure   # raises ValueError unless the product passes; cached for its readers
     return system
 
 

@@ -550,8 +550,11 @@ def max_coeff_magnitude(f: KForm, samples: np.ndarray) -> float:
     """Largest coefficient magnitude over a batch of sample coordinates.
 
     A constant form over a non-empty batch reads its coefficient vector, so
-    no (samples, n_coeffs) array is built."""
+    no (samples, n_coeffs) array is built.  Evaluated without floating-point
+    warnings: a NaN coefficient gives a NaN maximum, which fails every bound
+    a caller compares it with."""
     samples = np.asarray(samples, dtype=float)
     if f.constant_value is not None and samples.size:
         return float(np.max(np.abs(f.constant_value)))
-    return float(np.max(np.abs(f.coeffs(samples))))
+    with np.errstate(all="ignore"):
+        return float(np.max(np.abs(f.coeffs(samples))))

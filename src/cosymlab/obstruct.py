@@ -29,16 +29,11 @@ import numpy as np
 # the Betti profiles and the quadrature default live beside the catalog data that
 # the CLI reads without loading this module; they are re-exported here
 from .catalog import DEFAULT_QUAD_NODES, BettiProfile  # noqa: F401
-from .forms import (CLOSED_TOL, KForm, Rng, evaluate_frame, exterior_derivative,
-                    max_coeff_magnitude)
+from .forms import KForm, evaluate_frame
 from .phase import HamiltonianSystem
 
 #: values held by one block of the quadrature's nodes: their patch Jacobians
 BLOCK_VALUES = 2 ** 17
-
-
-class PrimitiveError(ValueError):
-    """Declared primitive data is inconsistent with the symplectic form."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,20 +84,6 @@ def surface_integral(form: KForm, surf: MeshedSurface, n: int = DEFAULT_QUAD_NOD
     return float(np.sum(row_sums) * cell)
 
 
-def check_primitive(sys: HamiltonianSystem) -> float:
-    """Residual of d(lambda) - omega at 32 seeded chart samples; raises
-    PrimitiveError unless it is below CLOSED_TOL."""
-    if sys.lam is None:
-        raise PrimitiveError("no global primitive declared")
-    samples = sys.manifold.sample(Rng(11), 32)
-    with np.errstate(all="ignore"):  # a NaN residual fails the bound below
-        residual = max_coeff_magnitude(exterior_derivative(sys.lam) - sys.omega, samples)
-    if not residual < CLOSED_TOL:
-        raise PrimitiveError(f"declared primitive fails d(lambda) = omega: "
-                             f"sampled residual {residual:.3e}")
-    return float(residual)
-
-
 @dataclass(frozen=True, eq=False)
 class Verdict:
     verdict: str            # "negative" or "inconclusive"
@@ -119,12 +100,16 @@ class Verdict:
 
 
 def exactness_verdict(sys: HamiltonianSystem) -> Verdict:
-    """Global-section verdict from exactness of the symplectic form."""
+    """Global-section verdict from exactness of the symplectic form.
+
+    The primitive's residual |d(lambda) - omega| is read off the system's
+    `structure` certificate, which raises ValueError when one of its checks
+    fails, this one included."""
     if sys.lam is None:
         return Verdict("inconclusive",
                        "no global primitive declared; exactness obstruction does not apply",
                        {"primitive": None})
-    residual = check_primitive(sys)
+    residual = sys.structure["d_lambda_minus_omega_max"]
     statement = ("exact symplectic form: no compact level set of any Hamiltonian "
                  "on this manifold admits a global transverse Poincaré section")
     evidence = {"primitive_residual": residual}

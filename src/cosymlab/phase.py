@@ -31,7 +31,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .dop853 import StepSizeUnderflow, solve  # noqa: F401  (StepSizeUnderflow re-exported)
-from .forms import (CLOSED_TOL, ChartManifold, ChartMap, KForm, check_periodic,
+from .forms import (CLOSED_TOL, ChartManifold, ChartMap, KForm, Rng, check_periodic,
                     exterior_derivative, max_coeff_magnitude, two_form_matrix)
 
 RCOND_MIN = 1e-10
@@ -150,6 +150,13 @@ class HamiltonianSystem:
         P.flags.writeable = False
         return P
 
+    @functools.cached_property
+    def structure(self) -> dict:
+        """The system's one structure certificate: `validate` on 32 fixed chart
+        samples (`Rng(0)`), run on first use.  Every command reads this report
+        instead of validating again; raises ValueError as `validate` does."""
+        return self.validate(self.manifold.sample(Rng(0), 32))
+
     def field(self, coords: np.ndarray) -> np.ndarray:
         """Hamiltonian vector field components, vectorised over (..., dim).
 
@@ -178,9 +185,7 @@ class HamiltonianSystem:
                 check_periodic(form, self.manifold, samples, name)
         report: dict = {}
         if self.omega.degree + 1 <= self.dim:
-            with np.errstate(all="ignore"):  # a NaN residual fails the bound below
-                report["d_omega_max"] = max_coeff_magnitude(exterior_derivative(self.omega),
-                                                            samples)
+            report["d_omega_max"] = max_coeff_magnitude(exterior_derivative(self.omega), samples)
             if not report["d_omega_max"] < CLOSED_TOL:
                 raise ValueError(f"omega is not closed: sampled |d omega| = {report['d_omega_max']:.3e}")
         else:
@@ -194,8 +199,7 @@ class HamiltonianSystem:
             raise ValueError(f"omega degenerate at a sample (rcond {rcond:.3e})")
         if self.lam is not None:
             diff = exterior_derivative(self.lam) - self.omega
-            with np.errstate(all="ignore"):
-                report["d_lambda_minus_omega_max"] = max_coeff_magnitude(diff, samples)
+            report["d_lambda_minus_omega_max"] = max_coeff_magnitude(diff, samples)
             if not report["d_lambda_minus_omega_max"] < CLOSED_TOL:
                 raise ValueError("declared primitive does not differentiate to omega: "
                                  f"sampled max {report['d_lambda_minus_omega_max']:.3e}")

@@ -146,12 +146,8 @@ def _loop_integrals(alpha: KForm, base: np.ndarray, periods: np.ndarray,
 def periods(alpha: KForm, manifold: ChartManifold,
             base: Optional[Sequence[float]] = None) -> PeriodVector:
     """Loop integrals of a closed one-form over the coordinate circles,
-    normalized by 2*pi.
+    normalized by 2*pi: alpha is certified, then integrated (`loop_periods`).
 
-    Gauss-Legendre quadrature (`_leggauss`) on PERIOD_QUAD_NODES nodes,
-    doubled while two successive rules differ by more than PERIOD_QUAD_ERR on
-    a cycle; raises QuadratureError when they still do at
-    PERIOD_QUAD_MAX_NODES nodes.  The finer rule's values are returned.
     Refuses non-closed input, whose "periods" would be path dependent, and
     input that is not a form on the chart (`forms.check_periodic`).
     """
@@ -161,12 +157,25 @@ def periods(alpha: KForm, manifold: ChartManifold,
     if not manifold.is_torus:
         raise ValueError("period computation needs a torus chart (all coordinates periodic)")
     samples = manifold.sample(Rng(7), 32)
-    with np.errstate(all="ignore"):  # a NaN residual fails the bound below
-        residual = max_coeff_magnitude(exterior_derivative(alpha), samples)
+    residual = max_coeff_magnitude(exterior_derivative(alpha), samples)
     if not residual < CLOSED_TOL:
         raise ValueError(f"one-form not closed (sampled |d alpha| = {residual:.3e}); "
                          "loop integrals would be path dependent")
     check_periodic(alpha, manifold, samples, "alpha")
+    return loop_periods(alpha, manifold, base)
+
+
+def loop_periods(alpha: KForm, manifold: ChartManifold,
+                 base: Optional[Sequence[float]] = None) -> PeriodVector:
+    """The quadrature of `periods`, without its certificate: for a one-form
+    that differs from a certified one by a constant form, such as a rebuilt
+    `build_approximation`.
+
+    Gauss-Legendre quadrature (`_leggauss`) on PERIOD_QUAD_NODES nodes,
+    doubled while two successive rules differ by more than PERIOD_QUAD_ERR on
+    a cycle; raises QuadratureError when they still do at
+    PERIOD_QUAD_MAX_NODES nodes.  The finer rule's values are returned.
+    """
     lengths = np.asarray(manifold.periods, dtype=float)
     base_pt = np.zeros(manifold.dim) if base is None else np.asarray(base, dtype=float)
     nodes = PERIOD_QUAD_NODES

@@ -415,17 +415,17 @@ def test_tischler_inline_alpha_rebuild(tmp_path):
 
 
 def test_tischler_rebuilt_period_quadrature_failure_is_a_failed_check(tmp_path, monkeypatch):
-    # the first call takes the periods of alpha, the second those of the rebuilt form
+    # the first quadrature takes the periods of alpha, the second those of the rebuilt form
     from cosymlab import tischler
-    periods, calls = tischler.periods, []
+    loop_periods, calls = tischler.loop_periods, []
 
     def second_fails(alpha, manifold, base=None):
         calls.append(alpha)
         if len(calls) == 2:
             raise tischler.QuadratureError(1, 0.25)
-        return periods(alpha, manifold, base)
+        return loop_periods(alpha, manifold, base)
 
-    monkeypatch.setattr(tischler, "periods", second_fails)
+    monkeypatch.setattr(tischler, "loop_periods", second_fails)
     cfg = {"tischler": {"dim": 2, "alpha": [[0, 1.0], [1, math.sqrt(2.0)]]}}
     code, out = run(tmp_path, "tischler", cfg)
     assert code == 1
@@ -848,3 +848,72 @@ def test_cli_process_loads_only_the_layers_its_command_runs(tmp_path, command, c
     assert result["before"] == CLI_IMPORT
     assert sorted(set(result["after"]) - set(CLI_IMPORT)) == [f"cosymlab.{m}" for m in adds]
     assert not result["polynomial"]
+
+
+def test_bench_traced_methods_exist():
+    # the bench tracer wraps these methods by name, and a missing one makes every
+    # traced run fail; read from bench/tracing.py without importing it
+    import ast
+    import importlib
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "bench" / "tracing.py").read_text())
+    methods = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and getattr(node.targets[0], "id", None) == "METHODS")
+    assert methods
+    for module, cls, method, _ in methods:
+        assert callable(getattr(getattr(importlib.import_module(f"cosymlab.{module}"), cls),
+                                method))
+
+
+# each command through cli.main, and how many objects it certifies: systems
+# (`validate`), cosymplectic pairs (`verify_cosymplectic`), forms (`check_periodic`)
+# and tischler's dalpha (`exterior_derivative` in `tischler`)
+TISCHLER_ALPHA = {"dim": 4, "alpha": [[0, "1.0 + 0.3*cos(x0)"], [1, math.sqrt(2.0)],
+                                      [2, 1.7320508075688772], [3, 0.1]],
+                  "eps": 1e-2, "d_cap": 100}
+CERTIFYING_RUNS = [
+    ("demo-product", {"seed": "t3", "samples": 4, "n_return_points": 1, "grid": 1,
+                      "t_max": 20.0}, (1, 1, 2, 0)),
+    ("verify-cosym", {"seed": "t3", "samples": 8}, (0, 1, 0, 0)),
+    ("verify-cosym", {"cosym": {"dim": 3, "alpha": [[2, "1 + 0.1*sin(x2)"]],
+                                "beta": [[0, 1, 1.0]]}, "samples": 8}, (0, 1, 2, 0)),
+    ("tischler", {"tischler": TISCHLER_ALPHA}, (0, 0, 1, 1)),
+    ("tischler", {"tischler": TISCHLER_ALPHA, "system": "t4_product", "samples": 8},
+     (1, 1, 3, 1)),
+    ("obstruct", {"system": "canonical_r4", "quad_nodes": 16}, (1, 0, 3, 0)),
+    ("obstruct", {"system": {**INLINE_OSCILLATOR, "lambda": [[1, "q"]]}}, (1, 0, 3, 0)),
+    ("return-map", {**RETURN_MAP_OSC, "samples": 1, "iterations": 1}, (0, 0, 0, 0)),
+    ("return-map", BENCH_INLINE_RETURN_MAP, (1, 0, 2, 0)),
+]
+
+
+@pytest.mark.parametrize("command, config, certified", CERTIFYING_RUNS,
+                         ids=["demo-product", "verify-cosym-catalog", "verify-cosym-inline",
+                              "tischler", "tischler-system", "obstruct-catalog",
+                              "obstruct-inline", "return-map-catalog", "return-map-inline"])
+def test_each_identity_is_certified_once(tmp_path, monkeypatch, command, config, certified):
+    from cosymlab import cosym, obstruct, phase, tischler
+    seen = {"validate": [], "verify_cosymplectic": [], "check_periodic": [], "d_alpha": []}
+
+    def counted(name, fn):
+        def wrapper(certified_object, *args):
+            seen[name].append(certified_object)   # kept alive, so ids stay distinct
+            return fn(certified_object, *args)
+        return wrapper
+
+    monkeypatch.setattr(phase.HamiltonianSystem, "validate",
+                        counted("validate", phase.HamiltonianSystem.validate))
+    monkeypatch.setattr(cosym, "verify_cosymplectic",
+                        counted("verify_cosymplectic", cosym.verify_cosymplectic))
+    for module in (cli, cosym, obstruct, phase, section, tischler):
+        if getattr(module, "check_periodic", None) is forms.check_periodic:
+            monkeypatch.setattr(module, "check_periodic",
+                                counted("check_periodic", forms.check_periodic))
+    monkeypatch.setattr(tischler, "exterior_derivative",
+                        counted("d_alpha", forms.exterior_derivative))
+    code, _ = run(tmp_path, command, config)
+    assert code == (1 if command == "obstruct" else 0)
+    # each object certified exactly once, and as many objects as the run has
+    for name, objects in seen.items():
+        assert len({id(o) for o in objects}) == len(objects), name
+    assert tuple(len(objects) for objects in seen.values()) == certified

@@ -1,10 +1,9 @@
-import json
 import math
 
 import numpy as np
 import pytest
 
-from cosymlab import catalog, cli, forms as F, obstruct as O, phase as P, section as S
+from cosymlab import catalog, forms as F, obstruct as O, phase as P, section as S
 
 TWO_PI = 2.0 * math.pi
 
@@ -43,27 +42,9 @@ def test_constant_form_integral_never_evaluates_the_patch(t4_system):
 
 def test_stokes_requires_primitive(t4_system):
     # without a primitive there is nothing to certify, and no Stokes verdict
-    assert not O.exactness_verdict(t4_system).negative
-    with pytest.raises(O.PrimitiveError):
-        O.check_primitive(t4_system)
-
-
-def test_obstruct_certifies_the_primitive_once(tmp_path, monkeypatch):
-    # the verdict's certificate covers both Stokes integrals of the run
-    calls = []
-    check = O.check_primitive
-
-    def counted(system):
-        calls.append(1)
-        return check(system)
-
-    monkeypatch.setattr(O, "check_primitive", counted)
-    config = tmp_path / "obstruct.json"
-    config.write_text('{"system": "canonical_r4", "quad_nodes": 16}')
-    assert cli.main(["obstruct", "--config", str(config), "--out", str(tmp_path)]) == 1
-    assert len(calls) == 1
-    report = json.loads((tmp_path / "report.json").read_text())["report"]
-    assert set(report["checks"][0]["surface_integrals"]) == {"torus", "sphere"}
+    verdict = O.exactness_verdict(t4_system)
+    assert not verdict.negative
+    assert verdict.evidence == {"primitive": None}
 
 
 def _exp_form():
@@ -173,18 +154,18 @@ def test_exactness_verdict_inconclusive_without_primitive(t4_system):
 def test_exactness_verdict_rejects_wrong_primitive(r4_system):
     bad = P.HamiltonianSystem(r4_system.manifold, r4_system.omega, r4_system.h,
                               r4_system.grad_h, lam=F.coordinate_form(4, 0))
-    with pytest.raises(O.PrimitiveError):
+    with pytest.raises(ValueError, match="primitive does not differentiate to omega"):
         O.exactness_verdict(bad)
 
 
-def test_check_primitive_refuses_a_nan_residual(r4_system):
+def test_exactness_verdict_refuses_a_nan_residual(r4_system):
     def coeffs(x):
         return np.asarray(r4_system.lam.coeffs(x)) + np.zeros(np.shape(x)) / 0.0
 
     bad = P.HamiltonianSystem(r4_system.manifold, r4_system.omega, r4_system.h,
                               r4_system.grad_h, lam=F.KForm(1, 4, coeffs))
-    with pytest.raises(O.PrimitiveError, match="nan"):
-        O.check_primitive(bad)
+    with pytest.raises(ValueError, match="nan"):
+        O.exactness_verdict(bad)
 
 
 # -- Betti condition -------------------------------------------------------------------

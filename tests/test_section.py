@@ -996,7 +996,7 @@ def test_verify_global_keeps_its_forward_scan():
     # equal a 50-orbit scan bit for bit
     from cosymlab import cosym
     rng = F.Rng(1)
-    system = cosym.build_product_system(catalog.SEEDS["t5"](), rng=rng)
+    system = cosym.build_product_system(catalog.SEEDS["t5"]())
     sec = S.coordinate_section(system.manifold, system.dim - 2)
     samples = catalog.PRODUCT.starts(system, rng, 1500, 0.0)
     whole = S.verify_global(system, sec, samples, 100.0, 1e-10).forward
@@ -1096,8 +1096,7 @@ def _verify_global_traced_peak(n):
     import tracemalloc
     from cosymlab import cosym
     rng = np.random.default_rng(1000)
-    system = cosym.build_product_system(catalog.SEEDS["t5"](), rng=rng)
-    system.validate(system.manifold.sample(rng, 64))
+    system = cosym.build_product_system(catalog.SEEDS["t5"]())
     samples = catalog.PRODUCT.starts(system, rng, n, 0.0)
     sec = S.coordinate_section(system.manifold, system.dim - 2)
     tracemalloc.start()
