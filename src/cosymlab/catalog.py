@@ -275,25 +275,42 @@ def _patch_jacobian(u, v) -> tuple[np.ndarray, np.ndarray]:
     return np.moveaxis(entries, (0, 1), (-2, -1)), entries
 
 
+def _sin_cos_of_v():
+    """A function giving (sin v, cos v), computed again only when v differs
+    from the last call's: the quadrature passes every block of u-rows the same
+    row of v, so a surface takes its v terms once per integral."""
+    last = [np.empty(0)] * 3
+
+    def sin_cos(v):
+        if not np.array_equal(v, last[0]):
+            last[:] = np.array(v), np.sin(v), np.cos(v)
+        return last[1], last[2]
+
+    return sin_cos
+
+
 def embedded_torus_r4() -> MeshedSurface:
     """Product of the circles of radius 1 and 0.7 about the origin in the
     (0,1) and (2,3) coordinate planes of a 4-dimensional chart."""
     from .obstruct import MeshedSurface
+    sin_cos = _sin_cos_of_v()
 
     def value(u, v):
+        sv, cv = sin_cos(v)
         out = np.empty(_grid_shape(u, v) + (4,))
         out[..., 0] = np.cos(u)
         out[..., 1] = np.sin(u)
-        out[..., 2] = 0.7 * np.cos(v)
-        out[..., 3] = 0.7 * np.sin(v)
+        out[..., 2] = 0.7 * cv
+        out[..., 3] = 0.7 * sv
         return out
 
     def jacobian(u, v):
+        sv, cv = sin_cos(v)
         out, entries = _patch_jacobian(u, v)
         entries[0, 0] = -np.sin(u)
         entries[1, 0] = np.cos(u)
-        entries[2, 1] = -0.7 * np.sin(v)
-        entries[3, 1] = 0.7 * np.cos(v)
+        entries[2, 1] = -0.7 * sv
+        entries[3, 1] = 0.7 * cv
         return out
 
     return MeshedSurface(value, jacobian, (TWO_PI, TWO_PI))
@@ -307,18 +324,20 @@ def embedded_sphere_r4(radius: float = 1.0, center: Optional[np.ndarray] = None,
     from .obstruct import MeshedSurface
     c = np.zeros(4) if center is None else np.asarray(center, dtype=float)
     a0, a1, a2 = axes
+    sin_cos = _sin_cos_of_v()
 
     def value(u, v):
         r_su = radius * np.sin(u)
+        sv, cv = sin_cos(v)
         out = np.broadcast_to(c, _grid_shape(u, v) + (4,)).copy()
-        out[..., a0] += r_su * np.cos(v)
-        out[..., a1] += r_su * np.sin(v)
+        out[..., a0] += r_su * cv
+        out[..., a1] += r_su * sv
         out[..., a2] += radius * np.cos(u)
         return out
 
     def jacobian(u, v):
         r_su, r_cu = radius * np.sin(u), radius * np.cos(u)
-        sv, cv = np.sin(v), np.cos(v)
+        sv, cv = sin_cos(v)
         out, entries = _patch_jacobian(u, v)
         entries[a0, 0] = r_cu * cv
         entries[a1, 0] = r_cu * sv

@@ -189,7 +189,7 @@ COMMAND_FIELDS = {
         "system": (SYSTEM, None, "Hamiltonian system of the exactness obstruction"),
         "ambient": (name_in(catalog.AMBIENT_TOPOLOGY), None, "ambient manifold to judge"),
         "quad_nodes": (count(1, 5120), catalog.DEFAULT_QUAD_NODES, "n of the n × n midpoint "
-                       "rule on each Stokes surface"), "rng_seed": RNG_SEED},
+                       "rule on each Stokes surface")},
     "return-map": {
         "system": (SYSTEM, REQUIRED, "catalog or inline system"),
         "section": (OBJECT._replace(table=section_table), None,
@@ -254,8 +254,11 @@ def _form_from_entries(dim: int, names: Sequence[str], entries, degree: int) -> 
         else:
             term = expr.Num(sign * value)
         columns[r] = term if columns[r] is None else expr.BinOp("+", columns[r], term)
-    return KForm(degree, dim, expr.compile_nodes([expr.Num(0.0) if c is None else c
-                                                  for c in columns]))
+    try:
+        coeffs = expr.compile_nodes([expr.Num(0.0) if c is None else c for c in columns])
+    except expr.ExprError as exc:
+        raise ConfigError(f"form coefficients: {exc}") from exc
+    return KForm(degree, dim, coeffs)
 
 
 def _coordinate_names(spec: dict) -> list:
@@ -748,7 +751,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cfg = validate(args.command, raw)
         if args.seed is not None and not RNG_SEED[0].ok(args.seed):
             raise ConfigError(f"--seed must be {RNG_SEED[0].text}, got {args.seed}")
-        seed = cfg["rng_seed"] if args.seed is None else args.seed
+        seed = cfg.get("rng_seed", 0) if args.seed is None else args.seed
         try:
             args.out.mkdir(parents=True, exist_ok=True)
         except (FileExistsError, NotADirectoryError) as exc:

@@ -1,41 +1,40 @@
-"""Tiny recursive-descent parser for inline energy expressions.
+"""Inline energy expressions, read by Python's own parser.
 
 Config files may define Hamiltonians as strings over the chart coordinates,
-e.g. ``"0.5*(q^2 + p^2)"`` or ``"sin(theta)"``.  The grammar covers sums,
-products, quotients, integer powers and the sine/cosine calls; parsed
-expressions differentiate symbolically, which supplies the gradient callbacks
-the solvers need.  Values are computed by generated code: `compile_nodes`
-emits one straight-line NumPy function per list of trees, from the validated
-tree only, and executes it once in a namespace that holds only ``np``.
-
-    expr   := term (('+' | '-') term)*
-    term   := unary (('*' | '/') unary)*
-    unary  := ('-' | '+') unary | power
-    power  := atom (('^' | '**') unary)?
-    atom   := NUMBER | 'pi' | name | name '(' expr ')' | '(' expr ')'
+e.g. ``"0.5*(q^2 + p^2)"`` or ``"sin(theta)"``.  `parse` reads them with
+``ast.parse``, ``^`` standing for ``**``, and translates Python's tree through
+a whitelist: decimal number literals, ``pi``, the coordinates, unary ``+`` and
+``-``, ``+ - * /``, integer literal powers, and ``sin`` and ``cos`` of one
+argument.  Anything else raises `ExprError`.  Parsed expressions differentiate
+symbolically, which supplies the gradient callbacks the solvers need.  Values
+are computed by generated code: `compile_nodes` emits one straight-line NumPy
+function per list of trees, from the validated tree only, and executes it once
+in a namespace that holds only ``np``.
 """
 from __future__ import annotations
 
+import ast
 import functools
+import keyword
 import math
 import re
+import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 
 class ExprError(ValueError):
-    """Parse or evaluation failure, with source position."""
+    """Parse, name or compilation failure, with its position in the text if any."""
 
-    def __init__(self, message: str, pos: int):
-        super().__init__(f"{message} (at position {pos})")
+    def __init__(self, message: str, pos: Optional[int] = None):
+        super().__init__(message if pos is None else f"{message} (at position {pos})")
         self.pos = pos
 
 
-_TOKEN = re.compile(r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
-                    r"|\d+(?:[eE][+-]?\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-                    r"|(?P<op>\*\*|[-+*/^()]))")
+# the ExprError of a tree too deep for the parser, the derivative or the code generation
+_TOO_DEEP = "expression nested too deeply"
 
 # function name -> derivative of fn(arg) with respect to arg; the generated code
 # calls np.<name>
@@ -45,27 +44,7 @@ _FUNCTIONS = {
 }
 
 
-def _tokenize(text: str):
-    pos = 0
-    tokens = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise ExprError(f"unexpected character {text[pos:].strip()[0]!r}", pos)
-            break
-        if m.group("num"):
-            tokens.append(("num", float(m.group("num")), pos))
-        elif m.group("name"):
-            tokens.append(("name", m.group("name"), pos))
-        else:
-            tokens.append(("op", m.group("op"), pos))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
-
-
-# -- AST ------------------------------------------------------------------------
+# -- expression trees -----------------------------------------------------------
 
 
 class Node:
@@ -189,92 +168,85 @@ def _mul(a: Node, b: Node) -> Node:
 
 # -- parser -----------------------------------------------------------------------
 
+# a character outside the language, refused before Python reads the text
+_OUTSIDE = re.compile(r"[^A-Za-z0-9_.+\-*/^() ]")
+_NUMBER = re.compile(r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?")
+_OPERATORS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
 
-class _Parser:
-    def __init__(self, text: str, names: Sequence[str]):
-        self.tokens = _tokenize(text)
-        self.names = {name: i for i, name in enumerate(names)}
-        self.i = 0
 
-    def peek(self):
-        return self.tokens[self.i]
+def _coordinate_index(names: Sequence[str]) -> dict:
+    """Index of each coordinate name: a distinct ASCII identifier, neither a
+    Python keyword nor 'pi', 'sin' or 'cos', else ExprError names it."""
+    index = {}
+    for i, name in enumerate(names):
+        if not (name.isascii() and name.isidentifier()):
+            raise ExprError(f"coordinate name {name!r} is not an ASCII identifier")
+        if keyword.iskeyword(name) or name == "pi" or name in _FUNCTIONS:
+            raise ExprError(f"coordinate name {name!r} is reserved")
+        if name in index:
+            raise ExprError(f"coordinate name {name!r} is given twice")
+        index[name] = i
+    return index
 
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
 
-    def expect_op(self, op: str):
-        kind, val, pos = self.next()
-        if kind != "op" or val != op:
-            raise ExprError(f"expected {op!r}, found {val!r}", pos)
+def parse(text: str, names: Sequence[str]) -> Expression:
+    """Parse an expression over the given coordinate names."""
+    index = _coordinate_index(names)
+    # any whitespace separates tokens, and a leading space is an indent to Python
+    spaced = re.sub(r"\s", " ", text).lstrip()
+    start = len(text) - len(spaced)
+    if bad := _OUTSIDE.search(spaced):
+        raise ExprError(f"unexpected character {bad.group()!r}", start + bad.start())
+    # Python's source, and origin[j] the position in text of its character j
+    source = spaced.replace("^", "**")
+    origin = [start + i for i, ch in enumerate(spaced) for _ in range(2 if ch == "^" else 1)]
+    origin.append(len(text))
 
-    def parse(self) -> Node:
-        node = self.expr()
-        kind, val, pos = self.peek()
-        if kind != "end":
-            raise ExprError(f"unexpected trailing input {val!r}", pos)
-        return node
-
-    def expr(self) -> Node:
-        node = self.term()
-        while self.peek()[:2] in (("op", "+"), ("op", "-")):
-            _, op, _ = self.next()
-            node = BinOp(op, node, self.term())
-        return node
-
-    def term(self) -> Node:
-        node = self.unary()
-        while self.peek()[:2] in (("op", "*"), ("op", "/")):
-            _, op, _ = self.next()
-            node = BinOp(op, node, self.unary())
-        return node
-
-    def unary(self) -> Node:
-        kind, val, _ = self.peek()
-        if kind == "op" and val in ("+", "-"):
-            self.next()
-            node = self.unary()
-            return node if val == "+" else Neg(node)
-        return self.power()
-
-    def power(self) -> Node:
-        node = self.atom()
-        kind, val, pos = self.peek()
-        if kind == "op" and val in ("^", "**"):
-            self.next()
-            exponent = self.unary()
-            if not isinstance(exponent, Num) or exponent.value != int(exponent.value):
-                raise ExprError("exponents must be integer literals", pos)
-            return Pow(node, int(exponent.value))
-        return node
-
-    def atom(self) -> Node:
-        kind, val, pos = self.next()
-        if kind == "num":
-            return Num(val)
-        if kind == "op" and val == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        if kind == "name":
-            if val == "pi":
+    def translate(node: ast.AST) -> Node:
+        if isinstance(node, ast.Constant):
+            digits = source[node.col_offset:node.end_col_offset]
+            if not _NUMBER.fullmatch(digits):
+                raise ExprError(f"not a decimal number: {digits!r}", origin[node.col_offset])
+            return Num(float(digits))
+        if isinstance(node, ast.Name):
+            if node.id == "pi":
                 return Num(math.pi)
-            if val in _FUNCTIONS:
-                self.expect_op("(")
-                arg = self.expr()
-                self.expect_op(")")
-                return Call(val, arg)
-            if val in self.names:
-                return Var(self.names[val], val)
-            raise ExprError(f"unknown name {val!r} (coordinates: {sorted(self.names)})", pos)
-        raise ExprError(f"unexpected token {val!r}", pos)
+            if node.id not in index:
+                raise ExprError(f"unknown name {node.id!r} (coordinates: {sorted(index)})",
+                                origin[node.col_offset])
+            return Var(index[node.id], node.id)
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+            arg = translate(node.operand)
+            return arg if isinstance(node.op, ast.UAdd) else Neg(arg)
+        if isinstance(node, ast.BinOp) and type(node.op) in _OPERATORS:
+            return BinOp(_OPERATORS[type(node.op)], translate(node.left), translate(node.right))
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            exponent = translate(node.right)
+            if not (isinstance(exponent, Num) and float(exponent.value).is_integer()):
+                raise ExprError("exponents must be integer literals",
+                                origin[node.right.col_offset])
+            return Pow(translate(node.left), int(exponent.value))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in _FUNCTIONS and len(node.args) == 1 and not node.keywords):
+            return Call(node.func.id, translate(node.args[0]))
+        raise ExprError("unsupported syntax", origin[node.col_offset])
+
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # so "invalid decimal literal" is a SyntaxError
+            tree = ast.parse(source, mode="eval")
+    except SyntaxError as exc:
+        raise ExprError(exc.msg, origin[min((exc.offset or 1) - 1, len(origin) - 1)])
+    except (RecursionError, MemoryError):
+        # CPython's parser raises either on a tree too deep for it
+        raise ExprError(_TOO_DEEP) from None
+    try:
+        return Expression(translate(tree.body), tuple(names))
+    except RecursionError:
+        raise ExprError(_TOO_DEEP) from None
 
 
 # -- code generation --------------------------------------------------------------
-
-_BINARY = ("+", "-", "*", "/")
-
 
 class _Emitter:
     """Straight-line NumPy statements for expression trees: one statement per
@@ -302,7 +274,7 @@ class _Emitter:
             return self._temp(f"x[..., {int(node.index)}]")
         if isinstance(node, Neg):
             return self._temp(f"-{self.emit(node.arg)}")
-        if isinstance(node, BinOp) and node.op in _BINARY:
+        if isinstance(node, BinOp) and node.op in _OPERATORS.values():
             left, right = self.emit(node.left), self.emit(node.right)
             return self._temp(f"{left} {node.op} {right}")
         if isinstance(node, Pow):
@@ -333,7 +305,10 @@ def compile_nodes(columns: Sequence[Node],
     if scalar and len(columns) != 1:
         raise ValueError("a scalar result needs exactly one tree")
     emitter = _Emitter()
-    results = [emitter.emit(node) for node in columns]
+    try:
+        results = [emitter.emit(node) for node in columns]
+    except RecursionError:
+        raise ExprError(_TOO_DEEP) from None
     if scalar:
         tail, stores = "()", [f"    out[...] = {results[0]}"]
     else:
@@ -382,9 +357,9 @@ class Expression:
     def gradient(self) -> Callable[[np.ndarray], np.ndarray]:
         """Generated function giving the symbolic gradient at coords (..., dim),
         shape (..., dim)."""
-        return compile_nodes([self.root.diff(i) for i in range(len(self.names))])
+        try:
+            columns = [self.root.diff(i) for i in range(len(self.names))]
+        except RecursionError:
+            raise ExprError(_TOO_DEEP) from None
+        return compile_nodes(columns)
 
-
-def parse(text: str, names: Sequence[str]) -> Expression:
-    """Parse an expression over the given coordinate names."""
-    return Expression(_Parser(text, names).parse(), tuple(names))

@@ -152,7 +152,7 @@ def leaf_section(chart: ChartManifold, n: Sequence[int], level: float = 0.0,
                        orientation=orientation)
 
 
-_ROWS = ("starts", "times", "states", "rates", "margins", "residuals", "crossings_seen")
+_ROWS = ("starts", "times", "states", "margins", "residuals", "crossings_seen")
 
 
 @dataclass(eq=False)
@@ -163,10 +163,10 @@ class Crossings:
     ``starts`` holds the state each row was scanned from and ``tol`` the
     integrator tolerance the crossings were certified at.  ``times`` are
     signed crossing times since the start (negative when scanning backward)
-    and ``states`` the crossing states, reduced to the chart.  ``rates`` is
-    d theta/dt along the true flow at a crossing, ``margins`` the least
-    |d theta/dt| at the crossing before it (the start, for the first) and at
-    the step ends between, and ``residuals`` the final |theta - level|.
+    and ``states`` the crossing states, reduced to the chart.  ``margins`` is
+    the least |d theta/dt| at the crossing before it (the start, for the
+    first) and at the step ends between, and ``residuals`` the final
+    |theta - level|.
     ``crossings_seen`` counts the lattice passages since the crossing before,
     up to and including this one, through the first uncertified crossing,
     and is 0 after it.  ``failures`` holds per orbit None, or (certified
@@ -178,7 +178,6 @@ class Crossings:
     starts: np.ndarray
     times: np.ndarray
     states: np.ndarray
-    rates: np.ndarray
     margins: np.ndarray
     residuals: np.ndarray
     crossings_seen: np.ndarray
@@ -213,7 +212,7 @@ def _blank(starts: np.ndarray, k: int, tol: float, failures: list) -> Crossings:
     """The record of starts (n, dim) with no crossing certified yet: NaN
     values and no passages."""
     n, dim = starts.shape
-    nan = [np.full((n, k) + shape, np.nan) for shape in ((), (dim,), (), (), ())]
+    nan = [np.full((n, k) + shape, np.nan) for shape in ((), (dim,), (), ())]
     return Crossings(starts, *nan, np.zeros((n, k), dtype=int), failures, tol)
 
 
@@ -436,10 +435,11 @@ def first_crossings(system, sec: SectionSpec, starts: np.ndarray,
     t_left, t_right = bracket[:, dim + 2:].T
     t_local = t_left + y[:, dim] + t_corr
     out.times[rows, cols], out.states[rows, cols] = direction * t_local, x
-    out.rates[rows, cols], out.residuals[rows, cols] = sec.dtheta(x, system.field(x)), residual
+    rates = np.full((n, k), np.nan)   # d theta/dt along the true flow
+    rates[rows, cols], out.residuals[rows, cols] = sec.dtheta(x, system.field(x)), residual
     # a return starts at the crossing before it, at that crossing's rate
-    margins[:, 1:] = np.fmin(margins[:, 1:], np.abs(out.rates[:, :-1]))
-    rate = np.minimum(np.abs(out.rates[rows, cols]), slowest)
+    margins[:, 1:] = np.fmin(margins[:, 1:], np.abs(rates[:, :-1]))
+    rate = np.minimum(np.abs(rates[rows, cols]), slowest)
     slack = 1e-3 * (t_right - t_left)
     late = t_local - np.where(cols > 0, direction * out.times[rows, cols - 1], 0.0) > t_max
     tangent = ~(rate >= TANGENCY_MARGIN)
@@ -460,7 +460,7 @@ def first_crossings(system, sec: SectionSpec, starts: np.ndarray,
     out.failures = [None if c == k else (c, f) for c, f in zip(completed.tolist(), failures)]
     # only certified entries keep values, and passages count through the first failure
     ok = np.arange(k) < completed[:, None]
-    for values in (out.times, out.states, out.rates, out.margins, out.residuals):
+    for values in (out.times, out.states, out.margins, out.residuals):
         values[~ok] = np.nan
     out.states[ok] = system.manifold.reduce(out.states[ok])
     seen[np.arange(k) > completed[:, None]] = 0

@@ -70,6 +70,13 @@ OSCILLATOR = {"system": "oscillator_2dof_sqrt2", "section": {"kind": "angle", "p
               "level": 1.0, "samples": 20, "iterations": 50, "n_return_points": 10}
 
 
+def inline_return_map(hamiltonian: str, coordinates=("q", "p")) -> dict:
+    """A one-start return-map config on the inline dim-2 system of that energy."""
+    return {"system": {"dim": 2, "coordinates": list(coordinates), "omega": [[0, 1, 1.0]],
+                       "hamiltonian": hamiltonian},
+            "section": {"kind": "angle", "pair": [0, 1]}, "points": [[1.0, 0.0]]}
+
+
 # name: (command, config, exit code, [(condition, test of (result, out dir))]).  A config
 # "readme" or "bench" is the first config of the command in README.md or in the bench.
 REGRESSION = {
@@ -180,6 +187,19 @@ REGRESSION = {
         [error_names("alpha is not periodic")]),
     "return-map-lambda": ("return-map", {"system": LAMBDA_T4, "section": {"kind": "coordinate"}},
                           2, [error_names("lambda is not periodic")]),
+    # expressions too deep for the parser or for the derivative, and an exponent
+    # that overflows int: config errors, not crashes
+    "return-map-nested-parentheses": ("return-map", inline_return_map(
+        "(" * 1000 + "q" + ")" * 1000), 2, [error_names("too many nested parentheses")]),
+    "return-map-product-600": ("return-map", inline_return_map("*".join(["q"] * 600)), 2,
+                               [error_names("nested too deeply")]),
+    "return-map-exponent-1e999": ("return-map", inline_return_map("q^1e999"), 2,
+                                  [error_names("exponents must be integer literals")]),
+    # a coordinate name that is repeated or that an expression cannot reference
+    "return-map-duplicate-coordinate": ("return-map", inline_return_map("0.5*q^2", ("q", "q")),
+                                        2, [error_names("coordinate name 'q' is given twice")]),
+    "return-map-pi-coordinate": ("return-map", inline_return_map("0.5*q^2", ("q", "pi")), 2,
+                                 [error_names("coordinate name 'pi' is reserved")]),
 }
 
 

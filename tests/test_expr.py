@@ -52,11 +52,36 @@ def test_gradient_shape_is_full_width():
 
 
 @pytest.mark.parametrize("bad", [
-    "q +", "foo(x)", "2 ^^ 3", "sin x", "(x", "x )", "1..2", "x @ y",
+    "q +", "foo(x)", "2 ^^ 3", "sin x", "(x", "x )", "1..2", "x @ y", "", "  ",
+    # Python syntax outside the language
+    "x // q", "x % q", "x.real", "x if q else 1", "not x", "sin(x)(q)", "sin()", "sin(x, q)",
+    "pi(x)", "lambda: x", "x # comment", "x \\\n + q", "1j", "1_0", "0x1f", "True", "x θ",
 ])
 def test_parse_errors(bad):
     with pytest.raises(E.ExprError):
         E.parse(bad, ["x", "q"])
+
+
+@pytest.mark.parametrize("text, pos", [
+    ("x @ y", 2), ("x^2 + (q", 6), ("x ^ 2 + nope", 8), ("q^1e999", 2), ("x // q", 0),
+])
+def test_errors_point_into_the_text(text, pos):
+    # positions are in the text as written, where '^' is one character
+    with pytest.raises(E.ExprError) as info:
+        E.parse(text, ["x", "q"])
+    assert info.value.pos == pos and f"(at position {pos})" in str(info.value)
+
+
+@pytest.mark.parametrize("text, tree", [
+    ("-x^2", E.Neg(E.Pow(E.Var(0, "x"), 2))),
+    ("a-b-c", E.BinOp("-", E.BinOp("-", E.Var(1, "a"), E.Var(2, "b")), E.Var(3, "c"))),
+    ("x/y*z", E.BinOp("*", E.BinOp("/", E.Var(0, "x"), E.Var(4, "y")), E.Var(5, "z"))),
+    ("2^+3", E.Pow(E.Num(2.0), 3)),
+    ("\ta *\n-b\u00a0**2 ", E.BinOp("*", E.Var(1, "a"), E.Neg(E.Pow(E.Var(2, "b"), 2)))),
+    ("pi - .5e1", E.BinOp("-", E.Num(math.pi), E.Num(5.0))),
+])
+def test_exact_shapes(text, tree):
+    assert E.parse(text, ["x", "a", "b", "c", "y", "z"]).root == tree
 
 
 def test_non_integer_exponent_rejected():
@@ -67,6 +92,53 @@ def test_non_integer_exponent_rejected():
 def test_unknown_coordinate_rejected():
     with pytest.raises(E.ExprError, match="unknown name"):
         E.parse("x + nope", ["x"])
+
+
+@pytest.mark.parametrize("text", ["x^-2", "x^(1 + 1)", "x^pi", "x^q", "x^1e999", "x^2^3"])
+def test_exponents_are_integer_literals(text):
+    with pytest.raises(E.ExprError, match="integer"):
+        E.parse(text, ["x", "q"])
+
+
+def test_python_refusals_are_parse_errors():
+    # Python's parser refuses an integer literal with leading zeros, and a keyword
+    # as a coordinate name
+    with pytest.raises(E.ExprError, match="leading zeros"):
+        E.parse("01 + x", ["x"])
+    assert E.parse("00 + 01.5", ["x"]).root == E.BinOp("+", E.Num(0.0), E.Num(1.5))
+    with pytest.raises(E.ExprError, match="'lambda' is reserved"):
+        E.parse("lambda", ["lambda"])
+
+
+@pytest.mark.parametrize("names, problem", [
+    (["q", "q"], "'q' is given twice"), (["q", "pi"], "'pi' is reserved"),
+    (["sin", "p"], "'sin' is reserved"), (["cos"], "'cos' is reserved"),
+    (["if"], "'if' is reserved"), (["θ"], "'θ' is not an ASCII identifier"),
+    (["x y"], "'x y' is not an ASCII identifier"), (["1x"], "'1x' is not an ASCII identifier"),
+    ([""], "'' is not an ASCII identifier"),
+])
+def test_coordinate_names_are_checked(names, problem):
+    # a repeated name would alias one coordinate, and 'pi' would hide one
+    with pytest.raises(E.ExprError, match=f"coordinate name {problem}"):
+        E.parse("1", names)
+
+
+def test_deep_expressions_are_expression_errors():
+    # past Python's 200 levels of parentheses, past the parser's recursion, and a
+    # product too deep to differentiate; a 600-term sum still differentiates
+    for text in ["(" * 1000 + "x" + ")" * 1000, "-" * 100000 + "x", "x" + "^x" * 10000]:
+        with pytest.raises(E.ExprError):
+            E.parse(text, ["x"])
+    product = E.parse("*".join(["x"] * 600), ["x"])
+    with pytest.raises(E.ExprError, match="nested too deeply"):
+        product.gradient()
+    deep = E.Var(0, "x")
+    for _ in range(10000):
+        deep = E.Neg(deep)
+    with pytest.raises(E.ExprError, match="nested too deeply"):
+        E.compile_nodes([deep])
+    total = E.parse(" + ".join(["x"] * 600), ["x"])
+    assert total(np.ones(1)) == 600.0 and total.gradient()(np.ones(1)) == [600.0]
 
 
 # -- batch evaluation ---------------------------------------------------------------
@@ -206,3 +278,65 @@ def test_hand_built_trees_are_checked_before_emission():
 def test_non_finite_literals_compile():
     e = E.parse("1e999 * x", ["x"])
     assert np.all(e(np.ones((2, 1))) == np.inf)
+
+
+# -- round trip -----------------------------------------------------------------
+
+_OPS = {"+": 1, "-": 1, "*": 2, "/": 2}   # binding strength of the binary operators
+
+
+def _trees():
+    """Random trees of the shapes `parse` builds: non-negative literals, pi,
+    coordinates, negation, the four operators, integer powers, sine, cosine."""
+    leaves = st.one_of(st.floats(0.0, 1e300).map(E.Num), st.just(E.Num(math.pi)),
+                       st.sampled_from([E.Var(i, n) for i, n in enumerate(NAMES)]))
+
+    def grow(inner):
+        return st.one_of(
+            inner.map(E.Neg),
+            st.builds(E.BinOp, st.sampled_from(sorted(_OPS)), inner, inner),
+            st.builds(E.Pow, inner, st.integers(0, 12)),
+            st.builds(E.Call, st.sampled_from(["sin", "cos"]), inner))
+
+    return st.recursive(leaves, grow, max_leaves=16)
+
+
+def _printed(rnd, node, level=0) -> str:
+    """Source of a tree whose parts bind at least as tightly as level (0 any,
+    1 a sum, 2 a product, 3 a signed term, 4 an atom), with random whitespace
+    between tokens, redundant parentheses, and '^' or '**'."""
+    def gap():
+        return rnd.choice(["", "", " ", "  ", "\t", "\n", "\u00a0"])
+
+    if isinstance(node, E.Num):
+        value = float(node.value)
+        text = "pi" if value == math.pi else rnd.choice(
+            [repr(value)] + ([str(int(value))] if value.is_integer() and value < 1e6 else []))
+        own = 4
+    elif isinstance(node, E.Var):
+        text, own = node.name, 4
+    elif isinstance(node, E.Call):
+        text, own = f"{node.fn}{gap()}({gap()}{_printed(rnd, node.arg)}{gap()})", 4
+    elif isinstance(node, E.Pow):
+        text = (f"{_printed(rnd, node.base, 4)}{gap()}{rnd.choice(['^', '**'])}{gap()}"
+                f"{rnd.choice(['', '+'])}{node.exponent}")
+        own = 3
+    elif isinstance(node, E.Neg):
+        text, own = f"-{gap()}{_printed(rnd, node.arg, 3)}", 3
+    else:
+        strength = _OPS[node.op]
+        text = (f"{_printed(rnd, node.left, strength)}{gap()}{node.op}{gap()}"
+                f"{_printed(rnd, node.right, strength + 1)}")
+        own = strength
+    if own < level or rnd.random() < 0.15:
+        text = f"({gap()}{text}{gap()})"
+    return text
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_trees(), st.randoms(use_true_random=False))
+def test_printed_trees_parse_back_to_themselves(tree, rnd):
+    # pins precedence and left-associativity: a tree printed with its needed
+    # parentheses, and some redundant ones, parses back to the same tree
+    text = rnd.choice(["", " ", "\n"]) + _printed(rnd, tree)
+    assert E.parse(text, NAMES).root == tree

@@ -114,6 +114,18 @@ def test_per_axis_quadrature_equals_the_pointwise_rule(monkeypatch, r4_system, s
     assert O.surface_integral(form, surf, n) == _pointwise_integral(form, surf, n)
 
 
+@pytest.mark.parametrize("build", [catalog.embedded_torus_r4, _offset_sphere])
+def test_patches_follow_a_v_row_changed_in_place(build):
+    # a surface keeps the sines and cosines of its last v row; a row changed in
+    # place between calls gets its own
+    surf, fresh = build(), build()
+    u, v = np.linspace(0.0, 1.0, 3)[:, None], np.linspace(0.0, 2.0, 5)
+    surf.value(u, v), surf.jacobian(u, v)
+    v += 0.25
+    assert np.array_equal(surf.value(u, v), fresh.value(u, v))
+    assert np.array_equal(surf.jacobian(u, v), fresh.jacobian(u, v))
+
+
 def test_stokes_memory_bound(r4_system):
     # the nodes are evaluated one block of u-rows at a time: the traced peak
     # is about 2.3 MiB at n = 1024, against 136 MiB when all n^2 nodes, their

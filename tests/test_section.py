@@ -1001,7 +1001,7 @@ def test_verify_global_keeps_its_forward_scan():
     samples = catalog.PRODUCT.starts(system, rng, 1500, 0.0)
     whole = S.verify_global(system, sec, samples, 100.0, 1e-10).forward
     part = S.first_crossings(system, sec, samples[:50], 100.0, 1e-10)
-    for name in ("times", "states", "rates", "margins", "residuals", "crossings_seen", "ok"):
+    for name in ("times", "states", "margins", "residuals", "crossings_seen", "ok"):
         assert np.array_equal(getattr(whole, name)[:50], getattr(part, name)), name
     assert whole.failures[:50] == part.failures
     assert "forward" not in S.verify_global(system, sec, samples[:2]).as_dict()
@@ -1027,7 +1027,7 @@ def _assert_same_record(a, b, atol=0.0):
     assert a.failures == b.failures and a.tol == b.tol
     assert np.array_equal(a.starts, b.starts)
     assert np.array_equal(a.crossings_seen, b.crossings_seen)
-    for name in ("times", "states", "rates", "margins", "residuals"):
+    for name in ("times", "states", "margins", "residuals"):
         x, y = getattr(a, name), getattr(b, name)
         assert np.array_equal(np.isnan(x), np.isnan(y)), name
         assert np.all(np.abs(x[~np.isnan(x)] - y[~np.isnan(y)]) <= atol), name
