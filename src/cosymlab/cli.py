@@ -17,18 +17,23 @@ Reports are deterministic for a fixed (config, seed): volatile data
 
 Importing this module loads the config schema, the catalog, `forms` and
 `phase`.  A command imports the other layers it runs (`section`, `cosym`,
-`tischler`, `obstruct`, `expr`) when it runs, and only those its config
-needs.
+`tischler`, `obstruct`, `expr`, and the `dop853` stepper on its first
+integration) when it runs, and only those its config needs.
+
+A process ends through `run()`: `main()`, then `sys.exit` with its code,
+skipping the collector's passes over the module graph at interpreter
+shutdown.  `main()` itself leaves the collector alone, so it can be called
+in process.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
 import datetime
+import gc
 import json
 import sys
 import time
-import traceback
 from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
@@ -262,18 +267,22 @@ def _form_from_entries(dim: int, names: Sequence[str], entries, degree: int) -> 
 
 
 def _coordinate_names(spec: dict) -> list:
-    """The inline spec's coordinate names (default x0, x1, ...), one per dimension."""
+    """The inline spec's coordinate names (default x0, x1, ...), one per dimension;
+    ValueError unless they are distinct names that an expression can refer to."""
+    from . import expr
     names = list(spec["coordinates"]) or [f"x{i}" for i in range(spec["dim"])]
     if len(names) != spec["dim"]:
-        raise ConfigError(f"coordinates list length {len(names)} must equal dim {spec['dim']}")
+        raise ValueError(f"coordinates list length {len(names)} must equal dim {spec['dim']}")
+    expr.coordinate_index(names)
     return names
 
 
 def build_inline_system(spec: dict) -> HamiltonianSystem:
     """The system of a validated inline spec (table INLINE_SYSTEM)."""
     from . import expr
-    dim, names = spec["dim"], _coordinate_names(spec)
+    dim = spec["dim"]
     try:
+        names = _coordinate_names(spec)
         chart = ChartManifold(dim, tuple(spec["periodic"]), tuple(spec["periods"]))
         h_expr = expr.parse(str(spec["hamiltonian"]), names)
         lam = None if spec["lambda"] is None else _form_from_entries(dim, names,
@@ -551,8 +560,9 @@ def cmd_verify_cosym(cfg: dict, runner: Runner, seed: int) -> None:
     if isinstance(spec, str):
         cs = catalog.SEEDS[spec]()
     else:
-        dim, names = spec["dim"], _coordinate_names(spec)
+        dim = spec["dim"]
         try:
+            names = _coordinate_names(spec)
             cs = cosym.CosymplecticStructure(
                 ChartManifold(dim, (True,) * dim),
                 _form_from_entries(dim, names, spec["alpha"], 1),
@@ -766,11 +776,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
               file=sys.stderr)
         return 2
     except Exception:
+        import traceback
         traceback.print_exc()
         print(f"internal error in cosymlab {args.command}: this is not a verification "
               "result (exit 3)", file=sys.stderr)
         return 3
 
 
+def run() -> None:
+    """The process entry point, of `python -m cosymlab.cli` and of the `cosymlab`
+    script: exit with the code of `main()`."""
+    code = main()
+    # Every artifact is written and closed by now.  The collections of interpreter
+    # shutdown would free NumPy's and cosymlab's module graphs (about 22k tracked
+    # objects) one at a time, about 15 ms, just before the OS reclaims the memory;
+    # frozen objects are never collected.  Exit handlers and stream flushes still run.
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

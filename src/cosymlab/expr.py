@@ -174,7 +174,7 @@ _NUMBER = re.compile(r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?")
 _OPERATORS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
 
 
-def _coordinate_index(names: Sequence[str]) -> dict:
+def coordinate_index(names: Sequence[str]) -> dict:
     """Index of each coordinate name: a distinct ASCII identifier, neither a
     Python keyword nor 'pi', 'sin' or 'cos', else ExprError names it."""
     index = {}
@@ -191,7 +191,7 @@ def _coordinate_index(names: Sequence[str]) -> dict:
 
 def parse(text: str, names: Sequence[str]) -> Expression:
     """Parse an expression over the given coordinate names."""
-    index = _coordinate_index(names)
+    index = coordinate_index(names)
     # any whitespace separates tokens, and a leading space is an indent to Python
     spaced = re.sub(r"\s", " ", text).lstrip()
     start = len(text) - len(spaced)
@@ -236,7 +236,9 @@ def parse(text: str, names: Sequence[str]) -> Expression:
             warnings.simplefilter("error")   # so "invalid decimal literal" is a SyntaxError
             tree = ast.parse(source, mode="eval")
     except SyntaxError as exc:
-        raise ExprError(exc.msg, origin[min((exc.offset or 1) - 1, len(origin) - 1)])
+        # offset 0 (or none) is past the last token: the text ends early
+        at = exc.offset - 1 if exc.offset else len(source.rstrip())
+        raise ExprError(exc.msg, origin[min(at, len(origin) - 1)])
     except (RecursionError, MemoryError):
         # CPython's parser raises either on a tree too deep for it
         raise ExprError(_TOO_DEEP) from None

@@ -30,7 +30,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dop853 import StepSizeUnderflow, solve  # noqa: F401  (StepSizeUnderflow re-exported)
 from .forms import (CLOSED_TOL, ChartManifold, ChartMap, KForm, Rng, check_periodic,
                     exterior_derivative, max_coeff_magnitude, two_form_matrix)
 
@@ -190,7 +189,9 @@ class HamiltonianSystem:
                 raise ValueError(f"omega is not closed: sampled |d omega| = {report['d_omega_max']:.3e}")
         else:
             report["d_omega_max"] = 0.0
-        M = two_form_matrix(self.omega, samples)
+        # a constant omega has one matrix at every sample, so one decomposition
+        M = two_form_matrix(self.omega, samples if self.omega.constant_value is None
+                            else np.zeros(self.dim))
         svals = np.linalg.svd(M, compute_uv=False)
         with np.errstate(invalid="ignore"):  # a vanishing omega gives 0/0: NaN fails below
             rcond = float(np.min(svals[..., -1] / svals[..., 0]))
@@ -283,7 +284,9 @@ def integrate_batch(field: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, t
     Each row is one orbit on its own steps; a single orbit is a batch of
     one.  Coordinates are NOT reduced: orbits live in the periodic cover so
     section functions can be lifted continuously.  ``step`` and
-    ``first_step`` are those of `dop853.solve`."""
+    ``first_step`` are those of `dop853.solve`, which raises its
+    StepSizeUnderflow when an orbit's step stalls."""
     if tol <= 0:
         raise ValueError("tolerance must be positive")
+    from .dop853 import solve   # loaded by the first integration, not by every command
     return solve(field, t1, x0, tol, tol * 1e-2, step, first_step)

@@ -48,6 +48,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .dop853 import StepSizeUnderflow
 from .forms import ChartManifold, two_form_matrix
 from . import phase
 from .phase import TANGENCY_MARGIN
@@ -403,7 +404,7 @@ def first_crossings(system, sec: SectionSpec, starts: np.ndarray,
     out = _blank(starts, k, tol, failures)
     try:
         phase.integrate_batch(field, starts, k * t_max, tol, step=scan)
-    except phase.StepSizeUnderflow as exc:
+    except StepSizeUnderflow as exc:
         # a crossing of the row before the stall gets its own verdict below
         for row, t in zip(exc.rows, exc.times):
             failures[row] = f"unconverged: integration stalled at t={t:.6g}"

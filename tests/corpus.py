@@ -200,6 +200,10 @@ REGRESSION = {
                                         2, [error_names("coordinate name 'q' is given twice")]),
     "return-map-pi-coordinate": ("return-map", inline_return_map("0.5*q^2", ("q", "pi")), 2,
                                  [error_names("coordinate name 'pi' is reserved")]),
+    # the same rule when no coefficient is an expression
+    "verify-cosym-duplicate-coordinate": ("verify-cosym", {"cosym": {
+        "dim": 3, "coordinates": ["q", "q", "pi"], "alpha": [[2, 1.0]],
+        "beta": [[0, 1, 1.0]]}}, 2, [error_names("coordinate name 'q' is given twice")]),
 }
 
 

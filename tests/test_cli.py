@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import math
 import os
@@ -733,14 +734,21 @@ def test_crash_exits_3_with_traceback(tmp_path, capsys, monkeypatch):
     assert "Traceback" in err and "ZeroDivisionError: boom" in err
 
 
-def fresh_python(script: str):
-    """Run a script in a fresh interpreter with the checkout's src on PYTHONPATH;
-    the JSON value of its last output line."""
+def checkout_python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter with these arguments and the checkout's src on
+    PYTHONPATH, every RuntimeWarning an error."""
     src = Path(cli.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env, timeout=300)
+    env = {**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning",
+           "PYTHONPATH": os.pathsep.join([str(src)] + [
+               p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=300)
+
+
+def fresh_python(script: str):
+    """Run a script in a fresh interpreter (`checkout_python`); the JSON value of its
+    last output line."""
+    proc = checkout_python("-c", script)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
@@ -804,9 +812,10 @@ def test_cli_import_loads_neither_numpy_random_nor_numpy_polynomial():
 
 
 # `import cosymlab.cli` loads the schema, the catalog, forms and phase; each command
-# adds only the layers it runs.  The bench configs, their sizes shrunk.
-CLI_IMPORT = ["cosymlab", "cosymlab.catalog", "cosymlab.cli", "cosymlab.dop853",
-              "cosymlab.forms", "cosymlab.phase"]
+# adds only the layers it runs, the dop853 stepper only where it integrates, and
+# traceback only where it crashes.  The bench configs, their sizes shrunk.
+CLI_IMPORT = ["cosymlab", "cosymlab.catalog", "cosymlab.cli", "cosymlab.forms",
+              "cosymlab.phase"]
 BENCH_INLINE_RETURN_MAP = {
     "system": {"dim": 2, "coordinates": ["q", "p"], "omega": [[0, 1, "1 + 0.5*sin(q)"]],
                "hamiltonian": "0.5*(q^2 + p^2)"},
@@ -817,11 +826,11 @@ BENCH_INLINE_RETURN_MAP = {
 @pytest.mark.parametrize("command, config, adds", [
     ("obstruct", {"betti": "t5", "system": "canonical_r4", "ambient": "t4", "quad_nodes": 16},
      ["obstruct"]),
-    ("return-map", {**RETURN_MAP_OSC, "tol": 1e-10}, ["section"]),
-    ("return-map", BENCH_INLINE_RETURN_MAP, ["expr", "section"]),
+    ("return-map", {**RETURN_MAP_OSC, "tol": 1e-10}, ["dop853", "section"]),
+    ("return-map", BENCH_INLINE_RETURN_MAP, ["dop853", "expr", "section"]),
     ("verify-cosym", {"seed": "t5", "samples": 64}, ["cosym"]),
     ("demo-product", {"seed": "t5", "samples": 4, "n_return_points": 1, "grid": 2,
-                      "t_max": 20.0}, ["cosym", "section"]),
+                      "t_max": 20.0}, ["cosym", "dop853", "section"]),
     ("tischler", {"tischler": {"dim": 4, "alpha": [[0, "1.0 + 0.3*cos(x0)"], [1, math.sqrt(2.0)],
                                                    [2, "0.5*sin(x2) + 1.7320508075688772"],
                                                    [3, 0.1]],
@@ -842,12 +851,73 @@ def test_cli_process_loads_only_the_layers_its_command_runs(tmp_path, command, c
         "before = loaded()",
         f"code = cli.main({argv!r})",
         "print(json.dumps({'code': code, 'before': before, 'after': loaded(),",
-        "                  'polynomial': 'numpy.polynomial' in sys.modules}))",
+        "                  'polynomial': 'numpy.polynomial' in sys.modules,",
+        "                  'traceback': 'traceback' in sys.modules}))",
     ]))
     assert result["code"] == (1 if command == "obstruct" else 0)
     assert result["before"] == CLI_IMPORT
     assert sorted(set(result["after"]) - set(CLI_IMPORT)) == [f"cosymlab.{m}" for m in adds]
     assert not result["polynomial"]
+    assert not result["traceback"]
+
+
+# `python -m cosymlab.cli` ends through cli.run: one process per exit code, with its
+# stderr, and for exits 0 and 1 the report payload of cli.main in process.  For exit 3
+# a directory takes the report's path, so writing the report fails: an internal error
+CLI_PROCESS_EXITS = [
+    ("verify-cosym", {"seed": "t3", "samples": 8}, 0),
+    ("obstruct", {"system": "canonical_r4", "quad_nodes": 16}, 1),
+    ("verify-cosym", {"cosym": {"dim": 3, "coordinates": ["q", "q", "pi"], "alpha": [[2, 1.0]],
+                                "beta": [[0, 1, 1.0]]}}, 2),
+    ("verify-cosym", {"seed": "t3", "samples": 8}, 3),
+]
+
+
+@pytest.mark.parametrize("command, config, code", CLI_PROCESS_EXITS,
+                         ids=["exit-0", "exit-1", "exit-2", "exit-3"])
+def test_cli_process_exits_with_the_code_of_main(tmp_path, command, config, code):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    if code == 3:
+        (tmp_path / "process" / "report.json").mkdir(parents=True)
+    proc = checkout_python("-m", "cosymlab.cli", command, "--config", str(path),
+                           "--out", str(tmp_path / "process"))
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    if code < 2:
+        assert lines == []
+        assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "main")]) == code
+        payloads = [json.dumps(read_report(tmp_path / out)["report"], sort_keys=True)
+                    for out in ("process", "main")]
+        assert payloads[0] == payloads[1]
+    elif code == 2:
+        assert lines == ["error: bad cosym spec: coordinate name 'q' is given twice",
+                         f"usage: cosymlab {command} --config <path> [--out <dir>] "
+                         "[--seed <u64>]"]
+    else:
+        assert lines[0] == "Traceback (most recent call last):"
+        assert lines[-1] == (f"internal error in cosymlab {command}: this is not a "
+                             "verification result (exit 3)")
+        assert "IsADirectoryError" in lines[-2]
+
+
+def test_cli_process_entry_freezes_the_collector_and_main_does_not(tmp_path, monkeypatch):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"betti": "t3"}))
+    argv = ["obstruct", "--config", str(path), "--out", str(tmp_path / "out")]
+    assert gc.get_freeze_count() == 0
+    assert cli.main(argv) == 0
+    assert gc.get_freeze_count() == 0
+    exits = []
+    monkeypatch.setattr(sys, "argv", ["cosymlab", *argv])
+    monkeypatch.setattr(sys, "exit", exits.append)
+    try:
+        cli.run()
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+    assert exits == [0]
 
 
 def test_bench_traced_methods_exist():

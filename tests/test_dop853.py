@@ -111,7 +111,6 @@ def test_stalled_step_raises():
     assert not ref.success
     with pytest.raises(dop853.StepSizeUnderflow, match="stalled"):
         dop853.solve(lambda y: 1.0 + y ** 2, 10.0, [[0.0]], 1e-10, 1e-12)
-    assert P.StepSizeUnderflow is dop853.StepSizeUnderflow
 
 
 def test_rejects_bad_input():

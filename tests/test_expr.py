@@ -64,6 +64,8 @@ def test_parse_errors(bad):
 
 @pytest.mark.parametrize("text, pos", [
     ("x @ y", 2), ("x^2 + (q", 6), ("x ^ 2 + nope", 8), ("q^1e999", 2), ("x // q", 0),
+    # a text that ends early, at its end; an unclosed parenthesis, at the parenthesis
+    ("x ^ 2 +", 7), ("q +", 3), ("q *", 3), ("q * ", 3), ("(q", 0),
 ])
 def test_errors_point_into_the_text(text, pos):
     # positions are in the text as written, where '^' is one character

@@ -8,7 +8,7 @@ from helpers import divergence, energy_drift
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cosymlab import catalog, forms as F, phase as P
+from cosymlab import catalog, dop853, forms as F, phase as P
 
 TWO_PI = 2.0 * math.pi
 
@@ -358,7 +358,7 @@ def test_blowup_raises_step_underflow():
     c1 = F.ChartManifold(1)
     exploding = P.FlowSystem(c1, lambda x: 1.0 + np.asarray(x, dtype=float) ** 2)
     # the solution reaches infinity at finite time ~ pi/2
-    with pytest.raises(P.StepSizeUnderflow):
+    with pytest.raises(dop853.StepSizeUnderflow):
         P.integrate_batch(exploding.field, np.array([[0.0]]), 10.0, tol=1e-10)
 
 
