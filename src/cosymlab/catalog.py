@@ -12,7 +12,6 @@ Importing the catalog loads only `forms` and `phase`: a builder imports the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
@@ -173,7 +172,6 @@ def sample_oscillator_surface(system: HamiltonianSystem, level: float, rng: Rng,
     return np.stack([r1 * np.cos(phi1), -r1 * np.sin(phi1), r2, np.zeros(n)], axis=-1)
 
 
-@dataclass(frozen=True)
 class SystemEntry:
     """A catalog system: ``factory()`` builds it, ``section`` is its default
     section as a `return-map` 'section' config object, ``starts(system, rng,
@@ -182,10 +180,11 @@ class SystemEntry:
     section, no start sampler, or no declared level (its samples are then
     `manifold.sample`).  An inline system gets the empty entry."""
 
-    factory: Optional[Callable[[], object]] = None
-    section: Optional[dict] = None
-    starts: Optional[Callable[..., np.ndarray]] = None
-    level: Optional[Callable[[HamiltonianSystem], EnergySurface]] = None
+    def __init__(self, factory: Optional[Callable[[], object]] = None,
+                 section: Optional[dict] = None,
+                 starts: Optional[Callable[..., np.ndarray]] = None,
+                 level: Optional[Callable[[HamiltonianSystem], EnergySurface]] = None):
+        self.factory, self.section, self.starts, self.level = factory, section, starts, level
 
 
 #: the one declaration of a product system N x S^1 (`product_system`): the leaf
@@ -195,14 +194,21 @@ PRODUCT = SystemEntry(
     starts=lambda system, rng, n, level: sample_zero_slice(system, rng, n, [-2, -1]),
     level=lambda system: EnergySurface(system, 0.0, system.dim - 1, 0.0))
 
+
+def _product(seed: str) -> SystemEntry:
+    """`PRODUCT` with the factory of the product over a cosymplectic seed."""
+    return SystemEntry(lambda: product_system(seed), PRODUCT.section, PRODUCT.starts,
+                       PRODUCT.level)
+
+
 SYSTEMS: dict[str, SystemEntry] = {
     "harmonic_oscillator": SystemEntry(harmonic_oscillator, {"kind": "angle", "pair": [0, 1]}),
     "oscillator_2dof_sqrt2": SystemEntry(
         oscillator_2dof, {"kind": "angle", "pair": [2, 3]},
         lambda system, rng, n, level: sample_oscillator_surface(system, level, rng, n)),
     "canonical_r4": SystemEntry(canonical_r4),
-    "t4_product": replace(PRODUCT, factory=lambda: product_system("t3")),
-    "t6_product": replace(PRODUCT, factory=lambda: product_system("t5")),
+    "t4_product": _product("t3"),
+    "t6_product": _product("t5"),
     # the circle {t = 0}, crossed once per unit time
     "suspension_rotation": SystemEntry(
         suspension_rotation, {"kind": "coordinate", "index": 1},
@@ -219,20 +225,16 @@ def get_system(name: str):
 # -- Betti catalog and ambient topology flags -------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
 class BettiProfile:
     """Catalog Betti numbers b_0 .. b_{dim} of a named manifold."""
 
-    name: str
-    betti: tuple[int, ...]
-
-    def __post_init__(self):
-        betti = tuple(self.betti)
+    def __init__(self, name: str, betti: tuple[int, ...]):
+        betti = tuple(betti)
         if not betti or any(type(b) is not int or b < 0 for b in betti):
             raise ValueError("malformed Betti profile: needs non-negative integers")
         if betti[0] < 1:
             raise ValueError("b_0 must be at least 1")
-        object.__setattr__(self, "betti", betti)
+        self.name, self.betti = name, betti
 
     @property
     def dim(self) -> int:

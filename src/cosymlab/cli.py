@@ -36,7 +36,7 @@ import sys
 import time
 from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -62,10 +62,12 @@ REQUIRED = object()
 FLOAT_MAX = sys.float_info.max
 
 
-class Check(NamedTuple):
-    text: str                           # the accepted type and range
-    ok: Callable[[object], object]      # truthy for an accepted value
-    table: Optional[Callable] = None    # the field table of an object value, given it
+class Check:
+    def __init__(self, text: str, ok: Callable[[object], object],
+                 table: Optional[Callable] = None):
+        self.text = text      # the accepted type and range
+        self.ok = ok          # truthy for an accepted value
+        self.table = table    # the field table of an object value, given it
 
 
 def num(lo: float, hi: float = FLOAT_MAX) -> Check:
@@ -184,12 +186,12 @@ COMMAND_FIELDS = {
         "cosym": (name_in(catalog.SEEDS, ", or an inline cosym object", lambda v: INLINE_COSYM),
                   None, "the pair to verify; default the 'seed' field")},
     "tischler": {
-        "tischler": (OBJECT._replace(table=lambda v: TISCHLER), REQUIRED, "the periods"),
+        "tischler": (Check(OBJECT.text, OBJECT.ok, lambda v: TISCHLER), REQUIRED, "the periods"),
         "system": (SYSTEM, None, "system whose transversality the rebuilt form must keep; "
                    "needs 'alpha'"),
         "samples": (SAMPLES, 64, "energy-surface points checked"), "rng_seed": RNG_SEED},
     "obstruct": {
-        "betti": (BETTI._replace(ok=lambda v: BETTI.ok(v) or list_of(INDEX.ok, "", lambda b: (
+        "betti": (Check(BETTI.text, lambda v: BETTI.ok(v) or list_of(INDEX.ok, "", lambda b: (
             b and len(b) % 2 == 0 and b[0] > 0)).ok(v)), None, "Betti profile to check"),
         "system": (SYSTEM, None, "Hamiltonian system of the exactness obstruction"),
         "ambient": (name_in(catalog.AMBIENT_TOPOLOGY), None, "ambient manifold to judge"),
@@ -197,7 +199,7 @@ COMMAND_FIELDS = {
                        "rule on each Stokes surface")},
     "return-map": {
         "system": (SYSTEM, REQUIRED, "catalog or inline system"),
-        "section": (OBJECT._replace(table=section_table), None,
+        "section": (Check(OBJECT.text, OBJECT.ok, section_table), None,
                     "default: the catalog entry's own, else kind coordinate"),
         "points": (list_of(list_of(FINITE.ok, "").ok, "a non-empty list of lists of numbers",
                            len), None, "start points on the section; default sampled"),
@@ -755,7 +757,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:   # argparse's exit: 2 after its usage line, 0 after --help
+        return exc.code
     try:
         raw = load_config(args.config)
         cfg = validate(args.command, raw)

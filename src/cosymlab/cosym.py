@@ -15,7 +15,6 @@ angle 0 where the transversality margin |cos| is maximal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -33,21 +32,17 @@ class TransversalityError(RuntimeError):
     """The candidate field is tangent to the level set at a sample."""
 
 
-@dataclass(frozen=True, eq=False)
 class CosymplecticStructure:
     """(alpha, beta) pair on an odd-dimensional chart."""
 
-    manifold: ChartManifold
-    alpha: KForm
-    beta: KForm
-
-    def __post_init__(self):
-        if self.manifold.dim % 2 == 0:
+    def __init__(self, manifold: ChartManifold, alpha: KForm, beta: KForm):
+        if manifold.dim % 2 == 0:
             raise ValueError("cosymplectic structures live on odd-dimensional charts")
-        if self.alpha.degree != 1 or self.alpha.dim != self.manifold.dim:
+        if alpha.degree != 1 or alpha.dim != manifold.dim:
             raise ValueError("alpha must be a one-form on the chart")
-        if self.beta.degree != 2 or self.beta.dim != self.manifold.dim:
+        if beta.degree != 2 or beta.dim != manifold.dim:
             raise ValueError("beta must be a two-form on the chart")
+        self.manifold, self.alpha, self.beta = manifold, alpha, beta
 
     @property
     def n(self) -> int:
@@ -57,13 +52,11 @@ class CosymplecticStructure:
         return wedge(self.alpha, power(self.beta, self.n - 1))
 
 
-@dataclass(eq=False)
 class CosymReport:
-    passed: bool
-    d_alpha_max: float
-    d_beta_max: float
-    volume_margin: float
-    worst_sample: np.ndarray
+    def __init__(self, passed: bool, d_alpha_max: float, d_beta_max: float,
+                 volume_margin: float, worst_sample: np.ndarray):
+        self.passed, self.d_alpha_max, self.d_beta_max = passed, d_alpha_max, d_beta_max
+        self.volume_margin, self.worst_sample = volume_margin, worst_sample
 
     def as_dict(self) -> dict:
         return {"passed": self.passed, "d_alpha_max": self.d_alpha_max,
@@ -71,12 +64,11 @@ class CosymReport:
                 "worst_sample": list(map(float, np.atleast_1d(self.worst_sample)))}
 
 
-@dataclass(eq=False)
 class TransverseFieldReport:
-    field_values: np.ndarray
-    symplectic_residual: float
-    min_transversality: float
-    field: Callable[[np.ndarray], np.ndarray]
+    def __init__(self, field_values: np.ndarray, symplectic_residual: float,
+                 min_transversality: float, field: Callable[[np.ndarray], np.ndarray]):
+        self.field_values, self.symplectic_residual = field_values, symplectic_residual
+        self.min_transversality, self.field = min_transversality, field
 
     @property
     def passed(self) -> bool:
@@ -216,13 +208,11 @@ def build_product_system(cs: CosymplecticStructure) -> HamiltonianSystem:
     return system
 
 
-@dataclass(frozen=True, eq=False)
 class CollarModel:
     """Collar chart Z x (-eps, eps) with its symplectic form beta + alpha ^ dt."""
 
-    chart: ChartManifold
-    form: KForm
-    epsilon: float
+    def __init__(self, chart: ChartManifold, form: KForm, epsilon: float):
+        self.chart, self.form, self.epsilon = chart, form, epsilon
 
 
 def build_collar_form(cs: CosymplecticStructure) -> CollarModel:

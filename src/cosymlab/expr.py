@@ -19,7 +19,6 @@ import keyword
 import math
 import re
 import warnings
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -53,48 +52,49 @@ class Node:
     The code `compile_nodes` generates evaluates a node on a float array of
     coordinates, shape (n, dim).  A subtree that reads no coordinate gives a
     NumPy scalar, which broadcasts where it meets an array; the generated
-    function writes every result into an output of the batch shape.
+    function writes every result into an output of the batch shape.  Two
+    trees are equal when they have the same node types and attributes.
     """
 
     def diff(self, index: int) -> "Node":
         raise NotImplementedError
 
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and vars(other) == vars(self)
 
-@dataclass(frozen=True)
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
+
+
 class Num(Node):
-    value: float
-
-    def __post_init__(self):
+    def __init__(self, value: float):
         # a NumPy double, so that constant arithmetic follows IEEE rules
         # (1/0 is inf, not ZeroDivisionError) as array arithmetic does
-        object.__setattr__(self, "value", np.float64(self.value))
+        self.value = np.float64(value)
 
     def diff(self, index):
         return Num(0.0)
 
 
-@dataclass(frozen=True)
 class Var(Node):
-    index: int
-    name: str
+    def __init__(self, index: int, name: str):
+        self.index, self.name = index, name
 
     def diff(self, index):
         return Num(1.0 if index == self.index else 0.0)
 
 
-@dataclass(frozen=True)
 class Neg(Node):
-    arg: Node
+    def __init__(self, arg: Node):
+        self.arg = arg
 
     def diff(self, index):
         return Neg(self.arg.diff(index))
 
 
-@dataclass(frozen=True)
 class BinOp(Node):
-    op: str
-    left: Node
-    right: Node
+    def __init__(self, op: str, left: Node, right: Node):
+        self.op, self.left, self.right = op, left, right
 
     def diff(self, index):
         dl, dr = self.left.diff(index), self.right.diff(index)
@@ -109,10 +109,9 @@ class BinOp(Node):
         return BinOp("/", num, BinOp("*", self.right, self.right))
 
 
-@dataclass(frozen=True)
 class Pow(Node):
-    base: Node
-    exponent: int
+    def __init__(self, base: Node, exponent: int):
+        self.base, self.exponent = base, exponent
 
     def diff(self, index):
         if self.exponent == 0:
@@ -123,10 +122,9 @@ class Pow(Node):
         return _mul(outer, inner)
 
 
-@dataclass(frozen=True)
 class Call(Node):
-    fn: str
-    arg: Node
+    def __init__(self, fn: str, arg: Node):
+        self.fn, self.arg = fn, arg
 
     def diff(self, index):
         return _mul(_FUNCTIONS[self.fn](self.arg), self.arg.diff(index))
@@ -334,15 +332,14 @@ def compile_nodes(columns: Sequence[Node],
     return namespace.pop("compiled")
 
 
-@dataclass(frozen=True)
 class Expression:
     """Parsed expression over named coordinates; callable and differentiable.
 
     Values and gradients are computed by generated code only (`compile_nodes`).
     """
 
-    root: Node
-    names: tuple[str, ...]
+    def __init__(self, root: Node, names: tuple[str, ...]):
+        self.root, self.names = root, names
 
     def compile(self) -> Callable[[np.ndarray], np.ndarray]:
         """The values as one generated function of coords (..., dim), shape (...,)."""

@@ -6,13 +6,13 @@ take coordinate arrays of shape ``(..., dim)`` and return ``(..., C(dim, k))``.
 Every manifold in scope is a flat chart with optional periodic coordinates
 (tori), so pointwise coefficients are a complete description.
 
-All values are immutable after construction and safe to evaluate concurrently.
+Nothing here assigns to a chart, form or map after construction, so each is
+safe to share and to evaluate concurrently.
 """
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Optional, Sequence
@@ -86,7 +86,6 @@ def _wrap(values: np.ndarray, period: float) -> None:
     np.subtract(values, period, out=values, where=values >= period)
 
 
-@dataclass(frozen=True)
 class ChartManifold:
     """Flat coordinate model: dimension plus per-coordinate periodicity.
 
@@ -95,24 +94,20 @@ class ChartManifold:
     declared metadata for catalog entries, never inferred.
     """
 
-    dim: int
-    periodic: tuple[bool, ...] = ()
-    periods: tuple[float, ...] = ()
-    cotangent_model: bool = False
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"chart dimension must be >= 1, got {self.dim}")
-        periodic = tuple(self.periodic) or (False,) * self.dim
-        if len(periodic) != self.dim:
+    def __init__(self, dim: int, periodic: tuple[bool, ...] = (),
+                 periods: tuple[float, ...] = (), cotangent_model: bool = False):
+        if dim < 1:
+            raise ValueError(f"chart dimension must be >= 1, got {dim}")
+        periodic = tuple(periodic) or (False,) * dim
+        if len(periodic) != dim:
             raise ValueError("periodic mask length != dim")
-        periods = tuple(self.periods) or (TWO_PI,) * self.dim
-        if len(periods) != self.dim:
+        periods = tuple(periods) or (TWO_PI,) * dim
+        if len(periods) != dim:
             raise ValueError("periods length != dim")
         if any(p <= 0 for p in periods):
             raise ValueError("periods must be positive")
-        object.__setattr__(self, "periodic", periodic)
-        object.__setattr__(self, "periods", periods)
+        self.dim, self.periodic, self.periods = dim, periodic, periods
+        self.cotangent_model = cotangent_model
 
     @property
     def is_torus(self) -> bool:
@@ -151,7 +146,6 @@ class ChartManifold:
         return np.stack(cols, axis=-1)
 
 
-@dataclass(frozen=True, eq=False)
 class KForm:
     """Degree-k differential form on a dim-dimensional chart.
 
@@ -161,14 +155,12 @@ class KForm:
     inputs stay on a fast evaluation path and differentiate to exact zeros.
     """
 
-    degree: int
-    dim: int
-    coeffs: CoeffFn
-    constant_value: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if not (0 <= self.degree <= self.dim):
-            raise ValueError(f"degree {self.degree} out of range for dim {self.dim}")
+    def __init__(self, degree: int, dim: int, coeffs: CoeffFn,
+                 constant_value: Optional[np.ndarray] = None):
+        if not (0 <= degree <= dim):
+            raise ValueError(f"degree {degree} out of range for dim {dim}")
+        self.degree, self.dim, self.coeffs = degree, dim, coeffs
+        self.constant_value = constant_value
 
     @property
     def n_coeffs(self) -> int:
@@ -397,7 +389,6 @@ def exterior_derivative(f: KForm) -> KForm:
     return KForm(k + 1, dim, coeffs)
 
 
-@dataclass(frozen=True)
 class ChartMap:
     """Smooth map between charts, given by value and Jacobian callbacks.
 
@@ -407,11 +398,11 @@ class ChartMap:
     forms stay constant.
     """
 
-    source_dim: int
-    target_dim: int
-    value: Callable[[np.ndarray], np.ndarray]
-    jacobian: Callable[[np.ndarray], np.ndarray]
-    constant_jacobian: bool = False
+    def __init__(self, source_dim: int, target_dim: int,
+                 value: Callable[[np.ndarray], np.ndarray],
+                 jacobian: Callable[[np.ndarray], np.ndarray], constant_jacobian: bool = False):
+        self.source_dim, self.target_dim = source_dim, target_dim
+        self.value, self.jacobian, self.constant_jacobian = value, jacobian, constant_jacobian
 
     @staticmethod
     def coordinate_projection(source_dim: int, kept: Sequence[int]) -> "ChartMap":

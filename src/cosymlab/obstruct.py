@@ -21,7 +21,6 @@ Two families of obstructions:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -36,7 +35,6 @@ from .phase import HamiltonianSystem
 BLOCK_VALUES = 2 ** 17
 
 
-@dataclass(frozen=True, eq=False)
 class MeshedSurface:
     """Closed parametrized 2-submanifold over a rectangular parameter patch.
 
@@ -49,13 +47,12 @@ class MeshedSurface:
     (periodic parameters, or degenerate edges such as sphere poles).
     """
 
-    value: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    extents: tuple[float, float]
-
-    def __post_init__(self):
-        if any(e <= 0 for e in self.extents):
+    def __init__(self, value: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                 jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                 extents: tuple[float, float]):
+        if any(e <= 0 for e in extents):
             raise ValueError("parameter extents must be positive")
+        self.value, self.jacobian, self.extents = value, jacobian, extents
 
 
 def surface_integral(form: KForm, surf: MeshedSurface, n: int = DEFAULT_QUAD_NODES) -> float:
@@ -84,11 +81,10 @@ def surface_integral(form: KForm, surf: MeshedSurface, n: int = DEFAULT_QUAD_NOD
     return float(np.sum(row_sums) * cell)
 
 
-@dataclass(frozen=True, eq=False)
 class Verdict:
-    verdict: str            # "negative" or "inconclusive"
-    statement: str
-    evidence: dict
+    def __init__(self, verdict: str, statement: str, evidence: dict):
+        # verdict is "negative" or "inconclusive"
+        self.verdict, self.statement, self.evidence = verdict, statement, evidence
 
     @property
     def negative(self) -> bool:
@@ -120,11 +116,9 @@ def exactness_verdict(sys: HamiltonianSystem) -> Verdict:
     return Verdict("negative", statement, evidence)
 
 
-@dataclass(frozen=True, eq=False)
 class BettiResult:
-    passed: bool
-    failing_degree: Optional[int]
-    statement: str
+    def __init__(self, passed: bool, failing_degree: Optional[int], statement: str):
+        self.passed, self.failing_degree, self.statement = passed, failing_degree, statement
 
     def as_dict(self) -> dict:
         return {"passed": self.passed, "failing_degree": self.failing_degree,

@@ -25,7 +25,6 @@ watches the steps through a step hook.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -96,7 +95,6 @@ def _rcond(M: np.ndarray) -> float:
         return float("nan")
 
 
-@dataclass(frozen=True, eq=False)
 class HamiltonianSystem:
     """Symplectic chart, energy function and optional global primitive.
 
@@ -105,19 +103,16 @@ class HamiltonianSystem:
     derivative reproduces ``omega`` (the exact case).
     """
 
-    manifold: ChartManifold
-    omega: KForm
-    h: Callable[[np.ndarray], np.ndarray]
-    grad_h: Callable[[np.ndarray], np.ndarray]
-    lam: Optional[KForm] = None
-
-    def __post_init__(self):
-        if self.manifold.dim % 2:
+    def __init__(self, manifold: ChartManifold, omega: KForm,
+                 h: Callable[[np.ndarray], np.ndarray],
+                 grad_h: Callable[[np.ndarray], np.ndarray], lam: Optional[KForm] = None):
+        if manifold.dim % 2:
             raise ValueError("Hamiltonian system needs an even-dimensional chart")
-        if self.omega.degree != 2 or self.omega.dim != self.manifold.dim:
+        if omega.degree != 2 or omega.dim != manifold.dim:
             raise ValueError("omega must be a two-form on the system chart")
-        if self.lam is not None and (self.lam.degree != 1 or self.lam.dim != self.manifold.dim):
+        if lam is not None and (lam.degree != 1 or lam.dim != manifold.dim):
             raise ValueError("lambda must be a one-form on the system chart")
+        self.manifold, self.omega, self.h, self.grad_h, self.lam = manifold, omega, h, grad_h, lam
 
     @property
     def dim(self) -> int:
@@ -207,7 +202,6 @@ class HamiltonianSystem:
         return report
 
 
-@dataclass(frozen=True, eq=False)
 class FlowSystem:
     """A plain first-order flow on a chart (no symplectic structure).
 
@@ -215,8 +209,8 @@ class FlowSystem:
     examples use it directly.
     """
 
-    manifold: ChartManifold
-    field_fn: Callable[[np.ndarray], np.ndarray]
+    def __init__(self, manifold: ChartManifold, field_fn: Callable[[np.ndarray], np.ndarray]):
+        self.manifold, self.field_fn = manifold, field_fn
 
     @property
     def dim(self) -> int:
@@ -226,15 +220,14 @@ class FlowSystem:
         return np.asarray(self.field_fn(np.asarray(coords, dtype=float)), dtype=float)
 
 
-@dataclass(frozen=True, eq=False)
 class EnergySurface:
     """Level set Z = H^{-1}(level) of a chart model where it is the coordinate
     slice {x[slice_coord] = slice_value}; the slice copy restricts forms."""
 
-    system: HamiltonianSystem
-    level: float
-    slice_coord: int
-    slice_value: float
+    def __init__(self, system: HamiltonianSystem, level: float, slice_coord: int,
+                 slice_value: float):
+        self.system, self.level = system, level
+        self.slice_coord, self.slice_value = slice_coord, slice_value
 
     def sample(self, rng, n: int) -> np.ndarray:
         """n ambient points of Z: chart samples with the slice coordinate pinned."""

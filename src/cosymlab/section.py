@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Optional, Sequence
 
@@ -72,7 +71,6 @@ class SectionChartError(ValueError):
     invertible elimination block there."""
 
 
-@dataclass(frozen=True, eq=False)
 class SectionSpec:
     """Circle-valued section function with level and crossing orientation.
 
@@ -83,10 +81,10 @@ class SectionSpec:
     Orientation +1 counts crossings where theta increases along the flow.
     """
 
-    theta: Callable[[np.ndarray], np.ndarray]
-    dtheta: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    level: float = 0.0
-    orientation: int = 1
+    def __init__(self, theta: Callable[[np.ndarray], np.ndarray],
+                 dtheta: Callable[[np.ndarray, np.ndarray], np.ndarray], level: float = 0.0,
+                 orientation: int = 1):
+        self.theta, self.dtheta, self.level, self.orientation = theta, dtheta, level, orientation
 
     def offset(self, coords: np.ndarray) -> np.ndarray:
         """Signed angular distance to the level, wrapped to (-pi, pi]."""
@@ -156,7 +154,6 @@ def leaf_section(chart: ChartManifold, n: Sequence[int], level: float = 0.0,
 _ROWS = ("starts", "times", "states", "margins", "residuals", "crossings_seen")
 
 
-@dataclass(eq=False)
 class Crossings:
     """The first k oriented crossings of a batch of orbits: row i, column j
     is crossing j of orbit i.
@@ -176,14 +173,12 @@ class Crossings:
     values, the other entries are NaN.
     """
 
-    starts: np.ndarray
-    times: np.ndarray
-    states: np.ndarray
-    margins: np.ndarray
-    residuals: np.ndarray
-    crossings_seen: np.ndarray
-    failures: list
-    tol: float
+    def __init__(self, starts: np.ndarray, times: np.ndarray, states: np.ndarray,
+                 margins: np.ndarray, residuals: np.ndarray, crossings_seen: np.ndarray,
+                 failures: list, tol: float):
+        self.starts, self.times, self.states = starts, times, states
+        self.margins, self.residuals, self.crossings_seen = margins, residuals, crossings_seen
+        self.failures, self.tol = failures, tol
 
     @property
     def ok(self) -> np.ndarray:
@@ -217,17 +212,15 @@ def _blank(starts: np.ndarray, k: int, tol: float, failures: list) -> Crossings:
     return Crossings(starts, *nan, np.zeros((n, k), dtype=int), failures, tol)
 
 
-@dataclass(eq=False)
 class GlobalityReport:
     """Outcome of `verify_global`; ``forward`` is the forward scan's record
     (None for an empty sample set), kept out of `as_dict`."""
 
-    n_samples: int
-    failures: list
-    min_margin: float
-    max_return_time: float
-    vacuous: bool = False
-    forward: Optional[Crossings] = None
+    def __init__(self, n_samples: int, failures: list, min_margin: float,
+                 max_return_time: float, vacuous: bool = False,
+                 forward: Optional[Crossings] = None):
+        self.n_samples, self.failures, self.min_margin = n_samples, failures, min_margin
+        self.max_return_time, self.vacuous, self.forward = max_return_time, vacuous, forward
 
     @property
     def n_pass(self) -> int:
@@ -661,16 +654,16 @@ def return_map_jacobians(system, sec: SectionSpec, record: Crossings) -> np.ndar
 # -- mapping torus ------------------------------------------------------------
 
 
-@dataclass(eq=False)
 class MappingTorusChart:
     """Tabulated suspension chart Psi(p, t) = flow_{t*T(p)}(p) over a fiber
     grid, at the fiber times t = linspace(0, 1, TORUS_TIMES), integrated at
-    tolerance ``tol``."""
+    tolerance ``tol``; ``table`` is (n_grid, TORUS_TIMES, dim), in reduced
+    coordinates."""
 
-    table: np.ndarray            # (n_grid, TORUS_TIMES, dim), reduced coordinates
-    gluing_residual: float
-    energy_residual: float
-    tol: float
+    def __init__(self, table: np.ndarray, gluing_residual: float, energy_residual: float,
+                 tol: float):
+        self.table, self.gluing_residual = table, gluing_residual
+        self.energy_residual, self.tol = energy_residual, tol
 
     @property
     def passed(self) -> bool:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -50,30 +49,21 @@ class QuadratureError(RuntimeError):
         self.cycle, self.estimate = cycle, estimate
 
 
-@dataclass(frozen=True, eq=False)
 class PeriodVector:
     """Normalized loop periods of a closed one-form over the generator cycles."""
 
-    values: np.ndarray
-    cycles: tuple[str, ...]
-    manifold: ChartManifold
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+    def __init__(self, values: np.ndarray, cycles: tuple[str, ...], manifold: ChartManifold):
+        self.values = np.asarray(values, dtype=float)
+        self.cycles, self.manifold = cycles, manifold
 
 
-@dataclass(frozen=True, eq=False)
 class RationalApproximation:
     """Simultaneous approximation values[i] ~ n[i] / d with common denominator d."""
 
-    d: int
-    n: np.ndarray
-    epsilon_achieved: float
-
-    def __post_init__(self):
-        if self.d < 1:
+    def __init__(self, d: int, n: np.ndarray, epsilon_achieved: float):
+        if d < 1:
             raise ValueError("denominator must be a positive integer")
-        object.__setattr__(self, "n", np.asarray(self.n, dtype=int))
+        self.d, self.n, self.epsilon_achieved = d, np.asarray(n, dtype=int), epsilon_achieved
 
     @property
     def fractions(self) -> np.ndarray:
@@ -244,16 +234,14 @@ def _correction(pv: PeriodVector, ra: RationalApproximation) -> np.ndarray:
     return (ra.fractions - pv.values) * TWO_PI / np.asarray(pv.manifold.periods)
 
 
-@dataclass(eq=False)
 class TransversalityReport:
     """Least |alpha'(X)|, least and greatest signed alpha'(X) of the rebuilt
     form over the samples, and the least |alpha(X)| of the original."""
 
-    min_margin: float
-    signed_min: float
-    signed_max: float
-    min_margin_original: float
-    passed: bool
+    def __init__(self, min_margin: float, signed_min: float, signed_max: float,
+                 min_margin_original: float, passed: bool):
+        self.min_margin, self.signed_min, self.signed_max = min_margin, signed_min, signed_max
+        self.min_margin_original, self.passed = min_margin_original, passed
 
     def as_dict(self) -> dict:
         return {"min_margin": self.min_margin, "signed_min": self.signed_min,

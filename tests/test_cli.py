@@ -87,6 +87,21 @@ def test_malformed_seed_name_exits_2(tmp_path, capsys):
     assert "usage" in err and "nope" in err
 
 
+@pytest.mark.parametrize("argv", [["verify-cosym"], ["nope", "--config", "c.json"]],
+                         ids=["missing-config", "unknown-command"])
+def test_usage_error_returns_2_after_the_usage_line(capsys, argv):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: cosymlab")
+    assert "error:" in captured.err.splitlines()[-1]
+
+
+def test_help_returns_0(capsys):
+    assert cli.main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: cosymlab")
+
+
 def test_missing_config_file_exits_2(tmp_path):
     code = cli.main(["demo-product", "--config", str(tmp_path / "missing.json")])
     assert code == 2
@@ -811,9 +826,41 @@ def test_cli_import_loads_neither_numpy_random_nor_numpy_polynomial():
                         ) == [False, False]
 
 
+# Importing cosymlab generates no code: its records are plain classes, since
+# `dataclasses` and `typing.NamedTuple` compile the source of their methods for
+# every class.  NumPy and the other modules cosymlab imports (read from its
+# sources) are imported before the audit hook, so every compile event it sees is
+# cosymlab's: a module's source, under its path, where no __pycache__ holds it,
+# and last the probe that shows the hook sees generated code.
+def test_cli_import_generates_no_code():
+    import ast
+    package = Path(cli.__file__).resolve().parent
+    modules = sorted(package.glob("*.py"))
+    imported = set()
+    for m in modules:
+        for node in ast.walk(ast.parse(m.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add(node.module)
+    result = fresh_python("\n".join([
+        "import json, sys",
+        *(f"import {name}" for name in sorted(imported)),
+        "compiled = []",
+        "sys.addaudithook(lambda event, args: compiled.append(str(args[1]))",
+        "                 if event == 'compile' else None)",
+        *(f"import cosymlab.{m.stem}" for m in modules if m.stem != "__init__"),
+        "compile('0', '<probe>', 'eval')",
+        "print(json.dumps(compiled))",
+    ]))
+    assert "numpy" in imported
+    assert [name for name in result if not name.endswith(".py")] == ["<probe>"]
+
+
 # `import cosymlab.cli` loads the schema, the catalog, forms and phase; each command
-# adds only the layers it runs, the dop853 stepper only where it integrates, and
-# traceback only where it crashes.  The bench configs, their sizes shrunk.
+# adds only the layers it runs, the dop853 stepper only where it integrates,
+# traceback only where it crashes, and dataclasses nowhere, unless NumPy does.  The
+# bench configs, their sizes shrunk.
 CLI_IMPORT = ["cosymlab", "cosymlab.catalog", "cosymlab.cli", "cosymlab.forms",
               "cosymlab.phase"]
 BENCH_INLINE_RETURN_MAP = {
@@ -847,18 +894,23 @@ def test_cli_process_loads_only_the_layers_its_command_runs(tmp_path, command, c
         "import json, sys",
         "def loaded():",
         "    return sorted(m for m in sys.modules if m.split('.')[0] == 'cosymlab')",
+        "import numpy",
+        "numpy_dataclasses = 'dataclasses' in sys.modules",
         "import cosymlab.cli as cli",
         "before = loaded()",
         f"code = cli.main({argv!r})",
         "print(json.dumps({'code': code, 'before': before, 'after': loaded(),",
         "                  'polynomial': 'numpy.polynomial' in sys.modules,",
-        "                  'traceback': 'traceback' in sys.modules}))",
+        "                  'traceback': 'traceback' in sys.modules,",
+        "                  'dataclasses': 'dataclasses' in sys.modules,",
+        "                  'numpy_dataclasses': numpy_dataclasses}))",
     ]))
     assert result["code"] == (1 if command == "obstruct" else 0)
     assert result["before"] == CLI_IMPORT
     assert sorted(set(result["after"]) - set(CLI_IMPORT)) == [f"cosymlab.{m}" for m in adds]
     assert not result["polynomial"]
     assert not result["traceback"]
+    assert result["numpy_dataclasses"] or not result["dataclasses"]
 
 
 # `python -m cosymlab.cli` ends through cli.run: one process per exit code, with its

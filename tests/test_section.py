@@ -258,6 +258,21 @@ def _wiggle(a):
     return system, S.coordinate_section(t2, 1)
 
 
+def _bisect(f, lo, hi):
+    """The zero of f in [lo, hi], where f changes sign once, by bisection down
+    to adjacent floats: the end of the last bracket where |f| is smaller."""
+    f_lo, f_hi = f(lo), f(hi)
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_mid < 0.0) == (f_lo < 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi, f_hi = mid, f_mid
+    return lo if abs(f_lo) <= abs(f_hi) else hi
+
+
 def _wiggle_first_return(a, x0, t_max):
     """Exact first upward lattice passage of the wiggle lift after t = 0.
 
@@ -265,8 +280,6 @@ def _wiggle_first_return(a, x0, t_max):
     monotone, so every passage is bracketed exactly; the start owns the
     lattice value 0.
     """
-    from scipy.optimize import brentq
-
     def lift(t):
         return a * t + math.sin(x0 + t) - math.sin(x0)
 
@@ -277,7 +290,7 @@ def _wiggle_first_return(a, x0, t_max):
     for lo, hi in zip(knots[:-1], knots[1:]):
         k = math.floor(lift(lo) / TWO_PI + 1e-12) + 1 if lo > 0.0 else 1
         if lift(hi) >= TWO_PI * k > lift(lo):
-            return brentq(lambda t: lift(t) - TWO_PI * k, lo, hi, xtol=1e-14, rtol=8.9e-16)
+            return _bisect(lambda t: lift(t) - TWO_PI * k, lo, hi)
     return math.nan
 
 
@@ -789,7 +802,6 @@ def test_first_return_with_wiggling_rate():
     # the section rate 0.3 + cos(x) changes sign along the orbit, so the lift
     # v(t) = 0.3 t + sin(x0 + t) - sin(x0) dips below the start before coming
     # back: the first return re-crosses the starting lattice value upward
-    from scipy.optimize import brentq as oracle_root
     t2 = F.ChartManifold(2, (True, True))
     wig = P.FlowSystem(t2, lambda x: np.stack([np.ones_like(x[..., 0]),
                                                0.3 + np.cos(x[..., 0])], axis=-1))
@@ -800,14 +812,14 @@ def test_first_return_with_wiggling_rate():
         return 0.3 * t + np.sin(x0 + t) - np.sin(x0)
 
     # oracle: earliest upward passage of the lift through any lattice value,
-    # located on a dense grid and polished by bracketed root finding
+    # located on a dense grid and polished by bisection
     ts = np.linspace(0.0, 40.0, 400_001)
     v = lift(ts)
     lattice = np.floor(v / TWO_PI + 1e-12)
     upward = np.where(np.diff(lattice) > 0)[0]
     i = upward[0]
     target = TWO_PI * lattice[i + 1]
-    T_oracle = oracle_root(lambda t: lift(t) - target, ts[i], ts[i + 1], xtol=1e-14)
+    T_oracle = _bisect(lambda t: lift(t) - target, ts[i], ts[i + 1])
 
     r = first_return(wig, sec, [x0, 0.0])
     assert abs(r.times[0, 0] - T_oracle) < 1e-9
