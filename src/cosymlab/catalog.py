@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
-from .forms import (ChartManifold, KForm, Rng, basis_indices, constant_form,
+from .forms import (ChartManifold, KForm, Rng, basis_rank, constant_form,
                     coordinate_form, wedge)
 from .phase import EnergySurface, FlowSystem, HamiltonianSystem
 
@@ -80,7 +80,7 @@ def quadratic_system(chart: ChartManifold, weights: Sequence[float],
     """
     dim = chart.dim
     w = np.asarray(weights, dtype=float)
-    rank = {idx: r for r, idx in enumerate(basis_indices(dim, 2))}
+    rank = basis_rank(dim, 2)
     omega = np.zeros(len(rank))
     for i, j in primitive:
         omega[rank[(min(i, j), max(i, j))]] = 1.0 if j < i else -1.0

@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 import numpy as np
 
 from . import catalog
-from .forms import ChartManifold, KForm, Rng, basis_indices, check_periodic, constant_form
+from .forms import ChartManifold, KForm, Rng, basis_rank, check_periodic, constant_form
 from .phase import HamiltonianSystem
 
 if TYPE_CHECKING:
@@ -233,7 +233,7 @@ def load_config(path: Path):
 def _form_from_entries(dim: int, names: Sequence[str], entries, degree: int) -> KForm:
     """Form from validated entries [i, j, coeff] (degree 2) or [i, coeff] (degree 1);
     coefficients are numbers or expressions over the coordinate names."""
-    rank = {idx: r for r, idx in enumerate(basis_indices(dim, degree))}
+    rank = basis_rank(dim, degree)
     terms = []
     for *idx, coeff in entries:
         if max(idx) >= dim:
@@ -365,9 +365,8 @@ def svg_scatter(path: Path, points: np.ndarray, title: str,
     """Scatter plot of 2D points in a fixed 800x800 viewport."""
     size, margin = 800, 70
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.size == 0:
-        pts = np.zeros((1, 2))
-    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    box = pts if pts.size else np.zeros((1, 2))   # no points: the axes around the origin
+    lo, hi = box.min(axis=0), box.max(axis=0)
     pad = 0.05 * np.maximum(hi - lo, 1e-9)
     lo, hi = lo - pad, hi + pad
     span = hi - lo
@@ -509,13 +508,12 @@ def cmd_demo_product(cfg: dict, runner: Runner, seed: int) -> None:
     Constructs the product of the chosen cosymplectic seed with a circle,
     then runs globality, return-map, and mapping-torus checks on its leaf.
     """
-    from . import cosym
     from .section import mapping_torus_chart, verify_global, write_crossings_csv
     rng = Rng(seed)
     tol, t_max = cfg["tol"], cfg["t_max"]
 
     with runner.timed("build"):
-        system = cosym.build_product_system(catalog.SEEDS[cfg["seed"]]())
+        system = catalog.product_system(cfg["seed"])
     runner.check("structure", True, **system.structure)
 
     sec = build_section(None, catalog.PRODUCT, system)
@@ -543,15 +541,12 @@ def cmd_demo_product(cfg: dict, runner: Runner, seed: int) -> None:
 
     # the first 50 samples' crossings, read off verify_global's forward scan
     with runner.timed("crossings"):
-        fwd = rep.forward
-        ok = fwd.ok[:50, 0]
-        rows = [(i, fwd.times[i, 0], *fwd.states[i, 0], fwd.margins[i, 0])
-                for i in np.flatnonzero(ok)]
-        write_crossings_csv(runner.add_artifact("crossings.csv"), rows, system.dim)
-        pts2 = np.array([[r[2], r[3]] for r in rows]) if rows else np.zeros((0, 2))
-        svg_scatter(runner.add_artifact("plot.svg"), pts2,
+        first = rep.forward.select(slice(50))
+        ok = first.ok
+        write_crossings_csv(runner.add_artifact("crossings.csv"), first)
+        svg_scatter(runner.add_artifact("plot.svg"), first.states[ok][:, :2],
                     f"return-map iterates ({cfg['seed']} seed)", ("coord 0", "coord 1"))
-    runner.check("crossings_emitted", bool(ok.all()), n_rows=len(rows))
+    runner.check("crossings_emitted", bool(ok.all()), n_rows=int(ok.sum()))
 
 
 def cmd_verify_cosym(cfg: dict, runner: Runner, seed: int) -> None:
@@ -701,19 +696,12 @@ def cmd_return_map(cfg: dict, runner: Runner, seed: int) -> None:
         free = []
     with runner.timed("iterate"):
         returns = iterate_returns(system, sec, starts, cfg["iterations"], t_max, tol)
-        rows, iterates = [], []
-        for i in range(len(starts)):
-            for j in range(returns.completed(i)):
-                t, image = float(returns.times[i, j]), returns.states[i, j]
-                rows.append((i, t, *image, returns.margins[i, j]))
-                s = image[free]
-                iterates.append((s[0] if len(s) > 0 else t, s[1] if len(s) > 1 else 0.0))
     done = returns.ok
 
     def over_done(reduce, values):
         return reduce(values[done]) if done.any() else None
 
-    runner.check("iterates", all(f is None for f in returns.failures), n_rows=len(rows),
+    runner.check("iterates", all(f is None for f in returns.failures), n_rows=int(done.sum()),
                  max_return_time=over_done(np.max, np.diff(returns.times, prepend=0.0)),
                  min_margin=over_done(np.min, returns.margins),
                  max_angle_residual=over_done(np.max, returns.residuals),
@@ -725,9 +713,13 @@ def cmd_return_map(cfg: dict, runner: Runner, seed: int) -> None:
         check_jacobians(runner, "symplectic_determinant", system, sec,
                         returns.select(slice(cfg["n_return_points"])))
 
-    write_crossings_csv(runner.add_artifact("crossings.csv"), rows, system.dim)
-    svg_scatter(runner.add_artifact("plot.svg"),
-                np.array(iterates) if iterates else np.zeros((0, 2)),
+    write_crossings_csv(runner.add_artifact("crossings.csv"), returns)
+    # the first two section coordinates of each iterate, or its return time and 0
+    # where there is no section chart
+    points = np.zeros((int(done.sum()), 2))
+    coords = returns.states[done][:, free[:2]] if free else returns.times[done][:, None]
+    points[:, :coords.shape[1]] = coords
+    svg_scatter(runner.add_artifact("plot.svg"), points,
                 f"return-map iterates ({name})", ("section coord 0", "section coord 1"))
 
 

@@ -165,9 +165,10 @@ def cosym_to_field(Z: EnergySurface, cs: CosymplecticStructure,
     return TransverseFieldReport(values, float(residual), trans, field)
 
 
-def _collar_form(cs: CosymplecticStructure) -> KForm:
-    """beta + alpha ^ dt on the chart of cs times one more coordinate t, with
-    alpha and beta lifted along the projection that forgets t."""
+def collar_form(cs: CosymplecticStructure) -> KForm:
+    """The collar form beta + alpha ^ dt on the chart of cs times one more
+    coordinate t, with alpha and beta lifted along the projection that
+    forgets t; it restricts to beta on every slice t = const."""
     dim = cs.manifold.dim + 1
     proj = ChartMap.coordinate_projection(dim, range(dim - 1))
     return pullback(proj, cs.beta) + wedge(pullback(proj, cs.alpha), coordinate_form(dim, dim - 1))
@@ -192,7 +193,7 @@ def build_product_system(cs: CosymplecticStructure) -> HamiltonianSystem:
         raise ValueError(f"seed pair fails verification: {report.as_dict()}")
     dim = n_chart.dim + 1
     chart = ChartManifold(dim, n_chart.periodic + (True,), n_chart.periods + (2.0 * math.pi,))
-    omega = _collar_form(cs)
+    omega = collar_form(cs)
 
     def h(x: np.ndarray) -> np.ndarray:
         return np.sin(np.asarray(x, dtype=float)[..., dim - 1])
@@ -207,18 +208,3 @@ def build_product_system(cs: CosymplecticStructure) -> HamiltonianSystem:
     system.structure   # raises ValueError unless the product passes; cached for its readers
     return system
 
-
-class CollarModel:
-    """Collar chart Z x (-eps, eps) with its symplectic form beta + alpha ^ dt."""
-
-    def __init__(self, chart: ChartManifold, form: KForm, epsilon: float):
-        self.chart, self.form, self.epsilon = chart, form, epsilon
-
-
-def build_collar_form(cs: CosymplecticStructure) -> CollarModel:
-    """Symplectic collar of a verified pair, of half-width a tenth of the
-    shortest period; restricts to beta on the zero slice."""
-    n_chart = cs.manifold
-    eps = 0.1 * min(n_chart.periods)
-    chart = ChartManifold(n_chart.dim + 1, n_chart.periodic + (False,), n_chart.periods + (1.0,))
-    return CollarModel(chart, _collar_form(cs), eps)

@@ -28,9 +28,9 @@ operation, so that one row takes the same steps and reaches the same states:
 
 A step hook sees every step that passes the error control; it can shorten or
 reject a row's steps and end the row, so a caller can watch each orbit on its
-own steps, or record them.  The powers of the step control are the C
-library's scalar ones, taken one row at a time (`_scalar_powers`), since
-NumPy's vectorised power can differ in the last bit.
+own steps, or record them.  The powers of the step control are taken by
+``np.float_power``, which calls the C library's ``pow`` as SciPy's scalar
+``**`` does; NumPy's ``np.power`` can differ from it in the last bit.
 
 On small batches a step costs its count of NumPy calls more than its
 arithmetic, so a step makes as few as it can without changing an operation:
@@ -78,8 +78,6 @@ used under its licence:
 """
 from __future__ import annotations
 
-import math
-from itertools import repeat
 from typing import Callable, Optional
 
 import numpy as np
@@ -193,23 +191,11 @@ class StepSizeUnderflow(RuntimeError):
         self.times = times
 
 
-def _scalar_powers(base: np.ndarray, exponent: float) -> np.ndarray:
-    """base**exponent by the C library's scalar pow, one value at a time:
-    NumPy's vectorised power can differ from it in the last bit, and one row
-    must take SciPy's steps."""
-    return np.fromiter(map(math.pow, base.tolist(), repeat(exponent, len(base))), float, len(base))
-
-
 def _factors(err: np.ndarray) -> np.ndarray:
     """SciPy's step factor SAFETY * err**(-1/8) of every row, inf where err
     is 0."""
-    try:
-        return SAFETY * _scalar_powers(err, ERROR_EXPONENT)
-    except ValueError:   # math.pow of 0 to a negative power
-        zero = err == 0
-        factor = SAFETY * _scalar_powers(np.where(zero, 1.0, err), ERROR_EXPONENT)
-        factor[zero] = np.inf
-        return factor
+    with np.errstate(divide="ignore"):
+        return SAFETY * np.float_power(err, ERROR_EXPONENT)
 
 
 def _rms(x: np.ndarray):
@@ -240,7 +226,7 @@ def _initial_step(fun, y0, f0, span, rtol, atol) -> np.ndarray:
     flat = (d1 <= 1e-15) & (d2 <= 1e-15)
     with np.errstate(divide="ignore"):
         base = 0.01 / np.maximum(d1, d2)
-    h1 = np.where(flat, np.maximum(1e-6, h0 * 1e-3), _scalar_powers(base, -ERROR_EXPONENT))
+    h1 = np.where(flat, np.maximum(1e-6, h0 * 1e-3), np.float_power(base, -ERROR_EXPONENT))
     return np.minimum(np.minimum(100 * h0, h1), span)
 
 

@@ -59,7 +59,8 @@ def basis_indices(dim: int, degree: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _basis_rank(dim: int, degree: int) -> dict[tuple[int, ...], int]:
+def basis_rank(dim: int, degree: int) -> dict[tuple[int, ...], int]:
+    """Position of each sorted k-subset in ``basis_indices(dim, degree)``."""
     return {idx: r for r, idx in enumerate(basis_indices(dim, degree))}
 
 
@@ -225,7 +226,7 @@ def _laplace_tables(dim: int, size: int) -> tuple:
     (size-1)-subsets, cofactor sign (-1)^(p + size - 1)) per p, with the
     positive p = size - 1 term first.
     """
-    rank = _basis_rank(dim, size - 1)
+    rank = basis_rank(dim, size - 1)
     return tuple(
         tuple((I[p], rank[I[:p] + I[p + 1:]], (-1) ** (p + size - 1))
               for p in (size - 1, *range(size - 1)))
@@ -291,6 +292,20 @@ def evaluate_frame(f: KForm, coords: np.ndarray, frame: np.ndarray) -> np.ndarra
 # -- wedge, interior, derivative, pullback ------------------------------------
 
 
+def _signed_product(terms, n_out: int) -> Callable:
+    """The bilinear map of a product table: ``terms`` lists (out, i, j, sign),
+    and ``product(left, right)`` sums sign * left[..., i] * right[..., j] into
+    entry out of an (..., n_out) coefficient vector."""
+    out, left_idx, right_idx, signs = (np.array(col) for col in zip(*terms))
+    scatter = np.zeros((len(terms), n_out))
+    scatter[np.arange(len(terms)), out] = 1.0
+
+    def product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        return signs * left[..., left_idx] * right[..., right_idx] @ scatter
+
+    return product
+
+
 def wedge(a: KForm, b: KForm) -> KForm:
     """Wedge product; graded-commutative with sign (-1)^(kl)."""
     if a.dim != b.dim:
@@ -299,27 +314,16 @@ def wedge(a: KForm, b: KForm) -> KForm:
     if k + l > a.dim:
         raise ValueError(f"wedge degree {k + l} exceeds chart dimension {a.dim}")
     dim = a.dim
-    rank = _basis_rank(dim, k + l)
-    terms = []
-    for ra, ia in enumerate(basis_indices(dim, k)):
-        for rb, ib in enumerate(basis_indices(dim, l)):
-            merged = _merge_sign(ia, ib)
-            if merged is None:
-                continue
-            key, sign = merged
-            terms.append((ra, rb, rank[key], sign))
-    a_idx = np.array([t[0] for t in terms])
-    b_idx = np.array([t[1] for t in terms])
-    signs = np.array([float(t[3]) for t in terms])
-    nc = n_coeffs(dim, k + l)
-    scatter = np.zeros((len(terms), nc))
-    scatter[np.arange(len(terms)), [t[2] for t in terms]] = 1.0
+    rank = basis_rank(dim, k + l)
+    terms = [(rank[merged[0]], ra, rb, float(merged[1]))
+             for ra, ia in enumerate(basis_indices(dim, k))
+             for rb, ib in enumerate(basis_indices(dim, l))
+             if (merged := _merge_sign(ia, ib)) is not None]
+    product = _signed_product(terms, n_coeffs(dim, k + l))
     ca, cb = a.coeffs, b.coeffs
 
     def coeffs(x: np.ndarray) -> np.ndarray:
-        va, vb = ca(x), cb(x)
-        prod = signs * va[..., a_idx] * vb[..., b_idx]
-        return prod @ scatter
+        return product(ca(x), cb(x))
 
     if a.constant_value is not None and b.constant_value is not None:
         return constant_form(dim, k + l, coeffs(np.zeros(dim)))
@@ -331,29 +335,15 @@ def interior(X: FieldFn, f: KForm) -> KForm:
     if f.degree < 1:
         raise ValueError("interior product needs a form of degree >= 1")
     dim, k = f.dim, f.degree
-    in_rank = _basis_rank(dim, k)
-    terms = []
-    for rj, J in enumerate(basis_indices(dim, k - 1)):
-        for i in range(dim):
-            if i in J:
-                continue
-            merged = tuple(sorted(J + (i,)))
-            pos = merged.index(i)
-            terms.append((rj, i, in_rank[merged], (-1.0) ** pos))
-    out_idx = [t[0] for t in terms]
-    vec_idx = np.array([t[1] for t in terms])
-    in_idx = np.array([t[2] for t in terms])
-    signs = np.array([t[3] for t in terms])
-    nc = n_coeffs(dim, k - 1)
-    scatter = np.zeros((len(terms), nc))
-    scatter[np.arange(len(terms)), out_idx] = 1.0
+    in_rank = basis_rank(dim, k)
+    terms = [(rj, i, in_rank[merged[0]], float(merged[1]))
+             for rj, J in enumerate(basis_indices(dim, k - 1)) for i in range(dim)
+             if (merged := _merge_sign((i,), J)) is not None]
+    product = _signed_product(terms, n_coeffs(dim, k - 1))
     cf = f.coeffs
 
     def coeffs(x: np.ndarray) -> np.ndarray:
-        c = cf(x)
-        xv = np.asarray(X(x), dtype=float)
-        prod = signs * xv[..., vec_idx] * c[..., in_idx]
-        return prod @ scatter
+        return product(np.asarray(X(x), dtype=float), cf(x))
 
     return KForm(k - 1, dim, coeffs)
 
@@ -366,7 +356,7 @@ def exterior_derivative(f: KForm) -> KForm:
     dim, k = f.dim, f.degree
     if f.constant_value is not None:
         return constant_form(dim, k + 1, np.zeros(n_coeffs(dim, k + 1)))
-    in_rank = _basis_rank(dim, k)
+    in_rank = basis_rank(dim, k)
     terms = []  # (out_rank, diff_direction, in_rank, sign)
     for ro, K in enumerate(basis_indices(dim, k + 1)):
         for pos, j in enumerate(K):

@@ -702,15 +702,16 @@ def mapping_torus_chart(system, sec: SectionSpec, record: Crossings) -> MappingT
     return MappingTorusChart(table, gluing, energy_res, record.tol)
 
 
-def write_crossings_csv(path, rows: Sequence[Sequence[float]], dim: int) -> None:
-    """Crossing point cloud: one row per crossing.
+def write_crossings_csv(path, record: Crossings) -> None:
+    """The certified crossings of a record, orbit by orbit, one row each.
 
     Columns: orbit_id, t, coord_0 .. coord_{dim-1}, margin.
     """
-    header = ["orbit_id", "t"] + [f"coord_{i}" for i in range(dim)] + ["margin"]
+    ok = record.ok
+    dim = record.states.shape[-1]
+    values = np.column_stack([record.times[ok], record.states[ok], record.margins[ok]])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else int(v)
-                             for v in row])
+        writer.writerow(["orbit_id", "t"] + [f"coord_{i}" for i in range(dim)] + ["margin"])
+        writer.writerows([orbit, *map(repr, row)]
+                         for orbit, row in zip(np.nonzero(ok)[0].tolist(), values.tolist()))

@@ -28,6 +28,7 @@ import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -136,10 +137,12 @@ REGRESSION = {
         "points": [[0, 0, -1, 0.5]]}, 2, [error_names("coordinate 0")]),
     # lambda = x dy + z dt differentiates to omega but jumps across x and z on T^4
     "obstruct-lambda": ("obstruct", {"system": LAMBDA_T4}, 2, [error_names("lambda")]),
-    # a start at zero amplitude has a NaN rate: a verdict, not a crash
+    # a start at zero amplitude has a NaN rate: a verdict, not a crash, and a plot
+    # that keeps its axes and draws no point
     "return-map-zero": ("return-map", {
         "system": {"dim": 2, "omega": [[0, 1, 1.0]], "hamiltonian": "0.5*(x0^2 + x1^2)"},
-        "section": {"kind": "angle", "pair": [0, 1]}, "points": [[0, 0]]}, 1, []),
+        "section": {"kind": "angle", "pair": [0, 1]}, "points": [[0, 0]]}, 1, [
+        ("plot.svg draws no point", lambda r, out: "<circle" not in (out / "plot.svg").read_text())]),
     # every leaf point of the T^6 product returns to itself
     "demo-product": ("demo-product", "bench", 0, [
         ("return_map_symplectic passes with max_identity_deviation < 1e-8",
@@ -204,6 +207,29 @@ REGRESSION = {
     "verify-cosym-duplicate-coordinate": ("verify-cosym", {"cosym": {
         "dim": 3, "coordinates": ["q", "q", "pi"], "alpha": [[2, 1.0]],
         "beta": [[0, 1, 1.0]]}}, 2, [error_names("coordinate name 'q' is given twice")]),
+    # config errors, each named on the error line: a start point off the section, a
+    # malformed tischler field, a leaf normal of zeros, a flow that is not Hamiltonian
+    # for the exactness obstruction, and a coordinates list of the wrong length
+    "return-map-off-section": ("return-map", {**OSCILLATOR, "points": [[0.6, 0, 0.8, 0.3]]}, 2,
+                               [error_names("not on the section")]),
+    "tischler-periods-string": ("tischler", {"tischler": {"periods": "x"}}, 2,
+                                [error_names("'periods'")]),
+    "return-map-leaf-zero-normal": ("return-map", {
+        "system": "t4_product", "section": {"kind": "leaf", "n": [0, 0, 0, 0]}}, 2,
+        [error_names("'n'")]),
+    "obstruct-suspension": ("obstruct", {"system": "suspension_rotation"}, 2,
+                            [error_names("not a Hamiltonian system")]),
+    "verify-cosym-short-coordinates": ("verify-cosym", {"cosym": {
+        "dim": 3, "coordinates": ["q"], "alpha": [[2, 1.0]], "beta": [[0, 1, 1.0]]}}, 2,
+        [error_names("coordinates list length")]),
+    # an energy level of 1e300: the orbits, their returns and the Jacobians stay finite
+    # and raise no RuntimeWarning
+    "return-map-level-1e300": ("return-map", {
+        **OSCILLATOR, "level": 1e300, "samples": 3, "iterations": 3, "n_return_points": 2}, 0, [
+        ("iterates has n_rows = 9", lambda r, out: named(r, "iterates")["n_rows"] == 9),
+        ("symplectic_determinant passes with max_det_error < 1e-6",
+         lambda r, out: named(r, "symplectic_determinant")["passed"]
+         and named(r, "symplectic_determinant")["max_det_error"] < 1e-6)]),
 }
 
 
@@ -357,6 +383,11 @@ def main(argv: list) -> int:
     warnings.simplefilter("error", RuntimeWarning)
     if argv not in (["write"], ["replay"]):
         print(__doc__, file=sys.stderr)
+        return 2
+    if argv == ["replay"] and shutil.which("cosymlab") is None:
+        print("error: the `cosymlab` console script is not on PATH: install it with "
+              "`pip install -e .`, or replay in process with `pytest tests/test_corpus.py`",
+              file=sys.stderr)
         return 2
     with tempfile.TemporaryDirectory() as tmp:
         if argv == ["write"]:

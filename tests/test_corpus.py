@@ -1,6 +1,10 @@
 """The payload corpus (tests/corpus.json, see tests/corpus.py): every entry replays
 bit for bit in process, and every regression condition holds on the fresh outputs."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,3 +58,15 @@ def test_write_names_the_moved_entries_and_counts_the_structural_moves(capsys):
     corpus.report_moves(old, old)
     assert capsys.readouterr().out == (
         "0 entries moved, 0 of them in more than float values and artifact digests\n")
+
+
+def test_replay_without_the_console_script_says_so(tmp_path):
+    # PATH names an empty directory, so no `cosymlab` script is found
+    proc = subprocess.run([sys.executable, str(Path(corpus.__file__)), "replay"],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PATH": str(tmp_path)})
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [
+        "error: the `cosymlab` console script is not on PATH: install it with "
+        "`pip install -e .`, or replay in process with `pytest tests/test_corpus.py`"]

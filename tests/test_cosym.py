@@ -263,42 +263,40 @@ def test_product_rejects_unverified_seed():
 
 
 def test_collar_standard_form(t3_seed):
-    col = C.build_collar_form(t3_seed)
-    assert col.epsilon == pytest.approx(0.1 * TWO_PI)
-    assert not col.chart.periodic[3]
+    form = C.collar_form(t3_seed)
     xs = np.zeros((1, 4))
     expected = np.zeros(6)
     expected[0] = 1.0   # dx ^ dy
     expected[5] = 1.0   # dz ^ dt
-    assert np.allclose(col.form.coeffs(xs), expected)
+    assert np.allclose(form.coeffs(xs), expected)
 
 
 def test_collar_pairs_normal_direction_with_alpha(t3_seed):
     # inserting the collar direction returns the angle form, up to the sign
     # of the wedge ordering (alpha ^ dt evaluated on (e_t, v) is -alpha(v))
-    col = C.build_collar_form(t3_seed)
     e_t = lambda x: np.broadcast_to(np.eye(4)[3], np.shape(x))
-    paired = F.interior(e_t, col.form)
+    paired = F.interior(e_t, C.collar_form(t3_seed))
     assert np.allclose(F.covector_values(paired, np.zeros(4)), [0, 0, -1, 0])
 
 
 def test_collar_volume_and_restriction(t3_seed, samples3):
-    col = C.build_collar_form(t3_seed)
-    assert F.evaluate_frame(F.power(col.form, 2), np.zeros(4), np.eye(4)) == pytest.approx(2.0)
+    form = C.collar_form(t3_seed)
+    assert F.evaluate_frame(F.power(form, 2), np.zeros(4), np.eye(4)) == pytest.approx(2.0)
     # restriction to the zero slice agrees with beta on coordinate frames
     incl = F.ChartMap.coordinate_inclusion(4, [0, 1, 2], {3: 0.0})
-    restricted = F.pullback(incl, col.form)
+    restricted = F.pullback(incl, form)
     assert np.allclose(restricted.coeffs(samples3), t3_seed.beta.coeffs(samples3))
 
 
 def test_collar_closed_and_nondegenerate_inside(t3_seed):
-    col = C.build_collar_form(t3_seed)
+    # sampled on the collar Z x (-eps, eps), eps a tenth of the seed's period
+    form = C.collar_form(t3_seed)
+    eps = 0.1 * TWO_PI
     rng = np.random.default_rng(13)
     collar_pts = np.concatenate(
-        [t3_seed.manifold.sample(rng, 32),
-         rng.uniform(-col.epsilon, col.epsilon, (32, 1))], axis=-1)
-    d_form = F.exterior_derivative(col.form)
+        [t3_seed.manifold.sample(rng, 32), rng.uniform(-eps, eps, (32, 1))], axis=-1)
+    d_form = F.exterior_derivative(form)
     assert np.max(np.abs(d_form.coeffs(collar_pts))) < 1e-6
-    M = F.two_form_matrix(col.form, collar_pts)
+    M = F.two_form_matrix(form, collar_pts)
     svals = np.linalg.svd(M, compute_uv=False)
     assert float(np.min(svals[..., -1] / svals[..., 0])) > 1e-10

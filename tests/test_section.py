@@ -850,10 +850,18 @@ def test_transversality_sign_constant_along_orbits(t4_system, t4_section):
     assert np.all(rates > 0)
 
 
+def _record(times, states, margins, failures):
+    """A Crossings record of the given crossing values, each start its first state."""
+    times, states, margins = (np.array(a, dtype=float) for a in (times, states, margins))
+    return S.Crossings(np.nan_to_num(states[:, 0]), times, states, margins,
+                       np.zeros(times.shape), np.ones(times.shape, dtype=int), failures, 1e-10)
+
+
 def test_crossings_csv_roundtrip(tmp_path):
-    rows = [(0, 1.5, 0.1, 0.2, 0.3, 0.4, 0.9), (1, 2.5, 1.0, 2.0, 3.0, 4.0, 0.8)]
+    record = _record([[1.5], [2.5]], [[[0.1, 0.2, 0.3, 0.4]], [[1.0, 2.0, 3.0, 4.0]]],
+                     [[0.9], [0.8]], [None, None])
     path = tmp_path / "crossings.csv"
-    S.write_crossings_csv(path, rows, dim=4)
+    S.write_crossings_csv(path, record)
     with open(path) as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -862,6 +870,25 @@ def test_crossings_csv_roundtrip(tmp_path):
     assert len(parsed) == 2
     assert float(parsed[0][1]) == 1.5
     assert int(parsed[1][0]) == 1
+    assert parsed[1][2:] == ["1.0", "2.0", "3.0", "4.0", "0.8"]
+
+
+def test_crossings_csv_writes_only_certified_crossings(tmp_path):
+    # k = 2: orbit 0 certifies both crossings, orbit 1 fails after its first, so
+    # its second entry holds NaN and is not written
+    nan = np.nan
+    record = _record([[1.0, 2.0], [1.5, nan]],
+                     [[[0.1, 0.2], [0.3, 0.4]], [[0.5, 0.6], [nan, nan]]],
+                     [[0.7, 0.8], [0.9, nan]], [None, (1, "no crossing")])
+    assert [record.completed(i) for i in range(2)] == [2, 1]
+    path = tmp_path / "crossings.csv"
+    S.write_crossings_csv(path, record)
+    text = path.read_text()
+    assert "nan" not in text
+    with open(path) as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert rows == [["0", "1.0", "0.1", "0.2", "0.7"], ["0", "2.0", "0.3", "0.4", "0.8"],
+                    ["1", "1.5", "0.5", "0.6", "0.9"]]
 
 
 def _drift():
