@@ -42,7 +42,7 @@ import numpy as np
 
 from . import catalog
 from .forms import ChartManifold, KForm, Rng, basis_rank, check_periodic, constant_form
-from .phase import HamiltonianSystem
+from .phase import HamiltonianSystem, SingularOmegaError
 
 if TYPE_CHECKING:
     from .section import SectionSpec
@@ -223,7 +223,7 @@ def load_config(path: Path):
         return json.loads(path.read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:   # nested too deeply: RecursionError
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
 
 
@@ -338,7 +338,8 @@ def build_section(sec: Optional[dict], entry: catalog.SystemEntry, system) -> Se
 
 def section_start_points(entry: catalog.SystemEntry, system, sec: SectionSpec, cfg: dict,
                          rng: Rng) -> np.ndarray:
-    """Explicit 'points', or the entry's start samples; both must lie on the section."""
+    """Explicit 'points', or the entry's start samples, on the section and with omega
+    nondegenerate at each (a field call on the batch)."""
     from .section import ON_SECTION_TOL
     if cfg["points"] is not None:
         if any(len(p) != system.dim for p in cfg["points"]):
@@ -354,6 +355,10 @@ def section_start_points(entry: catalog.SystemEntry, system, sec: SectionSpec, c
         i = off_section[0]
         raise ConfigError(f"start point {i} is not on the section: |theta - level| = "
                           f"{off[i]:.3e} > {ON_SECTION_TOL}; supply explicit 'points' on it")
+    try:
+        system.field(pts)
+    except SingularOmegaError as exc:
+        raise ConfigError(f"omega is degenerate at the start points: {exc}") from exc
     return pts
 
 
@@ -362,8 +367,10 @@ def section_start_points(entry: catalog.SystemEntry, system, sec: SectionSpec, c
 
 def svg_scatter(path: Path, points: np.ndarray, title: str,
                 labels: tuple[str, str] = ("s0", "s1")) -> None:
-    """Scatter plot of 2D points in a fixed 800x800 viewport."""
+    """Scatter plot of 2D points in a fixed 800x800 viewport, its text XML-escaped."""
     size, margin = 800, 70
+    xml_text = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})   # html.escape, no quotes
+    title, *labels = (t.translate(xml_text) for t in (title, *labels))
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     box = pts if pts.size else np.zeros((1, 2))   # no points: the axes around the origin
     lo, hi = box.min(axis=0), box.max(axis=0)
@@ -418,14 +425,10 @@ class Runner:
         self.timings: dict[str, float] = {}
         self.artifacts: list[str] = []
 
-    def check(self, name: str, passed: bool, details: Optional[dict] = None, **kw) -> bool:
+    def check(self, name: str, passed: bool, **fields) -> bool:
         if any(c["name"] == name for c in self.checks):
             raise RuntimeError(f"duplicate check name {name!r}")
-        merged = {**(details or {}), **kw}
-        merged.pop("passed", None)
-        entry = {"name": name, "passed": bool(passed)}
-        entry.update(_jsonable(merged))
-        self.checks.append(entry)
+        self.checks.append({"name": name, "passed": bool(passed), **_jsonable(fields)})
         return passed
 
     @contextlib.contextmanager
@@ -520,7 +523,7 @@ def cmd_demo_product(cfg: dict, runner: Runner, seed: int) -> None:
     leaf_samples = catalog.PRODUCT.starts(system, rng, cfg["samples"], 0.0)
     with runner.timed("verify_global"):
         rep = verify_global(system, sec, leaf_samples, t_max, tol)
-    runner.check("verify_global", rep.passed, rep.as_dict())
+    runner.check("verify_global", rep.passed, **rep.as_dict())
 
     # the checks read the leading rows of the forward record, at most as many as
     # there are samples, and say how many
@@ -573,7 +576,7 @@ def cmd_verify_cosym(cfg: dict, runner: Runner, seed: int) -> None:
             raise ConfigError(f"bad cosym spec: {exc}") from exc
     with runner.timed("verify"):
         report = cosym.verify_cosymplectic(cs, cs.manifold.sample(rng, cfg["samples"]))
-    runner.check("cosymplectic", report.passed, report.as_dict())
+    runner.check("cosymplectic", report.passed, **report.as_dict())
 
 
 def cmd_tischler(cfg: dict, runner: Runner, seed: int) -> None:
@@ -609,13 +612,10 @@ def cmd_tischler(cfg: dict, runner: Runner, seed: int) -> None:
     runner.check("periods", True, values=pv.values, cycles=list(pv.cycles))
 
     with runner.timed("rationalize"):
-        try:
-            ra = tischler.rationalize(pv, tcfg["eps"], tcfg["d_cap"])
-        except tischler.RationalizationError as exc:
-            runner.check("rationalize", False, error=str(exc))
-            return
-    runner.check("rationalize", ra.epsilon_achieved <= tcfg["eps"],
-                 d=ra.d, n=ra.n, epsilon_achieved=ra.epsilon_achieved, eps=tcfg["eps"])
+        ra = tischler.rationalize(pv, tcfg["eps"], tcfg["d_cap"])
+    if not runner.check("rationalize", ra.epsilon_achieved <= tcfg["eps"],
+                        d=ra.d, n=ra.n, epsilon_achieved=ra.epsilon_achieved, eps=tcfg["eps"]):
+        return
 
     if alpha is not None:
         with runner.timed("rebuild"):
@@ -637,7 +637,7 @@ def cmd_tischler(cfg: dict, runner: Runner, seed: int) -> None:
         samples = sample(Rng(seed), cfg["samples"])
         with runner.timed("transversality"):
             trans = tischler.check_transversality_preserved(system, alpha_prime, samples, alpha)
-        runner.check("transversality", trans.passed, trans.as_dict())
+        runner.check("transversality", trans.passed, **trans.as_dict())
 
 
 def cmd_obstruct(cfg: dict, runner: Runner, seed: int) -> None:
@@ -655,7 +655,7 @@ def cmd_obstruct(cfg: dict, runner: Runner, seed: int) -> None:
         profile = catalog.BETTI_PROFILES[spec] if isinstance(spec, str) \
             else obstruct.BettiProfile("inline", tuple(spec))
         result = obstruct.betti_necessary_condition(profile)
-        runner.check("betti_necessary_condition", result.passed, result.as_dict())
+        runner.check("betti_necessary_condition", result.passed, **result.as_dict())
 
     if cfg["system"] is not None:
         name, _, system = resolve_system(cfg["system"])
@@ -673,12 +673,12 @@ def cmd_obstruct(cfg: dict, runner: Runner, seed: int) -> None:
                     integrals[surface] = obstruct.surface_integral(system.omega, build(),
                                                                    cfg["quad_nodes"])
         runner.check("exactness_verdict", not verdict.negative,
-                     verdict.as_dict(), surface_integrals=integrals)
+                     **verdict.as_dict(), surface_integrals=integrals)
 
     if cfg["ambient"] is not None:
         compact, simply = catalog.AMBIENT_TOPOLOGY[cfg["ambient"]]
         verdict = obstruct.simply_connected_verdict(compact, simply, name=cfg["ambient"])
-        runner.check("simply_connected_verdict", not verdict.negative, verdict.as_dict())
+        runner.check("simply_connected_verdict", not verdict.negative, **verdict.as_dict())
 
 
 def cmd_return_map(cfg: dict, runner: Runner, seed: int) -> None:

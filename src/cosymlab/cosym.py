@@ -59,8 +59,8 @@ class CosymReport:
         self.volume_margin, self.worst_sample = volume_margin, worst_sample
 
     def as_dict(self) -> dict:
-        return {"passed": self.passed, "d_alpha_max": self.d_alpha_max,
-                "d_beta_max": self.d_beta_max, "volume_margin": self.volume_margin,
+        return {"d_alpha_max": self.d_alpha_max, "d_beta_max": self.d_beta_max,
+                "volume_margin": self.volume_margin,
                 "worst_sample": list(map(float, np.atleast_1d(self.worst_sample)))}
 
 
@@ -76,7 +76,7 @@ class TransverseFieldReport:
                 and self.min_transversality >= TANGENCY_MARGIN)
 
     def as_dict(self) -> dict:
-        return {"passed": self.passed, "symplectic_residual": self.symplectic_residual,
+        return {"symplectic_residual": self.symplectic_residual,
                 "min_transversality": self.min_transversality}
 
 

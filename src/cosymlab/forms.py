@@ -380,80 +380,57 @@ def exterior_derivative(f: KForm) -> KForm:
 
 
 class ChartMap:
-    """Smooth map between charts, given by value and Jacobian callbacks.
+    """Affine map x -> A x + c between charts.
 
-    ``value`` maps (..., source_dim) -> (..., target_dim); ``jacobian`` maps
-    (..., source_dim) -> (..., target_dim, source_dim).  ``constant_jacobian``
-    marks affine maps (projections, inclusions), letting pullbacks of constant
-    forms stay constant.
+    ``matrix`` is A, shaped (target_dim, source_dim), and ``offset`` is c
+    (default 0).  Every map in scope (a coordinate projection or inclusion)
+    is affine, so its Jacobian is the constant A.
     """
 
-    def __init__(self, source_dim: int, target_dim: int,
-                 value: Callable[[np.ndarray], np.ndarray],
-                 jacobian: Callable[[np.ndarray], np.ndarray], constant_jacobian: bool = False):
-        self.source_dim, self.target_dim = source_dim, target_dim
-        self.value, self.jacobian, self.constant_jacobian = value, jacobian, constant_jacobian
+    def __init__(self, matrix, offset=None):
+        self.matrix = np.asarray(matrix, dtype=float)
+        self.target_dim, self.source_dim = self.matrix.shape
+        self.offset = np.zeros(self.target_dim) if offset is None else np.asarray(offset, float)
+
+    def value(self, x: np.ndarray) -> np.ndarray:
+        """(..., source_dim) -> (..., target_dim)."""
+        return np.asarray(x, dtype=float) @ self.matrix.T + self.offset
 
     @staticmethod
     def coordinate_projection(source_dim: int, kept: Sequence[int]) -> "ChartMap":
         """Projection selecting the listed source coordinates."""
-        kept = tuple(kept)
-        jac = np.zeros((len(kept), source_dim))
-        jac[np.arange(len(kept)), kept] = 1.0
-        return ChartMap(source_dim, len(kept),
-                        lambda x: np.asarray(x, dtype=float)[..., kept],
-                        lambda x: np.broadcast_to(jac, np.shape(x)[:-1] + jac.shape),
-                        constant_jacobian=True)
+        return ChartMap(np.eye(source_dim)[list(kept)])
 
     @staticmethod
     def coordinate_inclusion(target_dim: int, free: Sequence[int],
                              fixed: dict[int, float]) -> "ChartMap":
         """Inclusion filling ``free`` target slots from the source coordinates
         and pinning the ``fixed`` slots to constants."""
-        free = tuple(free)
-        if sorted(list(free) + list(fixed)) != list(range(target_dim)):
+        free = list(free)
+        if sorted(free + list(fixed)) != list(range(target_dim)):
             raise ValueError("free and fixed indices must partition the target coordinates")
-        jac = np.zeros((target_dim, len(free)))
-        jac[free, np.arange(len(free))] = 1.0
-
-        def value(x: np.ndarray) -> np.ndarray:
-            x = np.asarray(x, dtype=float)
-            out = np.zeros(x.shape[:-1] + (target_dim,))
-            out[..., free] = x
-            for i, v in fixed.items():
-                out[..., i] = v
-            return out
-
-        return ChartMap(len(free), target_dim, value,
-                        lambda x: np.broadcast_to(jac, np.shape(x)[:-1] + jac.shape),
-                        constant_jacobian=True)
+        return ChartMap(np.eye(target_dim)[:, free],
+                        [fixed.get(i, 0.0) for i in range(target_dim)])
 
 
 def pullback(phi: ChartMap, f: KForm) -> KForm:
-    """Pullback of f along phi; commutes with wedge and with d."""
+    """Pullback of f along phi; commutes with wedge and with d.
+
+    The k x k minors of phi's matrix, one row per source basis element, are
+    computed once; a constant form pulls back to a constant form."""
     if phi.target_dim != f.dim:
         raise ValueError(f"map target dimension {phi.target_dim} != form dimension {f.dim}")
     k = f.degree
     src = phi.source_dim
     if k > src:
         raise ValueError(f"cannot pull a degree-{k} form back to a {src}-dimensional chart")
-    cf, val, jac = f.coeffs, phi.value, phi.jacobian
-    src_idx = np.array(basis_indices(src, k)) if k else None
-
-    def coeffs(x: np.ndarray) -> np.ndarray:
-        y = val(x)
-        c = cf(y)
-        if k == 0:
-            return c
-        J = jac(x)                                       # (..., tgt, src)
-        # one frame of k Jacobian columns per source basis element
-        frames = np.moveaxis(J[..., src_idx], -3, -2)    # (..., Cs, tgt, k)
-        dets = frame_minors(frames)                      # (..., Cs, Ct)
-        return np.einsum("...t,...st->...s", c, dets)
-
-    if f.constant_value is not None and phi.constant_jacobian:
-        return constant_form(src, k, coeffs(np.zeros(src)))
-    return KForm(k, src, coeffs)
+    # dets[s, t]: the minor of A on the t-th target and s-th source index subsets
+    dets = (frame_minors(np.moveaxis(phi.matrix[:, np.array(basis_indices(src, k))], 0, 1))
+            if k else np.ones((1, 1)))
+    if f.constant_value is not None:
+        return constant_form(src, k, dets @ f.constant_value)
+    cf, val = f.coeffs, phi.value
+    return KForm(k, src, lambda x: cf(val(x)) @ dets.T)
 
 
 def power(f: KForm, m: int) -> KForm:

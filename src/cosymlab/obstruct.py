@@ -121,8 +121,7 @@ class BettiResult:
         self.passed, self.failing_degree, self.statement = passed, failing_degree, statement
 
     def as_dict(self) -> dict:
-        return {"passed": self.passed, "failing_degree": self.failing_degree,
-                "statement": self.statement}
+        return {"failing_degree": self.failing_degree, "statement": self.statement}
 
 
 def betti_necessary_condition(bp: BettiProfile) -> BettiResult:

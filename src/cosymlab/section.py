@@ -236,7 +236,7 @@ class GlobalityReport:
                 "failures": [list(f) for f in self.failures],
                 "min_margin": self.min_margin,
                 "max_return_time": self.max_return_time,
-                "vacuous": self.vacuous, "passed": self.passed}
+                "vacuous": self.vacuous}
 
 
 def _clamp(rate: np.ndarray, oriented: int) -> np.ndarray:

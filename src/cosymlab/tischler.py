@@ -35,10 +35,6 @@ PERIOD_QUAD_MAX_NODES = 16 * PERIOD_QUAD_NODES   # nodes of the last rule refine
 PERIOD_QUAD_ERR = 1e-10
 
 
-class RationalizationError(RuntimeError):
-    """Denominator cap exhausted before the requested accuracy was met."""
-
-
 class QuadratureError(RuntimeError):
     """Loop periods whose last two quadrature rules, of PERIOD_QUAD_MAX_NODES
     nodes and half as many, differ by more than PERIOD_QUAD_ERR on a cycle:
@@ -191,8 +187,10 @@ def rationalize(pv: PeriodVector, eps: float, d_cap: int = DEFAULT_D_CAP) -> Rat
     eps, returns the one with the smallest scaled lattice error
     max_i |d * v_i - n_i| (ties to the smaller d): the classical
     best-approximation ranking, which favors the simplest rational data and
-    hence the lowest-winding leaf for a given tolerance.  Exhaustive rather
-    than lattice-based: dimensions are tiny and the guarantee is exact.
+    hence the lowest-winding leaf for a given tolerance.  When none meets eps,
+    returns the one of least pointwise error (``epsilon_achieved`` > eps).
+    Exhaustive rather than lattice-based: dimensions are tiny and the
+    guarantee is exact.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -203,14 +201,9 @@ def rationalize(pv: PeriodVector, eps: float, d_cap: int = DEFAULT_D_CAP) -> Rat
     n = np.rint(ds[:, None] * v[None, :])
     lattice_errs = np.max(np.abs(ds[:, None] * v[None, :] - n), axis=1)
     errs = lattice_errs / ds
-    feasible = errs <= eps
-    if not feasible.any():
-        best = int(np.argmin(errs))
-        raise RationalizationError(
-            f"no denominator <= {d_cap} achieves error {eps:g} "
-            f"(best {errs[best]:.3e} at d = {best + 1})")
-    candidates = np.flatnonzero(feasible)
-    best = int(candidates[np.argmin(lattice_errs[candidates])])
+    candidates = np.flatnonzero(errs <= eps)
+    best = (int(candidates[np.argmin(lattice_errs[candidates])]) if candidates.size
+            else int(np.argmin(errs)))
     return RationalApproximation(best + 1, n[best].astype(int), float(errs[best]))
 
 
@@ -245,9 +238,7 @@ class TransversalityReport:
 
     def as_dict(self) -> dict:
         return {"min_margin": self.min_margin, "signed_min": self.signed_min,
-                "signed_max": self.signed_max,
-                "min_margin_original": self.min_margin_original,
-                "passed": self.passed}
+                "signed_max": self.signed_max, "min_margin_original": self.min_margin_original}
 
 
 def check_transversality_preserved(system, alpha_prime: KForm, samples: np.ndarray,

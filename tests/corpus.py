@@ -35,6 +35,7 @@ import tempfile
 import warnings
 from pathlib import Path
 from typing import Callable
+from xml.etree import ElementTree
 
 ROOT = Path(__file__).resolve().parents[1]
 CORPUS = Path(__file__).with_name("corpus.json")
@@ -64,6 +65,16 @@ def error_names(text: str):
     return f"the error line names {text!r}", lambda r, out: text in r["error"]
 
 
+def svg_title(out: Path):
+    """The text of plot.svg's first <text> element, the title; None where the file
+    does not parse as XML."""
+    try:
+        root = ElementTree.parse(out / "plot.svg").getroot()
+    except ElementTree.ParseError:
+        return None
+    return root.find("{http://www.w3.org/2000/svg}text").text
+
+
 LAMBDA_T4 = {"dim": 4, "coordinates": ["x", "y", "z", "t"], "periodic": [True] * 4,
              "omega": [[0, 1, 1.0], [2, 3, 1.0]], "hamiltonian": "sin(t)",
              "lambda": [[1, "x"], [3, "z"]]}
@@ -71,10 +82,11 @@ OSCILLATOR = {"system": "oscillator_2dof_sqrt2", "section": {"kind": "angle", "p
               "level": 1.0, "samples": 20, "iterations": 50, "n_return_points": 10}
 
 
-def inline_return_map(hamiltonian: str, coordinates=("q", "p")) -> dict:
-    """A one-start return-map config on the inline dim-2 system of that energy."""
+def inline_return_map(hamiltonian: str, coordinates=("q", "p"), **fields) -> dict:
+    """A one-start return-map config on the inline dim-2 system of that energy, with
+    any further system fields."""
     return {"system": {"dim": 2, "coordinates": list(coordinates), "omega": [[0, 1, 1.0]],
-                       "hamiltonian": hamiltonian},
+                       "hamiltonian": hamiltonian, **fields},
             "section": {"kind": "angle", "pair": [0, 1]}, "points": [[1.0, 0.0]]}
 
 
@@ -230,6 +242,18 @@ REGRESSION = {
         ("symplectic_determinant passes with max_det_error < 1e-6",
          lambda r, out: named(r, "symplectic_determinant")["passed"]
          and named(r, "symplectic_determinant")["max_det_error"] < 1e-6)]),
+    # a start point where an inline omega vanishes is refused before any integration
+    "return-map-degenerate-start": ("return-map", {"system": {
+        "dim": 2, "coordinates": ["q", "p"], "periodic": [True, True],
+        "omega": [[0, 1, "sin(q)"]], "hamiltonian": "sin(p)"},
+        "section": {"kind": "coordinate", "index": 0, "level": 0.0}, "points": [[0.0, 0.3]],
+        "iterations": 1, "n_return_points": 1}, 2, [error_names("degenerate")]),
+    # a system name with XML metacharacters is escaped in the plot's title
+    "return-map-escaped-title": ("return-map", inline_return_map(
+        "0.5*(q^2 + p^2)", name="a<b & c"), 0, [
+        ("plot.svg parses as XML", lambda r, out: svg_title(out) is not None),
+        ("its title reads 'return-map iterates (a<b & c)'",
+         lambda r, out: svg_title(out) == "return-map iterates (a<b & c)")]),
 }
 
 

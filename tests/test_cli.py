@@ -456,6 +456,12 @@ def test_tischler_cap_exhausted_exit_one(tmp_path):
     cfg = {"tischler": {"periods": [math.pi / 10.0], "eps": 1e-12, "d_cap": 10}}
     code, out = run(tmp_path, "tischler", cfg)
     assert code == 1
+    # the failed check reports the least-error denominator, 3 / 10, against eps,
+    # and the command stops there
+    checks = read_report(out)["report"]["checks"]
+    assert [c["name"] for c in checks] == ["periods", "rationalize"]
+    assert checks[1] == {"name": "rationalize", "passed": False, "d": 10, "n": [3],
+                         "epsilon_achieved": abs(math.pi - 3.0) / 10.0, "eps": 1e-12}
 
 
 def test_tischler_transversality_against_system(tmp_path):

@@ -158,3 +158,16 @@ def test_mutated_config_exits_cleanly(command):
 
     check()
     assert len(codes) >= 200
+
+
+def test_deeply_nested_json_is_a_config_error(tmp_path):
+    # json.loads raises RecursionError on nesting this deep; no corpus entry can hold
+    # it, since corpus.json would then fail to load the same way
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text("[" * 100_000 + "]" * 100_000)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(["verify-cosym", "--config", str(cfg_path), "--out", str(tmp_path)])
+    assert code == 2
+    assert "error: config is not valid JSON" in err.getvalue()
+    assert "Traceback" not in err.getvalue()

@@ -219,9 +219,14 @@ def test_rationalize_zero_vector():
 
 
 def test_rationalize_cap_exhausted():
-    pv = T.PeriodVector(np.array([math.pi / 10]), ("a",), t2())
-    with pytest.raises(T.RationalizationError):
-        T.rationalize(pv, 1e-12, 50)
+    # no d <= 50 meets eps: the least pointwise error |d v - n| / d is returned,
+    # 11 / 35 here, with its error above eps
+    v = math.pi / 10
+    pv = T.PeriodVector(np.array([v]), ("a",), t2())
+    ra = T.rationalize(pv, 1e-12, 50)
+    errs = [abs(d * v - round(d * v)) / d for d in range(1, 51)]
+    assert (ra.d, ra.n.tolist()) == (35, [11]) == (1 + int(np.argmin(errs)), [round(35 * v)])
+    assert ra.epsilon_achieved == min(errs) > 1e-12
 
 
 def test_rationalize_validates_inputs():
