@@ -41,7 +41,8 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 import numpy as np
 
 from . import catalog
-from .forms import ChartManifold, KForm, Rng, basis_rank, check_periodic, constant_form
+from .forms import (ChartManifold, KForm, Rng, basis_rank, certification_samples,
+                    check_periodic, constant_form)
 from .phase import HamiltonianSystem, SingularOmegaError
 
 if TYPE_CHECKING:
@@ -567,9 +568,8 @@ def cmd_verify_cosym(cfg: dict, runner: Runner, seed: int) -> None:
                 ChartManifold(dim, (True,) * dim),
                 _form_from_entries(dim, names, spec["alpha"], 1),
                 _form_from_entries(dim, names, spec["beta"], 2))
-            # fixed samples, as for an inline system: whether a form lives on the
-            # chart does not depend on the seed
-            samples = cs.manifold.sample(Rng(0), 32)
+            # whether a form lives on the chart does not depend on the seed
+            samples = certification_samples(cs.manifold)
             for form_name, form in (("alpha", cs.alpha), ("beta", cs.beta)):
                 check_periodic(form, cs.manifold, samples, form_name)
         except ValueError as exc:
@@ -603,13 +603,10 @@ def cmd_tischler(cfg: dict, runner: Runner, seed: int) -> None:
             try:
                 pv = tischler.periods(alpha, catalog.torus(dim) if system is None
                                       else system.manifold)
-            except tischler.QuadratureError as exc:
-                runner.check("periods", False, error=str(exc), cycle=exc.cycle,
-                             estimate=exc.estimate)
-                return
             except ValueError as exc:
                 raise ConfigError(f"bad 'tischler' spec: {exc}") from exc
-    runner.check("periods", True, values=pv.values, cycles=list(pv.cycles))
+    if not runner.check("periods", pv.converged, **pv.as_dict()):
+        return
 
     with runner.timed("rationalize"):
         ra = tischler.rationalize(pv, tcfg["eps"], tcfg["d_cap"])
@@ -620,17 +617,13 @@ def cmd_tischler(cfg: dict, runner: Runner, seed: int) -> None:
     if alpha is not None:
         with runner.timed("rebuild"):
             alpha_prime = tischler.build_approximation(alpha, pv, ra)
-            try:
-                # alpha' - alpha is constant, so alpha's certificate covers alpha'
-                pv_check = tischler.loop_periods(alpha_prime, pv.manifold)
-            except tischler.QuadratureError as exc:
-                runner.check("rebuilt_periods", False, error=str(exc), cycle=exc.cycle,
-                             estimate=exc.estimate)
-            else:
-                residual = float(np.max(np.abs(pv_check.values - ra.fractions)))
-                runner.check("rebuilt_periods", residual < tischler.PERIOD_QUAD_ERR,
-                             residual=residual,
-                             coefficient_distance=tischler.coefficient_distance(pv, ra))
+            # alpha' - alpha is constant, so alpha's certificate covers alpha'
+            pv_check = tischler.loop_periods(alpha_prime, pv.manifold)
+            residual = float(np.max(np.abs(pv_check.values - ra.fractions)))
+            runner.check("rebuilt_periods",
+                         pv_check.converged and residual < tischler.PERIOD_QUAD_ERR,
+                         residual=residual, estimate=pv_check.estimate, nodes=pv_check.nodes,
+                         coefficient_distance=tischler.coefficient_distance(pv, ra))
 
     if system is not None:
         sample = entry.level(system).sample if entry.level else system.manifold.sample
@@ -654,8 +647,8 @@ def cmd_obstruct(cfg: dict, runner: Runner, seed: int) -> None:
         spec = cfg["betti"]
         profile = catalog.BETTI_PROFILES[spec] if isinstance(spec, str) \
             else obstruct.BettiProfile("inline", tuple(spec))
-        result = obstruct.betti_necessary_condition(profile)
-        runner.check("betti_necessary_condition", result.passed, **result.as_dict())
+        verdict = obstruct.betti_necessary_condition(profile)
+        runner.check("betti_necessary_condition", not verdict.negative, **verdict.as_dict())
 
     if cfg["system"] is not None:
         name, _, system = resolve_system(cfg["system"])

@@ -19,8 +19,8 @@ from typing import Callable
 
 import numpy as np
 
-from .forms import (CLOSED_TOL, ChartManifold, ChartMap, KForm, Rng, coordinate_form,
-                    covector_values, exterior_derivative, interior,
+from .forms import (CLOSED_TOL, ChartManifold, ChartMap, KForm, certification_samples,
+                    closed_residual, coordinate_form, covector_values, interior,
                     max_coeff_magnitude, power, pullback, wedge)
 from .phase import TANGENCY_MARGIN, EnergySurface, HamiltonianSystem, solve_pairing
 
@@ -86,10 +86,7 @@ def verify_cosymplectic(cs: CosymplecticStructure, samples: np.ndarray) -> Cosym
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     if samples.size == 0:
         raise ValueError("verification needs a nonempty sample set")
-    d_alpha = max_coeff_magnitude(exterior_derivative(cs.alpha), samples)
-    d_beta = 0.0
-    if cs.beta.degree + 1 <= cs.manifold.dim:
-        d_beta = max_coeff_magnitude(exterior_derivative(cs.beta), samples)
+    d_alpha, d_beta = closed_residual(cs.alpha, samples), closed_residual(cs.beta, samples)
     # a NaN volume fails the bound below; a constant wedge is computed when
     # the volume form is built
     with np.errstate(all="ignore"):
@@ -97,7 +94,7 @@ def verify_cosymplectic(cs: CosymplecticStructure, samples: np.ndarray) -> Cosym
     worst = samples[int(np.argmin(np.abs(vol)))]
     margin = float(np.min(np.abs(vol)))
     passed = d_alpha < CLOSED_TOL and d_beta < CLOSED_TOL and margin > VOLUME_MARGIN
-    return CosymReport(passed, float(d_alpha), float(d_beta), margin, worst)
+    return CosymReport(passed, d_alpha, d_beta, margin, worst)
 
 
 def field_to_cosym(Z: EnergySurface, X: Callable[[np.ndarray], np.ndarray],
@@ -122,11 +119,8 @@ def field_to_cosym(Z: EnergySurface, X: Callable[[np.ndarray], np.ndarray],
         raise TransversalityError(
             f"field tangent to the level set at a sample: min |dH(X)| = {trans:.3e}")
     alpha_ambient = interior(X, system.omega)
-    residual = max_coeff_magnitude(exterior_derivative(alpha_ambient), ambient)
-    if not residual < CLOSED_TOL:
-        raise ValueError(f"field is not symplectic: sampled |d(iota_X omega)| = {residual:.3e}")
-    cs = CosymplecticStructure(Z.section_chart,
-                               pullback(incl, alpha_ambient),
+    closed_residual(alpha_ambient, ambient, "field is not symplectic: sampled |d(iota_X omega)|")
+    cs = CosymplecticStructure(Z.section_chart, pullback(incl, alpha_ambient),
                                pullback(incl, system.omega))
     report = verify_cosymplectic(cs, samples)
     if not report.passed:
@@ -161,8 +155,8 @@ def cosym_to_field(Z: EnergySurface, cs: CosymplecticStructure,
     values = field(ambient)
     dh = np.asarray(Z.system.grad_h(ambient), dtype=float)
     trans = float(np.min(np.abs(np.einsum("...i,...i->...", dh, values))))
-    residual = max_coeff_magnitude(exterior_derivative(interior(field, omega)), ambient)
-    return TransverseFieldReport(values, float(residual), trans, field)
+    return TransverseFieldReport(values, closed_residual(interior(field, omega), ambient),
+                                 trans, field)
 
 
 def collar_form(cs: CosymplecticStructure) -> KForm:
@@ -181,14 +175,14 @@ def build_product_system(cs: CosymplecticStructure) -> HamiltonianSystem:
     with the circle generator; the energy is the sine of the circle angle, so
     the zero level contains the angle-zero copy of the seed chart and the
     flow there is transverse to every leaf of the foliation.  The seed pair
-    is verified at 32 fixed samples (`Rng(0)`) and the product certified once,
-    through its `structure`.
+    is verified at its chart's `certification_samples` and the product
+    certified once, through its `structure`.
     """
     n_chart = cs.manifold
     if n_chart.dim < 3:
         raise ValueError("product construction needs a seed of dimension >= 3 "
                          "(beta powers degenerate below that)")
-    report = verify_cosymplectic(cs, n_chart.sample(Rng(0), 32))
+    report = verify_cosymplectic(cs, certification_samples(n_chart))
     if not report.passed:
         raise ValueError(f"seed pair fails verification: {report.as_dict()}")
     dim = n_chart.dim + 1

@@ -504,6 +504,27 @@ def check_periodic(f: KForm, chart: ChartManifold, samples: np.ndarray, name: st
                          f"{name}(x)| = {jump:.3e}); it is not a form on this chart")
 
 
+def certification_samples(chart: ChartManifold) -> np.ndarray:
+    """The fixed samples of the certificates that must not depend on a run's
+    seed: 32 draws of `Rng(0)`."""
+    return chart.sample(Rng(0), 32)
+
+
+def closed_residual(f: KForm, samples: np.ndarray, refusal: Optional[str] = None,
+                    minus: Optional[KForm] = None) -> float:
+    """Sampled max |d f - minus| (`max_coeff_magnitude`, so a NaN gives NaN),
+    minus zero by default; a top-degree f is closed, with residual 0.  Given
+    a ``refusal``, raises ValueError("<refusal> = <residual>") unless the
+    residual is below CLOSED_TOL; NaN is not."""
+    residual = 0.0
+    if f.degree < f.dim or minus is not None:
+        df = exterior_derivative(f)
+        residual = max_coeff_magnitude(df if minus is None else df - minus, samples)
+    if refusal is not None and not residual < CLOSED_TOL:
+        raise ValueError(f"{refusal} = {residual:.3e}")
+    return residual
+
+
 def max_coeff_magnitude(f: KForm, samples: np.ndarray) -> float:
     """Largest coefficient magnitude over a batch of sample coordinates.
 

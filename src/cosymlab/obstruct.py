@@ -21,7 +21,7 @@ Two families of obstructions:
 """
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -116,32 +116,25 @@ def exactness_verdict(sys: HamiltonianSystem) -> Verdict:
     return Verdict("negative", statement, evidence)
 
 
-class BettiResult:
-    def __init__(self, passed: bool, failing_degree: Optional[int], statement: str):
-        self.passed, self.failing_degree, self.statement = passed, failing_degree, statement
-
-    def as_dict(self) -> dict:
-        return {"failing_degree": self.failing_degree, "statement": self.statement}
-
-
-def betti_necessary_condition(bp: BettiProfile) -> BettiResult:
+def betti_necessary_condition(bp: BettiProfile) -> Verdict:
     """Necessary condition for a hypersurface to carry a global transverse
     section: every Betti number positive.
 
-    Applies to odd-dimensional manifolds (even-length profile).  A failure
-    names the vanishing degree and rules the section out; a pass is necessary
-    only, never sufficient.
+    Applies to odd-dimensional manifolds (even-length profile).  A vanishing
+    Betti number rules the section out: a negative verdict whose evidence
+    names the degree.  Otherwise the verdict is inconclusive, since the
+    condition is necessary only, never sufficient.
     """
     if len(bp.betti) % 2:
         raise ValueError(f"profile of even-dimensional manifold {bp.name!r}: "
                          "the obstruction applies to odd-dimensional level sets")
-    for degree, b in enumerate(bp.betti):
-        if b < 1:
-            return BettiResult(False, degree,
-                               f"{bp.name}: H^{degree} is trivial, so no cosymplectic pair "
-                               "and no global transverse Poincaré section can exist")
-    return BettiResult(True, None,
-                       f"{bp.name}: all Betti numbers positive (necessary condition only)")
+    degree = next((d for d, b in enumerate(bp.betti) if b < 1), None)
+    if degree is None:
+        return Verdict("inconclusive", f"{bp.name}: all Betti numbers positive "
+                       "(necessary condition only)", {"failing_degree": None})
+    return Verdict("negative", f"{bp.name}: H^{degree} is trivial, so no cosymplectic pair "
+                   "and no global transverse Poincaré section can exist",
+                   {"failing_degree": degree})
 
 
 def simply_connected_verdict(compact: bool, simply_connected: bool, name: str) -> Verdict:

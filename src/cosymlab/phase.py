@@ -29,8 +29,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .forms import (CLOSED_TOL, ChartManifold, ChartMap, KForm, Rng, check_periodic,
-                    exterior_derivative, max_coeff_magnitude, two_form_matrix)
+from .forms import (ChartManifold, ChartMap, KForm, certification_samples, check_periodic,
+                    closed_residual, two_form_matrix)
 
 RCOND_MIN = 1e-10
 FIELD_RESIDUAL_MAX = 1e-10
@@ -146,10 +146,10 @@ class HamiltonianSystem:
 
     @functools.cached_property
     def structure(self) -> dict:
-        """The system's one structure certificate: `validate` on 32 fixed chart
-        samples (`Rng(0)`), run on first use.  Every command reads this report
+        """The system's one structure certificate: `validate` at the chart's
+        `certification_samples`, run on first use and read by every command
         instead of validating again; raises ValueError as `validate` does."""
-        return self.validate(self.manifold.sample(Rng(0), 32))
+        return self.validate(certification_samples(self.manifold))
 
     def field(self, coords: np.ndarray) -> np.ndarray:
         """Hamiltonian vector field components, vectorised over (..., dim).
@@ -177,13 +177,8 @@ class HamiltonianSystem:
                            ("dH", KForm(1, self.dim, self.grad_h))):
             if form is not None:
                 check_periodic(form, self.manifold, samples, name)
-        report: dict = {}
-        if self.omega.degree + 1 <= self.dim:
-            report["d_omega_max"] = max_coeff_magnitude(exterior_derivative(self.omega), samples)
-            if not report["d_omega_max"] < CLOSED_TOL:
-                raise ValueError(f"omega is not closed: sampled |d omega| = {report['d_omega_max']:.3e}")
-        else:
-            report["d_omega_max"] = 0.0
+        report = {"d_omega_max": closed_residual(
+            self.omega, samples, "omega is not closed: sampled |d omega|")}
         # a constant omega has one matrix at every sample, so one decomposition
         M = two_form_matrix(self.omega, samples if self.omega.constant_value is None
                             else np.zeros(self.dim))
@@ -194,11 +189,9 @@ class HamiltonianSystem:
         if not rcond >= RCOND_MIN:
             raise ValueError(f"omega degenerate at a sample (rcond {rcond:.3e})")
         if self.lam is not None:
-            diff = exterior_derivative(self.lam) - self.omega
-            report["d_lambda_minus_omega_max"] = max_coeff_magnitude(diff, samples)
-            if not report["d_lambda_minus_omega_max"] < CLOSED_TOL:
-                raise ValueError("declared primitive does not differentiate to omega: "
-                                 f"sampled max {report['d_lambda_minus_omega_max']:.3e}")
+            report["d_lambda_minus_omega_max"] = closed_residual(
+                self.lam, samples, "declared primitive does not differentiate to omega: "
+                "sampled |d lambda - omega|", minus=self.omega)
         return report
 
 

@@ -102,6 +102,11 @@ def coordinate_section(chart: ChartManifold, index: int, level: float = 0.0,
     return leaf_section(chart, n, level * (TWO_PI / chart.periods[index]), orientation)
 
 
+#: libm's atan2 elementwise, as an object array (a Python float for one point):
+#: NumPy's arctan2 rounds differently at each SIMD level a CPU dispatches
+_ATAN2 = np.frompyfunc(math.atan2, 2, 1)
+
+
 def angle_section(pair: tuple[int, int] = (2, 3)) -> SectionSpec:
     """Phase-angle section of one oscillator pair, counted where the angle
     increases along the flow; singular at zero amplitude of that pair."""
@@ -109,7 +114,7 @@ def angle_section(pair: tuple[int, int] = (2, 3)) -> SectionSpec:
 
     def theta(x):
         x = np.asarray(x, dtype=float)
-        return np.arctan2(-x[..., j], x[..., i]) % TWO_PI
+        return np.asarray(_ATAN2(-x[..., j], x[..., i]), dtype=float) % TWO_PI
 
     def dtheta(x, X):
         xi, xj = x[..., i], x[..., j]

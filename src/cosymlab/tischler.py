@@ -24,8 +24,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .catalog import DEFAULT_D_CAP
-from .forms import (CLOSED_TOL, ChartManifold, KForm, Rng, check_periodic, constant_form,
-                    covector_values, exterior_derivative, max_coeff_magnitude)
+from .forms import (ChartManifold, KForm, certification_samples, check_periodic,
+                    closed_residual, constant_form, covector_values)
 from .phase import TANGENCY_MARGIN
 
 TWO_PI = 2.0 * math.pi
@@ -35,22 +35,26 @@ PERIOD_QUAD_MAX_NODES = 16 * PERIOD_QUAD_NODES   # nodes of the last rule refine
 PERIOD_QUAD_ERR = 1e-10
 
 
-class QuadratureError(RuntimeError):
-    """Loop periods whose last two quadrature rules, of PERIOD_QUAD_MAX_NODES
-    nodes and half as many, differ by more than PERIOD_QUAD_ERR on a cycle:
-    the cycle and that estimate."""
-
-    def __init__(self, cycle: int, estimate: float):
-        super().__init__(f"quadrature error estimate {estimate:.3e} too large on cycle {cycle}")
-        self.cycle, self.estimate = cycle, estimate
-
-
 class PeriodVector:
-    """Normalized loop periods of a closed one-form over the generator cycles."""
+    """Normalized loop periods of a closed one-form over the generator cycles;
+    computed ones carry their quadrature's per-cycle ``estimate`` (|difference|
+    of the loop integrals of its last two rules) and the finer rule's ``nodes``."""
 
-    def __init__(self, values: np.ndarray, cycles: tuple[str, ...], manifold: ChartManifold):
+    def __init__(self, values: np.ndarray, cycles: tuple[str, ...], manifold: ChartManifold,
+                 estimate: Optional[np.ndarray] = None, nodes: Optional[int] = None):
         self.values = np.asarray(values, dtype=float)
         self.cycles, self.manifold = cycles, manifold
+        self.estimate, self.nodes = estimate, nodes
+
+    @property
+    def converged(self) -> bool:
+        """Declared, or every estimate within PERIOD_QUAD_ERR (a NaN is not)."""
+        return self.estimate is None or bool(np.all(self.estimate <= PERIOD_QUAD_ERR))
+
+    def as_dict(self) -> dict:
+        quadrature = ({} if self.estimate is None
+                      else {"estimate": self.estimate, "nodes": self.nodes})
+        return {"values": self.values, "cycles": list(self.cycles), **quadrature}
 
 
 class RationalApproximation:
@@ -134,19 +138,18 @@ def periods(alpha: KForm, manifold: ChartManifold,
     """Loop integrals of a closed one-form over the coordinate circles,
     normalized by 2*pi: alpha is certified, then integrated (`loop_periods`).
 
-    Refuses non-closed input, whose "periods" would be path dependent, and
-    input that is not a form on the chart (`forms.check_periodic`).
+    Refuses, at the chart's `certification_samples`, non-closed input, whose
+    "periods" would be path dependent (`forms.closed_residual`), and input
+    that is not a form on the chart (`forms.check_periodic`).
     """
     if alpha.degree != 1 or alpha.dim != manifold.dim:
         raise ValueError(f"periods need a one-form on the chart, got a {alpha.degree}-form in "
                          f"dimension {alpha.dim} on a chart of dimension {manifold.dim}")
     if not manifold.is_torus:
         raise ValueError("period computation needs a torus chart (all coordinates periodic)")
-    samples = manifold.sample(Rng(7), 32)
-    residual = max_coeff_magnitude(exterior_derivative(alpha), samples)
-    if not residual < CLOSED_TOL:
-        raise ValueError(f"one-form not closed (sampled |d alpha| = {residual:.3e}); "
-                         "loop integrals would be path dependent")
+    samples = certification_samples(manifold)
+    closed_residual(alpha, samples, "one-form not closed, so its loop integrals would be "
+                    "path dependent: sampled |d alpha|")
     check_periodic(alpha, manifold, samples, "alpha")
     return loop_periods(alpha, manifold, base)
 
@@ -159,25 +162,22 @@ def loop_periods(alpha: KForm, manifold: ChartManifold,
 
     Gauss-Legendre quadrature (`_leggauss`) on PERIOD_QUAD_NODES nodes,
     doubled while two successive rules differ by more than PERIOD_QUAD_ERR on
-    a cycle; raises QuadratureError when they still do at
-    PERIOD_QUAD_MAX_NODES nodes.  The finer rule's values are returned.
+    a cycle, up to PERIOD_QUAD_MAX_NODES nodes.  Returns the finer rule's
+    values with the last two rules' difference as the estimate; one still
+    not `converged` at the cap is the caller's verdict, not an exception.
     """
     lengths = np.asarray(manifold.periods, dtype=float)
     base_pt = np.zeros(manifold.dim) if base is None else np.asarray(base, dtype=float)
+    cycles = tuple(f"loop along coordinate {i}, period {period:g}"
+                   for i, period in enumerate(manifold.periods))
     nodes = PERIOD_QUAD_NODES
     fine = _loop_integrals(alpha, base_pt, lengths, nodes)
     while True:
         nodes, coarse = 2 * nodes, fine
         fine = _loop_integrals(alpha, base_pt, lengths, nodes)
-        err = np.abs(fine - coarse)
-        too_large = np.flatnonzero(~(err <= PERIOD_QUAD_ERR))
-        if not too_large.size:
-            break
-        if nodes >= PERIOD_QUAD_MAX_NODES:
-            raise QuadratureError(int(too_large[0]), float(err[too_large[0]]))
-    cycles = tuple(f"loop along coordinate {i}, period {period:g}"
-                   for i, period in enumerate(manifold.periods))
-    return PeriodVector(fine / TWO_PI, cycles, manifold)
+        pv = PeriodVector(fine / TWO_PI, cycles, manifold, np.abs(fine - coarse), nodes)
+        if pv.converged or nodes >= PERIOD_QUAD_MAX_NODES:
+            return pv
 
 
 def rationalize(pv: PeriodVector, eps: float, d_cap: int = DEFAULT_D_CAP) -> RationalApproximation:

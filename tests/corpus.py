@@ -188,6 +188,15 @@ REGRESSION = {
          lambda r, out: named(r, "periods")["passed"]
          and abs(named(r, "periods")["values"][0] - 1.0) < 1e-10
          and abs(named(r, "periods")["values"][1] - math.sqrt(2)) < 1e-10)]),
+    # a closed form whose wave the 2048-node rule does not resolve: the periods check
+    # fails and carries its estimate per cycle, and the command stops there
+    "tischler-quadrature-unconverged": ("tischler", {"tischler": {
+        "dim": 2, "alpha": [[0, "cos(1000*x0)"], [1, 1.4142135623730951]]}}, 1, [
+        ("periods fails with an estimate per cycle at 2048 nodes",
+         lambda r, out: not named(r, "periods")["passed"]
+         and len(named(r, "periods")["estimate"]) == 2 and named(r, "periods")["nodes"] == 2048),
+        ("no rationalize check follows",
+         lambda r, out: [c["name"] for c in r["report"]["checks"]] == ["periods"])]),
     # beta ^ beta overflows: a NaN volume fails the check, with no RuntimeWarning
     "verify-cosym-overflow": ("verify-cosym", {"cosym": {
         "dim": 5, "alpha": [[4, 1.0]], "beta": [[0, 1, 1e200], [2, 3, 1e200]]}}, 1, [

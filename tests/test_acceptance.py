@@ -161,9 +161,10 @@ def test_criterion_7_betti_obstruction():
     s3 = obstruct.betti_necessary_condition(catalog.BETTI_PROFILES["s3"])
     t3 = obstruct.betti_necessary_condition(catalog.BETTI_PROFILES["t3"])
     s2s1 = obstruct.betti_necessary_condition(catalog.BETTI_PROFILES["s2xs1"])
-    ok = (not s3.passed and s3.failing_degree == 1 and t3.passed and s2s1.passed)
+    ok = (s3.negative and s3.evidence["failing_degree"] == 1
+          and not t3.negative and not s2s1.negative)
     report(7, "Betti condition fails the 3-sphere at degree 1 and passes the others",
-           ok, f"s3 degree {s3.failing_degree}")
+           ok, f"s3 degree {s3.evidence['failing_degree']}")
 
 
 def test_criterion_8_conservation_suite():

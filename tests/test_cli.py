@@ -437,9 +437,11 @@ def test_tischler_rebuilt_period_quadrature_failure_is_a_failed_check(tmp_path, 
 
     def second_fails(alpha, manifold, base=None):
         calls.append(alpha)
+        pv = loop_periods(alpha, manifold, base)
         if len(calls) == 2:
-            raise tischler.QuadratureError(1, 0.25)
-        return loop_periods(alpha, manifold, base)
+            return tischler.PeriodVector(pv.values, pv.cycles, manifold, np.array([0.0, 0.25]),
+                                         2048)
+        return pv
 
     monkeypatch.setattr(tischler, "loop_periods", second_fails)
     cfg = {"tischler": {"dim": 2, "alpha": [[0, 1.0], [1, math.sqrt(2.0)]]}}
@@ -447,9 +449,11 @@ def test_tischler_rebuilt_period_quadrature_failure_is_a_failed_check(tmp_path, 
     assert code == 1
     checks = {c["name"]: c for c in read_report(out)["report"]["checks"]}
     assert checks["periods"]["passed"] and checks["rationalize"]["passed"]
-    assert checks["rebuilt_periods"] == {
-        "name": "rebuilt_periods", "passed": False, "cycle": 1, "estimate": 0.25,
-        "error": "quadrature error estimate 2.500e-01 too large on cycle 1"}
+    assert checks["periods"]["nodes"] == 256
+    rebuilt = checks["rebuilt_periods"]
+    # the rebuilt periods themselves are right; their quadrature did not converge
+    assert not rebuilt["passed"] and rebuilt["residual"] < tischler.PERIOD_QUAD_ERR
+    assert (rebuilt["estimate"], rebuilt["nodes"]) == ([0.0, 0.25], 2048)
 
 
 def test_tischler_cap_exhausted_exit_one(tmp_path):
@@ -513,7 +517,7 @@ def test_obstruct_betti_failure(tmp_path):
     code, out = run(tmp_path, "obstruct", {"betti": "s3"})
     assert code == 1
     check = read_report(out)["report"]["checks"][0]
-    assert check["failing_degree"] == 1
+    assert check["verdict"] == "negative" and check["evidence"] == {"failing_degree": 1}
 
 
 def test_obstruct_betti_pass(tmp_path):
@@ -995,7 +999,7 @@ def test_bench_traced_methods_exist():
 
 # each command through cli.main, and how many objects it certifies: systems
 # (`validate`), cosymplectic pairs (`verify_cosymplectic`), forms (`check_periodic`)
-# and tischler's dalpha (`exterior_derivative` in `tischler`)
+# and tischler's dalpha (`closed_residual` in `tischler`)
 TISCHLER_ALPHA = {"dim": 4, "alpha": [[0, "1.0 + 0.3*cos(x0)"], [1, math.sqrt(2.0)],
                                       [2, 1.7320508075688772], [3, 0.1]],
                   "eps": 1e-2, "d_cap": 100}
@@ -1037,8 +1041,8 @@ def test_each_identity_is_certified_once(tmp_path, monkeypatch, command, config,
         if getattr(module, "check_periodic", None) is forms.check_periodic:
             monkeypatch.setattr(module, "check_periodic",
                                 counted("check_periodic", forms.check_periodic))
-    monkeypatch.setattr(tischler, "exterior_derivative",
-                        counted("d_alpha", forms.exterior_derivative))
+    monkeypatch.setattr(tischler, "closed_residual",
+                        counted("d_alpha", forms.closed_residual))
     code, _ = run(tmp_path, command, config)
     assert code == (1 if command == "obstruct" else 0)
     # each object certified exactly once, and as many objects as the run has

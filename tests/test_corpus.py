@@ -19,6 +19,22 @@ def test_corpus_entry_replays(tmp_path, entry):
     assert corpus.replay(entry, tmp_path / "out", corpus.in_process) == []
 
 
+def test_corpus_replays_at_numpy_baseline_simd_level():
+    # a child process with every SIMD feature that NumPy dispatches above its baseline
+    # disabled: a certified number that depends on the CPU's vector loops moves here
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    dispatched = [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
+    if not dispatched:
+        pytest.skip("NumPy dispatches no SIMD feature above its baseline on this CPU")
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{Path(__file__).resolve()}::test_corpus_entry_replays"],
+        capture_output=True, text=True, cwd=root,
+        env={**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(dispatched)})
+    assert proc.returncode == 0, f"disabled {dispatched}:\n{proc.stdout[-4000:]}{proc.stderr}"
+
+
 def test_corpus_holds_every_declared_config_and_no_crash():
     def key(e):
         return e["name"], e["command"], json.dumps(e["config"], sort_keys=True), e["seed"]

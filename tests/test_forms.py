@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cosymlab import forms as F
+from cosymlab import catalog, cosym as C, forms as F, phase as P, tischler as T
 
 TWO_PI = 2.0 * math.pi
 
@@ -563,3 +563,69 @@ def test_constant_form_is_evaluated_without_its_coefficient_function():
     general = F.KForm(2, 4, omega.coeffs)
     assert np.allclose(F.evaluate_frame(lazy, x, frame),
                        F.evaluate_frame(general, x, frame), rtol=0, atol=1e-14)
+
+
+# -- the closedness check every certificate shares --------------------------------------
+
+
+def test_closed_residual_of_a_top_degree_form_is_zero():
+    top = F.KForm(2, 2, lambda x: np.sin(x[..., :1]))
+    samples = F.certification_samples(F.ChartManifold(2, (True, True)))
+    assert F.closed_residual(top, samples, "refused") == 0.0
+    assert np.array_equal(samples, F.certification_samples(F.ChartManifold(2, (True, True))))
+
+
+def zero_over_zero(x):
+    """0/0 at every point, computed as an inline expression computes it: NaN, with
+    an invalid-value RuntimeWarning unless NumPy is told to ignore it."""
+    return np.zeros(np.shape(x)[:-1]) / 0.0
+
+
+def plus_nan(form, index):
+    def coeffs(x):
+        out = np.array(form.coeffs(x), dtype=float)
+        out[..., index] += zero_over_zero(x)
+        return out
+    return F.KForm(form.degree, form.dim, coeffs)
+
+
+def validate_nan_omega():
+    r4 = catalog.canonical_r4()
+    bad = P.HamiltonianSystem(r4.manifold, plus_nan(r4.omega, 0), r4.h, r4.grad_h)
+    bad.validate(np.random.default_rng(0).normal(size=(8, 4)))
+
+
+def validate_nan_lambda():
+    ho = catalog.harmonic_oscillator()
+    bad = P.HamiltonianSystem(ho.manifold, ho.omega, ho.h, ho.grad_h, lam=plus_nan(ho.lam, 1))
+    bad.validate(np.random.default_rng(0).normal(size=(8, 2)))
+
+
+def periods_nan_alpha():
+    T.periods(plus_nan(F.constant_form(2, 1, [1.0, math.sqrt(2.0)]), 0), catalog.torus(2))
+
+
+def field_to_cosym_nan_field():
+    # transverse at the samples, NaN at the difference stencils around them
+    Z = catalog.SYSTEMS["t4_product"].level(catalog.product_system("t3"))
+    samples = catalog.torus(3).sample(np.random.default_rng(0), 64)
+    ambient = Z.inclusion().value(samples)
+
+    def nan_off_samples(x):
+        x = np.asarray(x, dtype=float)
+        on = (x[..., None, :] == ambient).all(axis=-1).any(axis=-1)
+        return np.where(on[..., None], [0.0, 0.0, 0.0, -1.0], np.nan)
+
+    C.field_to_cosym(Z, nan_off_samples, samples)
+
+
+@pytest.mark.parametrize("caller, refusal", [
+    (validate_nan_omega, r"omega is not closed: sampled \|d omega\| = nan"),
+    (validate_nan_lambda, r"primitive does not differentiate to omega: "
+                          r"sampled \|d lambda - omega\| = nan"),
+    (periods_nan_alpha, r"one-form not closed, .*: sampled \|d alpha\| = nan"),
+    (field_to_cosym_nan_field, r"not symplectic: sampled \|d\(iota_X omega\)\| = nan"),
+], ids=["validate-omega", "validate-lambda", "tischler-periods", "field-to-cosym"])
+def test_closed_residual_refuses_a_nan_in_every_caller(caller, refusal):
+    with pytest.raises(ValueError, match=refusal):
+        caller()

@@ -185,18 +185,18 @@ def test_exactness_verdict_refuses_a_nan_residual(r4_system):
 
 def test_betti_s3_fails_at_degree_one():
     result = O.betti_necessary_condition(catalog.BETTI_PROFILES["s3"])
-    assert not result.passed
-    assert result.failing_degree == 1
+    assert isinstance(result, O.Verdict) and result.negative
+    assert result.evidence == {"failing_degree": 1}
 
 
 def test_betti_t3_passes():
     result = O.betti_necessary_condition(catalog.BETTI_PROFILES["t3"])
-    assert result.passed and result.failing_degree is None
+    assert result.verdict == "inconclusive" and result.evidence == {"failing_degree": None}
 
 
 def test_betti_s2xs1_passes_necessary_only():
     result = O.betti_necessary_condition(catalog.BETTI_PROFILES["s2xs1"])
-    assert result.passed
+    assert not result.negative
     assert "necessary" in result.statement
 
 
@@ -224,7 +224,7 @@ def test_catalog_profiles_satisfy_poincare_duality():
 def test_catalog_cosymplectic_manifolds_pass_betti():
     # consistency with the existence construction: every seed chart passes
     for name in ("t3", "t5", "s2xs1"):
-        assert O.betti_necessary_condition(catalog.BETTI_PROFILES[name]).passed
+        assert not O.betti_necessary_condition(catalog.BETTI_PROFILES[name]).negative
 
 
 # -- ambient flags ----------------------------------------------------------------------

@@ -315,30 +315,6 @@ def test_validate_rejects_bad_primitive(ho_system):
         bad.validate(np.random.default_rng(0).normal(size=(8, 2)))
 
 
-def zero_over_zero(x):
-    """0/0 at every point, computed as an inline expression computes it: NaN, with
-    an invalid-value RuntimeWarning unless NumPy is told to ignore it."""
-    return np.zeros(np.shape(x)[:-1]) / 0.0
-
-
-def test_validate_refuses_a_nan_residual(ho_system, r4_system):
-    def plus_nan(form, index):
-        def coeffs(x):
-            out = np.array(form.coeffs(x), dtype=float)
-            out[..., index] += zero_over_zero(x)
-            return out
-        return F.KForm(form.degree, form.dim, coeffs)
-
-    bad_omega = P.HamiltonianSystem(r4_system.manifold, plus_nan(r4_system.omega, 0),
-                                    r4_system.h, r4_system.grad_h)
-    with pytest.raises(ValueError, match="not closed"):
-        bad_omega.validate(np.random.default_rng(0).normal(size=(8, 4)))
-    bad_lam = P.HamiltonianSystem(ho_system.manifold, ho_system.omega, ho_system.h,
-                                  ho_system.grad_h, lam=plus_nan(ho_system.lam, 1))
-    with pytest.raises(ValueError, match="primitive"):
-        bad_lam.validate(np.random.default_rng(0).normal(size=(8, 2)))
-
-
 def test_validate_passes_catalog_systems(ho_system, osc_system, r4_system, t4_system):
     rng = np.random.default_rng(3)
     for system in (ho_system, osc_system, r4_system, t4_system):
