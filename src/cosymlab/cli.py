@@ -341,7 +341,6 @@ def section_start_points(entry: catalog.SystemEntry, system, sec: SectionSpec, c
                          rng: Rng) -> np.ndarray:
     """Explicit 'points', or the entry's start samples, on the section and with omega
     nondegenerate at each (a field call on the batch)."""
-    from .section import ON_SECTION_TOL
     if cfg["points"] is not None:
         if any(len(p) != system.dim for p in cfg["points"]):
             raise ConfigError(f"config field 'points' must hold {system.dim} coordinates each")
@@ -350,12 +349,9 @@ def section_start_points(entry: catalog.SystemEntry, system, sec: SectionSpec, c
         raise ConfigError("no start sampler for this system; supply explicit 'points'")
     else:
         pts = entry.starts(system, rng, cfg["samples"], cfg["level"])
-    off = np.abs(np.asarray(sec.offset(pts), dtype=float))
-    off_section = np.flatnonzero(~(off <= ON_SECTION_TOL))
-    if off_section.size:
-        i = off_section[0]
-        raise ConfigError(f"start point {i} is not on the section: |theta - level| = "
-                          f"{off[i]:.3e} > {ON_SECTION_TOL}; supply explicit 'points' on it")
+    for i, refusal in enumerate(sec.refusals(pts)):
+        if refusal:
+            raise ConfigError(f"start point {i} is {refusal}; supply explicit 'points' on it")
     try:
         system.field(pts)
     except SingularOmegaError as exc:
@@ -366,8 +362,7 @@ def section_start_points(entry: catalog.SystemEntry, system, sec: SectionSpec, c
 # -- SVG scatter --------------------------------------------------------------------
 
 
-def svg_scatter(path: Path, points: np.ndarray, title: str,
-                labels: tuple[str, str] = ("s0", "s1")) -> None:
+def svg_scatter(path: Path, points: np.ndarray, title: str, labels: tuple[str, str]) -> None:
     """Scatter plot of 2D points in a fixed 800x800 viewport, its text XML-escaped."""
     size, margin = 800, 70
     xml_text = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})   # html.escape, no quotes

@@ -163,10 +163,6 @@ class KForm:
         self.degree, self.dim, self.coeffs = degree, dim, coeffs
         self.constant_value = constant_value
 
-    @property
-    def n_coeffs(self) -> int:
-        return n_coeffs(self.dim, self.degree)
-
     # -- algebra ------------------------------------------------------------
 
     def __add__(self, other: "KForm") -> "KForm":

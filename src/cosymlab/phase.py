@@ -86,13 +86,16 @@ def solve_pairing(omega: KForm, coords: np.ndarray, a: np.ndarray) -> np.ndarray
 
 
 def _rcond(M: np.ndarray) -> float:
-    """Least reciprocal condition number over a batch of matrices, NaN where
-    the SVD fails (a NaN or inf entry)."""
+    """Least ratio of the least to the greatest singular value over a batch of
+    matrices (..., n, n): 0 for a vanishing matrix, NaN where the SVD fails
+    (a NaN or inf entry)."""
     try:
-        with np.errstate(all="ignore"):
-            return float(1.0 / np.max(np.linalg.cond(M)))
+        svals = np.linalg.svd(M, compute_uv=False)
     except np.linalg.LinAlgError:
         return float("nan")
+    with np.errstate(invalid="ignore"):   # 0 / 0 of a vanishing matrix, replaced by 0
+        ratios = svals[..., -1] / svals[..., 0]
+    return float(np.min(np.where(svals[..., 0] == 0, 0.0, ratios)))
 
 
 class HamiltonianSystem:
@@ -136,9 +139,9 @@ class HamiltonianSystem:
         # needed when that bound is under RCOND_MIN
         rcond_bound = 1.0 / (np.linalg.norm(M) * np.linalg.norm(P))
         if not rcond_bound >= RCOND_MIN:
-            svals = np.linalg.svd(M, compute_uv=False)
-            if not svals[-1] >= RCOND_MIN * svals[0]:
-                raise SingularOmegaError(float(svals[-1] / svals[0]))
+            rcond = _rcond(M)
+            if not rcond >= RCOND_MIN:
+                raise SingularOmegaError(rcond)
         if not np.max(np.sum(np.abs(M.T @ P - np.eye(self.dim)), axis=1)) <= FIELD_RESIDUAL_MAX:
             raise SingularOmegaError(float(rcond_bound))
         P.flags.writeable = False
@@ -182,10 +185,7 @@ class HamiltonianSystem:
         # a constant omega has one matrix at every sample, so one decomposition
         M = two_form_matrix(self.omega, samples if self.omega.constant_value is None
                             else np.zeros(self.dim))
-        svals = np.linalg.svd(M, compute_uv=False)
-        with np.errstate(invalid="ignore"):  # a vanishing omega gives 0/0: NaN fails below
-            rcond = float(np.min(svals[..., -1] / svals[..., 0]))
-        report["omega_rcond_min"] = rcond
+        report["omega_rcond_min"] = rcond = _rcond(M)
         if not rcond >= RCOND_MIN:
             raise ValueError(f"omega degenerate at a sample (rcond {rcond:.3e})")
         if self.lam is not None:

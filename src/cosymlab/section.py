@@ -91,6 +91,15 @@ class SectionSpec:
         v = np.asarray(self.theta(np.asarray(coords, dtype=float))) - self.level
         return -((-v + math.pi) % TWO_PI - math.pi)
 
+    def refusals(self, coords: np.ndarray) -> list:
+        """Per point of coords (n, dim), None when it lies within ON_SECTION_TOL
+        of the level, else why it is refused: "not on the section: |theta -
+        level| = ... > ON_SECTION_TOL" (a NaN distance is refused too)."""
+        off = np.abs(np.asarray(self.offset(coords), dtype=float))
+        return [None if o <= ON_SECTION_TOL else
+                f"not on the section: |theta - level| = {o:.3e} > {ON_SECTION_TOL}"
+                for o in off.tolist()]
+
 
 def coordinate_section(chart: ChartManifold, index: int, level: float = 0.0,
                        orientation: int = 1) -> SectionSpec:
@@ -189,11 +198,6 @@ class Crossings:
     def ok(self) -> np.ndarray:
         """The certified entries."""
         return ~np.isnan(self.times)
-
-    def completed(self, orbit: int) -> int:
-        """Number of certified crossings of an orbit."""
-        failure = self.failures[orbit]
-        return self.times.shape[1] if failure is None else failure[0]
 
     def first_missing(self) -> Optional[tuple]:
         """(row, reason) of the first orbit with no certified crossing, or None."""
@@ -478,12 +482,10 @@ def iterate_returns(system, sec: SectionSpec, starts: np.ndarray, k: int,
     crossing fails its bounds stops there; its earlier returns stand.
     """
     x = system.manifold.reduce(np.atleast_2d(np.asarray(starts, dtype=float)))
-    off = np.abs(np.asarray(sec.offset(x), dtype=float))
     rate = np.abs(np.asarray(sec.dtheta(x, system.field(x)), dtype=float))
-    reasons = [f"start point is not on the section: |theta - level| = {o:.3e}"
-               if not o <= ON_SECTION_TOL else
+    reasons = [f"start point is {refusal}" if refusal else
                f"tangency: flow tangent to section at start: |d theta/dt| = {r:.3e}"
-               if not r >= TANGENCY_MARGIN else None for o, r in zip(off, rate)]
+               if not r >= TANGENCY_MARGIN else None for refusal, r in zip(sec.refusals(x), rate)]
     ready = np.flatnonzero([r is None for r in reasons])
     c = first_crossings(system, sec, x[ready], t_max, tol, k=k)
     # a refused start keeps a blank row
@@ -603,9 +605,9 @@ def _certified_returns(system, sec: SectionSpec, record: Crossings):
     record.  Raises ValueError for a start off the section or with no
     certified first crossing."""
     x = system.manifold.reduce(record.starts)
-    off = np.abs(np.asarray(sec.offset(x), dtype=float))
-    for i in np.flatnonzero(~(off <= ON_SECTION_TOL)).tolist():
-        raise ValueError(f"point {i} is not on the section: |theta - level| = {off[i]:.3e}")
+    for i, refusal in enumerate(sec.refusals(x)):
+        if refusal:
+            raise ValueError(f"point {i} is {refusal}")
     missing = record.first_missing()
     if missing:
         raise ValueError("point %d has no certified first crossing: %s" % missing)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -120,21 +120,19 @@ def _leggauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _loop_integrals(alpha: KForm, base: np.ndarray, periods: np.ndarray,
-                    nodes: int) -> np.ndarray:
-    """Integrals of alpha along the coordinate circles through base, by the
-    Gauss-Legendre rule with the given number of nodes."""
+def _loop_integrals(alpha: KForm, periods: np.ndarray, nodes: int) -> np.ndarray:
+    """Integrals of alpha along the coordinate circles through the origin, by
+    the Gauss-Legendre rule with the given number of nodes."""
     s, w = _leggauss(nodes)
-    dim = len(base)
+    dim = len(periods)
     axis = np.arange(dim)
-    paths = np.tile(base, (dim, nodes, 1))
-    paths[axis, :, axis] += 0.5 * (s + 1.0) * periods[:, None]
+    paths = np.zeros((dim, nodes, dim))
+    paths[axis, :, axis] = 0.5 * (s + 1.0) * periods[:, None]
     a = covector_values(alpha, paths)[axis, :, axis]
     return 0.5 * periods * (a @ w)
 
 
-def periods(alpha: KForm, manifold: ChartManifold,
-            base: Optional[Sequence[float]] = None) -> PeriodVector:
+def periods(alpha: KForm, manifold: ChartManifold) -> PeriodVector:
     """Loop integrals of a closed one-form over the coordinate circles,
     normalized by 2*pi: alpha is certified, then integrated (`loop_periods`).
 
@@ -151,11 +149,10 @@ def periods(alpha: KForm, manifold: ChartManifold,
     closed_residual(alpha, samples, "one-form not closed, so its loop integrals would be "
                     "path dependent: sampled |d alpha|")
     check_periodic(alpha, manifold, samples, "alpha")
-    return loop_periods(alpha, manifold, base)
+    return loop_periods(alpha, manifold)
 
 
-def loop_periods(alpha: KForm, manifold: ChartManifold,
-                 base: Optional[Sequence[float]] = None) -> PeriodVector:
+def loop_periods(alpha: KForm, manifold: ChartManifold) -> PeriodVector:
     """The quadrature of `periods`, without its certificate: for a one-form
     that differs from a certified one by a constant form, such as a rebuilt
     `build_approximation`.
@@ -167,14 +164,13 @@ def loop_periods(alpha: KForm, manifold: ChartManifold,
     not `converged` at the cap is the caller's verdict, not an exception.
     """
     lengths = np.asarray(manifold.periods, dtype=float)
-    base_pt = np.zeros(manifold.dim) if base is None else np.asarray(base, dtype=float)
     cycles = tuple(f"loop along coordinate {i}, period {period:g}"
                    for i, period in enumerate(manifold.periods))
     nodes = PERIOD_QUAD_NODES
-    fine = _loop_integrals(alpha, base_pt, lengths, nodes)
+    fine = _loop_integrals(alpha, lengths, nodes)
     while True:
         nodes, coarse = 2 * nodes, fine
-        fine = _loop_integrals(alpha, base_pt, lengths, nodes)
+        fine = _loop_integrals(alpha, lengths, nodes)
         pv = PeriodVector(fine / TWO_PI, cycles, manifold, np.abs(fine - coarse), nodes)
         if pv.converged or nodes >= PERIOD_QUAD_MAX_NODES:
             return pv

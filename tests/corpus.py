@@ -52,11 +52,16 @@ def named(result: dict, check: str) -> dict:
     return next(c for c in result["report"]["checks"] if c["name"] == check)
 
 
+def crossings(out: Path) -> list:
+    """(orbit id, time) of every row of crossings.csv, in its order."""
+    with open(out / "crossings.csv", newline="") as fh:
+        return [(r["orbit_id"], float(r["t"])) for r in csv.DictReader(fh)]
+
+
 def returns_within(out: Path, n: int, period: float) -> bool:
     """crossings.csv holds n returns, each within 1e-9 of period: a return time is the
     difference of an orbit's consecutive crossing times, its first measured from 0."""
-    with open(out / "crossings.csv", newline="") as fh:
-        rows = [(r["orbit_id"], float(r["t"])) for r in csv.DictReader(fh)]
+    rows = crossings(out)
     gaps = [t - (s if o == p else 0.0) for (p, s), (o, t) in zip([(None, 0.0)] + rows, rows)]
     return len(gaps) == n and max(abs(g - period) for g in gaps) < 1e-9
 
@@ -80,6 +85,11 @@ LAMBDA_T4 = {"dim": 4, "coordinates": ["x", "y", "z", "t"], "periodic": [True] *
              "lambda": [[1, "x"], [3, "z"]]}
 OSCILLATOR = {"system": "oscillator_2dof_sqrt2", "section": {"kind": "angle", "pair": [2, 3]},
               "level": 1.0, "samples": 20, "iterations": 50, "n_return_points": 10}
+
+
+# the first upward passages through 2 pi of the wiggle lifts of return-map-wiggle's
+# starts, by bisection of v(t) = 0.3 t + sin(x0 + t) - sin(x0)
+WIGGLE_PASSAGES = (0.2940468814425602, 0.05262042761021178, 15.244977768842668)
 
 
 def inline_return_map(hamiltonian: str, coordinates=("q", "p"), **fields) -> dict:
@@ -263,6 +273,42 @@ REGRESSION = {
         ("plot.svg parses as XML", lambda r, out: svg_title(out) is not None),
         ("its title reads 'return-map iterates (a<b & c)'",
          lambda r, out: svg_title(out) == "return-map iterates (a<b & c)")]),
+    # H = y - 0.3 x - sin x on T^2 moves as x' = 1, y' = 0.3 + cos x, whose y rate
+    # changes sign: each start's y angle dips and turns back near the lattice (the
+    # scan's turning rule), and its return is the first upward passage of
+    # v(t) = 0.3 t + sin(x0 + t) - sin(x0) through 2 pi, bisected in WIGGLE_PASSAGES
+    "return-map-wiggle": ("return-map", {
+        "system": {"dim": 2, "coordinates": ["x", "y"], "periodic": [True, True],
+                   "omega": [[0, 1, 1.0]], "hamiltonian": "y - 0.3*x - sin(x)"},
+        "section": {"kind": "coordinate", "index": 1},
+        "points": [[4.25953683813, 0.0], [4.381349826855, 0.0], [4.445325753588, 0.0]],
+        "iterations": 1, "t_max": 200.0}, 0, [
+        ("each return within 1e-8 of its bisected passage",
+         lambda r, out: len(crossings(out)) == 3 and all(
+             o == str(i) and abs(t - WIGGLE_PASSAGES[i]) < 1e-8
+             for i, (o, t) in enumerate(crossings(out))))]),
+    # a closed alpha with a non-constant term: alpha ^ beta takes the non-constant wedge
+    "verify-cosym-exact-alpha": ("verify-cosym", {"cosym": {
+        "dim": 3, "alpha": [[2, 1.0], [0, "0.1*cos(x0)"]], "beta": [[0, 1, 1.0]]},
+        "samples": 16}, 0, [
+        ("cosymplectic has d_alpha_max = d_beta_max = 0.0 and volume_margin = 1.0",
+         lambda r, out: named(r, "cosymplectic")["d_alpha_max"]
+         == named(r, "cosymplectic")["d_beta_max"] == 0.0
+         and named(r, "cosymplectic")["volume_margin"] == 1.0)]),
+    # a non-constant exact omega on R^4: its pullbacks to the meshed sphere and torus
+    # evaluate the patches and the form's frame point by point, and both vanish
+    "obstruct-inline-exact-r4": ("obstruct", {"system": {
+        "dim": 4, "omega": [[0, 1, 1.0], [1, 2, "-0.1*cos(x2)"], [2, 3, 1.0]],
+        "lambda": [[1, "x0 + 0.1*sin(x2)"], [3, "x2"]],
+        "hamiltonian": "0.5*(x0^2 + x1^2 + x2^2 + x3^2)"}, "quad_nodes": 64}, 1, [
+        ("the verdict is negative with both surface integrals below 1e-8",
+         lambda r, out: named(r, "exactness_verdict")["verdict"] == "negative"
+         and all(abs(v) < 1e-8
+                 for v in named(r, "exactness_verdict")["surface_integrals"].values()))]),
+    # the catalog's one-degree oscillator returns to its axis every 2 pi
+    "return-map-harmonic": ("return-map", {"system": "harmonic_oscillator",
+                                           "points": [[1.0, 0.0]], "iterations": 2}, 0, [
+        ("2 returns within 1e-9 of 2 pi", lambda r, out: returns_within(out, 2, 2 * math.pi))]),
 }
 
 

@@ -435,9 +435,9 @@ def test_tischler_rebuilt_period_quadrature_failure_is_a_failed_check(tmp_path, 
     from cosymlab import tischler
     loop_periods, calls = tischler.loop_periods, []
 
-    def second_fails(alpha, manifold, base=None):
+    def second_fails(alpha, manifold):
         calls.append(alpha)
-        pv = loop_periods(alpha, manifold, base)
+        pv = loop_periods(alpha, manifold)
         if len(calls) == 2:
             return tischler.PeriodVector(pv.values, pv.cycles, manifold, np.array([0.0, 0.25]),
                                          2048)

@@ -1,18 +1,24 @@
-"""The in-house DOP853 stepper against SciPy's solve_ivp(method="DOP853"),
-which runs the same method with the same step-size control."""
+"""The in-house DOP853 stepper against `reference_dop853`, a plain one-vector
+loop over the same tableau with the step-size control of SciPy's
+``solve_ivp(method="DOP853")``, which it reproduces bit for bit on every case
+below; and the reference against the exact flows of a constant field and of
+the harmonic oscillator."""
+import math
 import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
 
 from cosymlab import catalog, cli, dop853, phase as P
 
+import reference_dop853
 from helpers import step_recorder
 
 INLINE = cli.validate("obstruct", {"system": {
     "dim": 2, "coordinates": ["q", "p"], "omega": [[0, 1, "1 + 0.5*sin(q)"]],
     "hamiltonian": "0.5*(q^2 + p^2)"}})["system"]
+# (t1, tol) of every comparison: forward and backward, at a tight and a loose tolerance
+SPANS = [(7.3, 1e-10), (-2.9, 1e-6), (20.0, 1e-10)]
 
 
 def constant_omega_systems():
@@ -28,8 +34,7 @@ def cases():
 
 
 def reference(rhs, t1, y0, tol, first_step=None):
-    return solve_ivp(lambda _t, y: rhs(y), (0.0, t1), y0, method="DOP853",
-                     rtol=tol, atol=1e-2 * tol, first_step=first_step)
+    return reference_dop853.solve(rhs, t1, y0, tol, 1e-2 * tol, first_step)
 
 
 def test_catalog_covers_constant_and_inline_omega():
@@ -41,12 +46,12 @@ def test_catalog_covers_constant_and_inline_omega():
 
 def assert_matches_solve_ivp(system, batch, t1, tol, first_step=None):
     """One orbit, or a group of five stacked into one row as solve_ivp stacks
-    it, integrated by integrate_batch and by solve_ivp: the same accepted
+    it, integrated by integrate_batch and by the reference: the same accepted
     steps, the same states on them, the last of them the end state, and the
-    same field calls.  A negative t1 is solve_ivp's backward integration
+    same field calls.  A negative t1 is the reference's backward integration
     against integrate_batch's of the reversed field forward to |t1|, as a
-    backward crossing scan integrates: its times are solve_ivp's negated.
-    Returns solve_ivp's result."""
+    backward crossing scan integrates: its times are the reference's negated.
+    Returns the reference's result."""
     rng = np.random.default_rng(batch)
     x0 = (0.5 + rng.uniform(-0.4, 0.4, size=(batch, system.dim))).ravel()
     sign = 1.0 if t1 > 0 else -1.0
@@ -76,13 +81,13 @@ def assert_matches_solve_ivp(system, batch, t1, tol, first_step=None):
 
 @pytest.mark.parametrize("name, system", cases(), ids=[c[0] for c in cases()])
 @pytest.mark.parametrize("batch", [1, 5])
-@pytest.mark.parametrize("t1, tol", [(7.3, 1e-10), (-2.9, 1e-6), (20.0, 1e-10)])
+@pytest.mark.parametrize("t1, tol", SPANS)
 def test_matches_solve_ivp(name, system, batch, t1, tol):
     assert_matches_solve_ivp(system, batch, t1, tol)
 
 
 def rejections(ref) -> int:
-    """Steps solve_ivp's error control rejected, from its field calls: one for
+    """Steps the reference's error control rejected, from its field calls: one for
     the start, and 12 per attempted step when the first step is given."""
     return (ref.nfev - 1) // 12 - (len(ref.t) - 1)
 
@@ -93,7 +98,7 @@ REJECTED_FIRST_STEP = 2.5
 
 @pytest.mark.parametrize("name, system", cases(), ids=[c[0] for c in cases()])
 @pytest.mark.parametrize("batch", [1, 5])
-@pytest.mark.parametrize("t1, tol", [(7.3, 1e-10), (-2.9, 1e-6), (20.0, 1e-10)])
+@pytest.mark.parametrize("t1, tol", SPANS)
 @pytest.mark.parametrize("first", ["span", "rejected"])
 def test_matches_solve_ivp_from_a_first_step(name, system, batch, t1, tol, first):
     # the whole span is the first step of a crossing refinement; on a linear
@@ -105,12 +110,43 @@ def test_matches_solve_ivp_from_a_first_step(name, system, batch, t1, tol, first
 
 
 def test_stalled_step_raises():
-    # y' = 1 + y^2 reaches infinity at t = pi/2, where SciPy reports a stall
-    ref = solve_ivp(lambda _t, y: 1.0 + y ** 2, (0.0, 10.0), [0.0], method="DOP853",
-                    rtol=1e-10, atol=1e-12)
+    # y' = 1 + y^2 reaches infinity at t = pi/2, where both stall at the same time
+    ref = reference_dop853.solve(lambda y: 1.0 + y ** 2, 10.0, [0.0], 1e-10, 1e-12)
     assert not ref.success
-    with pytest.raises(dop853.StepSizeUnderflow, match="stalled"):
+    with pytest.raises(dop853.StepSizeUnderflow, match="stalled") as exc:
         dop853.solve(lambda y: 1.0 + y ** 2, 10.0, [[0.0]], 1e-10, 1e-12)
+    assert exc.value.rows.tolist() == [0] and exc.value.times.tolist() == [ref.t[-1]]
+    assert abs(ref.t[-1] - 0.5 * math.pi) < 1e-9
+
+
+def test_reference_integrates_a_constant_field():
+    # every stage of y' = c is c, so the error estimate is rounding noise: no step
+    # is rejected (the start and the starting-step guess, then 12 field calls a
+    # step), a zero component never moves, and each state is y0 + t c up to the
+    # rounding of the weights' sum, 1 + 2**-51, and of the state's update: within
+    # two spacings of |y0| + |t c| a step
+    c = np.array([1.0, -0.5, 3.0, 0.0])
+    y0 = np.array([0.25, 2.0, -1.0, 0.7])
+    for t1, tol in SPANS:
+        ref = reference(lambda y: c.copy(), t1, y0, tol)
+        steps = len(ref.t) - 1
+        assert ref.success and ref.t[-1] == t1 and ref.nfev == 2 + 12 * steps
+        assert (ref.y[3] == y0[3]).all()
+        bound = 2 * steps * np.spacing(np.abs(y0[:, None]) + np.abs(c[:, None] * ref.t))
+        assert (np.abs(ref.y - (y0[:, None] + c[:, None] * ref.t)) <= bound).all()
+
+
+def test_reference_turns_the_harmonic_oscillator():
+    # X = (p, -q) turns the plane by -t: on every accepted step the state is
+    # within tol * (1 + |t|) of that rotation of the start (0.06 of it is reached)
+    system = catalog.harmonic_oscillator()
+    y0 = np.array([0.7, -0.2])
+    for t1, tol in SPANS:
+        ref = reference(system.field, t1, y0, tol)
+        assert ref.success and ref.t[-1] == t1
+        cos, sin = np.cos(ref.t), np.sin(ref.t)
+        exact = np.array([cos * y0[0] + sin * y0[1], cos * y0[1] - sin * y0[0]])
+        assert (np.abs(ref.y - exact).max(axis=0) <= tol * (1 + np.abs(ref.t))).all()
 
 
 def test_rejects_bad_input():

@@ -53,7 +53,8 @@ def test_first_return_oscillator_closed_form(osc_system):
 
 def test_first_return_requires_section_point(t4_system, t4_section):
     r = S.iterate_returns(t4_system, t4_section, [0.0, 0.0, 1.0, 0.0], 1)
-    assert r.failures == [(0, "start point is not on the section: |theta - level| = 1.000e+00")]
+    assert r.failures == [
+        (0, "start point is not on the section: |theta - level| = 1.000e+00 > 1e-08")]
     assert np.isnan(r.times).all()
 
 
@@ -536,7 +537,7 @@ def test_iterate_returns_images_match_time_integration(batch, k):
     chart = system.manifold
     r = S.iterate_returns(system, sec, starts, k, t_max)
     for i, x in enumerate(chart.reduce(starts)):
-        for j in range(r.completed(i)):
+        for j in range(k if r.failures[i] is None else r.failures[i][0]):
             T = r.times[i, j] - (r.times[i, j - 1] if j else 0.0)
             end = chart.reduce(P.integrate_batch(system.field, x[None], T)[0])
             assert np.max(np.abs(chart.wrapped_delta(end, r.states[i, j]))) < 1e-9
@@ -561,9 +562,9 @@ def test_iterate_returns_failure_stops_one_orbit(suspension_system):
     # orbit goes on through all three returns
     sec = S.coordinate_section(suspension_system.manifold, 1)
     r = S.iterate_returns(suspension_system, sec, np.array([[0.1, 0.0], [0.1, 0.5]]), 3)
-    assert r.failures[0] is None and r.completed(0) == 3
+    assert r.failures[0] is None and not np.isnan(r.times[0]).any()
     assert r.failures[1][0] == 0 and r.failures[1][1].startswith("start point is not on")
-    assert r.completed(1) == 0 and np.isnan(r.times[1]).all()
+    assert np.isnan(r.times[1]).all()
     assert np.max(np.abs(r.states[0, :, 0] - (0.1 + np.arange(1, 4) / 3.0) % 1.0)) < 1e-9
 
 
@@ -730,7 +731,7 @@ def test_iterate_returns_t_max_below_first_return():
     assert laps[:2].sum() < 3 * t_max
     r = S.iterate_returns(system, sec, np.array([[0.0, 0.0]]), 3, t_max)
     assert r.failures == [(0, "no crossing")]
-    assert r.completed(0) == 0 and np.isnan(r.times).all()
+    assert np.isnan(r.times).all()
 
 
 def test_mapping_torus_product(t4_system, t4_section):
@@ -880,7 +881,7 @@ def test_crossings_csv_writes_only_certified_crossings(tmp_path):
     record = _record([[1.0, 2.0], [1.5, nan]],
                      [[[0.1, 0.2], [0.3, 0.4]], [[0.5, 0.6], [nan, nan]]],
                      [[0.7, 0.8], [0.9, nan]], [None, (1, "no crossing")])
-    assert [record.completed(i) for i in range(2)] == [2, 1]
+    assert [2 if f is None else f[0] for f in record.failures] == record.ok.sum(axis=1).tolist()
     path = tmp_path / "crossings.csv"
     S.write_crossings_csv(path, record)
     text = path.read_text()

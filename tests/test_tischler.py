@@ -52,7 +52,7 @@ def test_periods_of_non_constant_form_to_1e_10():
                          0.5 * np.sin(x[..., 2]) + math.sqrt(3.0) + np.cos(20 * x[..., 2]),
                          np.full(x.shape[:-1], 0.1)], axis=-1)
 
-    pv = T.periods(F.KForm(1, 4, coeffs), catalog.torus(4), base=[0.3, -1.0, 2.0, 0.5])
+    pv = T.periods(F.KForm(1, 4, coeffs), catalog.torus(4))
     assert np.max(np.abs(pv.values - [1.0, SQRT2, math.sqrt(3.0), 0.1])) < 1e-10
 
 
