@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
-from .forms import (ChartManifold, KForm, Rng, basis_rank, constant_form,
+from .forms import (ChartManifold, KForm, Rng, basis_indices, basis_rank, constant_form,
                     coordinate_form, wedge)
 from .phase import EnergySurface, FlowSystem, HamiltonianSystem
 
@@ -73,7 +73,8 @@ def quadratic_system(chart: ChartManifold, weights: Sequence[float],
                      primitive: Sequence[tuple[int, int]]) -> HamiltonianSystem:
     """H = 1/2 sum_i w_i x_i^2 on the chart, with the linear primitive
     lambda = sum x_j dx_i over the (i, j) pairs of ``primitive`` and
-    omega = d lambda = sum dx_j ^ dx_i, a constant form.
+    omega = d lambda = sum dx_j ^ dx_i, a constant form.  lambda's own d is
+    read off its coefficients, so that d lambda = omega compares two sums.
 
     The gradient is x * w, one multiply; where a weight is zero its entry is
     left at +0.0, since x * 0 would give -0.0 for x < 0.
@@ -92,6 +93,11 @@ def quadratic_system(chart: ChartManifold, weights: Sequence[float],
         out[..., lam_cols] = x[..., lam_rows]
         return out
 
+    def d_lam():   # lambda_i = sum_j L_ij x_j: L_ba - L_ab on each pair a < b
+        L = np.zeros((dim, dim))
+        L[lam_cols, lam_rows] = 1.0
+        return constant_form(dim, 2, [L[b, a] - L[a, b] for a, b in basis_indices(dim, 2)])
+
     def h(x):
         x = np.asarray(x, dtype=float)
         return 0.5 * np.sum(x * x * w, axis=-1)
@@ -109,7 +115,7 @@ def quadratic_system(chart: ChartManifold, weights: Sequence[float],
             return out
 
     return HamiltonianSystem(chart, constant_form(dim, 2, omega), h, grad_h,
-                             lam=KForm(1, dim, lam_coeffs))
+                             lam=KForm(1, dim, lam_coeffs, d=d_lam))
 
 
 def harmonic_oscillator() -> HamiltonianSystem:

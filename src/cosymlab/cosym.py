@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .forms import (CLOSED_TOL, ChartManifold, ChartMap, KForm, certification_samples,
-                    closed_residual, coordinate_form, covector_values, interior,
+                    closed_residual, coordinate_form, covector_values,
                     max_coeff_magnitude, power, pullback, wedge)
 from .phase import TANGENCY_MARGIN, EnergySurface, HamiltonianSystem, solve_pairing
 
@@ -97,30 +97,27 @@ def verify_cosymplectic(cs: CosymplecticStructure, samples: np.ndarray) -> Cosym
     return CosymReport(passed, d_alpha, d_beta, margin, worst)
 
 
-def field_to_cosym(Z: EnergySurface, X: Callable[[np.ndarray], np.ndarray],
-                   samples: np.ndarray) -> CosymplecticStructure:
+def field_to_cosym(Z: EnergySurface, alpha: KForm, samples: np.ndarray) -> CosymplecticStructure:
     """Induced pair on a slice level set of ``Z.system`` from a transverse
-    symplectic field.
+    symplectic field X, given by alpha = iota_X omega on the ambient chart:
+    alpha and omega restricted to the slice chart of Z.
 
-    alpha is the symplectic pairing of X restricted to the slice chart of Z,
-    beta the restriction of the ambient form.  Raises on a slice off its level
-    (`EnergySurface.check`), on tangency, or when X fails to be symplectic at
-    the samples.
-    """
+    X is symplectic when alpha is closed, and transverse where |alpha(X_H)|
+    = |dH(X)| > 0, X_H the Hamiltonian field.  Raises on a slice off its
+    level (`EnergySurface.check`), on tangency, or when alpha is not closed
+    at the samples."""
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     system = Z.system
     incl = Z.inclusion()
     ambient = incl.value(samples)
     Z.check(ambient)
-    xv = np.asarray(X(ambient), dtype=float)
-    dh = np.asarray(system.grad_h(ambient), dtype=float)
-    trans = float(np.min(np.abs(np.einsum("...i,...i->...", dh, xv))))
+    pairing = np.einsum("...i,...i->...", covector_values(alpha, ambient), system.field(ambient))
+    trans = float(np.min(np.abs(pairing)))
     if not trans >= TANGENCY_MARGIN:
         raise TransversalityError(
             f"field tangent to the level set at a sample: min |dH(X)| = {trans:.3e}")
-    alpha_ambient = interior(X, system.omega)
-    closed_residual(alpha_ambient, ambient, "field is not symplectic: sampled |d(iota_X omega)|")
-    cs = CosymplecticStructure(Z.section_chart, pullback(incl, alpha_ambient),
+    closed_residual(alpha, ambient, "field is not symplectic: sampled |d(iota_X omega)|")
+    cs = CosymplecticStructure(Z.section_chart, pullback(incl, alpha),
                                pullback(incl, system.omega))
     report = verify_cosymplectic(cs, samples)
     if not report.passed:
@@ -135,8 +132,9 @@ def cosym_to_field(Z: EnergySurface, cs: CosymplecticStructure,
     The defining one-form is extended constantly in the collar coordinate and
     the pairing equation iota_X omega = alpha is solved pointwise
     (`phase.solve_pairing`, which raises SingularOmegaError where omega is
-    singular or the solve misses its residual bound).  Reports
-    the transversality and symplectic-closedness margins of the result.
+    singular or the solve misses its residual bound).  Reports the field's
+    transversality margin and, as its symplectic residual, the sampled
+    |d alpha| of the extended alpha, which the solve ties to iota_X omega.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     proj = Z.projection()
@@ -155,8 +153,7 @@ def cosym_to_field(Z: EnergySurface, cs: CosymplecticStructure,
     values = field(ambient)
     dh = np.asarray(Z.system.grad_h(ambient), dtype=float)
     trans = float(np.min(np.abs(np.einsum("...i,...i->...", dh, values))))
-    return TransverseFieldReport(values, closed_residual(interior(field, omega), ambient),
-                                 trans, field)
+    return TransverseFieldReport(values, closed_residual(alpha_ext, ambient), trans, field)
 
 
 def collar_form(cs: CosymplecticStructure) -> KForm:

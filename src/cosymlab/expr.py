@@ -6,10 +6,11 @@ e.g. ``"0.5*(q^2 + p^2)"`` or ``"sin(theta)"``.  `parse` reads them with
 a whitelist: decimal number literals, ``pi``, the coordinates, unary ``+`` and
 ``-``, ``+ - * /``, integer literal powers, and ``sin`` and ``cos`` of one
 argument.  Anything else raises `ExprError`.  Parsed expressions differentiate
-symbolically, which supplies the gradient callbacks the solvers need.  Values
-are computed by generated code: `compile_nodes` emits one straight-line NumPy
-function per list of trees, from the validated tree only, and executes it once
-in a namespace that holds only ``np``.
+symbolically, which supplies the gradient callbacks the solvers need and the
+exact exterior derivatives of forms whose coefficients are trees
+(`form_of_trees`).  Values are computed by generated code: `compile_nodes`
+emits one straight-line NumPy function per list of trees, from the validated
+tree only, and executes it once in a namespace that holds only ``np``.
 """
 from __future__ import annotations
 
@@ -22,6 +23,8 @@ import warnings
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+
+from .forms import KForm, constant_form, derivative_terms
 
 
 class ExprError(ValueError):
@@ -362,3 +365,22 @@ class Expression:
             raise ExprError(_TOO_DEEP) from None
         return compile_nodes(columns)
 
+
+def form_of_trees(dim: int, degree: int, columns: Sequence[Node]) -> KForm:
+    """The form whose coefficient r is the tree columns[r], in one generated
+    function.  Its d differentiates the trees through `forms.derivative_terms`
+    into a form of trees, or a constant form where every one is a number;
+    ExprError for trees too deep to compile or to differentiate."""
+    def d() -> KForm:
+        out: list = [Num(0.0)] * math.comb(dim, degree + 1)
+        try:
+            for ro, j, ri, sign in derivative_terms(dim, degree):
+                term = columns[ri].diff(j)
+                out[ro] = _add(out[ro], term) if sign > 0 else _sub(out[ro], term)
+        except RecursionError:
+            raise ExprError(_TOO_DEEP) from None
+        if all(isinstance(c, Num) for c in out):
+            return constant_form(dim, degree + 1, [c.value for c in out])
+        return form_of_trees(dim, degree + 1, out)
+
+    return KForm(degree, dim, compile_nodes(columns), d=d)

@@ -4,7 +4,8 @@ A degree-k form is stored as its coefficient function over the lexicographic
 basis of k-element index subsets.  Coefficient callables are vectorised: they
 take coordinate arrays of shape ``(..., dim)`` and return ``(..., C(dim, k))``.
 Every manifold in scope is a flat chart with optional periodic coordinates
-(tori), so pointwise coefficients are a complete description.
+(tori), so pointwise coefficients are a complete description.  Exterior
+derivatives are exact: zero for a constant form, else the form's own ``d``.
 
 Nothing here assigns to a chart, form or map after construction, so each is
 safe to share and to evaluate concurrently.
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import math
 import random
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import combinations
 from typing import Callable, Optional, Sequence
 
@@ -23,10 +24,7 @@ TWO_PI = 2.0 * math.pi
 
 #: coefficient function of a form: coords (..., dim) -> (..., n_coeffs)
 CoeffFn = Callable[[np.ndarray], np.ndarray]
-#: vector field function: coords (..., dim) -> components (..., dim)
-FieldFn = Callable[[np.ndarray], np.ndarray]
 
-FD_STEP = 1e-5      # central-difference step of the exterior derivative
 CLOSED_TOL = 1e-6   # a form passes as closed when its sampled |d form| is below it
 
 
@@ -154,14 +152,19 @@ class KForm:
     lexicographic basis.  ``constant_value`` marks a form whose coefficients
     do not depend on the point; the algebra propagates it so that constant
     inputs stay on a fast evaluation path and differentiate to exact zeros.
+    ``d`` builds the exact exterior derivative, once, on first call; the
+    algebra derives it by d(a + b) = da + db, d(s a) = s da,
+    d(a ^ b) = da ^ b + (-1)^k a ^ db and d(phi* f) = phi*(df).
     """
 
     def __init__(self, degree: int, dim: int, coeffs: CoeffFn,
-                 constant_value: Optional[np.ndarray] = None):
+                 constant_value: Optional[np.ndarray] = None,
+                 d: Optional[Callable[[], "KForm"]] = None):
         if not (0 <= degree <= dim):
             raise ValueError(f"degree {degree} out of range for dim {dim}")
         self.degree, self.dim, self.coeffs = degree, dim, coeffs
         self.constant_value = constant_value
+        self.d = None if d is None else cache(d)
 
     # -- algebra ------------------------------------------------------------
 
@@ -174,7 +177,8 @@ class KForm:
             return constant_form(self.dim, self.degree,
                                  self.constant_value + other.constant_value)
         ca, cb = self.coeffs, other.coeffs
-        return KForm(self.degree, self.dim, lambda x: ca(x) + cb(x))
+        return KForm(self.degree, self.dim, lambda x: ca(x) + cb(x),
+                     d=lambda: exterior_derivative(self) + exterior_derivative(other))
 
     def __sub__(self, other: "KForm") -> "KForm":
         return self + (-1.0) * other
@@ -184,7 +188,8 @@ class KForm:
         if self.constant_value is not None:
             return constant_form(self.dim, self.degree, s * self.constant_value)
         c = self.coeffs
-        return KForm(self.degree, self.dim, lambda x: s * c(x))
+        return KForm(self.degree, self.dim, lambda x: s * c(x),
+                     d=lambda: s * exterior_derivative(self))
 
     def __neg__(self) -> "KForm":
         return (-1.0) * self
@@ -285,25 +290,13 @@ def evaluate_frame(f: KForm, coords: np.ndarray, frame: np.ndarray) -> np.ndarra
     return np.einsum("...c,...c->...", f.coeffs(coords), minors)
 
 
-# -- wedge, interior, derivative, pullback ------------------------------------
-
-
-def _signed_product(terms, n_out: int) -> Callable:
-    """The bilinear map of a product table: ``terms`` lists (out, i, j, sign),
-    and ``product(left, right)`` sums sign * left[..., i] * right[..., j] into
-    entry out of an (..., n_out) coefficient vector."""
-    out, left_idx, right_idx, signs = (np.array(col) for col in zip(*terms))
-    scatter = np.zeros((len(terms), n_out))
-    scatter[np.arange(len(terms)), out] = 1.0
-
-    def product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        return signs * left[..., left_idx] * right[..., right_idx] @ scatter
-
-    return product
+# -- wedge, derivative, pullback ---------------------------------------------
 
 
 def wedge(a: KForm, b: KForm) -> KForm:
-    """Wedge product; graded-commutative with sign (-1)^(kl)."""
+    """Wedge product; graded-commutative with sign (-1)^(kl).  Coefficient K
+    sums sign * a_I * b_J over the disjoint I, J that merge into K, as one
+    scatter product over the table of such (K, I, J, sign)."""
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     k, l = a.degree, b.degree
@@ -315,64 +308,40 @@ def wedge(a: KForm, b: KForm) -> KForm:
              for ra, ia in enumerate(basis_indices(dim, k))
              for rb, ib in enumerate(basis_indices(dim, l))
              if (merged := _merge_sign(ia, ib)) is not None]
-    product = _signed_product(terms, n_coeffs(dim, k + l))
+    out, left, right, signs = (np.array(col) for col in zip(*terms))
+    scatter = np.zeros((len(terms), n_coeffs(dim, k + l)))
+    scatter[np.arange(len(terms)), out] = 1.0
     ca, cb = a.coeffs, b.coeffs
 
     def coeffs(x: np.ndarray) -> np.ndarray:
-        return product(ca(x), cb(x))
+        return signs * ca(x)[..., left] * cb(x)[..., right] @ scatter
 
     if a.constant_value is not None and b.constant_value is not None:
         return constant_form(dim, k + l, coeffs(np.zeros(dim)))
-    return KForm(k + l, dim, coeffs)
+    return KForm(k + l, dim, coeffs, d=lambda: wedge(exterior_derivative(a), b)
+                 + (-1.0) ** k * wedge(a, exterior_derivative(b)))
 
 
-def interior(X: FieldFn, f: KForm) -> KForm:
-    """Interior product of a vector field into f; degree drops by one."""
-    if f.degree < 1:
-        raise ValueError("interior product needs a form of degree >= 1")
-    dim, k = f.dim, f.degree
-    in_rank = basis_rank(dim, k)
-    terms = [(rj, i, in_rank[merged[0]], float(merged[1]))
-             for rj, J in enumerate(basis_indices(dim, k - 1)) for i in range(dim)
-             if (merged := _merge_sign((i,), J)) is not None]
-    product = _signed_product(terms, n_coeffs(dim, k - 1))
-    cf = f.coeffs
-
-    def coeffs(x: np.ndarray) -> np.ndarray:
-        return product(np.asarray(X(x), dtype=float), cf(x))
-
-    return KForm(k - 1, dim, coeffs)
+@lru_cache(maxsize=None)
+def derivative_terms(dim: int, degree: int) -> tuple[tuple[int, int, int, float], ...]:
+    """d in coordinates, as terms (out rank, j, in rank, sign): coefficient K
+    of df sums (-1)^(position of j in K) d f_{K - j} / dx_j over j in K."""
+    in_rank = basis_rank(dim, degree)
+    return tuple((ro, j, in_rank[K[:pos] + K[pos + 1:]], (-1.0) ** pos)
+                 for ro, K in enumerate(basis_indices(dim, degree + 1))
+                 for pos, j in enumerate(K))
 
 
 def exterior_derivative(f: KForm) -> KForm:
-    """Exterior derivative: exactly zero for a constant form, else central
-    finite differences with step FD_STEP."""
+    """Exact exterior derivative: zero for a constant form, else the form's
+    own ``d``; ValueError for a form with neither, which is never differenced."""
     if f.degree >= f.dim:
         raise ValueError("exterior derivative of a top-degree form")
-    dim, k = f.dim, f.degree
     if f.constant_value is not None:
-        return constant_form(dim, k + 1, np.zeros(n_coeffs(dim, k + 1)))
-    in_rank = basis_rank(dim, k)
-    terms = []  # (out_rank, diff_direction, in_rank, sign)
-    for ro, K in enumerate(basis_indices(dim, k + 1)):
-        for pos, j in enumerate(K):
-            rest = K[:pos] + K[pos + 1:]
-            terms.append((ro, j, in_rank[rest], (-1.0) ** pos))
-    cf = f.coeffs
-
-    def coeffs(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        partials = []
-        for j in range(dim):
-            e = np.zeros(dim)
-            e[j] = FD_STEP
-            partials.append((cf(x + e) - cf(x - e)) / (2.0 * FD_STEP))
-        out = np.zeros(x.shape[:-1] + (n_coeffs(dim, k + 1),))
-        for ro, j, ri, sign in terms:
-            out[..., ro] += sign * partials[j][..., ri]
-        return out
-
-    return KForm(k + 1, dim, coeffs)
+        return constant_form(f.dim, f.degree + 1, np.zeros(n_coeffs(f.dim, f.degree + 1)))
+    if f.d is None:
+        raise ValueError("no exact derivative: a non-constant form must be built with its d")
+    return f.d()
 
 
 class ChartMap:
@@ -426,7 +395,8 @@ def pullback(phi: ChartMap, f: KForm) -> KForm:
     if f.constant_value is not None:
         return constant_form(src, k, dets @ f.constant_value)
     cf, val = f.coeffs, phi.value
-    return KForm(k, src, lambda x: cf(val(x)) @ dets.T)
+    return KForm(k, src, lambda x: cf(val(x)) @ dets.T,
+                 d=lambda: pullback(phi, exterior_derivative(f)))
 
 
 def power(f: KForm, m: int) -> KForm:

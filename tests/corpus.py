@@ -100,6 +100,20 @@ def inline_return_map(hamiltonian: str, coordinates=("q", "p"), **fields) -> dic
             "section": {"kind": "angle", "pair": [0, 1]}, "points": [[1.0, 0.0]]}
 
 
+def closed_wave(k: int) -> dict:
+    """tischler on alpha = d(x0 + sqrt 2 x1 + 0.01 sin(k x0) sin(x1)) on T^2, k written
+    out: exactly closed, with periods (1, sqrt 2) and a derivative of size 0.01 k^2."""
+    return {"tischler": {"dim": 2, "alpha": [
+        [0, f"1 + 0.01*{k}*cos({k}*x0)*sin(x1)"],
+        [1, f"1.4142135623730951 + 0.01*sin({k}*x0)*cos(x1)"]], "eps": 0.01, "d_cap": 100}}
+
+
+def periods_near(r: dict, values: tuple) -> bool:
+    """The periods check passes with values within 1e-10 of the given ones."""
+    periods = named(r, "periods")
+    return periods["passed"] and max(abs(v - w) for v, w in zip(periods["values"], values)) < 1e-10
+
+
 # name: (command, config, exit code, [(condition, test of (result, out dir))]).  A config
 # "readme" or "bench" is the first config of the command in README.md or in the bench.
 REGRESSION = {
@@ -195,9 +209,7 @@ REGRESSION = {
     "tischler-quadrature": ("tischler", {"tischler": {
         "dim": 2, "alpha": [[0, "1 + 0.5*cos(300*x0)"], [1, 1.4142135623730951]]}}, 0, [
         ("periods passes with values within 1e-10 of (1, sqrt 2)",
-         lambda r, out: named(r, "periods")["passed"]
-         and abs(named(r, "periods")["values"][0] - 1.0) < 1e-10
-         and abs(named(r, "periods")["values"][1] - math.sqrt(2)) < 1e-10)]),
+         lambda r, out: periods_near(r, (1.0, math.sqrt(2))))]),
     # a closed form whose wave the 2048-node rule does not resolve: the periods check
     # fails and carries its estimate per cycle, and the command stops there
     "tischler-quadrature-unconverged": ("tischler", {"tischler": {
@@ -305,6 +317,19 @@ REGRESSION = {
          lambda r, out: named(r, "exactness_verdict")["verdict"] == "negative"
          and all(abs(v) < 1e-8
                  for v in named(r, "exactness_verdict")["surface_integrals"].values()))]),
+    # exactly closed forms whose derivatives are large: their exact d is closed to
+    # rounding, where central differences read their truncation error as d alpha
+    **{f"tischler-closed-wave-{k}": ("tischler", closed_wave(k), 0, [
+        ("periods passes with values within 1e-10 of (1, sqrt 2)",
+         lambda r, out: periods_near(r, (1.0, math.sqrt(2))))]) for k in (200, 300, 1000)},
+    # alpha = d(0.01 sin(200 x0) sin(x1)) + dx2 and beta = dx0 ^ dx1 on T^3: passes at
+    # every seed (tests/test_corpus.py runs seeds 0 to 7)
+    "verify-cosym-closed-wave": ("verify-cosym", {"cosym": {"dim": 3, "alpha": [
+        [0, "0.01*200*cos(200*x0)*sin(x1)"], [1, "0.01*sin(200*x0)*cos(x1)"], [2, 1.0]],
+        "beta": [[0, 1, 1.0]]}, "samples": 8}, 0, [
+        ("cosymplectic passes with d_alpha_max < 1e-12",
+         lambda r, out: named(r, "cosymplectic")["passed"]
+         and named(r, "cosymplectic")["d_alpha_max"] < 1e-12)]),
     # the catalog's one-degree oscillator returns to its axis every 2 pi
     "return-map-harmonic": ("return-map", {"system": "harmonic_oscillator",
                                            "points": [[1.0, 0.0]], "iterations": 2}, 0, [

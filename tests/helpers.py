@@ -1,14 +1,15 @@
-"""Helpers shared by test modules: the README's example configs, a step hook
-that records an integration's steps, the first return of one section point,
-return-map Jacobians and mapping-torus charts on certified first returns, and
-the energy drift and divergence of a system's flow."""
+"""Helpers shared by test modules: the README's example configs, forms whose
+coefficients are expressions, a step hook that records an integration's steps,
+the first return of one section point, return-map Jacobians and mapping-torus
+charts on certified first returns, and the energy drift and divergence of a
+system's flow."""
 import json
 import re
 from pathlib import Path
 
 import numpy as np
 
-from cosymlab import cli, phase, section
+from cosymlab import cli, expr, phase, section
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -22,6 +23,15 @@ def readme_configs():
         command = max(cli.COMMANDS, key=lambda c: before.rfind(f"`{c}`"))
         out.append((command, json.loads(m.group(1))))
     return out
+
+
+def tree_form(dim: int, degree: int, coefficients):
+    """The degree-k form over the coordinates x0, x1, ... whose coefficient r on the
+    lexicographic basis is the expression coefficients[r] (a string or a number).
+    Its coefficients are expression trees, so it carries its exact derivative."""
+    names = [f"x{i}" for i in range(dim)]
+    return expr.form_of_trees(dim, degree, [expr.parse(str(c), names).root
+                                            for c in coefficients])
 
 
 def step_recorder(log: list):

@@ -98,11 +98,12 @@ def test_criterion_4_roundtrip_and_collar():
     Z = catalog.SYSTEMS["t4_product"].level(t4)
     samples = catalog.torus(3).sample(np.random.default_rng(5), 64)
 
-    X = lambda x: np.broadcast_to(np.array([0.0, 0.0, 0.0, -1.0]), np.shape(x))
-    cs = cosym.field_to_cosym(Z, X, samples)
+    # X = -d/dtheta, given by its one-form iota_X omega = X^T M
+    X = np.array([0.0, 0.0, 0.0, -1.0])
+    alpha = F.constant_form(4, 1, X @ F.two_form_matrix(t4.omega, np.zeros(4)))
+    cs = cosym.field_to_cosym(Z, alpha, samples)
     recovered = cosym.cosym_to_field(Z, cs, samples)
-    ambient = Z.inclusion().value(samples)
-    roundtrip_err = float(np.max(np.abs(recovered.field_values - X(ambient))))
+    roundtrip_err = float(np.max(np.abs(recovered.field_values - X)))
 
     collar = cosym.collar_form(catalog.seed_t3())
     incl = F.ChartMap.coordinate_inclusion(4, [0, 1, 2], {3: 0.0})

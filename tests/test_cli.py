@@ -411,6 +411,15 @@ def test_verify_cosym_inline_failure(tmp_path):
     assert not read_report(out)["report"]["passed"]
 
 
+def test_verify_cosym_derivative_too_deep_to_build_exits_2(tmp_path, capsys):
+    # the coefficient parses and compiles; its partial along x0, taken when the
+    # pair is verified, nests too deeply: a config error, as a deep coefficient is
+    deep = "*".join(["sin(x0)"] * 600)
+    cfg = {"cosym": {"dim": 3, "alpha": [[1, deep], [2, 1.0]], "beta": [[0, 1, 1.0]]}}
+    assert run(tmp_path, "verify-cosym", cfg)[0] == 2
+    assert capsys.readouterr().err.startswith("error: bad cosym spec: expression nested too deeply")
+
+
 def test_tischler_rational_periods_exit_zero(tmp_path):
     cfg = {"tischler": {"periods": [1.0 / 3.0, 2.0 / 3.0], "eps": 1e-6, "d_cap": 100}}
     code, out = run(tmp_path, "tischler", cfg)

@@ -35,6 +35,16 @@ def test_corpus_replays_at_numpy_baseline_simd_level():
     assert proc.returncode == 0, f"disabled {dispatched}:\n{proc.stdout[-4000:]}{proc.stderr}"
 
 
+def test_exactly_closed_pair_passes_at_every_seed(tmp_path):
+    # its exact d alpha is rounding at the samples of any seed, not difference noise
+    _, config, _, _ = corpus.REGRESSION["verify-cosym-closed-wave"]
+    for seed in range(8):
+        entry = {"command": "verify-cosym", "config": config, "seed": seed}
+        result = corpus.run(entry, tmp_path / f"out{seed}", corpus.in_process)
+        assert result["exit"] == 0, seed
+        assert corpus.named(result, "cosymplectic")["d_alpha_max"] < 1e-12, seed
+
+
 def test_corpus_holds_every_declared_config_and_no_crash():
     def key(e):
         return e["name"], e["command"], json.dumps(e["config"], sort_keys=True), e["seed"]

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import tree_form
 
 from cosymlab import catalog, cosym as C, forms as F, phase as P, section as S
 
@@ -18,8 +19,18 @@ def samples3():
     return catalog.torus(3).sample(np.random.default_rng(0), 64)
 
 
+NEG_DTHETA = np.array([0.0, 0.0, 0.0, -1.0])
+
+
 def neg_dtheta(x):
-    return np.broadcast_to(np.array([0.0, 0.0, 0.0, -1.0]), np.shape(x))
+    return np.broadcast_to(NEG_DTHETA, np.shape(x))
+
+
+def iota(X, system):
+    """iota_X omega = X^T M of a constant vector X and a constant omega, whose
+    coefficient matrix is M: a constant one-form."""
+    M = F.two_form_matrix(system.omega, np.zeros(system.dim))
+    return F.constant_form(system.dim, 1, X @ M)
 
 
 # -- verification ---------------------------------------------------------------
@@ -67,7 +78,7 @@ def test_verify_needs_samples(t3_seed):
 
 def test_field_to_cosym_standard(t4_system, samples3):
     Z = catalog.SYSTEMS["t4_product"].level(t4_system)
-    cs = C.field_to_cosym(Z, neg_dtheta, samples3)
+    cs = C.field_to_cosym(Z, iota(NEG_DTHETA, t4_system), samples3)
     assert np.allclose(F.covector_values(cs.alpha, samples3), [0, 0, 1])
     assert np.allclose(cs.beta.coeffs(samples3)[..., 0], 1.0)
     assert np.allclose(cs.beta.coeffs(samples3)[..., 1:], 0.0)
@@ -75,16 +86,16 @@ def test_field_to_cosym_standard(t4_system, samples3):
 
 def test_field_to_cosym_scales_linearly(t4_system, samples3):
     Z = catalog.SYSTEMS["t4_product"].level(t4_system)
-    doubled = lambda x: 2.0 * neg_dtheta(x)
-    cs = C.field_to_cosym(Z, doubled, samples3)
+    cs = C.field_to_cosym(Z, iota(2.0 * NEG_DTHETA, t4_system), samples3)
     assert np.allclose(F.covector_values(cs.alpha, samples3), [0, 0, 2])
     assert C.verify_cosymplectic(cs, samples3).passed
 
 
 def test_field_to_cosym_rejects_tangent_field(t4_system, samples3):
+    # the Hamiltonian field's own one-form is dH = cos(theta) dtheta, and dH(X_H) = 0
     Z = catalog.SYSTEMS["t4_product"].level(t4_system)
     with pytest.raises(C.TransversalityError):
-        C.field_to_cosym(Z, t4_system.field, samples3)
+        C.field_to_cosym(Z, tree_form(4, 1, [0, 0, 0, "cos(x3)"]), samples3)
 
 
 def test_transversality_checks_read_the_tangency_margin(t4_system, samples3):
@@ -92,25 +103,19 @@ def test_transversality_checks_read_the_tangency_margin(t4_system, samples3):
     # refused under it, and a field report passes on the same terms
     Z = catalog.SYSTEMS["t4_product"].level(t4_system)
     m = S.TANGENCY_MARGIN
-    C.field_to_cosym(Z, lambda x: m * neg_dtheta(x), samples3)
+    C.field_to_cosym(Z, iota(m * NEG_DTHETA, t4_system), samples3)
     with pytest.raises(C.TransversalityError):
-        C.field_to_cosym(Z, lambda x: 0.5 * m * neg_dtheta(x), samples3)
+        C.field_to_cosym(Z, iota(0.5 * m * NEG_DTHETA, t4_system), samples3)
     values = np.zeros((1, 4))
     assert C.TransverseFieldReport(values, 0.0, m, neg_dtheta).passed
     assert not C.TransverseFieldReport(values, 0.0, 0.5 * m, neg_dtheta).passed
 
 
 def test_field_to_cosym_rejects_non_symplectic_field(t4_system, samples3):
+    # X = -(1 + 0.5 sin x0) d/dtheta: iota_X omega = (1 + 0.5 sin x0) dz is not closed
     Z = catalog.SYSTEMS["t4_product"].level(t4_system)
-
-    def warped(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape)
-        out[..., 3] = -(1.0 + 0.5 * np.sin(x[..., 0]))
-        return out
-
     with pytest.raises(ValueError, match="not symplectic"):
-        C.field_to_cosym(Z, warped, samples3)
+        C.field_to_cosym(Z, tree_form(4, 1, [0, 0, "1 + 0.5*sin(x0)", 0]), samples3)
 
 
 # -- field from a pair --------------------------------------------------------------
@@ -127,11 +132,16 @@ def test_cosym_to_field_recovers_transverse_field(t4_system, t3_seed, samples3):
 
 def test_round_trip_both_ways(t4_system, samples3):
     Z = catalog.SYSTEMS["t4_product"].level(t4_system)
-    cs = C.field_to_cosym(Z, neg_dtheta, samples3)
+    cs = C.field_to_cosym(Z, iota(NEG_DTHETA, t4_system), samples3)
     rep = C.cosym_to_field(Z, cs, samples3)
     ambient = Z.inclusion().value(samples3)
-    assert np.max(np.abs(rep.field_values - neg_dtheta(ambient))) < 1e-8
-    cs2 = C.field_to_cosym(Z, rep.field, samples3)
+    assert np.max(np.abs(rep.field_values - NEG_DTHETA)) < 1e-8
+    # the recovered field pairs with omega to the extended alpha, whose pair is cs again
+    alpha_ext = F.pullback(Z.projection(), cs.alpha)
+    paired = np.einsum("...i,...ij->...j", rep.field_values,
+                       F.two_form_matrix(t4_system.omega, ambient))
+    assert np.max(np.abs(paired - F.covector_values(alpha_ext, ambient))) < 1e-8
+    cs2 = C.field_to_cosym(Z, alpha_ext, samples3)
     assert np.max(np.abs(F.covector_values(cs2.alpha, samples3)
                          - F.covector_values(cs.alpha, samples3))) < 1e-8
     assert np.max(np.abs(cs2.beta.coeffs(samples3) - cs.beta.coeffs(samples3))) < 1e-8
@@ -183,13 +193,13 @@ def test_slice_off_its_level_is_refused(t3_seed, samples3):
     Z = P.EnergySurface(catalog.product_system("t3"), 0.5, 3, 0.0)
     message = r"not the level set H = 0\.5: max \|H - level\| = 5\.000e-01"
     with pytest.raises(ValueError, match=message):
-        C.field_to_cosym(Z, neg_dtheta, samples3)
+        C.field_to_cosym(Z, iota(NEG_DTHETA, Z.system), samples3)
     with pytest.raises(ValueError, match="not the level set"):
         C.cosym_to_field(Z, t3_seed, samples3)
     # within the bound, relative to max(1, |level|), the slice is accepted
     near = P.EnergySurface(Z.system, 5e-9, 3, 0.0)
-    assert C.verify_cosymplectic(C.field_to_cosym(near, neg_dtheta, samples3),
-                                 samples3).passed
+    cs = C.field_to_cosym(near, iota(NEG_DTHETA, Z.system), samples3)
+    assert C.verify_cosymplectic(cs, samples3).passed
     assert C.cosym_to_field(near, t3_seed, samples3).passed
 
 
@@ -259,10 +269,10 @@ def test_collar_standard_form(t3_seed):
 
 def test_collar_pairs_normal_direction_with_alpha(t3_seed):
     # inserting the collar direction returns the angle form, up to the sign
-    # of the wedge ordering (alpha ^ dt evaluated on (e_t, v) is -alpha(v))
-    e_t = lambda x: np.broadcast_to(np.eye(4)[3], np.shape(x))
-    paired = F.interior(e_t, C.collar_form(t3_seed))
-    assert np.allclose(F.covector_values(paired, np.zeros(4)), [0, 0, -1, 0])
+    # of the wedge ordering (alpha ^ dt evaluated on (e_t, v) is -alpha(v)):
+    # row e_t of the coefficient matrix
+    M = F.two_form_matrix(C.collar_form(t3_seed), np.zeros(4))
+    assert M[3].tolist() == [0, 0, -1, 0]
 
 
 def test_collar_volume_and_restriction(t3_seed, samples3):
@@ -282,7 +292,7 @@ def test_collar_closed_and_nondegenerate_inside(t3_seed):
     collar_pts = np.concatenate(
         [t3_seed.manifold.sample(rng, 32), rng.uniform(-eps, eps, (32, 1))], axis=-1)
     d_form = F.exterior_derivative(form)
-    assert np.max(np.abs(d_form.coeffs(collar_pts))) < 1e-6
+    assert np.max(np.abs(d_form.coeffs(collar_pts))) == 0.0
     M = F.two_form_matrix(form, collar_pts)
     svals = np.linalg.svd(M, compute_uv=False)
     assert float(np.min(svals[..., -1] / svals[..., 0])) > 1e-10

@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cosymlab import expr as E
+from cosymlab import expr as E, forms as F
 
 
 def test_basic_arithmetic_and_powers():
@@ -342,3 +342,23 @@ def test_printed_trees_parse_back_to_themselves(tree, rnd):
     # parentheses, and some redundant ones, parses back to the same tree
     text = rnd.choice(["", " ", "\n"]) + _printed(rnd, tree)
     assert E.parse(text, NAMES).root == tree
+
+
+# -- exact exterior derivatives of forms of trees ------------------------------------
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_trees(), st.integers(0, 2 ** 32 - 1))
+def test_d_of_a_function_is_its_gradient_and_d_squared_vanishes(tree, seed):
+    # f a 0-form of one tree: df is its compiled gradient bit for bit, and each
+    # coefficient of d(df) is a difference of mixed second partials, zero to rounding
+    f = E.form_of_trees(3, 0, [tree])
+    xs = np.random.default_rng(seed).uniform(-2.0, 2.0, (8, 3))
+    with np.errstate(all="ignore"):   # a tree may overflow; such a case is skipped below
+        df = F.exterior_derivative(f)
+        gradient = E.Expression(tree, tuple(NAMES)).gradient()(xs)
+        assert np.array_equal(F.covector_values(df, xs), gradient, equal_nan=True)
+        second = E.compile_nodes([tree.diff(i).diff(j) for i in range(3) for j in range(3)])(xs)
+        ddf = F.exterior_derivative(df).coeffs(xs)
+    assume(np.isfinite(second).all())
+    assert np.all(np.abs(ddf) <= 1e-12 * (1.0 + np.max(np.abs(second))))

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cosymlab import catalog, cosym as C, forms as F, phase as P, tischler as T
+from helpers import tree_form
 
 TWO_PI = 2.0 * math.pi
 
@@ -207,47 +208,29 @@ def test_wedge_degree_overflow():
         F.wedge(top, F.coordinate_form(4, 0))
 
 
-# -- interior product --------------------------------------------------------------
+# -- the pairing of a vector with a two-form ---------------------------------------------
 
 
 def test_interior_basis_examples():
+    # iota_X f of a two-form is X^T M, M = two_form_matrix(f): the pairing that
+    # phase.solve_pairing inverts
+    def iota(X, f):
+        return X @ F.two_form_matrix(f, np.zeros(f.dim))
+
     dxdy = F.wedge(F.coordinate_form(4, 0), F.coordinate_form(4, 1))
-    ex = lambda x: np.broadcast_to(np.eye(4)[0], np.shape(x))
-    assert np.allclose(F.covector_values(F.interior(ex, dxdy), np.zeros(4)), [0, 1, 0, 0])
-
+    assert iota(np.eye(4)[0], dxdy).tolist() == [0, 1, 0, 0]
     dqdp = F.wedge(F.coordinate_form(2, 0), F.coordinate_form(2, 1))
-    eq = lambda x: np.broadcast_to(np.eye(2)[0], np.shape(x))
-    assert np.allclose(F.covector_values(F.interior(eq, dqdp), np.zeros(2)), [0, 1])
-
-    neg_th = lambda x: np.broadcast_to(-np.eye(4)[3], np.shape(x))
-    res = F.interior(neg_th, standard_omega4())
-    assert np.allclose(F.covector_values(res, np.zeros(4)), [0, 0, 1, 0])
-
-
-def test_interior_squares_to_zero():
-    rng = np.random.default_rng(2)
-    X = lambda x: np.stack([x[..., 1], -x[..., 0], np.cos(x[..., 3]),
-                            np.ones_like(x[..., 0])], axis=-1)
-    top = F.power(standard_omega4(), 2)
-    once = F.interior(X, top)
-    twice = F.interior(X, once)
-    assert np.max(np.abs(twice.coeffs(rng.normal(size=(16, 4))))) < 1e-14
-
-
-def test_interior_degree_zero_rejected():
-    f = F.constant_form(4, 0, [1.0])
-    with pytest.raises(ValueError):
-        F.interior(lambda x: np.zeros(np.shape(x)), f)
+    assert iota(np.eye(2)[0], dqdp).tolist() == [0, 1]
+    assert iota(-np.eye(4)[3], standard_omega4()).tolist() == [0, 0, 1, 0]
 
 
 # -- exterior derivative ------------------------------------------------------------
 
 
 def test_d_of_sine_angle():
-    f = F.KForm(0, 4, lambda x: np.sin(x[..., 3])[..., None])
-    df = F.exterior_derivative(f)
-    x = np.array([0.0, 0.0, 0.0, 0.7])
-    assert np.allclose(F.covector_values(df, x), [0, 0, 0, np.cos(0.7)], atol=1e-10)
+    df = F.exterior_derivative(tree_form(4, 0, ["sin(x3)"]))
+    x = np.array([[0.0, 0.0, 0.0, 0.7]])
+    assert np.array_equal(F.covector_values(df, x), [[0, 0, 0, np.cos(x[0, 3])]])
 
 
 def test_d_of_constant_form_is_zero():
@@ -257,9 +240,8 @@ def test_d_of_constant_form_is_zero():
 
 def test_d_of_p_dq():
     # chart (q, p); the one-form p dq differentiates to dp ^ dq = -(dq ^ dp)
-    pdq = F.KForm(1, 2, lambda x: np.stack([x[..., 1], np.zeros_like(x[..., 1])], axis=-1))
-    d = F.exterior_derivative(pdq)
-    assert np.allclose(d.coeffs(np.array([0.4, 0.9])), [-1.0], atol=1e-9)
+    d = F.exterior_derivative(tree_form(2, 1, ["x1", 0]))
+    assert d.coeffs(np.array([0.4, 0.9])).tolist() == [-1.0]
 
 
 def test_d_top_degree_rejected():
@@ -268,23 +250,60 @@ def test_d_top_degree_rejected():
         F.exterior_derivative(top)
 
 
-def test_d_squared_vanishes_fd_path():
-    f = F.KForm(1, 3, lambda x: np.stack([np.sin(x[..., 1]), x[..., 0] * x[..., 2],
-                                          np.cos(x[..., 0] + x[..., 1])], axis=-1))
+def _dyadic_points(seed, n, dim):
+    """Points whose coordinates are multiples of 1/8 in [-2, 2]: small-integer
+    polynomials take exact values there."""
+    return np.random.default_rng(seed).integers(-16, 17, size=(n, dim)) / 8.0
+
+
+def test_d_squared_vanishes_exactly():
+    f = tree_form(3, 1, ["x1^3", "x0*x2", "x0^2*x1 - x2"])
     ddf = F.exterior_derivative(F.exterior_derivative(f))
-    samples = np.random.default_rng(1).normal(size=(16, 3))
-    assert np.max(np.abs(ddf.coeffs(samples))) < 1e-6
+    assert np.array_equal(ddf.coeffs(_dyadic_points(1, 16, 3)), np.zeros((16, 1)))
 
 
 def test_leibniz_rule_sampled():
-    a = F.KForm(1, 3, lambda x: np.stack([np.sin(x[..., 1]), x[..., 2],
-                                          np.zeros_like(x[..., 0])], axis=-1))
-    b = F.KForm(1, 3, lambda x: np.stack([x[..., 0], np.ones_like(x[..., 0]),
-                                          np.cos(x[..., 0])], axis=-1))
-    lhs = F.exterior_derivative(F.wedge(a, b))
-    rhs = F.wedge(F.exterior_derivative(a), b) - F.wedge(a, F.exterior_derivative(b))
-    samples = np.random.default_rng(3).normal(size=(12, 3))
-    assert np.max(np.abs(lhs.coeffs(samples) - rhs.coeffs(samples))) < 1e-6
+    # d(a ^ b) = da ^ b - a ^ db, derived by the algebra, against the derivative of
+    # the trees of a ^ b written out, exactly at points where both are exact
+    a = tree_form(3, 1, ["x1", "x2", "x0*x1"])
+    b = tree_form(3, 1, ["x0", 1, "x2^2"])
+    ab = tree_form(3, 2, ["x1 - x2*x0", "x1*x2^2 - x0*x1*x0", "x2*x2^2 - x0*x1"])
+    xs = _dyadic_points(3, 12, 3)
+    assert np.array_equal(F.wedge(a, b).coeffs(xs), ab.coeffs(xs))
+    derived = F.exterior_derivative(F.wedge(a, b)).coeffs(xs)
+    assert np.array_equal(derived, F.exterior_derivative(ab).coeffs(xs))
+    # d(a ^ b) = (x0^2 - x0 - x1 - x2^2) dx0 ^ dx1 ^ dx2, here by hand
+    x0, x1, x2 = xs.T
+    assert np.array_equal(derived[:, 0], x0 ** 2 - x0 - x1 - x2 ** 2)
+
+
+def test_a_form_without_its_derivative_is_refused_not_differenced():
+    bare = F.KForm(1, 2, lambda x: np.stack([np.sin(x[..., 1]), np.zeros(x.shape[:-1])], -1))
+    samples = np.zeros((4, 2))
+    for f in (bare, 2.0 * bare, bare + tree_form(2, 1, ["x1", 0]),
+              F.pullback(F.ChartMap(np.eye(2)), bare)):
+        with pytest.raises(ValueError, match="no exact derivative"):
+            F.closed_residual(f, samples)
+    assert not hasattr(F, "FD_STEP")
+
+
+def test_d_commutes_with_the_algebra_exactly():
+    # sums, multiples and pullbacks along an affine map of tree forms, against the
+    # trees of the result written out
+    f, g = tree_form(3, 1, ["x1*x2", "x0^2", 3]), tree_form(3, 1, [1, "x2", "x1"])
+    xs = _dyadic_points(5, 8, 3)
+    dsum = F.exterior_derivative(f - 2.0 * g).coeffs(xs)
+    written = tree_form(3, 1, ["x1*x2 - 2", "x0^2 - 2*x2", "3 - 2*x1"])
+    assert np.array_equal(dsum, F.exterior_derivative(written).coeffs(xs))
+    # phi(y) = (y0 + y1, 2 y1, 1): phi* f = 2 y1 dy0 + (2 y1 + 2 (y0 + y1)^2) dy1, on a
+    # chart whose coordinates are named x0, x1 here
+    phi = F.ChartMap([[1.0, 1.0], [0.0, 2.0], [0.0, 0.0]], [0.0, 0.0, 1.0])
+    pulled = F.pullback(phi, f)
+    by_hand = tree_form(2, 1, ["2*x1", "2*x1 + 2*(x0 + x1)^2"])
+    ys = xs[:, :2]
+    assert np.array_equal(pulled.coeffs(ys), by_hand.coeffs(ys))
+    assert np.array_equal(F.exterior_derivative(pulled).coeffs(ys),
+                          F.exterior_derivative(by_hand).coeffs(ys))
 
 
 # -- pullback -----------------------------------------------------------------------
@@ -366,19 +385,6 @@ def _generic_two_form():
     return F.KForm(2, 4, lambda x: np.stack([x[..., 0], x[..., 3], np.ones_like(x[..., 0]),
                                              x[..., 1] * x[..., 2], x[..., 2],
                                              np.cos(x[..., 0])], axis=-1))
-
-
-def test_interior_is_an_antiderivation():
-    # iota_X(a ^ b) = (iota_X a) b - a ^ (iota_X b) for a of degree one
-    a, b = _generic_one_form(), _generic_two_form()
-    X = lambda x: np.stack([x[..., 1], -x[..., 0], np.cos(x[..., 3]),
-                            np.ones_like(x[..., 0])], axis=-1)
-    lhs = F.interior(X, F.wedge(a, b))
-    ia = F.interior(X, a)
-    scaled_b = F.KForm(2, 4, lambda x: ia.coeffs(x) * b.coeffs(x))
-    rhs = scaled_b - F.wedge(a, F.interior(X, b))
-    xs = np.random.default_rng(42).normal(size=(16, 4))
-    assert np.max(np.abs(lhs.coeffs(xs) - rhs.coeffs(xs))) < 1e-13
 
 
 def test_wedge_associativity():
@@ -575,48 +581,31 @@ def test_closed_residual_of_a_top_degree_form_is_zero():
     assert np.array_equal(samples, F.certification_samples(F.ChartManifold(2, (True, True))))
 
 
-def zero_over_zero(x):
-    """0/0 at every point, computed as an inline expression computes it: NaN, with
-    an invalid-value RuntimeWarning unless NumPy is told to ignore it."""
-    return np.zeros(np.shape(x)[:-1]) / 0.0
-
-
-def plus_nan(form, index):
-    def coeffs(x):
-        out = np.array(form.coeffs(x), dtype=float)
-        out[..., index] += zero_over_zero(x)
-        return out
-    return F.KForm(form.degree, form.dim, coeffs)
-
-
 def validate_nan_omega():
+    # canonical_r4's omega with a 0/0 coefficient on dx0 ^ dx1
     r4 = catalog.canonical_r4()
-    bad = P.HamiltonianSystem(r4.manifold, plus_nan(r4.omega, 0), r4.h, r4.grad_h)
-    bad.validate(np.random.default_rng(0).normal(size=(8, 4)))
+    omega = tree_form(4, 2, ["0/0", 0, -1, 0, -1, 0])
+    P.HamiltonianSystem(r4.manifold, omega, r4.h, r4.grad_h).validate(
+        np.random.default_rng(0).normal(size=(8, 4)))
 
 
 def validate_nan_lambda():
     ho = catalog.harmonic_oscillator()
-    bad = P.HamiltonianSystem(ho.manifold, ho.omega, ho.h, ho.grad_h, lam=plus_nan(ho.lam, 1))
+    bad = P.HamiltonianSystem(ho.manifold, ho.omega, ho.h, ho.grad_h,
+                              lam=tree_form(2, 1, [0, "x0 + 0/0"]))
     bad.validate(np.random.default_rng(0).normal(size=(8, 2)))
 
 
 def periods_nan_alpha():
-    T.periods(plus_nan(F.constant_form(2, 1, [1.0, math.sqrt(2.0)]), 0), catalog.torus(2))
+    T.periods(tree_form(2, 1, ["1 + 0/0", math.sqrt(2.0)]), catalog.torus(2))
 
 
-def field_to_cosym_nan_field():
-    # transverse at the samples, NaN at the difference stencils around them
+def field_to_cosym_nan_alpha():
+    # alpha = iota_X omega of X = -d/dtheta on the slice, finite there, whose
+    # derivative's tree divides 1e200 * 1e200 by 1e200 * 1e200: inf / inf
     Z = catalog.SYSTEMS["t4_product"].level(catalog.product_system("t3"))
-    samples = catalog.torus(3).sample(np.random.default_rng(0), 64)
-    ambient = Z.inclusion().value(samples)
-
-    def nan_off_samples(x):
-        x = np.asarray(x, dtype=float)
-        on = (x[..., None, :] == ambient).all(axis=-1).any(axis=-1)
-        return np.where(on[..., None], [0.0, 0.0, 0.0, -1.0], np.nan)
-
-    C.field_to_cosym(Z, nan_off_samples, samples)
+    alpha = tree_form(4, 1, ["1e200*x3/1e200", 0, 1, 0])
+    C.field_to_cosym(Z, alpha, catalog.torus(3).sample(np.random.default_rng(0), 64))
 
 
 @pytest.mark.parametrize("caller, refusal", [
@@ -624,7 +613,7 @@ def field_to_cosym_nan_field():
     (validate_nan_lambda, r"primitive does not differentiate to omega: "
                           r"sampled \|d lambda - omega\| = nan"),
     (periods_nan_alpha, r"one-form not closed, .*: sampled \|d alpha\| = nan"),
-    (field_to_cosym_nan_field, r"not symplectic: sampled \|d\(iota_X omega\)\| = nan"),
+    (field_to_cosym_nan_alpha, r"not symplectic: sampled \|d\(iota_X omega\)\| = nan"),
 ], ids=["validate-omega", "validate-lambda", "tischler-periods", "field-to-cosym"])
 def test_closed_residual_refuses_a_nan_in_every_caller(caller, refusal):
     with pytest.raises(ValueError, match=refusal):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import tree_form
 
 from cosymlab import catalog, forms as F, obstruct as O, phase as P, section as S
 
@@ -171,11 +172,10 @@ def test_exactness_verdict_rejects_wrong_primitive(r4_system):
 
 
 def test_exactness_verdict_refuses_a_nan_residual(r4_system):
-    def coeffs(x):
-        return np.asarray(r4_system.lam.coeffs(x)) + np.zeros(np.shape(x)) / 0.0
-
+    # the tautological primitive p1 dq1 + p2 dq2 plus 0/0 in every coefficient
+    lam = tree_form(4, 1, ["x2 + 0/0", "x3 + 0/0", "0/0", "0/0"])
     bad = P.HamiltonianSystem(r4_system.manifold, r4_system.omega, r4_system.h,
-                              r4_system.grad_h, lam=F.KForm(1, 4, coeffs))
+                              r4_system.grad_h, lam=lam)
     with pytest.raises(ValueError, match="nan"):
         O.exactness_verdict(bad)
 

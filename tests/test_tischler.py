@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from helpers import first_return
+from helpers import first_return, tree_form
 
 from cosymlab import catalog, forms as F, phase as P, section as S, tischler as T
 
@@ -35,9 +35,7 @@ def test_periods_constant_coefficients():
 
 
 def test_periods_kill_exact_part():
-    exact = F.KForm(1, 3, lambda x: np.stack([np.cos(x[..., 0]),
-                                              np.zeros_like(x[..., 0]),
-                                              np.zeros_like(x[..., 0])], axis=-1))
+    exact = tree_form(3, 1, ["cos(x0)", 0, 0])
     pv = T.periods(F.coordinate_form(3, 2) + exact, t3())
     assert np.allclose(pv.values, [0, 0, 1], atol=1e-10)
 
@@ -45,21 +43,15 @@ def test_periods_kill_exact_part():
 def test_periods_of_non_constant_form_to_1e_10():
     # closed form on T^4 with exact parts of several frequencies; periods
     # [1, sqrt 2, sqrt 3, 0.1] in units of 2*pi
-    def coeffs(x):
-        x = np.asarray(x, dtype=float)
-        return np.stack([1.0 + 0.3 * np.cos(x[..., 0]) + 0.2 * np.sin(7 * x[..., 0]),
-                         np.full(x.shape[:-1], SQRT2),
-                         0.5 * np.sin(x[..., 2]) + math.sqrt(3.0) + np.cos(20 * x[..., 2]),
-                         np.full(x.shape[:-1], 0.1)], axis=-1)
-
-    pv = T.periods(F.KForm(1, 4, coeffs), catalog.torus(4))
+    alpha = tree_form(4, 1, ["1 + 0.3*cos(x0) + 0.2*sin(7*x0)", SQRT2,
+                             f"0.5*sin(x2) + {math.sqrt(3.0)!r} + cos(20*x2)", 0.1])
+    pv = T.periods(alpha, catalog.torus(4))
     assert np.max(np.abs(pv.values - [1.0, SQRT2, math.sqrt(3.0), 0.1])) < 1e-10
 
 
 def _wave(frequency):
     """cos(frequency x0) dx0 + sqrt 2 dx1: periods (0, sqrt 2) in units of 2 pi."""
-    return F.KForm(1, 2, lambda x: np.stack([np.cos(frequency * np.asarray(x)[..., 0]),
-                                             np.full(np.shape(x)[:-1], SQRT2)], axis=-1))
+    return tree_form(2, 1, [f"cos({frequency}*x0)", SQRT2])
 
 
 def test_periods_quadrature_error_is_enforced():
@@ -86,8 +78,7 @@ def test_periods_refine_until_two_rules_agree(frequency):
 
 
 def test_periods_reject_non_closed():
-    bad = F.KForm(1, 2, lambda x: np.stack([np.sin(x[..., 1]),
-                                            np.zeros_like(x[..., 0])], axis=-1))
+    bad = tree_form(2, 1, ["sin(x1)", 0])
     with pytest.raises(ValueError, match="not closed"):
         T.periods(bad, t2())
 
@@ -95,8 +86,7 @@ def test_periods_reject_non_closed():
 def test_periods_reject_a_form_not_periodic_on_the_chart():
     # 5 sin(x0) dx0 is closed, and periodic on the 2*pi torus but not on a
     # chart of period 1, where it is no form
-    wavy = F.KForm(1, 2, lambda x: np.stack([5.0 * np.sin(x[..., 0]),
-                                             np.full(np.shape(x)[:-1], 0.5)], axis=-1))
+    wavy = tree_form(2, 1, ["5*sin(x0)", 0.5])
     assert T.periods(wavy, t2()).values[1] == pytest.approx(0.5, abs=1e-12)
     with pytest.raises(ValueError, match="not periodic"):
         T.periods(wavy, F.ChartManifold(2, (True, True), (1.0, 1.0)))
@@ -247,9 +237,9 @@ def test_build_approximation_reproduces_fractions():
     alpha_prime = T.build_approximation(alpha, pv, ra)
     pv2 = T.periods(alpha_prime, t2())
     assert np.max(np.abs(pv2.values - ra.fractions)) < 1e-10
-    # constant coefficients: closed by construction
+    # constant coefficients: closed by construction, exactly
     d_prime = F.exterior_derivative(alpha_prime)
-    assert np.max(np.abs(d_prime.coeffs(t2().sample(np.random.default_rng(0), 16)))) < 1e-6
+    assert np.max(np.abs(d_prime.coeffs(t2().sample(np.random.default_rng(0), 16)))) == 0.0
 
 
 def test_build_approximation_exact_for_rational_input():
