@@ -482,17 +482,13 @@ def check_jacobians(runner: Runner, name: str, system, sec, record,
                     identity: bool = False) -> None:
     """Check |det J - 1| < DET_ERROR_MAX over the return-map Jacobians of the
     starts of a crossing record; ``identity`` also reports the largest
-    |J - I|.  A start with no certified first crossing or no section chart
-    fails the check."""
-    from .section import DET_ERROR_MAX, SectionChartError, return_map_jacobians
-    n_points, missing = len(record.starts), record.first_missing()
-    error = missing and missing[1]
+    |J - I|.  A start the Jacobians refuse fails the check with the reason."""
+    from .section import DET_ERROR_MAX, SectionRefusal, return_map_jacobians
+    n_points = len(record.starts)
     try:
-        jacs = None if error else return_map_jacobians(system, sec, record)
-    except SectionChartError as exc:
-        error = str(exc)
-    if error:
-        runner.check(name, False, error=error, n_points=n_points)
+        jacs = return_map_jacobians(system, sec, record)
+    except SectionRefusal as exc:
+        runner.check(name, False, error=exc.reason, n_points=n_points)
         return
     max_det_err = float(np.max(np.abs(np.linalg.det(jacs) - 1.0)))
     deviation = ({"max_identity_deviation": float(np.max(np.abs(jacs - np.eye(jacs.shape[-1]))))}
@@ -507,7 +503,7 @@ def cmd_demo_product(cfg: dict, runner: Runner, seed: int) -> None:
     Constructs the product of the chosen cosymplectic seed with a circle,
     then runs globality, return-map, and mapping-torus checks on its leaf.
     """
-    from .section import mapping_torus_chart, verify_global, write_crossings_csv
+    from .section import SectionRefusal, mapping_torus_chart, verify_global, write_crossings_csv
     rng = Rng(seed)
     tol, t_max = cfg["tol"], cfg["t_max"]
 
@@ -530,11 +526,11 @@ def cmd_demo_product(cfg: dict, runner: Runner, seed: int) -> None:
 
     with runner.timed("mapping_torus"):
         grid = rep.forward.select(slice(cfg["grid"]))
-        missing = grid.first_missing()
-        if missing:
-            runner.check("mapping_torus_gluing", False, error=missing[1], n_points=len(grid.starts))
-        else:
+        try:
             mt = mapping_torus_chart(system, sec, grid)
+        except SectionRefusal as exc:
+            runner.check("mapping_torus_gluing", False, error=exc.reason, n_points=len(grid.starts))
+        else:
             runner.check("mapping_torus_gluing", mt.passed, n_points=len(grid.starts),
                          gluing_residual=mt.gluing_residual, energy_residual=mt.energy_residual)
 
@@ -670,7 +666,7 @@ def cmd_obstruct(cfg: dict, runner: Runner, seed: int) -> None:
 
 def cmd_return_map(cfg: dict, runner: Runner, seed: int) -> None:
     """Return times, map iterates and symplecticity of a configured section."""
-    from .section import SectionChartError, iterate_returns, section_frame, write_crossings_csv
+    from .section import SectionRefusal, iterate_returns, section_frame, write_crossings_csv
     rng = Rng(seed)
     name, entry, system = resolve_system(cfg["system"])
     sec = build_section(cfg["section"], entry, system)
@@ -679,7 +675,7 @@ def cmd_return_map(cfg: dict, runner: Runner, seed: int) -> None:
     starts = section_start_points(entry, system, sec, cfg, rng)
     try:
         free = list(section_frame(system, sec, starts[0])[0])
-    except SectionChartError:  # no section chart there: plot against return time
+    except SectionRefusal:  # no section chart there: plot against return time
         free = []
     with runner.timed("iterate"):
         returns = iterate_returns(system, sec, starts, cfg["iterations"], t_max, tol)

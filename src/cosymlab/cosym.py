@@ -19,9 +19,9 @@ from typing import Callable
 
 import numpy as np
 
-from .forms import (CLOSED_TOL, ChartManifold, ChartMap, KForm, certification_samples,
-                    closed_residual, coordinate_form, covector_values,
-                    max_coeff_magnitude, power, pullback, wedge)
+from .forms import (ChartManifold, ChartMap, KForm, certification_samples, closed_residual,
+                    coordinate_form, covector_values, max_coeff_magnitude, power, pullback,
+                    wedge)
 from .phase import TANGENCY_MARGIN, EnergySurface, HamiltonianSystem, solve_pairing
 
 VOLUME_MARGIN = 1e-9
@@ -65,15 +65,14 @@ class CosymReport:
 
 
 class TransverseFieldReport:
-    def __init__(self, field_values: np.ndarray, symplectic_residual: float,
+    def __init__(self, field_values: np.ndarray, symplectic_residual: float, closed: bool,
                  min_transversality: float, field: Callable[[np.ndarray], np.ndarray]):
         self.field_values, self.symplectic_residual = field_values, symplectic_residual
-        self.min_transversality, self.field = min_transversality, field
+        self.closed, self.min_transversality, self.field = closed, min_transversality, field
 
     @property
     def passed(self) -> bool:
-        return (self.symplectic_residual < CLOSED_TOL
-                and self.min_transversality >= TANGENCY_MARGIN)
+        return self.closed and self.min_transversality >= TANGENCY_MARGIN
 
     def as_dict(self) -> dict:
         return {"symplectic_residual": self.symplectic_residual,
@@ -86,14 +85,15 @@ def verify_cosymplectic(cs: CosymplecticStructure, samples: np.ndarray) -> Cosym
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     if samples.size == 0:
         raise ValueError("verification needs a nonempty sample set")
-    d_alpha, d_beta = closed_residual(cs.alpha, samples), closed_residual(cs.beta, samples)
+    (d_alpha, alpha_closed), (d_beta, beta_closed) = (closed_residual(f, samples)
+                                                      for f in (cs.alpha, cs.beta))
     # a NaN volume fails the bound below; a constant wedge is computed when
     # the volume form is built
     with np.errstate(all="ignore"):
         vol = cs.volume_form().coeffs(samples)[..., 0]
     worst = samples[int(np.argmin(np.abs(vol)))]
     margin = float(np.min(np.abs(vol)))
-    passed = d_alpha < CLOSED_TOL and d_beta < CLOSED_TOL and margin > VOLUME_MARGIN
+    passed = alpha_closed and beta_closed and margin > VOLUME_MARGIN
     return CosymReport(passed, d_alpha, d_beta, margin, worst)
 
 
@@ -133,8 +133,9 @@ def cosym_to_field(Z: EnergySurface, cs: CosymplecticStructure,
     the pairing equation iota_X omega = alpha is solved pointwise
     (`phase.solve_pairing`, which raises SingularOmegaError where omega is
     singular or the solve misses its residual bound).  Reports the field's
-    transversality margin and, as its symplectic residual, the sampled
-    |d alpha| of the extended alpha, which the solve ties to iota_X omega.
+    transversality margin and, as its symplectic residual and whether it is
+    ``closed``, `forms.closed_residual` of the extended alpha, which the
+    solve ties to iota_X omega.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     proj = Z.projection()
@@ -153,7 +154,7 @@ def cosym_to_field(Z: EnergySurface, cs: CosymplecticStructure,
     values = field(ambient)
     dh = np.asarray(Z.system.grad_h(ambient), dtype=float)
     trans = float(np.min(np.abs(np.einsum("...i,...i->...", dh, values))))
-    return TransverseFieldReport(values, closed_residual(alpha_ext, ambient), trans, field)
+    return TransverseFieldReport(values, *closed_residual(alpha_ext, ambient), trans, field)
 
 
 def collar_form(cs: CosymplecticStructure) -> KForm:

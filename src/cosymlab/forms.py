@@ -25,7 +25,8 @@ TWO_PI = 2.0 * math.pi
 #: coefficient function of a form: coords (..., dim) -> (..., n_coeffs)
 CoeffFn = Callable[[np.ndarray], np.ndarray]
 
-CLOSED_TOL = 1e-6   # a form passes as closed when its sampled |d form| is below it
+CLOSED_TOL = 1e-12   # largest sampled |d form| of a closed form, relative to max(1, max |form|)
+PERIODIC_TOL = 1e-6   # largest sampled jump of a form across a period of its chart
 
 
 class Rng:
@@ -451,7 +452,7 @@ def covector_values(f: KForm, coords: np.ndarray) -> np.ndarray:
 def check_periodic(f: KForm, chart: ChartManifold, samples: np.ndarray, name: str) -> None:
     """Raise ValueError, naming the form, unless f is a form on the chart: its
     coefficients are finite at the samples, and its sampled
-    |f(x + L_i e_i) - f(x)| is below CLOSED_TOL along every periodic
+    |f(x + L_i e_i) - f(x)| is below PERIODIC_TOL along every periodic
     coordinate i, L_i its period.  A constant form passes unevaluated."""
     axes = np.flatnonzero(chart.periodic)
     if f.constant_value is not None or not axes.size:
@@ -465,7 +466,7 @@ def check_periodic(f: KForm, chart: ChartManifold, samples: np.ndarray, name: st
             raise ValueError(f"{name} is not finite at a sample")
         jump = float(np.max(np.abs(f.coeffs(samples + shifts[:, None]) - at_samples),
                             initial=0.0))
-    if not jump < CLOSED_TOL:
+    if not jump < PERIODIC_TOL:
         raise ValueError(f"{name} is not periodic on the chart (sampled |{name}(x + L_i e_i) - "
                          f"{name}(x)| = {jump:.3e}); it is not a form on this chart")
 
@@ -477,18 +478,21 @@ def certification_samples(chart: ChartManifold) -> np.ndarray:
 
 
 def closed_residual(f: KForm, samples: np.ndarray, refusal: Optional[str] = None,
-                    minus: Optional[KForm] = None) -> float:
+                    minus: Optional[KForm] = None) -> tuple[float, bool]:
     """Sampled max |d f - minus| (`max_coeff_magnitude`, so a NaN gives NaN),
-    minus zero by default; a top-degree f is closed, with residual 0.  Given
-    a ``refusal``, raises ValueError("<refusal> = <residual>") unless the
-    residual is below CLOSED_TOL; NaN is not."""
+    minus zero by default, and whether f is closed: the residual is at most
+    CLOSED_TOL * max(1, max |f|) at the samples, that bound finite (NaN is
+    not).  A top-degree f is closed, with residual 0.  Given a ``refusal``,
+    raises ValueError("<refusal> = <residual>") unless f is closed."""
     residual = 0.0
     if f.degree < f.dim or minus is not None:
         df = exterior_derivative(f)
         residual = max_coeff_magnitude(df if minus is None else df - minus, samples)
-    if refusal is not None and not residual < CLOSED_TOL:
+    closed = (residual <= CLOSED_TOL
+              or residual <= CLOSED_TOL * max_coeff_magnitude(f, samples) < math.inf)
+    if refusal is not None and not closed:
         raise ValueError(f"{refusal} = {residual:.3e}")
-    return residual
+    return residual, closed
 
 
 def max_coeff_magnitude(f: KForm, samples: np.ndarray) -> float:

@@ -124,26 +124,18 @@ class HamiltonianSystem:
     @functools.cached_property
     def poisson_matrix(self) -> Optional[np.ndarray]:
         """P = (M^T)^{-1} of a constant omega (None otherwise), so that the
-        field is X = P dH.  Computed on first use and checked once: raises
-        SingularOmegaError when rcond < RCOND_MIN or when the max-row-sum norm
-        of M^T P - I exceeds FIELD_RESIDUAL_MAX, which bounds the residual
+        field is X = P dH.  Computed on first use, after the system's
+        `structure` certificate, which refuses an omega with rcond <
+        RCOND_MIN; raises SingularOmegaError when the max-row-sum norm of
+        M^T P - I exceeds FIELD_RESIDUAL_MAX, which bounds the residual
         |M^T X - dH| by FIELD_RESIDUAL_MAX * |dH| at every point."""
         if self.omega.constant_value is None:
             return None
+        rcond = self.structure["omega_rcond_min"]
         M = two_form_matrix(self.omega, np.zeros(self.dim))
-        try:
-            P = np.linalg.solve(M.T, np.eye(self.dim))
-        except np.linalg.LinAlgError as exc:
-            raise SingularOmegaError(0.0) from exc
-        # 1 / (|M|_F |P|_F) bounds the rcond from below, so the SVD is only
-        # needed when that bound is under RCOND_MIN
-        rcond_bound = 1.0 / (np.linalg.norm(M) * np.linalg.norm(P))
-        if not rcond_bound >= RCOND_MIN:
-            rcond = _rcond(M)
-            if not rcond >= RCOND_MIN:
-                raise SingularOmegaError(rcond)
+        P = np.linalg.solve(M.T, np.eye(self.dim))
         if not np.max(np.sum(np.abs(M.T @ P - np.eye(self.dim)), axis=1)) <= FIELD_RESIDUAL_MAX:
-            raise SingularOmegaError(float(rcond_bound))
+            raise SingularOmegaError(rcond)
         P.flags.writeable = False
         return P
 
@@ -181,7 +173,7 @@ class HamiltonianSystem:
             if form is not None:
                 check_periodic(form, self.manifold, samples, name)
         report = {"d_omega_max": closed_residual(
-            self.omega, samples, "omega is not closed: sampled |d omega|")}
+            self.omega, samples, "omega is not closed: sampled |d omega|")[0]}
         # a constant omega has one matrix at every sample, so one decomposition
         M = two_form_matrix(self.omega, samples if self.omega.constant_value is None
                             else np.zeros(self.dim))
@@ -191,7 +183,7 @@ class HamiltonianSystem:
         if self.lam is not None:
             report["d_lambda_minus_omega_max"] = closed_residual(
                 self.lam, samples, "declared primitive does not differentiate to omega: "
-                "sampled |d lambda - omega|", minus=self.omega)
+                "sampled |d lambda - omega|", minus=self.omega)[0]
         return report
 
 

@@ -35,8 +35,8 @@ carries the starts it was scanned from and the tol it was certified at, and
 a failure is data in it: (certified count, reason) per orbit, never an
 exception.  Return-map Jacobians (the flow over the certified return time,
 the field projected out) and the mapping torus read a record whole, or a row
-selection of it, and refuse a start off the section or with no certified
-first crossing.
+selection of it, and refuse a start with no certified first crossing or
+off the section with one error, `SectionRefusal`.
 """
 from __future__ import annotations
 
@@ -50,7 +50,7 @@ import numpy as np
 from .dop853 import StepSizeUnderflow
 from .forms import ChartManifold, two_form_matrix
 from . import phase
-from .phase import TANGENCY_MARGIN
+from .phase import LEVEL_TOL, TANGENCY_MARGIN
 
 TWO_PI = 2.0 * math.pi
 
@@ -58,7 +58,6 @@ ANGLE_RESIDUAL = 1e-12
 ON_SECTION_TOL = 1e-8
 NEAR_LATTICE = 1e-3     # lattice units (turns of the section angle)
 DEFAULT_T_MAX = 1e3
-ENERGY_RESIDUAL_MAX = 1e-8   # largest |H - H(p)| over a mapping-torus table
 GLUING_FACTOR = 10.0   # largest gluing residual of a mapping-torus table, in units of tol
 DET_ERROR_MAX = 1e-6   # largest |det J - 1| of a return-map Jacobian that passes
 ELIMINATION_DET_MIN = 1e-12   # smallest |det| of a section chart's elimination block
@@ -66,9 +65,14 @@ FD_STEP = 1e-6   # relative central-difference step of a return-map Jacobian
 TORUS_TIMES = 9   # fiber times t of a mapping-torus table, evenly spaced over [0, 1]
 
 
-class SectionChartError(ValueError):
-    """The section has no local graph chart at a point: its constraints have no
-    invertible elimination block there."""
+class SectionRefusal(ValueError):
+    """A point refused by a record stage (a start with no certified first
+    crossing, or off the section) or with no section chart; ``reason`` is
+    what a failed check reports, the start's failure or else the message."""
+
+    def __init__(self, message: str, reason: Optional[str] = None):
+        super().__init__(message)
+        self.reason = reason or message
 
 
 class SectionSpec:
@@ -198,10 +202,6 @@ class Crossings:
     def ok(self) -> np.ndarray:
         """The certified entries."""
         return ~np.isnan(self.times)
-
-    def first_missing(self) -> Optional[tuple]:
-        """(row, reason) of the first orbit with no certified crossing, or None."""
-        return next(((i, f[1]) for i, f in enumerate(self.failures) if f and f[0] == 0), None)
 
     def select(self, rows) -> Crossings:
         """The record of the given rows (indices, a mask or a slice), in their
@@ -536,14 +536,14 @@ def section_frame(system, sec: SectionSpec, x: np.ndarray) -> tuple[tuple[int, .
     equal to one.  E (dim, len(free)) has one column per free coordinate, the
     implicit-function derivative of the graph: E[free] = I and
     E[elim] = -G_elim^-1 G_free, with G the constraint gradients.  Raises
-    SectionChartError where a constraint gradient is not finite or no
+    SectionRefusal where a constraint gradient is not finite or no
     elimination block is invertible.
     """
     x = system.manifold.reduce(x)
     dim = x.size
     G = _constraint_grads(system, sec, x)
     if not np.isfinite(G).all():   # a singular section, such as an angle at zero amplitude
-        raise SectionChartError("non-finite constraint gradients: the section is singular here")
+        raise SectionRefusal("non-finite constraint gradients: the section is singular here")
     n_con = G.shape[0]
     pairs = [[(2 * i, 2 * i + 1) for i in range(dim // 2)]] if n_con == 2 and dim % 2 == 0 else []
     candidates = pairs + [list(combinations(range(dim), n_con))]
@@ -556,7 +556,7 @@ def section_frame(system, sec: SectionSpec, x: np.ndarray) -> tuple[tuple[int, .
         if best > 1e-8:
             break
     if best < ELIMINATION_DET_MIN:
-        raise SectionChartError("degenerate constraints: no invertible elimination block")
+        raise SectionRefusal("degenerate constraints: no invertible elimination block")
     free = tuple(i for i in range(dim) if i not in elim)
     E = np.zeros((dim, len(free)))
     E[free, np.arange(len(free))] = 1.0
@@ -602,22 +602,25 @@ def _flow(system, x: np.ndarray, times: np.ndarray, tol: float) -> np.ndarray:
 def _certified_returns(system, sec: SectionSpec, record: Crossings):
     """Starts (n, dim), reduced to the chart, and the times (n, 1) and
     states (n, dim) of their first crossings, read off column 0 of the
-    record.  Raises ValueError for a start off the section or with no
-    certified first crossing."""
+    record.  Raises SectionRefusal for the first start with no certified
+    first crossing, its reason the record's, else for the first start off
+    the section."""
+    for i, f in enumerate(record.failures):
+        if f and f[0] == 0:
+            raise SectionRefusal(f"point {i} has no certified first crossing: {f[1]}", f[1])
     x = system.manifold.reduce(record.starts)
     for i, refusal in enumerate(sec.refusals(x)):
         if refusal:
-            raise ValueError(f"point {i} is {refusal}")
-    missing = record.first_missing()
-    if missing:
-        raise ValueError("point %d has no certified first crossing: %s" % missing)
+            raise SectionRefusal(f"point {i} is {refusal}")
     return x, record.times[:, :1], record.states[:, 0]
 
 
 def return_map_jacobians(system, sec: SectionSpec, record: Crossings) -> np.ndarray:
     """Jacobians of the return map, one (k, k) block per start of the
     certified crossing record (reduced to the chart first), in its section
-    coordinates (`section_frame`).
+    coordinates (`section_frame`).  Raises SectionRefusal, before any
+    integration, for a start with no certified first crossing, then for one
+    off the section, then for one with no section chart.
 
     The record is `iterate_returns` of the points, or `verify_global`'s
     forward record, or a row selection of either (`Crossings.select`).  Its
@@ -640,11 +643,11 @@ def return_map_jacobians(system, sec: SectionSpec, record: Crossings) -> np.ndar
     form).
     """
     chart = system.manifold
-    frames = [section_frame(system, sec, p) for p in record.starts]
+    x, T, y = _certified_returns(system, sec, record)
+    frames = [section_frame(system, sec, p) for p in x]
     n, k = len(frames), len(frames[0][0]) if frames else 0
     if not k:  # no points, or a zero-dimensional section: nothing to differentiate
         return np.zeros((n, 0, 0))
-    x, T, y = _certified_returns(system, sec, record)
     free = np.array([f for f, _ in frames])                          # (n, k)
     h = FD_STEP * np.maximum(1.0, np.abs(np.take_along_axis(x, free, 1)))
     offsets = np.stack([E.T for _, E in frames]) * h[..., None]      # (n, k, dim)
@@ -665,19 +668,22 @@ class MappingTorusChart:
     """Tabulated suspension chart Psi(p, t) = flow_{t*T(p)}(p) over a fiber
     grid, at the fiber times t = linspace(0, 1, TORUS_TIMES), integrated at
     tolerance ``tol``; ``table`` is (n_grid, TORUS_TIMES, dim), in reduced
-    coordinates."""
+    coordinates.  ``drifts`` (n_grid,) is each row's largest |H - H(p)| off
+    its start's level ``levels`` H(p) (both 0 for a plain flow)."""
 
-    def __init__(self, table: np.ndarray, gluing_residual: float, energy_residual: float,
-                 tol: float):
+    def __init__(self, table: np.ndarray, gluing_residual: float, drifts: np.ndarray,
+                 levels: np.ndarray, tol: float):
         self.table, self.gluing_residual = table, gluing_residual
-        self.energy_residual, self.tol = energy_residual, tol
+        self.drifts, self.levels, self.tol = drifts, levels, tol
+        self.energy_residual = float(np.max(drifts))   # the largest drift of an entry
 
     @property
     def passed(self) -> bool:
-        """The gluing residual is within GLUING_FACTOR * tol and the energy
-        residual within ENERGY_RESIDUAL_MAX."""
+        """The gluing residual is within GLUING_FACTOR * tol, and each row
+        keeps to its level within LEVEL_TOL * max(1, |H(p)|), the bound of a
+        slice's `phase.EnergySurface.check`."""
         return (self.gluing_residual <= GLUING_FACTOR * self.tol
-                and self.energy_residual <= ENERGY_RESIDUAL_MAX)
+                and bool(np.all(self.drifts <= LEVEL_TOL * np.maximum(1.0, np.abs(self.levels)))))
 
 
 def mapping_torus_chart(system, sec: SectionSpec, record: Crossings) -> MappingTorusChart:
@@ -690,9 +696,8 @@ def mapping_torus_chart(system, sec: SectionSpec, record: Crossings) -> MappingT
     time t * T(p), each on its own steps.  The t = 1 rows are integrated
     apart from the crossing engine, so the gluing residual |Psi(p, 1) -
     holonomy(p)| compares two independent computations.  For Hamiltonian
-    systems the energy residual is the largest drift of a table entry off
-    its start's energy level (0 otherwise); `MappingTorusChart.passed` holds
-    both to their bounds.
+    systems each row's drift off its start's energy level is kept (0
+    otherwise); `MappingTorusChart.passed` holds both to their bounds.
     """
     chart = system.manifold
     starts, T, holonomy = _certified_returns(system, sec, record)
@@ -703,10 +708,11 @@ def mapping_torus_chart(system, sec: SectionSpec, record: Crossings) -> MappingT
     states = np.concatenate([starts[:, None], ends.reshape(n, TORUS_TIMES - 1, dim)], 1)
     table = chart.reduce(states)
     gluing = float(np.max(np.abs(chart.wrapped_delta(table[:, -1], holonomy))))
-    energy_res = 0.0
+    levels = drifts = np.zeros(n)
     if hasattr(system, "energy"):
-        energy_res = float(np.max(np.abs(system.energy(states) - system.energy(starts)[:, None])))
-    return MappingTorusChart(table, gluing, energy_res, record.tol)
+        levels = system.energy(starts)
+        drifts = np.max(np.abs(system.energy(states) - levels[:, None]), axis=1)
+    return MappingTorusChart(table, gluing, drifts, levels, record.tol)
 
 
 def write_crossings_csv(path, record: Crossings) -> None:

@@ -107,8 +107,8 @@ def test_transversality_checks_read_the_tangency_margin(t4_system, samples3):
     with pytest.raises(C.TransversalityError):
         C.field_to_cosym(Z, iota(0.5 * m * NEG_DTHETA, t4_system), samples3)
     values = np.zeros((1, 4))
-    assert C.TransverseFieldReport(values, 0.0, m, neg_dtheta).passed
-    assert not C.TransverseFieldReport(values, 0.0, 0.5 * m, neg_dtheta).passed
+    assert C.TransverseFieldReport(values, 0.0, True, m, neg_dtheta).passed
+    assert not C.TransverseFieldReport(values, 0.0, True, 0.5 * m, neg_dtheta).passed
 
 
 def test_field_to_cosym_rejects_non_symplectic_field(t4_system, samples3):

@@ -577,7 +577,7 @@ def test_constant_form_is_evaluated_without_its_coefficient_function():
 def test_closed_residual_of_a_top_degree_form_is_zero():
     top = F.KForm(2, 2, lambda x: np.sin(x[..., :1]))
     samples = F.certification_samples(F.ChartManifold(2, (True, True)))
-    assert F.closed_residual(top, samples, "refused") == 0.0
+    assert F.closed_residual(top, samples, "refused") == (0.0, True)
     assert np.array_equal(samples, F.certification_samples(F.ChartManifold(2, (True, True))))
 
 

@@ -216,6 +216,29 @@ def test_jacobians_and_torus_refuse_a_point_without_a_first_return(t4_system, t4
         S.mapping_torus_chart(t4_system, t4_section, first)
 
 
+def test_a_zero_dimensional_section_refuses_its_starts_too():
+    # the harmonic oscillator's section has no free coordinate, so its Jacobians
+    # are 0 x 0 blocks; a start with no certified return, or off the section, is
+    # refused all the same, with the reason a failed check reports
+    system = catalog.get_system("harmonic_oscillator")
+    sec = S.angle_section((0, 1))
+    short = S.iterate_returns(system, sec, [[1.0, 0.0]], 1, t_max=1.0)
+    assert short.failures == [(0, "no crossing")]
+    for stage in (S.return_map_jacobians, S.mapping_torus_chart):
+        with pytest.raises(S.SectionRefusal, match="point 0 has no certified first crossing: "
+                           "no crossing") as exc:
+            stage(system, sec, short)
+        assert exc.value.reason == "no crossing"
+    # verify_global does not ask its samples to lie on the section
+    off = S.verify_global(system, sec, [[0.0, 1.0]], t_max=20.0).forward
+    assert off.failures == [None]
+    for stage in (S.return_map_jacobians, S.mapping_torus_chart):
+        with pytest.raises(S.SectionRefusal, match="point 0 is not on the section") as exc:
+            stage(system, sec, off)
+        assert exc.value.reason == str(exc.value)
+    assert S.return_map_jacobians(system, sec, short.select([])).shape == (0, 0, 0)
+
+
 def test_restricted_form_degenerates_on_a_lagrangian_section(t4_system):
     # {x = 0} inside the zero level {theta = 0} of omega = dx^dy + dz^dtheta is
     # spanned by e_y and e_z, on which omega vanishes
@@ -773,15 +796,15 @@ def test_mapping_torus_table_matches_direct_integration(name, system, sec, point
 
 def test_mapping_torus_energy_residual_is_enforced(osc_system):
     # at tol 1e-6 the gluing passes its 10*tol bound (8.3e-8) but the table
-    # drifts off the energy level by 5.1e-7, beyond the documented 1e-8
+    # drifts off the energy level H = 1 by 5.1e-7, beyond LEVEL_TOL * max(1, |H|)
     sec = S.angle_section()
     pts = catalog.sample_oscillator_surface(osc_system, 1.0, np.random.default_rng(0), 3)
     loose = torus_chart(osc_system, sec, pts, tol=1e-6)
     assert not loose.passed
     assert loose.gluing_residual <= S.GLUING_FACTOR * 1e-6
-    assert loose.energy_residual > S.ENERGY_RESIDUAL_MAX
+    assert loose.energy_residual > P.LEVEL_TOL
     mt = torus_chart(osc_system, sec, pts, tol=1e-10)
-    assert mt.passed and mt.energy_residual < S.ENERGY_RESIDUAL_MAX
+    assert mt.passed and mt.energy_residual < P.LEVEL_TOL
 
 
 def test_mapping_torus_rational_rotation_cycles(suspension_system):
